@@ -149,10 +149,23 @@ def _module_ref(expr: str, ps: ProblemSpec) -> ModuleRef:
     raise UsageError(f"bad module {expr!r}; use R, K, <ideal>, or R/<ideal>")
 
 
+# least value of each integer setting, whether given as a flag or a `set` line
+_MINIMUM = {"deg_max": 0, "max_level": 1, "window": 1}
+
+
+def _setting(ps: ProblemSpec, args, key: str, fallback=None):
+    """The flag's value, else the spec's `set` line, else the fallback.
+    A value below its minimum is a usage error."""
+    flag = getattr(args, key)
+    value = flag if flag is not None else ps.settings.get(key, fallback)
+    if value is not None and value < _MINIMUM[key]:
+        where = "--" + key.replace("_", "-") if flag is not None else f"set {key}"
+        raise UsageError(f"{where} must be at least {_MINIMUM[key]}, got {value}")
+    return value
+
+
 def _deg_max(ps: ProblemSpec, args, fallback: int) -> int:
-    if args.deg_max is not None:
-        return args.deg_max
-    return ps.settings.get("deg_max", fallback)
+    return _setting(ps, args, "deg_max", fallback)
 
 
 def _apply_overrides(b: Bounds, ps: ProblemSpec, args) -> Bounds:
@@ -161,10 +174,10 @@ def _apply_overrides(b: Bounds, ps: ProblemSpec, args) -> Bounds:
         wm = Fraction(args.weight_max)
     if wm is not None:
         b = b._replace(weight_max=wm)
-    ml = args.max_level if args.max_level is not None else ps.settings.get("max_level")
+    ml = _setting(ps, args, "max_level")
     if ml is not None:
         b = b._replace(max_level=ml)
-    w = args.window if args.window is not None else ps.settings.get("window")
+    w = _setting(ps, args, "window")
     if w is not None:
         b = b._replace(window=w)
     return b

@@ -79,6 +79,17 @@ class FreeComplex:
         return f"<FreeComplex ranks={ranks} over {self.ring!r}>"
 
 
+def by_col(entries: dict[tuple[int, int], Elem]) -> dict[int, list[tuple[int, Elem]]]:
+    """Entries {(i, j): elem} grouped by column: {j: [(i, elem), ...]}.
+
+    Each column keeps the entries in their stored order, so a loop over
+    one column visits them as a scan of all entries would."""
+    out: dict[int, list[tuple[int, Elem]]] = {}
+    for (i, j), elem in entries.items():
+        out.setdefault(j, []).append((i, elem))
+    return out
+
+
 def unit_complex(ring: LevelRing) -> FreeComplex:
     """R sitting in degree 0."""
     return FreeComplex(
@@ -109,10 +120,7 @@ def check_complex(x: FreeComplex) -> None:
         if d - 1 not in x.diff:
             continue
         # compose columns of diff[d] with diff[d-1]
-        lower = x.diff[d - 1]
-        by_col_lower: dict[int, list[tuple[int, Elem]]] = {}
-        for (i, j), elem in lower.items():
-            by_col_lower.setdefault(j, []).append((i, elem))
+        by_col_lower = by_col(x.diff[d - 1])
         acc: dict[tuple[int, int], Elem] = {}
         for (i, j), elem in x.diff[d].items():
             for (i2, elem2) in by_col_lower.get(i, []):
@@ -127,11 +135,11 @@ def check_complex(x: FreeComplex) -> None:
     if x.aug is not None and 1 in x.diff:
         # augmentation composes to zero with the first differential
         q = QuotientStrands(x.ring, x.aug_quotient)
+        cols = by_col(x.diff[1])
         for j in range(x.rank(1)):
             acc: Elem = {}
-            for (i, jj), elem in x.diff[1].items():
-                if jj == j:
-                    acc = ring.elem_add(acc, ring.elem_mul(x.aug[i], elem))
+            for i, elem in cols.get(j, ()):
+                acc = ring.elem_add(acc, ring.elem_mul(x.aug[i], elem))
             acc = {e: v for e, v in acc.items() if not q.is_zero(e)}
             if acc:
                 raise AssertionError(f"aug . d != 0 on generator {j}")
@@ -243,12 +251,10 @@ def strand_matrix(
         src = strand_basis(x, d, w, provider)
     if dst is None:
         dst = strand_basis(x, d - 1, w, provider)
-    by_col: dict[int, list[tuple[int, Elem]]] = {}
-    for (i, j), elem in x.diff_at(d).items():
-        by_col.setdefault(j, []).append((i, elem))
+    cols = by_col(x.diff_at(d))
     m = SparseMatrix(len(dst.pairs), len(src.pairs), F)
     for c, (j, mono) in enumerate(src.pairs):
-        for (i, elem) in by_col.get(j, []):
+        for (i, elem) in cols.get(j, ()):
             for e, coeff in elem.items():
                 ee = ring.mul_mono(e, mono)
                 if provider.is_zero(ee):
@@ -346,11 +352,7 @@ class ChainMap:
         return e if self.ring_map is None else self.ring_map(e)
 
     def column(self, d: int, j: int) -> dict[int, Elem]:
-        out: dict[int, Elem] = {}
-        for (i, jj), elem in self.entries_at(d).items():
-            if jj == j:
-                out[i] = elem
-        return out
+        return dict(by_col(self.entries_at(d)).get(j, ()))
 
 
 def identity_map(x: FreeComplex) -> ChainMap:
@@ -369,10 +371,7 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     ring = g.dst.ring
     ent: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, fd in f.entries.items():
-        gd = g.entries_at(d)
-        by_col_g: dict[int, list[tuple[int, Elem]]] = {}
-        for (i, j), elem in gd.items():
-            by_col_g.setdefault(j, []).append((i, elem))
+        by_col_g = by_col(g.entries_at(d))
         acc: dict[tuple[int, int], Elem] = {}
         for (i, j), elem in fd.items():
             pushed = {g.push_exp(e): v for e, v in elem.items()}
@@ -401,25 +400,23 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 def check_chain_map(f: ChainMap) -> None:
     """Assert d . f = f . d degreewise."""
     ring = f.dst.ring
-
-    def col_to_elem_map(cols: dict[int, Elem]) -> dict[int, Elem]:
-        return cols
-
     for d in sorted(set(f.entries) | set(f.src.diff)):
+        f_here, f_below = by_col(f.entries_at(d)), by_col(f.entries_at(d - 1))
+        dst_diff, src_diff = by_col(f.dst.diff_at(d)), by_col(f.src.diff_at(d))
         # f then d on one side, d then f on the other, per source generator
         for j in range(f.src.rank(d)):
             lhs: dict[int, Elem] = {}
-            for i, elem in f.column(d, j).items():
-                for (i2, delem) in _col_items(f.dst.diff_at(d), i):
+            for i, elem in f_here.get(j, ()):
+                for (i2, delem) in dst_diff.get(i, ()):
                     acc = ring.elem_mul(delem, elem)
                     if acc:
                         lhs[i2] = ring.elem_add(lhs.get(i2, {}), acc)
             rhs: dict[int, Elem] = {}
-            for i, selem in _col_items(f.src.diff_at(d), j):
+            for i, selem in src_diff.get(j, ()):
                 pushed = ring.reduce_elem(
                     {f.push_exp(e): v for e, v in selem.items()}
                 )
-                for i2, felem in f.column(d - 1, i).items():
+                for i2, felem in f_below.get(i, ()):
                     acc = ring.elem_mul(felem, pushed)
                     if acc:
                         rhs[i2] = ring.elem_add(rhs.get(i2, {}), acc)
@@ -432,34 +429,26 @@ def check_chain_map(f: ChainMap) -> None:
                     )
 
 
-def _col_items(entries: dict[tuple[int, int], Elem], j: int):
-    for (i, jj), elem in entries.items():
-        if jj == j:
-            yield i, elem
-
-
 # ---------- strand action of a chain map ----------
 
 
 def push_strand_vec(
     f: ChainMap,
-    d: int,
+    cols: dict[int, list[tuple[int, Elem]]],
     vec: Vec,
     src_sb: StrandBasis,
     dst_sb: StrandBasis,
     provider,
 ) -> Vec:
-    """Image of a strand vector under f (weights preserved)."""
+    """Image of a strand vector under f (weights preserved); `cols` is
+    by_col of f's entries in the strand's degree."""
     ring = f.dst.ring
     F = f.dst.field
-    by_col: dict[int, list[tuple[int, Elem]]] = {}
-    for (i, j), elem in f.entries_at(d).items():
-        by_col.setdefault(j, []).append((i, elem))
     out: Vec = {}
     for pos, c in vec.items():
         j, mono = src_sb.pairs[pos]
         pm = f.push_exp(mono)
-        for (i, elem) in by_col.get(j, []):
+        for (i, elem) in cols.get(j, ()):
             for e, coeff in elem.items():
                 ee = ring.mul_mono(e, pm)
                 if provider.is_zero(ee):
@@ -481,8 +470,9 @@ def homology_map_matrix(
     """Matrix of H_d(f) on the chosen homology bases (one weight strand)."""
     F = f.dst.field
     m = SparseMatrix(dst_h.dim, src_h.dim, F)
+    cols = by_col(f.entries_at(d))
     for k, rep in enumerate(src_h.reps):
-        img = push_strand_vec(f, d, rep, src_h.basis, dst_h.basis, provider)
+        img = push_strand_vec(f, cols, rep, src_h.basis, dst_h.basis, provider)
         for r, v in dst_h.coords(img, F).items():
             m.set(r, k, v)
     return m
@@ -530,6 +520,8 @@ def tensor_complexes(
                     prov[(d, idx)] = (p, i, q, j)
                     rev[(p, i, q, j)] = idx
         gens[d] = gl
+    a_cols = {p: by_col(ent) for p, ent in a.diff.items()}
+    b_cols = {q: by_col(ent) for q, ent in b.diff.items()}
     diff: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, gl in gens.items():
         if d - 1 not in gens:
@@ -537,12 +529,12 @@ def tensor_complexes(
         ent: dict[tuple[int, int], Elem] = {}
         for idx in range(len(gl)):
             p, i, q, j = prov[(d, idx)]
-            for (i2, elem) in _col_items(a.diff_at(p), i):
+            for (i2, elem) in a_cols.get(p, {}).get(i, ()):
                 tgt = rev.get((p - 1, i2, q, j))
                 if tgt is not None:
                     ent[(tgt, idx)] = elem
             sign = -1 if p % 2 else 1
-            for (j2, elem) in _col_items(b.diff_at(q), j):
+            for (j2, elem) in b_cols.get(q, {}).get(j, ()):
                 tgt = rev.get((p, i, q - 1, j2))
                 if tgt is not None:
                     ent[(tgt, idx)] = (
@@ -582,12 +574,13 @@ def tensor_maps(
     if f.ring_map is not None and g.ring_map is not None and f.ring_map is not g.ring_map:
         raise ValueError("tensor_maps: factors carry different ring maps")
     ring = dst.ring
+    f_cols = {p: by_col(e) for p, e in f.entries.items()}
+    g_cols = {q: by_col(e) for q, e in g.entries.items()}
     ent: dict[int, dict[tuple[int, int], Elem]] = {}
     for (d, idx), (p, i, q, j) in src_info.prov.items():
-        fcol = f.column(p, i)
-        gcol = g.column(q, j)
-        for i2, ea in fcol.items():
-            for j2, eb in gcol.items():
+        gcol = g_cols.get(q, {}).get(j, ())
+        for i2, ea in f_cols.get(p, {}).get(i, ()):
+            for j2, eb in gcol:
                 tgt = dst_info.rev.get((p, i2, q, j2))
                 if tgt is None:
                     continue
@@ -927,12 +920,12 @@ def ideal_resolution(
         if d >= 2:
             diff_out[d - 1] = dict(ent)
     aug = []
+    cols = by_col(res.diff_at(1))
     for j in range(len(res.gens_at(1))):
         acc: Elem = {}
-        for (i, jj), elem in res.diff_at(1).items():
-            if jj == j:
-                # row i is the single degree-0 generator of res(R/I)
-                acc = ring.elem_add(acc, elem)
+        # the only row is the single degree-0 generator of res(R/I)
+        for _i, elem in cols.get(j, ()):
+            acc = ring.elem_add(acc, elem)
         aug.append(acc)
     return FreeComplex(
         ring=ring, gens=gens_out, diff=diff_out, aug=aug, aug_quotient=()
@@ -969,6 +962,7 @@ def lift_chain_map(
     tgt_prov = QuotientStrands(ring, y.aug_quotient)
     for d in range(x.lo, x.hi + 1):
         ent: dict[tuple[int, int], Elem] = {}
+        x_cols, f_cols = by_col(x.diff_at(d)), by_col(f.entries_at(d - 1))
         for j, g in enumerate(x.gens_at(d)):
             w = g.weight
             ysb = strand_basis(y, d, w, prov)
@@ -982,9 +976,9 @@ def lift_chain_map(
                 mat = strand_matrix(y, d, w, prov, src=ysb)
                 ydst = strand_basis(y, d - 1, w, prov)
                 rhs: Vec = {}
-                for i, selem in _col_items(x.diff_at(d), j):
+                for i, selem in x_cols.get(j, ()):
                     pushed = push_elem(selem)
-                    for i2, felem in f.column(d - 1, i).items():
+                    for i2, felem in f_cols.get(i, ()):
                         prod = ring.elem_mul(felem, pushed)
                         for e, coeff in prod.items():
                             r = ydst.index.get((i2, e))
@@ -1040,6 +1034,11 @@ def hom_complex(x: FreeComplex, y: FreeComplex) -> tuple[FreeComplex, TensorInfo
                     prov[(d, idx)] = (p, i, q, j)
                     rev[(p, i, q, j)] = idx
         gens[d] = gl
+    y_cols = {q: by_col(e) for q, e in y.diff.items()}
+    # d_x grouped by row: transpose the keys, then group by column
+    x_rows = {
+        p: by_col({(j, i): e for (i, j), e in ent.items()}) for p, ent in x.diff.items()
+    }
     diff: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, gl in gens.items():
         if d - 1 not in gens:
@@ -1049,7 +1048,7 @@ def hom_complex(x: FreeComplex, y: FreeComplex) -> tuple[FreeComplex, TensorInfo
         for idx in range(len(gl)):
             p, i, q, j = prov[(d, idx)]
             # postcompose with d_y: lands in Hom(x_p, y_{q-1})
-            for (j2, elem) in _col_items(y.diff_at(q), j):
+            for (j2, elem) in y_cols.get(q, {}).get(j, ()):
                 tgt = rev.get((p, i, q - 1, j2))
                 if tgt is not None:
                     key = (tgt, idx)
@@ -1060,10 +1059,7 @@ def hom_complex(x: FreeComplex, y: FreeComplex) -> tuple[FreeComplex, TensorInfo
                         ent.pop(key, None)
             # precompose with d_x: entries of d_x hitting row i give
             # components on Hom(x_{p+1}, y_q)
-            dxp = x.diff_at(p + 1)
-            for (ii, i2), elem in dxp.items():
-                if ii != i:
-                    continue
+            for i2, elem in x_rows.get(p + 1, {}).get(i, ()):
                 tgt = rev.get((p + 1, i2, q, j))
                 if tgt is None:
                     continue

@@ -31,6 +31,7 @@ from .complexes import (
     QuotientStrands,
     RingStrands,
     TensorInfo,
+    by_col,
     cone,
     cone_map,
     compose_maps,
@@ -1146,12 +1147,10 @@ def _amitsur_level(
         else:
             ent.pop(key, None)
 
-    one = ring.one()
+    cols = [{i: by_col(ent) for i, ent in pw.diff.items()} for pw in powers]
     for (k, i, g), (d, src) in idx.items():
         # internal differential
-        for (i2, j2), elem in powers[k].diff_at(i).items():
-            if j2 != g:
-                continue
+        for i2, elem in cols[k].get(i, {}).get(g, ()):
             tgt = idx.get((k, i - 1, i2))
             if tgt is not None:
                 add_entry(d, tgt[1], src, elem)

@@ -78,18 +78,44 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly
+# for every n below _MR_LIMIT (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p for prime p. Scalars are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("field characteristic must be a prime >= 2")
-        # cheap primality check; inputs are user-supplied CLI values
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime")
-            d += 1
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
         self.name = f"F{p}"

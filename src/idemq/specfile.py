@@ -9,9 +9,10 @@
 
 An ideal name is one or more words joined by `+` (`I`, `I+J`), the form
 of an exterior sum's default name. Monomials are products of factors
-`x`, `x^2`, `x^{1/2}`, separated by spaces or `*`. Lines may carry `#`
-comments. Declarations can appear in any order; monomials are resolved
-once all variables are known, errors point at the offending line.
+`x`, `x^2`, `x^{1/2}`, separated by spaces or `*`; a bare `1` is the
+empty monomial. Lines may carry `#` comments. Declarations can appear
+in any order; monomials are resolved once all variables are known,
+errors point at the offending line.
 emit_spec(parse_spec(text)) is canonical and parses back to an
 identical spec.
 """
@@ -27,7 +28,7 @@ from .ideals import IdealFamily
 from .rings import FracMono, RingSpec, VarInfo
 
 # settings understood by the command layer; weight_max is a fraction,
-# the rest are positive integers
+# the rest are integers, whose lower bounds the command layer checks
 _SETTINGS = {
     "deg_max": int,
     "weight_max": Fraction,
@@ -81,6 +82,9 @@ def _parse_monomial(
 ) -> FracMono:
     names = {v.name: i for i, v in enumerate(spec_vars)}
     exps = [Fraction(0)] * len(spec_vars)
+    if text.strip() == "1":
+        # the empty monomial, as format_monomial writes it
+        return tuple(exps)
     for tok in re.split(r"[\s*]+", text.strip()):
         if not tok:
             continue

@@ -161,6 +161,29 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, setting, message",
+    [
+        (["tor", "--left", "I", "--right", "R/J", "--deg-max", "1", "--window", "0"],
+         "", "--window must be at least 1, got 0"),
+        (["tor", "--left", "I", "--right", "R/J", "--deg-max", "1"],
+         "set window 0\n", "set window must be at least 1, got 0"),
+        (["quotient-homotopy", "--ideal", "I", "--deg-max", "-1"],
+         "", "--deg-max must be at least 0, got -1"),
+        (["quotient-homotopy", "--ideal", "I"],
+         "set deg_max -2\n", "set deg_max must be at least 0, got -2"),
+        (["quotient-homotopy", "--ideal", "I", "--max-level", "0"],
+         "", "--max-level must be at least 1, got 0"),
+    ],
+)
+def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
+    spec = _write(tmp_path, PLAIN_SPEC + setting)
+    code, out, err = _run(capsys, [argv[0], spec] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"idemq: error: {message}\n"
+
+
 def test_gluing_wants_exactly_one_target(tmp_path, capsys):
     spec = _write(tmp_path, T_SPEC)
     code, _, err = _run(capsys, ["gluing-check", spec])

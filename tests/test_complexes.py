@@ -5,6 +5,9 @@ import pytest
 from idemq.fields import QQ
 from idemq.complexes import (
     ChainMap,
+    QuotientStrands,
+    aug_strand_matrix,
+    by_col,
     check_chain_map,
     check_complex,
     cone,
@@ -27,6 +30,7 @@ from idemq.complexes import (
     unit_complex,
 )
 from idemq.rings import LevelRing, RingSpec, VarInfo, make_level_ring
+from idemq.sparsela import solve_rows
 
 F0 = Fraction(0)
 
@@ -360,3 +364,136 @@ def test_hom_complex_squares_to_zero():
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     h, _ = hom_complex(res, res)
     check_complex(h)
+
+
+# ---------- column-grouped entries ----------
+
+
+def test_by_col_keeps_entry_order():
+    entries = {(2, 1): "a", (0, 0): "b", (1, 1): "c", (0, 1): "d", (3, 0): "e"}
+    assert by_col(entries) == {1: [(2, "a"), (1, "c"), (0, "d")], 0: [(0, "b"), (3, "e")]}
+    assert list(by_col(entries)) == [1, 0]
+    assert by_col({}) == {}
+
+
+def _scan(entries, j):
+    """Entries of column j, by a scan of every entry."""
+    return [(i, elem) for (i, jj), elem in entries.items() if jj == j]
+
+
+def _scan_tensor_diff(a, b, t, info):
+    ring = a.ring
+    diff = {}
+    for d, gl in t.gens.items():
+        if d - 1 not in t.gens:
+            continue
+        ent = {}
+        for idx in range(len(gl)):
+            p, i, q, j = info.prov[(d, idx)]
+            for i2, elem in _scan(a.diff_at(p), i):
+                tgt = info.rev.get((p - 1, i2, q, j))
+                if tgt is not None:
+                    ent[(tgt, idx)] = elem
+            for j2, elem in _scan(b.diff_at(q), j):
+                tgt = info.rev.get((p, i, q - 1, j2))
+                if tgt is not None:
+                    ent[(tgt, idx)] = elem if p % 2 == 0 else ring.elem_scale(-1, elem)
+        if ent:
+            diff[d] = ent
+    return diff
+
+
+def _scan_tensor_map(f, g, src_info, dst_info, ring):
+    ent = {}
+    for (d, idx), (p, i, q, j) in src_info.prov.items():
+        for i2, ea in _scan(f.entries_at(p), i):
+            for j2, eb in _scan(g.entries_at(q), j):
+                tgt = dst_info.rev.get((p, i2, q, j2))
+                prod = ring.elem_mul(ea, eb)
+                if tgt is None or not prod:
+                    continue
+                dent = ent.setdefault(d, {})
+                s = ring.elem_add(dent.get((tgt, idx), {}), prod)
+                if s:
+                    dent[(tgt, idx)] = s
+                else:
+                    dent.pop((tgt, idx), None)
+    return ent
+
+
+def _scan_lift(x, y, ring_map):
+    ring, F = y.ring, y.field
+    prov = RingStrands(ring)
+    push = lambda elem: ring.reduce_elem({ring_map(e): v for e, v in elem.items()})  # noqa: E731
+    entries = {}
+    for d in range(x.lo, x.hi + 1):
+        ent = {}
+        for j, g in enumerate(x.gens_at(d)):
+            ysb = strand_basis(y, d, g.weight, prov)
+            if d == 0:
+                mat, _, tgt = aug_strand_matrix(y, g.weight, src=ysb)
+                q = QuotientStrands(ring, y.aug_quotient)
+                tindex = {m: r for r, m in enumerate(tgt)}
+                rhs = {tindex[e]: v for e, v in push(x.aug[j]).items() if not q.is_zero(e)}
+            else:
+                mat = strand_matrix(y, d, g.weight, prov, src=ysb)
+                ydst = strand_basis(y, d - 1, g.weight, prov)
+                rhs = {}
+                for i, selem in _scan(x.diff_at(d), j):
+                    for i2, felem in _scan(entries.get(d - 1, {}), i):
+                        for e, c in ring.elem_mul(felem, push(selem)).items():
+                            r = ydst.index.get((i2, e))
+                            if r is not None:
+                                nv = F.normalize(F.add(rhs.get(r, F.zero), c))
+                                if F.is_zero(nv):
+                                    rhs.pop(r, None)
+                                else:
+                                    rhs[r] = nv
+            sol = solve_rows(mat.rows, len(ysb.pairs), rhs, F)
+            for pos, c in sol.items():
+                i, mono = ysb.pairs[pos]
+                cur = ent.setdefault((i, j), {})
+                nv = F.normalize(F.add(cur.get(mono, F.zero), c))
+                if F.is_zero(nv):
+                    cur.pop(mono, None)
+                else:
+                    cur[mono] = nv
+        ent = {k: v for k, v in ent.items() if v}
+        if ent:
+            entries[d] = ent
+    return entries
+
+
+def test_grouped_columns_match_full_scans_on_xy_level_2():
+    # x, y divisible, truncated at x and y; I = roots(x), roots(y)
+    spec = RingSpec(
+        field=QQ,
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", True)),
+        truncations=((Fraction(1), F0), (F0, Fraction(1))),
+    )
+    r1, r2 = make_level_ring(spec, 1), make_level_ring(spec, 2)
+    wmax = Fraction(2)
+    res1 = ideal_resolution(r1, [(1, 0), (0, 1)], dmax=3, wmax=wmax)
+    res2 = ideal_resolution(r2, [(1, 0), (0, 1)], dmax=3, wmax=wmax)
+    sq1, info1 = tensor_complexes(res1, res1, dmax=3, wmax=wmax)
+    sq2, info2 = tensor_complexes(res2, res2, dmax=3, wmax=wmax)
+    assert sq2.total_rank() > 50
+    for d in sorted(sq2.diff):
+        assert list(sq2.diff[d].items()) == list(
+            _scan_tensor_diff(res2, res2, sq2, info2)[d].items()
+        )
+    assert list(sq2.diff) == list(_scan_tensor_diff(res2, res2, sq2, info2))
+
+    lift = lift_chain_map(res1, res2, ring_map=r1.include_exp)
+    want = _scan_lift(res1, res2, r1.include_exp)
+    assert list(lift.entries) == list(want)
+    for d in want:
+        assert list(lift.entries[d].items()) == list(want[d].items())
+
+    sqmap = tensor_maps(lift, lift, sq1, info1, sq2, info2)
+    check_chain_map(sqmap)
+    want = _scan_tensor_map(lift, lift, info1, info2, r2)
+    assert list(sqmap.entries) == list(want)
+    for d in want:
+        assert list(sqmap.entries[d].items()) == list(want[d].items())

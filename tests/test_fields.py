@@ -42,6 +42,18 @@ def test_gfp_rejects_composite():
         GF(1)
 
 
+def test_gfp_primality_is_miller_rabin():
+    for p in (2, 3, 7, 2**61 - 1):
+        assert GF(p).p == p
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    for n in (0, 1, 4, 561, 3215031751, 2**61 + 1):
+        with pytest.raises(ValueError):
+            GF(n)
+    with pytest.raises(ValueError, match="too large"):
+        GF(2**89 - 1)
+
+
 def test_gf_cached_and_eq():
     assert GF(7) is GF(7)
     assert GF(7) == GF(7)

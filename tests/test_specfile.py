@@ -177,6 +177,16 @@ def test_round_trip_finite_field():
     assert parse_spec(emit_spec(ps)) == ps
 
 
+def test_round_trip_unit_ideal():
+    ps = parse_spec("var t divisible\nideal U = 1\nideal V = t, 1\n")
+    assert ps.ideals["U"].gens == ((F(0),),)
+    text = emit_spec(ps)
+    assert "ideal U = 1\n" in text
+    assert parse_spec(text) == ps
+    with pytest.raises(SpecError, match="bad monomial factor '1'"):
+        parse_spec("var t divisible\nideal U = t*1\n")
+
+
 def test_format_monomial_forms():
     ps = parse_spec("var x divisible\nvar y\n")
     ring = ps.ring
