@@ -3,7 +3,8 @@
 One subcommand per computation. Reports carry the same numbers in every
 format; JSON and CSV are byte-identical across runs on the same inputs.
 Exit codes: 0 stable result, 2 usage or spec error, 3 undetermined
-cells at the level cap that are not in flight, 4 falsified invariant.
+cells at the level cap that are not in flight, 4 falsified invariant,
+5 internal error (a failed consistency check inside the computation).
 A cell is in flight when it was born within one window of the top level
 or is already dead there; no level below the cap could have settled it.
 The `tor` certificate counts its in-flight cells under `in_flight`.
@@ -15,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -59,11 +59,18 @@ class UsageError(ValueError):
 # ---------- argument plumbing ----------
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
     shared.add_argument("--deg-max", type=int, default=None)
-    shared.add_argument("--weight-max", default=None)
+    shared.add_argument("--weight-max", type=_fraction, default=None)
     shared.add_argument("--max-level", type=int, default=None)
     shared.add_argument("--window", type=int, default=None)
     shared.add_argument("--seed", type=int, default=None)
@@ -149,18 +156,25 @@ def _module_ref(expr: str, ps: ProblemSpec) -> ModuleRef:
     raise UsageError(f"bad module {expr!r}; use R, K, <ideal>, or R/<ideal>")
 
 
-# least value of each integer setting, whether given as a flag or a `set` line
-_MINIMUM = {"deg_max": 0, "max_level": 1, "window": 1}
+# least value of each setting, whether given as a flag or a `set` line;
+# weight_max is a fraction and must lie strictly above its bound
+_MINIMUM = {
+    "deg_max": 0, "max_level": 1, "window": 1, "n_max": 1, "depth": 1, "weight_max": 0,
+}
 
 
 def _setting(ps: ProblemSpec, args, key: str, fallback=None):
     """The flag's value, else the spec's `set` line, else the fallback.
-    A value below its minimum is a usage error."""
+    A value out of range is a usage error."""
     flag = getattr(args, key)
     value = flag if flag is not None else ps.settings.get(key, fallback)
-    if value is not None and value < _MINIMUM[key]:
+    if value is None:
+        return None
+    low, strict = _MINIMUM[key], key == "weight_max"
+    if value < low or (strict and value == low):
         where = "--" + key.replace("_", "-") if flag is not None else f"set {key}"
-        raise UsageError(f"{where} must be at least {_MINIMUM[key]}, got {value}")
+        need = "greater than" if strict else "at least"
+        raise UsageError(f"{where} must be {need} {low}, got {value}")
     return value
 
 
@@ -169,9 +183,7 @@ def _deg_max(ps: ProblemSpec, args, fallback: int) -> int:
 
 
 def _apply_overrides(b: Bounds, ps: ProblemSpec, args) -> Bounds:
-    wm = ps.settings.get("weight_max")
-    if args.weight_max is not None:
-        wm = Fraction(args.weight_max)
+    wm = _setting(ps, args, "weight_max")
     if wm is not None:
         b = b._replace(weight_max=wm)
     ml = _setting(ps, args, "max_level")
@@ -225,7 +237,7 @@ def _verdict_cert(v) -> dict:
 
 def _run_check_idempotent(ps, args):
     fam = _pick_ideal(ps, args.ideal)
-    v = check_idempotent(fam, depth=args.depth)
+    v = check_idempotent(fam, depth=_setting(ps, args, "depth"))
     if isinstance(v, Idempotent):
         status, cert = "Stable", {"idempotent": True}
     elif isinstance(v, NotIdempotent):
@@ -269,7 +281,7 @@ def _run_quotient_homotopy(ps, args):
 def _run_tower(ps, args):
     fam = _pick_ideal(ps, args.ideal)
     N = _deg_max(ps, args, 4)
-    r = tower_report(ps.ring, fam, args.n_max, _bounds(ps, args, N))
+    r = tower_report(ps.ring, fam, _setting(ps, args, "n_max"), _bounds(ps, args, N))
     cert = {
         "ok": r.ok,
         "connectivity_failures": [[n, d, str(w)] for n, d, w in r.connectivity_failures],
@@ -474,18 +486,6 @@ def _emit(report: dict, fmt: str, out) -> None:
 # ---------- entrypoint ----------
 
 
-def _cap_threads() -> None:
-    v = os.environ.get("IDEMQ_MAX_THREADS")
-    if not v:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, int(v)))
-    except (ImportError, ValueError):
-        pass
-
-
 def _load_spec(path: str) -> ProblemSpec:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -533,7 +533,6 @@ def _run(args, out) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _cap_threads()
     t0 = time.perf_counter()
     try:
         code = _run(args, sys.stdout)
@@ -543,6 +542,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"idemq: error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"idemq: internal error: {e}", file=sys.stderr)
+        return 5
     print(f"[idemq] {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 

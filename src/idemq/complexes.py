@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .rings import Elem, Exponents, LevelRing
-from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
+from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, rank_rows, solve_rows
 
 # ---------- generators and complexes ----------
 
@@ -291,31 +291,56 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
 
 
 class HomologyData(NamedTuple):
+    """Homology of one weight strand. Most strands have none: those keep
+    their basis and where they came from, and no echelon or matrix."""
+
     dim: int
     basis: StrandBasis
     reps: list[Vec]  # cycles spanning homology, as strand vectors
-    boundaries: Echelon
-    coords_ech: Echelon  # augmented: reps over boundaries with bookkeeping tail
+    boundaries: Optional[Echelon]  # None when dim == 0
+    coords_ech: Optional[Echelon]  # augmented: reps over boundaries with bookkeeping tail
+    strand: tuple  # (complex, degree, weight, provider)
 
     def coords(self, vec: Vec, fieldobj) -> Vec:
-        """Coordinates of a cycle in the homology basis."""
+        """Coordinates of a cycle in the homology basis. Without homology
+        every cycle is a boundary; the boundaries are rebuilt for the check."""
         n = len(self.basis.pairs)
-        res = self.coords_ech.reduce(self.boundaries.reduce(vec))
+        if self.dim:
+            res = self.coords_ech.reduce(self.boundaries.reduce(vec))
+        else:
+            x, d, w, provider = self.strand
+            inc = strand_matrix(x, d + 1, w, provider, dst=self.basis)
+            res = _boundary_echelon(inc).reduce(vec)
         if any(c < n for c in res):
             raise ValueError("vector is not a cycle modulo boundaries")
         return {c - n: fieldobj.neg(v) for c, v in res.items()}
 
 
+def _boundary_echelon(inc: SparseMatrix) -> Echelon:
+    bnd = Echelon(inc.field)
+    for col in inc.transpose().rows:
+        bnd.insert(col)
+    return bnd
+
+
 def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData:
+    """Homology of the weight-w strand in degree d. The dimension comes
+    from two ranks; representatives and coordinates are built only when
+    it is nonzero, and must agree with it."""
     F = x.field
     sb = strand_basis(x, d, w, provider)
     n = len(sb.pairs)
-    bnd = Echelon(F)
+    strand = (x, d, w, provider)
+    dim = 0
     if n:
+        out = strand_matrix(x, d, w, provider, src=sb)
+        dim = n - rank_rows(out.rows, n, F)
+    if dim:  # no boundaries are needed when there are no cycles
         inc = strand_matrix(x, d + 1, w, provider, dst=sb)
-        for col in inc.transpose().rows:
-            bnd.insert(col)
-    out = strand_matrix(x, d, w, provider, src=sb)
+        dim -= rank_rows(inc.rows, inc.ncols, F)
+    if not dim:
+        return HomologyData(0, sb, [], None, None, strand)
+    bnd = _boundary_echelon(inc)
     cycles = kernel_rows(out.rows, n, F)
     spanned = Echelon(F)
     for row in bnd.rows.values():
@@ -324,12 +349,17 @@ def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData
     for z in cycles:
         if spanned.insert(z) is not None:
             reps.append(z)
+    if len(reps) != dim:
+        raise AssertionError(
+            f"homology at degree {d}, weight {w}: {len(reps)} representatives, "
+            f"but ranks give dimension {dim}"
+        )
     coords = Echelon(F, prefer_below=n)
     for k, z in enumerate(reps):
         v = dict(bnd.reduce(z))
         v[n + k] = F.one
         coords.insert(v)
-    return HomologyData(len(reps), sb, reps, bnd, coords)
+    return HomologyData(dim, sb, reps, bnd, coords, strand)
 
 
 # ---------- chain maps ----------

@@ -1,10 +1,11 @@
 """Sparse exact linear algebra over Q and F_p.
 
 Matrices are rows-of-dicts: row i is {col: coeff} with exact scalars.
-Rank-only queries (the bulk of the homology work) take a fraction-free
-fast path: over Q rows are cleared to integers and reduced by
-cross-multiplication; over F_p small matrices are densified and handed to
-the compiled kernels, large ones reduced sparsely.
+Rank-only queries (the bulk of the homology work: most strands have no
+homology, and their dimension is decided by two ranks) take a sparse fast
+path that keeps no echelon: over Q rows are cleared to integers and
+reduced by cross-multiplication, over F_p they are reduced with pivots
+normalised to 1. Every prime takes the same path.
 
 Kernel bases and solving go through an augmented column echelon: column j
 is inserted as col_j + e_j in bookkeeping coordinates, so kernel vectors
@@ -18,10 +19,6 @@ import heapq
 from fractions import Fraction
 from math import gcd
 from typing import Optional
-
-import numpy as np
-
-from .kernels import DENSE_ENTRY_LIMIT, MAX_DENSE_PRIME, backend, rank_mod_p_dense
 
 Vec = dict  # {col: scalar}, zero entries absent
 
@@ -254,18 +251,7 @@ def rank_rows(rows: list[Vec], ncols: int, field) -> int:
         return 0
     if field.char == 0:
         return _rank_int_rows([_clear_row_to_int(r) for r in rows])
-    p = field.p
-    if (
-        backend() != "python"
-        and p < MAX_DENSE_PRIME
-        and len(rows) * ncols <= DENSE_ENTRY_LIMIT
-    ):
-        a = np.zeros((len(rows), ncols), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                a[i, j] = v % p
-        return rank_mod_p_dense(a, p)
-    return _rank_modp_rows(rows, p)
+    return _rank_modp_rows(rows, field.p)
 
 
 # ---------- kernel and solve via augmented column echelon ----------

@@ -174,6 +174,20 @@ def test_unknown_command_exits_2(tmp_path, capsys):
          "set deg_max -2\n", "set deg_max must be at least 0, got -2"),
         (["quotient-homotopy", "--ideal", "I", "--max-level", "0"],
          "", "--max-level must be at least 1, got 0"),
+        (["quotient-homotopy", "--ideal", "I", "--weight-max", "-1"],
+         "", "--weight-max must be greater than 0, got -1"),
+        (["quotient-homotopy", "--ideal", "I", "--weight-max", "0"],
+         "", "--weight-max must be greater than 0, got 0"),
+        (["quotient-homotopy", "--ideal", "I"],
+         "set weight_max -1/2\n", "set weight_max must be greater than 0, got -1/2"),
+        (["tower", "--ideal", "I", "--n-max", "0"],
+         "", "--n-max must be at least 1, got 0"),
+        (["tower", "--ideal", "I", "--n-max", "-1"],
+         "", "--n-max must be at least 1, got -1"),
+        (["check-idempotent", "--ideal", "I", "--depth", "0"],
+         "", "--depth must be at least 1, got 0"),
+        (["check-idempotent", "--ideal", "I", "--depth", "-1"],
+         "", "--depth must be at least 1, got -1"),
     ],
 )
 def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
@@ -182,6 +196,32 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
     assert code == 2
     assert out == ""
     assert err == f"idemq: error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_weight_max_that_is_not_a_fraction_exits_2(tmp_path, capsys, value):
+    spec = _write(tmp_path, PLAIN_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient-homotopy", spec, "--ideal", "I", "--weight-max", value])
+    assert exc.value.code == 2
+    assert f"--weight-max: not a fraction: '{value}'" in capsys.readouterr().err
+
+
+def test_internal_fault_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
+    from idemq import derived
+
+    def broken(*args, **kwargs):
+        raise AssertionError("not a chain map at degree 1, source gen 0, row 0")
+
+    monkeypatch.setattr(derived, "lift_chain_map", broken)
+    spec = _write(tmp_path, T_SPEC)
+    code, out, err = _run(capsys, ["quotient-homotopy", spec, "--deg-max", "1"])
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "idemq: internal error: not a chain map at degree 1, source gen 0, row 0\n"
+    )
+    assert "Traceback" not in err
 
 
 def test_gluing_wants_exactly_one_target(tmp_path, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from idemq.fields import QQ
+from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
     QuotientStrands,
@@ -24,13 +24,16 @@ from idemq.complexes import (
     push_strand_vec,
     strand_basis,
     strand_matrix,
+    strand_weights,
     RingStrands,
     tensor_complexes,
     tensor_maps,
     unit_complex,
 )
+from idemq.derived import Tower
+from idemq.ideals import IdealFamily
 from idemq.rings import LevelRing, RingSpec, VarInfo, make_level_ring
-from idemq.sparsela import solve_rows
+from idemq.sparsela import Echelon, SparseMatrix, solve_rows
 
 F0 = Fraction(0)
 
@@ -321,6 +324,85 @@ def test_homology_data_reps_are_cycles():
             assert s == 0
 
 
+def _xy_spec(field):
+    # x, y divisible, truncated at x and y
+    return RingSpec(
+        field=field,
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", True)),
+        truncations=((Fraction(1), F0), (F0, Fraction(1))),
+    )
+
+
+def _xy_square(field, level=2, wmax=Fraction(2)):
+    # I (x) I for I = roots(x), roots(y)
+    ring = make_level_ring(_xy_spec(field), level)
+    res = ideal_resolution(ring, [(1, 0), (0, 1)], dmax=3, wmax=wmax)
+    sq, _ = tensor_complexes(res, res, dmax=3, wmax=wmax)
+    return sq, RingStrands(ring)
+
+
+def _xy_cone(field, level=2, wmax=Fraction(2)):
+    # cone of the multiplication I (x) I -> I for I = roots(x), roots(y)
+    spec = _xy_spec(field)
+    family = IdealFamily(name="I", spec=spec, root_vars=(0, 1))
+    cof, _ = Tower(spec, family, 2, wmax).cof_sigma(1, level)
+    return cof, RingStrands(make_level_ring(spec, level))
+
+
+@pytest.mark.parametrize("build", [_xy_square, _xy_cone], ids=["square", "cone"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_rank_first_dims_match_homology_dim_on_xy(field, build):
+    x, prov = build(field)
+    seen = nonzero = 0
+    for d in range(x.lo, x.hi + 1):
+        for w in strand_weights(x, d, Fraction(2), prov):
+            h = homology_data(x, d, w, prov)
+            assert h.dim == homology_dim(x, d, w, prov)
+            assert len(h.reps) == h.dim
+            seen += 1
+            if h.dim:
+                nonzero += 1
+                continue
+            assert h.boundaries is None and h.coords_ech is None
+            assert not any(
+                isinstance(part, (Echelon, SparseMatrix)) for part in h
+            )
+    assert 0 < nonzero < seen
+
+
+def test_coords_on_a_strand_without_homology_checks_cycles():
+    sq, prov = _xy_square(QQ)
+
+    def strands():
+        for d in range(sq.lo, sq.hi + 1):
+            for w in strand_weights(sq, d, Fraction(2), prov):
+                h = homology_data(sq, d, w, prov)
+                yield h, strand_matrix(sq, d + 1, w, prov, dst=h.basis)
+
+    # boundaries exist but do not fill the strand
+    h, inc = next(
+        (h, inc) for h, inc in strands()
+        if h.dim == 0 and 0 < inc.rank() < len(h.basis.pairs)
+    )
+    bnd = Echelon(QQ)
+    cols = [col for col in inc.transpose().rows if col]
+    for col in cols:
+        bnd.insert(col)
+    # a sum of boundaries has no coordinates
+    total = {}
+    for col in cols:
+        for r, v in col.items():
+            total[r] = total.get(r, 0) + v
+    assert h.coords(cols[0], QQ) == {}
+    assert h.coords({r: v for r, v in total.items() if v}, QQ) == {}
+    outside = next(
+        {r: 1} for r in range(len(h.basis.pairs)) if not bnd.contains({r: 1})
+    )
+    with pytest.raises(ValueError, match="not a cycle modulo boundaries"):
+        h.coords(outside, QQ)
+
+
 # ---------- tensor of maps ----------
 
 
@@ -465,13 +547,8 @@ def _scan_lift(x, y, ring_map):
 
 
 def test_grouped_columns_match_full_scans_on_xy_level_2():
-    # x, y divisible, truncated at x and y; I = roots(x), roots(y)
-    spec = RingSpec(
-        field=QQ,
-        root_base=2,
-        variables=(VarInfo("x", True), VarInfo("y", True)),
-        truncations=((Fraction(1), F0), (F0, Fraction(1))),
-    )
+    # I = roots(x), roots(y)
+    spec = _xy_spec(QQ)
     r1, r2 = make_level_ring(spec, 1), make_level_ring(spec, 2)
     wmax = Fraction(2)
     res1 = ideal_resolution(r1, [(1, 0), (0, 1)], dmax=3, wmax=wmax)

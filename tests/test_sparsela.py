@@ -74,6 +74,8 @@ def test_mod_p_rank():
     assert m.rank() == 1
     m = SparseMatrix.from_dense([[1, 2], [2, 1]], GF(5))
     assert m.rank() == 2
+    m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]], GF(32003))
+    assert m.rank() == 3
 
 
 def test_kernel_mod_p():
@@ -161,6 +163,22 @@ def test_rank_nullity_property(data):
     assert rank + len(ker) == m.ncols
     for v in ker:
         assert m.mul_vec(v) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([7, (1 << 31) + 11]),
+    st.lists(
+        st.lists(st.integers(min_value=-20, max_value=20), min_size=4, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_rank_mod_p_matches_augmented_echelon(p, data):
+    # rank_rows eliminates rows; kernel_rows runs the augmented column echelon
+    F = GF(p)
+    m = SparseMatrix.from_dense(data, F)
+    assert rank_rows(m.rows, m.ncols, F) == m.ncols - len(kernel_rows(m.rows, m.ncols, F))
 
 
 @settings(max_examples=40, deadline=None)
