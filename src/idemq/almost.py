@@ -27,14 +27,11 @@ from typing import Callable, Optional
 from .complexes import (
     ChainMap,
     FreeComplex,
-    IdealStrands,
-    QuotientStrands,
     RingStrands,
     cone,
     cone_map,
     homology_map_matrix,
     identity_map,
-    k_strands,
     lift_chain_map,
     tensor_complexes,
     tensor_maps,
@@ -50,6 +47,8 @@ from .derived import (
     default_bounds,
     derived_tensor,
     ideal_module,
+    module_min_level,
+    module_strands,
     rep_level,
     ring_module,
 )
@@ -92,22 +91,6 @@ class AlmostVerdict:
     @property
     def stable(self) -> bool:
         return all(v is not None for v in self.degrees.values())
-
-
-def _module_min_level(ref: ModuleRef) -> int:
-    return ref.family.min_level() if ref.family is not None else 0
-
-
-def _module_strands(ref: ModuleRef, ring):
-    if ref.kind == "ring":
-        return RingStrands(ring)
-    if ref.kind == "residue":
-        return k_strands(ring)
-    if ref.kind == "quotient":
-        return QuotientStrands(ring, tuple(ref.family.gens_at(ring)))
-    if ref.kind == "ideal":
-        return IdealStrands(ring, tuple(ref.family.gens_at(ring)))
-    raise ValueError(f"unknown module kind {ref.kind!r}")
 
 
 # ---------- annihilation route ----------
@@ -204,7 +187,7 @@ def _annihilation_cells(
                         if mm is None:
                             mm = mults[(k, g)] = _mult_map(diagram.complexes[k], g)
                         cols.append(
-                            homology_map_matrix(mm, d, sh, h, diagram.providers[k])
+                            homology_map_matrix(mm, d, sh, h)
                         )
                 bs.append(_hstack(h.dim, cols, field))
             ts = [diagram.step_matrix(k, d, w) for k in range(K - 1)]
@@ -328,7 +311,7 @@ def iinfty_tensor_vanishes(
     when the plain derived tensor with the first power does not vanish."""
     b = bounds or default_bounds(bound)
     tower = Tower(spec, family, b.deg_max, b.weight_max)
-    l0 = max(1, family.min_level(), _module_min_level(module))
+    l0 = max(1, family.min_level(), module_min_level(module))
     levels = list(range(l0, b.max_level + 1))
     cells: dict[tuple[int, Fraction], CellResult] = {}
     n_used = []
@@ -339,7 +322,7 @@ def iinfty_tensor_vanishes(
             levels=levels,
             complexes=[tower.X(nd, l) for l in levels],
             steps=[tower.lam(nd, l) for l in levels[:-1]],
-            providers=[_module_strands(module, tower.ring(l)) for l in levels],
+            providers=[module_strands(module, tower.ring(l)) for l in levels],
             root_base=spec.root_base,
             cache=tower.cache,
             tag=("xcoef", nd, module.label),
@@ -566,7 +549,7 @@ def gluing_square_check(
     n = bound + 2
     m = n + 1
     tower = Tower(spec, family, b.deg_max, b.weight_max)
-    mod_min = 0 if module is None else _module_min_level(module)
+    mod_min = 0 if module is None else module_min_level(module)
     l0 = max(1, family.min_level(), mod_min)
     levels = list(range(l0, b.max_level + 1))
     mlabel = module.label if module is not None else f"Q{quotient_stage}"

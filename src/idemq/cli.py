@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--weight-max", type=_fraction, default=None)
     shared.add_argument("--max-level", type=int, default=None)
     shared.add_argument("--window", type=int, default=None)
-    shared.add_argument("--seed", type=int, default=None)
 
     p = argparse.ArgumentParser(prog="idemq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = cmd("amitsur-check")
     sp.add_argument("--ideal", default=None)
-    sp.add_argument("--depth", type=int, default=5)
+    sp.add_argument("--depth", type=int, default=None, dest="amitsur_depth")
 
     sp = sub.add_parser("exterior-sum", parents=[shared])
     sp.add_argument("specfile")
@@ -160,7 +159,10 @@ def _module_ref(expr: str, ps: ProblemSpec) -> ModuleRef:
 # weight_max is a fraction and must lie strictly above its bound
 _MINIMUM = {
     "deg_max": 0, "max_level": 1, "window": 1, "n_max": 1, "depth": 1, "weight_max": 0,
+    "amitsur_depth": 1,
 }
+# settings whose flag is not named after them
+_FLAG = {"amitsur_depth": "--depth"}
 
 
 def _setting(ps: ProblemSpec, args, key: str, fallback=None):
@@ -172,7 +174,10 @@ def _setting(ps: ProblemSpec, args, key: str, fallback=None):
         return None
     low, strict = _MINIMUM[key], key == "weight_max"
     if value < low or (strict and value == low):
-        where = "--" + key.replace("_", "-") if flag is not None else f"set {key}"
+        if flag is not None:
+            where = _FLAG.get(key, "--" + key.replace("_", "-"))
+        else:
+            where = f"set {key}"
         need = "greater than" if strict else "at least"
         raise UsageError(f"{where} must be {need} {low}, got {value}")
     return value
@@ -394,7 +399,8 @@ def _run_gluing_check(ps, args):
 def _run_amitsur_check(ps, args):
     fam = _pick_ideal(ps, args.ideal)
     N = _deg_max(ps, args, 2)
-    r = amitsur_crosscheck(ps.ring, fam, args.depth, N, _bounds(ps, args, N))
+    m = _setting(ps, args, "amitsur_depth", 5)
+    r = amitsur_crosscheck(ps.ring, fam, m, N, _bounds(ps, args, N))
     cert = {
         "agree": {str(d): r.agree[d] for d in sorted(r.agree)},
         "all_agree": r.all_agree(),

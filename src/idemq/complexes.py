@@ -9,8 +9,17 @@ exact on the strands that remain.
 
 Strand providers select the module structure: RingStrands reads homology
 over R itself, QuotientStrands over R/J (monomials in J dropped both from
-bases and from products), so Tor against a monomial quotient and reduction
-mod the maximal ideal are the same code path.
+bases and from products), IdealStrands over a monomial ideal, so Tor
+against a monomial quotient and reduction mod the maximal ideal are the
+same code path. A provider has `ring` and `basis(w)`, the monomials of
+weight w that are nonzero in its module. `basis` never returns a zero
+monomial, so a product lands in a strand exactly when the strand's index
+holds it: matrices are built by that lookup alone, with no zero test.
+
+A strand's basis pairs each generator of weight gw with basis(w - gw).
+FreeComplex groups each degree's generators by weight once
+(`gens_by_weight`), so a strand costs one basis lookup per distinct
+generator weight, not one per generator.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ class FreeComplex:
     # target (empty tuple = the target is R itself)
     aug: Optional[list[Elem]] = None
     aug_quotient: tuple[Exponents, ...] = ()
+    # degree -> (the gens list it indexes, its weight groups); see gens_by_weight
+    _by_weight: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self):
@@ -64,6 +75,24 @@ class FreeComplex:
 
     def gens_at(self, d: int) -> list[GenInfo]:
         return self.gens.get(d, [])
+
+    def gens_by_weight(self, d: int) -> list[tuple[Fraction, list[int]]]:
+        """Degree-d generator indices grouped by weight: (weight, indices)
+        pairs, ascending in weight, indices ascending within a group.
+        Built on first use and kept while gens[d] is the same list object,
+        so a degree whose list is replaced is indexed afresh."""
+        gl = self.gens.get(d)
+        if not gl:
+            return []
+        hit = self._by_weight.get(d)
+        if hit is not None and hit[0] is gl:
+            return hit[1]
+        groups: dict[Fraction, list[int]] = {}
+        for j, g in enumerate(gl):
+            groups.setdefault(g.weight, []).append(j)
+        index = sorted(groups.items())
+        self._by_weight[d] = (gl, index)
+        return index
 
     def rank(self, d: int) -> int:
         return len(self.gens.get(d, []))
@@ -154,9 +183,6 @@ class RingStrands:
     def __init__(self, ring: LevelRing):
         self.ring = ring
 
-    def is_zero(self, e: Exponents) -> bool:
-        return self.ring.mono_is_zero(e)
-
     def basis(self, w: Fraction) -> list[Exponents]:
         if w < 0:
             return []
@@ -198,7 +224,7 @@ def k_strands(ring: LevelRing) -> QuotientStrands:
 class IdealStrands:
     """A monomial ideal as a submodule of R: monomials divisible by some
     generator. Products of a surviving monomial with a ring monomial stay
-    in the ideal, so is_zero only ever drops genuine zeroes there."""
+    in the ideal, so only genuine zeroes drop out of its strands."""
 
     def __init__(self, ring: LevelRing, ideal_exps: tuple[Exponents, ...]):
         self.ring = ring
@@ -209,9 +235,6 @@ class IdealStrands:
             if all(a >= b for a, b in zip(e, t)):
                 return True
         return False
-
-    def is_zero(self, e: Exponents) -> bool:
-        return self.ring.mono_is_zero(e) or not self._inside(e)
 
     def basis(self, w: Fraction) -> list[Exponents]:
         if w <= 0:
@@ -228,11 +251,17 @@ class StrandBasis(NamedTuple):
 
 
 def strand_basis(x: FreeComplex, d: int, w: Fraction, provider) -> StrandBasis:
-    pairs = []
-    for j, g in enumerate(x.gens_at(d)):
-        rem = w - g.weight
-        for m in provider.basis(rem):
-            pairs.append((j, m))
+    """Pairs (j, m) with weight(j) + weight(m) = w, generators ascending,
+    then monomials in basis order. One basis lookup per generator weight."""
+    owners = []  # (generator, its monomials), one per contributing generator
+    for gw, js in x.gens_by_weight(d):
+        if gw > w:
+            break
+        ms = provider.basis(w - gw)
+        if ms:
+            owners.extend((j, ms) for j in js)
+    owners.sort()  # generator indices are distinct, so only they are compared
+    pairs = [(j, m) for j, ms in owners for m in ms]
     return StrandBasis(pairs, {p: k for k, p in enumerate(pairs)})
 
 
@@ -256,13 +285,9 @@ def strand_matrix(
     for c, (j, mono) in enumerate(src.pairs):
         for (i, elem) in cols.get(j, ()):
             for e, coeff in elem.items():
-                ee = ring.mul_mono(e, mono)
-                if provider.is_zero(ee):
-                    continue
-                r = dst.index.get((i, ee))
-                if r is None:
-                    continue
-                m.add_at(r, c, coeff)
+                r = dst.index.get((i, ring.mul_mono(e, mono)))
+                if r is not None:
+                    m.add_at(r, c, coeff)
     return m
 
 
@@ -270,9 +295,11 @@ def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fra
     """Weights w <= wmax where the degree-d strand can be nonzero."""
     ws = set()
     ring_ws = list(provider.ring.basis_upto(wmax).keys())
-    for g in x.gens_at(d):
+    for gw, _js in x.gens_by_weight(d):
+        if gw > wmax:  # ring weights are >= 0
+            break
         for rw in ring_ws:
-            w = g.weight + rw
+            w = gw + rw
             if w <= wmax:
                 ws.add(w)
     return sorted(ws)
@@ -468,7 +495,6 @@ def push_strand_vec(
     vec: Vec,
     src_sb: StrandBasis,
     dst_sb: StrandBasis,
-    provider,
 ) -> Vec:
     """Image of a strand vector under f (weights preserved); `cols` is
     by_col of f's entries in the strand's degree."""
@@ -480,10 +506,7 @@ def push_strand_vec(
         pm = f.push_exp(mono)
         for (i, elem) in cols.get(j, ()):
             for e, coeff in elem.items():
-                ee = ring.mul_mono(e, pm)
-                if provider.is_zero(ee):
-                    continue
-                r = dst_sb.index.get((i, ee))
+                r = dst_sb.index.get((i, ring.mul_mono(e, pm)))
                 if r is None:
                     continue
                 nv = F.normalize(F.add(out.get(r, F.zero), F.mul(c, coeff)))
@@ -495,14 +518,14 @@ def push_strand_vec(
 
 
 def homology_map_matrix(
-    f: ChainMap, d: int, src_h: HomologyData, dst_h: HomologyData, provider
+    f: ChainMap, d: int, src_h: HomologyData, dst_h: HomologyData
 ) -> SparseMatrix:
     """Matrix of H_d(f) on the chosen homology bases (one weight strand)."""
     F = f.dst.field
     m = SparseMatrix(dst_h.dim, src_h.dim, F)
     cols = by_col(f.entries_at(d))
     for k, rep in enumerate(src_h.reps):
-        img = push_strand_vec(f, cols, rep, src_h.basis, dst_h.basis, provider)
+        img = push_strand_vec(f, cols, rep, src_h.basis, dst_h.basis)
         for r, v in dst_h.coords(img, F).items():
             m.set(r, k, v)
     return m
@@ -840,10 +863,7 @@ def aug_strand_matrix(
     m = SparseMatrix(len(tgt), len(src.pairs), x.field)
     for c, (j, mono) in enumerate(src.pairs):
         for e, coeff in x.aug[j].items():
-            ee = ring.mul_mono(e, mono)
-            if prov.is_zero(ee):
-                continue
-            r = tindex.get(ee)
+            r = tindex.get(ring.mul_mono(e, mono))
             if r is not None:
                 m.add_at(r, c, coeff)
     return m, src, tgt
@@ -872,15 +892,11 @@ def minimal_resolution(
         aug=[ring.one()],
         aug_quotient=tuple(quotient_gens),
     )
-    ring_ws = sorted(ring.basis_upto(wmax).keys())
     for d in range(1, dmax + 1):
-        prev_gens = x.gens_at(d - 1)
-        if not prev_gens:
+        if not x.gens_at(d - 1):
             x.gens[d] = []
             continue
-        cand_ws = sorted(
-            {g.weight + rw for g in prev_gens for rw in ring_ws if g.weight + rw <= wmax}
-        )
+        cand_ws = strand_weights(x, d - 1, wmax, prov)
         chosen: list[tuple[Fraction, dict[int, Elem], str]] = []
         for w in cand_ws:
             sb = strand_basis(x, d - 1, w, prov)
@@ -899,10 +915,7 @@ def minimal_resolution(
                     vec: Vec = {}
                     for i, elem in colg.items():
                         for e, coeff in elem.items():
-                            ee = ring.mul_mono(e, mono)
-                            if prov.is_zero(ee):
-                                continue
-                            pos = sb.index.get((i, ee))
+                            pos = sb.index.get((i, ring.mul_mono(e, mono)))
                             if pos is None:
                                 continue
                             cur = x.field.add(vec.get(pos, x.field.zero), coeff)
@@ -975,7 +988,8 @@ def lift_chain_map(
     along a level inclusion; augmentation targets must correspond.
 
     Degree 0 solves aug_y(f(g)) = push(aug_x(g)) on each strand, higher
-    degrees solve d(f(g)) = f(d(g)); failure to solve raises ValueError.
+    degrees solve d(f(g)) = f(d(g)). Over a resolution every one of these
+    systems is solvable, so a failure is an internal fault: AssertionError.
     """
     if x.aug is None or y.aug is None:
         raise ValueError("both complexes need augmentations")
@@ -1021,7 +1035,7 @@ def lift_chain_map(
                                 rhs[r] = nv
             sol = solve_rows(mat.rows, len(ysb.pairs), rhs, F)
             if sol is None:
-                raise ValueError(f"no lift at degree {d}, generator {j}")
+                raise AssertionError(f"no lift at degree {d}, generator {j}")
             for pos, coeff in sol.items():
                 i, mono = ysb.pairs[pos]
                 cur = ent.setdefault((i, j), {})

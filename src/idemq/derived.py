@@ -170,9 +170,7 @@ class LevelDiagram:
             if src_h.dim == 0 or dst_h.dim == 0:
                 m = SparseMatrix(dst_h.dim, src_h.dim, self.complexes[0].field)
             else:
-                m = homology_map_matrix(
-                    self.steps[k], d, src_h, dst_h, self.providers[k + 1]
-                )
+                m = homology_map_matrix(self.steps[k], d, src_h, dst_h)
             self.cache[key] = m
         return m
 
@@ -188,14 +186,13 @@ class LevelDiagram:
         out = {}
         for d in degrees:
             for w in self.cell_weights(d, wmax):
-                hs = [self.homology(k, d, w) for k in range(len(self.levels))]
-                dims = [h.dim for h in hs]
+                dims = [self.homology(k, d, w).dim for k in range(len(self.levels))]
+                if not any(dims):
+                    continue
                 mats = [
                     self.step_matrix(k, d, w)
                     for k in range(len(self.levels) - 1)
                 ]
-                if not any(dims):
-                    continue
                 value, stable = colimit_stabilize(
                     self.levels, dims, mats, window, rep_level(w, self.root_base)
                 )
@@ -544,7 +541,8 @@ def _resolve_ref(ref: ModuleRef, ring: LevelRing, dmax: int, wmax: Fraction) -> 
     raise ValueError(f"unknown module kind {ref.kind!r}")
 
 
-def _strands_ref(ref: ModuleRef, ring: LevelRing):
+def module_strands(ref: ModuleRef, ring: LevelRing):
+    """The strand provider that reads homology against the module `ref`."""
     if ref.kind == "ring":
         return RingStrands(ring)
     if ref.kind == "residue":
@@ -556,7 +554,7 @@ def _strands_ref(ref: ModuleRef, ring: LevelRing):
     raise ValueError(f"unknown module kind {ref.kind!r}")
 
 
-def _ref_min_level(ref: ModuleRef) -> int:
+def module_min_level(ref: ModuleRef) -> int:
     return ref.family.min_level() if ref.family is not None else 0
 
 
@@ -585,7 +583,7 @@ class TorDiagram:
         self._lift: dict[int, ChainMap] = {}
         self._prov: dict[int, object] = {}
         self.cache: dict = {}
-        self.min_level = max(_ref_min_level(left), _ref_min_level(right))
+        self.min_level = max(module_min_level(left), module_min_level(right))
 
     def ring(self, l: int) -> LevelRing:
         return make_level_ring(self.spec, l)
@@ -607,7 +605,7 @@ class TorDiagram:
     def provider(self, l: int):
         p = self._prov.get(l)
         if p is None:
-            p = _strands_ref(self.right, self.ring(l))
+            p = module_strands(self.right, self.ring(l))
             self._prov[l] = p
         return p
 
@@ -639,15 +637,13 @@ class TorDiagram:
 
     def step_matrix(self, l: int, d: int, w: Fraction) -> SparseMatrix:
         return homology_map_matrix(
-            self.lift(l), d, self.homology(l, d, w), self.homology(l + 1, d, w),
-            self.provider(l + 1),
+            self.lift(l), d, self.homology(l, d, w), self.homology(l + 1, d, w)
         )
 
     def double_step_matrix(self, l: int, d: int, w: Fraction) -> SparseMatrix:
         two = compose_maps(self.lift(l + 1), self.lift(l))
         return homology_map_matrix(
-            two, d, self.homology(l, d, w), self.homology(l + 2, d, w),
-            self.provider(l + 2),
+            two, d, self.homology(l, d, w), self.homology(l + 2, d, w)
         )
 
 

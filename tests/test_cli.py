@@ -128,6 +128,33 @@ def test_amitsur_check_agrees(tmp_path, capsys):
     code, rep, _ = _run_json(capsys, ["amitsur-check", spec, "--deg-max", "1"])
     assert code == 0
     assert rep["status"] == "Stable"
+    assert rep["certificates"]["m"] == 5
+
+
+def test_amitsur_depth_setting_is_the_default_for_depth(tmp_path, capsys):
+    spec = _write(tmp_path, T_SPEC + "set amitsur_depth 3\n")
+    code, rep, _ = _run_json(capsys, ["amitsur-check", spec, "--deg-max", "1"])
+    assert code == 0
+    assert rep["certificates"]["m"] == 3
+    code, rep, _ = _run_json(
+        capsys, ["amitsur-check", spec, "--deg-max", "1", "--depth", "4"]
+    )
+    assert code == 0
+    assert rep["certificates"]["m"] == 4
+    # the setting reaches the depth check: N=1 needs a depth of at least 3
+    shallow = _write(tmp_path, T_SPEC + "set amitsur_depth 2\n", "shallow.spec")
+    code, out, err = _run(capsys, ["amitsur-check", shallow, "--deg-max", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "idemq: error: cosimplicial truncation m=2 needs m >= N+2=3\n"
+
+
+def test_seed_flag_is_gone(tmp_path, capsys):
+    spec = _write(tmp_path, T_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient-homotopy", spec, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 # ---------- usage errors ----------
@@ -188,6 +215,10 @@ def test_unknown_command_exits_2(tmp_path, capsys):
          "", "--depth must be at least 1, got 0"),
         (["check-idempotent", "--ideal", "I", "--depth", "-1"],
          "", "--depth must be at least 1, got -1"),
+        (["amitsur-check", "--ideal", "I", "--depth", "0"],
+         "", "--depth must be at least 1, got 0"),
+        (["amitsur-check", "--ideal", "I"],
+         "set amitsur_depth 0\n", "set amitsur_depth must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
@@ -222,6 +253,19 @@ def test_internal_fault_exits_5_without_traceback(tmp_path, capsys, monkeypatch)
         "idemq: internal error: not a chain map at degree 1, source gen 0, row 0\n"
     )
     assert "Traceback" not in err
+
+
+def test_failed_lift_exits_5(tmp_path, capsys, monkeypatch):
+    # over a resolution every lift exists; a system without a solution is
+    # an internal fault, not a usage error
+    from idemq import complexes
+
+    monkeypatch.setattr(complexes, "solve_rows", lambda *args: None)
+    spec = _write(tmp_path, T_SPEC)
+    code, out, err = _run(capsys, ["quotient-homotopy", spec, "--deg-max", "1"])
+    assert code == 5
+    assert out == ""
+    assert err == "idemq: internal error: no lift at degree 0, generator 0\n"
 
 
 def test_gluing_wants_exactly_one_target(tmp_path, capsys):

@@ -5,6 +5,9 @@ import pytest
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
+    FreeComplex,
+    GenInfo,
+    IdealStrands,
     QuotientStrands,
     aug_strand_matrix,
     by_col,
@@ -30,7 +33,14 @@ from idemq.complexes import (
     tensor_maps,
     unit_complex,
 )
-from idemq.derived import Tower
+from idemq.derived import (
+    Tower,
+    ideal_module,
+    module_strands,
+    quotient_module,
+    residue_module,
+    ring_module,
+)
 from idemq.ideals import IdealFamily
 from idemq.rings import LevelRing, RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon, SparseMatrix, solve_rows
@@ -283,6 +293,16 @@ def test_lift_along_level_inclusion():
             assert all(sum(e) > 0 for e in elem)
 
 
+def test_lift_onto_a_complex_that_is_not_a_resolution_is_an_internal_fault():
+    # the target stops at degree 1, so the degree-2 generator of the source
+    # (boundary x^2 times the degree-1 generator) has nowhere to go
+    ring = _ring(a=3)
+    x = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
+    y = minimal_resolution(ring, ((1,),), dmax=1, wmax=Fraction(6))
+    with pytest.raises(AssertionError, match="no lift at degree 2, generator 0"):
+        lift_chain_map(x, y)
+
+
 def test_lift_identity_is_solved_degreewise():
     ring = _ring(a=3)
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
@@ -304,7 +324,7 @@ def test_homology_map_of_identity():
     prov = RingStrands(ring)
     h = homology_data(sq, 1, Fraction(1), prov)
     assert h.dim == 1
-    m = homology_map_matrix(identity_map(sq), 1, h, h, prov)
+    m = homology_map_matrix(identity_map(sq), 1, h, h)
     assert m.rank() == 1
     assert m.to_dense() == [[1]]
 
@@ -574,3 +594,120 @@ def test_grouped_columns_match_full_scans_on_xy_level_2():
     assert list(sqmap.entries) == list(want)
     for d in want:
         assert list(sqmap.entries[d].items()) == list(want[d].items())
+
+
+# ---------- strands from the weight index ----------
+
+
+def _t_spec():
+    # t divisible, truncated at t
+    return RingSpec(
+        field=QQ, root_base=2, variables=(VarInfo("t", True),), truncations=((Fraction(1),),)
+    )
+
+
+def _scan_strand_pairs(x, d, w, provider):
+    """Strand pairs by a scan of every generator of the degree."""
+    return [(j, m) for j, g in enumerate(x.gens_at(d)) for m in provider.basis(w - g.weight)]
+
+
+def _scan_strand_weights(x, d, wmax, provider):
+    ring_ws = list(provider.ring.basis_upto(wmax))
+    return sorted(
+        {g.weight + rw for g in x.gens_at(d) for rw in ring_ws if g.weight + rw <= wmax}
+    )
+
+
+def _is_zero(provider, e):
+    """Whether the monomial e vanishes in the provider's module."""
+    if provider.ring.mono_is_zero(e):
+        return True
+    inside = any(all(a >= b for a, b in zip(e, t)) for t in getattr(provider, "ideal_exps", ()))
+    if isinstance(provider, IdealStrands):
+        return not inside
+    return inside
+
+
+def _strand_matrix_with_zero_test(x, d, w, provider):
+    src = strand_basis(x, d, w, provider)
+    dst = strand_basis(x, d - 1, w, provider)
+    m = SparseMatrix(len(dst.pairs), len(src.pairs), x.field)
+    for c, (j, mono) in enumerate(src.pairs):
+        for i, elem in _scan(x.diff_at(d), j):
+            for e, coeff in elem.items():
+                ee = x.ring.mul_mono(e, mono)
+                if _is_zero(provider, ee):
+                    continue
+                r = dst.index.get((i, ee))
+                if r is not None:
+                    m.add_at(r, c, coeff)
+    return m
+
+
+def _strand_cases():
+    """(name, complex, weight bound, family) for the t and x y specs at
+    levels 1-3: an ideal resolution, its tensor square and the cone of the
+    multiplication I (x) I -> I, whose generators are not sorted by weight."""
+    t_spec, xy_spec = _t_spec(), _xy_spec(QQ)
+    families = {
+        "t": IdealFamily(name="I", spec=t_spec, root_vars=(0,)),
+        "xy": IdealFamily(name="I", spec=xy_spec, root_vars=(0, 1)),
+    }
+    for name, family in families.items():
+        for level in (1, 2, 3):
+            wmax = Fraction(2) if name == "t" or level < 3 else Fraction(1)
+            ring = make_level_ring(family.spec, level)
+            res = ideal_resolution(ring, family.gens_at(ring), dmax=3, wmax=wmax)
+            sq, _ = tensor_complexes(res, res, dmax=3, wmax=wmax)
+            cof, _ = Tower(family.spec, family, 2, wmax).cof_sigma(1, level)
+            for kind, x in (("res", res), ("square", sq), ("cone", cof)):
+                yield f"{name}-l{level}-{kind}", x, wmax, family
+
+
+def _strand_providers(ring, family):
+    refs = (ring_module(), residue_module(), quotient_module(family), ideal_module(family))
+    return [module_strands(ref, ring) for ref in refs]
+
+
+def test_indexed_strands_match_generator_scans():
+    unsorted = 0
+    for name, x, wmax, family in _strand_cases():
+        for d in range(x.lo, x.hi + 1):
+            weights = [g.weight for g in x.gens_at(d)]
+            unsorted += weights != sorted(weights)
+            for provider in _strand_providers(x.ring, family):
+                ws = strand_weights(x, d, wmax, provider)
+                assert ws == _scan_strand_weights(x, d, wmax, provider), (name, d)
+                for w in ws:
+                    sb = strand_basis(x, d, w, provider)
+                    assert sb.pairs == _scan_strand_pairs(x, d, w, provider), (name, d, w)
+                    assert sb.index == {p: k for k, p in enumerate(sb.pairs)}
+    assert unsorted > 0  # the merge of weight groups back into generator order is exercised
+
+
+def test_strand_matrix_needs_no_zero_test():
+    compared = nonzero = 0
+    for name, x, wmax, family in _strand_cases():
+        for d in sorted(x.diff):
+            for provider in _strand_providers(x.ring, family):
+                for w in strand_weights(x, d, wmax, provider):
+                    got = strand_matrix(x, d, w, provider)
+                    want = _strand_matrix_with_zero_test(x, d, w, provider)
+                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                    assert got.rows == want.rows, (name, d, w)
+                    compared += 1
+                    nonzero += any(got.rows)
+    assert 0 < nonzero < compared
+
+
+def test_weight_index_follows_a_replaced_generator_list():
+    ring = _ring(a=3)
+    x = FreeComplex(ring=ring, gens={0: [GenInfo(Fraction(2), "a"), GenInfo(F0, "b")]})
+    prov = RingStrands(ring)
+    assert x.gens_by_weight(0) == [(F0, [1]), (Fraction(2), [0])]
+    assert strand_basis(x, 0, Fraction(2), prov).pairs == [(0, (0,)), (1, (2,))]
+    x.gens[0] = [GenInfo(Fraction(1), "c")]
+    assert x.gens_by_weight(0) == [(Fraction(1), [0])]
+    assert strand_basis(x, 0, Fraction(2), prov).pairs == [(0, (1,))]
+    assert strand_weights(x, 0, Fraction(2), prov) == [Fraction(1), Fraction(2)]
+    assert x.gens_by_weight(1) == []
