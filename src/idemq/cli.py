@@ -46,7 +46,7 @@ from .derived import (
     static_check,
     tower_report,
 )
-from .ideals import Idempotent, NotIdempotent, check_idempotent
+from .ideals import NotIdempotent, check_idempotent
 from .specfile import ProblemSpec, SpecError, emit_spec, parse_spec
 
 _EXIT = {"Stable": 0, "Unstable": 3, "Falsified": 4}
@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = cmd("check-idempotent")
     sp.add_argument("--ideal", default=None)
-    sp.add_argument("--depth", type=int, default=2)
 
     sp = cmd("tor")
     sp.add_argument("--left", required=True)
@@ -158,8 +157,7 @@ def _module_ref(expr: str, ps: ProblemSpec) -> ModuleRef:
 # least value of each setting, whether given as a flag or a `set` line;
 # weight_max is a fraction and must lie strictly above its bound
 _MINIMUM = {
-    "deg_max": 0, "max_level": 1, "window": 1, "n_max": 1, "depth": 1, "weight_max": 0,
-    "amitsur_depth": 1,
+    "deg_max": 0, "max_level": 1, "window": 1, "n_max": 1, "weight_max": 0, "amitsur_depth": 1,
 }
 # settings whose flag is not named after them
 _FLAG = {"amitsur_depth": "--depth"}
@@ -242,14 +240,10 @@ def _verdict_cert(v) -> dict:
 
 def _run_check_idempotent(ps, args):
     fam = _pick_ideal(ps, args.ideal)
-    v = check_idempotent(fam, depth=_setting(ps, args, "depth"))
-    if isinstance(v, Idempotent):
-        status, cert = "Stable", {"idempotent": True}
-    elif isinstance(v, NotIdempotent):
-        status, cert = "Falsified", {"idempotent": False, "witness": str(v.witness)}
-    else:
-        status, cert = "Unstable", {"idempotent": None, "depth": v.depth}
-    return status, [], cert
+    v = check_idempotent(fam)
+    if isinstance(v, NotIdempotent):
+        return "Falsified", [], {"idempotent": False, "witness": str(v.witness)}
+    return "Stable", [], {"idempotent": True}
 
 
 def _run_tor(ps, args):

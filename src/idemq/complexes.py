@@ -16,10 +16,18 @@ weight w that are nonzero in its module. `basis` never returns a zero
 monomial, so a product lands in a strand exactly when the strand's index
 holds it: matrices are built by that lookup alone, with no zero test.
 
+A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
+weights of degree d's generators, and a generator is its position there.
 A strand's basis pairs each generator of weight gw with basis(w - gw).
 FreeComplex groups each degree's generators by weight once
 (`gens_by_weight`), so a strand costs one basis lookup per distinct
 generator weight, not one per generator.
+
+No complex here is ever minimised. Resolutions are built minimal, and
+the tensor product of minimal complexes over a positively graded ring is
+again minimal (no differential entry is a unit), so Gauss cancellation
+would find nothing to cancel. Callers that rely on minimality check it
+by scanning for the unit monomial.
 """
 
 from __future__ import annotations
@@ -31,25 +39,21 @@ from typing import Callable, NamedTuple, Optional
 from .rings import Elem, Exponents, LevelRing
 from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, rank_rows, solve_rows
 
-# ---------- generators and complexes ----------
-
-
-class GenInfo(NamedTuple):
-    weight: Fraction
-    tag: str
+# ---------- complexes ----------
 
 
 @dataclass
 class FreeComplex:
     """Bounded complex of free modules with weight-graded generators.
 
-    diff[d] maps degree d to degree d-1; entry (i, j) is the coefficient
-    (a ring element) of generator i of degree d-1 in the boundary of
-    generator j of degree d.
+    gens[d] lists the weights of the degree-d generators. diff[d] maps
+    degree d to degree d-1; entry (i, j) is the coefficient (a ring
+    element) of generator i of degree d-1 in the boundary of generator j
+    of degree d.
     """
 
     ring: LevelRing
-    gens: dict[int, list[GenInfo]] = field(default_factory=dict)
+    gens: dict[int, list[Fraction]] = field(default_factory=dict)
     diff: dict[int, dict[tuple[int, int], Elem]] = field(default_factory=dict)
     # augmentation of the degree-0 part, one target element per generator;
     # aug_quotient lists monomial generators of the ideal cut out of the
@@ -73,7 +77,7 @@ class FreeComplex:
         ds = [d for d, g in self.gens.items() if g]
         return max(ds) if ds else 0
 
-    def gens_at(self, d: int) -> list[GenInfo]:
+    def gens_at(self, d: int) -> list[Fraction]:
         return self.gens.get(d, [])
 
     def gens_by_weight(self, d: int) -> list[tuple[Fraction, list[int]]]:
@@ -88,8 +92,8 @@ class FreeComplex:
         if hit is not None and hit[0] is gl:
             return hit[1]
         groups: dict[Fraction, list[int]] = {}
-        for j, g in enumerate(gl):
-            groups.setdefault(g.weight, []).append(j)
+        for j, gw in enumerate(gl):
+            groups.setdefault(gw, []).append(j)
         index = sorted(groups.items())
         self._by_weight[d] = (gl, index)
         return index
@@ -123,7 +127,7 @@ def unit_complex(ring: LevelRing) -> FreeComplex:
     """R sitting in degree 0."""
     return FreeComplex(
         ring=ring,
-        gens={0: [GenInfo(Fraction(0), "1")]},
+        gens={0: [Fraction(0)]},
         diff={},
         aug=[ring.one()],
         aug_quotient=(),
@@ -140,10 +144,9 @@ def check_complex(x: FreeComplex) -> None:
             if not elem:
                 raise AssertionError(f"stored zero entry at d={d} ({i},{j})")
             w = ring.elem_weight(elem)
-            if w != here[j].weight - below[i].weight:
+            if w != here[j] - below[i]:
                 raise AssertionError(
-                    f"entry ({i},{j}) at d={d} has weight {w}, "
-                    f"want {here[j].weight - below[i].weight}"
+                    f"entry ({i},{j}) at d={d} has weight {w}, want {here[j] - below[i]}"
                 )
     for d in sorted(x.diff):
         if d - 1 not in x.diff:
@@ -553,23 +556,23 @@ def tensor_complexes(
     if a.ring is not b.ring:
         raise ValueError("tensor factors live over different rings")
     ring = a.ring
-    gens: dict[int, list[GenInfo]] = {}
+    gens: dict[int, list[Fraction]] = {}
     prov: dict = {}
     rev: dict = {}
     top = a.hi + b.hi if dmax is None else min(a.hi + b.hi, dmax)
     for d in range(a.lo + b.lo, top + 1):
-        gl: list[GenInfo] = []
+        gl: list[Fraction] = []
         for p in range(a.lo, a.hi + 1):
             q = d - p
             if q < b.lo or q > b.hi:
                 continue
             for i, ga in enumerate(a.gens_at(p)):
                 for j, gb in enumerate(b.gens_at(q)):
-                    w = ga.weight + gb.weight
+                    w = ga + gb
                     if wmax is not None and w > wmax:
                         continue
                     idx = len(gl)
-                    gl.append(GenInfo(w, f"{ga.tag}*{gb.tag}"))
+                    gl.append(w)
                     prov[(d, idx)] = (p, i, q, j)
                     rev[(p, i, q, j)] = idx
         gens[d] = gl
@@ -663,18 +666,18 @@ def cone(f: ChainMap) -> tuple[FreeComplex, dict]:
         raise ValueError("cone needs a same-ring chain map")
     x, y = f.src, f.dst
     ring = y.ring
-    gens: dict[int, list[GenInfo]] = {}
+    gens: dict[int, list[Fraction]] = {}
     where: dict = {}
     lo = min(y.lo, x.lo + 1)
     hi = max(y.hi, x.hi + 1)
     for d in range(lo, hi + 1):
-        gl: list[GenInfo] = []
-        for i, g in enumerate(y.gens_at(d)):
+        gl: list[Fraction] = []
+        for i, gw in enumerate(y.gens_at(d)):
             where[("Y", d, i)] = len(gl)
-            gl.append(GenInfo(g.weight, f"c({g.tag})"))
-        for i, g in enumerate(x.gens_at(d - 1)):
+            gl.append(gw)
+        for i, gw in enumerate(x.gens_at(d - 1)):
             where[("X", d - 1, i)] = len(gl)
-            gl.append(GenInfo(g.weight, f"s({g.tag})"))
+            gl.append(gw)
         gens[d] = gl
     diff: dict[int, dict[tuple[int, int], Elem]] = {}
     neg1 = ring.field.from_int(-1)
@@ -723,127 +726,6 @@ def cone_map(
     )
 
 
-# ---------- minimization ----------
-
-
-def minimize(x: FreeComplex) -> FreeComplex:
-    """Homotopy-equivalent complex with no unit entries (Gauss cancellation).
-
-    Cancelling a unit entry c at (i, j) of diff[d] removes generator j in
-    degree d and i in degree d-1, replaces the block by its Schur
-    complement, and restricts the adjacent differentials. The augmentation
-    restricts to the surviving degree-0 generators.
-    """
-    ring = x.ring
-    F = x.field
-    unit_exp = ring.unit
-    # mutable column/row indexed structure per degree, keyed by original index
-    cols: dict[int, dict[int, dict[int, Elem]]] = {}
-    rows: dict[int, dict[int, set]] = {}
-    alive: dict[int, set] = {d: set(range(len(g))) for d, g in x.gens.items()}
-    for d, entries in x.diff.items():
-        cd = cols.setdefault(d, {})
-        rd = rows.setdefault(d, {})
-        for (i, j), elem in entries.items():
-            cd.setdefault(j, {})[i] = dict(elem)
-            rd.setdefault(i, set()).add(j)
-
-    def unit_of(elem: Elem):
-        if len(elem) == 1 and unit_exp in elem:
-            return elem[unit_exp]
-        return None
-
-    def find_unit():
-        for d in sorted(cols):
-            for j, col in cols[d].items():
-                for i, elem in col.items():
-                    if unit_of(elem) is not None:
-                        return d, i, j
-        return None
-
-    def drop_entry(d: int, i: int, j: int):
-        cd = cols.get(d, {})
-        col = cd.get(j)
-        if col is not None:
-            col.pop(i, None)
-            if not col:
-                cd.pop(j, None)
-        rd = rows.get(d, {})
-        rset = rd.get(i)
-        if rset is not None:
-            rset.discard(j)
-            if not rset:
-                rd.pop(i, None)
-
-    def set_entry(d: int, i: int, j: int, elem: Elem):
-        if elem:
-            cols.setdefault(d, {}).setdefault(j, {})[i] = elem
-            rows.setdefault(d, {}).setdefault(i, set()).add(j)
-        else:
-            drop_entry(d, i, j)
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        d, ui, uj = hit
-        c = cols[d][uj][ui]
-        cinv = {unit_exp: F.inv(c[unit_exp])}
-        sigma = {r: e for r, e in cols[d][uj].items() if r != ui}
-        rho = {
-            k: cols[d][k][ui]
-            for k in list(rows[d].get(ui, ()))
-            if k != uj
-        }
-        # Schur complement on the remaining block
-        for k, b in rho.items():
-            factor = ring.elem_mul(cinv, b)
-            for r, s in sigma.items():
-                cur = cols[d].get(k, {}).get(r, {})
-                upd = ring.elem_add(cur, ring.elem_neg(ring.elem_mul(s, factor)))
-                set_entry(d, r, k, upd)
-        # delete row ui and column uj in degree d
-        for k in list(rows[d].get(ui, ())):
-            drop_entry(d, ui, k)
-        for r in list(cols[d].get(uj, {})):
-            drop_entry(d, r, uj)
-        # generator uj disappears from degree d: clear its row above
-        for k in list(rows.get(d + 1, {}).get(uj, ())):
-            drop_entry(d + 1, uj, k)
-        # generator ui disappears from degree d-1: clear its column below
-        for r in list(cols.get(d - 1, {}).get(ui, {})):
-            drop_entry(d - 1, r, ui)
-        alive[d].discard(uj)
-        alive[d - 1].discard(ui)
-
-    # rebuild with compacted indices
-    new_gens: dict[int, list[GenInfo]] = {}
-    remap: dict[int, dict[int, int]] = {}
-    for d, g in x.gens.items():
-        keep = sorted(alive.get(d, ()))
-        remap[d] = {old: new for new, old in enumerate(keep)}
-        new_gens[d] = [g[old] for old in keep]
-    new_diff: dict[int, dict[tuple[int, int], Elem]] = {}
-    for d, cd in cols.items():
-        ent: dict[tuple[int, int], Elem] = {}
-        for j, col in cd.items():
-            for i, elem in col.items():
-                if elem:
-                    ent[(remap[d - 1][i], remap[d][j])] = elem
-        if ent:
-            new_diff[d] = ent
-    new_aug = None
-    if x.aug is not None:
-        new_aug = [x.aug[old] for old in sorted(alive.get(0, ()))]
-    return FreeComplex(
-        ring=ring,
-        gens=new_gens,
-        diff=new_diff,
-        aug=new_aug,
-        aug_quotient=x.aug_quotient,
-    )
-
-
 # ---------- minimal resolutions ----------
 
 
@@ -853,7 +735,7 @@ def aug_strand_matrix(
     """Strand matrix of the augmentation at weight w. Rows are indexed by
     the monomial basis of the augmentation target."""
     if x.aug is None:
-        raise ValueError("complex has no augmentation")
+        raise AssertionError("complex has no augmentation")
     ring = x.ring
     prov = QuotientStrands(ring, x.aug_quotient)
     if src is None:
@@ -887,7 +769,7 @@ def minimal_resolution(
     prov = RingStrands(ring)
     x = FreeComplex(
         ring=ring,
-        gens={0: [GenInfo(Fraction(0), "e")]},
+        gens={0: [Fraction(0)]},
         diff={},
         aug=[ring.one()],
         aug_quotient=tuple(quotient_gens),
@@ -897,7 +779,7 @@ def minimal_resolution(
             x.gens[d] = []
             continue
         cand_ws = strand_weights(x, d - 1, wmax, prov)
-        chosen: list[tuple[Fraction, dict[int, Elem], str]] = []
+        chosen: list[tuple[Fraction, dict[int, Elem]]] = []
         for w in cand_ws:
             sb = strand_basis(x, d - 1, w, prov)
             if not sb.pairs:
@@ -910,7 +792,7 @@ def minimal_resolution(
             if not cycles:
                 continue
             span = Echelon(x.field)
-            for (wg, colg, _tag) in chosen:
+            for (wg, colg) in chosen:
                 for mono in prov.basis(w - wg):
                     vec: Vec = {}
                     for i, elem in colg.items():
@@ -933,10 +815,10 @@ def minimal_resolution(
                     i, mono = sb.pairs[pos]
                     cur = col.setdefault(i, {})
                     cur[mono] = coeff
-                chosen.append((w, col, f"s{d}.{len(chosen)}"))
-        x.gens[d] = [GenInfo(w, tag) for (w, _c, tag) in chosen]
+                chosen.append((w, col))
+        x.gens[d] = [w for (w, _c) in chosen]
         ent: dict[tuple[int, int], Elem] = {}
-        for j, (_w, col, _tag) in enumerate(chosen):
+        for j, (_w, col) in enumerate(chosen):
             for i, elem in col.items():
                 if elem:
                     ent[(i, j)] = elem
@@ -954,7 +836,7 @@ def ideal_resolution(
     resolution of R/(gens) shifted down one degree, augmented into R by
     the inclusion."""
     res = minimal_resolution(ring, tuple(gens), dmax + 1, Fraction(wmax))
-    gens_out: dict[int, list[GenInfo]] = {}
+    gens_out: dict[int, list[Fraction]] = {}
     diff_out: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, gl in res.gens.items():
         if d >= 1:
@@ -990,9 +872,11 @@ def lift_chain_map(
     Degree 0 solves aug_y(f(g)) = push(aug_x(g)) on each strand, higher
     degrees solve d(f(g)) = f(d(g)). Over a resolution every one of these
     systems is solvable, so a failure is an internal fault: AssertionError.
+    Every complex this is called on is augmented, so a missing augmentation
+    is one too.
     """
     if x.aug is None or y.aug is None:
-        raise ValueError("both complexes need augmentations")
+        raise AssertionError("both complexes need augmentations")
     ring = y.ring
     F = y.field
     prov = RingStrands(ring)
@@ -1007,8 +891,7 @@ def lift_chain_map(
     for d in range(x.lo, x.hi + 1):
         ent: dict[tuple[int, int], Elem] = {}
         x_cols, f_cols = by_col(x.diff_at(d)), by_col(f.entries_at(d - 1))
-        for j, g in enumerate(x.gens_at(d)):
-            w = g.weight
+        for j, w in enumerate(x.gens_at(d)):
             ysb = strand_basis(y, d, w, prov)
             if d == 0:
                 mat, _, tgt = aug_strand_matrix(y, w, src=ysb)
@@ -1048,72 +931,3 @@ def lift_chain_map(
         if ent:
             f.entries[d] = ent
     return f
-
-
-# ---------- hom complexes ----------
-
-
-def hom_complex(x: FreeComplex, y: FreeComplex) -> tuple[FreeComplex, TensorInfo]:
-    """Hom_R(x, y) as a complex: degree d holds Hom(x_p, y_{p+d}), basis
-    element (p, i) -> (p+d, j) with weight w(y_j) - w(x_i);
-    (df)(v) = d(f v) - (-1)^{|f|} f(dv)."""
-    if x.ring is not y.ring:
-        raise ValueError("hom factors live over different rings")
-    ring = x.ring
-    gens: dict[int, list[GenInfo]] = {}
-    prov: dict = {}
-    rev: dict = {}
-    lo = y.lo - x.hi
-    hi = y.hi - x.lo
-    for d in range(lo, hi + 1):
-        gl: list[GenInfo] = []
-        for p in range(x.lo, x.hi + 1):
-            q = p + d
-            if q < y.lo or q > y.hi:
-                continue
-            for i, gx in enumerate(x.gens_at(p)):
-                for j, gy in enumerate(y.gens_at(q)):
-                    idx = len(gl)
-                    gl.append(GenInfo(gy.weight - gx.weight, f"[{gx.tag}->{gy.tag}]"))
-                    prov[(d, idx)] = (p, i, q, j)
-                    rev[(p, i, q, j)] = idx
-        gens[d] = gl
-    y_cols = {q: by_col(e) for q, e in y.diff.items()}
-    # d_x grouped by row: transpose the keys, then group by column
-    x_rows = {
-        p: by_col({(j, i): e for (i, j), e in ent.items()}) for p, ent in x.diff.items()
-    }
-    diff: dict[int, dict[tuple[int, int], Elem]] = {}
-    for d, gl in gens.items():
-        if d - 1 not in gens:
-            continue
-        ent: dict[tuple[int, int], Elem] = {}
-        sign = -1 if d % 2 else 1
-        for idx in range(len(gl)):
-            p, i, q, j = prov[(d, idx)]
-            # postcompose with d_y: lands in Hom(x_p, y_{q-1})
-            for (j2, elem) in y_cols.get(q, {}).get(j, ()):
-                tgt = rev.get((p, i, q - 1, j2))
-                if tgt is not None:
-                    key = (tgt, idx)
-                    s = ring.elem_add(ent.get(key, {}), elem)
-                    if s:
-                        ent[key] = s
-                    else:
-                        ent.pop(key, None)
-            # precompose with d_x: entries of d_x hitting row i give
-            # components on Hom(x_{p+1}, y_q)
-            for i2, elem in x_rows.get(p + 1, {}).get(i, ()):
-                tgt = rev.get((p + 1, i2, q, j))
-                if tgt is None:
-                    continue
-                term = elem if sign == -1 else ring.elem_scale(ring.field.from_int(-1), elem)
-                key = (tgt, idx)
-                s = ring.elem_add(ent.get(key, {}), term)
-                if s:
-                    ent[key] = s
-                else:
-                    ent.pop(key, None)
-        if ent:
-            diff[d] = ent
-    return FreeComplex(ring=ring, gens=gens, diff=diff), TensorInfo(prov, rev)

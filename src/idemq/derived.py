@@ -18,7 +18,6 @@ from the transient classes that die one level after they appear.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -34,20 +33,18 @@ from .complexes import (
     by_col,
     cone,
     cone_map,
-    compose_maps,
     homology_data,
     homology_map_matrix,
     ideal_resolution,
     k_strands,
     lift_chain_map,
     minimal_resolution,
-    minimize,
     strand_weights,
     tensor_complexes,
     tensor_maps,
     unit_complex,
 )
-from .ideals import IdealFamily, NotIdempotent, UnknownUpToDepth, check_idempotent
+from .ideals import IdealFamily, NotIdempotent, check_idempotent
 from .rings import Elem, Exponents, LevelRing, RingSpec, make_level_ring
 from .sparsela import SparseMatrix, matmul
 
@@ -270,7 +267,30 @@ def _family_contains_unit(family: IdealFamily) -> bool:
     return any(all(x == 0 for x in g) for g in family.gens)
 
 
-class Tower:
+class _LevelBuilder:
+    """Pieces built per level (rings, inclusions, complexes, maps), each
+    made on first request and kept in one store. Every later request gets
+    the same object back, which matters where maps are compared with
+    `is` (the ring maps that tensor_maps and cone_map check)."""
+
+    def __init__(self, spec: RingSpec):
+        self.spec = spec
+        self._memo: dict = {}
+
+    def memo(self, key, make: Callable[[], object]):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = make()
+        return hit
+
+    def ring(self, l: int) -> LevelRing:
+        return make_level_ring(self.spec, l)
+
+    def inc(self, l: int) -> Callable[[Exponents], Exponents]:
+        return self.memo(("inc", l), lambda: self.ring(l).include_exp)
+
+
+class Tower(_LevelBuilder):
     """Per-level resolutions, derived powers, cones and their transition
     maps for one ideal family under fixed degree/weight bounds."""
 
@@ -283,42 +303,16 @@ class Tower:
     ):
         if family.spec is not spec:
             raise ValueError("family was built over a different spec")
-        self.spec = spec
+        super().__init__(spec)
         self.family = family
         self.dmax = deg_max
         self.wmax = Fraction(weight_max)
-        self._inc: dict[int, Callable[[Exponents], Exponents]] = {}
-        self._resI: dict[int, FreeComplex] = {}
-        self._alpha: dict[int, ChainMap] = {}
-        self._X: dict[tuple[int, int], FreeComplex] = {}
-        self._Xinfo: dict[tuple[int, int], TensorInfo] = {}
-        self._lam: dict[tuple[int, int], ChainMap] = {}
-        self._unit: dict[int, FreeComplex] = {}
-        self._Q: dict[tuple[int, int], tuple[FreeComplex, dict]] = {}
-        self._Qstep: dict[tuple[int, int], ChainMap] = {}
-        self._sigma: dict[tuple[int, int], ChainMap] = {}
-        self._cof: dict[tuple[int, int], tuple[FreeComplex, dict]] = {}
-        self._cofstep: dict[tuple[int, int], ChainMap] = {}
-        self.cache: dict = {}
+        self.cache: dict = {}  # homology of the level diagrams
 
     # -- per-level primitives --
 
-    def ring(self, l: int) -> LevelRing:
-        return make_level_ring(self.spec, l)
-
-    def inc(self, l: int):
-        f = self._inc.get(l)
-        if f is None:
-            f = self.ring(l).include_exp
-            self._inc[l] = f
-        return f
-
     def unit(self, l: int) -> FreeComplex:
-        u = self._unit.get(l)
-        if u is None:
-            u = unit_complex(self.ring(l))
-            self._unit[l] = u
-        return u
+        return self.memo(("unit", l), lambda: unit_complex(self.ring(l)))
 
     def unit_step(self, l: int) -> ChainMap:
         return ChainMap(
@@ -329,65 +323,66 @@ class Tower:
         )
 
     def resI(self, l: int) -> FreeComplex:
-        r = self._resI.get(l)
-        if r is None:
+        def make():
             ring = self.ring(l)
-            r = ideal_resolution(
-                ring, self.family.gens_at(ring), self.dmax, self.wmax
-            )
-            self._resI[l] = r
-        return r
+            return ideal_resolution(ring, self.family.gens_at(ring), self.dmax, self.wmax)
+
+        return self.memo(("resI", l), make)
 
     def alpha(self, l: int) -> ChainMap:
-        a = self._alpha.get(l)
-        if a is None:
-            a = lift_chain_map(self.resI(l), self.resI(l + 1), ring_map=self.inc(l))
-            self._alpha[l] = a
-        return a
+        return self.memo(
+            ("alpha", l),
+            lambda: lift_chain_map(self.resI(l), self.resI(l + 1), ring_map=self.inc(l)),
+        )
 
     # -- derived powers --
 
-    def X(self, n: int, l: int) -> FreeComplex:
+    def _power(self, n: int, l: int) -> tuple[FreeComplex, Optional[TensorInfo]]:
         if n < 1:
             raise ValueError("derived powers start at n = 1")
-        x = self._X.get((n, l))
-        if x is None:
+
+        def make():
             if n == 1:
-                x = self.resI(l)
-            else:
-                t, info = tensor_complexes(
-                    self.X(n - 1, l), self.resI(l), self.dmax, self.wmax
-                )
-                x = minimize(t)
-                if any(x.rank(d) != t.rank(d) for d in t.gens):
-                    # tensors of minimal complexes over a graded local ring
-                    # stay minimal; anything else voids the index tables
-                    raise AssertionError("tensor of minimal complexes shrank")
-                self._Xinfo[(n, l)] = info
-            self._X[(n, l)] = x
-        return x
+                return self.resI(l), None
+            t, info = tensor_complexes(self.X(n - 1, l), self.resI(l), self.dmax, self.wmax)
+            unit = t.ring.unit
+            if any(unit in elem for ent in t.diff.values() for elem in ent.values()):
+                raise AssertionError("tensor of minimal complexes has a unit entry")
+            return t, info
+
+        return self.memo(("X", n, l), make)
+
+    def X(self, n: int, l: int) -> FreeComplex:
+        """X_{n,l}: the n-fold tensor power of res(I(l)), truncated at the
+        tower's degree and weight bounds.
+
+        Its generators are the n-tuples of resolution generators, so the
+        index tables of Xinfo stay valid. That needs the power to be
+        minimal as it stands: res(I(l)) is minimal, and a tensor of
+        minimal complexes over a positively graded ring stays minimal.
+        Every variable has positive weight, so an entry is a unit exactly
+        when it holds the unit monomial; the power is scanned for one, and
+        finding one is an internal fault (AssertionError)."""
+        return self._power(n, l)[0]
 
     def Xinfo(self, n: int, l: int) -> TensorInfo:
-        self.X(n, l)
-        return self._Xinfo[(n, l)]
+        return self._power(n, l)[1]
 
     def lam(self, n: int, l: int) -> ChainMap:
         """Level transition X(n, l) -> X(n, l+1)."""
-        f = self._lam.get((n, l))
-        if f is None:
-            if n == 1:
-                f = self.alpha(l)
-            else:
-                f = tensor_maps(
-                    self.lam(n - 1, l),
-                    self.alpha(l),
-                    self.X(n, l),
-                    self.Xinfo(n, l),
-                    self.X(n, l + 1),
-                    self.Xinfo(n, l + 1),
-                )
-            self._lam[(n, l)] = f
-        return f
+        if n == 1:
+            return self.alpha(l)
+        return self.memo(
+            ("lam", n, l),
+            lambda: tensor_maps(
+                self.lam(n - 1, l),
+                self.alpha(l),
+                self.X(n, l),
+                self.Xinfo(n, l),
+                self.X(n, l + 1),
+                self.Xinfo(n, l + 1),
+            ),
+        )
 
     def eps(self, n: int, l: int) -> ChainMap:
         """Multiplication X(n, l) -> R, stored as the augmentation."""
@@ -401,55 +396,43 @@ class Tower:
 
     def sigma(self, n: int, l: int) -> ChainMap:
         """id (x) eps_1: X(n+1, l) -> X(n, l)."""
-        f = self._sigma.get((n, l))
-        if f is None:
-            src = self.X(n + 1, l)
-            info = self.Xinfo(n + 1, l)
+
+        def make():
             resI = self.resI(l)
             ent: dict[int, dict[tuple[int, int], Elem]] = {}
-            for (d, idx), (p, i, q, j) in info.prov.items():
+            for (d, idx), (p, i, q, j) in self.Xinfo(n + 1, l).prov.items():
                 if q != 0:
                     continue
                 elem = resI.aug[j]
                 if elem:
                     ent.setdefault(d, {})[(i, idx)] = elem
-            f = ChainMap(src=src, dst=self.X(n, l), entries=ent)
-            self._sigma[(n, l)] = f
-        return f
+            return ChainMap(src=self.X(n + 1, l), dst=self.X(n, l), entries=ent)
+
+        return self.memo(("sigma", n, l), make)
 
     # -- cones and their transitions --
 
     def Q(self, n: int, l: int) -> tuple[FreeComplex, dict]:
-        q = self._Q.get((n, l))
-        if q is None:
-            q = cone(self.eps(n, l))
-            self._Q[(n, l)] = q
-        return q
+        return self.memo(("Q", n, l), lambda: cone(self.eps(n, l)))
 
     def Qstep(self, n: int, l: int) -> ChainMap:
-        f = self._Qstep.get((n, l))
-        if f is None:
+        def make():
             qs, ws = self.Q(n, l)
             qd, wd = self.Q(n, l + 1)
-            f = cone_map(self.lam(n, l), self.unit_step(l), qs, ws, qd, wd)
-            self._Qstep[(n, l)] = f
-        return f
+            return cone_map(self.lam(n, l), self.unit_step(l), qs, ws, qd, wd)
+
+        return self.memo(("Qstep", n, l), make)
 
     def cof_sigma(self, n: int, l: int) -> tuple[FreeComplex, dict]:
-        c = self._cof.get((n, l))
-        if c is None:
-            c = cone(self.sigma(n, l))
-            self._cof[(n, l)] = c
-        return c
+        return self.memo(("cof", n, l), lambda: cone(self.sigma(n, l)))
 
     def cof_step(self, n: int, l: int) -> ChainMap:
-        f = self._cofstep.get((n, l))
-        if f is None:
+        def make():
             cs, ws = self.cof_sigma(n, l)
             cd, wd = self.cof_sigma(n, l + 1)
-            f = cone_map(self.lam(n + 1, l), self.lam(n, l), cs, ws, cd, wd)
-            self._cofstep[(n, l)] = f
-        return f
+            return cone_map(self.lam(n + 1, l), self.lam(n, l), cs, ws, cd, wd)
+
+        return self.memo(("cofstep", n, l), make)
 
     # -- diagrams --
 
@@ -481,18 +464,6 @@ class Tower:
             lambda l: self.cof_sigma(n, l)[0],
             lambda l: self.cof_step(n, l),
         )
-
-
-def derived_power(
-    spec: RingSpec,
-    family: IdealFamily,
-    n: int,
-    level: int,
-    deg_max: int,
-    weight_max: Fraction,
-) -> FreeComplex:
-    """X_{n, level}: minimized n-fold tensor power of res(I(level))."""
-    return Tower(spec, family, deg_max, weight_max).X(n, level)
 
 
 # ---------- module references for derived tensors ----------
@@ -538,7 +509,7 @@ def _resolve_ref(ref: ModuleRef, ring: LevelRing, dmax: int, wmax: Fraction) -> 
         return minimal_resolution(ring, tuple(ref.family.gens_at(ring)), dmax, wmax)
     if ref.kind == "ideal":
         return ideal_resolution(ring, ref.family.gens_at(ring), dmax, wmax)
-    raise ValueError(f"unknown module kind {ref.kind!r}")
+    raise AssertionError(f"unknown module kind {ref.kind!r}")
 
 
 def module_strands(ref: ModuleRef, ring: LevelRing):
@@ -551,14 +522,14 @@ def module_strands(ref: ModuleRef, ring: LevelRing):
         return QuotientStrands(ring, tuple(ref.family.gens_at(ring)))
     if ref.kind == "ideal":
         return IdealStrands(ring, tuple(ref.family.gens_at(ring)))
-    raise ValueError(f"unknown module kind {ref.kind!r}")
+    raise AssertionError(f"unknown module kind {ref.kind!r}")
 
 
 def module_min_level(ref: ModuleRef) -> int:
     return ref.family.min_level() if ref.family is not None else 0
 
 
-class TorDiagram:
+class TorDiagram(_LevelBuilder):
     """Tor(left, right) over the levels: the resolution of `left` read
     against the module structure of `right`, with lifted transitions."""
 
@@ -573,48 +544,27 @@ class TorDiagram:
         for ref in (left, right):
             if ref.family is not None and ref.family.spec is not spec:
                 raise ValueError("module family was built over a different spec")
-        self.spec = spec
+        super().__init__(spec)
         self.left = left
         self.right = right
         self.dmax = deg_max
         self.wmax = Fraction(weight_max)
-        self._inc: dict[int, Callable] = {}
-        self._res: dict[int, FreeComplex] = {}
-        self._lift: dict[int, ChainMap] = {}
-        self._prov: dict[int, object] = {}
-        self.cache: dict = {}
+        self.cache: dict = {}  # homology of the level diagrams
         self.min_level = max(module_min_level(left), module_min_level(right))
 
-    def ring(self, l: int) -> LevelRing:
-        return make_level_ring(self.spec, l)
-
-    def inc(self, l: int):
-        f = self._inc.get(l)
-        if f is None:
-            f = self.ring(l).include_exp
-            self._inc[l] = f
-        return f
-
     def res(self, l: int) -> FreeComplex:
-        r = self._res.get(l)
-        if r is None:
-            r = _resolve_ref(self.left, self.ring(l), self.dmax, self.wmax)
-            self._res[l] = r
-        return r
+        return self.memo(
+            ("res", l), lambda: _resolve_ref(self.left, self.ring(l), self.dmax, self.wmax)
+        )
 
     def provider(self, l: int):
-        p = self._prov.get(l)
-        if p is None:
-            p = module_strands(self.right, self.ring(l))
-            self._prov[l] = p
-        return p
+        return self.memo(("prov", l), lambda: module_strands(self.right, self.ring(l)))
 
     def lift(self, l: int) -> ChainMap:
-        f = self._lift.get(l)
-        if f is None:
-            f = lift_chain_map(self.res(l), self.res(l + 1), ring_map=self.inc(l))
-            self._lift[l] = f
-        return f
+        return self.memo(
+            ("lift", l),
+            lambda: lift_chain_map(self.res(l), self.res(l + 1), ring_map=self.inc(l)),
+        )
 
     def diagram(self, levels) -> LevelDiagram:
         return LevelDiagram(
@@ -625,25 +575,6 @@ class TorDiagram:
             root_base=self.spec.root_base,
             cache=self.cache,
             tag=("tor",),
-        )
-
-    def homology(self, l: int, d: int, w: Fraction) -> HomologyData:
-        key = (("tor",), l, d, w)
-        h = self.cache.get(key)
-        if h is None:
-            h = homology_data(self.res(l), d, w, self.provider(l))
-            self.cache[key] = h
-        return h
-
-    def step_matrix(self, l: int, d: int, w: Fraction) -> SparseMatrix:
-        return homology_map_matrix(
-            self.lift(l), d, self.homology(l, d, w), self.homology(l + 1, d, w)
-        )
-
-    def double_step_matrix(self, l: int, d: int, w: Fraction) -> SparseMatrix:
-        two = compose_maps(self.lift(l + 1), self.lift(l))
-        return homology_map_matrix(
-            two, d, self.homology(l, d, w), self.homology(l + 2, d, w)
         )
 
 
@@ -678,23 +609,6 @@ def derived_tensor(
         L += 1
     name = f"Tor({left.label}, {right.label})"
     return _make_table(name, raw, levels, deg_max, deg_max)
-
-
-def tor_transition(
-    spec: RingSpec,
-    left: ModuleRef,
-    right: ModuleRef,
-    level: int,
-    degree: int,
-    weight: Fraction,
-    deg_max: Optional[int] = None,
-    weight_max: Optional[Fraction] = None,
-) -> SparseMatrix:
-    """Matrix of the level -> level+1 transition on one Tor cell."""
-    dmax = (degree + 2) if deg_max is None else deg_max
-    wmax = Fraction(weight) + 1 if weight_max is None else Fraction(weight_max)
-    td = TorDiagram(spec, left, right, dmax, wmax)
-    return td.step_matrix(level, degree, Fraction(weight))
 
 
 # ---------- quotient homotopy ----------
@@ -846,11 +760,6 @@ def quotient_homotopy(
             " the derived quotient needs an idempotent family"
         )
     notes = []
-    if isinstance(verdict, UnknownUpToDepth):
-        msg = f"idempotency of {family.name} unknown up to depth {verdict.depth}"
-        warnings.warn(msg)
-        notes.append(msg)
-
     blocks = variable_blocks(spec, family)
     if _family_contains_unit(family):
         # unit generators have empty support and belong to no block
@@ -1065,7 +974,7 @@ def _reduced_resolution(W: FreeComplex) -> FreeComplex:
     generators, with the degree-1 differential dropped.
     """
     g0 = W.gens_at(0)
-    if len(g0) != 1 or g0[0].weight != 0:
+    if len(g0) != 1 or g0[0] != 0:
         raise ValueError("resolution is not cyclic on a unit generator")
     gens = {d: gl for d, gl in W.gens.items() if d >= 1 and gl}
     diff = {d: ent for d, ent in W.diff.items() if d >= 2}
@@ -1127,9 +1036,9 @@ def _amitsur_level(
             i = d + k
             if i < 0:
                 continue
-            for g, gi in enumerate(powers[k].gens_at(i)):
+            for g, gw in enumerate(powers[k].gens_at(i)):
                 idx[(k, i, g)] = (d, len(gl))
-                gl.append(gi._replace(tag=f"[{k}]{gi.tag}"))
+                gl.append(gw)
         gens_out[d] = gl
 
     diff: dict[int, dict[tuple[int, int], Elem]] = {}

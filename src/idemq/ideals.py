@@ -9,18 +9,15 @@ Idempotency (I*I = I in the colimit) is decidable exactly for monomial
 families. A root generator factors into two generators one level deeper,
 and a fixed generator g lies in I*I iff it either has positive exponent
 on some roots variable (two arbitrarily small roots divide it) or
-dominates the sum of two fixed generators. The depth argument is kept for
-interface compatibility; the UnknownUpToDepth verdict is never produced
-by the monomial test.
+dominates the sum of two fixed generators. So every family gets a
+verdict: Idempotent or NotIdempotent, never "unknown".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .rings import Elem, Exponents, FracMono, LevelRing, RingSpec, format_mono
-from .sparsela import kernel_rows
+from .rings import FracMono, LevelRing, RingSpec, format_mono
 
 # ---------- verdicts ----------
 
@@ -36,14 +33,6 @@ class Idempotent:
 @dataclass(frozen=True)
 class NotIdempotent:
     witness: str  # generator not in I*I
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class UnknownUpToDepth:
-    depth: int
 
     def __bool__(self) -> bool:
         return False
@@ -113,11 +102,6 @@ class IdealFamily:
                     lvl = max(lvl, k)
         return lvl
 
-    def frac_gens(self) -> tuple[FracMono, ...]:
-        """Level-free generators; the level-l generator T^{1/r^l} of a
-        roots part cannot be expressed this way, so only fixed ones."""
-        return self.gens
-
     def gens_at(self, ring: LevelRing) -> list:
         """Nonzero generator exponent tuples at a level (sorted, deduped)."""
         if ring.spec is not self.spec:
@@ -176,12 +160,9 @@ def live_frac_gens(family: IdealFamily) -> list[FracMono]:
     return out
 
 
-def check_idempotent(family: IdealFamily, depth: int = 2):
-    """Decide whether the family satisfies I*I = I in the colimit.
-
-    Exact for monomial families; `depth` only caps how the certificate is
-    phrased, never the decision.
-    """
+def check_idempotent(family: IdealFamily):
+    """Decide whether the family satisfies I*I = I in the colimit; exact
+    for monomial families."""
     spec = family.spec
     r = spec.root_base
     certs = []
@@ -217,76 +198,3 @@ def check_idempotent(family: IdealFamily, depth: int = 2):
             return NotIdempotent(witness=format_mono(spec, g))
         certs.append(f"{format_mono(spec, g)} = {hit}")
     return Idempotent(certificate=tuple(certs))
-
-
-# ---------- presentation of the ideal as a module ----------
-
-
-class ModulePresentation:
-    """I at one level as coker-free data: minimal monomial generators and
-    the weight-graded kernel of their evaluation map into R.
-
-    relations[w] lists kernel vectors of (+)_j R(-|a_j|) -> I on the
-    weight-w strand, each as {generator index: ring element}.
-    """
-
-    def __init__(
-        self,
-        ring: LevelRing,
-        gens: tuple[Exponents, ...],
-        relations: dict[Fraction, list[dict[int, Elem]]],
-    ):
-        self.ring = ring
-        self.gens = gens
-        self.relations = relations
-
-    def gen_weights(self) -> list[Fraction]:
-        return [self.ring.weight(e) for e in self.gens]
-
-    def relation_count(self) -> int:
-        return sum(len(rs) for rs in self.relations.values())
-
-
-def ideal_presentation(
-    ring: LevelRing, family: IdealFamily, wmax: Fraction
-) -> ModulePresentation:
-    """Present I(level) by minimal generators and syzygies up to wmax."""
-    exps = family.gens_at(ring)
-    # prune non-minimal generators (dominated ones are redundant)
-    exps = [
-        e
-        for e in exps
-        if not any(h != e and all(a >= b for a, b in zip(e, h)) for h in exps)
-    ]
-    gens = tuple(exps)
-    gw = [ring.weight(e) for e in gens]
-    relations: dict[Fraction, list[dict[int, Elem]]] = {}
-    weights = set()
-    for j, w0 in enumerate(gw):
-        for rw in ring.basis_upto(Fraction(wmax) - w0):
-            weights.add(w0 + rw)
-    for w in sorted(weights):
-        pairs = []
-        for j, w0 in enumerate(gw):
-            for m in ring.basis(w - w0):
-                pairs.append((j, m))
-        if not pairs:
-            continue
-        tgt = {m: r for r, m in enumerate(ring.basis(w))}
-        rows: list[dict[int, object]] = [dict() for _ in tgt]
-        for c, (j, m) in enumerate(pairs):
-            prod = ring.mul_mono(gens[j], m)
-            if ring.mono_is_zero(prod):
-                continue
-            rows[tgt[prod]][c] = ring.field.one
-        rels = []
-        for vec in kernel_rows(rows, len(pairs), ring.field):
-            by_gen: dict[int, Elem] = {}
-            for pos, coeff in vec.items():
-                j, m = pairs[pos]
-                cur = by_gen.setdefault(j, {})
-                cur[m] = coeff
-            rels.append(by_gen)
-        if rels:
-            relations[w] = rels
-    return ModulePresentation(ring, gens, relations)

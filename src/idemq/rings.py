@@ -142,12 +142,6 @@ class LevelRing:
     def frac_of(self, e: Exponents) -> FracMono:
         return tuple(Fraction(n, s) for n, s in zip(e, self.scales))
 
-    def var_exp(self, i: int) -> Exponents:
-        """T_i as an exponent tuple (exponent 1)."""
-        e = [0] * self.nvars
-        e[i] = self.scales[i]
-        return tuple(e)
-
     # ---------- elements ----------
 
     def elem(self, pairs: Iterable[tuple[Exponents, object]]) -> Elem:
@@ -200,14 +194,6 @@ class LevelRing:
                     out.pop(e, None)
                 else:
                     out[e] = nv
-        return out
-
-    def elem_mul_mono(self, e0: Exponents, x: Elem) -> Elem:
-        out: Elem = {}
-        for e, v in x.items():
-            ee = self.mul_mono(e0, e)
-            if not self.mono_is_zero(ee):
-                out[ee] = v
         return out
 
     def reduce_elem(self, x: Elem) -> Elem:

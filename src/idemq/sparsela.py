@@ -30,24 +30,6 @@ def vec_clean(vec: Vec, field) -> Vec:
     return {c: v for c, v in vec.items() if not field.is_zero(v)}
 
 
-def vec_scale(vec: Vec, a, field) -> Vec:
-    if field.is_zero(a):
-        return {}
-    return {c: field.normalize(field.mul(a, v)) for c, v in vec.items()}
-
-
-def vec_add_scaled(dst: Vec, a, src: Vec, field) -> None:
-    """dst += a * src, in place."""
-    if field.is_zero(a):
-        return
-    for c, v in src.items():
-        nv = field.normalize(field.add(dst.get(c, field.zero), field.mul(a, v)))
-        if field.is_zero(nv):
-            dst.pop(c, None)
-        else:
-            dst[c] = nv
-
-
 # ---------- full RREF echelon (kernel / solve / membership) ----------
 
 

@@ -157,6 +157,15 @@ def test_seed_flag_is_gone(tmp_path, capsys):
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
+def test_check_idempotent_depth_flag_is_gone(tmp_path, capsys):
+    # the monomial test always decides, so there was no depth to cap
+    spec = _write(tmp_path, PLAIN_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-idempotent", spec, "--ideal", "I", "--depth", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
+
+
 # ---------- usage errors ----------
 
 
@@ -211,12 +220,10 @@ def test_unknown_command_exits_2(tmp_path, capsys):
          "", "--n-max must be at least 1, got 0"),
         (["tower", "--ideal", "I", "--n-max", "-1"],
          "", "--n-max must be at least 1, got -1"),
-        (["check-idempotent", "--ideal", "I", "--depth", "0"],
-         "", "--depth must be at least 1, got 0"),
-        (["check-idempotent", "--ideal", "I", "--depth", "-1"],
-         "", "--depth must be at least 1, got -1"),
         (["amitsur-check", "--ideal", "I", "--depth", "0"],
          "", "--depth must be at least 1, got 0"),
+        (["amitsur-check", "--ideal", "I", "--depth", "-1"],
+         "", "--depth must be at least 1, got -1"),
         (["amitsur-check", "--ideal", "I"],
          "set amitsur_depth 0\n", "set amitsur_depth must be at least 1, got 0"),
     ],

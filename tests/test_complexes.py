@@ -6,7 +6,6 @@ from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
     FreeComplex,
-    GenInfo,
     IdealStrands,
     QuotientStrands,
     aug_strand_matrix,
@@ -17,13 +16,11 @@ from idemq.complexes import (
     homology_data,
     homology_dim,
     homology_map_matrix,
-    hom_complex,
     identity_map,
     ideal_resolution,
     k_strands,
     lift_chain_map,
     minimal_resolution,
-    minimize,
     push_strand_vec,
     strand_basis,
     strand_matrix,
@@ -72,7 +69,7 @@ def test_resolution_of_k_is_periodic():
     assert res.diff[2][(0, 0)] == {(2,): 1}
     assert res.diff[3][(0, 0)] == {(1,): 1}
     # generator weights 0, 1, 3, 4, 6
-    assert [res.gens[d][0].weight for d in range(5)] == [0, 1, 3, 4, 6]
+    assert [res.gens[d][0] for d in range(5)] == [0, 1, 3, 4, 6]
 
 
 def test_resolution_is_acyclic_in_positive_degrees():
@@ -92,9 +89,7 @@ def test_resolution_weight_truncation_is_exact_below_bound():
     full = minimal_resolution(ring, ((1,),), dmax=4, wmax=Fraction(8))
     cut = minimal_resolution(ring, ((1,),), dmax=4, wmax=Fraction(3))
     # gens above weight 3 are dropped, the rest agree
-    assert [g.weight for d in range(3) for g in cut.gens_at(d)] == [
-        g.weight for d in range(3) for g in full.gens_at(d)
-    ]
+    assert [cut.gens_at(d) for d in range(3)] == [full.gens_at(d) for d in range(3)]
     assert cut.rank(3) == 0
 
 
@@ -190,61 +185,37 @@ def test_tensor_weight_truncation_drops_heavy_gens():
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     t, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(2))
     # degree-2 pairs have weights 3+0, 1+1, 0+3: only weight 2 survives
-    assert [g.weight for g in t.gens_at(2)] == [Fraction(2)]
+    assert t.gens_at(2) == [Fraction(2)]
 
 
-# ---------- minimize ----------
+# ---------- minimality ----------
 
 
-def test_minimize_kills_contractible_cone():
+def _unit_entries(x):
+    """Differential entries of x that hold the unit monomial."""
+    unit = x.ring.unit
+    return [(d, key) for d, ent in x.diff.items() for key, elem in ent.items() if unit in elem]
+
+
+def test_tensor_powers_have_no_unit_entry():
+    # the tensor of minimal complexes over a positively graded ring stays
+    # minimal, so nothing in X_n needs cancelling
+    for name, family in (("t", _t_family()), ("xy", _xy_family())):
+        for level in (1, 2, 3):
+            ring = make_level_ring(family.spec, level)
+            wmax = Fraction(2) if name == "t" or level < 3 else Fraction(1)
+            res = ideal_resolution(ring, family.gens_at(ring), dmax=3, wmax=wmax)
+            power = res
+            for n in range(1, 5):
+                assert not _unit_entries(power), (name, level, n)
+                assert power.total_rank() > 0
+                power, _ = tensor_complexes(power, res, dmax=3, wmax=wmax)
+    # the scan does see units: the cone of an identity is contractible,
+    # and every entry of its connecting map is the unit
     ring = _ring(a=3)
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     c, _ = cone(identity_map(res))
-    check_complex(c)
-    small = minimize(c)
-    assert small.total_rank() == 0
-
-
-def test_minimize_is_noop_on_minimal_complex():
-    ring = _ring(a=3)
-    res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
-    sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
-    small = minimize(sq)
-    assert [small.rank(d) for d in range(4)] == [sq.rank(d) for d in range(4)]
-
-
-def test_minimize_preserves_homology_and_aug():
-    ring = _ring(a=3)
-    res = minimal_resolution(ring, ((1,),), dmax=2, wmax=Fraction(4))
-    # pad the resolution with a contractible summand: R --1--> R in
-    # degrees 1, 0
-    from idemq.complexes import FreeComplex, GenInfo
-
-    padded = FreeComplex(
-        ring=ring,
-        gens={
-            0: list(res.gens[0]) + [GenInfo(Fraction(1), "junk0")],
-            1: list(res.gens[1]) + [GenInfo(Fraction(1), "junk1")],
-            2: list(res.gens[2]),
-        },
-        diff={
-            1: {**res.diff[1], (1, 1): {(0,): 1}},
-            2: dict(res.diff[2]),
-        },
-        aug=[ring.one(), {}],
-        aug_quotient=res.aug_quotient,
-    )
-    check_complex(padded)
-    small = minimize(padded)
-    check_complex(small)
-    assert [small.rank(d) for d in range(3)] == [1, 1, 1]
-    assert small.aug == [ring.one()]
-    prov = RingStrands(ring)
-    for d in (0, 1):
-        for w in (F0, Fraction(1), Fraction(2)):
-            assert homology_dim(small, d, w, prov) == homology_dim(
-                padded, d, w, prov
-            )
+    assert len(_unit_entries(c)) == res.total_rank()
 
 
 # ---------- cones ----------
@@ -301,6 +272,19 @@ def test_lift_onto_a_complex_that_is_not_a_resolution_is_an_internal_fault():
     y = minimal_resolution(ring, ((1,),), dmax=1, wmax=Fraction(6))
     with pytest.raises(AssertionError, match="no lift at degree 2, generator 0"):
         lift_chain_map(x, y)
+
+
+def test_missing_augmentation_is_an_internal_fault():
+    # every complex that is lifted or resolved further is augmented
+    ring = _ring(a=3)
+    res = minimal_resolution(ring, ((1,),), dmax=2, wmax=Fraction(4))
+    bare = FreeComplex(ring=ring, gens=dict(res.gens), diff=dict(res.diff))
+    with pytest.raises(AssertionError, match="both complexes need augmentations"):
+        lift_chain_map(bare, res)
+    with pytest.raises(AssertionError, match="both complexes need augmentations"):
+        lift_chain_map(res, bare)
+    with pytest.raises(AssertionError, match="complex has no augmentation"):
+        aug_strand_matrix(bare, F0)
 
 
 def test_lift_identity_is_solved_degreewise():
@@ -439,35 +423,6 @@ def test_tensor_maps_square_of_lift():
     check_chain_map(sqmap)
 
 
-# ---------- hom complexes ----------
-
-
-def test_hom_from_unit_is_the_complex():
-    ring = _ring(a=3)
-    res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
-    h, _ = hom_complex(unit_complex(ring), res)
-    check_complex(h)
-    assert [h.rank(d) for d in range(4)] == [res.rank(d) for d in range(4)]
-
-
-def test_hom_into_unit_dualizes():
-    ring = _ring(a=3)
-    res = minimal_resolution(ring, ((1,),), dmax=2, wmax=Fraction(4))
-    h, _ = hom_complex(res, unit_complex(ring))
-    check_complex(h)
-    # degrees flip sign
-    assert h.rank(0) == 1 and h.rank(-1) == 1 and h.rank(-2) == 1
-    # generator weights flip sign
-    assert h.gens_at(-1)[0].weight == -res.gens_at(1)[0].weight
-
-
-def test_hom_complex_squares_to_zero():
-    ring = _ring(a=3)
-    res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
-    h, _ = hom_complex(res, res)
-    check_complex(h)
-
-
 # ---------- column-grouped entries ----------
 
 
@@ -530,16 +485,16 @@ def _scan_lift(x, y, ring_map):
     entries = {}
     for d in range(x.lo, x.hi + 1):
         ent = {}
-        for j, g in enumerate(x.gens_at(d)):
-            ysb = strand_basis(y, d, g.weight, prov)
+        for j, gw in enumerate(x.gens_at(d)):
+            ysb = strand_basis(y, d, gw, prov)
             if d == 0:
-                mat, _, tgt = aug_strand_matrix(y, g.weight, src=ysb)
+                mat, _, tgt = aug_strand_matrix(y, gw, src=ysb)
                 q = QuotientStrands(ring, y.aug_quotient)
                 tindex = {m: r for r, m in enumerate(tgt)}
                 rhs = {tindex[e]: v for e, v in push(x.aug[j]).items() if not q.is_zero(e)}
             else:
-                mat = strand_matrix(y, d, g.weight, prov, src=ysb)
-                ydst = strand_basis(y, d - 1, g.weight, prov)
+                mat = strand_matrix(y, d, gw, prov, src=ysb)
+                ydst = strand_basis(y, d - 1, gw, prov)
                 rhs = {}
                 for i, selem in _scan(x.diff_at(d), j):
                     for i2, felem in _scan(entries.get(d - 1, {}), i):
@@ -606,15 +561,23 @@ def _t_spec():
     )
 
 
+def _t_family():
+    return IdealFamily(name="I", spec=_t_spec(), root_vars=(0,))
+
+
+def _xy_family():
+    return IdealFamily(name="I", spec=_xy_spec(QQ), root_vars=(0, 1))
+
+
 def _scan_strand_pairs(x, d, w, provider):
     """Strand pairs by a scan of every generator of the degree."""
-    return [(j, m) for j, g in enumerate(x.gens_at(d)) for m in provider.basis(w - g.weight)]
+    return [(j, m) for j, gw in enumerate(x.gens_at(d)) for m in provider.basis(w - gw)]
 
 
 def _scan_strand_weights(x, d, wmax, provider):
     ring_ws = list(provider.ring.basis_upto(wmax))
     return sorted(
-        {g.weight + rw for g in x.gens_at(d) for rw in ring_ws if g.weight + rw <= wmax}
+        {gw + rw for gw in x.gens_at(d) for rw in ring_ws if gw + rw <= wmax}
     )
 
 
@@ -648,12 +611,7 @@ def _strand_cases():
     """(name, complex, weight bound, family) for the t and x y specs at
     levels 1-3: an ideal resolution, its tensor square and the cone of the
     multiplication I (x) I -> I, whose generators are not sorted by weight."""
-    t_spec, xy_spec = _t_spec(), _xy_spec(QQ)
-    families = {
-        "t": IdealFamily(name="I", spec=t_spec, root_vars=(0,)),
-        "xy": IdealFamily(name="I", spec=xy_spec, root_vars=(0, 1)),
-    }
-    for name, family in families.items():
+    for name, family in (("t", _t_family()), ("xy", _xy_family())):
         for level in (1, 2, 3):
             wmax = Fraction(2) if name == "t" or level < 3 else Fraction(1)
             ring = make_level_ring(family.spec, level)
@@ -673,7 +631,7 @@ def test_indexed_strands_match_generator_scans():
     unsorted = 0
     for name, x, wmax, family in _strand_cases():
         for d in range(x.lo, x.hi + 1):
-            weights = [g.weight for g in x.gens_at(d)]
+            weights = x.gens_at(d)
             unsorted += weights != sorted(weights)
             for provider in _strand_providers(x.ring, family):
                 ws = strand_weights(x, d, wmax, provider)
@@ -702,11 +660,11 @@ def test_strand_matrix_needs_no_zero_test():
 
 def test_weight_index_follows_a_replaced_generator_list():
     ring = _ring(a=3)
-    x = FreeComplex(ring=ring, gens={0: [GenInfo(Fraction(2), "a"), GenInfo(F0, "b")]})
+    x = FreeComplex(ring=ring, gens={0: [Fraction(2), F0]})
     prov = RingStrands(ring)
     assert x.gens_by_weight(0) == [(F0, [1]), (Fraction(2), [0])]
     assert strand_basis(x, 0, Fraction(2), prov).pairs == [(0, (0,)), (1, (2,))]
-    x.gens[0] = [GenInfo(Fraction(1), "c")]
+    x.gens[0] = [Fraction(1)]
     assert x.gens_by_weight(0) == [(Fraction(1), [0])]
     assert strand_basis(x, 0, Fraction(2), prov).pairs == [(0, (1,))]
     assert strand_weights(x, 0, Fraction(2), prov) == [Fraction(1), Fraction(2)]

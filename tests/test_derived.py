@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from idemq import derived
 from idemq.fields import QQ
 from idemq.complexes import (
     RingStrands,
@@ -13,12 +14,12 @@ from idemq.complexes import (
 )
 from idemq.derived import (
     Bounds,
+    ModuleRef,
     Tower,
     TorDiagram,
     amitsur_crosscheck,
     colimit_stabilize,
     default_bounds,
-    derived_power,
     derived_tensor,
     ideal_module,
     quotient_homotopy,
@@ -179,7 +180,7 @@ def test_quotient_homotopy_unit_ideal_vanishes():
 def test_zero_ideal_degenerate_paths():
     spec = _spec_t()
     Z = IdealFamily(name="Z", spec=spec)
-    x2 = derived_power(spec, Z, 2, 1, 3, Fraction(2))
+    x2 = Tower(spec, Z, 3, Fraction(2)).X(2, 1)
     assert all(x2.rank(d) == 0 for d in range(4))
     sc = static_check(spec, Z, 1, Bounds(3, F1, 3, 2))
     assert sc.static is True
@@ -240,13 +241,32 @@ def test_derived_power_h0_is_ideal_square():
     # t^(k/4) g (x) g per weight 1/2 + k/4 until t^(k/4) g dies in I
     spec = _spec_t()
     I = roots_family(spec, "t")
-    x2 = derived_power(spec, I, 2, 2, 3, Fraction(2))
+    x2 = Tower(spec, I, 3, Fraction(2)).X(2, 2)
     ring_prov = RingStrands(make_level_ring(spec, 2))
     got = {
         w: homology_dim(x2, 0, w, ring_prov)
         for w in (Fraction(1, 2), Fraction(3, 4), F1, Fraction(5, 4))
     }
     assert got == {Fraction(1, 2): 1, Fraction(3, 4): 1, F1: 1, Fraction(5, 4): 0}
+
+
+def test_unit_entry_in_a_tensor_power_is_an_internal_fault(monkeypatch):
+    spec = _spec_t()
+    I = roots_family(spec, "t")
+    real = derived.tensor_complexes
+
+    def with_unit_entry(a, b, dmax=None, wmax=None):
+        t, info = real(a, b, dmax, wmax)
+        d = min(t.diff)
+        key = next(iter(t.diff[d]))
+        t.diff[d][key] = t.ring.one()
+        return t, info
+
+    monkeypatch.setattr(derived, "tensor_complexes", with_unit_entry)
+    tw = Tower(spec, I, 3, Fraction(2))
+    assert tw.X(1, 1).total_rank() > 0
+    with pytest.raises(AssertionError, match="unit entry"):
+        tw.X(2, 1)
 
 
 def test_multiplication_kernel_weight_one():
@@ -348,10 +368,25 @@ def test_tor_transitions_compose():
     spec = _spec_t()
     I = roots_family(spec, "t")
     td = TorDiagram(spec, ideal_module(I), residue_module(), 4, Fraction(2))
+    diag = td.diagram([1, 2, 3])
+    two_levels = compose_maps(td.lift(2), td.lift(1))
     for d, w in ((1, F1), (3, Fraction(2))):
-        one = matmul(td.step_matrix(2, d, w), td.step_matrix(1, d, w))
-        two = td.double_step_matrix(1, d, w)
+        assert diag.homology(0, d, w).dim > 0
+        one = matmul(diag.step_matrix(1, d, w), diag.step_matrix(0, d, w))
+        two = homology_map_matrix(
+            two_levels, d, diag.homology(0, d, w), diag.homology(2, d, w)
+        )
         assert one.to_dense() == two.to_dense()
+
+
+def test_unknown_module_kind_is_an_internal_fault():
+    spec = _spec_t()
+    ring = make_level_ring(spec, 1)
+    bogus = ModuleRef("bogus")
+    with pytest.raises(AssertionError, match="unknown module kind 'bogus'"):
+        derived.module_strands(bogus, ring)
+    with pytest.raises(AssertionError, match="unknown module kind 'bogus'"):
+        TorDiagram(spec, bogus, residue_module(), 2, F1).res(1)
 
 
 # ---------- tower report ----------
