@@ -224,6 +224,8 @@ def test_unknown_command_exits_2(tmp_path, capsys):
          "", "--depth must be at least 1, got 0"),
         (["amitsur-check", "--ideal", "I", "--depth", "-1"],
          "", "--depth must be at least 1, got -1"),
+        (["amitsur-check", "--depth", "0", "--ideal", "I"],
+         "", "--depth must be at least 1, got 0"),
         (["amitsur-check", "--ideal", "I"],
          "set amitsur_depth 0\n", "set amitsur_depth must be at least 1, got 0"),
     ],
