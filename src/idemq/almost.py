@@ -43,18 +43,17 @@ from .derived import (
     ModuleRef,
     TorDiagram,
     Tower,
-    cell_in_flight,
     default_bounds,
     derived_tensor,
     ideal_module,
+    judge_cell,
     module_min_level,
-    module_strands,
     rep_level,
     ring_module,
 )
 from .ideals import IdealFamily
 from .rings import Exponents, RingSpec, VarInfo
-from .sparsela import SparseMatrix, matmul
+from .sparsela import SparseMatrix
 
 # ---------- verdicts ----------
 
@@ -67,9 +66,8 @@ class AlmostVerdict:
     smallest witness weight recorded), or None (level range exhausted
     before the cells settled). Cells carry the stabilized data of the
     annihilated subspace resp. the tensor table per (degree, weight).
-    Unstable cells born within one window of the top level, or already
-    dead there, are newborn-layer junk; they are listed in in_flight
-    and do not block a True verdict.
+    Unstable cells in flight (CellResult.in_flight) are newborn-layer
+    junk; they are listed in in_flight and do not block a True verdict.
     """
 
     criterion: str  # "annihilation" | "tensor"
@@ -118,38 +116,6 @@ def _hstack(nrows: int, mats: list[SparseMatrix], field) -> SparseMatrix:
     return SparseMatrix(nrows, off, field, rows)
 
 
-def _image_stabilize(
-    levels: list[int],
-    bs: list[SparseMatrix],
-    ts: list[SparseMatrix],
-    window: int,
-    first_rep: int,
-) -> tuple[int, bool]:
-    """colimit_stabilize for the subspace spanned by the B-columns
-    inside the homology tower. Transitions carry generator multiples to
-    generator multiples, so the spans form a nested sub-tower and step
-    and composite ranks against B decide its colimit rank."""
-    dims = [b.rank() for b in bs]
-    if len(ts) < window:
-        return (dims[-1] if dims else 0, False)
-    sranks = [matmul(ts[k], bs[k]).rank() for k in range(len(ts))]
-    alive = [k for k, v in enumerate(dims) if v]
-    if alive:
-        born_idx = alive[0]
-        born = levels[born_idx]
-        if born > max(first_rep, levels[0]) and levels[-1] < born + window:
-            died = dims[-1] == 0 and all(r == 0 for r in sranks[born_idx:])
-            if not died:
-                return (dims[-1], False)
-    tail = ts[-window:]
-    comp = tail[0]
-    for m in tail[1:]:
-        comp = matmul(m, comp)
-    crank = matmul(comp, bs[len(ts) - window]).rank()
-    stable = all(r == crank for r in sranks[len(ts) - window :])
-    return (crank, stable)
-
-
 def _annihilation_cells(
     diagram: LevelDiagram,
     family: IdealFamily,
@@ -191,18 +157,15 @@ def _annihilation_cells(
                         )
                 bs.append(_hstack(h.dim, cols, field))
             ts = [diagram.step_matrix(k, d, w) for k in range(K - 1)]
-            value, stable = _image_stabilize(
-                diagram.levels, bs, ts, window, rep_level(w, diagram.root_base)
+            dims = [b.rank() for b in bs]
+            out[(d, w)] = judge_cell(
+                diagram.levels, dims, ts, window, rep_level(w, diagram.root_base), bs
             )
-            out[(d, w)] = CellResult(value, stable, tuple(b.rank() for b in bs))
     return out
 
 
 def _verdict(
-    cells: dict[tuple[int, Fraction], CellResult],
-    degrees,
-    levels: list[int],
-    window: int,
+    cells: dict[tuple[int, Fraction], CellResult], degrees
 ) -> tuple[
     dict[int, Optional[bool]], dict[int, Fraction], list[tuple[int, Fraction]]
 ]:
@@ -213,9 +176,7 @@ def _verdict(
         here = {w: r for (dd, w), r in cells.items() if dd == d}
         bad = sorted(w for w, r in here.items() if r.stable and r.value)
         loose = {w: r for w, r in here.items() if not r.stable}
-        flight = {
-            w for w, r in loose.items() if cell_in_flight(r.dims, levels, window)
-        }
+        flight = {w for w, r in loose.items() if r.in_flight}
         in_flight.extend((d, w) for w in sorted(flight))
         if bad:
             verdicts[d] = False
@@ -245,7 +206,7 @@ def is_almost_zero(
     cells = _annihilation_cells(
         td.diagram(levels), family, range(bound + 1), b.weight_max, b.window
     )
-    degrees, witnesses, flight = _verdict(cells, range(bound + 1), levels, b.window)
+    degrees, witnesses, flight = _verdict(cells, range(bound + 1))
     return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
 
 
@@ -274,74 +235,13 @@ def tensor_zero_criterion(
         window=b.window,
     )
     cells = {
-        (c.degree, c.weight): CellResult(c.dim, c.stable, c.level_dims)
+        (c.degree, c.weight): CellResult(c.dim, c.stable, (), c.in_flight)
         for c in table.cells
     }
-    degrees, witnesses, flight = _verdict(
-        cells, [0], list(table.levels), b.window
-    )
+    degrees, witnesses, flight = _verdict(cells, [0])
     for d in range(1, bound + 1):
         degrees[d] = True
     return AlmostVerdict("tensor", bound, degrees, witnesses, cells, flight)
-
-
-# ---------- derived tensor vanishing ----------
-
-
-@dataclass
-class TensorVanishing:
-    vanishes: Optional[bool]  # None when cells stayed undetermined
-    witness: Optional[tuple[int, Fraction]]
-    cells: dict[tuple[int, Fraction], CellResult]
-    in_flight: list[tuple[int, Fraction]]
-    n_used: tuple[int, ...]
-    top_level: int
-
-
-def iinfty_tensor_vanishes(
-    spec: RingSpec,
-    family: IdealFamily,
-    module: ModuleRef,
-    bound: int = 2,
-    bounds: Optional[Bounds] = None,
-) -> TensorVanishing:
-    """Does the stable derived ideal kill M outright: H_d(X_n (x) M) = 0
-    for the trusted power n = d + 2, stabilized over levels. This is
-    the tensor-idempotent upgrade of almost vanishing; it can hold even
-    when the plain derived tensor with the first power does not vanish."""
-    b = bounds or default_bounds(bound)
-    tower = Tower(spec, family, b.deg_max, b.weight_max)
-    l0 = max(1, family.min_level(), module_min_level(module))
-    levels = list(range(l0, b.max_level + 1))
-    cells: dict[tuple[int, Fraction], CellResult] = {}
-    n_used = []
-    for d in range(bound + 1):
-        nd = d + 2
-        n_used.append(nd)
-        diagram = LevelDiagram(
-            levels=levels,
-            complexes=[tower.X(nd, l) for l in levels],
-            steps=[tower.lam(nd, l) for l in levels[:-1]],
-            providers=[module_strands(module, tower.ring(l)) for l in levels],
-            root_base=spec.root_base,
-            cache=tower.cache,
-            tag=("xcoef", nd, module.label),
-        )
-        cells.update(diagram.run([d], b.weight_max, b.window))
-    bad = sorted((d, w) for (d, w), r in cells.items() if r.stable and r.value)
-    loose = {k: r for k, r in cells.items() if not r.stable}
-    flight = sorted(
-        k for k, r in loose.items() if cell_in_flight(r.dims, levels, b.window)
-    )
-    if bad:
-        return TensorVanishing(
-            False, bad[0], cells, flight, tuple(n_used), levels[-1]
-        )
-    if len(flight) < len(loose):
-        return TensorVanishing(
-            None, None, cells, flight, tuple(n_used), levels[-1]
-        )
-    return TensorVanishing(True, None, cells, flight, tuple(n_used), levels[-1])
 
 
 # ---------- almost equivalences ----------
@@ -445,7 +345,7 @@ def is_almost_equivalence(
     cells = _annihilation_cells(
         diagram, family, range(bound + 1), b.weight_max, b.window
     )
-    degrees, witnesses, flight = _verdict(cells, range(bound + 1), levels, b.window)
+    degrees, witnesses, flight = _verdict(cells, range(bound + 1))
     return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
 
 
@@ -617,11 +517,7 @@ def gluing_square_check(
     )
     if bad:
         return GluingReport(False, False, None, bad[0], cells, (m, n), levels)
-    loose = [
-        k
-        for k, r in cells.items()
-        if not r.stable and not cell_in_flight(r.dims, levels, b.window)
-    ]
+    loose = [k for k, r in cells.items() if not r.stable and not r.in_flight]
     if loose:
         reason = (
             f"{len(loose)} cells undetermined at level {levels[-1]}; "

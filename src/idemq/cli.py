@@ -5,8 +5,10 @@ format; JSON and CSV are byte-identical across runs on the same inputs.
 Exit codes: 0 stable result, 2 usage or spec error, 3 undetermined
 cells at the level cap that are not in flight, 4 falsified invariant,
 5 internal error (a failed consistency check inside the computation).
-A cell is in flight when it was born within one window of the top level
-or is already dead there; no level below the cap could have settled it.
+An unstable cell is in flight when it was first alive within one window
+of the top level, or is alive somewhere but already dead at the top; a
+cell alive from the first level is never in flight. Only a higher cap
+could settle such a cell, so it does not block a verdict.
 The `tor` certificate counts its in-flight cells under `in_flight`.
 """
 
@@ -35,7 +37,6 @@ from .derived import (
     Bounds,
     ModuleRef,
     amitsur_crosscheck,
-    cell_in_flight,
     default_bounds,
     derived_tensor,
     ideal_module,
@@ -256,9 +257,7 @@ def _run_tor(ps, args):
         max_level=b.max_level, window=b.window, deg_min=args.deg_min,
     )
     loose = table.unstable_cells()
-    in_flight = sum(
-        cell_in_flight(c.level_dims, list(table.levels), b.window) for c in loose
-    )
+    in_flight = sum(c.in_flight for c in loose)
     status = "Stable" if in_flight == len(loose) else "Unstable"
     cert = {"levels": list(table.levels), "in_flight": in_flight}
     return status, [_table_from_stabilized(table)], cert

@@ -322,35 +322,22 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
 
 class HomologyData(NamedTuple):
     """Homology of one weight strand. Most strands have none: those keep
-    their basis and where they came from, and no echelon or matrix."""
+    their basis, and no echelon or matrix."""
 
     dim: int
     basis: StrandBasis
     reps: list[Vec]  # cycles spanning homology, as strand vectors
     boundaries: Optional[Echelon]  # None when dim == 0
     coords_ech: Optional[Echelon]  # augmented: reps over boundaries with bookkeeping tail
-    strand: tuple  # (complex, degree, weight, provider)
 
     def coords(self, vec: Vec, fieldobj) -> Vec:
-        """Coordinates of a cycle in the homology basis. Without homology
-        every cycle is a boundary; the boundaries are rebuilt for the check."""
+        """Coordinates of a cycle in the homology basis. Only a strand with
+        homology has them; callers skip the others."""
         n = len(self.basis.pairs)
-        if self.dim:
-            res = self.coords_ech.reduce(self.boundaries.reduce(vec))
-        else:
-            x, d, w, provider = self.strand
-            inc = strand_matrix(x, d + 1, w, provider, dst=self.basis)
-            res = _boundary_echelon(inc).reduce(vec)
+        res = self.coords_ech.reduce(self.boundaries.reduce(vec))
         if any(c < n for c in res):
-            raise ValueError("vector is not a cycle modulo boundaries")
+            raise AssertionError("vector is not a cycle modulo boundaries")
         return {c - n: fieldobj.neg(v) for c, v in res.items()}
-
-
-def _boundary_echelon(inc: SparseMatrix) -> Echelon:
-    bnd = Echelon(inc.field)
-    for col in inc.transpose().rows:
-        bnd.insert(col)
-    return bnd
 
 
 def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData:
@@ -360,7 +347,6 @@ def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData
     F = x.field
     sb = strand_basis(x, d, w, provider)
     n = len(sb.pairs)
-    strand = (x, d, w, provider)
     dim = 0
     if n:
         out = strand_matrix(x, d, w, provider, src=sb)
@@ -369,8 +355,10 @@ def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData
         inc = strand_matrix(x, d + 1, w, provider, dst=sb)
         dim -= rank_rows(inc.rows, inc.ncols, F)
     if not dim:
-        return HomologyData(0, sb, [], None, None, strand)
-    bnd = _boundary_echelon(inc)
+        return HomologyData(0, sb, [], None, None)
+    bnd = Echelon(F)
+    for col in inc.transpose().rows:
+        bnd.insert(col)
     cycles = kernel_rows(out.rows, n, F)
     spanned = Echelon(F)
     for row in bnd.rows.values():
@@ -389,7 +377,7 @@ def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData
         v = dict(bnd.reduce(z))
         v[n + k] = F.one
         coords.insert(v)
-    return HomologyData(dim, sb, reps, bnd, coords, strand)
+    return HomologyData(dim, sb, reps, bnd, coords)
 
 
 # ---------- chain maps ----------
@@ -427,7 +415,7 @@ def identity_map(x: FreeComplex) -> ChainMap:
 def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f. f: A -> B, g: B -> C."""
     if g.src is not f.dst:
-        raise ValueError("compose_maps: middle complexes differ")
+        raise AssertionError("compose_maps: middle complexes differ")
     ring = g.dst.ring
     ent: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, fd in f.entries.items():
@@ -554,7 +542,7 @@ def tensor_complexes(
     differential preserves weight; degree truncation is exact below dmax.
     """
     if a.ring is not b.ring:
-        raise ValueError("tensor factors live over different rings")
+        raise AssertionError("tensor factors live over different rings")
     ring = a.ring
     gens: dict[int, list[Fraction]] = {}
     prov: dict = {}
@@ -628,7 +616,7 @@ def tensor_maps(
     """f (x) g on given tensor models; f and g must be degree-0 maps
     sharing a ring map, so no Koszul signs arise."""
     if f.ring_map is not None and g.ring_map is not None and f.ring_map is not g.ring_map:
-        raise ValueError("tensor_maps: factors carry different ring maps")
+        raise AssertionError("tensor_maps: factors carry different ring maps")
     ring = dst.ring
     f_cols = {p: by_col(e) for p, e in f.entries.items()}
     g_cols = {q: by_col(e) for q, e in g.entries.items()}
@@ -663,7 +651,7 @@ def cone(f: ChainMap) -> tuple[FreeComplex, dict]:
     d(y, x) = (dy + fx, -dx). Returns the cone and an index record
     {('Y', d, i): idx, ('X', d-1, i): idx} into its generators."""
     if f.ring_map is not None:
-        raise ValueError("cone needs a same-ring chain map")
+        raise AssertionError("cone needs a same-ring chain map")
     x, y = f.src, f.dst
     ring = y.ring
     gens: dict[int, list[Fraction]] = {}
@@ -707,7 +695,7 @@ def cone_map(
     """Induced map on cones from a strictly commuting square: fx on the
     shifted part, fy on the target part. Both must share a ring map."""
     if fx.ring_map is not None and fy.ring_map is not None and fx.ring_map is not fy.ring_map:
-        raise ValueError("cone_map: legs carry different ring maps")
+        raise AssertionError("cone_map: legs carry different ring maps")
     ent: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, fd in fy.entries.items():
         for (i, j), elem in fd.items():

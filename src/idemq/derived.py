@@ -6,14 +6,27 @@ of the multiplication eps_n: X_{n,l} -> R(l) models R/I^{(x)n}. Homotopy
 of the idempotent quotient in degree d is read off that cone at n = d+2,
 the smallest power the stabilization bound trusts for degree d.
 
-Every table is a colimit over ring levels, detected cell by cell: a
-weight cell is Stable when its last `window` homology transition ranks
-agree with each other and with the rank of their composite, and the
-stable value is that common rank (the eventual image). A cell whose
-class appears later than the level where its weight first becomes
+Every table and verdict is a colimit over ring levels, and one detector
+decides it cell by cell (colimit_stabilize): a weight cell is Stable
+when its last `window` homology transition ranks agree with each other
+and with the rank of their composite, and the stable value is that
+common rank (the eventual image). The almost routes track a subspace of
+each level's homology instead of all of it and pass its spanning
+columns; ranks are then taken on those columns. A cell whose class
+appears later than the level where its weight first becomes
 representable must additionally survive a full window past its birth;
 without that guard a freshly born persistent class is indistinguishable
 from the transient classes that die one level after they appear.
+
+An unstable cell is in flight (CellResult.in_flight, judge_cell)
+when it was first alive within one window of the top level, or is alive
+somewhere but dead at the top and waiting out the window before zero can
+be certified. A cell alive from the first level is never in flight: it
+is undersampled, not newborn. In-flight cells do not block a verdict.
+
+One level loop (_settle) serves every command that raises its level
+cap until the cells settle: it starts at min(l0 + window, max_level)
+and adds one level at a time until the run settles or reaches the cap.
 """
 
 from __future__ import annotations
@@ -83,6 +96,7 @@ class CellResult(NamedTuple):
     value: int  # rank of the eventual image over the window
     stable: bool
     dims: tuple[int, ...]  # homology dim at each inspected level
+    in_flight: bool  # unstable, and only a higher cap could settle it
 
 
 def colimit_stabilize(
@@ -91,10 +105,21 @@ def colimit_stabilize(
     steps: list[SparseMatrix],
     window: int,
     first_rep: int,
+    spans: Optional[list[SparseMatrix]] = None,
 ) -> tuple[int, bool]:
     """Stable value of one colimit cell from its level dims and
     consecutive transition matrices; first_rep is the first level where
-    the cell's weight is representable."""
+    the cell's weight is representable.
+
+    spans[k], when given, holds columns spanning the tracked subspace of
+    level k's homology and dims[k] is its dimension. Transitions must
+    carry each tracked subspace into the next, so the subspaces form a
+    nested sub-tower; every rank is then taken on the spanning columns.
+    None tracks the whole homology."""
+
+    def rank(m: SparseMatrix, k: int) -> int:  # m applied at level k
+        return (m if spans is None else matmul(m, spans[k])).rank()
+
     if len(steps) < window:
         return (dims[-1] if dims else 0, False)
     alive = [k for k, v in enumerate(dims) if v]
@@ -105,16 +130,16 @@ def colimit_stabilize(
             # born later than it could have been: demand a full window
             # past birth before judging, unless the class already died
             died = dims[-1] == 0 and all(
-                m.rank() == 0 for m in steps[born_idx:]
+                rank(steps[k], k) == 0 for k in range(born_idx, len(steps))
             )
             if not died:
                 return (dims[-1], False)
-    tail = steps[-window:]
-    comp = tail[0]
-    for m in tail[1:]:
+    first = len(steps) - window
+    comp = steps[first]
+    for m in steps[first + 1 :]:
         comp = matmul(m, comp)
-    crank = comp.rank()
-    stable = all(m.rank() == crank for m in tail)
+    crank = rank(comp, first)
+    stable = all(rank(steps[k], k) == crank for k in range(first, len(steps)))
     return (crank, stable)
 
 
@@ -131,6 +156,35 @@ def cell_in_flight(dims: tuple[int, ...], levels: list[int], window: int) -> boo
     if dims[-1] == 0:
         return True
     return alive[0] > 0 and levels[alive[0]] + window > levels[-1]
+
+
+def judge_cell(
+    levels: list[int],
+    dims: list[int],
+    steps: list[SparseMatrix],
+    window: int,
+    first_rep: int,
+    spans: Optional[list[SparseMatrix]] = None,
+) -> CellResult:
+    """One cell judged from its level diagram (see colimit_stabilize)."""
+    value, stable = colimit_stabilize(levels, dims, steps, window, first_rep, spans)
+    flight = not stable and cell_in_flight(dims, levels, window)
+    return CellResult(value, stable, tuple(dims), flight)
+
+
+def _settle(
+    l0: int, window: int, max_level: int, attempt: Callable[[list[int]], tuple]
+):
+    """Run attempt(levels) on the levels l0..top, starting at top =
+    min(l0 + window, max_level) and raising top by one until the attempt
+    reports settled or top reaches max_level. attempt returns
+    (result, settled); the last result is returned."""
+    top = min(l0 + window, max_level)
+    while True:
+        result, settled = attempt(list(range(l0, top + 1)))
+        if settled or top >= max_level:
+            return result
+        top += 1
 
 
 # ---------- level diagrams ----------
@@ -190,10 +244,9 @@ class LevelDiagram:
                     self.step_matrix(k, d, w)
                     for k in range(len(self.levels) - 1)
                 ]
-                value, stable = colimit_stabilize(
+                out[(d, w)] = judge_cell(
                     self.levels, dims, mats, window, rep_level(w, self.root_base)
                 )
-                out[(d, w)] = CellResult(value, stable, tuple(dims))
         return out
 
 
@@ -206,7 +259,7 @@ class Cell:
     weight: Fraction
     dim: int
     stable: bool
-    level_dims: tuple[int, ...] = ()
+    in_flight: bool
 
 
 @dataclass
@@ -256,7 +309,7 @@ def _make_table(
         r = raw[(d, w)]
         if r.stable and r.value == 0:
             continue
-        cells.append(Cell(d, w, r.value, r.stable, r.dims))
+        cells.append(Cell(d, w, r.value, r.stable, r.in_flight))
     return StabilizedTable(name, cells, tuple(levels), trusted, deg_max)
 
 
@@ -597,16 +650,12 @@ def derived_tensor(
     cell_in_flight).
     """
     td = TorDiagram(spec, left, right, deg_max + 1, weight_max)
-    l0 = td.min_level
-    L = min(l0 + window, max_level)
-    while True:
-        levels = list(range(l0, L + 1))
-        raw = td.diagram(levels).run(
-            range(deg_min, deg_max + 1), td.wmax, window
-        )
-        if all(r.stable for r in raw.values()) or L >= max_level:
-            break
-        L += 1
+
+    def attempt(levels):
+        raw = td.diagram(levels).run(range(deg_min, deg_max + 1), td.wmax, window)
+        return (raw, levels), all(r.stable for r in raw.values())
+
+    raw, levels = _settle(td.min_level, window, max_level, attempt)
     name = f"Tor({left.label}, {right.label})"
     return _make_table(name, raw, levels, deg_max, deg_max)
 
@@ -711,7 +760,7 @@ def _kunneth_cells(
                 nxt[(d, w)] = (old[0] + v1 * v2, old[1] and s1 and s2)
         acc = nxt
     return {
-        key: CellResult(v, s, ())
+        key: CellResult(v, s, (), False)
         for key, (v, s) in acc.items()
         if v or not s
     }
@@ -723,19 +772,18 @@ def _quotient_direct(
     if _family_contains_unit(family):
         return {}, family.min_level()
     tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
-    l0 = family.min_level()
-    L = min(l0 + bounds.window, bounds.max_level)
-    while True:
-        levels = list(range(l0, L + 1))
+
+    def attempt(levels):
         raw: dict[tuple[int, Fraction], CellResult] = {}
         for d in range(N + 1):
-            res = tw.q_diagram(d + 2, levels).run(
-                [d], bounds.weight_max, bounds.window
+            raw.update(
+                tw.q_diagram(d + 2, levels).run([d], bounds.weight_max, bounds.window)
             )
-            raw.update(res)
-        if all(r.stable for r in raw.values()) or L >= bounds.max_level:
-            return raw, L
-        L += 1
+        # levels is empty when the family starts above the level cap
+        top = levels[-1] if levels else bounds.max_level
+        return (raw, top), all(r.stable for r in raw.values())
+
+    return _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
 
 
 def quotient_homotopy(
@@ -817,16 +865,12 @@ def static_check(
     if _family_contains_unit(family):
         return StaticCheck(True, None, True, ())
     tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
-    l0 = family.min_level()
-    L = min(l0 + bounds.window, bounds.max_level)
-    while True:
-        levels = list(range(l0, L + 1))
-        raw = tw.cof_diagram(1, levels).run(
-            range(N + 1), bounds.weight_max, bounds.window
-        )
-        if all(r.stable for r in raw.values()) or L >= bounds.max_level:
-            break
-        L += 1
+
+    def attempt(levels):
+        raw = tw.cof_diagram(1, levels).run(range(N + 1), bounds.weight_max, bounds.window)
+        return (raw, levels), all(r.stable for r in raw.values())
+
+    raw, levels = _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
     witness = None
     for (d, w) in sorted(raw):
         r = raw[(d, w)]
@@ -852,9 +896,7 @@ class TowerReport:
     undetermined: list[tuple[int, int, Fraction]]
     levels: tuple[int, ...]
     h0_cells_checked: int
-    # True when every undetermined cell is in flight: first alive within one
-    # window of the top level (the unavoidable newborn layer) or already dead
-    # at the top and waiting out the window before certifying zero
+    # True when every undetermined cell is in flight (CellResult.in_flight)
     undetermined_is_boundary: bool = True
     # same flag restricted to the cofibre cells; the H_0 strands of a ring
     # with two or more root variables grow with the level at every weight,
@@ -875,10 +917,8 @@ def tower_report(
     must equal H_0(X_2) weight by weight on mutually stable cells.
     """
     tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
-    l0 = family.min_level()
-    L = min(l0 + bounds.window, bounds.max_level)
-    while True:
-        levels = list(range(l0, L + 1))
+
+    def attempt(levels):
         cof_raw: dict[int, dict] = {}
         for n in range(1, n_max):
             cof_raw[n] = tw.cof_diagram(n, levels).run(
@@ -889,21 +929,16 @@ def tower_report(
             h0_raw[n] = tw.x_diagram(n, levels).run(
                 [0], bounds.weight_max, bounds.window
             )
-        pending = any(
-            not r.stable for raw in cof_raw.values() for r in raw.values()
-        ) or any(not r.stable for raw in h0_raw.values() for r in raw.values())
-        if not pending or L >= bounds.max_level:
-            break
-        L += 1
-
-    def is_boundary(r: CellResult) -> bool:
-        # in flight: born too close to the top to judge, or already dead
-        # at the top and waiting out the window before certifying zero
-        alive = [k for k, v in enumerate(r.dims) if v]
-        return bool(alive) and (
-            levels[alive[0]] + bounds.window > levels[-1] or r.dims[-1] == 0
+        settled = all(
+            r.stable
+            for raw in (*cof_raw.values(), *h0_raw.values())
+            for r in raw.values()
         )
+        return (cof_raw, h0_raw, levels), settled
 
+    cof_raw, h0_raw, levels = _settle(
+        family.min_level(), bounds.window, bounds.max_level, attempt
+    )
     conn_failures = []
     undetermined = []
     all_boundary = True
@@ -913,8 +948,8 @@ def tower_report(
             r = cof_raw[n][(d, w)]
             if not r.stable:
                 undetermined.append((n, d, w))
-                all_boundary = all_boundary and is_boundary(r)
-                cof_boundary = cof_boundary and is_boundary(r)
+                all_boundary = all_boundary and r.in_flight
+                cof_boundary = cof_boundary and r.in_flight
             elif r.value:
                 conn_failures.append((n, d, w))
 
@@ -936,7 +971,7 @@ def tower_report(
                 undetermined.append((n, 0, key[1]))
                 for r in (rb, rn):
                     if r is not None and not r.stable:
-                        all_boundary = all_boundary and is_boundary(r)
+                        all_boundary = all_boundary and r.in_flight
                 continue
             checked += 1
             if vb != vn:
@@ -975,7 +1010,7 @@ def _reduced_resolution(W: FreeComplex) -> FreeComplex:
     """
     g0 = W.gens_at(0)
     if len(g0) != 1 or g0[0] != 0:
-        raise ValueError("resolution is not cyclic on a unit generator")
+        raise AssertionError("resolution is not cyclic on a unit generator")
     gens = {d: gl for d, gl in W.gens.items() if d >= 1 and gl}
     diff = {d: ent for d, ent in W.diff.items() if d >= 2}
     return FreeComplex(ring=W.ring, gens=gens, diff=diff)
@@ -1195,9 +1230,7 @@ def amitsur_crosscheck(
         alive = [k for k, v in enumerate(dims) if v]
         return bool(alive) and l0 + alive[0] + horizon > top
 
-    L = min(l0 + window, bounds.max_level)
-    while True:
-        levels = list(range(l0, L + 1))
+    def attempt(levels):
         diag = LevelDiagram(
             levels=levels,
             complexes=[level_data(l).tot for l in levels],
@@ -1221,12 +1254,11 @@ def amitsur_crosscheck(
             agree[d] = (
                 reference.table.degree_stable(d)
                 and table.stable_cells_at(d) == reference.table.stable_cells_at(d)
-                and all(young(raw[c].dims, L) for c in loose)
+                and all(young(raw[c].dims, levels[-1]) for c in loose)
             )
-        if all(agree.values()) or L >= bounds.max_level:
-            break
-        L += 1
+        return (table, agree, undet), all(agree.values())
 
+    table, agree, undet = _settle(l0, window, bounds.max_level, attempt)
     return AmitsurReport(
         table, reference, agree, m, window, tuple(sorted(undet))
     )

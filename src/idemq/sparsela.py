@@ -364,7 +364,7 @@ def rank_kernel(m: SparseMatrix) -> tuple[int, list[Vec]]:
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """a . b (apply b first)."""
     if a.ncols != b.nrows:
-        raise ValueError(f"matmul shape mismatch: {a.ncols} vs {b.nrows}")
+        raise AssertionError(f"matmul shape mismatch: {a.ncols} vs {b.nrows}")
     F = a.field
     out = SparseMatrix(a.nrows, b.ncols, F)
     for i, arow in enumerate(a.rows):

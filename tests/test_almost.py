@@ -6,7 +6,6 @@ import pytest
 from idemq.almost import (
     exterior_sum,
     gluing_square_check,
-    iinfty_tensor_vanishes,
     is_almost_equivalence,
     is_almost_zero,
     module_identity_map,
@@ -20,7 +19,6 @@ from idemq.derived import (
     Bounds,
     Tower,
     default_bounds,
-    derived_tensor,
     ideal_module,
     quotient_homotopy,
     quotient_module,
@@ -150,36 +148,6 @@ def test_criteria_agree_on_random_quotients():
         t = tensor_zero_criterion(spec, I, quotient_module(J), bound=1, bounds=b)
         assert a.degrees[0] == t.degrees[0]
         assert a.witnesses.get(0) == t.witnesses.get(0)
-
-
-# ---------- derived tensor vanishing ----------
-
-
-def test_iinfty_kills_residue_field():
-    # the first power does not: Tor_1(I, K) is stably nonzero
-    spec = _spec_t()
-    I = _roots_t(spec)
-    tor = derived_tensor(spec, ideal_module(I), residue_module(), 1, Fraction(2))
-    assert any(c.degree == 1 and c.dim for c in tor.cells if c.stable)
-    v = iinfty_tensor_vanishes(spec, I, residue_module(), bound=2)
-    assert v.vanishes is True
-    assert v.n_used == (2, 3, 4)
-
-
-def test_iinfty_ring_has_witness():
-    spec = _spec_t()
-    I = _roots_t(spec)
-    v = iinfty_tensor_vanishes(spec, I, ring_module(), bound=1)
-    assert v.vanishes is False
-    assert v.witness == (0, Fraction(1, 8))
-
-
-def test_iinfty_zero_module():
-    spec = _spec_t()
-    I = _roots_t(spec)
-    v = iinfty_tensor_vanishes(spec, I, ideal_module(fixed_family(spec, [], name="Z")), bound=2)
-    assert v.vanishes is True
-    assert v.cells == {}
 
 
 # ---------- almost equivalences ----------

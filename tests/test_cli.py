@@ -375,6 +375,23 @@ def test_tor_short_tower_is_unstable(tmp_path, capsys):
     assert rep["certificates"]["in_flight"] == 1
 
 
+def test_tower_short_tower_uses_the_tor_in_flight_rule(tmp_path, capsys):
+    # at max level 1 the H_0 cells are alive from level 0: undersampled,
+    # not in flight, as in tor; the cofibre frontier stays clear, so the
+    # connectivity certificate still holds
+    spec = _write(tmp_path, PLAIN_SPEC)
+    code, rep, _ = _run_json(
+        capsys, ["tower", spec, "--ideal", "I", "--n-max", "3", "--max-level", "1"]
+    )
+    assert code == 0
+    assert rep["status"] == "Stable"
+    cert = rep["certificates"]
+    assert cert["levels"] == [0, 1]
+    assert [0, "1"] in [u[1:] for u in cert["undetermined"]]
+    assert cert["undetermined_is_boundary"] is False
+    assert cert["cof_undetermined_is_boundary"] is True
+
+
 def test_exterior_sum_emits_parseable_spec(tmp_path, capsys):
     from idemq.specfile import parse_spec
 

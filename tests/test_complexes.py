@@ -12,7 +12,9 @@ from idemq.complexes import (
     by_col,
     check_chain_map,
     check_complex,
+    compose_maps,
     cone,
+    cone_map,
     homology_data,
     homology_dim,
     homology_map_matrix,
@@ -287,6 +289,51 @@ def test_missing_augmentation_is_an_internal_fault():
         aug_strand_matrix(bare, F0)
 
 
+def _lift_0_to_1(ring_map=None):
+    # res(x) at levels 0 and 1 of K[x^(1/2^l)] / (x^2), and a lift between
+    spec = _ring(a=2).spec
+    r0, r1 = make_level_ring(spec, 0), make_level_ring(spec, 1)
+    res0 = minimal_resolution(r0, ((1,),), dmax=2, wmax=Fraction(4))
+    res1 = minimal_resolution(r1, ((2,),), dmax=2, wmax=Fraction(4))
+    return res0, res1, lift_chain_map(res0, res1, ring_map=ring_map or r0.include_exp)
+
+
+def test_composing_maps_that_do_not_meet_is_an_internal_fault():
+    res0, res1, lift = _lift_0_to_1()
+    with pytest.raises(AssertionError, match="middle complexes differ"):
+        compose_maps(identity_map(res0), lift)
+
+
+def test_tensor_over_different_rings_is_an_internal_fault():
+    res0, res1, _ = _lift_0_to_1()
+    with pytest.raises(AssertionError, match="different rings"):
+        tensor_complexes(res0, res1)
+
+
+def test_tensor_of_maps_with_different_ring_maps_is_an_internal_fault():
+    res0, res1, f = _lift_0_to_1()
+    g = lift_chain_map(res0, res1, ring_map=lambda e: f.ring_map(e))
+    sq0, i0 = tensor_complexes(res0, res0, dmax=2, wmax=Fraction(4))
+    sq1, i1 = tensor_complexes(res1, res1, dmax=2, wmax=Fraction(4))
+    with pytest.raises(AssertionError, match="factors carry different ring maps"):
+        tensor_maps(f, g, sq0, i0, sq1, i1)
+
+
+def test_cone_of_a_map_between_rings_is_an_internal_fault():
+    _, _, lift = _lift_0_to_1()
+    with pytest.raises(AssertionError, match="same-ring chain map"):
+        cone(lift)
+
+
+def test_cone_map_with_different_ring_maps_is_an_internal_fault():
+    res0, res1, f = _lift_0_to_1()
+    g = lift_chain_map(res0, res1, ring_map=lambda e: f.ring_map(e))
+    c0, w0 = cone(identity_map(res0))
+    c1, w1 = cone(identity_map(res1))
+    with pytest.raises(AssertionError, match="legs carry different ring maps"):
+        cone_map(f, g, c0, w0, c1, w1)
+
+
 def test_lift_identity_is_solved_degreewise():
     ring = _ring(a=3)
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
@@ -375,7 +422,7 @@ def test_rank_first_dims_match_homology_dim_on_xy(field, build):
     assert 0 < nonzero < seen
 
 
-def test_coords_on_a_strand_without_homology_checks_cycles():
+def test_coords_on_a_strand_with_homology_checks_cycles():
     sq, prov = _xy_square(QQ)
 
     def strands():
@@ -384,26 +431,31 @@ def test_coords_on_a_strand_without_homology_checks_cycles():
                 h = homology_data(sq, d, w, prov)
                 yield h, strand_matrix(sq, d + 1, w, prov, dst=h.basis)
 
-    # boundaries exist but do not fill the strand
+    # homology beside boundaries, and cycles that do not fill the strand
     h, inc = next(
         (h, inc) for h, inc in strands()
-        if h.dim == 0 and 0 < inc.rank() < len(h.basis.pairs)
+        if h.dim and inc.rank() and inc.rank() + h.dim < len(h.basis.pairs)
     )
-    bnd = Echelon(QQ)
     cols = [col for col in inc.transpose().rows if col]
-    for col in cols:
-        bnd.insert(col)
-    # a sum of boundaries has no coordinates
+    cycles = Echelon(QQ)
+    for v in cols + h.reps:
+        cycles.insert(dict(v))
+    # a boundary, and a sum of boundaries, has zero coordinates
     total = {}
     for col in cols:
         for r, v in col.items():
             total[r] = total.get(r, 0) + v
     assert h.coords(cols[0], QQ) == {}
     assert h.coords({r: v for r, v in total.items() if v}, QQ) == {}
+    # a representative moved by a boundary keeps its class
+    moved = dict(h.reps[0])
+    for r, v in cols[0].items():
+        moved[r] = moved.get(r, 0) + v
+    assert h.coords({r: v for r, v in moved.items() if v}, QQ) == {0: 1}
     outside = next(
-        {r: 1} for r in range(len(h.basis.pairs)) if not bnd.contains({r: 1})
+        {r: 1} for r in range(len(h.basis.pairs)) if not cycles.contains({r: 1})
     )
-    with pytest.raises(ValueError, match="not a cycle modulo boundaries"):
+    with pytest.raises(AssertionError, match="not a cycle modulo boundaries"):
         h.coords(outside, QQ)
 
 

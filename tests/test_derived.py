@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idemq import derived
-from idemq.fields import QQ
+from idemq.fields import GF, QQ
 from idemq.complexes import (
     RingStrands,
     check_chain_map,
@@ -11,6 +13,7 @@ from idemq.complexes import (
     homology_data,
     homology_dim,
     homology_map_matrix,
+    ideal_resolution,
 )
 from idemq.derived import (
     Bounds,
@@ -18,7 +21,6 @@ from idemq.derived import (
     Tower,
     TorDiagram,
     amitsur_crosscheck,
-    colimit_stabilize,
     default_bounds,
     derived_tensor,
     ideal_module,
@@ -69,6 +71,15 @@ def _m(data):
     return SparseMatrix.from_dense(data, QQ)
 
 
+def _stabilize(levels, dims, steps, window, first_rep):
+    """The detector on the whole homology; spanning it by identity
+    columns must give the same answer."""
+    got = derived.colimit_stabilize(levels, dims, steps, window, first_rep)
+    spans = [SparseMatrix(n, n, QQ, [{i: QQ.one} for i in range(n)]) for n in dims]
+    assert derived.colimit_stabilize(levels, dims, steps, window, first_rep, spans) == got
+    return got
+
+
 def test_rep_level():
     assert rep_level(F1, 2) == 0
     assert rep_level(Fraction(1, 2), 2) == 1
@@ -81,7 +92,7 @@ def test_rep_level():
 
 def test_stabilize_constant_tower():
     ident = _m([[1]])
-    value, stable = colimit_stabilize(
+    value, stable = _stabilize(
         [0, 1, 2, 3], [1, 1, 1, 1], [ident, ident, ident], 2, 0
     )
     assert (value, stable) == (1, True)
@@ -90,14 +101,14 @@ def test_stabilize_constant_tower():
 def test_stabilize_transient_certifies_zero():
     # class alive at levels 0-1 then gone: eventual image is 0
     steps = [_m([[1]]), SparseMatrix(0, 1, QQ), SparseMatrix(0, 0, QQ)]
-    value, stable = colimit_stabilize([0, 1, 2, 3], [1, 1, 0, 0], steps, 2, 0)
+    value, stable = _stabilize([0, 1, 2, 3], [1, 1, 0, 0], steps, 2, 0)
     assert (value, stable) == (0, True)
 
 
 def test_stabilize_nilpotent_steps_are_not_stable():
     # each step has rank 1 but the composite dies: dims alone lie here
     n = _m([[0, 1], [0, 0]])
-    value, stable = colimit_stabilize([0, 1, 2], [2, 2, 2], [n, n], 2, 0)
+    value, stable = _stabilize([0, 1, 2], [2, 2, 2], [n, n], 2, 0)
     assert stable is False
 
 
@@ -105,29 +116,129 @@ def test_stabilize_late_birth_needs_window_past_birth():
     # class born at level 2 with weight representable from level 0: the
     # tower must run a full window past the birth before certifying
     steps3 = [SparseMatrix(0, 0, QQ), SparseMatrix(1, 0, QQ), _m([[1]])]
-    value, stable = colimit_stabilize([0, 1, 2, 3], [0, 0, 1, 1], steps3, 2, 0)
+    value, stable = _stabilize([0, 1, 2, 3], [0, 0, 1, 1], steps3, 2, 0)
     assert stable is False
     steps4 = steps3 + [_m([[1]])]
-    value, stable = colimit_stabilize(
+    value, stable = _stabilize(
         [0, 1, 2, 3, 4], [0, 0, 1, 1, 1], steps4, 2, 0
     )
     assert (value, stable) == (1, True)
     # born exactly at the representability level: an ordinary newborn,
     # judged by the tail window alone
-    value, stable = colimit_stabilize([0, 1, 2, 3], [0, 0, 1, 1], steps3, 2, 2)
+    value, stable = _stabilize([0, 1, 2, 3], [0, 0, 1, 1], steps3, 2, 2)
     assert stable is False  # only one step since birth carries rank
 
 
 def test_stabilize_late_birth_death_witness():
     # a late class that already died certifies zero without the extra wait
     steps = [SparseMatrix(0, 0, QQ), SparseMatrix(1, 0, QQ), SparseMatrix(0, 1, QQ)]
-    value, stable = colimit_stabilize([0, 1, 2, 3], [0, 0, 1, 0], steps, 2, 0)
+    value, stable = _stabilize([0, 1, 2, 3], [0, 0, 1, 0], steps, 2, 0)
     assert (value, stable) == (0, True)
 
 
 def test_stabilize_needs_window_many_steps():
-    value, stable = colimit_stabilize([0, 1], [1, 1], [_m([[1]])], 2, 0)
+    value, stable = _stabilize([0, 1], [1, 1], [_m([[1]])], 2, 0)
     assert stable is False
+
+
+def _image_stabilize(levels, bs, ts, window, first_rep):
+    # reference for spans: the subspace detector written out on its own,
+    # with every step rank computed up front
+    dims = [b.rank() for b in bs]
+    if len(ts) < window:
+        return (dims[-1] if dims else 0, False)
+    sranks = [matmul(ts[k], bs[k]).rank() for k in range(len(ts))]
+    alive = [k for k, v in enumerate(dims) if v]
+    if alive:
+        born_idx = alive[0]
+        born = levels[born_idx]
+        if born > max(first_rep, levels[0]) and levels[-1] < born + window:
+            died = dims[-1] == 0 and all(r == 0 for r in sranks[born_idx:])
+            if not died:
+                return (dims[-1], False)
+    tail = ts[-window:]
+    comp = tail[0]
+    for m in tail[1:]:
+        comp = matmul(m, comp)
+    crank = matmul(comp, bs[len(ts) - window]).rank()
+    stable = all(r == crank for r in sranks[len(ts) - window :])
+    return (crank, stable)
+
+
+@st.composite
+def _span_towers(draw):
+    """A tower of at most 5 levels: homology dims, transition matrices
+    between them and spanning columns at each level, entries sparse."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+
+    def mat(nrows, ncols):
+        m = SparseMatrix(nrows, ncols, field)
+        for i in range(nrows):
+            for j in range(ncols):
+                v = draw(st.sampled_from([0, 0, 1, -1, 2]))
+                if v:
+                    m.rows[i][j] = field.from_int(v)
+        return m
+
+    K = draw(st.integers(1, 5))
+    l0 = draw(st.integers(0, 2))
+    hs = [draw(st.integers(0, 3)) for _ in range(K)]
+    bs = [mat(h, draw(st.integers(0, 3))) for h in hs]
+    ts = [mat(hs[k + 1], hs[k]) for k in range(K - 1)]
+    window = draw(st.integers(1, 3))
+    first_rep = draw(st.integers(0, l0 + K))
+    return list(range(l0, l0 + K)), bs, ts, window, first_rep
+
+
+# a late class that dies while its step is nonzero off the span: only
+# the ranks on the spans see the death
+_DIES_ON_THE_SPAN = (
+    [0, 1, 2, 3],
+    [SparseMatrix(0, 0, QQ), SparseMatrix(0, 0, QQ), _m([[1], [0]]), _m([[0]])],
+    [SparseMatrix(0, 0, QQ), SparseMatrix(2, 0, QQ), _m([[0, 1]])],
+    2,
+    0,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_span_towers())
+@example(_DIES_ON_THE_SPAN)
+def test_stabilize_on_spans_matches_the_subspace_reference(tower):
+    levels, bs, ts, window, first_rep = tower
+    dims = [b.rank() for b in bs]
+    got = derived.colimit_stabilize(levels, dims, ts, window, first_rep, bs)
+    assert got == _image_stabilize(levels, bs, ts, window, first_rep)
+
+
+def test_settle_raises_the_top_until_settled():
+    seen = []
+
+    def attempt(levels):
+        seen.append(levels)
+        return levels[-1], levels[-1] >= 5
+
+    # starts one window above l0 and stops at the first settled top
+    assert derived._settle(1, 2, 7, attempt) == 5
+    assert seen == [[1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5]]
+    seen.clear()
+    assert derived._settle(4, 2, 9, attempt) == 6
+    assert seen == [[4, 5, 6]]
+
+
+def test_settle_stops_at_the_cap():
+    seen = []
+
+    def attempt(levels):
+        seen.append(levels)
+        return levels[-1], False
+
+    assert derived._settle(1, 2, 4, attempt) == 4
+    assert seen == [[1, 2, 3], [1, 2, 3, 4]]
+    # a cap below l0 + window is where the first attempt starts
+    seen.clear()
+    assert derived._settle(1, 2, 2, attempt) == 2
+    assert seen == [[1, 2]]
 
 
 # ---------- quotient homotopy, one variable ----------
@@ -387,6 +498,14 @@ def test_unknown_module_kind_is_an_internal_fault():
         derived.module_strands(bogus, ring)
     with pytest.raises(AssertionError, match="unknown module kind 'bogus'"):
         TorDiagram(spec, bogus, residue_module(), 2, F1).res(1)
+
+
+def test_reduced_resolution_of_a_non_cyclic_resolution_is_an_internal_fault():
+    # res(R/I) starts at the unit generator; res(I) starts at I's generators
+    ring = make_level_ring(_spec_t(), 1)
+    res = ideal_resolution(ring, [(1,)], 2, F1)
+    with pytest.raises(AssertionError, match="not cyclic on a unit generator"):
+        derived._reduced_resolution(res)
 
 
 # ---------- tower report ----------

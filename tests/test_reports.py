@@ -1,0 +1,116 @@
+"""Every report of the benchmark's solves, byte for byte.
+
+The solves and spec templates are those of perfbench/workloads.py,
+copied here so that tier-1 does not depend on the benchmark. The
+digests are the SHA-256 of each JSON report as it stood when this test
+was written. A change meant to alter a report re-records its digest and
+says why in CHANGES.md; any other change must leave all of them alone.
+"""
+
+import hashlib
+
+import pytest
+
+from idemq.cli import main
+
+SPECS = {
+    "t": ["var t divisible", "truncate t", "ideal I = roots(t)"],
+    "t-plain": ["var t divisible", "ideal I = roots(t)", "ideal J = t"],
+    "xy-f7": [
+        "field Fp 7",
+        "var x divisible",
+        "var y divisible",
+        "truncate x y",
+        "ideal I = roots(x), roots(y)",
+    ],
+    "xy-q": [
+        "field Q",
+        "var x divisible",
+        "var y divisible",
+        "truncate x y",
+        "ideal I = roots(x), roots(y)",
+    ],
+}
+
+# key -> (argv with {template} placeholders, exit code, sha256 of the report)
+SOLVES = {
+    "qh-t-q5": (
+        ["quotient-homotopy", "{t}", "--deg-max", "5"],
+        0,
+        "a977550548003f571bb51f85ba6ed67a6543e14ab0c529824eb4d29d14bee464",
+    ),
+    "qh-xy-f7": (
+        ["quotient-homotopy", "{xy-f7}", "--deg-max", "2"],
+        0,
+        "a36ee9d1bc54a1ba2c8b634fd82194c52174494e662d90ae2a85ebe5e022a900",
+    ),
+    "qh-xy-q": (
+        ["quotient-homotopy", "{xy-q}", "--deg-max", "2"],
+        0,
+        "9df44ece0459e0c3aa3f53cc450757f92490e8c2e5b0feaba2e86013e4f96e2b",
+    ),
+    "amitsur-t-q3": (
+        ["amitsur-check", "{t}", "--deg-max", "3", "--depth", "5"],
+        0,
+        "77edc247d921d8a4399eb9dc5ed0067415662502d216fcaa101f218928703b74",
+    ),
+    "check-idempotent": (
+        ["check-idempotent", "{t}"],
+        0,
+        "5fcdb1cde12fefcb9b329fa257bab2b2ac53a90e0468e9fcd50cf4bcc3325ea6",
+    ),
+    "tor-K-K": (
+        ["tor", "{t}", "--left", "K", "--right", "K"],
+        0,
+        "1735da1eb0a9c9d8a42d24d1103335e8e1b253f53a73fa25720d690c9fadd9f2",
+    ),
+    "tor-I-RJ": (
+        ["tor", "{t-plain}", "--left", "I", "--right", "R/J", "--deg-max", "1"],
+        0,
+        "a7a6ab3276b01b4544765bf96fa137b8e7b91a5777e471b5dae9550e0459ad0e",
+    ),
+    "static-check": (
+        ["static-check", "{t}"],
+        0,
+        "5ac2bd7f80bd2b27b30118869cf6beabeeae79e72abf6573ed44a5275b64b257",
+    ),
+    "tower": (
+        ["tower", "{t}", "--n-max", "5"],
+        0,
+        "68363d360b2d27570f52b2975ecc62e5fb72ae23892c355eb2ffa27880919215",
+    ),
+    "almost-zero": (
+        ["almost-zero", "{t}", "--module", "R"],
+        0,
+        "71d70ae37c954f74b662f2cc860097b585506632fc7bd893d99fe1a40e7d50d5",
+    ),
+    "almost-equiv": (
+        ["almost-equiv", "{t}", "--map", "power:2"],
+        0,
+        "0470baeee77aa07048707357fc4dfeabf923954df729b025b5966a1bea6ec0e3",
+    ),
+    "gluing-check": (
+        ["gluing-check", "{t}", "--module", "K"],
+        0,
+        "87c559abb301aac22bf665247e9779b981233ad8e05416e71098098dbfd737b2",
+    ),
+    "exterior-sum": (
+        ["exterior-sum", "{t}", "{t}", "--left", "I", "--right", "I"],
+        0,
+        "35947f0a7b1873f1f5b4425f4b59f9ac2dca36f2750286da445e8f5bae2b37f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(SOLVES))
+def test_report_is_byte_identical(key, tmp_path, capsys):
+    argv, want_code, want_digest = SOLVES[key]
+    paths = {}
+    for name, lines in SPECS.items():
+        paths[name] = tmp_path / f"{name}.spec"
+        paths[name].write_text("\n".join(lines) + "\n")
+    argv = [str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv]
+    code = main(argv + ["--format", "json"])
+    report = capsys.readouterr().out
+    assert code == want_code
+    assert hashlib.sha256(report.encode()).hexdigest() == want_digest

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from idemq.sparsela import (
     Echelon,
     SparseMatrix,
     kernel_rows,
+    matmul,
     rank_kernel,
     rank_rows,
     solve_rows,
@@ -22,6 +24,12 @@ def test_rank_and_kernel_baseline():
     ker = m.kernel_basis()
     assert len(ker) == 1
     assert ker[0] == {0: -2, 1: 1}
+
+
+def test_matmul_shape_mismatch_is_an_internal_fault():
+    a = SparseMatrix.from_dense([[1, 2]], QQ)
+    with pytest.raises(AssertionError, match="shape mismatch: 2 vs 1"):
+        matmul(a, a)
 
 
 def test_solve_baseline():
