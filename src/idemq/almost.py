@@ -27,7 +27,6 @@ from typing import Callable, Optional
 from .complexes import (
     ChainMap,
     FreeComplex,
-    RingStrands,
     cone,
     cone_map,
     homology_map_matrix,
@@ -43,10 +42,13 @@ from .derived import (
     ModuleRef,
     TorDiagram,
     Tower,
+    _LevelBuilder,
     default_bounds,
     derived_tensor,
+    gluing_bounds,
     ideal_module,
     judge_cell,
+    level_range,
     module_min_level,
     rep_level,
     ring_module,
@@ -201,8 +203,7 @@ def is_almost_zero(
     of the module's resolution must stabilize to zero."""
     b = bounds or default_bounds(bound)
     td = TorDiagram(spec, module, ring_module(), bound + 1, b.weight_max)
-    l0 = max(1, family.min_level(), td.min_level)
-    levels = list(range(l0, b.max_level + 1))
+    levels = level_range(max(1, family.min_level(), td.min_level), b.max_level)
     cells = _annihilation_cells(
         td.diagram(levels), family, range(bound + 1), b.weight_max, b.window
     )
@@ -314,33 +315,14 @@ def is_almost_equivalence(
     """Is the cone of the map family almost zero up to the degree bound?
     The cone homology is checked with the annihilation criterion."""
     b = bounds or default_bounds(bound)
-    l0 = max(1, family.min_level(), f.min_level)
-    levels = list(range(l0, b.max_level + 1))
-    cones = []
-    wheres = []
-    for l in levels:
-        c, wh = cone(f.at(l))
-        cones.append(c)
-        wheres.append(wh)
-    steps = [
-        cone_map(
-            f.src_step(levels[k]),
-            f.dst_step(levels[k]),
-            cones[k],
-            wheres[k],
-            cones[k + 1],
-            wheres[k + 1],
-        )
-        for k in range(len(levels) - 1)
-    ]
-    diagram = LevelDiagram(
-        levels=levels,
-        complexes=cones,
-        steps=steps,
-        providers=[RingStrands(c.ring) for c in cones],
-        root_base=spec.root_base,
-        cache={},
-        tag=("almosteq", f.label),
+    levels = level_range(max(1, family.min_level(), f.min_level), b.max_level)
+    eq = _LevelBuilder(spec)
+    cone_at = eq.per_level(lambda l: cone(f.at(l)))
+    diagram = eq.level_diagram(
+        ("almosteq", f.label),
+        levels,
+        cone_at,
+        lambda l: cone_map(f.src_step(l), f.dst_step(l), cone_at(l), cone_at(l + 1)),
     )
     cells = _annihilation_cells(
         diagram, family, range(bound + 1), b.weight_max, b.window
@@ -363,65 +345,61 @@ class GluingReport:
     levels: list[int]
 
 
-def _glue_complexes(
+def _glue_square(
     tower: Tower,
-    fcx: dict[int, FreeComplex],
-    fstep: dict[int, ChainMap],
-    levels: list[int],
+    fcx: Callable[[int], FreeComplex],
+    fstep: Callable[[int], ChainMap],
     m: int,
     n: int,
     b: Bounds,
-) -> tuple[
-    dict[int, FreeComplex],
-    dict[int, ChainMap],
-    dict[int, FreeComplex],
-    dict[int, ChainMap],
-]:
-    """Per level: the double cone T comparing cone(eps_m (x) M) with
-    cone(eps_n (x) M) along sigma_n, and the closed piece K2 with its
-    transitions. sigma strictly interpolates the two eps legs, so all
-    cone squares commute on the nose."""
-    XmM: dict[int, FreeComplex] = {}
-    XmI: dict[int, object] = {}
-    XnM: dict[int, FreeComplex] = {}
-    XnI: dict[int, object] = {}
-    UM: dict[int, FreeComplex] = {}
-    UI: dict[int, object] = {}
-    K1: dict[int, FreeComplex] = {}
-    K1w: dict[int, dict] = {}
-    K2: dict[int, FreeComplex] = {}
-    K2w: dict[int, dict] = {}
-    TT: dict[int, FreeComplex] = {}
-    TTw: dict[int, dict] = {}
-    for l in levels:
-        fid = identity_map(fcx[l])
-        XmM[l], XmI[l] = tensor_complexes(tower.X(m, l), fcx[l], b.deg_max, b.weight_max)
-        XnM[l], XnI[l] = tensor_complexes(tower.X(n, l), fcx[l], b.deg_max, b.weight_max)
-        UM[l], UI[l] = tensor_complexes(tower.unit(l), fcx[l], b.deg_max, b.weight_max)
-        top = tensor_maps(tower.eps(m, l), fid, XmM[l], XmI[l], UM[l], UI[l])
-        bot = tensor_maps(tower.eps(n, l), fid, XnM[l], XnI[l], UM[l], UI[l])
-        K1[l], K1w[l] = cone(top)
-        K2[l], K2w[l] = cone(bot)
-        comp = tensor_maps(tower.sigma(n, l), fid, XmM[l], XmI[l], XnM[l], XnI[l])
-        mid = cone_map(comp, identity_map(UM[l]), K1[l], K1w[l], K2[l], K2w[l])
-        TT[l], TTw[l] = cone(mid)
-    sK2: dict[int, ChainMap] = {}
-    stepT: dict[int, ChainMap] = {}
-    for l in levels[:-1]:
-        sxm = tensor_maps(
-            tower.lam(m, l), fstep[l], XmM[l], XmI[l], XmM[l + 1], XmI[l + 1]
+) -> tuple[Callable, Callable, Callable, Callable]:
+    """The double cone T comparing cone(eps_m (x) M) with cone(eps_n (x) M)
+    along sigma_n, and the closed piece K2 = cone(eps_n (x) M), each with
+    its level transitions: (double, double_step, closed, closed_step) as
+    functions of the level, memoised in the tower's store. sigma strictly
+    interpolates the two eps legs, so all cone squares commute on the nose."""
+    per_level = tower.per_level
+
+    def times_m(factor):  # factor (x) M with its tensor info
+        return per_level(
+            lambda l: tensor_complexes(factor(l), fcx(l), b.deg_max, b.weight_max)
         )
-        sxn = tensor_maps(
-            tower.lam(n, l), fstep[l], XnM[l], XnI[l], XnM[l + 1], XnI[l + 1]
+
+    xm = times_m(lambda l: tower.X(m, l))
+    xn = times_m(lambda l: tower.X(n, l))
+    um = times_m(tower.unit)
+    um_step = per_level(
+        lambda l: tensor_maps(tower.unit_step(l), fstep(l), *um(l), *um(l + 1))
+    )
+
+    def eps_cone(k, xk):  # cone(eps_k (x) M) and its transitions
+        cx = per_level(
+            lambda l: cone(
+                tensor_maps(tower.eps(k, l), identity_map(fcx(l)), *xk(l), *um(l))
+            )
         )
-        su = tensor_maps(
-            tower.unit_step(l), fstep[l], UM[l], UI[l], UM[l + 1], UI[l + 1]
+        step = per_level(
+            lambda l: cone_map(
+                tensor_maps(tower.lam(k, l), fstep(l), *xk(l), *xk(l + 1)),
+                um_step(l),
+                cx(l),
+                cx(l + 1),
+            )
         )
-        sk1 = cone_map(sxm, su, K1[l], K1w[l], K1[l + 1], K1w[l + 1])
-        sk2 = cone_map(sxn, su, K2[l], K2w[l], K2[l + 1], K2w[l + 1])
-        sK2[l] = sk2
-        stepT[l] = cone_map(sk1, sk2, TT[l], TTw[l], TT[l + 1], TTw[l + 1])
-    return TT, stepT, K2, sK2
+        return cx, step
+
+    k1, k1_step = eps_cone(m, xm)
+    closed, closed_step = eps_cone(n, xn)
+
+    def mid(l):  # cone(eps_m (x) M) -> cone(eps_n (x) M) along sigma_n
+        comp = tensor_maps(tower.sigma(n, l), identity_map(fcx(l)), *xm(l), *xn(l))
+        return cone_map(comp, identity_map(um(l)[0]), k1(l), closed(l))
+
+    double = per_level(lambda l: cone(mid(l)))
+    double_step = per_level(
+        lambda l: cone_map(k1_step(l), closed_step(l), double(l), double(l + 1))
+    )
+    return double, double_step, closed, closed_step
 
 
 def gluing_square_check(
@@ -445,68 +423,45 @@ def gluing_square_check(
     Undetermined cells at the level cap produce an explicit refusal."""
     if (module is None) == (quotient_stage is None):
         raise ValueError("pass exactly one of module / quotient_stage")
-    b = bounds or Bounds(bound + 3, Fraction(3, 2), 5, 2)
+    b = bounds or gluing_bounds(bound)
     n = bound + 2
     m = n + 1
     tower = Tower(spec, family, b.deg_max, b.weight_max)
     mod_min = 0 if module is None else module_min_level(module)
-    l0 = max(1, family.min_level(), mod_min)
-    levels = list(range(l0, b.max_level + 1))
+    levels = level_range(max(1, family.min_level(), mod_min), b.max_level)
     mlabel = module.label if module is not None else f"Q{quotient_stage}"
 
-    fcx: dict[int, FreeComplex] = {}
-    fstep: dict[int, ChainMap] = {}
     if module is None:
         if quotient_stage < 1:
             raise ValueError("quotient stages start at 1")
-        for l in levels:
-            fcx[l] = tower.Q(quotient_stage, l)[0]
-        for l in levels[:-1]:
-            fstep[l] = tower.Qstep(quotient_stage, l)
+        fcx = lambda l: tower.Q(quotient_stage, l)  # noqa: E731
+        fstep = lambda l: tower.Qstep(quotient_stage, l)  # noqa: E731
     else:
         td = TorDiagram(spec, module, ring_module(), b.deg_max, b.weight_max)
-        for l in levels:
-            fcx[l] = td.res(l)
-        for l in levels[:-1]:
-            # ride the tower's include map so tensor_maps sees one ring map
-            fstep[l] = lift_chain_map(fcx[l], fcx[l + 1], ring_map=tower.inc(l))
+        fcx = td.res
+        # ride the tower's include map so tensor_maps sees one ring map
+        fstep = tower.per_level(
+            lambda l: lift_chain_map(fcx(l), fcx(l + 1), ring_map=tower.inc(l))
+        )
 
-    TT, stepT, K2, sK2 = _glue_complexes(tower, fcx, fstep, levels, m, n, b)
+    double, double_step, closed, closed_step = _glue_square(tower, fcx, fstep, m, n, b)
 
-    cache: dict = {}
     cells: dict[tuple[str, int, Fraction], CellResult] = {}
-    fit = LevelDiagram(
-        levels=levels,
-        complexes=[TT[l] for l in levels],
-        steps=[stepT[l] for l in levels[:-1]],
-        providers=[RingStrands(tower.ring(l)) for l in levels],
-        root_base=spec.root_base,
-        cache=cache,
-        tag=("gluefit", mlabel),
-    )
+    fit = tower.level_diagram(("gluefit", mlabel), levels, double, double_step)
     for (d, w), r in fit.run(range(bound + 1), b.weight_max, b.window).items():
         cells[("fit", d, w)] = r
     for d in range(bound + 1):
         nd = d + 2
-        Od: dict[int, FreeComplex] = {}
-        OdI: dict[int, object] = {}
-        for l in levels:
-            Od[l], OdI[l] = tensor_complexes(
-                tower.X(nd, l), K2[l], b.deg_max, b.weight_max
-            )
-        orth = LevelDiagram(
-            levels=levels,
-            complexes=[Od[l] for l in levels],
-            steps=[
-                tensor_maps(
-                    tower.lam(nd, l), sK2[l], Od[l], OdI[l], Od[l + 1], OdI[l + 1]
-                )
-                for l in levels[:-1]
-            ],
-            providers=[RingStrands(tower.ring(l)) for l in levels],
-            root_base=spec.root_base,
-            cache=cache,
-            tag=("glueorth", nd, mlabel),
+        orth_cx = tower.per_level(
+            lambda l: tensor_complexes(tower.X(nd, l), closed(l), b.deg_max, b.weight_max)
+        )
+        orth = tower.level_diagram(
+            ("glueorth", nd, mlabel),
+            levels,
+            lambda l: orth_cx(l)[0],
+            lambda l: tensor_maps(
+                tower.lam(nd, l), closed_step(l), *orth_cx(l), *orth_cx(l + 1)
+            ),
         )
         for (dd, w), r in orth.run([d], b.weight_max, b.window).items():
             cells[("orth", dd, w)] = r

@@ -39,6 +39,7 @@ from .derived import (
     amitsur_crosscheck,
     default_bounds,
     derived_tensor,
+    gluing_bounds,
     ideal_module,
     quotient_homotopy,
     quotient_module,
@@ -366,7 +367,7 @@ def _run_gluing_check(ps, args):
         raise UsageError("pass exactly one of --module / --quotient-stage")
     mod = _module_ref(args.module, ps) if args.module is not None else None
     N = _deg_max(ps, args, 2)
-    b = _apply_overrides(Bounds(N + 3, Fraction(3, 2), 5, 2), ps, args)
+    b = _apply_overrides(gluing_bounds(N), ps, args)
     g = gluing_square_check(
         ps.ring, fam, module=mod, quotient_stage=args.quotient_stage,
         bound=N, bounds=b,

@@ -646,69 +646,52 @@ def tensor_maps(
 # ---------- cones ----------
 
 
-def cone(f: ChainMap) -> tuple[FreeComplex, dict]:
+def cone(f: ChainMap) -> FreeComplex:
     """Mapping cone of f: X -> Y (same ring): C_d = Y_d + X_{d-1},
-    d(y, x) = (dy + fx, -dx). Returns the cone and an index record
-    {('Y', d, i): idx, ('X', d-1, i): idx} into its generators."""
+    d(y, x) = (dy + fx, -dx). The degree-d generators are those of Y_d
+    in order, then those of X_{d-1}: X-generator i of degree d-1 sits at
+    Y.rank(d) + i."""
     if f.ring_map is not None:
         raise AssertionError("cone needs a same-ring chain map")
     x, y = f.src, f.dst
     ring = y.ring
-    gens: dict[int, list[Fraction]] = {}
-    where: dict = {}
     lo = min(y.lo, x.lo + 1)
     hi = max(y.hi, x.hi + 1)
-    for d in range(lo, hi + 1):
-        gl: list[Fraction] = []
-        for i, gw in enumerate(y.gens_at(d)):
-            where[("Y", d, i)] = len(gl)
-            gl.append(gw)
-        for i, gw in enumerate(x.gens_at(d - 1)):
-            where[("X", d - 1, i)] = len(gl)
-            gl.append(gw)
-        gens[d] = gl
+    gens = {d: y.gens_at(d) + x.gens_at(d - 1) for d in range(lo, hi + 1)}
     diff: dict[int, dict[tuple[int, int], Elem]] = {}
     neg1 = ring.field.from_int(-1)
     for d in range(lo, hi + 1):
-        ent: dict[tuple[int, int], Elem] = {}
-        for (i, j), elem in y.diff_at(d).items():
-            ent[(where[("Y", d - 1, i)], where[("Y", d, j)])] = elem
+        here, below = y.rank(d), y.rank(d - 1)
+        ent: dict[tuple[int, int], Elem] = dict(y.diff_at(d))
         for (i, j), elem in f.entries_at(d - 1).items():
-            ent[(where[("Y", d - 1, i)], where[("X", d - 1, j)])] = elem
+            ent[(i, here + j)] = elem
         for (i, j), elem in x.diff_at(d - 1).items():
-            ent[(where[("X", d - 2, i)], where[("X", d - 1, j)])] = ring.elem_scale(
-                neg1, elem
-            )
+            ent[(below + i, here + j)] = ring.elem_scale(neg1, elem)
         if ent:
             diff[d] = ent
-    return FreeComplex(ring=ring, gens=gens, diff=diff), where
+    return FreeComplex(ring=ring, gens=gens, diff=diff)
 
 
 def cone_map(
-    fx: ChainMap,
-    fy: ChainMap,
-    src_cone: FreeComplex,
-    src_where: dict,
-    dst_cone: FreeComplex,
-    dst_where: dict,
+    fx: ChainMap, fy: ChainMap, src_cone: FreeComplex, dst_cone: FreeComplex
 ) -> ChainMap:
     """Induced map on cones from a strictly commuting square: fx on the
-    shifted part, fy on the target part. Both must share a ring map."""
+    shifted part, fy on the target part. Both must share a ring map, and
+    each cone must have the generator layout of cone() over its legs."""
     if fx.ring_map is not None and fy.ring_map is not None and fx.ring_map is not fy.ring_map:
         raise AssertionError("cone_map: legs carry different ring maps")
+    for c, y, x in ((src_cone, fy.src, fx.src), (dst_cone, fy.dst, fx.dst)):
+        for d in set(c.gens) | set(y.gens) | {e + 1 for e in x.gens}:
+            if c.rank(d) != y.rank(d) + x.rank(d - 1):
+                raise AssertionError(f"cone_map: cone ranks in degree {d} do not fit the square")
     ent: dict[int, dict[tuple[int, int], Elem]] = {}
     for d, fd in fy.entries.items():
         for (i, j), elem in fd.items():
-            si = src_where.get(("Y", d, j))
-            di = dst_where.get(("Y", d, i))
-            if si is not None and di is not None:
-                ent.setdefault(d, {})[(di, si)] = elem
+            ent.setdefault(d, {})[(i, j)] = elem
     for d, fd in fx.entries.items():
+        si, di = fy.src.rank(d + 1), fy.dst.rank(d + 1)
         for (i, j), elem in fd.items():
-            si = src_where.get(("X", d, j))
-            di = dst_where.get(("X", d, i))
-            if si is not None and di is not None:
-                ent.setdefault(d + 1, {})[(di, si)] = elem
+            ent.setdefault(d + 1, {})[(di + i, si + j)] = elem
     return ChainMap(
         src=src_cone, dst=dst_cone, entries=ent, ring_map=fx.ring_map or fy.ring_map
     )

@@ -27,11 +27,20 @@ is undersampled, not newborn. In-flight cells do not block a verdict.
 One level loop (_settle) serves every command that raises its level
 cap until the cells settle: it starts at min(l0 + window, max_level)
 and adds one level at a time until the run settles or reaches the cap.
+A family whose first level lies above the cap is a usage error
+(level_range).
+
+Every level family (the tower, Tor, the Amitsur totalization, the cones
+of almost equivalences, the gluing square) is built by one builder,
+_LevelBuilder: it makes each per-level piece on first request and keeps
+it in its one store, and its level_diagram is the one place a
+LevelDiagram is assembled. The diagrams of one builder share one
+homology cache, their tags keeping the entries apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -75,6 +84,12 @@ def default_bounds(N: int) -> Bounds:
     """Internal bounds for a degree-N request: one spare degree for cone
     boundaries plus margin, weights to N+2."""
     return Bounds(N + 3, Fraction(N + 2), 6, 2)
+
+
+def gluing_bounds(N: int) -> Bounds:
+    """Bounds of the gluing check at degree bound N: its double cones
+    grow fast in weight, so weights stop at 3/2 and levels at 5."""
+    return Bounds(N + 3, Fraction(3, 2), 5, 2)
 
 
 # ---------- stabilization detector ----------
@@ -172,6 +187,14 @@ def judge_cell(
     return CellResult(value, stable, tuple(dims), flight)
 
 
+def level_range(l0: int, top: int) -> list[int]:
+    """The levels l0..top. A family whose first level lies above the
+    level cap would run on no level at all, so that is a usage error."""
+    if l0 > top:
+        raise ValueError(f"the family starts at level {l0}, above the level cap {top}")
+    return list(range(l0, top + 1))
+
+
 def _settle(
     l0: int, window: int, max_level: int, attempt: Callable[[list[int]], tuple]
 ):
@@ -181,7 +204,7 @@ def _settle(
     (result, settled); the last result is returned."""
     top = min(l0 + window, max_level)
     while True:
-        result, settled = attempt(list(range(l0, top + 1)))
+        result, settled = attempt(level_range(l0, top))
         if settled or top >= max_level:
             return result
         top += 1
@@ -194,15 +217,16 @@ def _settle(
 class LevelDiagram:
     """Complexes over consecutive levels with transition chain maps
     (steps[k]: complexes[k] -> complexes[k+1]) and a module structure
-    provider per level. Homology is cached under (tag, level, d, w)."""
+    provider per level, made by _LevelBuilder.level_diagram. Homology is
+    cached in the builder's cache under (tag, level, d, w)."""
 
     levels: list[int]
     complexes: list[FreeComplex]
     steps: list[ChainMap]
     providers: list
     root_base: int
-    cache: dict = dc_field(default_factory=dict)
-    tag: tuple = ()
+    cache: dict
+    tag: tuple
 
     def homology(self, k: int, d: int, w: Fraction) -> HomologyData:
         key = (self.tag, self.levels[k], d, w)
@@ -324,11 +348,15 @@ class _LevelBuilder:
     """Pieces built per level (rings, inclusions, complexes, maps), each
     made on first request and kept in one store. Every later request gets
     the same object back, which matters where maps are compared with
-    `is` (the ring maps that tensor_maps and cone_map check)."""
+    `is` (the ring maps that tensor_maps and cone_map check).
+
+    Its level diagrams share one homology cache; each diagram's tag keeps
+    its entries apart."""
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self._memo: dict = {}
+        self.cache: dict = {}  # homology of the level diagrams
 
     def memo(self, key, make: Callable[[], object]):
         hit = self._memo.get(key)
@@ -336,11 +364,38 @@ class _LevelBuilder:
             hit = self._memo[key] = make()
         return hit
 
+    def per_level(self, make: Callable[[int], object]) -> Callable[[int], object]:
+        """make(l) as a function of the level whose values are kept in
+        the store, keyed by make itself."""
+        return lambda l: self.memo((make, l), lambda: make(l))
+
     def ring(self, l: int) -> LevelRing:
         return make_level_ring(self.spec, l)
 
     def inc(self, l: int) -> Callable[[Exponents], Exponents]:
         return self.memo(("inc", l), lambda: self.ring(l).include_exp)
+
+    def level_diagram(
+        self,
+        tag: tuple,
+        levels,
+        complex_at: Callable[[int], FreeComplex],
+        step_at: Callable[[int], ChainMap],
+        provider_at: Optional[Callable[[int], object]] = None,
+    ) -> LevelDiagram:
+        """The diagram of complex_at(l) over the levels, with transitions
+        step_at(l) and module structure provider_at(l) (default R)."""
+        if provider_at is None:
+            provider_at = lambda l: RingStrands(self.ring(l))  # noqa: E731
+        return LevelDiagram(
+            levels=list(levels),
+            complexes=[complex_at(l) for l in levels],
+            steps=[step_at(l) for l in levels[:-1]],
+            providers=[provider_at(l) for l in levels],
+            root_base=self.spec.root_base,
+            cache=self.cache,
+            tag=tag,
+        )
 
 
 class Tower(_LevelBuilder):
@@ -360,7 +415,6 @@ class Tower(_LevelBuilder):
         self.family = family
         self.dmax = deg_max
         self.wmax = Fraction(weight_max)
-        self.cache: dict = {}  # homology of the level diagrams
 
     # -- per-level primitives --
 
@@ -465,56 +519,48 @@ class Tower(_LevelBuilder):
 
     # -- cones and their transitions --
 
-    def Q(self, n: int, l: int) -> tuple[FreeComplex, dict]:
+    def Q(self, n: int, l: int) -> FreeComplex:
         return self.memo(("Q", n, l), lambda: cone(self.eps(n, l)))
 
     def Qstep(self, n: int, l: int) -> ChainMap:
-        def make():
-            qs, ws = self.Q(n, l)
-            qd, wd = self.Q(n, l + 1)
-            return cone_map(self.lam(n, l), self.unit_step(l), qs, ws, qd, wd)
+        return self.memo(
+            ("Qstep", n, l),
+            lambda: cone_map(
+                self.lam(n, l), self.unit_step(l), self.Q(n, l), self.Q(n, l + 1)
+            ),
+        )
 
-        return self.memo(("Qstep", n, l), make)
-
-    def cof_sigma(self, n: int, l: int) -> tuple[FreeComplex, dict]:
+    def cof_sigma(self, n: int, l: int) -> FreeComplex:
         return self.memo(("cof", n, l), lambda: cone(self.sigma(n, l)))
 
     def cof_step(self, n: int, l: int) -> ChainMap:
-        def make():
-            cs, ws = self.cof_sigma(n, l)
-            cd, wd = self.cof_sigma(n, l + 1)
-            return cone_map(self.lam(n + 1, l), self.lam(n, l), cs, ws, cd, wd)
-
-        return self.memo(("cofstep", n, l), make)
+        return self.memo(
+            ("cofstep", n, l),
+            lambda: cone_map(
+                self.lam(n + 1, l),
+                self.lam(n, l),
+                self.cof_sigma(n, l),
+                self.cof_sigma(n, l + 1),
+            ),
+        )
 
     # -- diagrams --
 
-    def _diagram(self, tag, levels, cx_fn, step_fn) -> LevelDiagram:
-        return LevelDiagram(
-            levels=list(levels),
-            complexes=[cx_fn(l) for l in levels],
-            steps=[step_fn(l) for l in levels[:-1]],
-            providers=[RingStrands(self.ring(l)) for l in levels],
-            root_base=self.spec.root_base,
-            cache=self.cache,
-            tag=tag,
-        )
-
     def q_diagram(self, n: int, levels) -> LevelDiagram:
-        return self._diagram(
-            ("Q", n), levels, lambda l: self.Q(n, l)[0], lambda l: self.Qstep(n, l)
+        return self.level_diagram(
+            ("Q", n), levels, lambda l: self.Q(n, l), lambda l: self.Qstep(n, l)
         )
 
     def x_diagram(self, n: int, levels) -> LevelDiagram:
-        return self._diagram(
+        return self.level_diagram(
             ("X", n), levels, lambda l: self.X(n, l), lambda l: self.lam(n, l)
         )
 
     def cof_diagram(self, n: int, levels) -> LevelDiagram:
-        return self._diagram(
+        return self.level_diagram(
             ("cof", n),
             levels,
-            lambda l: self.cof_sigma(n, l)[0],
+            lambda l: self.cof_sigma(n, l),
             lambda l: self.cof_step(n, l),
         )
 
@@ -602,7 +648,6 @@ class TorDiagram(_LevelBuilder):
         self.right = right
         self.dmax = deg_max
         self.wmax = Fraction(weight_max)
-        self.cache: dict = {}  # homology of the level diagrams
         self.min_level = max(module_min_level(left), module_min_level(right))
 
     def res(self, l: int) -> FreeComplex:
@@ -620,15 +665,7 @@ class TorDiagram(_LevelBuilder):
         )
 
     def diagram(self, levels) -> LevelDiagram:
-        return LevelDiagram(
-            levels=list(levels),
-            complexes=[self.res(l) for l in levels],
-            steps=[self.lift(l) for l in levels[:-1]],
-            providers=[self.provider(l) for l in levels],
-            root_base=self.spec.root_base,
-            cache=self.cache,
-            tag=("tor",),
-        )
+        return self.level_diagram(("tor",), levels, self.res, self.lift, self.provider)
 
 
 def derived_tensor(
@@ -671,9 +708,6 @@ class QuotientHomotopy:
     top_level: int
     n_used: tuple[int, ...]  # tensor power per degree
     notes: list[str]
-
-    def degree_stable(self, d: int) -> bool:
-        return self.table.degree_stable(d)
 
 
 def variable_blocks(spec: RingSpec, family: IdealFamily) -> list[list[int]]:
@@ -769,8 +803,6 @@ def _kunneth_cells(
 def _quotient_direct(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
 ) -> tuple[dict[tuple[int, Fraction], CellResult], int]:
-    if _family_contains_unit(family):
-        return {}, family.min_level()
     tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
 
     def attempt(levels):
@@ -779,9 +811,7 @@ def _quotient_direct(
             raw.update(
                 tw.q_diagram(d + 2, levels).run([d], bounds.weight_max, bounds.window)
             )
-        # levels is empty when the family starts above the level cap
-        top = levels[-1] if levels else bounds.max_level
-        return (raw, top), all(r.stable for r in raw.values())
+        return (raw, levels[-1]), all(r.stable for r in raw.values())
 
     return _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
 
@@ -1016,18 +1046,6 @@ def _reduced_resolution(W: FreeComplex) -> FreeComplex:
     return FreeComplex(ring=W.ring, gens=gens, diff=diff)
 
 
-def _tensor_powers(
-    W: FreeComplex, wbar: FreeComplex, count: int, dmax: int, wmax: Fraction
-):
-    powers = [W]
-    infos: list[Optional[TensorInfo]] = [None]
-    for _ in range(count - 1):
-        t, info = tensor_complexes(powers[-1], wbar, dmax, wmax)
-        powers.append(t)
-        infos.append(info)
-    return powers, infos
-
-
 def _flat_tables(powers, infos):
     """Multi-index of each power generator as a tuple of W-generators."""
     flats = [{}]
@@ -1045,7 +1063,7 @@ def _flat_tables(powers, infos):
 
 
 def _amitsur_level(
-    ring: LevelRing, gens, m: int, N: int, wmax: Fraction
+    ring: LevelRing, family: IdealFamily, m: int, N: int, wmax: Fraction
 ) -> _TotData:
     """Normalized truncated totalization Tot^m of (R/I)^{(x) k+1}, k <= m,
     as one complex in total degrees -1 .. N+1 (column k sits in degree
@@ -1057,9 +1075,14 @@ def _amitsur_level(
     by it. Column k of the quotient is W (x) Wbar^{(x) k} with
     Wbar = W / R.w0, and only the slot-0 coface survives."""
     dmax_int = N + 1 + m
-    W = minimal_resolution(ring, tuple(gens), dmax_int, wmax)
+    W = minimal_resolution(ring, tuple(family.gens_at(ring)), dmax_int, wmax)
     wbar = _reduced_resolution(W)
-    powers, infos = _tensor_powers(W, wbar, m + 1, dmax_int, wmax)
+    powers = [W]
+    infos: list[Optional[TensorInfo]] = [None]
+    for _ in range(m):
+        t, info = tensor_complexes(powers[-1], wbar, dmax_int, wmax)
+        powers.append(t)
+        infos.append(info)
     flats, revs = _flat_tables(powers, infos)
     F = ring.field
 
@@ -1109,14 +1132,10 @@ def _amitsur_level(
     return _TotData(tot, powers, infos, wbar, idx)
 
 
-def _amitsur_step(
-    lo: _TotData,
-    hi: _TotData,
-    beta: ChainMap,
-    inc,
-    m: int,
-) -> ChainMap:
-    """Transition Tot(l) -> Tot(l+1) from the lifted W(l) -> W(l+1)."""
+def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
+    """Transition Tot(l) -> Tot(l+1) from the lift beta: W(l) -> W(l+1)
+    along the ring inclusion inc."""
+    beta = lift_chain_map(lo.powers[0], hi.powers[0], ring_map=inc)
     # beta restricts to the reduced factors: positive-degree entries never
     # target the unit generator, so no entries are dropped
     beta_bar = ChainMap(
@@ -1197,30 +1216,11 @@ def amitsur_crosscheck(
         return AmitsurReport(table, reference, agree, m, bounds.window)
 
     l0 = family.min_level()
-    data: dict[int, _TotData] = {}
-    steps: dict[int, ChainMap] = {}
-    incs: dict[int, Callable] = {}
-    cache: dict = {}
-
-    def level_data(l: int) -> _TotData:
-        t = data.get(l)
-        if t is None:
-            ring = make_level_ring(spec, l)
-            t = _amitsur_level(ring, family.gens_at(ring), m, N, bounds.weight_max)
-            data[l] = t
-        return t
-
-    def level_step(l: int) -> ChainMap:
-        s = steps.get(l)
-        if s is None:
-            ring_lo = make_level_ring(spec, l)
-            inc = incs.setdefault(l, ring_lo.include_exp)
-            beta = lift_chain_map(
-                level_data(l).powers[0], level_data(l + 1).powers[0], ring_map=inc
-            )
-            s = _amitsur_step(level_data(l), level_data(l + 1), beta, inc, m)
-            steps[l] = s
-        return s
+    am = _LevelBuilder(spec)
+    tot = am.per_level(
+        lambda l: _amitsur_level(am.ring(l), family, m, N, bounds.weight_max)
+    )
+    tot_step = am.per_level(lambda l: _amitsur_step(tot(l), tot(l + 1), am.inc(l), m))
 
     lam = _tot_lifetime(m, spec.root_base)
     window = max(bounds.window, lam)
@@ -1231,15 +1231,7 @@ def amitsur_crosscheck(
         return bool(alive) and l0 + alive[0] + horizon > top
 
     def attempt(levels):
-        diag = LevelDiagram(
-            levels=levels,
-            complexes=[level_data(l).tot for l in levels],
-            steps=[level_step(l) for l in levels[:-1]],
-            providers=[RingStrands(make_level_ring(spec, l)) for l in levels],
-            root_base=spec.root_base,
-            cache=cache,
-            tag=("tot", m),
-        )
+        diag = am.level_diagram(("tot", m), levels, lambda l: tot(l).tot, tot_step)
         raw = diag.run(range(N + 1), bounds.weight_max, window)
         table = _make_table(f"amitsur Tot^{m}", raw, levels, N, N)
         agree = {}

@@ -70,10 +70,6 @@ class RationalField:
             return int(a)
         return a
 
-    @staticmethod
-    def to_str(a: Scalar) -> str:
-        return str(a)
-
     def __repr__(self) -> str:
         return "QQ"
 
@@ -152,10 +148,6 @@ class PrimeField:
     @staticmethod
     def normalize(a: int) -> int:
         return a
-
-    @staticmethod
-    def to_str(a: int) -> str:
-        return str(a)
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

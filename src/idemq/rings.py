@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 Exponents = tuple[int, ...]
 FracMono = tuple[Fraction, ...]  # level-free monomial, one exponent per var
@@ -71,7 +71,7 @@ class RingSpec:
         return tuple(out)
 
 
-def format_mono(spec: RingSpec, mono: FracMono) -> str:
+def format_mono(spec: RingSpec, mono: FracMono, sep: str = "*") -> str:
     parts = []
     for v, f in zip(spec.variables, mono):
         if f == 0:
@@ -82,7 +82,7 @@ def format_mono(spec: RingSpec, mono: FracMono) -> str:
             parts.append(f"{v.name}^{f}")
         else:
             parts.append(f"{v.name}^{{{f}}}")
-    return "*".join(parts) if parts else "1"
+    return sep.join(parts) if parts else "1"
 
 
 class LevelRing:
@@ -143,19 +143,6 @@ class LevelRing:
         return tuple(Fraction(n, s) for n, s in zip(e, self.scales))
 
     # ---------- elements ----------
-
-    def elem(self, pairs: Iterable[tuple[Exponents, object]]) -> Elem:
-        out: Elem = {}
-        F = self.field
-        for e, v in pairs:
-            if self.mono_is_zero(e) or F.is_zero(v):
-                continue
-            nv = F.normalize(F.add(out.get(e, F.zero), v))
-            if F.is_zero(nv):
-                out.pop(e, None)
-            else:
-                out[e] = nv
-        return out
 
     def one(self) -> Elem:
         return {self.unit: self.field.one}

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .fields import QQ, field_from_name
 from .ideals import IdealFamily
-from .rings import FracMono, RingSpec, VarInfo
+from .rings import FracMono, RingSpec, VarInfo, format_mono
 
 # settings understood by the command layer; weight_max is a fraction,
 # the rest are integers, whose lower bounds the command layer checks
@@ -222,17 +222,7 @@ def parse_spec(text: str) -> ProblemSpec:
 
 
 def format_monomial(mono: FracMono, ring: RingSpec) -> str:
-    parts = []
-    for v, e in zip(ring.variables, mono):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(v.name)
-        elif e.denominator == 1:
-            parts.append(f"{v.name}^{e}")
-        else:
-            parts.append(f"{v.name}^{{{e}}}")
-    return " ".join(parts) if parts else "1"
+    return format_mono(ring, mono, sep=" ")
 
 
 def emit_spec(ps: ProblemSpec) -> str:

@@ -12,7 +12,7 @@ from idemq.almost import (
     module_zero_map,
     power_multiplication_map,
     tensor_zero_criterion,
-    _glue_complexes,
+    _glue_square,
 )
 from idemq.complexes import check_chain_map, cone, cone_map
 from idemq.derived import (
@@ -191,9 +191,7 @@ def test_cone_transition_is_a_chain_map():
     I = _roots_t(spec)
     b = default_bounds(1)
     f = power_multiplication_map(spec, I, 2, b)
-    c1, w1 = cone(f.at(1))
-    c2, w2 = cone(f.at(2))
-    step = cone_map(f.src_step(1), f.dst_step(1), c1, w1, c2, w2)
+    step = cone_map(f.src_step(1), f.dst_step(1), cone(f.at(1)), cone(f.at(2)))
     check_chain_map(step)
 
 
@@ -254,13 +252,12 @@ def test_gluing_steps_are_chain_maps():
     I = _roots_t(spec)
     b = Bounds(4, F1, 3, 2)
     tower = Tower(spec, I, b.deg_max, b.weight_max)
-    levels = [1, 2, 3]
-    fcx = {l: tower.unit(l) for l in levels}
-    fstep = {l: tower.unit_step(l) for l in levels[:-1]}
-    TT, stepT, K2, sK2 = _glue_complexes(tower, fcx, fstep, levels, 3, 2, b)
-    for l in levels[:-1]:
-        check_chain_map(stepT[l])
-        check_chain_map(sK2[l])
+    double, double_step, closed, closed_step = _glue_square(
+        tower, tower.unit, tower.unit_step, 3, 2, b
+    )
+    for l in (1, 2):
+        check_chain_map(double_step(l))
+        check_chain_map(closed_step(l))
 
 
 # ---------- exterior sums ----------

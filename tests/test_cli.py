@@ -238,6 +238,28 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
     assert err == f"idemq: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["tor", "--left", "I", "--right", "K"], 6),
+        (["quotient-homotopy"], 6),
+        (["tower", "--n-max", "2"], 6),
+        (["static-check"], 6),
+        (["almost-zero", "--module", "R"], 6),
+        (["almost-equiv", "--map", "power:2"], 6),
+        (["gluing-check", "--module", "K"], 5),
+        (["amitsur-check"], 6),
+    ],
+)
+def test_family_above_the_level_cap_exits_2(tmp_path, capsys, argv, cap):
+    # t^{1/256} first exists at level 8, above every default cap
+    spec = _write(tmp_path, "var t divisible\ntruncate t\nideal I = roots(t), t^{1/256}\n")
+    code, out, err = _run(capsys, [argv[0], spec, "--deg-max", "1"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"idemq: error: the family starts at level 8, above the level cap {cap}\n"
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_weight_max_that_is_not_a_fraction_exits_2(tmp_path, capsys, value):
     spec = _write(tmp_path, PLAIN_SPEC)

@@ -216,7 +216,7 @@ def test_tensor_powers_have_no_unit_entry():
     # and every entry of its connecting map is the unit
     ring = _ring(a=3)
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
-    c, _ = cone(identity_map(res))
+    c = cone(identity_map(res))
     assert len(_unit_entries(c)) == res.total_rank()
 
 
@@ -233,8 +233,11 @@ def test_cone_of_augmentation():
         entries={0: {(0, 0): dict(resi.aug[0])}},
     )
     check_chain_map(eps)
-    c, _ = cone(eps)
+    c = cone(eps)
     check_complex(c)
+    # Y_d first, then X_{d-1}
+    for d in range(-1, 6):
+        assert c.gens_at(d) == eps.dst.gens_at(d) + eps.src.gens_at(d - 1)
     prov = RingStrands(ring)
     assert homology_dim(c, 0, F0, prov) == 1
     assert homology_dim(c, 0, Fraction(1), prov) == 0
@@ -328,10 +331,20 @@ def test_cone_of_a_map_between_rings_is_an_internal_fault():
 def test_cone_map_with_different_ring_maps_is_an_internal_fault():
     res0, res1, f = _lift_0_to_1()
     g = lift_chain_map(res0, res1, ring_map=lambda e: f.ring_map(e))
-    c0, w0 = cone(identity_map(res0))
-    c1, w1 = cone(identity_map(res1))
+    c0 = cone(identity_map(res0))
+    c1 = cone(identity_map(res1))
     with pytest.raises(AssertionError, match="legs carry different ring maps"):
-        cone_map(f, g, c0, w0, c1, w1)
+        cone_map(f, g, c0, c1)
+
+
+def test_cone_map_on_cones_off_its_square_is_an_internal_fault():
+    res0, res1, f = _lift_0_to_1()
+    c0 = cone(identity_map(res0))
+    c1 = cone(identity_map(res1))
+    check_chain_map(cone_map(f, f, c0, c1))
+    # a target that is not the cone of the square's right-hand leg
+    with pytest.raises(AssertionError, match="do not fit the square"):
+        cone_map(f, f, c0, res1)
 
 
 def test_lift_identity_is_solved_degreewise():
@@ -397,7 +410,7 @@ def _xy_cone(field, level=2, wmax=Fraction(2)):
     # cone of the multiplication I (x) I -> I for I = roots(x), roots(y)
     spec = _xy_spec(field)
     family = IdealFamily(name="I", spec=spec, root_vars=(0, 1))
-    cof, _ = Tower(spec, family, 2, wmax).cof_sigma(1, level)
+    cof = Tower(spec, family, 2, wmax).cof_sigma(1, level)
     return cof, RingStrands(make_level_ring(spec, level))
 
 
@@ -669,7 +682,7 @@ def _strand_cases():
             ring = make_level_ring(family.spec, level)
             res = ideal_resolution(ring, family.gens_at(ring), dmax=3, wmax=wmax)
             sq, _ = tensor_complexes(res, res, dmax=3, wmax=wmax)
-            cof, _ = Tower(family.spec, family, 2, wmax).cof_sigma(1, level)
+            cof = Tower(family.spec, family, 2, wmax).cof_sigma(1, level)
             for kind, x in (("res", res), ("square", sq), ("cone", cof)):
                 yield f"{name}-l{level}-{kind}", x, wmax, family
 
