@@ -51,6 +51,7 @@ from .derived import (
     level_range,
     module_min_level,
     rep_level,
+    require_idempotent,
     ring_module,
 )
 from .ideals import IdealFamily
@@ -201,6 +202,7 @@ def is_almost_zero(
     stabilized over levels? Annihilation criterion: the rank of the
     subspace spanned by generator multiples inside each homology cell
     of the module's resolution must stabilize to zero."""
+    require_idempotent(family)
     b = bounds or default_bounds(bound)
     td = TorDiagram(spec, module, ring_module(), bound + 1, b.weight_max)
     levels = level_range(max(1, family.min_level(), td.min_level), b.max_level)
@@ -225,6 +227,7 @@ def tensor_zero_criterion(
     the Tor machinery (resolution of the ideal read against the module),
     independent of the annihilation route. Module homology sits in
     degree zero, so higher degrees are almost zero by fiat."""
+    require_idempotent(family)
     b = bounds or default_bounds(bound)
     table = derived_tensor(
         spec,
@@ -314,6 +317,7 @@ def is_almost_equivalence(
 ) -> AlmostVerdict:
     """Is the cone of the map family almost zero up to the degree bound?
     The cone homology is checked with the annihilation criterion."""
+    require_idempotent(family)
     b = bounds or default_bounds(bound)
     levels = level_range(max(1, family.min_level(), f.min_level), b.max_level)
     eq = _LevelBuilder(spec)
@@ -423,6 +427,7 @@ def gluing_square_check(
     Undetermined cells at the level cap produce an explicit refusal."""
     if (module is None) == (quotient_stage is None):
         raise ValueError("pass exactly one of module / quotient_stage")
+    require_idempotent(family)
     b = bounds or gluing_bounds(bound)
     n = bound + 2
     m = n + 1

@@ -251,6 +251,8 @@ def _run_check_idempotent(ps, args):
 def _run_tor(ps, args):
     N = _deg_max(ps, args, 4)
     b = _bounds(ps, args, N)
+    if not 0 <= args.deg_min <= N:
+        raise UsageError(f"--deg-min must be between 0 and deg_max {N}, got {args.deg_min}")
     left = _module_ref(args.left, ps)
     right = _module_ref(args.right, ps)
     table = derived_tensor(

@@ -7,14 +7,18 @@ with a module monomial m, weight(j) + weight(m) = w) and the differential
 to an exact scalar matrix. Truncating generators above a weight bound is
 exact on the strands that remain.
 
-Strand providers select the module structure: RingStrands reads homology
-over R itself, QuotientStrands over R/J (monomials in J dropped both from
-bases and from products), IdealStrands over a monomial ideal, so Tor
-against a monomial quotient and reduction mod the maximal ideal are the
-same code path. A provider has `ring` and `basis(w)`, the monomials of
-weight w that are nonzero in its module. `basis` never returns a zero
-monomial, so a product lands in a strand exactly when the strand's index
-holds it: matrices are built by that lookup alone, with no zero test.
+One provider, Strands, selects the module structure: a monomial ideal J
+read as R/J (R itself when J is empty) or, with `inside`, as J, so Tor
+against a monomial quotient or ideal and reduction mod the maximal ideal
+are one code path. `basis(w)` never returns a zero monomial.
+
+One engine reads every map on strands. `add_image` adds a column of ring
+elements times a module monomial to a strand vector; it is the one place
+a product is looked up in a strand's (generator, monomial) index, and a
+product the index lacks is zero in the module, so nothing tests for zero.
+`strand_column` is its inverse and `strand_map` builds matrices from
+columns: differentials, chain maps, the augmentation (a map onto one
+generator), resolution spans and lifts.
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .rings import Elem, Exponents, LevelRing
 from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, rank_rows, solve_rows
@@ -166,43 +170,36 @@ def check_complex(x: FreeComplex) -> None:
                 raise AssertionError(f"dd != 0 at degree {d}, entry {key}: {elem}")
     if x.aug is not None and 1 in x.diff:
         # augmentation composes to zero with the first differential
-        q = QuotientStrands(x.ring, x.aug_quotient)
+        q = Strands(x.ring, x.aug_quotient)
         cols = by_col(x.diff[1])
         for j in range(x.rank(1)):
             acc: Elem = {}
             for i, elem in cols.get(j, ()):
                 acc = ring.elem_add(acc, ring.elem_mul(x.aug[i], elem))
-            acc = {e: v for e, v in acc.items() if not q.is_zero(e)}
+            acc = {e: v for e, v in acc.items() if not q.in_ideal(e)}
             if acc:
                 raise AssertionError(f"aug . d != 0 on generator {j}")
 
 
-# ---------- strand providers ----------
+# ---------- the strand provider ----------
 
 
-class RingStrands:
-    """Module structure R: all nonzero ring monomials."""
+class Strands:
+    """A module cut out by a monomial ideal J (exponent generators at the
+    ring's level): R/J by default, R itself when J is empty, and J as a
+    submodule of R when `inside` is set. `basis(w)` lists the monomials of
+    weight w that are nonzero in the module, so in either reading a product
+    of a listed monomial with a ring monomial that is not listed is zero
+    in the module."""
 
-    def __init__(self, ring: LevelRing):
-        self.ring = ring
-
-    def basis(self, w: Fraction) -> list[Exponents]:
-        if w < 0:
-            return []
-        return self.ring.basis(w)
-
-
-class QuotientStrands:
-    """Module structure R/J for a monomial ideal J (given by exponent
-    generators at the ring's level)."""
-
-    def __init__(self, ring: LevelRing, ideal_exps: tuple[Exponents, ...]):
+    def __init__(
+        self, ring: LevelRing, ideal_exps: tuple[Exponents, ...] = (), inside: bool = False
+    ):
         self.ring = ring
         self.ideal_exps = tuple(ideal_exps)
+        self.inside = inside
 
-    def is_zero(self, e: Exponents) -> bool:
-        if self.ring.mono_is_zero(e):
-            return True
+    def in_ideal(self, e: Exponents) -> bool:
         for t in self.ideal_exps:
             if all(a >= b for a, b in zip(e, t)):
                 return True
@@ -211,49 +208,29 @@ class QuotientStrands:
     def basis(self, w: Fraction) -> list[Exponents]:
         if w < 0:
             return []
-        return [e for e in self.ring.basis(w) if not self.is_zero(e)]
+        if not self.ideal_exps and not self.inside:
+            return self.ring.basis(w)
+        return [e for e in self.ring.basis(w) if self.in_ideal(e) == self.inside]
 
 
-def k_strands(ring: LevelRing) -> QuotientStrands:
-    """Residue field K = R modulo every variable."""
-    gens = []
-    for i in range(ring.nvars):
-        e = [0] * ring.nvars
-        e[i] = 1
-        gens.append(tuple(e))
-    return QuotientStrands(ring, tuple(gens))
+def k_exps(ring: LevelRing) -> tuple[Exponents, ...]:
+    """The variables, the generators of the ideal that cuts K out of R."""
+    return tuple(tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars))
 
 
-class IdealStrands:
-    """A monomial ideal as a submodule of R: monomials divisible by some
-    generator. Products of a surviving monomial with a ring monomial stay
-    in the ideal, so only genuine zeroes drop out of its strands."""
-
-    def __init__(self, ring: LevelRing, ideal_exps: tuple[Exponents, ...]):
-        self.ring = ring
-        self.ideal_exps = tuple(ideal_exps)
-
-    def _inside(self, e: Exponents) -> bool:
-        for t in self.ideal_exps:
-            if all(a >= b for a, b in zip(e, t)):
-                return True
-        return False
-
-    def basis(self, w: Fraction) -> list[Exponents]:
-        if w <= 0:
-            return []
-        return [e for e in self.ring.basis(w) if self._inside(e)]
-
-
-# ---------- strand bases and matrices ----------
+# ---------- the strand engine ----------
 
 
 class StrandBasis(NamedTuple):
     pairs: list[tuple[int, Exponents]]  # (generator index, module monomial)
     index: dict  # pair -> position
 
+    @classmethod
+    def of(cls, pairs: list[tuple[int, Exponents]]) -> "StrandBasis":
+        return cls(pairs, {p: k for k, p in enumerate(pairs)})
 
-def strand_basis(x: FreeComplex, d: int, w: Fraction, provider) -> StrandBasis:
+
+def strand_basis(x: FreeComplex, d: int, w: Fraction, provider: Strands) -> StrandBasis:
     """Pairs (j, m) with weight(j) + weight(m) = w, generators ascending,
     then monomials in basis order. One basis lookup per generator weight."""
     owners = []  # (generator, its monomials), one per contributing generator
@@ -264,34 +241,81 @@ def strand_basis(x: FreeComplex, d: int, w: Fraction, provider) -> StrandBasis:
         if ms:
             owners.extend((j, ms) for j in js)
     owners.sort()  # generator indices are distinct, so only they are compared
-    pairs = [(j, m) for j, ms in owners for m in ms]
-    return StrandBasis(pairs, {p: k for k, p in enumerate(pairs)})
+    return StrandBasis.of([(j, m) for j, ms in owners for m in ms])
+
+
+def add_image(
+    out: Vec, col: Iterable[tuple[int, Elem]], mono: Exponents, index: dict, scale, ring: LevelRing
+) -> None:
+    """Add scale * (col x mono) to the strand vector `out`. `col` is a
+    column of (row generator, ring element) pairs and `mono` a module
+    monomial; a product the strand `index` does not hold is zero in the
+    module (or lies off the strand) and drops out."""
+    F = ring.field
+    mul_mono = ring.mul_mono
+    for i, elem in col:
+        for e, coeff in elem.items():
+            r = index.get((i, mul_mono(e, mono)))
+            if r is None:
+                continue
+            nv = F.mul(scale, coeff)
+            if r in out:
+                nv = F.add(out[r], nv)
+                if F.is_zero(nv):
+                    del out[r]
+                    continue
+            out[r] = F.normalize(nv)
+
+
+def strand_column(vec: Vec, sb: StrandBasis) -> dict[int, Elem]:
+    """The column of ring elements, by row generator, that a strand
+    vector spells out: the inverse of reading a column on a strand."""
+    col: dict[int, Elem] = {}
+    for pos, coeff in vec.items():
+        i, mono = sb.pairs[pos]
+        col.setdefault(i, {})[mono] = coeff
+    return col
+
+
+def strand_map(
+    cols: dict[int, list[tuple[int, Elem]]], src: StrandBasis, dst: StrandBasis, ring: LevelRing
+) -> SparseMatrix:
+    """Matrix, from strand src to strand dst, of the map whose column j
+    is cols[j] (as by_col gives it)."""
+    one = ring.field.one
+    m = SparseMatrix(len(dst.pairs), len(src.pairs), ring.field)
+    rows = m.rows
+    for c, (j, mono) in enumerate(src.pairs):
+        col: Vec = {}
+        add_image(col, cols.get(j, ()), mono, dst.index, one, ring)
+        for r, v in col.items():
+            rows[r][c] = v
+    return m
 
 
 def strand_matrix(
     x: FreeComplex,
     d: int,
     w: Fraction,
-    provider,
+    provider: Strands,
     src: Optional[StrandBasis] = None,
     dst: Optional[StrandBasis] = None,
 ) -> SparseMatrix:
     """Matrix of diff[d] on the weight-w strand (rows: degree d-1)."""
-    ring = x.ring
-    F = x.field
     if src is None:
         src = strand_basis(x, d, w, provider)
     if dst is None:
         dst = strand_basis(x, d - 1, w, provider)
-    cols = by_col(x.diff_at(d))
-    m = SparseMatrix(len(dst.pairs), len(src.pairs), F)
-    for c, (j, mono) in enumerate(src.pairs):
-        for (i, elem) in cols.get(j, ()):
-            for e, coeff in elem.items():
-                r = dst.index.get((i, ring.mul_mono(e, mono)))
-                if r is not None:
-                    m.add_at(r, c, coeff)
-    return m
+    return strand_map(by_col(x.diff_at(d)), src, dst, x.ring)
+
+
+def aug_strand(x: FreeComplex, w: Fraction) -> tuple[dict, StrandBasis]:
+    """The augmentation as a map onto one generator of weight 0: its
+    columns, and the weight-w strand of the target R/aug_quotient."""
+    if x.aug is None:
+        raise AssertionError("complex has no augmentation")
+    cols = {j: [(0, a)] for j, a in enumerate(x.aug)}
+    return cols, StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis(w)])
 
 
 def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fraction]:
@@ -424,7 +448,7 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         for (i, j), elem in fd.items():
             pushed = {g.push_exp(e): v for e, v in elem.items()}
             for (i2, elem2) in by_col_g.get(i, []):
-                prod = ring.elem_mul(elem2, ring.reduce_elem(pushed))
+                prod = ring.elem_mul(elem2, pushed)
                 if not prod:
                     continue
                 key = (i2, j)
@@ -461,9 +485,7 @@ def check_chain_map(f: ChainMap) -> None:
                         lhs[i2] = ring.elem_add(lhs.get(i2, {}), acc)
             rhs: dict[int, Elem] = {}
             for i, selem in src_diff.get(j, ()):
-                pushed = ring.reduce_elem(
-                    {f.push_exp(e): v for e, v in selem.items()}
-                )
+                pushed = {f.push_exp(e): v for e, v in selem.items()}
                 for i2, felem in f_below.get(i, ()):
                     acc = ring.elem_mul(felem, pushed)
                     if acc:
@@ -489,22 +511,10 @@ def push_strand_vec(
 ) -> Vec:
     """Image of a strand vector under f (weights preserved); `cols` is
     by_col of f's entries in the strand's degree."""
-    ring = f.dst.ring
-    F = f.dst.field
     out: Vec = {}
     for pos, c in vec.items():
         j, mono = src_sb.pairs[pos]
-        pm = f.push_exp(mono)
-        for (i, elem) in cols.get(j, ()):
-            for e, coeff in elem.items():
-                r = dst_sb.index.get((i, ring.mul_mono(e, pm)))
-                if r is None:
-                    continue
-                nv = F.normalize(F.add(out.get(r, F.zero), F.mul(c, coeff)))
-                if F.is_zero(nv):
-                    out.pop(r, None)
-                else:
-                    out[r] = nv
+        add_image(out, cols.get(j, ()), f.push_exp(mono), dst_sb.index, c, f.dst.ring)
     return out
 
 
@@ -577,13 +587,10 @@ def tensor_complexes(
                 tgt = rev.get((p - 1, i2, q, j))
                 if tgt is not None:
                     ent[(tgt, idx)] = elem
-            sign = -1 if p % 2 else 1
             for (j2, elem) in b_cols.get(q, {}).get(j, ()):
                 tgt = rev.get((p, i, q - 1, j2))
                 if tgt is not None:
-                    ent[(tgt, idx)] = (
-                        elem if sign == 1 else ring.elem_scale(ring.field.from_int(-1), elem)
-                    )
+                    ent[(tgt, idx)] = ring.elem_neg(elem) if p % 2 else elem
         if ent:
             diff[d] = ent
     aug = None
@@ -659,14 +666,13 @@ def cone(f: ChainMap) -> FreeComplex:
     hi = max(y.hi, x.hi + 1)
     gens = {d: y.gens_at(d) + x.gens_at(d - 1) for d in range(lo, hi + 1)}
     diff: dict[int, dict[tuple[int, int], Elem]] = {}
-    neg1 = ring.field.from_int(-1)
     for d in range(lo, hi + 1):
         here, below = y.rank(d), y.rank(d - 1)
         ent: dict[tuple[int, int], Elem] = dict(y.diff_at(d))
         for (i, j), elem in f.entries_at(d - 1).items():
             ent[(i, here + j)] = elem
         for (i, j), elem in x.diff_at(d - 1).items():
-            ent[(below + i, here + j)] = ring.elem_scale(neg1, elem)
+            ent[(below + i, here + j)] = ring.elem_neg(elem)
         if ent:
             diff[d] = ent
     return FreeComplex(ring=ring, gens=gens, diff=diff)
@@ -700,28 +706,6 @@ def cone_map(
 # ---------- minimal resolutions ----------
 
 
-def aug_strand_matrix(
-    x: FreeComplex, w: Fraction, src: Optional[StrandBasis] = None
-) -> tuple[SparseMatrix, StrandBasis, list[Exponents]]:
-    """Strand matrix of the augmentation at weight w. Rows are indexed by
-    the monomial basis of the augmentation target."""
-    if x.aug is None:
-        raise AssertionError("complex has no augmentation")
-    ring = x.ring
-    prov = QuotientStrands(ring, x.aug_quotient)
-    if src is None:
-        src = strand_basis(x, 0, w, RingStrands(ring))
-    tgt = prov.basis(w)
-    tindex = {m: r for r, m in enumerate(tgt)}
-    m = SparseMatrix(len(tgt), len(src.pairs), x.field)
-    for c, (j, mono) in enumerate(src.pairs):
-        for e, coeff in x.aug[j].items():
-            r = tindex.get(ring.mul_mono(e, mono))
-            if r is not None:
-                m.add_at(r, c, coeff)
-    return m, src, tgt
-
-
 def minimal_resolution(
     ring: LevelRing,
     quotient_gens: tuple[Exponents, ...],
@@ -737,7 +721,8 @@ def minimal_resolution(
     resolved exactly.
     """
     wmax = Fraction(wmax)
-    prov = RingStrands(ring)
+    F = ring.field
+    prov = Strands(ring)
     x = FreeComplex(
         ring=ring,
         gens={0: [Fraction(0)]},
@@ -746,9 +731,6 @@ def minimal_resolution(
         aug_quotient=tuple(quotient_gens),
     )
     for d in range(1, dmax + 1):
-        if not x.gens_at(d - 1):
-            x.gens[d] = []
-            continue
         cand_ws = strand_weights(x, d - 1, wmax, prov)
         chosen: list[tuple[Fraction, dict[int, Elem]]] = []
         for w in cand_ws:
@@ -756,47 +738,30 @@ def minimal_resolution(
             if not sb.pairs:
                 continue
             if d == 1:
-                mat, _, _ = aug_strand_matrix(x, w, src=sb)
+                cols, tgt = aug_strand(x, w)
+                mat = strand_map(cols, sb, tgt, ring)
             else:
                 mat = strand_matrix(x, d - 1, w, prov, src=sb)
-            cycles = kernel_rows(mat.rows, len(sb.pairs), x.field)
+            cycles = kernel_rows(mat.rows, len(sb.pairs), F)
             if not cycles:
                 continue
-            span = Echelon(x.field)
+            span = Echelon(F)
             for (wg, colg) in chosen:
                 for mono in prov.basis(w - wg):
                     vec: Vec = {}
-                    for i, elem in colg.items():
-                        for e, coeff in elem.items():
-                            pos = sb.index.get((i, ring.mul_mono(e, mono)))
-                            if pos is None:
-                                continue
-                            cur = x.field.add(vec.get(pos, x.field.zero), coeff)
-                            cur = x.field.normalize(cur)
-                            if x.field.is_zero(cur):
-                                vec.pop(pos, None)
-                            else:
-                                vec[pos] = cur
+                    add_image(vec, colg.items(), mono, sb.index, F.one, ring)
                     span.insert(vec)
             for z in cycles:
-                if span.insert(dict(z)) is None:
-                    continue
-                col: dict[int, Elem] = {}
-                for pos, coeff in z.items():
-                    i, mono = sb.pairs[pos]
-                    cur = col.setdefault(i, {})
-                    cur[mono] = coeff
-                chosen.append((w, col))
+                if span.insert(dict(z)) is not None:
+                    chosen.append((w, strand_column(z, sb)))
         x.gens[d] = [w for (w, _c) in chosen]
+        if not chosen:  # nothing left to resolve
+            break
         ent: dict[tuple[int, int], Elem] = {}
         for j, (_w, col) in enumerate(chosen):
             for i, elem in col.items():
-                if elem:
-                    ent[(i, j)] = elem
-        if ent:
-            x.diff[d] = ent
-        if not chosen:
-            break
+                ent[(i, j)] = elem
+        x.diff[d] = ent
     return x
 
 
@@ -815,14 +780,8 @@ def ideal_resolution(
     for d, ent in res.diff.items():
         if d >= 2:
             diff_out[d - 1] = dict(ent)
-    aug = []
-    cols = by_col(res.diff_at(1))
-    for j in range(len(res.gens_at(1))):
-        acc: Elem = {}
-        # the only row is the single degree-0 generator of res(R/I)
-        for _i, elem in cols.get(j, ()):
-            acc = ring.elem_add(acc, elem)
-        aug.append(acc)
+    # the only row of diff[1] is the single degree-0 generator of res(R/I)
+    aug = [res.diff_at(1).get((0, j), {}) for j in range(res.rank(1))]
     return FreeComplex(
         ring=ring, gens=gens_out, diff=diff_out, aug=aug, aug_quotient=()
     )
@@ -850,55 +809,39 @@ def lift_chain_map(
         raise AssertionError("both complexes need augmentations")
     ring = y.ring
     F = y.field
-    prov = RingStrands(ring)
-
-    def push_elem(elem: Elem) -> Elem:
-        if ring_map is None:
-            return ring.reduce_elem(elem)
-        return ring.reduce_elem({ring_map(e): v for e, v in elem.items()})
-
+    prov = Strands(ring)
     f = ChainMap(src=x, dst=y, entries={}, ring_map=ring_map)
-    tgt_prov = QuotientStrands(ring, y.aug_quotient)
     for d in range(x.lo, x.hi + 1):
         ent: dict[tuple[int, int], Elem] = {}
-        x_cols, f_cols = by_col(x.diff_at(d)), by_col(f.entries_at(d - 1))
+        if d == 0:
+            # the augmentations are the degree-0 boundaries, into one
+            # generator on which f is the identity
+            x_cols = {j: [(0, a)] for j, a in enumerate(x.aug)}
+            f_cols = {0: [(0, ring.one())]}
+        else:
+            x_cols, f_cols = by_col(x.diff_at(d)), by_col(f.entries_at(d - 1))
         for j, w in enumerate(x.gens_at(d)):
             ysb = strand_basis(y, d, w, prov)
             if d == 0:
-                mat, _, tgt = aug_strand_matrix(y, w, src=ysb)
-                target = push_elem(x.aug[j])
-                target = {e: v for e, v in target.items() if not tgt_prov.is_zero(e)}
-                tindex = {m: r for r, m in enumerate(tgt)}
-                rhs = {tindex[e]: v for e, v in target.items()}
+                y_cols, ydst = aug_strand(y, w)
+                mat = strand_map(y_cols, ysb, ydst, ring)
             else:
-                mat = strand_matrix(y, d, w, prov, src=ysb)
                 ydst = strand_basis(y, d - 1, w, prov)
-                rhs: Vec = {}
-                for i, selem in x_cols.get(j, ()):
-                    pushed = push_elem(selem)
-                    for i2, felem in f_cols.get(i, ()):
-                        prod = ring.elem_mul(felem, pushed)
-                        for e, coeff in prod.items():
-                            r = ydst.index.get((i2, e))
-                            if r is None:
-                                continue
-                            nv = F.normalize(F.add(rhs.get(r, F.zero), coeff))
-                            if F.is_zero(nv):
-                                rhs.pop(r, None)
-                            else:
-                                rhs[r] = nv
+                mat = strand_matrix(y, d, w, prov, src=ysb, dst=ydst)
+            # f(d g): the ring is commutative, so each monomial of f's
+            # entry scales the pushed boundary entry; pushed monomials that
+            # vanish in y's ring are not in the strand and drop out
+            rhs: Vec = {}
+            for i, selem in x_cols.get(j, ()):
+                pushed = {f.push_exp(e): v for e, v in selem.items()}
+                for i2, felem in f_cols.get(i, ()):
+                    for mono, c in felem.items():
+                        add_image(rhs, ((i2, pushed),), mono, ydst.index, c, ring)
             sol = solve_rows(mat.rows, len(ysb.pairs), rhs, F)
             if sol is None:
                 raise AssertionError(f"no lift at degree {d}, generator {j}")
-            for pos, coeff in sol.items():
-                i, mono = ysb.pairs[pos]
-                cur = ent.setdefault((i, j), {})
-                nv = F.normalize(F.add(cur.get(mono, F.zero), coeff))
-                if F.is_zero(nv):
-                    cur.pop(mono, None)
-                else:
-                    cur[mono] = nv
-        ent = {k: v for k, v in ent.items() if v}
+            for i, elem in strand_column(sol, ysb).items():
+                ent[(i, j)] = elem
         if ent:
             f.entries[d] = ent
     return f

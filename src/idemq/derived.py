@@ -48,9 +48,7 @@ from .complexes import (
     ChainMap,
     FreeComplex,
     HomologyData,
-    IdealStrands,
-    QuotientStrands,
-    RingStrands,
+    Strands,
     TensorInfo,
     by_col,
     cone,
@@ -58,7 +56,7 @@ from .complexes import (
     homology_data,
     homology_map_matrix,
     ideal_resolution,
-    k_strands,
+    k_exps,
     lift_chain_map,
     minimal_resolution,
     strand_weights,
@@ -386,7 +384,7 @@ class _LevelBuilder:
         """The diagram of complex_at(l) over the levels, with transitions
         step_at(l) and module structure provider_at(l) (default R)."""
         if provider_at is None:
-            provider_at = lambda l: RingStrands(self.ring(l))  # noqa: E731
+            provider_at = lambda l: Strands(self.ring(l))  # noqa: E731
         return LevelDiagram(
             levels=list(levels),
             complexes=[complex_at(l) for l in levels],
@@ -599,29 +597,30 @@ def ideal_module(family: IdealFamily) -> ModuleRef:
     return ModuleRef("ideal", family)
 
 
+def _module_exps(ref: ModuleRef, ring: LevelRing) -> tuple[Exponents, ...]:
+    """The monomial ideal J that cuts the module `ref` out of R: empty for
+    R, the variables for K, the family's generators for R/J and for J."""
+    if ref.kind == "ring":
+        return ()
+    if ref.kind == "residue":
+        return k_exps(ring)
+    if ref.kind in ("quotient", "ideal"):
+        return tuple(ref.family.gens_at(ring))
+    raise AssertionError(f"unknown module kind {ref.kind!r}")
+
+
 def _resolve_ref(ref: ModuleRef, ring: LevelRing, dmax: int, wmax: Fraction) -> FreeComplex:
+    exps = _module_exps(ref, ring)
     if ref.kind == "ring":
         return unit_complex(ring)
-    if ref.kind == "residue":
-        return minimal_resolution(ring, tuple(k_strands(ring).ideal_exps), dmax, wmax)
-    if ref.kind == "quotient":
-        return minimal_resolution(ring, tuple(ref.family.gens_at(ring)), dmax, wmax)
     if ref.kind == "ideal":
-        return ideal_resolution(ring, ref.family.gens_at(ring), dmax, wmax)
-    raise AssertionError(f"unknown module kind {ref.kind!r}")
+        return ideal_resolution(ring, exps, dmax, wmax)
+    return minimal_resolution(ring, exps, dmax, wmax)
 
 
-def module_strands(ref: ModuleRef, ring: LevelRing):
+def module_strands(ref: ModuleRef, ring: LevelRing) -> Strands:
     """The strand provider that reads homology against the module `ref`."""
-    if ref.kind == "ring":
-        return RingStrands(ring)
-    if ref.kind == "residue":
-        return k_strands(ring)
-    if ref.kind == "quotient":
-        return QuotientStrands(ring, tuple(ref.family.gens_at(ring)))
-    if ref.kind == "ideal":
-        return IdealStrands(ring, tuple(ref.family.gens_at(ring)))
-    raise AssertionError(f"unknown module kind {ref.kind!r}")
+    return Strands(ring, _module_exps(ref, ring), inside=ref.kind == "ideal")
 
 
 def module_min_level(ref: ModuleRef) -> int:
@@ -816,6 +815,18 @@ def _quotient_direct(
     return _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
 
 
+def require_idempotent(family: IdealFamily) -> None:
+    """Refuse a family with I*I != I: the derived quotient R/I^infty and
+    the almost verdicts are taken with respect to an idempotent ideal.
+    The family comes from the user, so this is a usage error."""
+    verdict = check_idempotent(family)
+    if isinstance(verdict, NotIdempotent):
+        raise ValueError(
+            f"ideal {family.name} is not idempotent (witness {verdict.witness});"
+            " the derived quotient and the almost verdicts need an idempotent family"
+        )
+
+
 def quotient_homotopy(
     spec: RingSpec,
     family: IdealFamily,
@@ -831,12 +842,7 @@ def quotient_homotopy(
     tables recombine by Kunneth convolution over the ground field.
     """
     bounds = bounds if bounds is not None else default_bounds(N)
-    verdict = check_idempotent(family)
-    if isinstance(verdict, NotIdempotent):
-        raise ValueError(
-            f"ideal {family.name} is not idempotent (witness {verdict.witness});"
-            " the derived quotient needs an idempotent family"
-        )
+    require_idempotent(family)
     notes = []
     blocks = variable_blocks(spec, family)
     if _family_contains_unit(family):
@@ -891,6 +897,7 @@ def static_check(
 ) -> StaticCheck:
     """Is R/I^infty static? True iff cone(sigma_1: X_2 -> X_1) is
     acyclic in degrees <= N at the stabilized colimit."""
+    require_idempotent(family)
     bounds = bounds if bounds is not None else default_bounds(N)
     if _family_contains_unit(family):
         return StaticCheck(True, None, True, ())

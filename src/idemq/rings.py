@@ -13,6 +13,7 @@ truncation ideal are dropped on reduction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -93,6 +94,7 @@ class LevelRing:
             raise ValueError("level must be >= 0")
         self.spec = spec
         self.level = level
+        self.field = spec.field
         r = spec.root_base
         self.scales: tuple[int, ...] = tuple(
             r**level if v.divisible else 1 for v in spec.variables
@@ -105,10 +107,6 @@ class LevelRing:
         self.unit: Exponents = (0,) * self.nvars
         self._basis_cache: dict[Fraction, list[Exponents]] = {}
         self._basis_done_upto: Optional[Fraction] = None
-
-    @property
-    def field(self):
-        return self.spec.field
 
     # ---------- monomials ----------
 
@@ -125,7 +123,7 @@ class LevelRing:
         return False
 
     def mul_mono(self, a: Exponents, b: Exponents) -> Exponents:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def exp_of(self, mono: FracMono) -> Exponents:
         """Numerators of a level-free monomial at this level."""
@@ -157,12 +155,6 @@ class LevelRing:
             else:
                 out[e] = nv
         return out
-
-    def elem_scale(self, a, x: Elem) -> Elem:
-        F = self.field
-        if F.is_zero(a):
-            return {}
-        return {e: F.normalize(F.mul(a, v)) for e, v in x.items()}
 
     def elem_neg(self, x: Elem) -> Elem:
         F = self.field

@@ -228,6 +228,10 @@ def test_unknown_command_exits_2(tmp_path, capsys):
          "", "--depth must be at least 1, got 0"),
         (["amitsur-check", "--ideal", "I"],
          "set amitsur_depth 0\n", "set amitsur_depth must be at least 1, got 0"),
+        (["tor", "--left", "I", "--right", "R/J", "--deg-max", "1", "--deg-min", "5"],
+         "", "--deg-min must be between 0 and deg_max 1, got 5"),
+        (["tor", "--left", "I", "--right", "R/J", "--deg-max", "1", "--deg-min", "-1"],
+         "", "--deg-min must be between 0 and deg_max 1, got -1"),
     ],
 )
 def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
@@ -236,6 +240,30 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
     assert code == 2
     assert out == ""
     assert err == f"idemq: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient-homotopy"],
+        ["static-check"],
+        ["almost-zero", "--module", "R/J"],
+        ["almost-equiv", "--map", "power:2"],
+        ["gluing-check", "--module", "K"],
+    ],
+)
+def test_non_idempotent_acting_ideal_exits_2(tmp_path, capsys, argv):
+    # J = (t) has J*J = (t^2) != J, and every answer here is taken with
+    # respect to an idempotent ideal; `tower` is not refused, because its
+    # Falsified on J is true (H_0 of the n-th power is J^n)
+    spec = _write(tmp_path, PLAIN_SPEC)
+    code, out, err = _run(capsys, [argv[0], spec, "--ideal", "J", "--deg-max", "0"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "idemq: error: ideal J is not idempotent (witness t); the derived quotient"
+        " and the almost verdicts need an idempotent family\n"
+    )
 
 
 @pytest.mark.parametrize(

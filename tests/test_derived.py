@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from idemq import derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
-    RingStrands,
+    Strands,
     check_chain_map,
     compose_maps,
     homology_data,
@@ -28,6 +28,7 @@ from idemq.derived import (
     quotient_module,
     rep_level,
     residue_module,
+    ring_module,
     static_check,
     tower_report,
     variable_blocks,
@@ -353,7 +354,7 @@ def test_derived_power_h0_is_ideal_square():
     spec = _spec_t()
     I = roots_family(spec, "t")
     x2 = Tower(spec, I, 3, Fraction(2)).X(2, 2)
-    ring_prov = RingStrands(make_level_ring(spec, 2))
+    ring_prov = Strands(make_level_ring(spec, 2))
     got = {
         w: homology_dim(x2, 0, w, ring_prov)
         for w in (Fraction(1, 2), Fraction(3, 4), F1, Fraction(5, 4))
@@ -387,7 +388,7 @@ def test_multiplication_kernel_weight_one():
     I = roots_family(spec, "t")
     tw = Tower(spec, I, 3, Fraction(2))
     for l in (1, 2, 3):
-        prov = RingStrands(tw.ring(l))
+        prov = Strands(tw.ring(l))
         h_src = homology_data(tw.X(2, l), 0, F1, prov)
         h_dst = homology_data(tw.X(1, l), 0, F1, prov)
         assert h_src.dim == 1
@@ -473,6 +474,54 @@ def test_tor_residue_against_fixed_quotient_is_koszul():
     assert table.dims() == (1, 2, 1, 0)
     assert table.stable_cells_at(1) == {F1: 2}
     assert table.stable_cells_at(2) == {Fraction(2): 1}
+
+
+def _symmetry_modules(trunc):
+    """R, K, I = roots(t), the unit ideal U and, untruncated, J = (t), each
+    ideal also as its quotient."""
+    spec = _spec_t(trunc)
+    ideals = [roots_family(spec, "t"), fixed_family(spec, [spec.mono_from_dict({})], name="U")]
+    if not trunc:
+        ideals.insert(1, fixed_family(spec, [spec.mono_from_dict({"t": F1})], name="J"))
+    mods = [ring_module(), residue_module()]
+    for fam in ideals:
+        mods += [ideal_module(fam), quotient_module(fam)]
+    return spec, mods
+
+
+@pytest.mark.parametrize("trunc", [True, False], ids=["t", "t-plain"])
+def test_tor_is_symmetric(trunc):
+    # Tor(M, N) = Tor(N, M): resolving either side must give the same
+    # value on every cell that both runs call stable (a missing cell is a
+    # stable zero)
+    spec, mods = _symmetry_modules(trunc)
+    tables = {
+        (a, b): derived_tensor(spec, a, b, 1, Fraction(3, 2), max_level=4).cell_map()
+        for a in mods
+        for b in mods
+        if a != b
+    }
+    differ = []
+    for i, a in enumerate(mods):
+        for b in mods[i + 1:]:
+            ab, ba = tables[(a, b)], tables[(b, a)]
+            for key in set(ab) | set(ba):
+                x, y = ab.get(key), ba.get(key)
+                if (x is None or x.stable) and (y is None or y.stable):
+                    if (x.dim if x else 0) != (y.dim if y else 0):
+                        differ.append((a.label, b.label, key))
+    assert len(mods) * (len(mods) - 1) // 2 == (15 if trunc else 28)
+    assert differ == []
+
+
+def test_tor_against_the_unit_ideal_is_tor_against_r():
+    # U = R as modules, so Tor(K, U) = Tor(K, R) = K in degree 0, weight 0
+    spec, _ = _symmetry_modules(True)
+    U = fixed_family(spec, [spec.mono_from_dict({})], name="U")
+    via_u = derived_tensor(spec, residue_module(), ideal_module(U), 1, Fraction(3, 2))
+    via_r = derived_tensor(spec, residue_module(), ring_module(), 1, Fraction(3, 2))
+    assert via_u.cell_map() == via_r.cell_map() == {(0, F0): via_r.cells[0]}
+    assert via_r.cells[0].dim == 1 and via_r.cells[0].stable
 
 
 def test_tor_transitions_compose():
