@@ -27,6 +27,15 @@ FreeComplex groups each degree's generators by weight once
 (`gens_by_weight`), so a strand costs one basis lookup per distinct
 generator weight, not one per generator.
 
+Inside a level, strands are walked in integer weights over the ring's
+`denom` (LevelRing.num): weight groups, module bases and strand lookups
+are keyed by integers. Generator lists, cells and tables keep Fractions,
+the weights where levels meet; `strand_basis` converts its weight once.
+
+The column index of a differential (`by_col`) is built by the caller
+and passed in: once per degree of a level diagram's walk, once per
+degree of a resolution or a lift, never once per strand.
+
 No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
 again minimal (no differential entry is a unit), so Gauss cancellation
@@ -84,20 +93,25 @@ class FreeComplex:
     def gens_at(self, d: int) -> list[Fraction]:
         return self.gens.get(d, [])
 
-    def gens_by_weight(self, d: int) -> list[tuple[Fraction, list[int]]]:
-        """Degree-d generator indices grouped by weight: (weight, indices)
-        pairs, ascending in weight, indices ascending within a group.
-        Built on first use and kept while gens[d] is the same list object,
-        so a degree whose list is replaced is indexed afresh."""
+    def gens_by_weight(self, d: int) -> list[tuple[int, list[int]]]:
+        """Degree-d generator indices grouped by integer weight (see
+        LevelRing.num): (weight, indices) pairs, ascending in weight,
+        indices ascending within a group. Built on first use and kept
+        while gens[d] is the same list object, so a degree whose list is
+        replaced is indexed afresh."""
         gl = self.gens.get(d)
         if not gl:
             return []
         hit = self._by_weight.get(d)
         if hit is not None and hit[0] is gl:
             return hit[1]
-        groups: dict[Fraction, list[int]] = {}
+        num = self.ring.num
+        groups: dict[int, list[int]] = {}
         for j, gw in enumerate(gl):
-            groups.setdefault(gw, []).append(j)
+            n = num(gw)
+            if n is None:
+                raise AssertionError(f"generator weight {gw} is off the level's lattice")
+            groups.setdefault(n, []).append(j)
         index = sorted(groups.items())
         self._by_weight[d] = (gl, index)
         return index
@@ -125,6 +139,19 @@ def by_col(entries: dict[tuple[int, int], Elem]) -> dict[int, list[tuple[int, El
     for (i, j), elem in entries.items():
         out.setdefault(j, []).append((i, elem))
     return out
+
+
+class ColumnIndex(dict):
+    """by_col(x.diff_at(d)) by degree d, each built on first use and kept
+    for as long as its holder keeps this index."""
+
+    def __init__(self, x: FreeComplex):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, d: int) -> dict[int, list[tuple[int, Elem]]]:
+        cols = self[d] = by_col(self.x.diff_at(d))
+        return cols
 
 
 def unit_complex(ring: LevelRing) -> FreeComplex:
@@ -187,10 +214,11 @@ def check_complex(x: FreeComplex) -> None:
 class Strands:
     """A module cut out by a monomial ideal J (exponent generators at the
     ring's level): R/J by default, R itself when J is empty, and J as a
-    submodule of R when `inside` is set. `basis(w)` lists the monomials of
-    weight w that are nonzero in the module, so in either reading a product
-    of a listed monomial with a ring monomial that is not listed is zero
-    in the module."""
+    submodule of R when `inside` is set. `basis_at(n)` lists the monomials
+    of integer weight n (LevelRing.num) that are nonzero in the module, so
+    in either reading a product of a listed monomial with a ring monomial
+    that is not listed is zero in the module; `basis(w)` takes a Fraction.
+    A module other than R keeps its list per weight."""
 
     def __init__(
         self, ring: LevelRing, ideal_exps: tuple[Exponents, ...] = (), inside: bool = False
@@ -198,6 +226,7 @@ class Strands:
         self.ring = ring
         self.ideal_exps = tuple(ideal_exps)
         self.inside = inside
+        self._lists: dict[int, list[Exponents]] = {}
 
     def in_ideal(self, e: Exponents) -> bool:
         for t in self.ideal_exps:
@@ -205,12 +234,21 @@ class Strands:
                 return True
         return False
 
-    def basis(self, w: Fraction) -> list[Exponents]:
-        if w < 0:
+    def basis_at(self, n: int) -> list[Exponents]:
+        if n < 0:
             return []
         if not self.ideal_exps and not self.inside:
-            return self.ring.basis(w)
-        return [e for e in self.ring.basis(w) if self.in_ideal(e) == self.inside]
+            return self.ring.basis_at(n)
+        hit = self._lists.get(n)
+        if hit is None:
+            hit = self._lists[n] = [
+                e for e in self.ring.basis_at(n) if self.in_ideal(e) == self.inside
+            ]
+        return hit
+
+    def basis(self, w: Fraction) -> list[Exponents]:
+        n = self.ring.num(w)
+        return [] if n is None else self.basis_at(n)
 
 
 def k_exps(ring: LevelRing) -> tuple[Exponents, ...]:
@@ -232,12 +270,17 @@ class StrandBasis(NamedTuple):
 
 def strand_basis(x: FreeComplex, d: int, w: Fraction, provider: Strands) -> StrandBasis:
     """Pairs (j, m) with weight(j) + weight(m) = w, generators ascending,
-    then monomials in basis order. One basis lookup per generator weight."""
+    then monomials in basis order. One basis lookup per generator weight;
+    a weight off the level's lattice has the empty strand."""
+    n = x.ring.num(w)
+    if n is None:
+        return StrandBasis([], {})
+    basis_at = provider.basis_at
     owners = []  # (generator, its monomials), one per contributing generator
-    for gw, js in x.gens_by_weight(d):
-        if gw > w:
+    for gn, js in x.gens_by_weight(d):
+        if gn > n:
             break
-        ms = provider.basis(w - gw)
+        ms = basis_at(n - gn)
         if ms:
             owners.extend((j, ms) for j in js)
     owners.sort()  # generator indices are distinct, so only they are compared
@@ -298,15 +341,17 @@ def strand_matrix(
     d: int,
     w: Fraction,
     provider: Strands,
+    cols: dict[int, list[tuple[int, Elem]]],
     src: Optional[StrandBasis] = None,
     dst: Optional[StrandBasis] = None,
 ) -> SparseMatrix:
-    """Matrix of diff[d] on the weight-w strand (rows: degree d-1)."""
+    """Matrix of diff[d] on the weight-w strand (rows: degree d-1); cols
+    is by_col(x.diff_at(d)), built once by the caller."""
     if src is None:
         src = strand_basis(x, d, w, provider)
     if dst is None:
         dst = strand_basis(x, d - 1, w, provider)
-    return strand_map(by_col(x.diff_at(d)), src, dst, x.ring)
+    return strand_map(cols, src, dst, x.ring)
 
 
 def aug_strand(x: FreeComplex, w: Fraction) -> tuple[dict, StrandBasis]:
@@ -319,17 +364,19 @@ def aug_strand(x: FreeComplex, w: Fraction) -> tuple[dict, StrandBasis]:
 
 
 def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fraction]:
-    """Weights w <= wmax where the degree-d strand can be nonzero."""
-    ws = set()
-    ring_ws = list(provider.ring.basis_upto(wmax).keys())
-    for gw, _js in x.gens_by_weight(d):
-        if gw > wmax:  # ring weights are >= 0
+    """Weights w <= wmax where the degree-d strand is nonzero: a generator
+    weight plus a weight where the module's basis is nonempty."""
+    ring = provider.ring
+    top = wmax.numerator * ring.denom // wmax.denominator
+    module_ns = [n for n in ring.basis_upto(wmax) if n <= top and provider.basis_at(n)]
+    ns = set()
+    for gn, _js in x.gens_by_weight(d):
+        if gn > top:  # module weights are >= 0
             break
-        for rw in ring_ws:
-            w = gw + rw
-            if w <= wmax:
-                ws.add(w)
-    return sorted(ws)
+        for mn in module_ns:
+            if gn + mn <= top:
+                ns.add(gn + mn)
+    return [Fraction(n, ring.denom) for n in sorted(ns)]
 
 
 # ---------- homology ----------
@@ -339,8 +386,9 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
     sb = strand_basis(x, d, w, provider)
     if not sb.pairs:
         return 0
-    out = strand_matrix(x, d, w, provider, src=sb)
-    inc = strand_matrix(x, d + 1, w, provider, dst=sb)
+    cols = ColumnIndex(x)
+    out = strand_matrix(x, d, w, provider, cols[d], src=sb)
+    inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], dst=sb)
     return len(sb.pairs) - out.rank() - inc.rank()
 
 
@@ -364,19 +412,30 @@ class HomologyData(NamedTuple):
         return {c - n: fieldobj.neg(v) for c, v in res.items()}
 
 
-def homology_data(x: FreeComplex, d: int, w: Fraction, provider) -> HomologyData:
+def homology_data(
+    x: FreeComplex,
+    d: int,
+    w: Fraction,
+    provider,
+    cols: ColumnIndex,
+    below: Optional[StrandBasis] = None,
+    above: Optional[StrandBasis] = None,
+) -> HomologyData:
     """Homology of the weight-w strand in degree d. The dimension comes
     from two ranks; representatives and coordinates are built only when
-    it is nonzero, and must agree with it."""
+    it is nonzero, and must agree with it. cols is x's column index, read
+    in degrees d and d+1 only as far as the strand needs; below and above
+    are the weight-w strand bases of degrees d-1 and d+1 where the caller
+    already has them."""
     F = x.field
     sb = strand_basis(x, d, w, provider)
     n = len(sb.pairs)
     dim = 0
     if n:
-        out = strand_matrix(x, d, w, provider, src=sb)
+        out = strand_matrix(x, d, w, provider, cols[d], src=sb, dst=below)
         dim = n - rank_rows(out.rows, n, F)
     if dim:  # no boundaries are needed when there are no cycles
-        inc = strand_matrix(x, d + 1, w, provider, dst=sb)
+        inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], src=above, dst=sb)
         dim -= rank_rows(inc.rows, inc.ncols, F)
     if not dim:
         return HomologyData(0, sb, [], None, None)
@@ -655,9 +714,12 @@ def tensor_maps(
 
 def cone(f: ChainMap) -> FreeComplex:
     """Mapping cone of f: X -> Y (same ring): C_d = Y_d + X_{d-1},
-    d(y, x) = (dy + fx, -dx). The degree-d generators are those of Y_d
-    in order, then those of X_{d-1}: X-generator i of degree d-1 sits at
-    Y.rank(d) + i."""
+    d(y, x) = (dy + (-1)^(d-1) fx, dx) for x in X_{d-1}. This is the cone
+    with d(y, x) = (dy + fx, -dx) twisted by x -> -x in every other
+    degree, so it has the same homology and ranks; its X-block shares the
+    entries of X's differential, and f is negated only in odd X-degrees.
+    The degree-d generators are those of Y_d in order, then those of
+    X_{d-1}: X-generator i of degree d-1 sits at Y.rank(d) + i."""
     if f.ring_map is not None:
         raise AssertionError("cone needs a same-ring chain map")
     x, y = f.src, f.dst
@@ -669,10 +731,11 @@ def cone(f: ChainMap) -> FreeComplex:
     for d in range(lo, hi + 1):
         here, below = y.rank(d), y.rank(d - 1)
         ent: dict[tuple[int, int], Elem] = dict(y.diff_at(d))
+        odd = (d - 1) % 2
         for (i, j), elem in f.entries_at(d - 1).items():
-            ent[(i, here + j)] = elem
+            ent[(i, here + j)] = ring.elem_neg(elem) if odd else elem
         for (i, j), elem in x.diff_at(d - 1).items():
-            ent[(below + i, here + j)] = ring.elem_neg(elem)
+            ent[(below + i, here + j)] = elem
         if ent:
             diff[d] = ent
     return FreeComplex(ring=ring, gens=gens, diff=diff)
@@ -682,8 +745,9 @@ def cone_map(
     fx: ChainMap, fy: ChainMap, src_cone: FreeComplex, dst_cone: FreeComplex
 ) -> ChainMap:
     """Induced map on cones from a strictly commuting square: fx on the
-    shifted part, fy on the target part. Both must share a ring map, and
-    each cone must have the generator layout of cone() over its legs."""
+    shifted part, fy on the target part, with no signs, since both cones
+    carry the same (-1)^(d-1) twist on f. Both legs must share a ring map,
+    and each cone must have the generator layout of cone() over its legs."""
     if fx.ring_map is not None and fy.ring_map is not None and fx.ring_map is not fy.ring_map:
         raise AssertionError("cone_map: legs carry different ring maps")
     for c, y, x in ((src_cone, fy.src, fx.src), (dst_cone, fy.dst, fx.dst)):
@@ -731,34 +795,36 @@ def minimal_resolution(
         aug_quotient=tuple(quotient_gens),
     )
     for d in range(1, dmax + 1):
-        cand_ws = strand_weights(x, d - 1, wmax, prov)
-        chosen: list[tuple[Fraction, dict[int, Elem]]] = []
-        for w in cand_ws:
+        cols = by_col(x.diff_at(d - 1))
+        # (integer weight, boundary column) of each new generator
+        chosen: list[tuple[int, dict[int, Elem]]] = []
+        for w in strand_weights(x, d - 1, wmax, prov):
             sb = strand_basis(x, d - 1, w, prov)
             if not sb.pairs:
                 continue
             if d == 1:
-                cols, tgt = aug_strand(x, w)
-                mat = strand_map(cols, sb, tgt, ring)
+                aug_cols, tgt = aug_strand(x, w)
+                mat = strand_map(aug_cols, sb, tgt, ring)
             else:
-                mat = strand_matrix(x, d - 1, w, prov, src=sb)
+                mat = strand_matrix(x, d - 1, w, prov, cols, src=sb)
             cycles = kernel_rows(mat.rows, len(sb.pairs), F)
             if not cycles:
                 continue
+            n = ring.num(w)
             span = Echelon(F)
-            for (wg, colg) in chosen:
-                for mono in prov.basis(w - wg):
+            for (ng, colg) in chosen:
+                for mono in prov.basis_at(n - ng):
                     vec: Vec = {}
                     add_image(vec, colg.items(), mono, sb.index, F.one, ring)
                     span.insert(vec)
             for z in cycles:
                 if span.insert(dict(z)) is not None:
-                    chosen.append((w, strand_column(z, sb)))
-        x.gens[d] = [w for (w, _c) in chosen]
+                    chosen.append((n, strand_column(z, sb)))
+        x.gens[d] = [Fraction(n, ring.denom) for (n, _c) in chosen]
         if not chosen:  # nothing left to resolve
             break
         ent: dict[tuple[int, int], Elem] = {}
-        for j, (_w, col) in enumerate(chosen):
+        for j, (_n, col) in enumerate(chosen):
             for i, elem in col.items():
                 ent[(i, j)] = elem
         x.diff[d] = ent
@@ -820,6 +886,7 @@ def lift_chain_map(
             f_cols = {0: [(0, ring.one())]}
         else:
             x_cols, f_cols = by_col(x.diff_at(d)), by_col(f.entries_at(d - 1))
+            y_diff = by_col(y.diff_at(d))
         for j, w in enumerate(x.gens_at(d)):
             ysb = strand_basis(y, d, w, prov)
             if d == 0:
@@ -827,7 +894,7 @@ def lift_chain_map(
                 mat = strand_map(y_cols, ysb, ydst, ring)
             else:
                 ydst = strand_basis(y, d - 1, w, prov)
-                mat = strand_matrix(y, d, w, prov, src=ysb, dst=ydst)
+                mat = strand_matrix(y, d, w, prov, y_diff, src=ysb, dst=ydst)
             # f(d g): the ring is commutative, so each monomial of f's
             # entry scales the pushed boundary entry; pushed monomials that
             # vanish in y's ring are not in the strand and drop out

@@ -40,12 +40,13 @@ homology cache, their tags keeping the entries apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .complexes import (
     ChainMap,
+    ColumnIndex,
     FreeComplex,
     HomologyData,
     Strands,
@@ -216,7 +217,12 @@ class LevelDiagram:
     """Complexes over consecutive levels with transition chain maps
     (steps[k]: complexes[k] -> complexes[k+1]) and a module structure
     provider per level, made by _LevelBuilder.level_diagram. Homology is
-    cached in the builder's cache under (tag, level, d, w)."""
+    cached in the builder's cache under (tag, level, d, w).
+
+    Homology is asked for one degree at a time (a walk). While the walk
+    stays at degree d, the diagram holds a ColumnIndex per level, which
+    groups the differentials out of and into degree d as the level's
+    uncached strands first need them; a walk to another degree drops it."""
 
     levels: list[int]
     complexes: list[FreeComplex]
@@ -225,12 +231,35 @@ class LevelDiagram:
     root_base: int
     cache: dict
     tag: tuple
+    # the degree of the walk, and the column indexes it holds by level
+    _walk_degree: Optional[int] = field(default=None, init=False, repr=False)
+    _walk_cols: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _column_index(self, k: int, d: int) -> ColumnIndex:
+        if self._walk_degree != d:
+            self._walk_degree = d
+            self._walk_cols = {}
+        cols = self._walk_cols.get(k)
+        if cols is None:
+            cols = self._walk_cols[k] = ColumnIndex(self.complexes[k])
+        return cols
 
     def homology(self, k: int, d: int, w: Fraction) -> HomologyData:
         key = (self.tag, self.levels[k], d, w)
         h = self.cache.get(key)
         if h is None:
-            h = homology_data(self.complexes[k], d, w, self.providers[k])
+            # the neighbouring strand bases, where their homology is cached
+            near = [self.cache.get((self.tag, self.levels[k], e, w)) for e in (d - 1, d + 1)]
+            below, above = (None if n is None else n.basis for n in near)
+            h = homology_data(
+                self.complexes[k],
+                d,
+                w,
+                self.providers[k],
+                self._column_index(k, d),
+                below=below,
+                above=above,
+            )
             self.cache[key] = h
         return h
 

@@ -4,8 +4,14 @@ A ring spec fixes a field K, a root base r, variables (each optionally
 divisible), and truncation monomials. Level l is the K-algebra on monomials
 T_i^{e_i / r^l} (divisible vars; integer exponents otherwise) modulo the
 monomial ideal generated by the truncations. Exponents at a level are kept
-as integer numerators against per-variable scales, so weights are exact
-Fractions and every weight strand is a finite monomial basis.
+as integer numerators against per-variable scales, and every weight strand
+is a finite monomial basis.
+
+Inside a level every weight is an integer over one denominator, `denom`
+(r^l when some variable is divisible, else 1): `num(w)` is that integer,
+and the level's basis store is keyed by it. Fractions are the weights
+where levels meet (cells, tables, generator lists); `basis(w)` and
+`basis_upto(wmax)` take one and convert it once.
 
 Ring elements are {exponent tuple: scalar} dicts; monomials killed by the
 truncation ideal are dropped on reduction.
@@ -99,14 +105,16 @@ class LevelRing:
         self.scales: tuple[int, ...] = tuple(
             r**level if v.divisible else 1 for v in spec.variables
         )
+        self.denom: int = r**level if any(v.divisible for v in spec.variables) else 1
         self.trunc_exps: tuple[Exponents, ...] = tuple(
             tuple(int(f) * s for f, s in zip(t, self.scales))
             for t in spec.truncations
         )
         self.nvars = spec.nvars
         self.unit: Exponents = (0,) * self.nvars
-        self._basis_cache: dict[Fraction, list[Exponents]] = {}
-        self._basis_done_upto: Optional[Fraction] = None
+        # integer weight -> monomials of that weight, complete up to _basis_top
+        self._basis: dict[int, list[Exponents]] = {}
+        self._basis_top = -1
 
     # ---------- monomials ----------
 
@@ -115,6 +123,12 @@ class LevelRing:
         for n, s in zip(e, self.scales):
             w += Fraction(n, s)
         return w
+
+    def num(self, w) -> Optional[int]:
+        """The integer n with w = n / denom, or None when w lies off this
+        level's weight lattice."""
+        n, rem = divmod(w.numerator * self.denom, w.denominator)
+        return None if rem else n
 
     def mono_is_zero(self, e: Exponents) -> bool:
         for t in self.trunc_exps:
@@ -194,39 +208,45 @@ class LevelRing:
 
     # ---------- weight strands ----------
 
-    def basis_upto(self, wmax: Fraction) -> dict[Fraction, list[Exponents]]:
-        """Monomial basis of the ring, bucketed by weight, for weights <= wmax."""
-        wmax = Fraction(wmax)
-        if self._basis_done_upto is None or wmax > self._basis_done_upto:
-            buckets: dict[Fraction, list[Exponents]] = {}
+    def basis_upto(self, wmax: Fraction) -> dict[int, list[Exponents]]:
+        """Monomial basis of the ring, bucketed by integer weight (see
+        num), complete for weights <= wmax; it may hold heavier buckets."""
+        top = wmax.numerator * self.denom // wmax.denominator
+        if top > self._basis_top:
+            buckets: dict[int, list[Exponents]] = {}
             stack = [0] * self.nvars
+            units = [self.denom // s for s in self.scales]  # weight of one numerator step
 
-            def rec(i: int, acc: Fraction):
+            def rec(i: int, acc: int):
                 if i == self.nvars:
                     e = tuple(stack)
                     if not self.mono_is_zero(e):
                         buckets.setdefault(acc, []).append(e)
                     return
-                s = self.scales[i]
                 n = 0
-                while acc + Fraction(n, s) <= wmax:
+                while acc + n * units[i] <= top:
                     stack[i] = n
-                    rec(i + 1, acc + Fraction(n, s))
+                    rec(i + 1, acc + n * units[i])
                     n += 1
                 stack[i] = 0
 
-            rec(0, Fraction(0))
+            rec(0, 0)
             for lst in buckets.values():
                 lst.sort()
-            self._basis_cache = buckets
-            self._basis_done_upto = wmax
-        return self._basis_cache
+            self._basis = buckets
+            self._basis_top = top
+        return self._basis
+
+    def basis_at(self, n: int) -> list[Exponents]:
+        """Monomials of integer weight n (weight n / denom)."""
+        if n > self._basis_top:
+            self.basis_upto(Fraction(n, self.denom))
+        return self._basis.get(n, [])
 
     def basis(self, w: Fraction) -> list[Exponents]:
-        w = Fraction(w)
-        if self._basis_done_upto is None or w > self._basis_done_upto:
-            self.basis_upto(w)
-        return self._basis_cache.get(w, [])
+        """Monomials of weight w; none when w is off this level's lattice."""
+        n = self.num(w)
+        return [] if n is None else self.basis_at(n)
 
     # ---------- level maps ----------
 

@@ -5,6 +5,7 @@ import pytest
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
+    ColumnIndex,
     FreeComplex,
     Strands,
     aug_strand,
@@ -148,7 +149,7 @@ def test_strand_basis_and_matrix_shapes():
     sb = strand_basis(res, 1, Fraction(2), prov)
     # degree 1 generator has weight 1; monomials of weight 1: x
     assert sb.pairs == [(0, (1,))]
-    m = strand_matrix(res, 1, Fraction(2), prov)
+    m = strand_matrix(res, 1, Fraction(2), prov, by_col(res.diff_at(1)))
     assert (m.nrows, m.ncols) == (1, 1)
     assert m.rows[0] == {0: 1}
 
@@ -243,6 +244,58 @@ def test_cone_of_augmentation():
     # the multiplication I -> R is injective: H_1 vanishes
     for w in (F0, Fraction(1), Fraction(2), Fraction(3)):
         assert homology_dim(c, 1, w, prov) == 0
+
+
+def test_cofibres_of_sigma_are_complexes_sharing_the_entries_of_x():
+    # cone(sigma_n): sigma is negated in odd X-degrees, X's differential
+    # is shared as it stands
+    for family in (_t_family(), _xy_family()):
+        tw = Tower(family.spec, family, 3, Fraction(3, 2))
+        for n in (1, 2):
+            for level in (1, 2):
+                c = tw.cof_sigma(n, level)
+                check_complex(c)
+                sigma, x, y = tw.sigma(n, level), tw.X(n + 1, level), tw.X(n, level)
+                for d, ent in x.diff.items():
+                    here, below = y.rank(d + 1), y.rank(d)
+                    for (i, j), elem in ent.items():
+                        assert c.diff[d + 1][(below + i, here + j)] is elem
+                for d, ent in sigma.entries.items():
+                    here = y.rank(d + 1)
+                    for (i, j), elem in ent.items():
+                        got = c.diff[d + 1][(i, here + j)]
+                        if d % 2:
+                            assert got == x.ring.elem_neg(elem)
+                        else:
+                            assert got is elem
+        # eps lives in X-degree 0, so the cone of eps never negates it
+        q = tw.Q(1, 1)
+        check_complex(q)
+        assert tw.eps(1, 1).entries[0]
+        for (i, j), elem in tw.eps(1, 1).entries[0].items():
+            assert q.diff[1][(i, tw.unit(1).rank(1) + j)] is elem
+
+
+def test_a_level_walk_indexes_each_differential_at_most_twice(monkeypatch):
+    from idemq import complexes
+
+    family = _t_family()
+    tw = Tower(family.spec, family, 4, Fraction(2))
+    diag = tw.cof_diagram(2, [1, 2, 3])
+    grouped = []
+    real = complexes.by_col
+    monkeypatch.setattr(complexes, "by_col", lambda ent: grouped.append(id(ent)) or real(ent))
+    raw = diag.run(range(4), Fraction(2), 2)
+    assert raw
+    diffs = {
+        id(ent): (k, d) for k, x in enumerate(diag.complexes) for d, ent in x.diff.items()
+    }
+    counts: dict = {}
+    for i in grouped:
+        if i in diffs:
+            counts[diffs[i]] = counts.get(diffs[i], 0) + 1
+    assert counts and max(counts.values()) <= 2
+    assert len(grouped) < 100  # not one index per strand
 
 
 # ---------- chain map lifting ----------
@@ -364,7 +417,7 @@ def test_homology_map_of_identity():
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
     prov = Strands(ring)
-    h = homology_data(sq, 1, Fraction(1), prov)
+    h = homology_data(sq, 1, Fraction(1), prov, ColumnIndex(sq))
     assert h.dim == 1
     m = homology_map_matrix(identity_map(sq), 1, h, h)
     assert m.rank() == 1
@@ -376,9 +429,9 @@ def test_homology_data_reps_are_cycles():
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
     prov = Strands(ring)
-    h = homology_data(sq, 2, Fraction(3), prov)
+    h = homology_data(sq, 2, Fraction(3), prov, ColumnIndex(sq))
     assert h.dim == homology_dim(sq, 2, Fraction(3), prov) == 1
-    out = strand_matrix(sq, 2, Fraction(3), prov, src=h.basis)
+    out = strand_matrix(sq, 2, Fraction(3), prov, by_col(sq.diff_at(2)), src=h.basis)
     for rep in h.reps:
         # matrix-vector product: rows of `out` dot rep
         for row in out.rows:
@@ -419,7 +472,7 @@ def test_rank_first_dims_match_homology_dim_on_xy(field, build):
     seen = nonzero = 0
     for d in range(x.lo, x.hi + 1):
         for w in strand_weights(x, d, Fraction(2), prov):
-            h = homology_data(x, d, w, prov)
+            h = homology_data(x, d, w, prov, ColumnIndex(x))
             assert h.dim == homology_dim(x, d, w, prov)
             assert len(h.reps) == h.dim
             seen += 1
@@ -437,10 +490,11 @@ def test_coords_on_a_strand_with_homology_checks_cycles():
     sq, prov = _xy_square(QQ)
 
     def strands():
+        cols = ColumnIndex(sq)
         for d in range(sq.lo, sq.hi + 1):
             for w in strand_weights(sq, d, Fraction(2), prov):
-                h = homology_data(sq, d, w, prov)
-                yield h, strand_matrix(sq, d + 1, w, prov, dst=h.basis)
+                h = homology_data(sq, d, w, prov, cols)
+                yield h, strand_matrix(sq, d + 1, w, prov, cols[d + 1], dst=h.basis)
 
     # homology beside boundaries, and cycles that do not fill the strand
     h, inc = next(
@@ -570,7 +624,7 @@ def _scan_lift(x, y, ring_map):
                     if not _divisible(e, y.aug_quotient)
                 }
             else:
-                mat = strand_matrix(y, d, gw, prov, src=ysb)
+                mat = strand_matrix(y, d, gw, prov, by_col(y.diff_at(d)), src=ysb)
                 ydst = strand_basis(y, d - 1, gw, prov)
                 rhs = {}
                 for i, selem in _scan(x.diff_at(d), j):
@@ -646,15 +700,30 @@ def _xy_family():
     return IdealFamily(name="I", spec=_xy_spec(QQ), root_vars=(0, 1))
 
 
+def _mixed_family():
+    # roots(x), y on K[x^(1/2^l), y] / (x^2, y^2): x divisible, y not, so
+    # a unit of y's exponent is denom units of integer weight
+    spec = RingSpec(
+        field=QQ,
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", False)),
+        truncations=((Fraction(2), F0), (F0, Fraction(2))),
+    )
+    return IdealFamily(name="I", spec=spec, root_vars=(0,), gens=((F0, Fraction(1)),))
+
+
 def _scan_strand_pairs(x, d, w, provider):
     """Strand pairs by a scan of every generator of the degree."""
     return [(j, m) for j, gw in enumerate(x.gens_at(d)) for m in provider.basis(w - gw)]
 
 
 def _scan_strand_weights(x, d, wmax, provider):
-    ring_ws = list(provider.ring.basis_upto(wmax))
+    """Generator weight plus a weight where the module's basis is nonempty."""
+    ring = provider.ring
+    ring_ws = [Fraction(n, ring.denom) for n in ring.basis_upto(wmax)]
+    module_ws = [rw for rw in ring_ws if provider.basis(rw)]
     return sorted(
-        {gw + rw for gw in x.gens_at(d) for rw in ring_ws if gw + rw <= wmax}
+        {gw + rw for gw in x.gens_at(d) for rw in module_ws if gw + rw <= wmax}
     )
 
 
@@ -685,10 +754,11 @@ def _strand_matrix_with_zero_test(x, d, w, provider):
 
 
 def _strand_cases():
-    """(name, complex, weight bound, family) for the t and x y specs at
-    levels 1-3: an ideal resolution, its tensor square and the cone of the
-    multiplication I (x) I -> I, whose generators are not sorted by weight."""
-    for name, family in (("t", _t_family()), ("xy", _xy_family())):
+    """(name, complex, weight bound, family) for the t, x y and mixed specs
+    at levels 1-3: an ideal resolution, its tensor square and the cone of
+    the multiplication I (x) I -> I, whose generators are not sorted by
+    weight."""
+    for name, family in (("t", _t_family()), ("xy", _xy_family()), ("mixed", _mixed_family())):
         for level in (1, 2, 3):
             wmax = Fraction(2) if name == "t" or level < 3 else Fraction(1)
             ring = make_level_ring(family.spec, level)
@@ -720,13 +790,30 @@ def test_indexed_strands_match_generator_scans():
     assert unsorted > 0  # the merge of weight groups back into generator order is exercised
 
 
+def test_mixed_ring_strands_are_walked_in_integer_weights():
+    for name, x, wmax, family in _strand_cases():
+        if not name.startswith("mixed"):
+            continue
+        ring = x.ring
+        assert ring.denom == 2**ring.level
+        for d in range(x.lo, x.hi + 1):
+            groups = x.gens_by_weight(d)
+            assert all(isinstance(n, int) for n, _js in groups)
+            assert [Fraction(n, ring.denom) for n, _js in groups] == sorted(set(x.gens_at(d)))
+            for provider in _strand_providers(ring, family):
+                # a weight off the lattice has the empty strand
+                off = Fraction(1, 2 * ring.denom)
+                assert strand_basis(x, d, off, provider).pairs == []
+                assert provider.basis(off) == []
+
+
 def test_strand_matrix_needs_no_zero_test():
     compared = nonzero = 0
     for name, x, wmax, family in _strand_cases():
         for d in sorted(x.diff):
             for provider in _strand_providers(x.ring, family):
                 for w in strand_weights(x, d, wmax, provider):
-                    got = strand_matrix(x, d, w, provider)
+                    got = strand_matrix(x, d, w, provider, by_col(x.diff_at(d)))
                     want = _strand_matrix_with_zero_test(x, d, w, provider)
                     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
                     assert got.rows == want.rows, (name, d, w)

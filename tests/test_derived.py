@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from idemq import derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
+    ColumnIndex,
     Strands,
     check_chain_map,
     compose_maps,
@@ -389,8 +390,8 @@ def test_multiplication_kernel_weight_one():
     tw = Tower(spec, I, 3, Fraction(2))
     for l in (1, 2, 3):
         prov = Strands(tw.ring(l))
-        h_src = homology_data(tw.X(2, l), 0, F1, prov)
-        h_dst = homology_data(tw.X(1, l), 0, F1, prov)
+        h_src = homology_data(tw.X(2, l), 0, F1, prov, ColumnIndex(tw.X(2, l)))
+        h_dst = homology_data(tw.X(1, l), 0, F1, prov, ColumnIndex(tw.X(1, l)))
         assert h_src.dim == 1
         assert h_dst.dim == 0  # t^1 already dies in I
     raw = tw.cof_diagram(1, [1, 2, 3, 4]).run([1], Fraction(3, 2), 2)

@@ -69,6 +69,52 @@ def test_basis_cache_extends():
     assert r0.basis(Fraction(3)) == []
 
 
+def _spec_mixed():
+    """K[x^(1/2^l), y] / (x^2, y^2): x divisible, y not."""
+    return RingSpec(
+        field=QQ,
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", False)),
+        truncations=((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))),
+    )
+
+
+def test_num_is_exact_on_the_lattice_and_none_off_it():
+    r2 = LevelRing(_spec_mixed(), 2)
+    assert r2.denom == 4
+    assert r2.num(Fraction(3, 4)) == 3
+    assert r2.num(Fraction(5, 2)) == 10
+    assert r2.num(Fraction(0)) == 0
+    assert r2.num(2) == 8
+    assert r2.num(Fraction(-1, 2)) == -2
+    assert r2.num(Fraction(1, 8)) is None
+    assert r2.num(Fraction(1, 3)) is None
+    # a monomial's integer weight is its weight over denom
+    for e in ((1, 0), (3, 1), (0, 1), (7, 1)):
+        assert r2.num(r2.weight(e)) * Fraction(1, r2.denom) == r2.weight(e)
+
+
+def test_denom_at_level_zero_and_without_divisible_variables():
+    r0 = LevelRing(_spec_mixed(), 0)
+    assert r0.denom == 1
+    assert r0.num(Fraction(3)) == 3
+    assert r0.num(Fraction(1, 2)) is None
+    plain = LevelRing(_spec_one_var(divisible=False), 3)
+    assert plain.denom == 1
+    assert plain.num(Fraction(1, 8)) is None
+
+
+def test_basis_off_the_lattice_is_empty():
+    r1 = LevelRing(_spec_mixed(), 1)
+    assert r1.basis(Fraction(1, 4)) == []
+    assert r1.basis(Fraction(1, 3)) == []
+    assert r1.basis(Fraction(1, 2)) == [(1, 0)]
+    assert r1.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
+    # the store is keyed by integer weight over denom
+    assert r1.basis_at(3) == r1.basis(Fraction(3, 2))
+    assert set(r1.basis_upto(Fraction(2))) == {0, 1, 2, 3, 4}
+
+
 def test_two_var_basis_counts():
     spec = RingSpec(
         field=QQ,
