@@ -382,34 +382,37 @@ def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fra
 # ---------- homology ----------
 
 
-def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
-    sb = strand_basis(x, d, w, provider)
-    if not sb.pairs:
-        return 0
-    cols = ColumnIndex(x)
-    out = strand_matrix(x, d, w, provider, cols[d], src=sb)
-    inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], dst=sb)
-    return len(sb.pairs) - out.rank() - inc.rank()
-
-
 class HomologyData(NamedTuple):
-    """Homology of one weight strand. Most strands have none: those keep
-    their basis, and no echelon or matrix."""
+    """Homology of one weight strand in degree d. Most strands have none:
+    those keep their basis, and no echelon or matrix.
+
+    Otherwise `rref` is the reduced row echelon form of d_d on the strand.
+    Each free column f (one without a pivot) gives the cycle z_f (see
+    Echelon.kernel), and a cycle is the sum of the z_f weighted by its own
+    entries at the free columns. `free_bnd` holds the boundaries in those
+    coordinates; the representatives are the z_f of the free columns that
+    are not its pivots, `rep_cols`, ascending."""
 
     dim: int
     basis: StrandBasis
     reps: list[Vec]  # cycles spanning homology, as strand vectors
-    boundaries: Optional[Echelon]  # None when dim == 0
-    coords_ech: Optional[Echelon]  # augmented: reps over boundaries with bookkeeping tail
+    rref: Optional[Echelon]  # None when dim == 0
+    free_bnd: Optional[Echelon]  # None when dim == 0
+    rep_cols: tuple[int, ...]
 
     def coords(self, vec: Vec, fieldobj) -> Vec:
         """Coordinates of a cycle in the homology basis. Only a strand with
         homology has them; callers skip the others."""
-        n = len(self.basis.pairs)
-        res = self.coords_ech.reduce(self.boundaries.reduce(vec))
-        if any(c < n for c in res):
+        pivots = self.rref.rows
+        rref = SparseMatrix(len(pivots), len(self.basis.pairs), fieldobj, list(pivots.values()))
+        if rref.mul_vec(vec):  # R vec = 0 exactly when d_d vec = 0
             raise AssertionError("vector is not a cycle modulo boundaries")
-        return {c - n: fieldobj.neg(v) for c, v in res.items()}
+        res = self.free_bnd.reduce({c: v for c, v in vec.items() if c not in pivots})
+        return {k: res[f] for k, f in enumerate(self.rep_cols) if f in res}
+
+
+# the homology of an empty strand
+NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}), [], None, None, ())
 
 
 def homology_data(
@@ -423,8 +426,9 @@ def homology_data(
 ) -> HomologyData:
     """Homology of the weight-w strand in degree d. The dimension comes
     from two ranks; representatives and coordinates are built only when
-    it is nonzero, and must agree with it. cols is x's column index, read
-    in degrees d and d+1 only as far as the strand needs; below and above
+    it is nonzero, from one row reduction of d_d and one echelon of the
+    boundaries, and must agree with it. cols is x's column index, read in
+    degrees d and d+1 only as far as the strand needs; below and above
     are the weight-w strand bases of degrees d-1 and d+1 where the caller
     already has them."""
     F = x.field
@@ -438,29 +442,20 @@ def homology_data(
         inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], src=above, dst=sb)
         dim -= rank_rows(inc.rows, inc.ncols, F)
     if not dim:
-        return HomologyData(0, sb, [], None, None)
-    bnd = Echelon(F)
+        return HomologyData(0, sb, [], None, None, ())
+    rref = Echelon(F)
+    for row in out.rows:
+        rref.insert(row)
+    free_bnd = Echelon(F)
     for col in inc.transpose().rows:
-        bnd.insert(col)
-    cycles = kernel_rows(out.rows, n, F)
-    spanned = Echelon(F)
-    for row in bnd.rows.values():
-        spanned.insert(dict(row))
-    reps = []
-    for z in cycles:
-        if spanned.insert(z) is not None:
-            reps.append(z)
-    if len(reps) != dim:
+        free_bnd.insert({r: v for r, v in col.items() if r not in rref.rows})
+    rep_cols = tuple(c for c in range(n) if c not in rref.rows and c not in free_bnd.rows)
+    if len(rep_cols) != dim:
         raise AssertionError(
-            f"homology at degree {d}, weight {w}: {len(reps)} representatives, "
+            f"homology at degree {d}, weight {w}: {len(rep_cols)} representatives, "
             f"but ranks give dimension {dim}"
         )
-    coords = Echelon(F, prefer_below=n)
-    for k, z in enumerate(reps):
-        v = dict(bnd.reduce(z))
-        v[n + k] = F.one
-        coords.insert(v)
-    return HomologyData(dim, sb, reps, bnd, coords)
+    return HomologyData(dim, sb, rref.kernel(list(rep_cols)), rref, free_bnd, rep_cols)
 
 
 # ---------- chain maps ----------
@@ -609,10 +604,17 @@ def tensor_complexes(
 
     Weight truncation is exact for strands of weight <= wmax since the
     differential preserves weight; degree truncation is exact below dmax.
+    Weights are summed as integers over the ring's denom, and each
+    distinct weight is one shared Fraction.
     """
     if a.ring is not b.ring:
         raise AssertionError("tensor factors live over different rings")
     ring = a.ring
+    a_nums, b_nums = ({d: [ring.num(g) for g in gl] for d, gl in x.gens.items()} for x in (a, b))
+    if any(None in ns for x in (a_nums, b_nums) for ns in x.values()):
+        raise AssertionError("a generator weight is off the level's lattice")
+    top_n = None if wmax is None else wmax.numerator * ring.denom // wmax.denominator
+    weights: dict[int, Fraction] = {}
     gens: dict[int, list[Fraction]] = {}
     prov: dict = {}
     rev: dict = {}
@@ -623,11 +625,15 @@ def tensor_complexes(
             q = d - p
             if q < b.lo or q > b.hi:
                 continue
-            for i, ga in enumerate(a.gens_at(p)):
-                for j, gb in enumerate(b.gens_at(q)):
-                    w = ga + gb
-                    if wmax is not None and w > wmax:
+            bn = b_nums.get(q, ())
+            for i, an in enumerate(a_nums.get(p, ())):
+                for j, n in enumerate(bn):
+                    n += an
+                    if top_n is not None and n > top_n:
                         continue
+                    w = weights.get(n)
+                    if w is None:
+                        w = weights[n] = Fraction(n, ring.denom)
                     idx = len(gl)
                     gl.append(w)
                     prov[(d, idx)] = (p, i, q, j)

@@ -48,6 +48,7 @@ from .complexes import (
     ChainMap,
     ColumnIndex,
     FreeComplex,
+    NO_HOMOLOGY,
     HomologyData,
     Strands,
     TensorInfo,
@@ -222,7 +223,9 @@ class LevelDiagram:
     Homology is asked for one degree at a time (a walk). While the walk
     stays at degree d, the diagram holds a ColumnIndex per level, which
     groups the differentials out of and into degree d as the level's
-    uncached strands first need them; a walk to another degree drops it."""
+    uncached strands first need them; a walk to another degree drops it.
+    A weight off a level's lattice has the empty strand there: its
+    homology is NO_HOMOLOGY, neither built nor cached."""
 
     levels: list[int]
     complexes: list[FreeComplex]
@@ -245,6 +248,8 @@ class LevelDiagram:
         return cols
 
     def homology(self, k: int, d: int, w: Fraction) -> HomologyData:
+        if self.complexes[k].ring.num(w) is None:  # the level's strand is empty
+            return NO_HOMOLOGY
         key = (self.tag, self.levels[k], d, w)
         h = self.cache.get(key)
         if h is None:

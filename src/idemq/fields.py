@@ -66,7 +66,7 @@ class RationalField:
     @staticmethod
     def normalize(a: Scalar) -> Scalar:
         # collapse integral Fractions back to int so the int fast path stays hot
-        if isinstance(a, Fraction) and a.denominator == 1:
+        if type(a) is Fraction and a.denominator == 1:
             return int(a)
         return a
 

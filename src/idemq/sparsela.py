@@ -7,10 +7,13 @@ path that keeps no echelon: over Q rows are cleared to integers and
 reduced by cross-multiplication, over F_p they are reduced with pivots
 normalised to 1. Every prime takes the same path.
 
-Kernel bases and solving go through an augmented column echelon: column j
-is inserted as col_j + e_j in bookkeeping coordinates, so kernel vectors
-and solution coefficients fall out of the tail without re-tracking row
-operations.
+Kernels and solving reduce the rows of a matrix to reduced row echelon
+form in one Echelon. A column that holds no pivot is free, and each free
+column f gives the kernel vector e_f - sum_p R_p[f] e_p, read off the
+pivot rows R_p (`Echelon.kernel`). Solving A x = b reduces the rows of
+[A | b], keeping b's column out of the pivots; then each pivot row's
+entry in that column is the value of its pivot variable, with every
+free variable 0.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class Echelon:
 
     Stored rows are mutually reduced: each pivot column occurs in exactly
     one row, with coefficient 1, so reduce() is a single pass. Pivot choice
-    prefers columns below ``prefer_below`` (used to keep bookkeeping
-    coordinates out of the pivots), then unit coefficients, then the lowest
-    column index; everything is deterministic.
+    prefers columns below ``prefer_below`` (used to keep the right-hand
+    side of a linear system out of the pivots), then unit coefficients,
+    then the lowest column index; everything is deterministic.
     """
 
     def __init__(self, field, prefer_below: Optional[int] = None):
@@ -112,6 +115,19 @@ class Echelon:
         self.rows[pick] = res
         return pick
 
+    def kernel(self, free: list[int]) -> list[Vec]:
+        """Vectors the stored rows annihilate, one per column f in `free`
+        (columns without a pivot): e_f - sum_p R_p[f] e_p over the rows
+        R_p. Each is 1 at its own free column and 0 at every other one."""
+        F = self.field
+        out = {f: {f: F.one} for f in free}
+        for p, row in self.rows.items():
+            for c, v in row.items():
+                z = out.get(c)
+                if z is not None:
+                    z[p] = F.neg(v)
+        return [out[f] for f in free]
+
 
 # ---------- fraction-free rank over Q ----------
 
@@ -119,7 +135,7 @@ class Echelon:
 def _clear_row_to_int(row: Vec) -> Vec:
     den = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        if type(v) is Fraction:
             den = den * v.denominator // gcd(den, v.denominator)
     if den == 1:
         out = {c: int(v) for c, v in row.items() if v}
@@ -140,11 +156,19 @@ def _clear_row_to_int(row: Vec) -> Vec:
 _GROWTH_BITS = 512
 
 
+def _max_bits(row: Vec) -> int:
+    return max(map(abs, row.values()), default=0).bit_length()
+
+
 def _rank_int_rows(rows: list[Vec]) -> int:
-    """REF rank of integer rows by cross-multiplication. No divisions."""
-    piv: dict[int, Vec] = {}
+    """REF rank of integer rows by cross-multiplication. No divisions.
+    `bits` bounds a working row's entry bit lengths from each step's
+    multipliers and pivot row, so the row is scanned for _GROWTH_BITS
+    only when the bound passes it."""
+    piv: dict[int, tuple[Vec, int]] = {}  # pivot col -> (row, _max_bits(row))
     for row in rows:
         res = {c: v for c, v in row.items() if v}
+        bits = _max_bits(res)
         heap = list(res)
         heapq.heapify(heap)
         newpiv = -1
@@ -153,16 +177,20 @@ def _rank_int_rows(rows: list[Vec]) -> int:
             a = res.get(c, 0)
             if a == 0:
                 continue
-            pr = piv.get(c)
-            if pr is None:
+            hit = piv.get(c)
+            if hit is None:
                 newpiv = c
                 break
+            pr, pbits = hit
             b = pr[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
             if mb != 1:
                 for j in res:
                     res[j] *= mb
+                bits += mb.bit_length()
+            step = ma.bit_length() + pbits
+            bits = (step if step > bits else bits) + 1
             del res[c]
             for j, v in pr.items():
                 if j == c:
@@ -174,15 +202,18 @@ def _rank_int_rows(rows: list[Vec]) -> int:
                     res[j] = nv
                 else:
                     res.pop(j, None)
-            if res and max(v.bit_length() for v in res.values()) > _GROWTH_BITS:
-                g = 0
-                for v in res.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    for j in res:
-                        res[j] //= g
+            if bits > _GROWTH_BITS:
+                bits = _max_bits(res)
+                if bits > _GROWTH_BITS:
+                    g = 0
+                    for v in res.values():
+                        g = gcd(g, v)
+                    if g > 1:
+                        for j in res:
+                            res[j] //= g
+                        bits = _max_bits(res)
         if newpiv >= 0:
-            piv[newpiv] = res
+            piv[newpiv] = (res, _max_bits(res))
     return len(piv)
 
 
@@ -236,42 +267,27 @@ def rank_rows(rows: list[Vec], ncols: int, field) -> int:
     return _rank_modp_rows(rows, field.p)
 
 
-# ---------- kernel and solve via augmented column echelon ----------
-
-
-def _augmented_column_echelon(rows: list[Vec], ncols: int, field) -> tuple[Echelon, int]:
-    nr = len(rows)
-    cols: list[Vec] = [dict() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if not field.is_zero(v):
-                cols[j][i] = v
-    ech = Echelon(field, prefer_below=nr)
-    for j in range(ncols):
-        vec = dict(cols[j])
-        vec[nr + j] = field.one
-        ech.insert(vec)
-    return ech, nr
+# ---------- kernel and solve from one row reduction ----------
 
 
 def kernel_rows(rows: list[Vec], ncols: int, field) -> list[Vec]:
-    """Basis of {x : A x = 0}, A the nrows x ncols matrix given by rows."""
-    ech, nr = _augmented_column_echelon(rows, ncols, field)
-    out = []
-    for c in sorted(ech.rows):
-        if c >= nr:
-            row = ech.rows[c]
-            out.append({j - nr: v for j, v in row.items()})
-    return out
+    """Basis of {x : A x = 0}, A the nrows x ncols matrix given by rows,
+    one vector per free column, ascending."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    return ech.kernel([c for c in range(ncols) if c not in ech.rows])
 
 
 def solve_rows(rows: list[Vec], ncols: int, rhs: Vec, field) -> Optional[Vec]:
     """One x with A x = rhs, or None. rhs is {row index: value}."""
-    ech, nr = _augmented_column_echelon(rows, ncols, field)
-    res = ech.reduce(rhs)
-    if any(c < nr for c in res):
+    ech = Echelon(field, prefer_below=ncols)
+    for i, row in enumerate(rows):
+        b = rhs.get(i)
+        ech.insert(row if b is None else {**row, ncols: b})
+    if ncols in ech.rows:  # a row reduced to 0 = 1
         return None
-    return {c - nr: field.neg(v) for c, v in res.items()}
+    return {p: row[ncols] for p, row in ech.rows.items() if ncols in row}
 
 
 # ---------- matrix wrapper ----------
@@ -288,18 +304,6 @@ class SparseMatrix:
         self.field = field
         self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
 
-    @classmethod
-    def from_dense(cls, data: list[list], field) -> "SparseMatrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        m = cls(nrows, ncols, field)
-        for i, drow in enumerate(data):
-            for j, v in enumerate(drow):
-                v = field.from_int(v) if isinstance(v, int) else v
-                if not field.is_zero(v):
-                    m.rows[i][j] = v
-        return m
-
     def set(self, i: int, j: int, v) -> None:
         if self.field.is_zero(v):
             self.rows[i].pop(j, None)
@@ -310,13 +314,6 @@ class SparseMatrix:
         F = self.field
         nv = F.normalize(F.add(self.rows[i].get(j, F.zero), v))
         self.set(i, j, nv)
-
-    def to_dense(self) -> list[list]:
-        z = self.field.zero
-        return [
-            [row.get(j, z) for j in range(self.ncols)]
-            for row in self.rows
-        ]
 
     def transpose(self) -> "SparseMatrix":
         t = SparseMatrix(self.ncols, self.nrows, self.field)
@@ -342,23 +339,11 @@ class SparseMatrix:
     def rank(self) -> int:
         return rank_rows(self.rows, self.ncols, self.field)
 
-    def kernel_basis(self) -> list[Vec]:
-        return kernel_rows(self.rows, self.ncols, self.field)
-
-    def solve(self, rhs: Vec) -> Optional[Vec]:
-        return solve_rows(self.rows, self.ncols, rhs, self.field)
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
     def __repr__(self) -> str:
         return f"<SparseMatrix {self.nrows}x{self.ncols} over {self.field!r}, nnz={self.nnz()}>"
-
-
-def rank_kernel(m: SparseMatrix) -> tuple[int, list[Vec]]:
-    """Rank and kernel basis in one call (kernel dim + rank = ncols)."""
-    ker = m.kernel_basis()
-    return m.ncols - len(ker), ker
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

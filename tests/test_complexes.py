@@ -16,7 +16,6 @@ from idemq.complexes import (
     cone,
     cone_map,
     homology_data,
-    homology_dim,
     homology_map_matrix,
     identity_map,
     ideal_resolution,
@@ -42,6 +41,7 @@ from idemq.derived import (
 from idemq.ideals import IdealFamily
 from idemq.rings import LevelRing, RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon, SparseMatrix, solve_rows
+from oracles import homology_dim, to_dense
 
 F0 = Fraction(0)
 
@@ -421,7 +421,7 @@ def test_homology_map_of_identity():
     assert h.dim == 1
     m = homology_map_matrix(identity_map(sq), 1, h, h)
     assert m.rank() == 1
-    assert m.to_dense() == [[1]]
+    assert to_dense(m) == [[1]]
 
 
 def test_homology_data_reps_are_cycles():
@@ -479,11 +479,43 @@ def test_rank_first_dims_match_homology_dim_on_xy(field, build):
             if h.dim:
                 nonzero += 1
                 continue
-            assert h.boundaries is None and h.coords_ech is None
+            assert h.rref is None and h.free_bnd is None and not h.rep_cols
             assert not any(
                 isinstance(part, (Echelon, SparseMatrix)) for part in h
             )
     assert 0 < nonzero < seen
+
+
+@pytest.mark.parametrize("build", [_xy_square, _xy_cone], ids=["square", "cone"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_coords_read_each_representative_on_xy(field, build):
+    # on every strand with homology: representatives are cycles, each has
+    # the unit coordinates of its own class, also when moved by a boundary,
+    # and a vector that is not a cycle is refused
+    x, prov = build(field)
+    cols = ColumnIndex(x)
+    seen = 0
+    for d in range(x.lo, x.hi + 1):
+        for w in strand_weights(x, d, Fraction(2), prov):
+            h = homology_data(x, d, w, prov, cols)
+            if not h.dim:
+                continue
+            seen += 1
+            out = strand_matrix(x, d, w, prov, cols[d], src=h.basis)
+            inc = strand_matrix(x, d + 1, w, prov, cols[d + 1], dst=h.basis)
+            # a boundary: the image of a sum of d+1 strand basis vectors
+            bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
+            for k, rep in enumerate(h.reps):
+                assert out.mul_vec(rep) == {}
+                assert h.coords(rep, field) == {k: 1}
+                moved = {r: field.add(rep.get(r, 0), bnd.get(r, 0)) for r in set(rep) | set(bnd)}
+                moved = {r: v for r, v in moved.items() if not field.is_zero(v)}
+                assert h.coords(moved, field) == {k: 1}
+            hit = next((r for r in range(out.ncols) if any(r in row for row in out.rows)), None)
+            if hit is not None:
+                with pytest.raises(AssertionError, match="not a cycle modulo boundaries"):
+                    h.coords({hit: field.one}, field)
+    assert seen
 
 
 def test_coords_on_a_strand_with_homology_checks_cycles():

@@ -11,41 +11,43 @@ from idemq.sparsela import (
     SparseMatrix,
     kernel_rows,
     matmul,
-    rank_kernel,
     rank_rows,
     solve_rows,
 )
+from oracles import from_dense, kernel_basis, rank_kernel, solve
 
 
 def test_rank_and_kernel_baseline():
     # hand-checked: [[1,2],[2,4]] has rank 1, kernel spanned by (-2, 1)
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]], QQ)
+    m = from_dense([[1, 2], [2, 4]], QQ)
     assert m.rank() == 1
-    ker = m.kernel_basis()
+    ker = kernel_basis(m)
     assert len(ker) == 1
     assert ker[0] == {0: -2, 1: 1}
 
 
 def test_matmul_shape_mismatch_is_an_internal_fault():
-    a = SparseMatrix.from_dense([[1, 2]], QQ)
+    a = from_dense([[1, 2]], QQ)
     with pytest.raises(AssertionError, match="shape mismatch: 2 vs 1"):
         matmul(a, a)
 
 
 def test_solve_baseline():
-    m = SparseMatrix.from_dense([[2]], QQ)
-    x = m.solve({0: 3})
+    m = from_dense([[2]], QQ)
+    x = solve(m, {0: 3})
     assert x == {0: Fraction(3, 2)}
+    # a unit right-hand side beside a non-unit coefficient stays out of the pivots
+    assert solve(m, {0: 1}) == {0: Fraction(1, 2)}
 
 
 def test_solve_inconsistent():
-    m = SparseMatrix.from_dense([[1, 1], [1, 1]], QQ)
-    assert m.solve({0: 1, 1: 2}) is None
-    assert m.solve({0: 1, 1: 1}) is not None
+    m = from_dense([[1, 1], [1, 1]], QQ)
+    assert solve(m, {0: 1, 1: 2}) is None
+    assert solve(m, {0: 1, 1: 1}) is not None
 
 
 def test_rank_kernel_counts():
-    m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]], QQ)
+    m = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]], QQ)
     rank, ker = rank_kernel(m)
     assert rank == 2
     assert len(ker) == 1
@@ -61,35 +63,35 @@ def test_empty_edges():
 
 
 def test_fraction_entries():
-    m = SparseMatrix.from_dense(
+    m = from_dense(
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]], QQ
     )
     assert m.rank() == 2
-    assert m.kernel_basis() == []
+    assert kernel_basis(m) == []
     # row 2 = 3 * row 1: rank drops, kernel is a line
-    m2 = SparseMatrix.from_dense(
+    m2 = from_dense(
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], QQ
     )
     assert m2.rank() == 1
-    ker = m2.kernel_basis()
+    ker = kernel_basis(m2)
     assert len(ker) == 1
     assert m2.mul_vec(ker[0]) == {}
 
 
 def test_mod_p_rank():
     # [[1,2],[2,4]] mod 3: second row = 2 * first, rank 1
-    m = SparseMatrix.from_dense([[1, 2], [2, 1]], GF(3))
+    m = from_dense([[1, 2], [2, 1]], GF(3))
     assert m.rank() == 1
-    m = SparseMatrix.from_dense([[1, 2], [2, 1]], GF(5))
+    m = from_dense([[1, 2], [2, 1]], GF(5))
     assert m.rank() == 2
-    m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]], GF(32003))
+    m = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]], GF(32003))
     assert m.rank() == 3
 
 
 def test_kernel_mod_p():
     F = GF(7)
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]], F)
-    ker = m.kernel_basis()
+    m = from_dense([[1, 2], [2, 4]], F)
+    ker = kernel_basis(m)
     assert len(ker) == 1
     assert m.mul_vec(ker[0]) == {}
 
@@ -104,8 +106,8 @@ def test_rank_q_agrees_with_large_prime():
     F = GF(32003)
     for _ in range(40):
         data = _random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        mq = SparseMatrix.from_dense(data, QQ)
-        mp = SparseMatrix.from_dense(data, F)
+        mq = from_dense(data, QQ)
+        mp = from_dense(data, F)
         assert mq.rank() == mp.rank()
 
 
@@ -153,7 +155,7 @@ def test_rank_q_signed_random_agrees_with_fraction_gauss():
             [rng.choice([-2, -1, -1, 0, 0, 0, 1, 1, 2]) for _ in range(nc)]
             for _ in range(nr)
         ]
-        mq = SparseMatrix.from_dense(data, QQ)
+        mq = from_dense(data, QQ)
         assert mq.rank() == frank(data)
 
 
@@ -166,7 +168,7 @@ def test_rank_q_signed_random_agrees_with_fraction_gauss():
     )
 )
 def test_rank_nullity_property(data):
-    m = SparseMatrix.from_dense(data, QQ)
+    m = from_dense(data, QQ)
     rank, ker = rank_kernel(m)
     assert rank + len(ker) == m.ncols
     for v in ker:
@@ -183,14 +185,33 @@ def test_rank_nullity_property(data):
     ),
 )
 def test_rank_mod_p_matches_augmented_echelon(p, data):
-    # rank_rows eliminates rows; kernel_rows runs the augmented column echelon
+    # rank_rows eliminates rows without keeping an echelon; kernel_rows
+    # reads one kernel vector off each free column of a full RREF
     F = GF(p)
-    m = SparseMatrix.from_dense(data, F)
+    m = from_dense(data, F)
     assert rank_rows(m.rows, m.ncols, F) == m.ncols - len(kernel_rows(m.rows, m.ncols, F))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(7), GF((1 << 31) - 1)]),
+    st.lists(
+        st.lists(st.integers(min_value=-20, max_value=20), min_size=5, max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_kernel_rows_are_a_kernel_basis(field, data):
+    m = from_dense(data, field)
+    ker = kernel_rows(m.rows, m.ncols, field)
+    assert len(ker) == m.ncols - rank_rows(m.rows, m.ncols, field)
+    for v in ker:
+        assert m.mul_vec(v) == {}
 
 
 @settings(max_examples=40, deadline=None)
 @given(
+    st.sampled_from([QQ, GF(7), GF((1 << 31) - 1)]),
     st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4),
         min_size=2,
@@ -198,11 +219,11 @@ def test_rank_mod_p_matches_augmented_echelon(p, data):
     ).filter(lambda rows: len({len(r) for r in rows}) == 1),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
 )
-def test_solve_solutions_check_out(data, xs):
-    m = SparseMatrix.from_dense(data, QQ)
-    x = {j: v for j, v in enumerate(xs[: m.ncols]) if v}
+def test_solve_solutions_check_out(field, data, xs):
+    m = from_dense(data, field)
+    x = {j: field.from_int(v) for j, v in enumerate(xs[: m.ncols]) if v}
     rhs = m.mul_vec(x)
-    got = m.solve(rhs)
+    got = solve(m, rhs)
     assert got is not None
     assert m.mul_vec(got) == rhs
 
