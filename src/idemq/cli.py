@@ -137,6 +137,8 @@ def _pick_ideal(ps: ProblemSpec, name: Optional[str]):
         return ps.ideals[name]
     if len(ps.ideals) == 1:
         return next(iter(ps.ideals.values()))
+    if not ps.ideals:
+        raise UsageError("spec declares no ideal")
     raise UsageError("spec declares several ideals; pass --ideal")
 
 

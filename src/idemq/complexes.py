@@ -16,9 +16,11 @@ One engine reads every map on strands. `add_image` adds a column of ring
 elements times a module monomial to a strand vector; it is the one place
 a product is looked up in a strand's (generator, monomial) index, and a
 product the index lacks is zero in the module, so nothing tests for zero.
-`strand_column` is its inverse and `strand_map` builds matrices from
-columns: differentials, chain maps, the augmentation (a map onto one
-generator), resolution spans and lifts.
+`strand_column` is its inverse. `strand_columns` yields a map's columns
+on strands, and `strand_map` builds matrices from them: differentials,
+chain maps, the augmentation (a map onto one generator), resolution
+spans and lifts. Homology reads the boundaries as columns, with no
+matrix.
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
@@ -47,10 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .rings import Elem, Exponents, LevelRing
-from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, rank_rows, solve_rows
+from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 # ---------- complexes ----------
 
@@ -320,17 +322,26 @@ def strand_column(vec: Vec, sb: StrandBasis) -> dict[int, Elem]:
     return col
 
 
+def strand_columns(
+    cols: dict[int, list[tuple[int, Elem]]], src: StrandBasis, dst: StrandBasis, ring: LevelRing
+) -> Iterator[Vec]:
+    """The columns, one strand vector of dst per pair of src, of the map
+    whose column j is cols[j] (as by_col gives it)."""
+    one = ring.field.one
+    for j, mono in src.pairs:
+        col: Vec = {}
+        add_image(col, cols.get(j, ()), mono, dst.index, one, ring)
+        yield col
+
+
 def strand_map(
     cols: dict[int, list[tuple[int, Elem]]], src: StrandBasis, dst: StrandBasis, ring: LevelRing
 ) -> SparseMatrix:
     """Matrix, from strand src to strand dst, of the map whose column j
     is cols[j] (as by_col gives it)."""
-    one = ring.field.one
     m = SparseMatrix(len(dst.pairs), len(src.pairs), ring.field)
     rows = m.rows
-    for c, (j, mono) in enumerate(src.pairs):
-        col: Vec = {}
-        add_image(col, cols.get(j, ()), mono, dst.index, one, ring)
+    for c, col in enumerate(strand_columns(cols, src, dst, ring)):
         for r, v in col.items():
             rows[r][c] = v
     return m
@@ -386,8 +397,8 @@ class HomologyData(NamedTuple):
     """Homology of one weight strand in degree d. Most strands have none:
     those keep their basis, and no echelon or matrix.
 
-    Otherwise `rref` is the reduced row echelon form of d_d on the strand.
-    Each free column f (one without a pivot) gives the cycle z_f (see
+    Otherwise `diff_ech` is the echelon of d_d's rows on the strand. Each
+    free column f (one without a pivot) gives the cycle z_f (see
     Echelon.kernel), and a cycle is the sum of the z_f weighted by its own
     entries at the free columns. `free_bnd` holds the boundaries in those
     coordinates; the representatives are the z_f of the free columns that
@@ -396,16 +407,16 @@ class HomologyData(NamedTuple):
     dim: int
     basis: StrandBasis
     reps: list[Vec]  # cycles spanning homology, as strand vectors
-    rref: Optional[Echelon]  # None when dim == 0
+    diff_ech: Optional[Echelon]  # None when dim == 0
     free_bnd: Optional[Echelon]  # None when dim == 0
     rep_cols: tuple[int, ...]
 
     def coords(self, vec: Vec, fieldobj) -> Vec:
         """Coordinates of a cycle in the homology basis. Only a strand with
         homology has them; callers skip the others."""
-        pivots = self.rref.rows
-        rref = SparseMatrix(len(pivots), len(self.basis.pairs), fieldobj, list(pivots.values()))
-        if rref.mul_vec(vec):  # R vec = 0 exactly when d_d vec = 0
+        pivots = self.diff_ech.rows
+        rows = SparseMatrix(len(pivots), len(self.basis.pairs), fieldobj, list(pivots.values()))
+        if rows.mul_vec(vec):  # the rows span d_d's row space: 0 exactly on cycles
             raise AssertionError("vector is not a cycle modulo boundaries")
         res = self.free_bnd.reduce({c: v for c, v in vec.items() if c not in pivots})
         return {k: res[f] for k, f in enumerate(self.rep_cols) if f in res}
@@ -424,38 +435,33 @@ def homology_data(
     below: Optional[StrandBasis] = None,
     above: Optional[StrandBasis] = None,
 ) -> HomologyData:
-    """Homology of the weight-w strand in degree d. The dimension comes
-    from two ranks; representatives and coordinates are built only when
-    it is nonzero, from one row reduction of d_d and one echelon of the
-    boundaries, and must agree with it. cols is x's column index, read in
-    degrees d and d+1 only as far as the strand needs; below and above
-    are the weight-w strand bases of degrees d-1 and d+1 where the caller
-    already has them."""
+    """Homology of the weight-w strand in degree d, from one echelon of
+    d_d's rows. If d_d has full rank there are no cycles and nothing more
+    is built. Otherwise the columns of d_{d+1} (the boundaries) are
+    projected onto the free columns, where they fill `free_bnd`. cols is
+    x's column index, read in degrees d and d+1 only as far as the strand
+    needs; below and above are the weight-w strand bases of degrees d-1
+    and d+1 where the caller already has them."""
     F = x.field
     sb = strand_basis(x, d, w, provider)
     n = len(sb.pairs)
-    dim = 0
+    diff_ech = Echelon(F)
     if n:
-        out = strand_matrix(x, d, w, provider, cols[d], src=sb, dst=below)
-        dim = n - rank_rows(out.rows, n, F)
-    if dim:  # no boundaries are needed when there are no cycles
-        inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], src=above, dst=sb)
-        dim -= rank_rows(inc.rows, inc.ncols, F)
-    if not dim:
+        for row in strand_matrix(x, d, w, provider, cols[d], src=sb, dst=below).rows:
+            diff_ech.insert(row)
+    if diff_ech.rank == n:
         return HomologyData(0, sb, [], None, None, ())
-    rref = Echelon(F)
-    for row in out.rows:
-        rref.insert(row)
+    if above is None:
+        above = strand_basis(x, d + 1, w, provider)
     free_bnd = Echelon(F)
-    for col in inc.transpose().rows:
-        free_bnd.insert({r: v for r, v in col.items() if r not in rref.rows})
-    rep_cols = tuple(c for c in range(n) if c not in rref.rows and c not in free_bnd.rows)
-    if len(rep_cols) != dim:
-        raise AssertionError(
-            f"homology at degree {d}, weight {w}: {len(rep_cols)} representatives, "
-            f"but ranks give dimension {dim}"
-        )
-    return HomologyData(dim, sb, rref.kernel(list(rep_cols)), rref, free_bnd, rep_cols)
+    for col in strand_columns(cols[d + 1], above, sb, x.ring):
+        free_bnd.insert({r: v for r, v in col.items() if r not in diff_ech.rows})
+    rep_cols = tuple(c for c in range(n) if c not in diff_ech.rows and c not in free_bnd.rows)
+    if not rep_cols:
+        return HomologyData(0, sb, [], None, None, ())
+    return HomologyData(
+        len(rep_cols), sb, diff_ech.kernel(list(rep_cols)), diff_ech, free_bnd, rep_cols
+    )
 
 
 # ---------- chain maps ----------
@@ -477,9 +483,6 @@ class ChainMap:
     def push_exp(self, e: Exponents) -> Exponents:
         return e if self.ring_map is None else self.ring_map(e)
 
-    def column(self, d: int, j: int) -> dict[int, Elem]:
-        return dict(by_col(self.entries_at(d)).get(j, ()))
-
 
 def identity_map(x: FreeComplex) -> ChainMap:
     ent: dict[int, dict[tuple[int, int], Elem]] = {}
@@ -488,39 +491,6 @@ def identity_map(x: FreeComplex) -> ChainMap:
         if gl:
             ent[d] = {(j, j): dict(one) for j in range(len(gl))}
     return ChainMap(src=x, dst=x, entries=ent)
-
-
-def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f. f: A -> B, g: B -> C."""
-    if g.src is not f.dst:
-        raise AssertionError("compose_maps: middle complexes differ")
-    ring = g.dst.ring
-    ent: dict[int, dict[tuple[int, int], Elem]] = {}
-    for d, fd in f.entries.items():
-        by_col_g = by_col(g.entries_at(d))
-        acc: dict[tuple[int, int], Elem] = {}
-        for (i, j), elem in fd.items():
-            pushed = {g.push_exp(e): v for e, v in elem.items()}
-            for (i2, elem2) in by_col_g.get(i, []):
-                prod = ring.elem_mul(elem2, pushed)
-                if not prod:
-                    continue
-                key = (i2, j)
-                s = ring.elem_add(acc.get(key, {}), prod)
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        if acc:
-            ent[d] = acc
-    rm = None
-    if f.ring_map or g.ring_map:
-        fm, gm = f.ring_map, g.ring_map
-        if fm and gm:
-            rm = lambda e: gm(fm(e))  # noqa: E731
-        else:
-            rm = fm or gm
-    return ChainMap(src=f.src, dst=g.dst, entries=ent, ring_map=rm)
 
 
 def check_chain_map(f: ChainMap) -> None:

@@ -333,9 +333,6 @@ class StabilizedTable:
                 out[c.degree] += c.dim
         return tuple(out)
 
-    def cell_map(self) -> dict[tuple[int, Fraction], Cell]:
-        return {(c.degree, c.weight): c for c in self.cells}
-
     def degree_stable(self, d: int) -> bool:
         return all(c.stable for c in self.cells if c.degree == d)
 

@@ -48,14 +48,6 @@ class RationalField:
         return Fraction(1) / a
 
     @staticmethod
-    def div(a: Scalar, b: Scalar) -> Scalar:
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-        return Fraction(a) / b
-
-    @staticmethod
     def is_zero(a: Scalar) -> bool:
         return a == 0
 
@@ -135,9 +127,6 @@ class PrimeField:
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return (a * pow(b, -1, self.p)) % self.p
-
     @staticmethod
     def is_zero(a: int) -> bool:
         return a == 0
@@ -145,9 +134,8 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    @staticmethod
-    def normalize(a: int) -> int:
-        return a
+    def normalize(self, a: int) -> int:
+        return a % self.p
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

@@ -79,14 +79,6 @@ class IdealFamily:
 
     # -- level data --
 
-    @property
-    def kind(self) -> str:
-        if self.root_vars and not self.gens:
-            return "roots"
-        if self.root_vars:
-            return "mixed"
-        return "fixed"
-
     def min_level(self) -> int:
         """Lowest level where every generator has integral numerators."""
         lvl = 0
@@ -114,11 +106,6 @@ class IdealFamily:
         exps.extend(ring.exp_of(g) for g in self.gens)
         out = sorted({e for e in exps if not ring.mono_is_zero(e)})
         return out
-
-    def describe(self) -> str:
-        parts = [f"roots({self.spec.variables[v].name})" for v in self.root_vars]
-        parts.extend(format_mono(self.spec, g) for g in self.gens)
-        return ", ".join(parts)
 
 
 def _is_power_denominator(d: int, r: int) -> bool:

@@ -67,16 +67,6 @@ class RingSpec:
                 return i
         raise KeyError(f"no variable named {name!r}")
 
-    def mono_from_dict(self, d: dict) -> FracMono:
-        """{name: Fraction} -> exponent tuple aligned with the variables."""
-        left = dict(d)
-        out = []
-        for v in self.variables:
-            out.append(Fraction(left.pop(v.name, 0)))
-        if left:
-            raise KeyError(f"unknown variables {sorted(left)}")
-        return tuple(out)
-
 
 def format_mono(spec: RingSpec, mono: FracMono, sep: str = "*") -> str:
     parts = []
@@ -151,9 +141,6 @@ class LevelRing:
             out.append(int(n))
         return tuple(out)
 
-    def frac_of(self, e: Exponents) -> FracMono:
-        return tuple(Fraction(n, s) for n, s in zip(e, self.scales))
-
     # ---------- elements ----------
 
     def one(self) -> Elem:
@@ -188,14 +175,6 @@ class LevelRing:
                 else:
                     out[e] = nv
         return out
-
-    def reduce_elem(self, x: Elem) -> Elem:
-        F = self.field
-        return {
-            e: v
-            for e, v in x.items()
-            if not self.mono_is_zero(e) and not F.is_zero(v)
-        }
 
     def elem_weight(self, x: Elem) -> Optional[Fraction]:
         """Common weight of a homogeneous element, None for 0."""
@@ -257,16 +236,6 @@ class LevelRing:
             n * r if v.divisible else n
             for n, v in zip(e, self.spec.variables)
         )
-
-    def include_elem(self, x: Elem, target: "LevelRing") -> Elem:
-        if target.level != self.level + 1 or target.spec is not self.spec:
-            raise ValueError("include_elem expects the next level of the same spec")
-        out: Elem = {}
-        for e, v in x.items():
-            ee = self.include_exp(e)
-            if not target.mono_is_zero(ee):
-                out[ee] = v
-        return out
 
     def __repr__(self) -> str:
         return f"<LevelRing level={self.level} of {_spec_brief(self.spec)}>"

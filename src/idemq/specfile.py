@@ -54,8 +54,9 @@ class ProblemSpec:
 
 # ---------- parsing ----------
 
-_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(.+))?$")
-_ROOTS = re.compile(r"^roots\(\s*([A-Za-z_]\w*)\s*\)$")
+_NAME = r"[A-Za-z_]\w*"  # a variable name, as a monomial factor can spell it
+_FACTOR = re.compile(rf"^({_NAME})(?:\^(.+))?$")
+_ROOTS = re.compile(rf"^roots\(\s*({_NAME})\s*\)$")
 
 
 def _power_of(q: int, r: int) -> bool:
@@ -138,10 +139,16 @@ def parse_spec(text: str) -> ProblemSpec:
                 root_base = int(rest)
             except ValueError:
                 raise SpecError(lineno, f"bad root_base {rest!r}") from None
+            if root_base < 2:
+                raise SpecError(lineno, "root_base must be >= 2")
         elif head == "var":
             parts = rest.split()
             if not parts or len(parts) > 2 or (len(parts) == 2 and parts[1] != "divisible"):
                 raise SpecError(lineno, "expected: var <name> [divisible]")
+            if not re.fullmatch(_NAME, parts[0]):
+                raise SpecError(
+                    lineno, f"bad variable name {parts[0]!r}: a letter or _, then letters, digits or _"
+                )
             if any(v.name == parts[0] for v in variables):
                 raise SpecError(lineno, f"duplicate variable {parts[0]!r}")
             variables.append(VarInfo(parts[0], len(parts) == 2))
@@ -181,11 +188,10 @@ def parse_spec(text: str) -> ProblemSpec:
         mono = _parse_monomial(item, variables, root_base, lineno)
         if any(e.denominator != 1 for e in mono):
             raise SpecError(lineno, "truncation exponents must be nonnegative integers")
+        if not any(mono):
+            raise SpecError(lineno, "cannot truncate by the unit monomial")
         truncations.append(mono)
-    try:
-        ring = RingSpec(field_obj, root_base, tuple(variables), tuple(truncations))
-    except ValueError as e:
-        raise SpecError(0, str(e)) from None
+    ring = RingSpec(field_obj, root_base, tuple(variables), tuple(truncations))
 
     ideals: dict[str, IdealFamily] = {}
     for name, items, lineno in ideal_raw:

@@ -1,13 +1,15 @@
-"""Helpers that only the tests use: dense matrix conversion, kernels and
-solutions of a SparseMatrix, and a homology dimension read from two
-ranks with no representatives."""
+"""Helpers that only the tests use: dense matrix conversion, a dense rank
+that shares no code with `sparsela`, kernels and solutions of a
+SparseMatrix, a homology dimension read from two dense ranks with no
+representatives, and small conveniences on chain maps, monomials and
+tables."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional
 
-from idemq.complexes import ColumnIndex, FreeComplex, strand_basis, strand_matrix
+from idemq.complexes import ChainMap, ColumnIndex, FreeComplex, by_col, strand_basis, strand_matrix
 from idemq.sparsela import SparseMatrix, Vec, kernel_rows, solve_rows
 
 
@@ -26,6 +28,41 @@ def from_dense(data: list[list], field) -> SparseMatrix:
 def to_dense(m: SparseMatrix) -> list[list]:
     z = m.field.zero
     return [[row.get(j, z) for j in range(m.ncols)] for row in m.rows]
+
+
+def dense_rank(data: list[list], field) -> int:
+    """Rank by Gauss elimination on a dense copy, over Q in Fractions and
+    over F_p in the field's own operations."""
+    if field.char == 0:
+        m = [[Fraction(v) for v in row] for row in data]
+    else:
+        m = [[field.from_int(v) if isinstance(v, int) else v for v in row] for row in data]
+    ncols = len(m[0]) if m else 0
+    rk = 0
+    for c in range(ncols):
+        p = next((i for i in range(rk, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rk], m[p] = m[p], m[rk]
+        prow = m[rk]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        inv = field.inv(prow[c])
+        for i in range(rk + 1, len(m)):
+            if m[i][c]:
+                f = field.mul(m[i][c], inv)
+                for j in nz:
+                    m[i][j] = field.sub(m[i][j], field.mul(f, prow[j]))
+        rk += 1
+    return rk
+
+
+def rank(m: SparseMatrix) -> int:
+    return dense_rank(to_dense(m), m.field)
+
+
+def add_at(m: SparseMatrix, i: int, j: int, v) -> None:
+    F = m.field
+    m.set(i, j, F.normalize(F.add(m.rows[i].get(j, F.zero), v)))
 
 
 def kernel_basis(m: SparseMatrix) -> list[Vec]:
@@ -49,4 +86,55 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
     cols = ColumnIndex(x)
     out = strand_matrix(x, d, w, provider, cols[d], src=sb)
     inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], dst=sb)
-    return len(sb.pairs) - out.rank() - inc.rank()
+    return len(sb.pairs) - rank(out) - rank(inc)
+
+
+def column(f: ChainMap, d: int, j: int) -> dict:
+    """Column j of f in degree d, as {row generator: ring element}."""
+    return dict(by_col(f.entries_at(d)).get(j, ()))
+
+
+def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
+    """g after f. f: A -> B, g: B -> C."""
+    if g.src is not f.dst:
+        raise AssertionError("compose_maps: middle complexes differ")
+    ring = g.dst.ring
+    ent: dict = {}
+    for d, fd in f.entries.items():
+        by_col_g = by_col(g.entries_at(d))
+        acc: dict = {}
+        for (i, j), elem in fd.items():
+            pushed = {g.push_exp(e): v for e, v in elem.items()}
+            for (i2, elem2) in by_col_g.get(i, []):
+                prod = ring.elem_mul(elem2, pushed)
+                if not prod:
+                    continue
+                key = (i2, j)
+                s = ring.elem_add(acc.get(key, {}), prod)
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        if acc:
+            ent[d] = acc
+    rm = None
+    if f.ring_map or g.ring_map:
+        fm, gm = f.ring_map, g.ring_map
+        if fm and gm:
+            rm = lambda e: gm(fm(e))  # noqa: E731
+        else:
+            rm = fm or gm
+    return ChainMap(src=f.src, dst=g.dst, entries=ent, ring_map=rm)
+
+
+def mono(spec, **exps) -> tuple:
+    """Exponent tuple aligned with the spec's variables, e.g. mono(spec, t=1)."""
+    names = [v.name for v in spec.variables]
+    if set(exps) - set(names):
+        raise KeyError(f"unknown variables {sorted(set(exps) - set(names))}")
+    return tuple(Fraction(exps.get(n, 0)) for n in names)
+
+
+def cell_map(table) -> dict:
+    """A table's cells by (degree, weight)."""
+    return {(c.degree, c.weight): c for c in table.cells}

@@ -177,6 +177,15 @@ def test_spec_error_is_positioned(tmp_path, capsys):
     assert "line 2: unknown variable 'u'" in err
 
 
+def test_spec_without_ideals_says_so(tmp_path, capsys):
+    spec = _write(tmp_path, "var t divisible\ntruncate t\n")
+    for command in ("quotient-homotopy", "check-idempotent", "static-check"):
+        code, out, err = _run(capsys, [command, spec])
+        assert code == 2
+        assert out == ""
+        assert "spec declares no ideal" in err
+
+
 def test_bad_module_expression(tmp_path, capsys):
     spec = _write(tmp_path, T_SPEC)
     code, _, err = _run(capsys, ["almost-zero", spec, "--module", "Spec(R)"])

@@ -10,7 +10,6 @@ from idemq.complexes import (
     ColumnIndex,
     Strands,
     check_chain_map,
-    compose_maps,
     homology_data,
     homology_map_matrix,
     ideal_resolution,
@@ -36,7 +35,7 @@ from idemq.derived import (
 from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import SparseMatrix, matmul
-from oracles import from_dense, homology_dim, to_dense
+from oracles import cell_map, compose_maps, from_dense, homology_dim, mono, to_dense
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -254,7 +253,7 @@ def test_quotient_homotopy_one_var_truncated():
     assert qh.stable
     assert qh.top_level <= 4
     assert qh.n_used == (2, 3, 4)
-    cells = qh.table.cell_map()
+    cells = cell_map(qh.table)
     assert cells[(0, F0)].dim == 1
     assert cells[(1, F1)].dim == 1
 
@@ -282,7 +281,7 @@ def test_static_check_untruncated_vs_truncated():
 
 def test_quotient_homotopy_unit_ideal_vanishes():
     spec = _spec_t()
-    U = fixed_family(spec, [spec.mono_from_dict({})], name="U")
+    U = fixed_family(spec, [mono(spec)], name="U")
     qh = quotient_homotopy(spec, U, 2)
     assert qh.dims == (0, 0, 0)
     assert qh.stable
@@ -301,7 +300,7 @@ def test_zero_ideal_degenerate_paths():
 
 def test_quotient_homotopy_rejects_non_idempotent():
     spec = _spec_t(trunc=False)
-    J = fixed_family(spec, [spec.mono_from_dict({"t": F1})], name="J")
+    J = fixed_family(spec, [mono(spec, t=F1)], name="J")
     with pytest.raises(ValueError, match="not idempotent"):
         quotient_homotopy(spec, J, 1)
 
@@ -319,7 +318,7 @@ def test_variable_blocks_split_and_merge():
     assert variable_blocks(spec, I) == [[0], [1]]
     # a mixed generator ties the variables together
     spec2 = _spec_xy(trunc=False)
-    J = fixed_family(spec2, [spec2.mono_from_dict({"x": F1, "y": F1})])
+    J = fixed_family(spec2, [mono(spec2, x=F1, y=F1)])
     assert variable_blocks(spec2, J) == [[0, 1]]
 
 
@@ -451,7 +450,7 @@ def test_tor_roots_against_fixed_quotient():
     I = _roots_xy(spec)
     J = fixed_family(
         spec,
-        [spec.mono_from_dict({"x": F1}), spec.mono_from_dict({"y": F1})],
+        [mono(spec, x=F1), mono(spec, y=F1)],
         name="J",
     )
     table = derived_tensor(
@@ -468,7 +467,7 @@ def test_tor_residue_against_fixed_quotient_is_koszul():
     I = _roots_xy(spec)
     J = fixed_family(
         spec,
-        [spec.mono_from_dict({"x": F1}), spec.mono_from_dict({"y": F1})],
+        [mono(spec, x=F1), mono(spec, y=F1)],
         name="J",
     )
     table = derived_tensor(spec, residue_module(), quotient_module(J), 3, Fraction(3))
@@ -481,9 +480,9 @@ def _symmetry_modules(trunc):
     """R, K, I = roots(t), the unit ideal U and, untruncated, J = (t), each
     ideal also as its quotient."""
     spec = _spec_t(trunc)
-    ideals = [roots_family(spec, "t"), fixed_family(spec, [spec.mono_from_dict({})], name="U")]
+    ideals = [roots_family(spec, "t"), fixed_family(spec, [mono(spec)], name="U")]
     if not trunc:
-        ideals.insert(1, fixed_family(spec, [spec.mono_from_dict({"t": F1})], name="J"))
+        ideals.insert(1, fixed_family(spec, [mono(spec, t=F1)], name="J"))
     mods = [ring_module(), residue_module()]
     for fam in ideals:
         mods += [ideal_module(fam), quotient_module(fam)]
@@ -497,7 +496,7 @@ def test_tor_is_symmetric(trunc):
     # stable zero)
     spec, mods = _symmetry_modules(trunc)
     tables = {
-        (a, b): derived_tensor(spec, a, b, 1, Fraction(3, 2), max_level=4).cell_map()
+        (a, b): cell_map(derived_tensor(spec, a, b, 1, Fraction(3, 2), max_level=4))
         for a in mods
         for b in mods
         if a != b
@@ -518,10 +517,10 @@ def test_tor_is_symmetric(trunc):
 def test_tor_against_the_unit_ideal_is_tor_against_r():
     # U = R as modules, so Tor(K, U) = Tor(K, R) = K in degree 0, weight 0
     spec, _ = _symmetry_modules(True)
-    U = fixed_family(spec, [spec.mono_from_dict({})], name="U")
+    U = fixed_family(spec, [mono(spec)], name="U")
     via_u = derived_tensor(spec, residue_module(), ideal_module(U), 1, Fraction(3, 2))
     via_r = derived_tensor(spec, residue_module(), ring_module(), 1, Fraction(3, 2))
-    assert via_u.cell_map() == via_r.cell_map() == {(0, F0): via_r.cells[0]}
+    assert cell_map(via_u) == cell_map(via_r) == {(0, F0): via_r.cells[0]}
     assert via_r.cells[0].dim == 1 and via_r.cells[0].stable
 
 

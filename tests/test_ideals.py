@@ -12,6 +12,7 @@ from idemq.ideals import (
     roots_family,
 )
 from idemq.rings import LevelRing, RingSpec, VarInfo
+from idemq.specfile import ProblemSpec, emit_spec
 
 
 def _spec(a=2):
@@ -106,7 +107,9 @@ def test_two_var_idempotency_witness():
 
 
 def test_describe():
+    # a family is described by the ideal line emit_spec writes for it
     spec = _spec()
-    assert roots_family(spec, "t").describe() == "roots(t)"
-    fam = fixed_family(spec, [(Fraction(3, 2),)])
-    assert fam.describe() == "t^{3/2}"
+    fams = {"I": roots_family(spec, "t"), "J": fixed_family(spec, [(Fraction(3, 2),)], name="J")}
+    text = emit_spec(ProblemSpec(ring=spec, ideals=fams))
+    assert "ideal I = roots(t)\n" in text
+    assert "ideal J = t^{3/2}\n" in text

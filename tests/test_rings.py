@@ -32,7 +32,6 @@ def test_scales_and_weights():
     assert r2.scales == (4,)
     assert r2.weight((3,)) == Fraction(3, 4)
     assert r2.exp_of((Fraction(1, 2),)) == (2,)
-    assert r2.frac_of((3,)) == (Fraction(3, 4),)
 
 
 def test_exp_of_rejects_undefined_level():
@@ -157,14 +156,14 @@ def test_elem_weight():
         r1.elem_weight({(1,): 1, (2,): 1})
 
 
-def test_include_elem():
+def test_include_exp():
     spec = _spec_one_var(a=2)
     r0 = LevelRing(spec, 0)
     r1 = LevelRing(spec, 1)
     assert r0.include_exp((1,)) == (2,)
-    assert r0.include_elem({(1,): 3}, r1) == {(2,): 3}
-    with pytest.raises(ValueError):
-        r1.include_elem({(1,): 1}, r0)
+    assert r1.include_exp((3,)) == (6,)
+    # the image keeps its weight
+    assert r1.weight(r0.include_exp((1,))) == r0.weight((1,))
 
 
 def test_make_level_ring_cached():

@@ -6,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idemq.fields import GF, QQ
-from idemq.sparsela import (
-    Echelon,
-    SparseMatrix,
-    kernel_rows,
-    matmul,
-    rank_rows,
-    solve_rows,
-)
-from oracles import from_dense, kernel_basis, rank_kernel, solve
+from idemq.sparsela import Echelon, SparseMatrix, kernel_rows, matmul, solve_rows
+from oracles import dense_rank, from_dense, kernel_basis, rank_kernel, solve, to_dense
+
+FIELDS = [QQ, GF(7), GF((1 << 31) - 1)]
 
 
 def test_rank_and_kernel_baseline():
@@ -56,7 +51,7 @@ def test_rank_kernel_counts():
 
 
 def test_empty_edges():
-    assert rank_rows([], 5, QQ) == 0
+    assert SparseMatrix(0, 5, QQ).rank() == 0
     assert kernel_rows([], 3, QQ) == [{0: 1}, {1: 1}, {2: 1}]
     assert SparseMatrix(0, 0, QQ).rank() == 0
     assert solve_rows([], 2, {}, QQ) == {}
@@ -112,9 +107,10 @@ def test_rank_q_agrees_with_large_prime():
 
 
 def test_rank_negative_pivot_regression():
-    # cross-multiplying against a pivot with negative leading entry used
-    # to flip the pivot-row sign and overcount the rank (got 6, want 4)
-    rows = [
+    # a fraction-free rank loop once flipped the pivot-row sign when it
+    # cross-multiplied against a negative leading entry, and overcounted
+    # the rank (got 6, want 4)
+    data = [
         {0: -1, 1: 1, 2: 1},
         {0: 1, 2: -1, 3: 1},
         {2: 1, 4: 1},
@@ -126,28 +122,13 @@ def test_rank_negative_pivot_regression():
         {4: -1, 5: 1},
         {4: 1, 5: -1},
     ]
-    assert rank_rows(rows, 6, QQ) == 4
+    for field in FIELDS:
+        rows = [{c: field.from_int(v) for c, v in row.items()} for row in data]
+        m = SparseMatrix(len(rows), 6, field, rows)
+        assert m.rank() == 4 == dense_rank(to_dense(m), field)
 
 
 def test_rank_q_signed_random_agrees_with_fraction_gauss():
-    def frank(data):
-        m = [[Fraction(v) for v in row] for row in data]
-        ncols = len(m[0])
-        rk, rpos = 0, 0
-        for c in range(ncols):
-            p = next((i for i in range(rpos, len(m)) if m[i][c]), None)
-            if p is None:
-                continue
-            m[rpos], m[p] = m[p], m[rpos]
-            for i in range(rpos + 1, len(m)):
-                if m[i][c]:
-                    f = m[i][c] / m[rpos][c]
-                    for j in range(c, ncols):
-                        m[i][j] -= f * m[rpos][j]
-            rpos += 1
-            rk += 1
-        return rk
-
     rng = random.Random(1009)
     for _ in range(200):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
@@ -156,7 +137,7 @@ def test_rank_q_signed_random_agrees_with_fraction_gauss():
             for _ in range(nr)
         ]
         mq = from_dense(data, QQ)
-        assert mq.rank() == frank(data)
+        assert mq.rank() == dense_rank(data, QQ)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,16 +166,17 @@ def test_rank_nullity_property(data):
     ),
 )
 def test_rank_mod_p_matches_augmented_echelon(p, data):
-    # rank_rows eliminates rows without keeping an echelon; kernel_rows
-    # reads one kernel vector off each free column of a full RREF
+    # the rank counts the echelon's pivots; kernel_rows reads one kernel
+    # vector off each free column of its reduced form; the dense rank
+    # shares no code with either
     F = GF(p)
     m = from_dense(data, F)
-    assert rank_rows(m.rows, m.ncols, F) == m.ncols - len(kernel_rows(m.rows, m.ncols, F))
+    assert m.rank() == m.ncols - len(kernel_rows(m.rows, m.ncols, F)) == dense_rank(data, F)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([QQ, GF(7), GF((1 << 31) - 1)]),
+    st.sampled_from(FIELDS),
     st.lists(
         st.lists(st.integers(min_value=-20, max_value=20), min_size=5, max_size=5),
         min_size=1,
@@ -204,28 +186,40 @@ def test_rank_mod_p_matches_augmented_echelon(p, data):
 def test_kernel_rows_are_a_kernel_basis(field, data):
     m = from_dense(data, field)
     ker = kernel_rows(m.rows, m.ncols, field)
-    assert len(ker) == m.ncols - rank_rows(m.rows, m.ncols, field)
+    assert len(ker) == m.ncols - dense_rank(data, field)
     for v in ker:
         assert m.mul_vec(v) == {}
+    assert dense_rank(to_dense(SparseMatrix(len(ker), m.ncols, field, ker)), field) == len(ker)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([QQ, GF(7), GF((1 << 31) - 1)]),
+    st.sampled_from(FIELDS),
     st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4),
         min_size=2,
         max_size=4,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=3),
 )
-def test_solve_solutions_check_out(field, data, xs):
+def test_solve_solutions_check_out(field, data, xs, bump):
     m = from_dense(data, field)
     x = {j: field.from_int(v) for j, v in enumerate(xs[: m.ncols]) if v}
     rhs = m.mul_vec(x)
     got = solve(m, rhs)
     assert got is not None
     assert m.mul_vec(got) == rhs
+    # moved off the image in one row: solvable exactly when the dense
+    # rank of [A | b] equals the rank of A
+    i = bump % m.nrows
+    rhs[i] = field.normalize(field.add(rhs.get(i, field.zero), field.one))
+    got = solve(m, rhs)
+    aug = [row + [rhs.get(r, field.zero)] for r, row in enumerate(to_dense(m))]
+    if dense_rank(aug, field) > dense_rank(data, field):
+        assert got is None
+    else:
+        assert got is not None and m.mul_vec(got) == {r: v for r, v in rhs.items() if v}
 
 
 def test_echelon_membership():
@@ -233,14 +227,31 @@ def test_echelon_membership():
     assert e.insert({0: 1, 1: 2}) is not None
     assert e.insert({0: 2, 1: 4}) is None
     assert e.rank == 1
-    assert e.contains({0: 3, 1: 6})
-    assert not e.contains({0: 1, 1: 1})
+    assert not e.reduce({0: 3, 1: 6})
+    assert e.reduce({0: 1, 1: 1})
 
 
-def test_echelon_prefers_unit_pivot():
-    e = Echelon(QQ)
-    e.insert({0: 2, 1: 1})
-    # pivot sits on the unit coefficient, so no fractions were created
-    (col,) = e.rows.keys()
-    assert col == 1
-    assert all(not isinstance(v, Fraction) for v in e.rows[col].values())
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.lists(
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=5),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_echelon_keeps_rows_under_their_lowest_column(field, data):
+    e = Echelon(field)
+    seen = []
+    for drow in data:
+        vec = {c: field.from_int(v) for c, v in enumerate(drow) if field.from_int(v)}
+        grows = dense_rank(seen + [drow], field) > dense_rank(seen, field)
+        res = e.reduce(vec)
+        assert not set(res) & set(e.rows)
+        assert (not res) == (not grows)
+        pick = e.insert(vec)
+        assert (pick is None) == (not grows)
+        seen.append(drow)
+        for key, row in e.rows.items():
+            assert key == min(row) and row[key] == field.one
+    assert e.rank == dense_rank(data, field)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,20 @@ def test_ideal_name_joins_words_with_plus():
     for bad in ("I+", "+I", "I++J", "I J"):
         with pytest.raises(SpecError, match="expected: ideal"):
             parse_spec(f"var t divisible\nideal {bad} = roots(t)\n")
+
+
+def test_ring_errors_name_their_line():
+    with pytest.raises(SpecError, match="^line 2: root_base must be >= 2$"):
+        parse_spec("var t divisible\nroot_base 1\n")
+    with pytest.raises(SpecError, match="^line 3: cannot truncate by the unit monomial$"):
+        parse_spec("var t divisible\ntruncate t\ntruncate 1\n")
+
+
+def test_variable_name_must_be_spellable_in_a_monomial():
+    for bad in ("9t", "t-1", "t^2", "é"):
+        with pytest.raises(SpecError, match=re.escape(f"line 1: bad variable name '{bad}'")):
+            parse_spec(f"var {bad}\nideal I = t\n")
+    assert parse_spec("var _t9\nideal I = _t9^2\n").ideals["I"].gens == ((Fraction(2),),)
 
 
 def test_spec_error_carries_position():
