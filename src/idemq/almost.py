@@ -100,11 +100,7 @@ class AlmostVerdict:
 def _mult_map(cx: FreeComplex, g: Exponents) -> ChainMap:
     """Multiplication by the monomial g as a chain self-map."""
     one = cx.field.one
-    ent = {
-        d: {(i, i): {g: one} for i in range(len(gl))}
-        for d, gl in cx.gens.items()
-        if gl
-    }
+    ent = {d: [((i, {g: one}),) for i in range(len(gl))] for d, gl in cx.gens.items() if gl}
     return ChainMap(src=cx, dst=cx, entries=ent)
 
 

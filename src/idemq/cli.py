@@ -49,7 +49,7 @@ from .derived import (
     tower_report,
 )
 from .ideals import NotIdempotent, check_idempotent
-from .specfile import ProblemSpec, SpecError, emit_spec, parse_spec
+from .specfile import ProblemSpec, emit_spec, parse_spec
 
 _EXIT = {"Stable": 0, "Unstable": 3, "Falsified": 4}
 
@@ -214,11 +214,10 @@ def _cells_entry(degree: int, weight: Fraction, dim: int, stable: bool) -> dict:
 
 
 def _table_from_stabilized(table) -> dict:
-    cells = sorted(table.cells, key=lambda c: (c.degree, c.weight))
     return {
         "name": table.name,
         "trusted_degree_max": table.trusted_degree_max,
-        "cells": [_cells_entry(c.degree, c.weight, c.dim, c.stable) for c in cells],
+        "cells": [_cells_entry(c.degree, c.weight, c.dim, c.stable) for c in table.cells],
     }
 
 
@@ -540,9 +539,6 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = _run(args, sys.stdout)
-    except (UsageError, SpecError) as e:
-        print(f"idemq: error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"idemq: error: {e}", file=sys.stderr)
         return 2

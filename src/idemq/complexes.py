@@ -12,6 +12,14 @@ read as R/J (R itself when J is empty) or, with `inside`, as J, so Tor
 against a monomial quotient or ideal and reduction mod the maximal ideal
 are one code path. `basis(w)` never returns a zero monomial.
 
+Every map is stored by column. For each degree d, a differential
+`FreeComplex.diff[d]` and a chain map's `ChainMap.entries[d]` are lists
+with one column per source generator; column j is a tuple of (row
+generator, ring element) pairs, `()` when generator j maps to zero. A
+degree that is not stored maps every generator to zero (`diff_at`,
+`entries_at`). Columns are immutable, so a cone or a cone map shares a
+leg's column wherever its rows keep their positions.
+
 One engine reads every map on strands. `add_image` adds a column of ring
 elements times a module monomial to a strand vector; it is the one place
 a product is looked up in a strand's (generator, monomial) index, and a
@@ -34,10 +42,6 @@ Inside a level, strands are walked in integer weights over the ring's
 are keyed by integers. Generator lists, cells and tables keep Fractions,
 the weights where levels meet; `strand_basis` converts its weight once.
 
-The column index of a differential (`by_col`) is built by the caller
-and passed in: once per degree of a level diagram's walk, once per
-degree of a resolution or a lift, never once per strand.
-
 No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
 again minimal (no differential entry is a unit), so Gauss cancellation
@@ -56,20 +60,23 @@ from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 # ---------- complexes ----------
 
+# one column of a map: (row generator, ring element) pairs
+Column = tuple[tuple[int, Elem], ...]
+
 
 @dataclass
 class FreeComplex:
     """Bounded complex of free modules with weight-graded generators.
 
     gens[d] lists the weights of the degree-d generators. diff[d] maps
-    degree d to degree d-1; entry (i, j) is the coefficient (a ring
-    element) of generator i of degree d-1 in the boundary of generator j
-    of degree d.
+    degree d to degree d-1, one column per degree-d generator: column j
+    pairs each generator i of degree d-1 in the boundary of generator j
+    with its coefficient (a ring element).
     """
 
     ring: LevelRing
     gens: dict[int, list[Fraction]] = field(default_factory=dict)
-    diff: dict[int, dict[tuple[int, int], Elem]] = field(default_factory=dict)
+    diff: dict[int, list[Column]] = field(default_factory=dict)
     # augmentation of the degree-0 part, one target element per generator;
     # aug_quotient lists monomial generators of the ideal cut out of the
     # target (empty tuple = the target is R itself)
@@ -121,8 +128,9 @@ class FreeComplex:
     def rank(self, d: int) -> int:
         return len(self.gens.get(d, []))
 
-    def diff_at(self, d: int) -> dict[tuple[int, int], Elem]:
-        return self.diff.get(d, {})
+    def diff_at(self, d: int) -> list[Column]:
+        """diff[d], or rank(d) empty columns where it is not stored."""
+        return self.diff.get(d) or [()] * self.rank(d)
 
     def total_rank(self) -> int:
         return sum(len(g) for g in self.gens.values())
@@ -130,30 +138,6 @@ class FreeComplex:
     def __repr__(self) -> str:
         ranks = {d: len(g) for d, g in sorted(self.gens.items()) if g}
         return f"<FreeComplex ranks={ranks} over {self.ring!r}>"
-
-
-def by_col(entries: dict[tuple[int, int], Elem]) -> dict[int, list[tuple[int, Elem]]]:
-    """Entries {(i, j): elem} grouped by column: {j: [(i, elem), ...]}.
-
-    Each column keeps the entries in their stored order, so a loop over
-    one column visits them as a scan of all entries would."""
-    out: dict[int, list[tuple[int, Elem]]] = {}
-    for (i, j), elem in entries.items():
-        out.setdefault(j, []).append((i, elem))
-    return out
-
-
-class ColumnIndex(dict):
-    """by_col(x.diff_at(d)) by degree d, each built on first use and kept
-    for as long as its holder keeps this index."""
-
-    def __init__(self, x: FreeComplex):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, d: int) -> dict[int, list[tuple[int, Elem]]]:
-        cols = self[d] = by_col(self.x.diff_at(d))
-        return cols
 
 
 def unit_complex(ring: LevelRing) -> FreeComplex:
@@ -167,43 +151,53 @@ def unit_complex(ring: LevelRing) -> FreeComplex:
     )
 
 
+def _check_layout(maps: dict[int, list[Column]], rank: Callable[[int], int], what: str) -> None:
+    """Assert that each stored degree holds one column per source generator."""
+    for d, cols in maps.items():
+        if len(cols) != rank(d):
+            raise AssertionError(
+                f"{what} at d={d} holds {len(cols)} columns for {rank(d)} generators"
+            )
+
+
 def check_complex(x: FreeComplex) -> None:
-    """Assert dd = 0 and weight homogeneity of every entry."""
+    """Assert the column layout, dd = 0 and weight homogeneity of every
+    entry."""
     ring = x.ring
-    for d, entries in x.diff.items():
+    _check_layout(x.diff, x.rank, "differential")
+    for d, cols in x.diff.items():
         below = x.gens.get(d - 1, [])
         here = x.gens.get(d, [])
-        for (i, j), elem in entries.items():
-            if not elem:
-                raise AssertionError(f"stored zero entry at d={d} ({i},{j})")
-            w = ring.elem_weight(elem)
-            if w != here[j] - below[i]:
-                raise AssertionError(
-                    f"entry ({i},{j}) at d={d} has weight {w}, want {here[j] - below[i]}"
-                )
+        for j, col in enumerate(cols):
+            for i, elem in col:
+                if not elem:
+                    raise AssertionError(f"stored zero entry at d={d} ({i},{j})")
+                w = ring.elem_weight(elem)
+                if w != here[j] - below[i]:
+                    raise AssertionError(
+                        f"entry ({i},{j}) at d={d} has weight {w}, want {here[j] - below[i]}"
+                    )
     for d in sorted(x.diff):
         if d - 1 not in x.diff:
             continue
-        # compose columns of diff[d] with diff[d-1]
-        by_col_lower = by_col(x.diff[d - 1])
-        acc: dict[tuple[int, int], Elem] = {}
-        for (i, j), elem in x.diff[d].items():
-            for (i2, elem2) in by_col_lower.get(i, []):
-                prod = ring.elem_mul(elem2, elem)
-                if not prod:
-                    continue
-                key = (i2, j)
-                acc[key] = ring.elem_add(acc.get(key, {}), prod)
-        for key, elem in acc.items():
-            if elem:
-                raise AssertionError(f"dd != 0 at degree {d}, entry {key}: {elem}")
+        # compose each column of diff[d] with diff[d-1]
+        lower = x.diff[d - 1]
+        for j, col in enumerate(x.diff[d]):
+            acc: dict[int, Elem] = {}
+            for i, elem in col:
+                for i2, elem2 in lower[i]:
+                    prod = ring.elem_mul(elem2, elem)
+                    if prod:
+                        acc[i2] = ring.elem_add(acc.get(i2, {}), prod)
+            for i2, elem in acc.items():
+                if elem:
+                    raise AssertionError(f"dd != 0 at degree {d}, entry {(i2, j)}: {elem}")
     if x.aug is not None and 1 in x.diff:
         # augmentation composes to zero with the first differential
         q = Strands(x.ring, x.aug_quotient)
-        cols = by_col(x.diff[1])
-        for j in range(x.rank(1)):
+        for j, col in enumerate(x.diff[1]):
             acc: Elem = {}
-            for i, elem in cols.get(j, ()):
+            for i, elem in col:
                 acc = ring.elem_add(acc, ring.elem_mul(x.aug[i], elem))
             acc = {e: v for e, v in acc.items() if not q.in_ideal(e)}
             if acc:
@@ -323,22 +317,22 @@ def strand_column(vec: Vec, sb: StrandBasis) -> dict[int, Elem]:
 
 
 def strand_columns(
-    cols: dict[int, list[tuple[int, Elem]]], src: StrandBasis, dst: StrandBasis, ring: LevelRing
+    cols: list[Column], src: StrandBasis, dst: StrandBasis, ring: LevelRing
 ) -> Iterator[Vec]:
     """The columns, one strand vector of dst per pair of src, of the map
-    whose column j is cols[j] (as by_col gives it)."""
+    whose column j is cols[j]."""
     one = ring.field.one
     for j, mono in src.pairs:
         col: Vec = {}
-        add_image(col, cols.get(j, ()), mono, dst.index, one, ring)
+        add_image(col, cols[j], mono, dst.index, one, ring)
         yield col
 
 
 def strand_map(
-    cols: dict[int, list[tuple[int, Elem]]], src: StrandBasis, dst: StrandBasis, ring: LevelRing
+    cols: list[Column], src: StrandBasis, dst: StrandBasis, ring: LevelRing
 ) -> SparseMatrix:
     """Matrix, from strand src to strand dst, of the map whose column j
-    is cols[j] (as by_col gives it)."""
+    is cols[j]."""
     m = SparseMatrix(len(dst.pairs), len(src.pairs), ring.field)
     rows = m.rows
     for c, col in enumerate(strand_columns(cols, src, dst, ring)):
@@ -352,25 +346,23 @@ def strand_matrix(
     d: int,
     w: Fraction,
     provider: Strands,
-    cols: dict[int, list[tuple[int, Elem]]],
     src: Optional[StrandBasis] = None,
     dst: Optional[StrandBasis] = None,
 ) -> SparseMatrix:
-    """Matrix of diff[d] on the weight-w strand (rows: degree d-1); cols
-    is by_col(x.diff_at(d)), built once by the caller."""
+    """Matrix of diff[d] on the weight-w strand (rows: degree d-1)."""
     if src is None:
         src = strand_basis(x, d, w, provider)
     if dst is None:
         dst = strand_basis(x, d - 1, w, provider)
-    return strand_map(cols, src, dst, x.ring)
+    return strand_map(x.diff_at(d), src, dst, x.ring)
 
 
-def aug_strand(x: FreeComplex, w: Fraction) -> tuple[dict, StrandBasis]:
+def aug_strand(x: FreeComplex, w: Fraction) -> tuple[list[Column], StrandBasis]:
     """The augmentation as a map onto one generator of weight 0: its
     columns, and the weight-w strand of the target R/aug_quotient."""
     if x.aug is None:
         raise AssertionError("complex has no augmentation")
-    cols = {j: [(0, a)] for j, a in enumerate(x.aug)}
+    cols = [((0, a),) for a in x.aug]
     return cols, StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis(w)])
 
 
@@ -431,30 +423,28 @@ def homology_data(
     d: int,
     w: Fraction,
     provider,
-    cols: ColumnIndex,
     below: Optional[StrandBasis] = None,
     above: Optional[StrandBasis] = None,
 ) -> HomologyData:
     """Homology of the weight-w strand in degree d, from one echelon of
     d_d's rows. If d_d has full rank there are no cycles and nothing more
     is built. Otherwise the columns of d_{d+1} (the boundaries) are
-    projected onto the free columns, where they fill `free_bnd`. cols is
-    x's column index, read in degrees d and d+1 only as far as the strand
-    needs; below and above are the weight-w strand bases of degrees d-1
-    and d+1 where the caller already has them."""
+    projected onto the free columns, where they fill `free_bnd`. below
+    and above are the weight-w strand bases of degrees d-1 and d+1 where
+    the caller already has them."""
     F = x.field
     sb = strand_basis(x, d, w, provider)
     n = len(sb.pairs)
     diff_ech = Echelon(F)
     if n:
-        for row in strand_matrix(x, d, w, provider, cols[d], src=sb, dst=below).rows:
+        for row in strand_matrix(x, d, w, provider, src=sb, dst=below).rows:
             diff_ech.insert(row)
     if diff_ech.rank == n:
         return HomologyData(0, sb, [], None, None, ())
     if above is None:
         above = strand_basis(x, d + 1, w, provider)
     free_bnd = Echelon(F)
-    for col in strand_columns(cols[d + 1], above, sb, x.ring):
+    for col in strand_columns(x.diff_at(d + 1), above, sb, x.ring):
         free_bnd.insert({r: v for r, v in col.items() if r not in diff_ech.rows})
     rep_cols = tuple(c for c in range(n) if c not in diff_ech.rows and c not in free_bnd.rows)
     if not rep_cols:
@@ -469,48 +459,49 @@ def homology_data(
 
 @dataclass
 class ChainMap:
-    """Chain map src -> dst; entries live in the target ring. ring_map
-    pushes source monomials into the target ring (None = same ring)."""
+    """Chain map src -> dst, stored like a differential: entries[d] holds
+    one column per degree-d generator of src, its entries in the target
+    ring. ring_map pushes source monomials into the target ring (None =
+    same ring)."""
 
     src: FreeComplex
     dst: FreeComplex
-    entries: dict[int, dict[tuple[int, int], Elem]] = field(default_factory=dict)
+    entries: dict[int, list[Column]] = field(default_factory=dict)
     ring_map: Optional[Callable[[Exponents], Exponents]] = None
 
-    def entries_at(self, d: int) -> dict[tuple[int, int], Elem]:
-        return self.entries.get(d, {})
+    def entries_at(self, d: int) -> list[Column]:
+        """entries[d], or src.rank(d) empty columns where it is not stored."""
+        return self.entries.get(d) or [()] * self.src.rank(d)
 
     def push_exp(self, e: Exponents) -> Exponents:
         return e if self.ring_map is None else self.ring_map(e)
 
 
 def identity_map(x: FreeComplex) -> ChainMap:
-    ent: dict[int, dict[tuple[int, int], Elem]] = {}
     one = x.ring.one()
-    for d, gl in x.gens.items():
-        if gl:
-            ent[d] = {(j, j): dict(one) for j in range(len(gl))}
+    ent = {d: [((j, dict(one)),) for j in range(len(gl))] for d, gl in x.gens.items() if gl}
     return ChainMap(src=x, dst=x, entries=ent)
 
 
 def check_chain_map(f: ChainMap) -> None:
-    """Assert d . f = f . d degreewise."""
+    """Assert the column layout and d . f = f . d degreewise."""
     ring = f.dst.ring
+    _check_layout(f.entries, f.src.rank, "chain map")
     for d in sorted(set(f.entries) | set(f.src.diff)):
-        f_here, f_below = by_col(f.entries_at(d)), by_col(f.entries_at(d - 1))
-        dst_diff, src_diff = by_col(f.dst.diff_at(d)), by_col(f.src.diff_at(d))
+        f_here, f_below = f.entries_at(d), f.entries_at(d - 1)
+        dst_diff, src_diff = f.dst.diff_at(d), f.src.diff_at(d)
         # f then d on one side, d then f on the other, per source generator
         for j in range(f.src.rank(d)):
             lhs: dict[int, Elem] = {}
-            for i, elem in f_here.get(j, ()):
-                for (i2, delem) in dst_diff.get(i, ()):
+            for i, elem in f_here[j]:
+                for (i2, delem) in dst_diff[i]:
                     acc = ring.elem_mul(delem, elem)
                     if acc:
                         lhs[i2] = ring.elem_add(lhs.get(i2, {}), acc)
             rhs: dict[int, Elem] = {}
-            for i, selem in src_diff.get(j, ()):
+            for i, selem in src_diff[j]:
                 pushed = {f.push_exp(e): v for e, v in selem.items()}
-                for i2, felem in f_below.get(i, ()):
+                for i2, felem in f_below[i]:
                     acc = ring.elem_mul(felem, pushed)
                     if acc:
                         rhs[i2] = ring.elem_add(rhs.get(i2, {}), acc)
@@ -527,18 +518,14 @@ def check_chain_map(f: ChainMap) -> None:
 
 
 def push_strand_vec(
-    f: ChainMap,
-    cols: dict[int, list[tuple[int, Elem]]],
-    vec: Vec,
-    src_sb: StrandBasis,
-    dst_sb: StrandBasis,
+    f: ChainMap, cols: list[Column], vec: Vec, src_sb: StrandBasis, dst_sb: StrandBasis
 ) -> Vec:
     """Image of a strand vector under f (weights preserved); `cols` is
-    by_col of f's entries in the strand's degree."""
+    f.entries_at(d) for the strand's degree d."""
     out: Vec = {}
     for pos, c in vec.items():
         j, mono = src_sb.pairs[pos]
-        add_image(out, cols.get(j, ()), f.push_exp(mono), dst_sb.index, c, f.dst.ring)
+        add_image(out, cols[j], f.push_exp(mono), dst_sb.index, c, f.dst.ring)
     return out
 
 
@@ -548,7 +535,7 @@ def homology_map_matrix(
     """Matrix of H_d(f) on the chosen homology bases (one weight strand)."""
     F = f.dst.field
     m = SparseMatrix(dst_h.dim, src_h.dim, F)
-    cols = by_col(f.entries_at(d))
+    cols = f.entries_at(d)
     for k, rep in enumerate(src_h.reps):
         img = push_strand_vec(f, cols, rep, src_h.basis, dst_h.basis)
         for r, v in dst_h.coords(img, F).items():
@@ -609,25 +596,26 @@ def tensor_complexes(
                     prov[(d, idx)] = (p, i, q, j)
                     rev[(p, i, q, j)] = idx
         gens[d] = gl
-    a_cols = {p: by_col(ent) for p, ent in a.diff.items()}
-    b_cols = {q: by_col(ent) for q, ent in b.diff.items()}
-    diff: dict[int, dict[tuple[int, int], Elem]] = {}
+    a_diff = {p: a.diff_at(p) for p in a.gens}
+    b_diff = {q: b.diff_at(q) for q in b.gens}
+    diff: dict[int, list[Column]] = {}
     for d, gl in gens.items():
         if d - 1 not in gens:
             continue
-        ent: dict[tuple[int, int], Elem] = {}
+        cols = []
         for idx in range(len(gl)):
             p, i, q, j = prov[(d, idx)]
-            for (i2, elem) in a_cols.get(p, {}).get(i, ()):
+            col = []
+            for (i2, elem) in a_diff[p][i]:
                 tgt = rev.get((p - 1, i2, q, j))
                 if tgt is not None:
-                    ent[(tgt, idx)] = elem
-            for (j2, elem) in b_cols.get(q, {}).get(j, ()):
+                    col.append((tgt, elem))
+            for (j2, elem) in b_diff[q][j]:
                 tgt = rev.get((p, i, q - 1, j2))
                 if tgt is not None:
-                    ent[(tgt, idx)] = ring.elem_neg(elem) if p % 2 else elem
-        if ent:
-            diff[d] = ent
+                    col.append((tgt, ring.elem_neg(elem) if p % 2 else elem))
+            cols.append(tuple(col))
+        diff[d] = cols
     aug = None
     if (
         a.aug is not None
@@ -660,26 +648,22 @@ def tensor_maps(
     if f.ring_map is not None and g.ring_map is not None and f.ring_map is not g.ring_map:
         raise AssertionError("tensor_maps: factors carry different ring maps")
     ring = dst.ring
-    f_cols = {p: by_col(e) for p, e in f.entries.items()}
-    g_cols = {q: by_col(e) for q, e in g.entries.items()}
-    ent: dict[int, dict[tuple[int, int], Elem]] = {}
+    f_cols = {p: f.entries_at(p) for p in f.src.gens}
+    g_cols = {q: g.entries_at(q) for q in g.src.gens}
+    ent = {d: [()] * len(gl) for d, gl in src.gens.items()}
     for (d, idx), (p, i, q, j) in src_info.prov.items():
-        gcol = g_cols.get(q, {}).get(j, ())
-        for i2, ea in f_cols.get(p, {}).get(i, ()):
+        # each (i2, j2) has its own target generator, so no two products meet
+        gcol = g_cols[q][j]
+        col = []
+        for i2, ea in f_cols[p][i]:
             for j2, eb in gcol:
                 tgt = dst_info.rev.get((p, i2, q, j2))
                 if tgt is None:
                     continue
                 prod = ring.elem_mul(ea, eb)
-                if not prod:
-                    continue
-                dent = ent.setdefault(d, {})
-                key = (tgt, idx)
-                s = ring.elem_add(dent.get(key, {}), prod)
-                if s:
-                    dent[key] = s
-                else:
-                    dent.pop(key, None)
+                if prod:
+                    col.append((tgt, prod))
+        ent[d][idx] = tuple(col)
     return ChainMap(
         src=src, dst=dst, entries=ent, ring_map=f.ring_map or g.ring_map
     )
@@ -692,10 +676,10 @@ def cone(f: ChainMap) -> FreeComplex:
     """Mapping cone of f: X -> Y (same ring): C_d = Y_d + X_{d-1},
     d(y, x) = (dy + (-1)^(d-1) fx, dx) for x in X_{d-1}. This is the cone
     with d(y, x) = (dy + fx, -dx) twisted by x -> -x in every other
-    degree, so it has the same homology and ranks; its X-block shares the
-    entries of X's differential, and f is negated only in odd X-degrees.
-    The degree-d generators are those of Y_d in order, then those of
-    X_{d-1}: X-generator i of degree d-1 sits at Y.rank(d) + i."""
+    degree, so it has the same homology and ranks; it shares Y's columns
+    and the entries of X's differential, and f is negated only in odd
+    X-degrees. The degree-d generators are those of Y_d in order, then
+    those of X_{d-1}: X-generator i of degree d-1 sits at Y.rank(d) + i."""
     if f.ring_map is not None:
         raise AssertionError("cone needs a same-ring chain map")
     x, y = f.src, f.dst
@@ -703,17 +687,18 @@ def cone(f: ChainMap) -> FreeComplex:
     lo = min(y.lo, x.lo + 1)
     hi = max(y.hi, x.hi + 1)
     gens = {d: y.gens_at(d) + x.gens_at(d - 1) for d in range(lo, hi + 1)}
-    diff: dict[int, dict[tuple[int, int], Elem]] = {}
+    diff: dict[int, list[Column]] = {}
     for d in range(lo, hi + 1):
-        here, below = y.rank(d), y.rank(d - 1)
-        ent: dict[tuple[int, int], Elem] = dict(y.diff_at(d))
+        below = y.rank(d - 1)
         odd = (d - 1) % 2
-        for (i, j), elem in f.entries_at(d - 1).items():
-            ent[(i, here + j)] = ring.elem_neg(elem) if odd else elem
-        for (i, j), elem in x.diff_at(d - 1).items():
-            ent[(below + i, here + j)] = elem
-        if ent:
-            diff[d] = ent
+        cols = list(y.diff_at(d))
+        for fcol, xcol in zip(f.entries_at(d - 1), x.diff_at(d - 1)):
+            if odd:
+                fcol = tuple((i, ring.elem_neg(elem)) for i, elem in fcol)
+            if below:
+                xcol = tuple((below + i, elem) for i, elem in xcol)
+            cols.append(fcol + xcol)
+        diff[d] = cols
     return FreeComplex(ring=ring, gens=gens, diff=diff)
 
 
@@ -730,14 +715,13 @@ def cone_map(
         for d in set(c.gens) | set(y.gens) | {e + 1 for e in x.gens}:
             if c.rank(d) != y.rank(d) + x.rank(d - 1):
                 raise AssertionError(f"cone_map: cone ranks in degree {d} do not fit the square")
-    ent: dict[int, dict[tuple[int, int], Elem]] = {}
-    for d, fd in fy.entries.items():
-        for (i, j), elem in fd.items():
-            ent.setdefault(d, {})[(i, j)] = elem
-    for d, fd in fx.entries.items():
-        si, di = fy.src.rank(d + 1), fy.dst.rank(d + 1)
-        for (i, j), elem in fd.items():
-            ent.setdefault(d + 1, {})[(di + i, si + j)] = elem
+    ent: dict[int, list[Column]] = {}
+    for d in src_cone.gens:
+        di = fy.dst.rank(d)
+        ent[d] = list(fy.entries_at(d)) + [
+            tuple((di + i, elem) for i, elem in col) if di else col
+            for col in fx.entries_at(d - 1)
+        ]
     return ChainMap(
         src=src_cone, dst=dst_cone, entries=ent, ring_map=fx.ring_map or fy.ring_map
     )
@@ -771,7 +755,6 @@ def minimal_resolution(
         aug_quotient=tuple(quotient_gens),
     )
     for d in range(1, dmax + 1):
-        cols = by_col(x.diff_at(d - 1))
         # (integer weight, boundary column) of each new generator
         chosen: list[tuple[int, dict[int, Elem]]] = []
         for w in strand_weights(x, d - 1, wmax, prov):
@@ -782,7 +765,7 @@ def minimal_resolution(
                 aug_cols, tgt = aug_strand(x, w)
                 mat = strand_map(aug_cols, sb, tgt, ring)
             else:
-                mat = strand_matrix(x, d - 1, w, prov, cols, src=sb)
+                mat = strand_matrix(x, d - 1, w, prov, src=sb)
             cycles = kernel_rows(mat.rows, len(sb.pairs), F)
             if not cycles:
                 continue
@@ -799,11 +782,7 @@ def minimal_resolution(
         x.gens[d] = [Fraction(n, ring.denom) for (n, _c) in chosen]
         if not chosen:  # nothing left to resolve
             break
-        ent: dict[tuple[int, int], Elem] = {}
-        for j, (_n, col) in enumerate(chosen):
-            for i, elem in col.items():
-                ent[(i, j)] = elem
-        x.diff[d] = ent
+        x.diff[d] = [tuple(col.items()) for _n, col in chosen]
     return x
 
 
@@ -814,16 +793,10 @@ def ideal_resolution(
     resolution of R/(gens) shifted down one degree, augmented into R by
     the inclusion."""
     res = minimal_resolution(ring, tuple(gens), dmax + 1, Fraction(wmax))
-    gens_out: dict[int, list[Fraction]] = {}
-    diff_out: dict[int, dict[tuple[int, int], Elem]] = {}
-    for d, gl in res.gens.items():
-        if d >= 1:
-            gens_out[d - 1] = list(gl)
-    for d, ent in res.diff.items():
-        if d >= 2:
-            diff_out[d - 1] = dict(ent)
+    gens_out = {d - 1: gl for d, gl in res.gens.items() if d >= 1}
+    diff_out = {d - 1: cols for d, cols in res.diff.items() if d >= 2}
     # the only row of diff[1] is the single degree-0 generator of res(R/I)
-    aug = [res.diff_at(1).get((0, j), {}) for j in range(res.rank(1))]
+    aug = [col[0][1] if col else {} for col in res.diff_at(1)]
     return FreeComplex(
         ring=ring, gens=gens_out, diff=diff_out, aug=aug, aug_quotient=()
     )
@@ -854,15 +827,14 @@ def lift_chain_map(
     prov = Strands(ring)
     f = ChainMap(src=x, dst=y, entries={}, ring_map=ring_map)
     for d in range(x.lo, x.hi + 1):
-        ent: dict[tuple[int, int], Elem] = {}
+        cols: list[Column] = []
         if d == 0:
             # the augmentations are the degree-0 boundaries, into one
             # generator on which f is the identity
-            x_cols = {j: [(0, a)] for j, a in enumerate(x.aug)}
-            f_cols = {0: [(0, ring.one())]}
+            x_cols = [((0, a),) for a in x.aug]
+            f_cols = [((0, ring.one()),)]
         else:
-            x_cols, f_cols = by_col(x.diff_at(d)), by_col(f.entries_at(d - 1))
-            y_diff = by_col(y.diff_at(d))
+            x_cols, f_cols = x.diff_at(d), f.entries_at(d - 1)
         for j, w in enumerate(x.gens_at(d)):
             ysb = strand_basis(y, d, w, prov)
             if d == 0:
@@ -870,21 +842,19 @@ def lift_chain_map(
                 mat = strand_map(y_cols, ysb, ydst, ring)
             else:
                 ydst = strand_basis(y, d - 1, w, prov)
-                mat = strand_matrix(y, d, w, prov, y_diff, src=ysb, dst=ydst)
+                mat = strand_matrix(y, d, w, prov, src=ysb, dst=ydst)
             # f(d g): the ring is commutative, so each monomial of f's
             # entry scales the pushed boundary entry; pushed monomials that
             # vanish in y's ring are not in the strand and drop out
             rhs: Vec = {}
-            for i, selem in x_cols.get(j, ()):
+            for i, selem in x_cols[j]:
                 pushed = {f.push_exp(e): v for e, v in selem.items()}
-                for i2, felem in f_cols.get(i, ()):
+                for i2, felem in f_cols[i]:
                     for mono, c in felem.items():
                         add_image(rhs, ((i2, pushed),), mono, ydst.index, c, ring)
             sol = solve_rows(mat.rows, len(ysb.pairs), rhs, F)
             if sol is None:
                 raise AssertionError(f"no lift at degree {d}, generator {j}")
-            for i, elem in strand_column(sol, ysb).items():
-                ent[(i, j)] = elem
-        if ent:
-            f.entries[d] = ent
+            cols.append(tuple(strand_column(sol, ysb).items()))
+        f.entries[d] = cols
     return f

@@ -40,19 +40,17 @@ homology cache, their tags keeping the entries apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .complexes import (
     ChainMap,
-    ColumnIndex,
     FreeComplex,
     NO_HOMOLOGY,
     HomologyData,
     Strands,
     TensorInfo,
-    by_col,
     cone,
     cone_map,
     homology_data,
@@ -67,7 +65,7 @@ from .complexes import (
     unit_complex,
 )
 from .ideals import IdealFamily, NotIdempotent, check_idempotent
-from .rings import Elem, Exponents, LevelRing, RingSpec, make_level_ring
+from .rings import Exponents, LevelRing, RingSpec, make_level_ring
 from .sparsela import SparseMatrix, matmul
 
 # ---------- bounds ----------
@@ -163,8 +161,6 @@ def cell_in_flight(dims: tuple[int, ...], levels: list[int], window: int) -> boo
     close to the top to judge, or already dead at the top and waiting
     out the window? A cell alive from the first level is undersampled,
     not newborn."""
-    if len(dims) != len(levels):
-        return False
     alive = [k for k, v in enumerate(dims) if v]
     if not alive:
         return False
@@ -220,12 +216,10 @@ class LevelDiagram:
     provider per level, made by _LevelBuilder.level_diagram. Homology is
     cached in the builder's cache under (tag, level, d, w).
 
-    Homology is asked for one degree at a time (a walk). While the walk
-    stays at degree d, the diagram holds a ColumnIndex per level, which
-    groups the differentials out of and into degree d as the level's
-    uncached strands first need them; a walk to another degree drops it.
-    A weight off a level's lattice has the empty strand there: its
-    homology is NO_HOMOLOGY, neither built nor cached."""
+    Differentials and transitions are stored by column, so a strand reads
+    the columns of its generators directly and the diagram keeps no index
+    of its own. A weight off a level's lattice has the empty strand
+    there: its homology is NO_HOMOLOGY, neither built nor cached."""
 
     levels: list[int]
     complexes: list[FreeComplex]
@@ -234,18 +228,6 @@ class LevelDiagram:
     root_base: int
     cache: dict
     tag: tuple
-    # the degree of the walk, and the column indexes it holds by level
-    _walk_degree: Optional[int] = field(default=None, init=False, repr=False)
-    _walk_cols: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _column_index(self, k: int, d: int) -> ColumnIndex:
-        if self._walk_degree != d:
-            self._walk_degree = d
-            self._walk_cols = {}
-        cols = self._walk_cols.get(k)
-        if cols is None:
-            cols = self._walk_cols[k] = ColumnIndex(self.complexes[k])
-        return cols
 
     def homology(self, k: int, d: int, w: Fraction) -> HomologyData:
         if self.complexes[k].ring.num(w) is None:  # the level's strand is empty
@@ -257,13 +239,7 @@ class LevelDiagram:
             near = [self.cache.get((self.tag, self.levels[k], e, w)) for e in (d - 1, d + 1)]
             below, above = (None if n is None else n.basis for n in near)
             h = homology_data(
-                self.complexes[k],
-                d,
-                w,
-                self.providers[k],
-                self._column_index(k, d),
-                below=below,
-                above=above,
+                self.complexes[k], d, w, self.providers[k], below=below, above=above
             )
             self.cache[key] = h
         return h
@@ -454,7 +430,7 @@ class Tower(_LevelBuilder):
         return ChainMap(
             src=self.unit(l),
             dst=self.unit(l + 1),
-            entries={0: {(0, 0): self.ring(l + 1).one()}},
+            entries={0: [((0, self.ring(l + 1).one()),)]},
             ring_map=self.inc(l),
         )
 
@@ -482,7 +458,7 @@ class Tower(_LevelBuilder):
                 return self.resI(l), None
             t, info = tensor_complexes(self.X(n - 1, l), self.resI(l), self.dmax, self.wmax)
             unit = t.ring.unit
-            if any(unit in elem for ent in t.diff.values() for elem in ent.values()):
+            if any(unit in elem for cols in t.diff.values() for col in cols for _i, elem in col):
                 raise AssertionError("tensor of minimal complexes has a unit entry")
             return t, info
 
@@ -523,26 +499,19 @@ class Tower(_LevelBuilder):
     def eps(self, n: int, l: int) -> ChainMap:
         """Multiplication X(n, l) -> R, stored as the augmentation."""
         x = self.X(n, l)
-        ent: dict[int, dict[tuple[int, int], Elem]] = {}
-        if x.aug:
-            e0 = {(0, j): x.aug[j] for j in range(x.rank(0)) if x.aug[j]}
-            if e0:
-                ent[0] = e0
+        ent = {0: [((0, a),) if a else () for a in x.aug]} if x.aug else {}
         return ChainMap(src=x, dst=self.unit(l), entries=ent)
 
     def sigma(self, n: int, l: int) -> ChainMap:
         """id (x) eps_1: X(n+1, l) -> X(n, l)."""
 
         def make():
-            resI = self.resI(l)
-            ent: dict[int, dict[tuple[int, int], Elem]] = {}
+            aug, src = self.resI(l).aug, self.X(n + 1, l)
+            ent = {d: [()] * len(gl) for d, gl in src.gens.items()}
             for (d, idx), (p, i, q, j) in self.Xinfo(n + 1, l).prov.items():
-                if q != 0:
-                    continue
-                elem = resI.aug[j]
-                if elem:
-                    ent.setdefault(d, {})[(i, idx)] = elem
-            return ChainMap(src=self.X(n + 1, l), dst=self.X(n, l), entries=ent)
+                if q == 0 and aug[j]:
+                    ent[d][idx] = ((i, aug[j]),)
+            return ChainMap(src=src, dst=self.X(n, l), entries=ent)
 
         return self.memo(("sigma", n, l), make)
 
@@ -1137,24 +1106,17 @@ def _amitsur_level(
                 gl.append(gw)
         gens_out[d] = gl
 
-    diff: dict[int, dict[tuple[int, int], Elem]] = {}
-
-    def add_entry(d, dst, src, elem):
-        ent = diff.setdefault(d, {})
-        key = (dst, src)
-        s = ring.elem_add(ent.get(key, {}), elem)
-        if s:
-            ent[key] = s
-        else:
-            ent.pop(key, None)
-
-    cols = [{i: by_col(ent) for i, ent in pw.diff.items()} for pw in powers]
+    # every entry of a column has its own target generator: the internal
+    # differential stays in column k, the coface lands in column k + 1
+    diff = {d: [()] * len(gl) for d, gl in gens_out.items()}
+    diffs = [{i: pw.diff_at(i) for i in pw.gens} for pw in powers]
     for (k, i, g), (d, src) in idx.items():
+        col = []
         # internal differential
-        for i2, elem in cols[k].get(i, {}).get(g, ()):
+        for i2, elem in diffs[k][i][g]:
             tgt = idx.get((k, i - 1, i2))
             if tgt is not None:
-                add_entry(d, tgt[1], src, elem)
+                col.append((tgt[1], elem))
         # leading coface, sign (-1)^i to anticommute; inserting ahead of
         # the unit generator lands in the degenerate part and dies
         if k + 1 <= m:
@@ -1164,7 +1126,8 @@ def _amitsur_level(
                 tgt = None if hit is None else idx.get((k + 1, hit[0], hit[1]))
                 if tgt is not None:
                     sign = -1 if i % 2 else 1
-                    add_entry(d, tgt[1], src, {ring.unit: F.from_int(sign)})
+                    col.append((tgt[1], {ring.unit: F.from_int(sign)}))
+        diff[d][src] = tuple(col)
 
     tot = FreeComplex(ring=ring, gens=gens_out, diff=diff)
     return _TotData(tot, powers, infos, wbar, idx)
@@ -1189,15 +1152,19 @@ def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
                 maps[-1], beta_bar, lo.powers[k], lo.infos[k], hi.powers[k], hi.infos[k]
             )
         )
-    ent: dict[int, dict[tuple[int, int], Elem]] = {}
+    ent = {d: [()] * len(gl) for d, gl in lo.tot.gens.items()}
     for k in range(m + 1):
-        for d_int, entries in maps[k].entries.items():
-            for (i2, j2), elem in entries.items():
+        for d_int, cols in maps[k].entries.items():
+            for j2, col in enumerate(cols):
                 src = lo.idx.get((k, d_int, j2))
-                dst = hi.idx.get((k, d_int, i2))
-                if src is None or dst is None:
+                if src is None:
                     continue
-                ent.setdefault(src[0], {})[(dst[1], src[1])] = elem
+                out = []
+                for i2, elem in col:
+                    dst = hi.idx.get((k, d_int, i2))
+                    if dst is not None:
+                        out.append((dst[1], elem))
+                ent[src[0]][src[1]] = tuple(out)
     return ChainMap(src=lo.tot, dst=hi.tot, entries=ent, ring_map=inc)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from idemq.complexes import ChainMap, ColumnIndex, FreeComplex, by_col, strand_basis, strand_matrix
+from idemq.complexes import ChainMap, FreeComplex, strand_basis, strand_matrix
 from idemq.sparsela import SparseMatrix, Vec, kernel_rows, solve_rows
 
 
@@ -83,40 +83,42 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
     sb = strand_basis(x, d, w, provider)
     if not sb.pairs:
         return 0
-    cols = ColumnIndex(x)
-    out = strand_matrix(x, d, w, provider, cols[d], src=sb)
-    inc = strand_matrix(x, d + 1, w, provider, cols[d + 1], dst=sb)
+    out = strand_matrix(x, d, w, provider, src=sb)
+    inc = strand_matrix(x, d + 1, w, provider, dst=sb)
     return len(sb.pairs) - rank(out) - rank(inc)
 
 
 def column(f: ChainMap, d: int, j: int) -> dict:
     """Column j of f in degree d, as {row generator: ring element}."""
-    return dict(by_col(f.entries_at(d)).get(j, ()))
+    return dict(f.entries_at(d)[j])
 
 
 def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f. f: A -> B, g: B -> C."""
+    """g after f. f: A -> B, g: B -> C. A degree where the composite is
+    zero is not stored."""
     if g.src is not f.dst:
         raise AssertionError("compose_maps: middle complexes differ")
     ring = g.dst.ring
     ent: dict = {}
-    for d, fd in f.entries.items():
-        by_col_g = by_col(g.entries_at(d))
-        acc: dict = {}
-        for (i, j), elem in fd.items():
-            pushed = {g.push_exp(e): v for e, v in elem.items()}
-            for (i2, elem2) in by_col_g.get(i, []):
-                prod = ring.elem_mul(elem2, pushed)
-                if not prod:
-                    continue
-                key = (i2, j)
-                s = ring.elem_add(acc.get(key, {}), prod)
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        if acc:
-            ent[d] = acc
+    for d, fcols in f.entries.items():
+        gcols = g.entries_at(d)
+        cols = []
+        for fcol in fcols:
+            acc: dict = {}
+            for i, elem in fcol:
+                pushed = {g.push_exp(e): v for e, v in elem.items()}
+                for (i2, elem2) in gcols[i]:
+                    prod = ring.elem_mul(elem2, pushed)
+                    if not prod:
+                        continue
+                    s = ring.elem_add(acc.get(i2, {}), prod)
+                    if s:
+                        acc[i2] = s
+                    else:
+                        acc.pop(i2, None)
+            cols.append(tuple(acc.items()))
+        if any(cols):
+            ent[d] = cols
     rm = None
     if f.ring_map or g.ring_map:
         fm, gm = f.ring_map, g.ring_map

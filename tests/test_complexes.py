@@ -5,11 +5,9 @@ import pytest
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
-    ColumnIndex,
     FreeComplex,
     Strands,
     aug_strand,
-    by_col,
     check_chain_map,
     check_complex,
     cone,
@@ -65,9 +63,9 @@ def test_resolution_of_k_is_periodic():
     check_complex(res)
     for d in range(5):
         assert res.rank(d) == 1
-    assert res.diff[1][(0, 0)] == {(1,): 1}
-    assert res.diff[2][(0, 0)] == {(2,): 1}
-    assert res.diff[3][(0, 0)] == {(1,): 1}
+    assert res.diff[1] == [((0, {(1,): 1}),)]
+    assert res.diff[2] == [((0, {(2,): 1}),)]
+    assert res.diff[3] == [((0, {(1,): 1}),)]
     # generator weights 0, 1, 3, 4, 6
     assert [res.gens[d][0] for d in range(5)] == [0, 1, 3, 4, 6]
 
@@ -109,9 +107,9 @@ def test_resolution_at_level_one():
     ring = _ring(a=2, level=1)
     res = minimal_resolution(ring, ((1,),), dmax=2, wmax=Fraction(4))
     check_complex(res)
-    assert res.diff[1][(0, 0)] == {(1,): 1}
+    assert res.diff[1] == [((0, {(1,): 1}),)]
     # x^(1/2) * x^(3/2) = x^2 = 0
-    assert res.diff[2][(0, 0)] == {(3,): 1}
+    assert res.diff[2] == [((0, {(3,): 1}),)]
 
 
 def test_two_var_resolution_is_koszul_times_periodic():
@@ -135,7 +133,7 @@ def test_ideal_resolution_shifts():
     assert resi.rank(0) == 1
     assert resi.aug == [{(1,): 1}]
     # first differential of the ideal resolution is x^2
-    assert resi.diff[1][(0, 0)] == {(2,): 1}
+    assert resi.diff[1] == [((0, {(2,): 1}),)]
 
 
 # ---------- strand mechanics ----------
@@ -148,7 +146,7 @@ def test_strand_basis_and_matrix_shapes():
     sb = strand_basis(res, 1, Fraction(2), prov)
     # degree 1 generator has weight 1; monomials of weight 1: x
     assert sb.pairs == [(0, (1,))]
-    m = strand_matrix(res, 1, Fraction(2), prov, by_col(res.diff_at(1)))
+    m = strand_matrix(res, 1, Fraction(2), prov)
     assert (m.nrows, m.ncols) == (1, 1)
     assert m.rows[0] == {0: 1}
 
@@ -194,7 +192,13 @@ def test_tensor_weight_truncation_drops_heavy_gens():
 def _unit_entries(x):
     """Differential entries of x that hold the unit monomial."""
     unit = x.ring.unit
-    return [(d, key) for d, ent in x.diff.items() for key, elem in ent.items() if unit in elem]
+    return [
+        (d, (i, j))
+        for d, cols in x.diff.items()
+        for j, col in enumerate(cols)
+        for i, elem in col
+        if unit in elem
+    ]
 
 
 def test_tensor_powers_have_no_unit_entry():
@@ -228,7 +232,7 @@ def test_cone_of_augmentation():
     eps = ChainMap(
         src=resi,
         dst=unit_complex(ring),
-        entries={0: {(0, 0): dict(resi.aug[0])}},
+        entries={0: [((0, dict(resi.aug[0])),)]},
     )
     check_chain_map(eps)
     c = cone(eps)
@@ -255,46 +259,38 @@ def test_cofibres_of_sigma_are_complexes_sharing_the_entries_of_x():
                 c = tw.cof_sigma(n, level)
                 check_complex(c)
                 sigma, x, y = tw.sigma(n, level), tw.X(n + 1, level), tw.X(n, level)
-                for d, ent in x.diff.items():
+                for d, cols in x.diff.items():
                     here, below = y.rank(d + 1), y.rank(d)
-                    for (i, j), elem in ent.items():
-                        assert c.diff[d + 1][(below + i, here + j)] is elem
-                for d, ent in sigma.entries.items():
+                    for j, col in enumerate(cols):
+                        got = dict(c.diff[d + 1][here + j])
+                        for i, elem in col:
+                            assert got[below + i] is elem
+                for d, cols in sigma.entries.items():
                     here = y.rank(d + 1)
-                    for (i, j), elem in ent.items():
-                        got = c.diff[d + 1][(i, here + j)]
-                        if d % 2:
-                            assert got == x.ring.elem_neg(elem)
-                        else:
-                            assert got is elem
+                    for j, col in enumerate(cols):
+                        got = dict(c.diff[d + 1][here + j])
+                        for i, elem in col:
+                            if d % 2:
+                                assert got[i] == x.ring.elem_neg(elem)
+                            else:
+                                assert got[i] is elem
         # eps lives in X-degree 0, so the cone of eps never negates it
         q = tw.Q(1, 1)
         check_complex(q)
-        assert tw.eps(1, 1).entries[0]
-        for (i, j), elem in tw.eps(1, 1).entries[0].items():
-            assert q.diff[1][(i, tw.unit(1).rank(1) + j)] is elem
+        assert any(tw.eps(1, 1).entries[0])
+        for j, col in enumerate(tw.eps(1, 1).entries[0]):
+            got = dict(q.diff[1][tw.unit(1).rank(1) + j])
+            for i, elem in col:
+                assert got[i] is elem
 
 
-def test_a_level_walk_indexes_each_differential_at_most_twice(monkeypatch):
-    from idemq import complexes
-
-    family = _t_family()
-    tw = Tower(family.spec, family, 4, Fraction(2))
-    diag = tw.cof_diagram(2, [1, 2, 3])
-    grouped = []
-    real = complexes.by_col
-    monkeypatch.setattr(complexes, "by_col", lambda ent: grouped.append(id(ent)) or real(ent))
-    raw = diag.run(range(4), Fraction(2), 2)
-    assert raw
-    diffs = {
-        id(ent): (k, d) for k, x in enumerate(diag.complexes) for d, ent in x.diff.items()
-    }
-    counts: dict = {}
-    for i in grouped:
-        if i in diffs:
-            counts[diffs[i]] = counts.get(diffs[i], 0) + 1
-    assert counts and max(counts.values()) <= 2
-    assert len(grouped) < 100  # not one index per strand
+def test_check_complex_refuses_a_differential_missing_a_column():
+    sq, _prov = _xy_square(QQ)
+    check_complex(sq)
+    broken = FreeComplex(ring=sq.ring, gens=sq.gens, diff={**sq.diff, 2: sq.diff[2][:-1]})
+    want = f"differential at d=2 holds {sq.rank(2) - 1} columns for {sq.rank(2)} generators"
+    with pytest.raises(AssertionError, match=want):
+        check_complex(broken)
 
 
 # ---------- chain map lifting ----------
@@ -317,6 +313,16 @@ def test_lift_along_level_inclusion():
             assert elem == {(0,): 1}
         else:
             assert all(sum(e) > 0 for e in elem)
+
+
+def test_check_chain_map_refuses_a_map_missing_a_column():
+    sq, _prov = _xy_square(QQ)
+    f = identity_map(sq)
+    check_chain_map(f)
+    broken = ChainMap(src=sq, dst=sq, entries={**f.entries, 1: f.entries[1][:-1]})
+    want = f"chain map at d=1 holds {sq.rank(1) - 1} columns for {sq.rank(1)} generators"
+    with pytest.raises(AssertionError, match=want):
+        check_chain_map(broken)
 
 
 def test_lift_onto_a_complex_that_is_not_a_resolution_is_an_internal_fault():
@@ -416,7 +422,7 @@ def test_homology_map_of_identity():
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
     prov = Strands(ring)
-    h = homology_data(sq, 1, Fraction(1), prov, ColumnIndex(sq))
+    h = homology_data(sq, 1, Fraction(1), prov)
     assert h.dim == 1
     m = homology_map_matrix(identity_map(sq), 1, h, h)
     assert m.rank() == 1
@@ -428,9 +434,9 @@ def test_homology_data_reps_are_cycles():
     res = minimal_resolution(ring, ((1,),), dmax=3, wmax=Fraction(6))
     sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
     prov = Strands(ring)
-    h = homology_data(sq, 2, Fraction(3), prov, ColumnIndex(sq))
+    h = homology_data(sq, 2, Fraction(3), prov)
     assert h.dim == homology_dim(sq, 2, Fraction(3), prov) == 1
-    out = strand_matrix(sq, 2, Fraction(3), prov, by_col(sq.diff_at(2)), src=h.basis)
+    out = strand_matrix(sq, 2, Fraction(3), prov, src=h.basis)
     for rep in h.reps:
         # matrix-vector product: rows of `out` dot rep
         for row in out.rows:
@@ -471,7 +477,7 @@ def test_rank_first_dims_match_homology_dim_on_xy(field, build):
     seen = nonzero = 0
     for d in range(x.lo, x.hi + 1):
         for w in strand_weights(x, d, Fraction(2), prov):
-            h = homology_data(x, d, w, prov, ColumnIndex(x))
+            h = homology_data(x, d, w, prov)
             assert h.dim == homology_dim(x, d, w, prov)
             assert len(h.reps) == h.dim
             seen += 1
@@ -492,16 +498,15 @@ def test_coords_read_each_representative_on_xy(field, build):
     # the unit coordinates of its own class, also when moved by a boundary,
     # and a vector that is not a cycle is refused
     x, prov = build(field)
-    cols = ColumnIndex(x)
     seen = 0
     for d in range(x.lo, x.hi + 1):
         for w in strand_weights(x, d, Fraction(2), prov):
-            h = homology_data(x, d, w, prov, cols)
+            h = homology_data(x, d, w, prov)
             if not h.dim:
                 continue
             seen += 1
-            out = strand_matrix(x, d, w, prov, cols[d], src=h.basis)
-            inc = strand_matrix(x, d + 1, w, prov, cols[d + 1], dst=h.basis)
+            out = strand_matrix(x, d, w, prov, src=h.basis)
+            inc = strand_matrix(x, d + 1, w, prov, dst=h.basis)
             # a boundary: the image of a sum of d+1 strand basis vectors
             bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
             for k, rep in enumerate(h.reps):
@@ -521,11 +526,10 @@ def test_coords_on_a_strand_with_homology_checks_cycles():
     sq, prov = _xy_square(QQ)
 
     def strands():
-        cols = ColumnIndex(sq)
         for d in range(sq.lo, sq.hi + 1):
             for w in strand_weights(sq, d, Fraction(2), prov):
-                h = homology_data(sq, d, w, prov, cols)
-                yield h, strand_matrix(sq, d + 1, w, prov, cols[d + 1], dst=h.basis)
+                h = homology_data(sq, d, w, prov)
+                yield h, strand_matrix(sq, d + 1, w, prov, dst=h.basis)
 
     # homology beside boundaries, and cycles that do not fill the strand
     h, inc = next(
@@ -572,14 +576,18 @@ def test_tensor_maps_square_of_lift():
     check_chain_map(sqmap)
 
 
-# ---------- column-grouped entries ----------
+# ---------- columns against full scans ----------
 
 
-def test_by_col_keeps_entry_order():
-    entries = {(2, 1): "a", (0, 0): "b", (1, 1): "c", (0, 1): "d", (3, 0): "e"}
-    assert by_col(entries) == {1: [(2, "a"), (1, "c"), (0, "d")], 0: [(0, "b"), (3, "e")]}
-    assert list(by_col(entries)) == [1, 0]
-    assert by_col({}) == {}
+def _entries(cols):
+    """A degree's columns as entries {(i, j): elem}, column by column."""
+    return {(i, j): elem for j, col in enumerate(cols) for i, elem in col}
+
+
+def _keyed(maps):
+    """The degrees of a differential or chain map that hold an entry, each
+    as _entries."""
+    return {d: _entries(cols) for d, cols in maps.items() if any(cols)}
 
 
 def _scan(entries, j):
@@ -596,11 +604,11 @@ def _scan_tensor_diff(a, b, t, info):
         ent = {}
         for idx in range(len(gl)):
             p, i, q, j = info.prov[(d, idx)]
-            for i2, elem in _scan(a.diff_at(p), i):
+            for i2, elem in _scan(_entries(a.diff_at(p)), i):
                 tgt = info.rev.get((p - 1, i2, q, j))
                 if tgt is not None:
                     ent[(tgt, idx)] = elem
-            for j2, elem in _scan(b.diff_at(q), j):
+            for j2, elem in _scan(_entries(b.diff_at(q)), j):
                 tgt = info.rev.get((p, i, q - 1, j2))
                 if tgt is not None:
                     ent[(tgt, idx)] = elem if p % 2 == 0 else ring.elem_neg(elem)
@@ -612,8 +620,8 @@ def _scan_tensor_diff(a, b, t, info):
 def _scan_tensor_map(f, g, src_info, dst_info, ring):
     ent = {}
     for (d, idx), (p, i, q, j) in src_info.prov.items():
-        for i2, ea in _scan(f.entries_at(p), i):
-            for j2, eb in _scan(g.entries_at(q), j):
+        for i2, ea in _scan(_entries(f.entries_at(p)), i):
+            for j2, eb in _scan(_entries(g.entries_at(q)), j):
                 tgt = dst_info.rev.get((p, i2, q, j2))
                 prod = ring.elem_mul(ea, eb)
                 if tgt is None or not prod:
@@ -660,10 +668,10 @@ def _scan_lift(x, y, ring_map):
                     if not _divisible(e, y.aug_quotient)
                 }
             else:
-                mat = strand_matrix(y, d, gw, prov, by_col(y.diff_at(d)), src=ysb)
+                mat = strand_matrix(y, d, gw, prov, src=ysb)
                 ydst = strand_basis(y, d - 1, gw, prov)
                 rhs = {}
-                for i, selem in _scan(x.diff_at(d), j):
+                for i, selem in _scan(_entries(x.diff_at(d)), j):
                     for i2, felem in _scan(entries.get(d - 1, {}), i):
                         for e, c in ring.elem_mul(felem, push(selem)).items():
                             r = ydst.index.get((i2, e))
@@ -698,24 +706,23 @@ def test_grouped_columns_match_full_scans_on_xy_level_2():
     sq1, info1 = tensor_complexes(res1, res1, dmax=3, wmax=wmax)
     sq2, info2 = tensor_complexes(res2, res2, dmax=3, wmax=wmax)
     assert sq2.total_rank() > 50
-    for d in sorted(sq2.diff):
-        assert list(sq2.diff[d].items()) == list(
-            _scan_tensor_diff(res2, res2, sq2, info2)[d].items()
-        )
-    assert list(sq2.diff) == list(_scan_tensor_diff(res2, res2, sq2, info2))
+    got, want = _keyed(sq2.diff), _scan_tensor_diff(res2, res2, sq2, info2)
+    assert list(got) == list(want)
+    for d in want:
+        assert list(got[d].items()) == list(want[d].items())
 
     lift = lift_chain_map(res1, res2, ring_map=r1.include_exp)
-    want = _scan_lift(res1, res2, r1.include_exp)
-    assert list(lift.entries) == list(want)
+    got, want = _keyed(lift.entries), _scan_lift(res1, res2, r1.include_exp)
+    assert list(got) == list(want)
     for d in want:
-        assert list(lift.entries[d].items()) == list(want[d].items())
+        assert list(got[d].items()) == list(want[d].items())
 
     sqmap = tensor_maps(lift, lift, sq1, info1, sq2, info2)
     check_chain_map(sqmap)
-    want = _scan_tensor_map(lift, lift, info1, info2, r2)
-    assert list(sqmap.entries) == list(want)
+    got, want = _keyed(sqmap.entries), _scan_tensor_map(lift, lift, info1, info2, r2)
+    assert list(got) == list(want)
     for d in want:
-        assert list(sqmap.entries[d].items()) == list(want[d].items())
+        assert list(got[d].items()) == list(want[d].items())
 
 
 # ---------- strands from the weight index ----------
@@ -778,7 +785,7 @@ def _strand_matrix_with_zero_test(x, d, w, provider):
     dst = strand_basis(x, d - 1, w, provider)
     m = SparseMatrix(len(dst.pairs), len(src.pairs), x.field)
     for c, (j, mono) in enumerate(src.pairs):
-        for i, elem in _scan(x.diff_at(d), j):
+        for i, elem in x.diff_at(d)[j]:
             for e, coeff in elem.items():
                 ee = x.ring.mul_mono(e, mono)
                 if _is_zero(provider, ee):
@@ -849,7 +856,7 @@ def test_strand_matrix_needs_no_zero_test():
         for d in sorted(x.diff):
             for provider in _strand_providers(x.ring, family):
                 for w in strand_weights(x, d, wmax, provider):
-                    got = strand_matrix(x, d, w, provider, by_col(x.diff_at(d)))
+                    got = strand_matrix(x, d, w, provider)
                     want = _strand_matrix_with_zero_test(x, d, w, provider)
                     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
                     assert got.rows == want.rows, (name, d, w)

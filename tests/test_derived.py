@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from idemq import derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
-    ColumnIndex,
     Strands,
     check_chain_map,
+    check_complex,
     homology_data,
     homology_map_matrix,
     ideal_resolution,
@@ -369,9 +369,10 @@ def test_unit_entry_in_a_tensor_power_is_an_internal_fault(monkeypatch):
 
     def with_unit_entry(a, b, dmax=None, wmax=None):
         t, info = real(a, b, dmax, wmax)
-        d = min(t.diff)
-        key = next(iter(t.diff[d]))
-        t.diff[d][key] = t.ring.one()
+        cols = t.diff[min(t.diff)]
+        j = next(j for j, col in enumerate(cols) if col)
+        (i, _elem), *rest = cols[j]
+        cols[j] = ((i, t.ring.one()), *rest)
         return t, info
 
     monkeypatch.setattr(derived, "tensor_complexes", with_unit_entry)
@@ -389,8 +390,8 @@ def test_multiplication_kernel_weight_one():
     tw = Tower(spec, I, 3, Fraction(2))
     for l in (1, 2, 3):
         prov = Strands(tw.ring(l))
-        h_src = homology_data(tw.X(2, l), 0, F1, prov, ColumnIndex(tw.X(2, l)))
-        h_dst = homology_data(tw.X(1, l), 0, F1, prov, ColumnIndex(tw.X(1, l)))
+        h_src = homology_data(tw.X(2, l), 0, F1, prov)
+        h_dst = homology_data(tw.X(1, l), 0, F1, prov)
         assert h_src.dim == 1
         assert h_dst.dim == 0  # t^1 already dies in I
     raw = tw.cof_diagram(1, [1, 2, 3, 4]).run([1], Fraction(3, 2), 2)
@@ -406,7 +407,8 @@ def test_sigma_compatible_with_multiplication():
     for n, l in ((1, 1), (2, 1), (1, 2)):
         check_chain_map(tw.sigma(n, l))
         lhs = compose_maps(tw.eps(n, l), tw.sigma(n, l))
-        assert lhs.entries == tw.eps(n + 1, l).entries
+        want = {d: cols for d, cols in tw.eps(n + 1, l).entries.items() if any(cols)}
+        assert lhs.entries == want
 
 
 def test_tower_transition_maps_are_chain_maps():
@@ -592,3 +594,34 @@ def test_amitsur_agrees_untruncated():
     assert rep.all_agree()
     assert rep.reference.dims == (1, 0)
     assert rep.window == 2
+
+
+def _spec_xy_f7():
+    return RingSpec(
+        field=GF(7),
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", True)),
+        truncations=((F1, F0), (F0, F1)),
+    )
+
+
+@pytest.mark.parametrize("m,N", [(3, 1), (4, 2)])
+@pytest.mark.parametrize(
+    "family",
+    [roots_family(_spec_t(), "t"), roots_family(_spec_t(False), "t"), _roots_xy(_spec_xy_f7())],
+    ids=["t", "t-plain", "xy-f7"],
+)
+def test_amitsur_totalizations_and_their_transition_are_chain_complexes(family, m, N):
+    # Tot at levels 1 and 2 and the transition between them, built as
+    # amitsur_crosscheck builds them
+    spec = family.spec
+    wmax = default_bounds(N).weight_max
+    lo, hi = (
+        derived._amitsur_level(make_level_ring(spec, l), family, m, N, wmax) for l in (1, 2)
+    )
+    for tot in (lo, hi):
+        check_complex(tot.tot)
+        assert tot.tot.total_rank() > 0
+    step = derived._amitsur_step(lo, hi, make_level_ring(spec, 1).include_exp, m)
+    check_chain_map(step)
+    assert any(any(cols) for cols in step.entries.values())
