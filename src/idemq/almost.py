@@ -262,12 +262,14 @@ class MapFamily:
 
 
 def power_multiplication_map(
-    spec: RingSpec, family: IdealFamily, n: int, bounds: Bounds
+    spec: RingSpec, family: IdealFamily, n: int, bound: int, bounds: Bounds
 ) -> MapFamily:
     """Multiplication of the n-th derived power into the ring; its cone
     is the derived quotient model, so this is the map whose almost
-    invertibility the quotient construction asserts."""
-    tower = Tower(spec, family, bounds.deg_max, bounds.weight_max)
+    invertibility the quotient construction asserts. The cone's homology
+    is read up to degree bound, so the cone is read through bound + 1 and
+    the power, its source, is built through bound."""
+    tower = Tower(spec, family, bound, bounds.weight_max)
     return MapFamily(
         spec,
         at=lambda l: tower.eps(n, l),
@@ -279,9 +281,12 @@ def power_multiplication_map(
 
 
 def module_identity_map(
-    spec: RingSpec, module: ModuleRef, bounds: Bounds
+    spec: RingSpec, module: ModuleRef, bound: int, bounds: Bounds
 ) -> MapFamily:
-    td = TorDiagram(spec, module, ring_module(), bounds.deg_max, bounds.weight_max)
+    """The identity of the module's resolution. The cone's homology is
+    read up to degree bound, so the resolution, its target, is built
+    through bound + 1."""
+    td = TorDiagram(spec, module, ring_module(), bound + 1, bounds.weight_max)
     return MapFamily(
         spec,
         at=lambda l: identity_map(td.res(l)),
@@ -292,8 +297,12 @@ def module_identity_map(
     )
 
 
-def module_zero_map(spec: RingSpec, module: ModuleRef, bounds: Bounds) -> MapFamily:
-    td = TorDiagram(spec, module, ring_module(), bounds.deg_max, bounds.weight_max)
+def module_zero_map(
+    spec: RingSpec, module: ModuleRef, bound: int, bounds: Bounds
+) -> MapFamily:
+    """The zero self-map of the module's resolution, built through
+    bound + 1 like module_identity_map."""
+    td = TorDiagram(spec, module, ring_module(), bound + 1, bounds.weight_max)
     return MapFamily(
         spec,
         at=lambda l: ChainMap(src=td.res(l), dst=td.res(l)),
@@ -351,18 +360,18 @@ def _glue_square(
     fstep: Callable[[int], ChainMap],
     m: int,
     n: int,
-    b: Bounds,
 ) -> tuple[Callable, Callable, Callable, Callable]:
     """The double cone T comparing cone(eps_m (x) M) with cone(eps_n (x) M)
     along sigma_n, and the closed piece K2 = cone(eps_n (x) M), each with
     its level transitions: (double, double_step, closed, closed_step) as
     functions of the level, memoised in the tower's store. sigma strictly
-    interpolates the two eps legs, so all cone squares commute on the nose."""
+    interpolates the two eps legs, so all cone squares commute on the nose.
+    The tensors with M are built through the tower's degree and weight."""
     per_level = tower.per_level
 
     def times_m(factor):  # factor (x) M with its tensor info
         return per_level(
-            lambda l: tensor_complexes(factor(l), fcx(l), b.deg_max, b.weight_max)
+            lambda l: tensor_complexes(factor(l), fcx(l), tower.dmax, tower.wmax)
         )
 
     xm = times_m(lambda l: tower.X(m, l))
@@ -420,14 +429,18 @@ def gluing_square_check(
     part requires H_d(X_{d+2} (x) cone(eps_n (x) M)) = 0, i.e. the
     derived powers kill the closed piece. Pass either a module or a
     quotient_stage k to glue the stage-k derived quotient itself.
-    Undetermined cells at the level cap produce an explicit refusal."""
+    Undetermined cells at the level cap produce an explicit refusal.
+
+    Both parts read homology up to degree bound, so the closed piece,
+    the double cone's target, is read through bound + 1 and the tower,
+    M and every tensor are built through bound + 1."""
     if (module is None) == (quotient_stage is None):
         raise ValueError("pass exactly one of module / quotient_stage")
     require_idempotent(family)
-    b = bounds or gluing_bounds(bound)
+    b = bounds or gluing_bounds()
     n = bound + 2
     m = n + 1
-    tower = Tower(spec, family, b.deg_max, b.weight_max)
+    tower = Tower(spec, family, bound + 1, b.weight_max)
     mod_min = 0 if module is None else module_min_level(module)
     levels = level_range(max(1, family.min_level(), mod_min), b.max_level)
     mlabel = module.label if module is not None else f"Q{quotient_stage}"
@@ -438,14 +451,14 @@ def gluing_square_check(
         fcx = lambda l: tower.Q(quotient_stage, l)  # noqa: E731
         fstep = lambda l: tower.Qstep(quotient_stage, l)  # noqa: E731
     else:
-        td = TorDiagram(spec, module, ring_module(), b.deg_max, b.weight_max)
+        td = TorDiagram(spec, module, ring_module(), tower.dmax, tower.wmax)
         fcx = td.res
         # ride the tower's include map so tensor_maps sees one ring map
         fstep = tower.per_level(
             lambda l: lift_chain_map(fcx(l), fcx(l + 1), ring_map=tower.inc(l))
         )
 
-    double, double_step, closed, closed_step = _glue_square(tower, fcx, fstep, m, n, b)
+    double, double_step, closed, closed_step = _glue_square(tower, fcx, fstep, m, n)
 
     cells: dict[tuple[str, int, Fraction], CellResult] = {}
     fit = tower.level_diagram(("gluefit", mlabel), levels, double, double_step)
@@ -454,7 +467,7 @@ def gluing_square_check(
     for d in range(bound + 1):
         nd = d + 2
         orth_cx = tower.per_level(
-            lambda l: tensor_complexes(tower.X(nd, l), closed(l), b.deg_max, b.weight_max)
+            lambda l: tensor_complexes(tower.X(nd, l), closed(l), tower.dmax, tower.wmax)
         )
         orth = tower.level_diagram(
             ("glueorth", nd, mlabel),

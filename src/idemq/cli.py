@@ -351,11 +351,11 @@ def _run_almost_equiv(ps, args):
             n = int(arg)
         except ValueError:
             raise UsageError(f"bad power {arg!r}") from None
-        f = power_multiplication_map(ps.ring, fam, n, b)
+        f = power_multiplication_map(ps.ring, fam, n, N, b)
     elif kind == "identity":
-        f = module_identity_map(ps.ring, _module_ref(arg, ps), b)
+        f = module_identity_map(ps.ring, _module_ref(arg, ps), N, b)
     elif kind == "zero":
-        f = module_zero_map(ps.ring, _module_ref(arg, ps), b)
+        f = module_zero_map(ps.ring, _module_ref(arg, ps), N, b)
     else:
         raise UsageError("--map takes power:<n>, identity:<module>, or zero:<module>")
     v = is_almost_equivalence(ps.ring, fam, f, bound=N, bounds=b)
@@ -370,7 +370,7 @@ def _run_gluing_check(ps, args):
         raise UsageError("pass exactly one of --module / --quotient-stage")
     mod = _module_ref(args.module, ps) if args.module is not None else None
     N = _deg_max(ps, args, 2)
-    b = _apply_overrides(gluing_bounds(N), ps, args)
+    b = _apply_overrides(gluing_bounds(), ps, args)
     g = gluing_square_check(
         ps.ring, fam, module=mod, quotient_stage=args.quotient_stage,
         bound=N, bounds=b,

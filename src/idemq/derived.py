@@ -36,6 +36,17 @@ _LevelBuilder: it makes each per-level piece on first request and keeps
 it in its one store, and its level_diagram is the one place a
 LevelDiagram is assembled. The diagrams of one builder share one
 homology cache, their tags keeping the entries apart.
+
+Every complex is built only through the degree its reads need, by one
+rule. H_d reads a complex through degree d + 1. A cone read through D
+reads its target through D and its source through D - 1. A tensor built
+through D needs each factor through D, and a chain map is built through
+the degree of its source. So at degree bound N the quotient route builds
+its tower through N, the static check through N + 1 (it reads
+cone(sigma_1) at N), and the gluing check its tower, module and tensors
+through N + 1. An almost equivalence builds a derived power, the source
+of its cone, through N and a module resolution through N + 1. The tower
+report builds through n_max - 1: it reads cone(sigma_n) below n.
 """
 
 from __future__ import annotations
@@ -72,22 +83,23 @@ from .sparsela import SparseMatrix, matmul
 
 
 class Bounds(NamedTuple):
-    deg_max: int  # internal complex degree cap
+    """Weight and level bounds of a run. The degree each complex is built
+    through follows from the degrees the run reads (module docstring)."""
+
     weight_max: Fraction
     max_level: int = 6
     window: int = 2
 
 
 def default_bounds(N: int) -> Bounds:
-    """Internal bounds for a degree-N request: one spare degree for cone
-    boundaries plus margin, weights to N+2."""
-    return Bounds(N + 3, Fraction(N + 2), 6, 2)
+    """Bounds for a degree-N request: weights to N+2."""
+    return Bounds(Fraction(N + 2), 6, 2)
 
 
-def gluing_bounds(N: int) -> Bounds:
-    """Bounds of the gluing check at degree bound N: its double cones
-    grow fast in weight, so weights stop at 3/2 and levels at 5."""
-    return Bounds(N + 3, Fraction(3, 2), 5, 2)
+def gluing_bounds() -> Bounds:
+    """Bounds of the gluing check: its double cones grow fast in weight,
+    so weights stop at 3/2 and levels at 5."""
+    return Bounds(Fraction(3, 2), 5, 2)
 
 
 # ---------- stabilization detector ----------
@@ -405,7 +417,9 @@ class _LevelBuilder:
 
 class Tower(_LevelBuilder):
     """Per-level resolutions, derived powers, cones and their transition
-    maps for one ideal family under fixed degree/weight bounds."""
+    maps for one ideal family. The resolutions and powers are built
+    through degree deg_max and weight weight_max, so the cones of maps
+    between them reach degree deg_max + 1."""
 
     def __init__(
         self,
@@ -465,8 +479,8 @@ class Tower(_LevelBuilder):
         return self.memo(("X", n, l), make)
 
     def X(self, n: int, l: int) -> FreeComplex:
-        """X_{n,l}: the n-fold tensor power of res(I(l)), truncated at the
-        tower's degree and weight bounds.
+        """X_{n,l}: the n-fold tensor power of res(I(l)), built through
+        the tower's deg_max and weight_max.
 
         Its generators are the n-tuples of resolution generators, so the
         index tables of Xinfo stay valid. That needs the power to be
@@ -802,7 +816,7 @@ def _kunneth_cells(
 def _quotient_direct(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
 ) -> tuple[dict[tuple[int, Fraction], CellResult], int]:
-    tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
+    tw = Tower(spec, family, N, bounds.weight_max)
 
     def attempt(levels):
         raw: dict[tuple[int, Fraction], CellResult] = {}
@@ -901,7 +915,7 @@ def static_check(
     bounds = bounds if bounds is not None else default_bounds(N)
     if _family_contains_unit(family):
         return StaticCheck(True, None, True, ())
-    tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
+    tw = Tower(spec, family, N + 1, bounds.weight_max)
 
     def attempt(levels):
         raw = tw.cof_diagram(1, levels).run(range(N + 1), bounds.weight_max, bounds.window)
@@ -951,15 +965,17 @@ def tower_report(
 
     For each n < n_max the cofibre of sigma_n must have stabilized
     H_i = 0 for i < n; for each 2 < n <= n_max the stabilized H_0(X_n)
-    must equal H_0(X_2) weight by weight on mutually stable cells.
+    must equal H_0(X_2) weight by weight on mutually stable cells. The
+    cofibres' homology is read up to degree n_max - 2 and the powers'
+    at degree 0, so the tower is built through max(1, n_max - 1).
     """
-    tw = Tower(spec, family, bounds.deg_max, bounds.weight_max)
+    tw = Tower(spec, family, max(1, n_max - 1), bounds.weight_max)
 
     def attempt(levels):
         cof_raw: dict[int, dict] = {}
         for n in range(1, n_max):
             cof_raw[n] = tw.cof_diagram(n, levels).run(
-                range(min(n, bounds.deg_max + 1)), bounds.weight_max, bounds.window
+                range(n), bounds.weight_max, bounds.window
             )
         h0_raw: dict[int, dict] = {}
         for n in range(2, n_max + 1):
@@ -1080,14 +1096,17 @@ def _amitsur_level(
     basis tensors carrying w0 in a positive slot is the coface-degenerate
     subcomplex; the Moore conormalization is the basis-aligned quotient
     by it. Column k of the quotient is W (x) Wbar^{(x) k} with
-    Wbar = W / R.w0, and only the slot-0 coface survives."""
-    dmax_int = N + 1 + m
-    W = minimal_resolution(ring, tuple(family.gens_at(ring)), dmax_int, wmax)
+    Wbar = W / R.w0, and only the slot-0 coface survives.
+
+    Column k keeps internal degrees <= N + 1 + k, so power k is built
+    through N + 1 + k. Its k Wbar factors each sit in degree >= 1, so none
+    of them is read above N + 2, which is what W is built through."""
+    W = minimal_resolution(ring, tuple(family.gens_at(ring)), N + 2, wmax)
     wbar = _reduced_resolution(W)
     powers = [W]
     infos: list[Optional[TensorInfo]] = [None]
-    for _ in range(m):
-        t, info = tensor_complexes(powers[-1], wbar, dmax_int, wmax)
+    for k in range(1, m + 1):
+        t, info = tensor_complexes(powers[-1], wbar, N + 1 + k, wmax)
         powers.append(t)
         infos.append(info)
     flats, revs = _flat_tables(powers, infos)

@@ -121,7 +121,7 @@ def test_annihilation_is_zero_per_level_on_split_quotient():
 
 def test_criteria_agree_on_random_quotients():
     rng = random.Random(41)
-    b = Bounds(2, Fraction(2), 5, 2)
+    b = Bounds(Fraction(2), 5, 2)
     for _ in range(10):
         nv = rng.choice([1, 2])
         variables = tuple(VarInfo(n, True) for n in "xy"[:nv])
@@ -158,7 +158,7 @@ def test_model_map_is_almost_equivalence():
     spec = _spec_t()
     I = _roots_t(spec)
     b = default_bounds(2)
-    f = power_multiplication_map(spec, I, 3, b)
+    f = power_multiplication_map(spec, I, 3, 2, b)
     v = is_almost_equivalence(spec, I, f, bound=2, bounds=b)
     assert v.almost_zero is True
     assert v.degrees == {0: True, 1: True, 2: True}
@@ -168,7 +168,7 @@ def test_identity_is_almost_equivalence():
     spec = _spec_t()
     I = _roots_t(spec)
     b = default_bounds(2)
-    f = module_identity_map(spec, residue_module(), b)
+    f = module_identity_map(spec, residue_module(), 2, b)
     v = is_almost_equivalence(spec, I, f, bound=2, bounds=b)
     assert v.almost_zero is True
 
@@ -178,7 +178,7 @@ def test_zero_map_on_ring_is_not_almost_equivalence():
     spec = _spec_t()
     I = _roots_t(spec)
     b = default_bounds(2)
-    f = module_zero_map(spec, ring_module(), b)
+    f = module_zero_map(spec, ring_module(), 2, b)
     v = is_almost_equivalence(spec, I, f, bound=2, bounds=b)
     assert v.almost_zero is False
     assert v.degrees[0] is False and v.degrees[1] is False
@@ -190,7 +190,7 @@ def test_cone_transition_is_a_chain_map():
     spec = _spec_t()
     I = _roots_t(spec)
     b = default_bounds(1)
-    f = power_multiplication_map(spec, I, 2, b)
+    f = power_multiplication_map(spec, I, 2, 1, b)
     step = cone_map(f.src_step(1), f.dst_step(1), cone(f.at(1)), cone(f.at(2)))
     check_chain_map(step)
 
@@ -231,7 +231,7 @@ def test_gluing_refuses_short_tower():
     spec = _spec_t()
     I = _roots_t(spec)
     g = gluing_square_check(
-        spec, I, module=ring_module(), bound=2, bounds=Bounds(5, Fraction(3, 2), 2, 2)
+        spec, I, module=ring_module(), bound=2, bounds=Bounds(Fraction(3, 2), 2, 2)
     )
     assert g.cartesian is None
     assert g.refused
@@ -250,10 +250,9 @@ def test_gluing_requires_one_target():
 def test_gluing_steps_are_chain_maps():
     spec = _spec_t()
     I = _roots_t(spec)
-    b = Bounds(4, F1, 3, 2)
-    tower = Tower(spec, I, b.deg_max, b.weight_max)
+    tower = Tower(spec, I, 4, F1)
     double, double_step, closed, closed_step = _glue_square(
-        tower, tower.unit, tower.unit_step, 3, 2, b
+        tower, tower.unit, tower.unit_step, 3, 2
     )
     for l in (1, 2):
         check_chain_map(double_step(l))

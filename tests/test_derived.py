@@ -294,7 +294,7 @@ def test_zero_ideal_degenerate_paths():
     Z = IdealFamily(name="Z", spec=spec)
     x2 = Tower(spec, Z, 3, Fraction(2)).X(2, 1)
     assert all(x2.rank(d) == 0 for d in range(4))
-    sc = static_check(spec, Z, 1, Bounds(3, F1, 3, 2))
+    sc = static_check(spec, Z, 1, Bounds(F1, 3, 2))
     assert sc.static is True
 
 
@@ -303,10 +303,6 @@ def test_quotient_homotopy_rejects_non_idempotent():
     J = fixed_family(spec, [mono(spec, t=F1)], name="J")
     with pytest.raises(ValueError, match="not idempotent"):
         quotient_homotopy(spec, J, 1)
-
-
-def test_default_bounds():
-    assert default_bounds(2) == Bounds(5, Fraction(4), 6, 2)
 
 
 # ---------- quotient homotopy, two variables ----------
@@ -337,7 +333,7 @@ def test_quotient_homotopy_two_var_factors():
 def test_quotient_homotopy_direct_route_agrees():
     spec = _spec_xy()
     I = _roots_xy(spec)
-    bounds = Bounds(4, Fraction(2), 4, 2)
+    bounds = Bounds(Fraction(2), 4, 2)
     viablocks = quotient_homotopy(spec, I, 1, bounds)
     direct = quotient_homotopy(spec, I, 1, bounds, force_direct=True)
     assert direct.dims == viablocks.dims == (1, 2)
@@ -565,7 +561,7 @@ def test_reduced_resolution_of_a_non_cyclic_resolution_is_an_internal_fault():
 def test_tower_report_one_var():
     spec = _spec_t()
     I = roots_family(spec, "t")
-    rep = tower_report(spec, I, 3, Bounds(4, Fraction(2), 5, 2))
+    rep = tower_report(spec, I, 3, Bounds(Fraction(2), 5, 2))
     assert rep.ok
     assert rep.connectivity_failures == []
     assert rep.h0_mismatches == []
@@ -579,7 +575,7 @@ def test_tower_report_one_var():
 def test_amitsur_agrees_truncated():
     spec = _spec_t()
     I = roots_family(spec, "t")
-    rep = amitsur_crosscheck(spec, I, 4, 1, Bounds(4, Fraction(2), 6, 2))
+    rep = amitsur_crosscheck(spec, I, 4, 1, Bounds(Fraction(2), 6, 2))
     assert rep.all_agree()
     assert rep.reference.dims == (1, 1)
     # junk from the column cutoff lives three levels at m = 4, so the
@@ -590,7 +586,7 @@ def test_amitsur_agrees_truncated():
 def test_amitsur_agrees_untruncated():
     spec = _spec_t(trunc=False)
     I = roots_family(spec, "t")
-    rep = amitsur_crosscheck(spec, I, 3, 1, Bounds(4, Fraction(2), 6, 2))
+    rep = amitsur_crosscheck(spec, I, 3, 1, Bounds(Fraction(2), 6, 2))
     assert rep.all_agree()
     assert rep.reference.dims == (1, 0)
     assert rep.window == 2
