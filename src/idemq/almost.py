@@ -123,14 +123,16 @@ def _annihilation_cells(
     window: int,
 ) -> dict[tuple[int, Fraction], CellResult]:
     """Stabilized rank of I(l)*H_d per weight cell; CellResult.dims are
-    the per-level dims of the annihilated subspace, not of H itself."""
+    the per-level dims of the annihilated subspace, not of H itself.
+    Degrees are walked from the top down, as in LevelDiagram.run, and
+    the cells come back in ascending (d, w) order."""
     K = len(diagram.levels)
     rings = [diagram.providers[k].ring for k in range(K)]
     gens = [family.gens_at(r) for r in rings]
     gweights = [[r.weight(g) for g in gs] for r, gs in zip(rings, gens)]
     mults: dict[tuple[int, Exponents], ChainMap] = {}
     out: dict[tuple[int, Fraction], CellResult] = {}
-    for d in degrees:
+    for d in sorted(degrees, reverse=True):
         for w in diagram.cell_weights(d, wmax):
             hs = [diagram.homology(k, d, w) for k in range(K)]
             if not any(h.dim for h in hs):
@@ -160,7 +162,7 @@ def _annihilation_cells(
             out[(d, w)] = judge_cell(
                 diagram.levels, dims, ts, window, rep_level(w, diagram.root_base), bs
             )
-    return out
+    return dict(sorted(out.items()))
 
 
 def _verdict(

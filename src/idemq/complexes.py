@@ -28,7 +28,9 @@ product the index lacks is zero in the module, so nothing tests for zero.
 on strands, and `strand_map` builds matrices from them: differentials,
 chain maps, the augmentation (a map onto one generator), resolution
 spans and lifts. Homology reads the boundaries as columns, with no
-matrix.
+matrix, and only where ranks leave a strand's dimension open:
+dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), and a caller that has
+the (d+1, w) homology passes it, rank included (homology_data).
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
@@ -386,8 +388,9 @@ def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fra
 
 
 class HomologyData(NamedTuple):
-    """Homology of one weight strand in degree d. Most strands have none:
-    those keep their basis, and no echelon or matrix.
+    """Homology of one weight strand in degree d, with `rank` the rank of
+    d_d on the strand. dim = nullity(d_d) - rank(d_{d+1}), and most
+    strands have none: those keep their basis and rank, and no echelon.
 
     Otherwise `diff_ech` is the echelon of d_d's rows on the strand. Each
     free column f (one without a pivot) gives the cycle z_f (see
@@ -398,6 +401,7 @@ class HomologyData(NamedTuple):
 
     dim: int
     basis: StrandBasis
+    rank: int
     reps: list[Vec]  # cycles spanning homology, as strand vectors
     diff_ech: Optional[Echelon]  # None when dim == 0
     free_bnd: Optional[Echelon]  # None when dim == 0
@@ -415,7 +419,7 @@ class HomologyData(NamedTuple):
 
 
 # the homology of an empty strand
-NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}), [], None, None, ())
+NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}), 0, [], None, None, ())
 
 
 def homology_data(
@@ -423,34 +427,44 @@ def homology_data(
     d: int,
     w: Fraction,
     provider,
-    below: Optional[StrandBasis] = None,
-    above: Optional[StrandBasis] = None,
+    above: Optional[HomologyData] = None,
 ) -> HomologyData:
-    """Homology of the weight-w strand in degree d, from one echelon of
-    d_d's rows. If d_d has full rank there are no cycles and nothing more
-    is built. Otherwise the columns of d_{d+1} (the boundaries) are
-    projected onto the free columns, where they fill `free_bnd`. below
-    and above are the weight-w strand bases of degrees d-1 and d+1 where
-    the caller already has them."""
+    """Homology of the weight-w strand in degree d, decided by ranks first:
+    dim = nullity(d_d) - rank(d_{d+1}), with d_d reduced in one echelon of
+    its rows. `above` is the weight-w homology in degree d+1 where the
+    caller has it; it carries rank(d_{d+1}) and the strand basis there.
+
+    No cycles, or as many as above.rank, make dim 0 with no boundary read.
+    Otherwise the columns of d_{d+1} (the boundaries) are projected onto
+    the free columns, where they fill `free_bnd`. That projection is
+    one-to-one on cycles, so free_bnd's rank is rank(d_{d+1}): the fill
+    stops once it reaches above.rank, or the nullity (dim 0) when `above`
+    is not given, as every later column then lies in its span."""
     F = x.field
     sb = strand_basis(x, d, w, provider)
     n = len(sb.pairs)
     diff_ech = Echelon(F)
     if n:
-        for row in strand_matrix(x, d, w, provider, src=sb, dst=below).rows:
+        for row in strand_matrix(x, d, w, provider, src=sb).rows:
             diff_ech.insert(row)
-    if diff_ech.rank == n:
-        return HomologyData(0, sb, [], None, None, ())
-    if above is None:
-        above = strand_basis(x, d + 1, w, provider)
+    rank = diff_ech.rank
+    nullity = n - rank
+    if nullity == 0 or (above is not None and above.rank == nullity):
+        return HomologyData(0, sb, rank, [], None, None, ())
+    # free_bnd ends at rank(d_{d+1}): above.rank, or at most the nullity
+    full = nullity if above is None else above.rank
     free_bnd = Echelon(F)
-    for col in strand_columns(x.diff_at(d + 1), above, sb, x.ring):
-        free_bnd.insert({r: v for r, v in col.items() if r not in diff_ech.rows})
+    if full:
+        basis = strand_basis(x, d + 1, w, provider) if above is None else above.basis
+        for col in strand_columns(x.diff_at(d + 1), basis, sb, x.ring):
+            free_bnd.insert({r: v for r, v in col.items() if r not in diff_ech.rows})
+            if free_bnd.rank == full:
+                break
     rep_cols = tuple(c for c in range(n) if c not in diff_ech.rows and c not in free_bnd.rows)
     if not rep_cols:
-        return HomologyData(0, sb, [], None, None, ())
+        return HomologyData(0, sb, rank, [], None, None, ())
     return HomologyData(
-        len(rep_cols), sb, diff_ech.kernel(list(rep_cols)), diff_ech, free_bnd, rep_cols
+        len(rep_cols), sb, rank, diff_ech.kernel(list(rep_cols)), diff_ech, free_bnd, rep_cols
     )
 
 

@@ -37,6 +37,12 @@ it in its one store, and its level_diagram is the one place a
 LevelDiagram is assembled. The diagrams of one builder share one
 homology cache, their tags keeping the entries apart.
 
+Homology is decided by ranks first. A diagram walks its degrees from the
+top down, so the (d+1, w) homology is cached when (d, w) is computed and
+hands over rank(d_{d+1}); a strand with as many cycles as that rank is
+exact, and its boundaries are never built (complexes.homology_data).
+Cells still come back in ascending (d, w) order.
+
 Every complex is built only through the degree its reads need, by one
 rule. H_d reads a complex through degree d + 1. A cone read through D
 reads its target through D and its source through D - 1. A tensor built
@@ -231,7 +237,12 @@ class LevelDiagram:
     Differentials and transitions are stored by column, so a strand reads
     the columns of its generators directly and the diagram keeps no index
     of its own. A weight off a level's lattice has the empty strand
-    there: its homology is NO_HOMOLOGY, neither built nor cached."""
+    there: its homology is NO_HOMOLOGY, neither built nor cached.
+
+    `homology` passes the cached (d+1, w) entry, where there is one, to
+    homology_data, whose rank of d_{d+1} can settle dim 0 with no
+    boundary read. `run` walks degrees from the top down so that entry is
+    there, and returns its cells in ascending (d, w) order."""
 
     levels: list[int]
     complexes: list[FreeComplex]
@@ -247,12 +258,8 @@ class LevelDiagram:
         key = (self.tag, self.levels[k], d, w)
         h = self.cache.get(key)
         if h is None:
-            # the neighbouring strand bases, where their homology is cached
-            near = [self.cache.get((self.tag, self.levels[k], e, w)) for e in (d - 1, d + 1)]
-            below, above = (None if n is None else n.basis for n in near)
-            h = homology_data(
-                self.complexes[k], d, w, self.providers[k], below=below, above=above
-            )
+            above = self.cache.get((self.tag, self.levels[k], d + 1, w))
+            h = homology_data(self.complexes[k], d, w, self.providers[k], above=above)
             self.cache[key] = h
         return h
 
@@ -279,7 +286,7 @@ class LevelDiagram:
         self, degrees, wmax: Fraction, window: int
     ) -> dict[tuple[int, Fraction], CellResult]:
         out = {}
-        for d in degrees:
+        for d in sorted(degrees, reverse=True):
             for w in self.cell_weights(d, wmax):
                 dims = [self.homology(k, d, w).dim for k in range(len(self.levels))]
                 if not any(dims):
@@ -291,7 +298,7 @@ class LevelDiagram:
                 out[(d, w)] = judge_cell(
                     self.levels, dims, mats, window, rep_level(w, self.root_base)
                 )
-        return out
+        return dict(sorted(out.items()))
 
 
 # ---------- result types ----------
