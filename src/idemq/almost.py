@@ -55,7 +55,7 @@ from .derived import (
     ring_module,
 )
 from .ideals import IdealFamily
-from .rings import Exponents, RingSpec, VarInfo
+from .rings import Mono, RingSpec, VarInfo
 from .sparsela import SparseMatrix
 
 # ---------- verdicts ----------
@@ -97,7 +97,7 @@ class AlmostVerdict:
 # ---------- annihilation route ----------
 
 
-def _mult_map(cx: FreeComplex, g: Exponents) -> ChainMap:
+def _mult_map(cx: FreeComplex, g: Mono) -> ChainMap:
     """Multiplication by the monomial g as a chain self-map."""
     one = cx.field.one
     ent = {d: [((i, {g: one}),) for i in range(len(gl))] for d, gl in cx.gens.items() if gl}
@@ -130,7 +130,7 @@ def _annihilation_cells(
     rings = [diagram.providers[k].ring for k in range(K)]
     gens = [family.gens_at(r) for r in rings]
     gweights = [[r.weight(g) for g in gs] for r, gs in zip(rings, gens)]
-    mults: dict[tuple[int, Exponents], ChainMap] = {}
+    mults: dict[tuple[int, Mono], ChainMap] = {}
     out: dict[tuple[int, Fraction], CellResult] = {}
     for d in sorted(degrees, reverse=True):
         for w in diagram.cell_weights(d, wmax):

@@ -24,8 +24,9 @@ One engine reads every map on strands. `add_image` adds a column of ring
 elements times a module monomial to a strand vector; it is the one place
 a product is looked up in a strand's (generator, monomial) index, and a
 product the index lacks is zero in the module, so nothing tests for zero.
-`strand_column` is its inverse. `strand_columns` yields a map's columns
-on strands, and `strand_map` builds matrices from them: differentials,
+`strand_column` is its inverse. Monomials are packed ints (see rings), so
+a product is `e + mono`. `strand_columns` yields a map's columns on
+strands, and `strand_map` builds matrices from them: differentials,
 chain maps, the augmentation (a map onto one generator), resolution
 spans and lifts. Homology reads the boundaries as columns, with no
 matrix, and only where ranks leave a strand's dimension open:
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .rings import Elem, Exponents, LevelRing
+from .rings import Elem, LevelRing, Mono, divides_any
 from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 # ---------- complexes ----------
@@ -83,7 +84,7 @@ class FreeComplex:
     # aug_quotient lists monomial generators of the ideal cut out of the
     # target (empty tuple = the target is R itself)
     aug: Optional[list[Elem]] = None
-    aug_quotient: tuple[Exponents, ...] = ()
+    aug_quotient: tuple[Mono, ...] = ()
     # degree -> (the gens list it indexes, its weight groups); see gens_by_weight
     _by_weight: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -210,7 +211,7 @@ def check_complex(x: FreeComplex) -> None:
 
 
 class Strands:
-    """A module cut out by a monomial ideal J (exponent generators at the
+    """A module cut out by a monomial ideal J (packed generators at the
     ring's level): R/J by default, R itself when J is empty, and J as a
     submodule of R when `inside` is set. `basis_at(n)` lists the monomials
     of integer weight n (LevelRing.num) that are nonzero in the module, so
@@ -219,20 +220,17 @@ class Strands:
     A module other than R keeps its list per weight."""
 
     def __init__(
-        self, ring: LevelRing, ideal_exps: tuple[Exponents, ...] = (), inside: bool = False
+        self, ring: LevelRing, ideal_exps: tuple[Mono, ...] = (), inside: bool = False
     ):
         self.ring = ring
         self.ideal_exps = tuple(ideal_exps)
         self.inside = inside
-        self._lists: dict[int, list[Exponents]] = {}
+        self._lists: dict[int, list[Mono]] = {}
 
-    def in_ideal(self, e: Exponents) -> bool:
-        for t in self.ideal_exps:
-            if all(a >= b for a, b in zip(e, t)):
-                return True
-        return False
+    def in_ideal(self, e: Mono) -> bool:
+        return divides_any(e, self.ideal_exps, self.ring.guard)
 
-    def basis_at(self, n: int) -> list[Exponents]:
+    def basis_at(self, n: int) -> list[Mono]:
         if n < 0:
             return []
         if not self.ideal_exps and not self.inside:
@@ -244,25 +242,20 @@ class Strands:
             ]
         return hit
 
-    def basis(self, w: Fraction) -> list[Exponents]:
+    def basis(self, w: Fraction) -> list[Mono]:
         n = self.ring.num(w)
         return [] if n is None else self.basis_at(n)
-
-
-def k_exps(ring: LevelRing) -> tuple[Exponents, ...]:
-    """The variables, the generators of the ideal that cuts K out of R."""
-    return tuple(tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars))
 
 
 # ---------- the strand engine ----------
 
 
 class StrandBasis(NamedTuple):
-    pairs: list[tuple[int, Exponents]]  # (generator index, module monomial)
+    pairs: list[tuple[int, Mono]]  # (generator index, module monomial)
     index: dict  # pair -> position
 
     @classmethod
-    def of(cls, pairs: list[tuple[int, Exponents]]) -> "StrandBasis":
+    def of(cls, pairs: list[tuple[int, Mono]]) -> "StrandBasis":
         return cls(pairs, {p: k for k, p in enumerate(pairs)})
 
 
@@ -286,17 +279,16 @@ def strand_basis(x: FreeComplex, d: int, w: Fraction, provider: Strands) -> Stra
 
 
 def add_image(
-    out: Vec, col: Iterable[tuple[int, Elem]], mono: Exponents, index: dict, scale, ring: LevelRing
+    out: Vec, col: Iterable[tuple[int, Elem]], mono: Mono, index: dict, scale, ring: LevelRing
 ) -> None:
     """Add scale * (col x mono) to the strand vector `out`. `col` is a
     column of (row generator, ring element) pairs and `mono` a module
     monomial; a product the strand `index` does not hold is zero in the
     module (or lies off the strand) and drops out."""
     F = ring.field
-    mul_mono = ring.mul_mono
     for i, elem in col:
         for e, coeff in elem.items():
-            r = index.get((i, mul_mono(e, mono)))
+            r = index.get((i, e + mono))
             if r is None:
                 continue
             nv = F.mul(scale, coeff)
@@ -481,13 +473,13 @@ class ChainMap:
     src: FreeComplex
     dst: FreeComplex
     entries: dict[int, list[Column]] = field(default_factory=dict)
-    ring_map: Optional[Callable[[Exponents], Exponents]] = None
+    ring_map: Optional[Callable[[Mono], Mono]] = None
 
     def entries_at(self, d: int) -> list[Column]:
         """entries[d], or src.rank(d) empty columns where it is not stored."""
         return self.entries.get(d) or [()] * self.src.rank(d)
 
-    def push_exp(self, e: Exponents) -> Exponents:
+    def push_exp(self, e: Mono) -> Mono:
         return e if self.ring_map is None else self.ring_map(e)
 
 
@@ -746,7 +738,7 @@ def cone_map(
 
 def minimal_resolution(
     ring: LevelRing,
-    quotient_gens: tuple[Exponents, ...],
+    quotient_gens: tuple[Mono, ...],
     dmax: int,
     wmax: Fraction,
 ) -> FreeComplex:
@@ -801,7 +793,7 @@ def minimal_resolution(
 
 
 def ideal_resolution(
-    ring: LevelRing, gens: list[Exponents], dmax: int, wmax: Fraction
+    ring: LevelRing, gens: list[Mono], dmax: int, wmax: Fraction
 ) -> FreeComplex:
     """Minimal free resolution of the ideal (gens) as a module: the
     resolution of R/(gens) shifted down one degree, augmented into R by
@@ -822,7 +814,7 @@ def ideal_resolution(
 def lift_chain_map(
     x: FreeComplex,
     y: FreeComplex,
-    ring_map: Optional[Callable[[Exponents], Exponents]] = None,
+    ring_map: Optional[Callable[[Mono], Mono]] = None,
 ) -> ChainMap:
     """Lift the identity of the augmentation targets to a chain map
     x -> y over acyclic y (a resolution). With a ring_map this lifts

@@ -73,7 +73,6 @@ from .complexes import (
     homology_data,
     homology_map_matrix,
     ideal_resolution,
-    k_exps,
     lift_chain_map,
     minimal_resolution,
     strand_weights,
@@ -82,7 +81,7 @@ from .complexes import (
     unit_complex,
 )
 from .ideals import IdealFamily, NotIdempotent, check_idempotent
-from .rings import Exponents, LevelRing, RingSpec, make_level_ring
+from .rings import LevelRing, Mono, RingSpec, make_level_ring
 from .sparsela import SparseMatrix, matmul
 
 # ---------- bounds ----------
@@ -396,7 +395,7 @@ class _LevelBuilder:
     def ring(self, l: int) -> LevelRing:
         return make_level_ring(self.spec, l)
 
-    def inc(self, l: int) -> Callable[[Exponents], Exponents]:
+    def inc(self, l: int) -> Callable[[Mono], Mono]:
         return self.memo(("inc", l), lambda: self.ring(l).include_exp)
 
     def level_diagram(
@@ -618,13 +617,13 @@ def ideal_module(family: IdealFamily) -> ModuleRef:
     return ModuleRef("ideal", family)
 
 
-def _module_exps(ref: ModuleRef, ring: LevelRing) -> tuple[Exponents, ...]:
+def _module_exps(ref: ModuleRef, ring: LevelRing) -> tuple[Mono, ...]:
     """The monomial ideal J that cuts the module `ref` out of R: empty for
     R, the variables for K, the family's generators for R/J and for J."""
     if ref.kind == "ring":
         return ()
     if ref.kind == "residue":
-        return k_exps(ring)
+        return ring.var_monos
     if ref.kind in ("quotient", "ideal"):
         return tuple(ref.family.gens_at(ring))
     raise AssertionError(f"unknown module kind {ref.kind!r}")

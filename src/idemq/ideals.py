@@ -95,17 +95,13 @@ class IdealFamily:
         return lvl
 
     def gens_at(self, ring: LevelRing) -> list:
-        """Nonzero generator exponent tuples at a level (sorted, deduped)."""
+        """Nonzero packed generators at a level (sorted, deduped)."""
         if ring.spec is not self.spec:
             raise ValueError("ring spec mismatch")
-        exps = []
-        for v in self.root_vars:
-            e = [0] * ring.nvars
-            e[v] = 1  # numerator 1 = T^{1/r^level}
-            exps.append(tuple(e))
-        exps.extend(ring.exp_of(g) for g in self.gens)
-        out = sorted({e for e in exps if not ring.mono_is_zero(e)})
-        return out
+        exps = [ring.var_monos[v] for v in self.root_vars]  # numerator 1 = T^{1/r^level}
+        # a generator that does not fit a field generates no storable monomial
+        exps.extend(ring.pack(e) for e in map(ring.numerators, self.gens) if ring.fits(e))
+        return sorted({e for e in exps if not ring.mono_is_zero(e)})
 
 
 def _is_power_denominator(d: int, r: int) -> bool:

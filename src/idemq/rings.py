@@ -13,20 +13,28 @@ and the level's basis store is keyed by it. Fractions are the weights
 where levels meet (cells, tables, generator lists); `basis(w)` and
 `basis_upto(wmax)` take one and convert it once.
 
-Ring elements are {exponent tuple: scalar} dicts; monomials killed by the
-truncation ideal are dropped on reduction.
+Inside a level a monomial is one int, its packed exponent vector
+(Monagan-Pearce): one `bits`-wide field per variable, variable 0 most
+significant, each below `cap`, so integer order is exponent-tuple order.
+The top bit of a field is a guard bit no stored monomial sets, so `+` of
+two stored monomials never carries between fields: a product is a sum,
+and t divides e exactly when ((e | G) - t) & G == G, G the guard mask
+(`divides_any`). Ring elements are {packed monomial: scalar} dicts;
+monomials killed by the truncation ideal are dropped on reduction. Tuples
+stay at the edges (pack/unpack, exp_of, weight, include_exp, spec I/O); a
+live exponent at or above the cap raises ValueError, it never carries.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-Exponents = tuple[int, ...]
+Exponents = tuple[int, ...]  # numerators at a level, one per variable
+Mono = int  # a packed monomial at a level (see the module docstring)
 FracMono = tuple[Fraction, ...]  # level-free monomial, one exponent per var
-Elem = dict  # {Exponents: scalar}
+Elem = dict  # {Mono: scalar}
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,17 @@ def format_mono(spec: RingSpec, mono: FracMono, sep: str = "*") -> str:
     return sep.join(parts) if parts else "1"
 
 
+def divides_any(e: Mono, gens, guard: int) -> bool:
+    """Whether some stored monomial of gens divides e: field i of
+    (e | guard) - t is 2^(bits-1) + e_i - t_i, in [1, 2^bits), so it borrows
+    nothing and keeps its guard bit exactly when e_i >= t_i."""
+    eg = e | guard
+    for t in gens:
+        if (eg - t) & guard == guard:
+            return True
+    return False
+
+
 class LevelRing:
     """One level of the root tower over a RingSpec."""
 
@@ -96,23 +115,43 @@ class LevelRing:
             r**level if v.divisible else 1 for v in spec.variables
         )
         self.denom: int = r**level if any(v.divisible for v in spec.variables) else 1
-        self.trunc_exps: tuple[Exponents, ...] = tuple(
-            tuple(int(f) * s for f, s in zip(t, self.scales))
-            for t in spec.truncations
-        )
+        self.units = tuple(self.denom // s for s in self.scales)  # weight of one numerator step
         self.nvars = spec.nvars
-        self.unit: Exponents = (0,) * self.nvars
+        self.bits = self.denom.bit_length() + 16  # every weight below 2^15 fits
+        self.cap = 1 << (self.bits - 1)  # every stored exponent lies below it
+        self.shifts = tuple(self.bits * i for i in reversed(range(self.nvars)))
+        self.guard = sum(self.cap << s for s in self.shifts)
+        # the variables at numerator 1, which generate the ideal that cuts K out of R
+        self.var_monos: tuple[Mono, ...] = tuple(1 << s for s in self.shifts)
+        self.trunc_exps: tuple[Exponents, ...] = tuple(
+            self.numerators(t) for t in spec.truncations
+        )
+        # a truncation with an exponent at or above the cap divides no
+        # monomial that fits, so the packed test leaves it out
+        self.trunc_monos = tuple(self.pack(t) for t in self.trunc_exps if self.fits(t))
+        self.unit: Mono = 0
         # integer weight -> monomials of that weight, complete up to _basis_top
-        self._basis: dict[int, list[Exponents]] = {}
+        self._basis: dict[int, list[Mono]] = {}
         self._basis_top = -1
+        self._up: Optional[LevelRing] = None  # level l+1, for include_exp
 
     # ---------- monomials ----------
 
-    def weight(self, e: Exponents) -> Fraction:
-        w = Fraction(0)
-        for n, s in zip(e, self.scales):
-            w += Fraction(n, s)
-        return w
+    def fits(self, e: Exponents) -> bool:
+        return all(0 <= n < self.cap for n in e)
+
+    def pack(self, e: Exponents) -> Mono:
+        if not self.fits(e):
+            raise ValueError(f"exponent too large for a {self.bits}-bit field: {tuple(e)}")
+        return sum(n << s for n, s in zip(e, self.shifts))
+
+    def unpack(self, e: Mono) -> Exponents:
+        """The numerators of e, also of a sum of two stored monomials."""
+        mask = (1 << self.bits) - 1
+        return tuple((e >> s) & mask for s in self.shifts)
+
+    def weight(self, e: Mono) -> Fraction:
+        return Fraction(sum(n * u for n, u in zip(self.unpack(e), self.units)), self.denom)
 
     def num(self, w) -> Optional[int]:
         """The integer n with w = n / denom, or None when w lies off this
@@ -120,16 +159,20 @@ class LevelRing:
         n, rem = divmod(w.numerator * self.denom, w.denominator)
         return None if rem else n
 
-    def mono_is_zero(self, e: Exponents) -> bool:
-        for t in self.trunc_exps:
-            if all(a >= b for a, b in zip(e, t)):
-                return True
-        return False
+    def mono_is_zero(self, e: Mono) -> bool:
+        """Whether a truncation divides e, a stored monomial or a sum of two."""
+        if e & self.guard:
+            return self._zero_beyond_cap(self.unpack(e))
+        return divides_any(e, self.trunc_monos, self.guard)
 
-    def mul_mono(self, a: Exponents, b: Exponents) -> Exponents:
-        return tuple(map(operator.add, a, b))
+    def _zero_beyond_cap(self, e) -> bool:
+        """Numerators e, one at or above the cap: zero if a truncation
+        divides them, else a live monomial no field holds."""
+        if any(all(a >= b for a, b in zip(e, t)) for t in self.trunc_exps):
+            return True
+        raise ValueError(f"exponent too large for a {self.bits}-bit field: {tuple(e)}")
 
-    def exp_of(self, mono: FracMono) -> Exponents:
+    def numerators(self, mono: FracMono) -> Exponents:
         """Numerators of a level-free monomial at this level."""
         out = []
         for f, s in zip(mono, self.scales):
@@ -140,6 +183,10 @@ class LevelRing:
                 )
             out.append(int(n))
         return tuple(out)
+
+    def exp_of(self, mono: FracMono) -> Mono:
+        """A level-free monomial, packed at this level."""
+        return self.pack(self.numerators(mono))
 
     # ---------- elements ----------
 
@@ -166,7 +213,7 @@ class LevelRing:
         out: Elem = {}
         for e1, v1 in x.items():
             for e2, v2 in y.items():
-                e = self.mul_mono(e1, e2)
+                e = e1 + e2
                 if self.mono_is_zero(e):
                     continue
                 nv = F.normalize(F.add(out.get(e, F.zero), F.mul(v1, v2)))
@@ -187,54 +234,55 @@ class LevelRing:
 
     # ---------- weight strands ----------
 
-    def basis_upto(self, wmax: Fraction) -> dict[int, list[Exponents]]:
+    def basis_upto(self, wmax: Fraction) -> dict[int, list[Mono]]:
         """Monomial basis of the ring, bucketed by integer weight (see
         num), complete for weights <= wmax; it may hold heavier buckets."""
         top = wmax.numerator * self.denom // wmax.denominator
         if top > self._basis_top:
-            buckets: dict[int, list[Exponents]] = {}
+            buckets: dict[int, list[Mono]] = {}
             stack = [0] * self.nvars
-            units = [self.denom // s for s in self.scales]  # weight of one numerator step
+            units, cap, shifts = self.units, self.cap, self.shifts
 
-            def rec(i: int, acc: int):
+            def rec(i: int, acc: int, p: Mono, big: bool):
                 if i == self.nvars:
-                    e = tuple(stack)
-                    if not self.mono_is_zero(e):
-                        buckets.setdefault(acc, []).append(e)
+                    if big:
+                        self._zero_beyond_cap(stack)
+                    elif not self.mono_is_zero(p):
+                        buckets.setdefault(acc, []).append(p)
                     return
                 n = 0
                 while acc + n * units[i] <= top:
                     stack[i] = n
-                    rec(i + 1, acc + n * units[i])
+                    rec(i + 1, acc + n * units[i], p + (n << shifts[i]), big or n >= cap)
                     n += 1
                 stack[i] = 0
 
-            rec(0, 0)
+            rec(0, 0, 0, False)
             for lst in buckets.values():
                 lst.sort()
             self._basis = buckets
             self._basis_top = top
         return self._basis
 
-    def basis_at(self, n: int) -> list[Exponents]:
+    def basis_at(self, n: int) -> list[Mono]:
         """Monomials of integer weight n (weight n / denom)."""
         if n > self._basis_top:
             self.basis_upto(Fraction(n, self.denom))
         return self._basis.get(n, [])
 
-    def basis(self, w: Fraction) -> list[Exponents]:
+    def basis(self, w: Fraction) -> list[Mono]:
         """Monomials of weight w; none when w is off this level's lattice."""
         n = self.num(w)
         return [] if n is None else self.basis_at(n)
 
     # ---------- level maps ----------
 
-    def include_exp(self, e: Exponents) -> Exponents:
-        """Image of a monomial under R(l) -> R(l+1)."""
+    def include_exp(self, e: Mono) -> Mono:
+        """Image of a monomial under R(l) -> R(l+1), packed at level l+1."""
+        up = self._up = self._up or make_level_ring(self.spec, self.level + 1)
         r = self.spec.root_base
-        return tuple(
-            n * r if v.divisible else n
-            for n, v in zip(e, self.spec.variables)
+        return up.pack(
+            [n * r if v.divisible else n for n, v in zip(self.unpack(e), self.spec.variables)]
         )
 
     def __repr__(self) -> str:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -418,6 +419,41 @@ def test_tor_frontier_cells_are_in_flight(tmp_path, capsys):
     assert rep["certificates"]["in_flight"] == 16
     loose = [c["weight"] for c in rep["tables"][0]["cells"] if not c["stable"]]
     assert loose == [f"{k}/32" for k in range(1, 32, 2)]
+
+
+# t^(2^40) has an exponent far above every field of a level's packed
+# monomials: as a truncation or an ideal generator it kills nothing and
+# holds nothing below the weight cap, so both runs read as if it were
+# absent. The digests are the SHA-256 of stdout as the tuple-monomial
+# code printed it.
+HUGE_T_SPEC = """\
+var t divisible
+truncate t^1099511627776
+ideal I = roots(t)
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, argv, digest",
+    [
+        (
+            "",
+            ["quotient-homotopy", "--deg-max", "2"],
+            "622507e546f1caede4ca2b63ed828bd6bcc5de1557640786beeb47648b3e9e53",
+        ),
+        (
+            "ideal J = t^1099511627776\n",
+            ["tor", "--left", "I", "--right", "R/J", "--deg-max", "1"],
+            "533f8add592811959bc6c6ee0a5734c1ccdc2cd98dcfe74591fb80a99766583d",
+        ),
+    ],
+    ids=["quotient-homotopy", "tor-I-RJ"],
+)
+def test_exponents_too_large_for_a_field_change_no_report(tmp_path, capsys, extra, argv, digest):
+    spec = _write(tmp_path, HUGE_T_SPEC + extra)
+    code, out, _ = _run(capsys, argv[:1] + [spec] + argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tor_short_tower_is_unstable(tmp_path, capsys):

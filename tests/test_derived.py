@@ -550,7 +550,7 @@ def test_unknown_module_kind_is_an_internal_fault():
 def test_reduced_resolution_of_a_non_cyclic_resolution_is_an_internal_fault():
     # res(R/I) starts at the unit generator; res(I) starts at I's generators
     ring = make_level_ring(_spec_t(), 1)
-    res = ideal_resolution(ring, [(1,)], 2, F1)
+    res = ideal_resolution(ring, [ring.pack((1,))], 2, F1)
     with pytest.raises(AssertionError, match="not cyclic on a unit generator"):
         derived._reduced_resolution(res)
 

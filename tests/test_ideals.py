@@ -29,9 +29,9 @@ def test_roots_family_gens():
     fam = roots_family(spec, "t")
     r0 = LevelRing(spec, 0)
     r3 = LevelRing(spec, 3)
-    assert fam.gens_at(r0) == [(1,)]
+    assert fam.gens_at(r0) == [r0.pack((1,))]
     # numerator 1 at scale 8 is t^(1/8)
-    assert fam.gens_at(r3) == [(1,)]
+    assert fam.gens_at(r3) == [r3.pack((1,))]
     assert r3.weight(fam.gens_at(r3)[0]) == Fraction(1, 8)
 
 
@@ -46,9 +46,9 @@ def test_fixed_family_gens_and_min_level():
     fam = fixed_family(spec, [(Fraction(3, 4),)])
     assert fam.min_level() == 2
     r2 = LevelRing(spec, 2)
-    assert fam.gens_at(r2) == [(3,)]
+    assert fam.gens_at(r2) == [r2.pack((3,))]
     r3 = LevelRing(spec, 3)
-    assert fam.gens_at(r3) == [(6,)]
+    assert fam.gens_at(r3) == [r3.pack((6,))]
 
 
 def test_fixed_family_rejects_bad_exponents():

@@ -48,6 +48,6 @@ def test_strand_matrix_result_counts_its_rows():
         field=QQ, root_base=2, variables=(VarInfo("x", True),), truncations=((Fraction(3),),)
     )
     ring = make_level_ring(spec, 0)
-    res = minimal_resolution(ring, ((1,),), dmax=2, wmax=Fraction(6))
+    res = minimal_resolution(ring, (ring.pack((1,)),), dmax=2, wmax=Fraction(6))
     m = strand_matrix(res, 1, Fraction(2), Strands(ring))
     assert m.nrows == 1

@@ -9,6 +9,7 @@ from idemq.rings import (
     LevelRing,
     RingSpec,
     VarInfo,
+    divides_any,
     format_mono,
     make_level_ring,
 )
@@ -30,8 +31,8 @@ def test_scales_and_weights():
     r2 = LevelRing(spec, 2)
     assert r0.scales == (1,)
     assert r2.scales == (4,)
-    assert r2.weight((3,)) == Fraction(3, 4)
-    assert r2.exp_of((Fraction(1, 2),)) == (2,)
+    assert r2.weight(r2.pack((3,))) == Fraction(3, 4)
+    assert r2.exp_of((Fraction(1, 2),)) == r2.pack((2,))
 
 
 def test_exp_of_rejects_undefined_level():
@@ -45,9 +46,9 @@ def test_truncation_kills_monomials():
     spec = _spec_one_var(a=2)
     r1 = LevelRing(spec, 1)
     # t^2 at level 1 has numerator 4
-    assert r1.mono_is_zero((4,))
-    assert r1.mono_is_zero((5,))
-    assert not r1.mono_is_zero((3,))
+    assert r1.mono_is_zero(r1.pack((4,)))
+    assert r1.mono_is_zero(r1.pack((5,)))
+    assert not r1.mono_is_zero(r1.pack((3,)))
 
 
 def test_basis_strands():
@@ -55,16 +56,16 @@ def test_basis_strands():
     r1 = LevelRing(spec, 1)
     b = r1.basis_upto(Fraction(2))
     # numerators 0..3 survive t^2 = 0
-    assert sorted(sum(b.values(), [])) == [(0,), (1,), (2,), (3,)]
-    assert r1.basis(Fraction(1, 2)) == [(1,)]
+    assert sorted(map(r1.unpack, sum(b.values(), []))) == [(0,), (1,), (2,), (3,)]
+    assert r1.basis(Fraction(1, 2)) == [r1.pack((1,))]
     assert r1.basis(Fraction(2)) == []
 
 
 def test_basis_cache_extends():
     spec = _spec_one_var(a=3)
     r0 = LevelRing(spec, 0)
-    assert r0.basis(Fraction(1)) == [(1,)]
-    assert r0.basis(Fraction(2)) == [(2,)]
+    assert r0.basis(Fraction(1)) == [r0.pack((1,))]
+    assert r0.basis(Fraction(2)) == [r0.pack((2,))]
     assert r0.basis(Fraction(3)) == []
 
 
@@ -89,7 +90,7 @@ def test_num_is_exact_on_the_lattice_and_none_off_it():
     assert r2.num(Fraction(1, 8)) is None
     assert r2.num(Fraction(1, 3)) is None
     # a monomial's integer weight is its weight over denom
-    for e in ((1, 0), (3, 1), (0, 1), (7, 1)):
+    for e in map(r2.pack, ((1, 0), (3, 1), (0, 1), (7, 1))):
         assert r2.num(r2.weight(e)) * Fraction(1, r2.denom) == r2.weight(e)
 
 
@@ -107,8 +108,8 @@ def test_basis_off_the_lattice_is_empty():
     r1 = LevelRing(_spec_mixed(), 1)
     assert r1.basis(Fraction(1, 4)) == []
     assert r1.basis(Fraction(1, 3)) == []
-    assert r1.basis(Fraction(1, 2)) == [(1, 0)]
-    assert r1.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
+    assert r1.basis(Fraction(1, 2)) == [r1.pack((1, 0))]
+    assert r1.basis(Fraction(3, 2)) == [r1.pack((1, 1)), r1.pack((3, 0))]
     # the store is keyed by integer weight over denom
     assert r1.basis_at(3) == r1.basis(Fraction(3, 2))
     assert set(r1.basis_upto(Fraction(2))) == {0, 1, 2, 3, 4}
@@ -126,44 +127,46 @@ def test_two_var_basis_counts():
     all_monos = sum(b.values(), [])
     # x numerators 0..3 (scale 2, x^2 = 0), y exponents 0..1
     assert len(all_monos) == 8
-    assert r1.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
+    assert r1.basis(Fraction(3, 2)) == [r1.pack((1, 1)), r1.pack((3, 0))]
 
 
 def test_elem_mul_reduces():
     spec = _spec_one_var(a=2)
     r1 = LevelRing(spec, 1)
-    t_half = {(1,): 1}
+    t_half = {r1.pack((1,)): 1}
     x = r1.elem_mul(t_half, t_half)
-    assert x == {(2,): 1}
+    assert x == {r1.pack((2,)): 1}
     # t^(3/2) * t^(1/2) = t^2 = 0
-    assert r1.elem_mul({(3,): 1}, t_half) == {}
+    assert r1.elem_mul({r1.pack((3,)): 1}, t_half) == {}
 
 
 def test_elem_add_cancels():
     spec = _spec_one_var()
     r0 = LevelRing(spec, 0)
-    x = {(1,): 1}
-    y = {(1,): -1, (0,): 2}
-    assert r0.elem_add(x, y) == {(0,): 2}
+    t, one = r0.pack((1,)), r0.pack((0,))
+    x = {t: 1}
+    y = {t: -1, one: 2}
+    assert r0.elem_add(x, y) == {one: 2}
 
 
 def test_elem_weight():
     spec = _spec_one_var()
     r1 = LevelRing(spec, 1)
-    assert r1.elem_weight({(2,): 1, (2,): 1}) == Fraction(1)
+    assert r1.elem_weight({r1.pack((2,)): 1}) == Fraction(1)
     assert r1.elem_weight({}) is None
     with pytest.raises(ValueError):
-        r1.elem_weight({(1,): 1, (2,): 1})
+        r1.elem_weight({r1.pack((1,)): 1, r1.pack((2,)): 1})
 
 
 def test_include_exp():
     spec = _spec_one_var(a=2)
     r0 = LevelRing(spec, 0)
     r1 = LevelRing(spec, 1)
-    assert r0.include_exp((1,)) == (2,)
-    assert r1.include_exp((3,)) == (6,)
+    r2 = LevelRing(spec, 2)
+    assert r0.include_exp(r0.pack((1,))) == r1.pack((2,))
+    assert r1.include_exp(r1.pack((3,))) == r2.pack((6,))
     # the image keeps its weight
-    assert r1.weight(r0.include_exp((1,))) == r0.weight((1,))
+    assert r1.weight(r0.include_exp(r0.pack((1,)))) == r0.weight(r0.pack((1,)))
 
 
 def test_make_level_ring_cached():
@@ -208,8 +211,8 @@ def test_spec_validation():
 def test_weight_additive_under_mul(n1, n2):
     spec = _spec_one_var(a=100)
     r1 = LevelRing(spec, 1)
-    e = r1.mul_mono((n1,), (n2,))
-    assert r1.weight(e) == r1.weight((n1,)) + r1.weight((n2,))
+    a, b = r1.pack((n1,)), r1.pack((n2,))
+    assert r1.weight(a + b) == r1.weight(a) + r1.weight(b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -220,3 +223,74 @@ def test_include_preserves_weight(level):
     r_next = make_level_ring(spec, level + 1)
     for e in r.basis(Fraction(2)):
         assert r_next.weight(r.include_exp(e)) == r.weight(e)
+
+
+# ---------- packed monomials ----------
+
+
+@st.composite
+def _ring_and_exponents(draw):
+    """A level ring (1-3 variables, divisible or not, r in {2, 3}, levels
+    0-3) and two exponent tuples below its field cap; the second shares
+    some fields with the first, so ties are drawn."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    variables = tuple(VarInfo(f"v{i}", draw(st.booleans())) for i in range(nvars))
+    spec = RingSpec(field=QQ, root_base=draw(st.sampled_from((2, 3))), variables=variables)
+    ring = LevelRing(spec, draw(st.integers(min_value=0, max_value=3)))
+    field = st.integers(min_value=0, max_value=ring.cap - 1)
+    a = tuple(draw(field) for _ in range(nvars))
+    b = tuple(n if draw(st.booleans()) else draw(field) for n in a)
+    return ring, a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ring_and_exponents())
+def test_packing_keeps_order_products_divisibility_levels_and_weights(case):
+    ring, a, b = case
+    pa, pb = ring.pack(a), ring.pack(b)
+    # injective and order-preserving
+    assert ring.unpack(pa) == a and ring.unpack(pb) == b
+    assert (pa == pb) == (a == b)
+    assert (pa < pb) == (a < b)
+    # a product is a sum with no carry between fields
+    s = tuple(x + y for x, y in zip(a, b))
+    assert ring.unpack(pa + pb) == s
+    if ring.fits(s):
+        assert pa + pb == ring.pack(s)
+    else:
+        assert (pa + pb) & ring.guard
+    # the mask test is tuple dominance, ties included
+    assert divides_any(pa, (pb,), ring.guard) == all(x >= y for x, y in zip(a, b))
+    assert divides_any(pb, (pa,), ring.guard) == all(y >= x for x, y in zip(a, b))
+    # level inclusion commutes with packing
+    up = LevelRing(ring.spec, ring.level + 1)
+    r = ring.spec.root_base
+    scaled = tuple(n * r if v.divisible else n for n, v in zip(a, ring.spec.variables))
+    if up.fits(scaled):
+        assert ring.include_exp(pa) == up.pack(scaled)
+    else:
+        with pytest.raises(ValueError, match="exponent too large"):
+            ring.include_exp(pa)
+    assert ring.weight(pa) == sum(Fraction(n, sc) for n, sc in zip(a, ring.scales))
+
+
+def test_exponents_at_or_beyond_the_cap():
+    plain = LevelRing(_spec_one_var(a=2**40, divisible=False), 0)
+    cap = plain.cap
+    # a truncation that does not fit kills no monomial that does
+    assert plain.trunc_monos == ()
+    assert not plain.mono_is_zero(plain.pack((cap - 1,)))
+    with pytest.raises(ValueError, match="exponent too large"):
+        plain.exp_of((Fraction(cap),))
+    top = plain.pack((cap - 1,))
+    # a product beyond the cap that no truncation kills cannot be stored
+    with pytest.raises(ValueError, match="exponent too large"):
+        plain.mono_is_zero(top + top)
+    with pytest.raises(ValueError, match="exponent too large"):
+        plain.basis_upto(Fraction(cap))
+    # one that a truncation kills is zero, also when that truncation does not fit
+    at_cap = LevelRing(_spec_one_var(a=cap, divisible=False), 0)
+    assert at_cap.trunc_monos == ()
+    assert at_cap.mono_is_zero(top + top)
+    assert at_cap.basis(Fraction(cap)) == []
+    assert at_cap.basis(Fraction(cap - 1)) == [top]
