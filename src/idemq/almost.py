@@ -47,10 +47,8 @@ from .derived import (
     derived_tensor,
     gluing_bounds,
     ideal_module,
-    judge_cell,
     level_range,
     module_min_level,
-    rep_level,
     require_idempotent,
     ring_module,
 )
@@ -124,45 +122,37 @@ def _annihilation_cells(
 ) -> dict[tuple[int, Fraction], CellResult]:
     """Stabilized rank of I(l)*H_d per weight cell; CellResult.dims are
     the per-level dims of the annihilated subspace, not of H itself.
-    Degrees are walked from the top down, as in LevelDiagram.run, and
-    the cells come back in ascending (d, w) order."""
-    K = len(diagram.levels)
-    rings = [diagram.providers[k].ring for k in range(K)]
+    The cells are those of the diagram's own walk (LevelDiagram.walk):
+    at level k a generator g of integer weight gn carries the strand of
+    integer weight n - gn into the one of weight n."""
+    rings = [x.ring for x in diagram.complexes]
     gens = [family.gens_at(r) for r in rings]
-    gweights = [[r.weight(g) for g in gs] for r, gs in zip(rings, gens)]
+    gnums = [[r.num(r.weight(g)) for g in gs] for r, gs in zip(rings, gens)]
+    field = diagram.complexes[0].field
     mults: dict[tuple[int, Mono], ChainMap] = {}
-    out: dict[tuple[int, Fraction], CellResult] = {}
-    for d in sorted(degrees, reverse=True):
-        for w in diagram.cell_weights(d, wmax):
-            hs = [diagram.homology(k, d, w) for k in range(K)]
-            if not any(h.dim for h in hs):
-                continue
-            field = diagram.complexes[0].field
-            bs = []
-            for k in range(K):
-                h = hs[k]
-                cols = []
-                if h.dim:
-                    for g, wg in zip(gens[k], gweights[k]):
-                        wsrc = w - wg
-                        if wsrc < 0:
-                            continue
-                        sh = diagram.homology(k, d, wsrc)
-                        if sh.dim == 0:
-                            continue
-                        mm = mults.get((k, g))
-                        if mm is None:
-                            mm = mults[(k, g)] = _mult_map(diagram.complexes[k], g)
-                        cols.append(
-                            homology_map_matrix(mm, d, sh, h)
-                        )
-                bs.append(_hstack(h.dim, cols, field))
-            ts = [diagram.step_matrix(k, d, w) for k in range(K - 1)]
-            dims = [b.rank() for b in bs]
-            out[(d, w)] = judge_cell(
-                diagram.levels, dims, ts, window, rep_level(w, diagram.root_base), bs
-            )
-    return dict(sorted(out.items()))
+
+    def track(d, ns):
+        hs = [diagram.homology(k, d, n) for k, n in enumerate(ns)]
+        if not any(h.dim for h in hs):
+            return None
+        bs = []
+        for k, (h, n) in enumerate(zip(hs, ns)):
+            cols = []
+            if h.dim:
+                for g, gn in zip(gens[k], gnums[k]):
+                    if n < gn:
+                        continue
+                    sh = diagram.homology(k, d, n - gn)
+                    if sh.dim == 0:
+                        continue
+                    mm = mults.get((k, g))
+                    if mm is None:
+                        mm = mults[(k, g)] = _mult_map(diagram.complexes[k], g)
+                    cols.append(homology_map_matrix(mm, d, sh, h))
+            bs.append(_hstack(h.dim, cols, field))
+        return [b.rank() for b in bs], bs
+
+    return diagram.walk(degrees, wmax, window, track)
 
 
 def _verdict(

@@ -10,7 +10,7 @@ exact on the strands that remain.
 One provider, Strands, selects the module structure: a monomial ideal J
 read as R/J (R itself when J is empty) or, with `inside`, as J, so Tor
 against a monomial quotient or ideal and reduction mod the maximal ideal
-are one code path. `basis(w)` never returns a zero monomial.
+are one code path. `basis_at(n)` never returns a zero monomial.
 
 Every map is stored by column. For each degree d, a differential
 `FreeComplex.diff[d]` and a chain map's `ChainMap.entries[d]` are lists
@@ -40,10 +40,15 @@ FreeComplex groups each degree's generators by weight once
 (`gens_by_weight`), so a strand costs one basis lookup per distinct
 generator weight, not one per generator.
 
-Inside a level, strands are walked in integer weights over the ring's
-`denom` (LevelRing.num): weight groups, module bases and strand lookups
-are keyed by integers. Generator lists, cells and tables keep Fractions,
-the weights where levels meet; `strand_basis` converts its weight once.
+Inside a level a weight is the integer n = w * denom over the ring's
+`denom` (LevelRing.num), and the strand functions take and return it:
+`strand_basis`, `strand_matrix`, `homology_data` and `aug_strand` read
+the strand of integer weight n, `strand_weights` lists the integer
+weights up to an integer cap. Weight groups, module bases and strand
+lookups are keyed by integers too. Generator lists keep Fractions, the
+weights where levels meet, and `gens_by_weight` converts them once per
+degree; a caller holding a level-free weight converts it with `num`, and
+one off the level's lattice has the empty strand, so it builds none.
 
 No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
@@ -216,8 +221,8 @@ class Strands:
     submodule of R when `inside` is set. `basis_at(n)` lists the monomials
     of integer weight n (LevelRing.num) that are nonzero in the module, so
     in either reading a product of a listed monomial with a ring monomial
-    that is not listed is zero in the module; `basis(w)` takes a Fraction.
-    A module other than R keeps its list per weight."""
+    that is not listed is zero in the module. A module other than R keeps
+    its list per weight."""
 
     def __init__(
         self, ring: LevelRing, ideal_exps: tuple[Mono, ...] = (), inside: bool = False
@@ -242,10 +247,6 @@ class Strands:
             ]
         return hit
 
-    def basis(self, w: Fraction) -> list[Mono]:
-        n = self.ring.num(w)
-        return [] if n is None else self.basis_at(n)
-
 
 # ---------- the strand engine ----------
 
@@ -259,13 +260,9 @@ class StrandBasis(NamedTuple):
         return cls(pairs, {p: k for k, p in enumerate(pairs)})
 
 
-def strand_basis(x: FreeComplex, d: int, w: Fraction, provider: Strands) -> StrandBasis:
-    """Pairs (j, m) with weight(j) + weight(m) = w, generators ascending,
-    then monomials in basis order. One basis lookup per generator weight;
-    a weight off the level's lattice has the empty strand."""
-    n = x.ring.num(w)
-    if n is None:
-        return StrandBasis([], {})
+def strand_basis(x: FreeComplex, d: int, n: int, provider: Strands) -> StrandBasis:
+    """Pairs (j, m) whose integer weights sum to n, generators ascending,
+    then monomials in basis order. One basis lookup per generator weight."""
     basis_at = provider.basis_at
     owners = []  # (generator, its monomials), one per contributing generator
     for gn, js in x.gens_by_weight(d):
@@ -338,34 +335,36 @@ def strand_map(
 def strand_matrix(
     x: FreeComplex,
     d: int,
-    w: Fraction,
+    n: int,
     provider: Strands,
     src: Optional[StrandBasis] = None,
     dst: Optional[StrandBasis] = None,
 ) -> SparseMatrix:
-    """Matrix of diff[d] on the weight-w strand (rows: degree d-1)."""
+    """Matrix of diff[d] on the strand of integer weight n (rows: degree
+    d-1)."""
     if src is None:
-        src = strand_basis(x, d, w, provider)
+        src = strand_basis(x, d, n, provider)
     if dst is None:
-        dst = strand_basis(x, d - 1, w, provider)
+        dst = strand_basis(x, d - 1, n, provider)
     return strand_map(x.diff_at(d), src, dst, x.ring)
 
 
-def aug_strand(x: FreeComplex, w: Fraction) -> tuple[list[Column], StrandBasis]:
+def aug_strand(x: FreeComplex, n: int) -> tuple[list[Column], StrandBasis]:
     """The augmentation as a map onto one generator of weight 0: its
-    columns, and the weight-w strand of the target R/aug_quotient."""
+    columns, and the strand of integer weight n of the target
+    R/aug_quotient."""
     if x.aug is None:
         raise AssertionError("complex has no augmentation")
     cols = [((0, a),) for a in x.aug]
-    return cols, StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis(w)])
+    return cols, StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis_at(n)])
 
 
-def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fraction]:
-    """Weights w <= wmax where the degree-d strand is nonzero: a generator
-    weight plus a weight where the module's basis is nonempty."""
+def strand_weights(x: FreeComplex, d: int, top: int, provider) -> list[int]:
+    """Integer weights n <= top, ascending, where the degree-d strand is
+    nonzero: a generator weight plus a weight where the module's basis is
+    nonempty."""
     ring = provider.ring
-    top = wmax.numerator * ring.denom // wmax.denominator
-    module_ns = [n for n in ring.basis_upto(wmax) if n <= top and provider.basis_at(n)]
+    module_ns = [n for n in ring.basis_upto(top) if n <= top and provider.basis_at(n)]
     ns = set()
     for gn, _js in x.gens_by_weight(d):
         if gn > top:  # module weights are >= 0
@@ -373,7 +372,7 @@ def strand_weights(x: FreeComplex, d: int, wmax: Fraction, provider) -> list[Fra
         for mn in module_ns:
             if gn + mn <= top:
                 ns.add(gn + mn)
-    return [Fraction(n, ring.denom) for n in sorted(ns)]
+    return sorted(ns)
 
 
 # ---------- homology ----------
@@ -417,14 +416,15 @@ NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}), 0, [], None, None, ())
 def homology_data(
     x: FreeComplex,
     d: int,
-    w: Fraction,
+    n: int,
     provider,
     above: Optional[HomologyData] = None,
 ) -> HomologyData:
-    """Homology of the weight-w strand in degree d, decided by ranks first:
-    dim = nullity(d_d) - rank(d_{d+1}), with d_d reduced in one echelon of
-    its rows. `above` is the weight-w homology in degree d+1 where the
-    caller has it; it carries rank(d_{d+1}) and the strand basis there.
+    """Homology of the strand of integer weight n in degree d, decided by
+    ranks first: dim = nullity(d_d) - rank(d_{d+1}), with d_d reduced in
+    one echelon of its rows. `above` is the weight-n homology in degree
+    d+1 where the caller has it; it carries rank(d_{d+1}) and the strand
+    basis there.
 
     No cycles, or as many as above.rank, make dim 0 with no boundary read.
     Otherwise the columns of d_{d+1} (the boundaries) are projected onto
@@ -433,26 +433,28 @@ def homology_data(
     stops once it reaches above.rank, or the nullity (dim 0) when `above`
     is not given, as every later column then lies in its span."""
     F = x.field
-    sb = strand_basis(x, d, w, provider)
-    n = len(sb.pairs)
+    sb = strand_basis(x, d, n, provider)
+    size = len(sb.pairs)
     diff_ech = Echelon(F)
-    if n:
-        for row in strand_matrix(x, d, w, provider, src=sb).rows:
+    if size:
+        for row in strand_matrix(x, d, n, provider, src=sb).rows:
             diff_ech.insert(row)
     rank = diff_ech.rank
-    nullity = n - rank
+    nullity = size - rank
     if nullity == 0 or (above is not None and above.rank == nullity):
         return HomologyData(0, sb, rank, [], None, None, ())
     # free_bnd ends at rank(d_{d+1}): above.rank, or at most the nullity
     full = nullity if above is None else above.rank
     free_bnd = Echelon(F)
     if full:
-        basis = strand_basis(x, d + 1, w, provider) if above is None else above.basis
+        basis = strand_basis(x, d + 1, n, provider) if above is None else above.basis
         for col in strand_columns(x.diff_at(d + 1), basis, sb, x.ring):
             free_bnd.insert({r: v for r, v in col.items() if r not in diff_ech.rows})
             if free_bnd.rank == full:
                 break
-    rep_cols = tuple(c for c in range(n) if c not in diff_ech.rows and c not in free_bnd.rows)
+    rep_cols = tuple(
+        c for c in range(size) if c not in diff_ech.rows and c not in free_bnd.rows
+    )
     if not rep_cols:
         return HomologyData(0, sb, rank, [], None, None, ())
     return HomologyData(
@@ -576,7 +578,7 @@ def tensor_complexes(
     a_nums, b_nums = ({d: [ring.num(g) for g in gl] for d, gl in x.gens.items()} for x in (a, b))
     if any(None in ns for x in (a_nums, b_nums) for ns in x.values()):
         raise AssertionError("a generator weight is off the level's lattice")
-    top_n = None if wmax is None else wmax.numerator * ring.denom // wmax.denominator
+    top_n = None if wmax is None else ring.num_floor(wmax)
     weights: dict[int, Fraction] = {}
     gens: dict[int, list[Fraction]] = {}
     prov: dict = {}
@@ -760,22 +762,22 @@ def minimal_resolution(
         aug=[ring.one()],
         aug_quotient=tuple(quotient_gens),
     )
+    top = ring.num_floor(wmax)
     for d in range(1, dmax + 1):
         # (integer weight, boundary column) of each new generator
         chosen: list[tuple[int, dict[int, Elem]]] = []
-        for w in strand_weights(x, d - 1, wmax, prov):
-            sb = strand_basis(x, d - 1, w, prov)
+        for n in strand_weights(x, d - 1, top, prov):
+            sb = strand_basis(x, d - 1, n, prov)
             if not sb.pairs:
                 continue
             if d == 1:
-                aug_cols, tgt = aug_strand(x, w)
+                aug_cols, tgt = aug_strand(x, n)
                 mat = strand_map(aug_cols, sb, tgt, ring)
             else:
-                mat = strand_matrix(x, d - 1, w, prov, src=sb)
+                mat = strand_matrix(x, d - 1, n, prov, src=sb)
             cycles = kernel_rows(mat.rows, len(sb.pairs), F)
             if not cycles:
                 continue
-            n = ring.num(w)
             span = Echelon(F)
             for (ng, colg) in chosen:
                 for mono in prov.basis_at(n - ng):
@@ -842,13 +844,14 @@ def lift_chain_map(
         else:
             x_cols, f_cols = x.diff_at(d), f.entries_at(d - 1)
         for j, w in enumerate(x.gens_at(d)):
-            ysb = strand_basis(y, d, w, prov)
+            n = ring.num(w)
+            ysb = strand_basis(y, d, n, prov)
             if d == 0:
-                y_cols, ydst = aug_strand(y, w)
+                y_cols, ydst = aug_strand(y, n)
                 mat = strand_map(y_cols, ysb, ydst, ring)
             else:
-                ydst = strand_basis(y, d - 1, w, prov)
-                mat = strand_matrix(y, d, w, prov, src=ysb, dst=ydst)
+                ydst = strand_basis(y, d - 1, n, prov)
+                mat = strand_matrix(y, d, n, prov, src=ysb, dst=ydst)
             # f(d g): the ring is commutative, so each monomial of f's
             # entry scales the pushed boundary entry; pushed monomials that
             # vanish in y's ring are not in the strand and drop out

@@ -41,7 +41,11 @@ Homology is decided by ranks first. A diagram walks its degrees from the
 top down, so the (d+1, w) homology is cached when (d, w) is computed and
 hands over rank(d_{d+1}); a strand with as many cycles as that rank is
 exact, and its boundaries are never built (complexes.homology_data).
-Cells still come back in ascending (d, w) order.
+Cells still come back in ascending (d, w) order. Inside a level a weight
+is an integer over the level's denom, and the walk keys its strands and
+caches by it; a cell gets a Fraction weight only when it is recorded
+(LevelDiagram.walk). The annihilation route of `almost` walks the same
+cells.
 
 Every complex is built only through the degree its reads need, by one
 rule. H_d reads a complex through degree d + 1. A cone read through D
@@ -226,22 +230,34 @@ def _settle(
 # ---------- level diagrams ----------
 
 
+# what a walk tracks in one cell: (dims per level, spanning columns or
+# None), or None when the cell is zero at every level
+Tracked = Optional[tuple[list[int], Optional[list[SparseMatrix]]]]
+
+
 @dataclass
 class LevelDiagram:
     """Complexes over consecutive levels with transition chain maps
     (steps[k]: complexes[k] -> complexes[k+1]) and a module structure
-    provider per level, made by _LevelBuilder.level_diagram. Homology is
-    cached in the builder's cache under (tag, level, d, w).
+    provider per level, made by _LevelBuilder.level_diagram.
+
+    Inside level k a weight is its integer n over that level's denom
+    (rings.LevelRing.num). Homology is cached in the builder's cache
+    under (tag, level, d, n) and a step matrix under (tag, "step", level,
+    d, n), n on that level's lattice; a weight off it has the empty
+    strand there, passed as None: its homology is NO_HOMOLOGY and its
+    step matrix has no columns, neither built nor cached.
 
     Differentials and transitions are stored by column, so a strand reads
     the columns of its generators directly and the diagram keeps no index
-    of its own. A weight off a level's lattice has the empty strand
-    there: its homology is NO_HOMOLOGY, neither built nor cached.
+    of its own.
 
-    `homology` passes the cached (d+1, w) entry, where there is one, to
+    `homology` passes the cached (d+1, n) entry, where there is one, to
     homology_data, whose rank of d_{d+1} can settle dim 0 with no
-    boundary read. `run` walks degrees from the top down so that entry is
-    there, and returns its cells in ascending (d, w) order."""
+    boundary read. `walk` goes through the degrees from the top down so
+    that entry is there, and through each degree's cells on the top
+    level's lattice (see walk); `run` is the walk that tracks all of the
+    homology."""
 
     levels: list[int]
     complexes: list[FreeComplex]
@@ -251,53 +267,82 @@ class LevelDiagram:
     cache: dict
     tag: tuple
 
-    def homology(self, k: int, d: int, w: Fraction) -> HomologyData:
-        if self.complexes[k].ring.num(w) is None:  # the level's strand is empty
+    def homology(self, k: int, d: int, n: Optional[int]) -> HomologyData:
+        if n is None:  # the level's strand is empty
             return NO_HOMOLOGY
-        key = (self.tag, self.levels[k], d, w)
+        key = (self.tag, self.levels[k], d, n)
         h = self.cache.get(key)
         if h is None:
-            above = self.cache.get((self.tag, self.levels[k], d + 1, w))
-            h = homology_data(self.complexes[k], d, w, self.providers[k], above=above)
+            above = self.cache.get((self.tag, self.levels[k], d + 1, n))
+            h = homology_data(self.complexes[k], d, n, self.providers[k], above=above)
             self.cache[key] = h
         return h
 
-    def step_matrix(self, k: int, d: int, w: Fraction) -> SparseMatrix:
-        key = (self.tag, "step", self.levels[k], d, w)
+    def step_matrix(self, k: int, d: int, ns: list[Optional[int]]) -> SparseMatrix:
+        """H_d(steps[k]) on the cell whose integer weight at level i is
+        ns[i]."""
+        n, field = ns[k], self.complexes[0].field
+        if n is None:
+            return SparseMatrix(self.homology(k + 1, d, ns[k + 1]).dim, 0, field)
+        key = (self.tag, "step", self.levels[k], d, n)
         m = self.cache.get(key)
         if m is None:
-            src_h = self.homology(k, d, w)
-            dst_h = self.homology(k + 1, d, w)
+            src_h = self.homology(k, d, n)
+            dst_h = self.homology(k + 1, d, ns[k + 1])
             if src_h.dim == 0 or dst_h.dim == 0:
-                m = SparseMatrix(dst_h.dim, src_h.dim, self.complexes[0].field)
+                m = SparseMatrix(dst_h.dim, src_h.dim, field)
             else:
                 m = homology_map_matrix(self.steps[k], d, src_h, dst_h)
             self.cache[key] = m
         return m
 
-    def cell_weights(self, d: int, wmax: Fraction) -> list[Fraction]:
-        ws = set()
-        for k in range(len(self.levels)):
-            ws.update(strand_weights(self.complexes[k], d, wmax, self.providers[k]))
-        return sorted(ws)
+    def walk(
+        self,
+        degrees,
+        wmax: Fraction,
+        window: int,
+        track: Callable[[int, list[Optional[int]]], Tracked],
+    ) -> dict[tuple[int, Fraction], CellResult]:
+        """Judge every cell of the degrees up to weight wmax, degrees from
+        the top down. A cell is an integer nt over the top level's denom
+        D: the weights where some level's degree-d strand is nonzero,
+        merged on that lattice. At level k its weight is nt / (D / D_k),
+        or None (the empty strand) when that does not divide. track(d, ns)
+        gives the cell's tracked dims and spans (colimit_stabilize), or
+        None to skip it; only a judged cell gets a Fraction weight nt / D.
+        The cells come back in ascending (d, w) order."""
+        denom = self.complexes[-1].ring.denom
+        ratios = [denom // x.ring.denom for x in self.complexes]
+        blocks = []
+        for d in sorted(degrees, reverse=True):
+            cells = set()
+            for x, prov, q in zip(self.complexes, self.providers, ratios):
+                cells.update(n * q for n in strand_weights(x, d, x.ring.num_floor(wmax), prov))
+            block = []
+            for nt in sorted(cells):
+                ns = [nt // q if nt % q == 0 else None for q in ratios]
+                tracked = track(d, ns)
+                if tracked is None:
+                    continue
+                dims, spans = tracked
+                mats = [self.step_matrix(k, d, ns) for k in range(len(ns) - 1)]
+                w = Fraction(nt, denom)
+                first_rep = rep_level(w, self.root_base)
+                result = judge_cell(self.levels, dims, mats, window, first_rep, spans)
+                block.append(((d, w), result))
+            blocks.append(block)
+        return dict(cell for block in reversed(blocks) for cell in block)
 
     def run(
         self, degrees, wmax: Fraction, window: int
     ) -> dict[tuple[int, Fraction], CellResult]:
-        out = {}
-        for d in sorted(degrees, reverse=True):
-            for w in self.cell_weights(d, wmax):
-                dims = [self.homology(k, d, w).dim for k in range(len(self.levels))]
-                if not any(dims):
-                    continue
-                mats = [
-                    self.step_matrix(k, d, w)
-                    for k in range(len(self.levels) - 1)
-                ]
-                out[(d, w)] = judge_cell(
-                    self.levels, dims, mats, window, rep_level(w, self.root_base)
-                )
-        return dict(sorted(out.items()))
+        """The walk that tracks each cell's whole homology."""
+
+        def track(d, ns):
+            dims = [self.homology(k, d, n).dim for k, n in enumerate(ns)]
+            return (dims, None) if any(dims) else None
+
+        return self.walk(degrees, wmax, window, track)
 
 
 # ---------- result types ----------

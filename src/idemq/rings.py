@@ -8,10 +8,10 @@ as integer numerators against per-variable scales, and every weight strand
 is a finite monomial basis.
 
 Inside a level every weight is an integer over one denominator, `denom`
-(r^l when some variable is divisible, else 1): `num(w)` is that integer,
-and the level's basis store is keyed by it. Fractions are the weights
-where levels meet (cells, tables, generator lists); `basis(w)` and
-`basis_upto(wmax)` take one and convert it once.
+(r^l when some variable is divisible, else 1): weight w is n = w * denom,
+and the basis store (`basis_at`, `basis_upto`) takes and is keyed by n.
+Fractions are the weights where levels meet (cells, tables, generator
+lists); `num` and `num_floor` turn one into its integer.
 
 Inside a level a monomial is one int, its packed exponent vector
 (Monagan-Pearce): one `bits`-wide field per variable, variable 0 most
@@ -35,6 +35,11 @@ Exponents = tuple[int, ...]  # numerators at a level, one per variable
 Mono = int  # a packed monomial at a level (see the module docstring)
 FracMono = tuple[Fraction, ...]  # level-free monomial, one exponent per var
 Elem = dict  # {Mono: scalar}
+
+# the most exponent vectors one basis_upto may walk (about 1 s and 50 MB
+# for two variables): 32 times the largest box the test suite and the
+# benchmark workloads ask for, 65,537 for one variable and 37,249 for two
+BASIS_BOX_MAX = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -154,10 +159,18 @@ class LevelRing:
         return Fraction(sum(n * u for n, u in zip(self.unpack(e), self.units)), self.denom)
 
     def num(self, w) -> Optional[int]:
-        """The integer n with w = n / denom, or None when w lies off this
-        level's weight lattice."""
+        """The integer n with w = n / denom: the weight w as this level
+        names it, or None when w lies off the level's weight lattice. A
+        level-free weight (a generator's, a cell's) is converted here once,
+        at the edge of the level; inside it, strands, walks and caches are
+        keyed by n alone."""
         n, rem = divmod(w.numerator * self.denom, w.denominator)
         return None if rem else n
+
+    def num_floor(self, w) -> int:
+        """The largest integer n with n / denom <= w: a weight cap as this
+        level names it."""
+        return w.numerator * self.denom // w.denominator
 
     def mono_is_zero(self, e: Mono) -> bool:
         """Whether a truncation divides e, a stored monomial or a sum of two."""
@@ -234,11 +247,22 @@ class LevelRing:
 
     # ---------- weight strands ----------
 
-    def basis_upto(self, wmax: Fraction) -> dict[int, list[Mono]]:
+    def basis_upto(self, top: int) -> dict[int, list[Mono]]:
         """Monomial basis of the ring, bucketed by integer weight (see
-        num), complete for weights <= wmax; it may hold heavier buckets."""
-        top = wmax.numerator * self.denom // wmax.denominator
+        num), complete for integer weights <= top; it may hold heavier
+        buckets. The walk visits every exponent vector of weight <= top,
+        truncated or not, so a box that holds more than BASIS_BOX_MAX of
+        them is refused with a ValueError before any is visited."""
         if top > self._basis_top:
+            box = 1
+            for u in self.units:
+                box *= top // u + 1
+            if box > BASIS_BOX_MAX:
+                raise ValueError(
+                    f"weight cap {Fraction(top, self.denom)} at level {self.level} spans"
+                    f" {box} exponent vectors, above the limit of {BASIS_BOX_MAX};"
+                    " lower --weight-max"
+                )
             buckets: dict[int, list[Mono]] = {}
             stack = [0] * self.nvars
             units, cap, shifts = self.units, self.cap, self.shifts
@@ -267,13 +291,8 @@ class LevelRing:
     def basis_at(self, n: int) -> list[Mono]:
         """Monomials of integer weight n (weight n / denom)."""
         if n > self._basis_top:
-            self.basis_upto(Fraction(n, self.denom))
+            self.basis_upto(n)
         return self._basis.get(n, [])
-
-    def basis(self, w: Fraction) -> list[Mono]:
-        """Monomials of weight w; none when w is off this level's lattice."""
-        n = self.num(w)
-        return [] if n is None else self.basis_at(n)
 
     # ---------- level maps ----------
 

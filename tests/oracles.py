@@ -79,12 +79,23 @@ def rank_kernel(m: SparseMatrix) -> tuple[int, list[Vec]]:
     return m.ncols - len(ker), ker
 
 
+def basis(ring, w: Fraction, module=None) -> list:
+    """The monomials of the level-free weight w in the ring, or in a
+    Strands module over it; none off the ring's weight lattice."""
+    n = ring.num(w)
+    return [] if n is None else (module or ring).basis_at(n)
+
+
 def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
-    sb = strand_basis(x, d, w, provider)
+    """dim H_d at the level-free weight w, 0 off the level's lattice."""
+    n = x.ring.num(w)
+    if n is None:
+        return 0
+    sb = strand_basis(x, d, n, provider)
     if not sb.pairs:
         return 0
-    out = strand_matrix(x, d, w, provider, src=sb)
-    inc = strand_matrix(x, d + 1, w, provider, dst=sb)
+    out = strand_matrix(x, d, n, provider, src=sb)
+    inc = strand_matrix(x, d + 1, n, provider, dst=sb)
     return len(sb.pairs) - rank(out) - rank(inc)
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -305,6 +306,21 @@ def test_weight_max_that_is_not_a_fraction_exits_2(tmp_path, capsys, value):
         main(["quotient-homotopy", spec, "--ideal", "I", "--weight-max", value])
     assert exc.value.code == 2
     assert f"--weight-max: not a fraction: '{value}'" in capsys.readouterr().err
+
+
+def test_weight_max_too_wide_for_the_basis_walk_exits_2(tmp_path, capsys):
+    # two untruncated variables, a weight cap just below the level-0 field
+    # cap (2^16): the basis walk would visit 65536^2 exponent vectors, so
+    # it is refused before it starts
+    spec = _write(tmp_path, "var x\nvar y\nideal J = x\nideal K = y\n")
+    argv = ["tor", spec, "--left", "J", "--right", "R/K", "--deg-max", "0"]
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, argv + ["--weight-max", "65535"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "spans 4294967296 exponent vectors" in err
+    assert err.endswith("lower --weight-max\n")
 
 
 def test_internal_fault_exits_5_without_traceback(tmp_path, capsys, monkeypatch):

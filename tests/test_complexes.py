@@ -37,7 +37,7 @@ from idemq.derived import (
 from idemq.ideals import IdealFamily
 from idemq.rings import LevelRing, RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon, SparseMatrix, solve_rows
-from oracles import add_at, column, compose_maps, homology_dim, to_dense
+from oracles import add_at, basis, column, compose_maps, homology_dim, to_dense
 
 F0 = Fraction(0)
 
@@ -142,10 +142,11 @@ def test_strand_basis_and_matrix_shapes():
     ring = _ring(a=3)
     res = minimal_resolution(ring, (ring.pack((1,)),), dmax=2, wmax=Fraction(6))
     prov = Strands(ring)
-    sb = strand_basis(res, 1, Fraction(2), prov)
+    # level 0: the integer weight of w is w itself
+    sb = strand_basis(res, 1, 2, prov)
     # degree 1 generator has weight 1; monomials of weight 1: x
     assert sb.pairs == [(0, ring.pack((1,)))]
-    m = strand_matrix(res, 1, Fraction(2), prov)
+    m = strand_matrix(res, 1, 2, prov)
     assert (m.nrows, m.ncols) == (1, 1)
     assert m.rows[0] == {0: 1}
 
@@ -344,7 +345,7 @@ def test_missing_augmentation_is_an_internal_fault():
     with pytest.raises(AssertionError, match="both complexes need augmentations"):
         lift_chain_map(res, bare)
     with pytest.raises(AssertionError, match="complex has no augmentation"):
-        aug_strand(bare, F0)
+        aug_strand(bare, 0)
 
 
 def _lift_0_to_1(ring_map=None):
@@ -421,7 +422,7 @@ def test_homology_map_of_identity():
     res = minimal_resolution(ring, (ring.pack((1,)),), dmax=3, wmax=Fraction(6))
     sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
     prov = Strands(ring)
-    h = homology_data(sq, 1, Fraction(1), prov)
+    h = homology_data(sq, 1, 1, prov)
     assert h.dim == 1
     m = homology_map_matrix(identity_map(sq), 1, h, h)
     assert m.rank() == 1
@@ -433,9 +434,9 @@ def test_homology_data_reps_are_cycles():
     res = minimal_resolution(ring, (ring.pack((1,)),), dmax=3, wmax=Fraction(6))
     sq, _ = tensor_complexes(res, res, dmax=3, wmax=Fraction(6))
     prov = Strands(ring)
-    h = homology_data(sq, 2, Fraction(3), prov)
+    h = homology_data(sq, 2, 3, prov)
     assert h.dim == homology_dim(sq, 2, Fraction(3), prov) == 1
-    out = strand_matrix(sq, 2, Fraction(3), prov, src=h.basis)
+    out = strand_matrix(sq, 2, 3, prov, src=h.basis)
     for rep in h.reps:
         # matrix-vector product: rows of `out` dot rep
         for row in out.rows:
@@ -475,9 +476,9 @@ def test_rank_first_dims_match_homology_dim_on_xy(field, build):
     x, prov = build(field)
     seen = nonzero = 0
     for d in range(x.lo, x.hi + 1):
-        for w in strand_weights(x, d, Fraction(2), prov):
-            h = homology_data(x, d, w, prov)
-            assert h.dim == homology_dim(x, d, w, prov)
+        for n in strand_weights(x, d, x.ring.num_floor(Fraction(2)), prov):
+            h = homology_data(x, d, n, prov)
+            assert h.dim == homology_dim(x, d, Fraction(n, x.ring.denom), prov)
             assert len(h.reps) == h.dim
             seen += 1
             if h.dim:
@@ -499,13 +500,13 @@ def test_coords_read_each_representative_on_xy(field, build):
     x, prov = build(field)
     seen = 0
     for d in range(x.lo, x.hi + 1):
-        for w in strand_weights(x, d, Fraction(2), prov):
-            h = homology_data(x, d, w, prov)
+        for n in strand_weights(x, d, x.ring.num_floor(Fraction(2)), prov):
+            h = homology_data(x, d, n, prov)
             if not h.dim:
                 continue
             seen += 1
-            out = strand_matrix(x, d, w, prov, src=h.basis)
-            inc = strand_matrix(x, d + 1, w, prov, dst=h.basis)
+            out = strand_matrix(x, d, n, prov, src=h.basis)
+            inc = strand_matrix(x, d + 1, n, prov, dst=h.basis)
             # a boundary: the image of a sum of d+1 strand basis vectors
             bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
             for k, rep in enumerate(h.reps):
@@ -526,9 +527,9 @@ def test_coords_on_a_strand_with_homology_checks_cycles():
 
     def strands():
         for d in range(sq.lo, sq.hi + 1):
-            for w in strand_weights(sq, d, Fraction(2), prov):
-                h = homology_data(sq, d, w, prov)
-                yield h, strand_matrix(sq, d + 1, w, prov, dst=h.basis)
+            for n in strand_weights(sq, d, sq.ring.num_floor(Fraction(2)), prov):
+                h = homology_data(sq, d, n, prov)
+                yield h, strand_matrix(sq, d + 1, n, prov, dst=h.basis)
 
     # homology beside boundaries, and cycles that do not fill the strand
     h, inc = next(
@@ -657,9 +658,9 @@ def _scan_lift(x, y, ring_map):
     for d in range(x.lo, x.hi + 1):
         ent = {}
         for j, gw in enumerate(x.gens_at(d)):
-            ysb = strand_basis(y, d, gw, prov)
+            ysb = strand_basis(y, d, ring.num(gw), prov)
             if d == 0:
-                tgt = [m for m in ring.basis(gw) if not _divisible(ring, m, y.aug_quotient)]
+                tgt = [m for m in basis(ring, gw) if not _divisible(ring, m, y.aug_quotient)]
                 tindex = {m: r for r, m in enumerate(tgt)}
                 mat = SparseMatrix(len(tgt), len(ysb.pairs), F)
                 for c, (jj, mono) in enumerate(ysb.pairs):
@@ -673,8 +674,8 @@ def _scan_lift(x, y, ring_map):
                     if not _divisible(ring, e, y.aug_quotient)
                 }
             else:
-                mat = strand_matrix(y, d, gw, prov, src=ysb)
-                ydst = strand_basis(y, d - 1, gw, prov)
+                mat = strand_matrix(y, d, ring.num(gw), prov, src=ysb)
+                ydst = strand_basis(y, d - 1, ring.num(gw), prov)
                 rhs = {}
                 for i, selem in _scan(_entries(x.diff_at(d)), j):
                     for i2, felem in _scan(entries.get(d - 1, {}), i):
@@ -762,14 +763,15 @@ def _mixed_family():
 
 def _scan_strand_pairs(x, d, w, provider):
     """Strand pairs by a scan of every generator of the degree."""
-    return [(j, m) for j, gw in enumerate(x.gens_at(d)) for m in provider.basis(w - gw)]
+    ring = provider.ring
+    return [(j, m) for j, gw in enumerate(x.gens_at(d)) for m in basis(ring, w - gw, provider)]
 
 
 def _scan_strand_weights(x, d, wmax, provider):
     """Generator weight plus a weight where the module's basis is nonempty."""
     ring = provider.ring
-    ring_ws = [Fraction(n, ring.denom) for n in ring.basis_upto(wmax)]
-    module_ws = [rw for rw in ring_ws if provider.basis(rw)]
+    ring_ws = [Fraction(n, ring.denom) for n in ring.basis_upto(ring.num_floor(wmax))]
+    module_ws = [rw for rw in ring_ws if basis(ring, rw, provider)]
     return sorted(
         {gw + rw for gw in x.gens_at(d) for rw in module_ws if gw + rw <= wmax}
     )
@@ -785,9 +787,9 @@ def _is_zero(provider, e):
     return inside
 
 
-def _strand_matrix_with_zero_test(x, d, w, provider):
-    src = strand_basis(x, d, w, provider)
-    dst = strand_basis(x, d - 1, w, provider)
+def _strand_matrix_with_zero_test(x, d, n, provider):
+    src = strand_basis(x, d, n, provider)
+    dst = strand_basis(x, d - 1, n, provider)
     m = SparseMatrix(len(dst.pairs), len(src.pairs), x.field)
     for c, (j, mono) in enumerate(src.pairs):
         for i, elem in x.diff_at(d)[j]:
@@ -829,10 +831,11 @@ def test_indexed_strands_match_generator_scans():
             weights = x.gens_at(d)
             unsorted += weights != sorted(weights)
             for provider in _strand_providers(x.ring, family):
-                ws = strand_weights(x, d, wmax, provider)
+                ns = strand_weights(x, d, x.ring.num_floor(wmax), provider)
+                ws = [Fraction(n, x.ring.denom) for n in ns]
                 assert ws == _scan_strand_weights(x, d, wmax, provider), (name, d)
-                for w in ws:
-                    sb = strand_basis(x, d, w, provider)
+                for n, w in zip(ns, ws):
+                    sb = strand_basis(x, d, n, provider)
                     assert sb.pairs == _scan_strand_pairs(x, d, w, provider), (name, d, w)
                     assert sb.index == {p: k for k, p in enumerate(sb.pairs)}
     assert unsorted > 0  # the merge of weight groups back into generator order is exercised
@@ -848,11 +851,12 @@ def test_mixed_ring_strands_are_walked_in_integer_weights():
             groups = x.gens_by_weight(d)
             assert all(isinstance(n, int) for n, _js in groups)
             assert [Fraction(n, ring.denom) for n, _js in groups] == sorted(set(x.gens_at(d)))
+            # a weight off the lattice has no integer weight, and no module
+            # monomials: its strand is empty
+            off = Fraction(1, 2 * ring.denom)
+            assert ring.num(off) is None
             for provider in _strand_providers(ring, family):
-                # a weight off the lattice has the empty strand
-                off = Fraction(1, 2 * ring.denom)
-                assert strand_basis(x, d, off, provider).pairs == []
-                assert provider.basis(off) == []
+                assert basis(ring, off, provider) == []
 
 
 def test_strand_matrix_needs_no_zero_test():
@@ -860,11 +864,11 @@ def test_strand_matrix_needs_no_zero_test():
     for name, x, wmax, family in _strand_cases():
         for d in sorted(x.diff):
             for provider in _strand_providers(x.ring, family):
-                for w in strand_weights(x, d, wmax, provider):
-                    got = strand_matrix(x, d, w, provider)
-                    want = _strand_matrix_with_zero_test(x, d, w, provider)
+                for n in strand_weights(x, d, x.ring.num_floor(wmax), provider):
+                    got = strand_matrix(x, d, n, provider)
+                    want = _strand_matrix_with_zero_test(x, d, n, provider)
                     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-                    assert got.rows == want.rows, (name, d, w)
+                    assert got.rows == want.rows, (name, d, n)
                     compared += 1
                     nonzero += any(got.rows)
     assert 0 < nonzero < compared
@@ -874,11 +878,12 @@ def test_weight_index_follows_a_replaced_generator_list():
     ring = _ring(a=3)
     x = FreeComplex(ring=ring, gens={0: [Fraction(2), F0]})
     prov = Strands(ring)
-    assert x.gens_by_weight(0) == [(F0, [1]), (Fraction(2), [0])]
+    assert x.gens_by_weight(0) == [(0, [1]), (2, [0])]
     pairs = [(0, ring.pack((0,))), (1, ring.pack((2,)))]
-    assert strand_basis(x, 0, Fraction(2), prov).pairs == pairs
+    # level 0: integer weights are the weights themselves
+    assert strand_basis(x, 0, 2, prov).pairs == pairs
     x.gens[0] = [Fraction(1)]
-    assert x.gens_by_weight(0) == [(Fraction(1), [0])]
-    assert strand_basis(x, 0, Fraction(2), prov).pairs == [(0, ring.pack((1,)))]
-    assert strand_weights(x, 0, Fraction(2), prov) == [Fraction(1), Fraction(2)]
+    assert x.gens_by_weight(0) == [(1, [0])]
+    assert strand_basis(x, 0, 2, prov).pairs == [(0, ring.pack((1,)))]
+    assert strand_weights(x, 0, 2, prov) == [1, 2]
     assert x.gens_by_weight(1) == []

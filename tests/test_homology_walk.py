@@ -13,13 +13,21 @@ from fractions import Fraction
 import pytest
 
 from idemq import complexes, derived
-from idemq.complexes import HomologyData, strand_matrix
-from idemq.derived import Tower, TorDiagram, default_bounds, ideal_module, quotient_module
+from idemq.complexes import HomologyData, strand_matrix, strand_weights
+from idemq.derived import (
+    Tower,
+    TorDiagram,
+    default_bounds,
+    ideal_module,
+    quotient_module,
+    residue_module,
+)
 from idemq.fields import QQ
-from idemq.ideals import fixed_family, roots_family
+from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo
 from oracles import homology_dim, mono, rank
 
+F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -64,8 +72,48 @@ def _tor():
 DIAGRAMS = {"amitsur-tot": _tot, "cof-sigma": _cof, "tor-I-RJ": _tor}
 
 
+def _cof_r3():
+    # the cofibre of sigma_1 over K[t^(1/3^l)]/(t): lattices 1/3, 1/9, 1/27
+    spec = RingSpec(field=QQ, root_base=3, variables=(VarInfo("t", True),), truncations=((F1,),))
+    tw = Tower(spec, roots_family(spec, "t"), 2, Fraction(1))
+    return tw, tw.cof_diagram(1, [1, 2, 3]), range(2), Fraction(1)
+
+
+def _tor_mixed():
+    # Tor(I, K) for I = roots(x), y over K[x^(1/2^l), y]/(x^2, y^2) from
+    # level 0, where the denom is 1: a unit of y's weight is denom units
+    spec = RingSpec(
+        field=QQ,
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", False)),
+        truncations=((Fraction(2), F0), (F0, Fraction(2))),
+    )
+    I = IdealFamily(name="I", spec=spec, root_vars=(0,), gens=((F0, F1),))
+    td = TorDiagram(spec, ideal_module(I), residue_module(), 3, Fraction(2))
+    return td, td.diagram([0, 1, 2]), range(3), Fraction(2)
+
+
+def _tor_plain():
+    # Tor(J, R/K) over K[x, y]/(x^2 y): no divisible variable, so the
+    # denom is 1 at every level
+    spec = RingSpec(
+        field=QQ,
+        root_base=2,
+        variables=(VarInfo("x", False), VarInfo("y", False)),
+        truncations=((Fraction(2), F1),),
+    )
+    J = fixed_family(spec, [mono(spec, x=1)], name="J")
+    K = fixed_family(spec, [mono(spec, y=1)], name="K")
+    td = TorDiagram(spec, ideal_module(J), quotient_module(K), 2, Fraction(3))
+    return td, td.diagram([0, 1, 2]), range(2), Fraction(3)
+
+
+WALKS = {**DIAGRAMS, "cof-sigma-r3": _cof_r3, "tor-mixed": _tor_mixed, "tor-plain": _tor_plain}
+
+
 def _strands(builder) -> dict:
-    """The cached homology, keyed by (level, d, w)."""
+    """The cached homology, keyed by (level, d, n), n the integer weight
+    at that level."""
     return {
         key[1:]: h for key, h in builder.cache.items() if isinstance(h, HomologyData)
     }
@@ -78,17 +126,21 @@ def test_top_down_walk_matches_dense_ranks_and_a_bottom_up_walk(make):
     assert raw and list(raw) == sorted(raw)
     strands = _strands(builder)
     assert strands
-    for (l, d, w), h in strands.items():
+    for (l, d, n), h in strands.items():
         k = diagram.levels.index(l)
         x, prov = diagram.complexes[k], diagram.providers[k]
-        assert h.dim == homology_dim(x, d, w, prov), (l, d, w)
-        assert h.rank == (rank(strand_matrix(x, d, w, prov)) if h.basis.pairs else 0)
+        assert h.dim == homology_dim(x, d, Fraction(n, x.ring.denom), prov), (l, d, n)
+        assert h.rank == (rank(strand_matrix(x, d, n, prov)) if h.basis.pairs else 0)
+
+    def weight(key):  # the level-free weight of a cache key
+        l, _d, n = key
+        return Fraction(n, diagram.complexes[diagram.levels.index(l)].ring.denom)
 
     # a fresh builder, each degree walked before the one above it
     fresh, walk, _, _ = make()
-    for l, d, w in sorted(strands, key=lambda s: (s[1], s[2], s[0])):
-        h, g = strands[(l, d, w)], walk.homology(walk.levels.index(l), d, w)
-        assert (g.dim, g.reps, g.rep_cols) == (h.dim, h.reps, h.rep_cols), (l, d, w)
+    for l, d, n in sorted(strands, key=lambda s: (s[1], weight(s), s[0])):
+        h, g = strands[(l, d, n)], walk.homology(walk.levels.index(l), d, n)
+        assert (g.dim, g.reps, g.rep_cols) == (h.dim, h.reps, h.rep_cols), (l, d, n)
     assert walk.run(degrees, wmax, 2) == raw
 
 
@@ -110,9 +162,70 @@ def test_exact_strands_read_no_boundaries_where_ranks_decide_them(monkeypatch):
     read = {by_basis[id(t)] for t in targets if id(t) in by_basis}
     assert read
     decided = 0
-    for (l, d, w), h in strands.items():
-        above = strands.get((l, d + 1, w))
+    for (l, d, n), h in strands.items():
+        above = strands.get((l, d + 1, n))
         if h.dim == 0 and above is not None and h.basis.pairs:
             decided += len(h.basis.pairs) > h.rank
-            assert (l, d, w) not in read, (l, d, w)
+            assert (l, d, n) not in read, (l, d, n)
     assert decided  # strands with cycles that ranks alone showed exact
+
+
+@pytest.mark.parametrize("make", WALKS.values(), ids=WALKS.keys())
+def test_integer_walk_merges_every_levels_strand_weights(make):
+    # the walk's cells are the sorted union of every level's strand
+    # weights as Fractions, its weight at level k is the cell's own or
+    # None off that level's lattice, and each homology it reads has the
+    # dense dimension at the Fraction weight
+    builder, diagram, degrees, wmax = make()
+    raw = diagram.run(degrees, wmax, 2)
+    seen = []
+
+    def record(d, ns):
+        seen.append((d, ns))
+        return None
+
+    assert diagram.walk(degrees, wmax, 2, record) == {}
+    denom = diagram.complexes[-1].ring.denom
+    want = [
+        (d, w)
+        for d in sorted(degrees, reverse=True)
+        for w in sorted(
+            {
+                Fraction(n, x.ring.denom)
+                for x, prov in zip(diagram.complexes, diagram.providers)
+                for n in strand_weights(x, d, x.ring.num_floor(wmax), prov)
+            }
+        )
+    ]
+    assert [(d, Fraction(ns[-1], denom)) for d, ns in seen] == want
+    alive = set()
+    for d, ns in seen:
+        w = Fraction(ns[-1], denom)
+        for k, (x, prov, n) in enumerate(zip(diagram.complexes, diagram.providers, ns)):
+            assert n == x.ring.num(w), (d, w, k)
+            dim = diagram.homology(k, d, n).dim
+            assert dim == homology_dim(x, d, w, prov), (d, w, k)
+            if dim:
+                alive.add((d, w))
+    assert alive and set(raw) == alive
+    # every cache key names its weight by the level's integer, never None
+    assert builder.cache
+    assert all(type(key[-1]) is int for key in builder.cache)
+
+
+def test_a_level_walk_hashes_one_fraction_per_recorded_cell(monkeypatch):
+    # inside a level weights are integers: the walk builds a Fraction only
+    # for the cells it records, and hashes it once, as the result's key
+    builder, diagram, degrees, wmax = _cof()
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    raw = diagram.run(degrees, wmax, 2)
+    monkeypatch.undo()
+    assert raw
+    assert len(calls) <= len(raw)

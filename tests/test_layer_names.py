@@ -49,5 +49,5 @@ def test_strand_matrix_result_counts_its_rows():
     )
     ring = make_level_ring(spec, 0)
     res = minimal_resolution(ring, (ring.pack((1,)),), dmax=2, wmax=Fraction(6))
-    m = strand_matrix(res, 1, Fraction(2), Strands(ring))
+    m = strand_matrix(res, 1, 2, Strands(ring))  # level 0: integer weight 2
     assert m.nrows == 1
