@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .complexes import (
@@ -77,6 +78,7 @@ from .complexes import (
     homology_data,
     homology_map_matrix,
     ideal_resolution,
+    identity_map,
     lift_chain_map,
     minimal_resolution,
     strand_weights,
@@ -112,18 +114,6 @@ def gluing_bounds() -> Bounds:
 
 
 # ---------- stabilization detector ----------
-
-
-def rep_level(w: Fraction, root_base: int) -> int:
-    """First level whose weight lattice contains w."""
-    d = Fraction(w).denominator
-    cur, l = 1, 0
-    while cur % d:
-        cur *= root_base
-        l += 1
-        if l > 64:
-            raise ValueError(f"weight {w} is not representable at any level")
-    return l
 
 
 class CellResult(NamedTuple):
@@ -263,7 +253,6 @@ class LevelDiagram:
     complexes: list[FreeComplex]
     steps: list[ChainMap]
     providers: list
-    root_base: int
     cache: dict
     tag: tuple
 
@@ -326,10 +315,11 @@ class LevelDiagram:
                     continue
                 dims, spans = tracked
                 mats = [self.step_matrix(k, d, ns) for k in range(len(ns) - 1)]
-                w = Fraction(nt, denom)
-                first_rep = rep_level(w, self.root_base)
+                # the level lattices are nested, so the first level with a
+                # weight here is where the cell becomes representable
+                first_rep = next(l for l, n in zip(self.levels, ns) if n is not None)
                 result = judge_cell(self.levels, dims, mats, window, first_rep, spans)
-                block.append(((d, w), result))
+                block.append(((d, Fraction(nt, denom)), result))
             blocks.append(block)
         return dict(cell for block in reversed(blocks) for cell in block)
 
@@ -460,7 +450,6 @@ class _LevelBuilder:
             complexes=[complex_at(l) for l in levels],
             steps=[step_at(l) for l in levels[:-1]],
             providers=[provider_at(l) for l in levels],
-            root_base=self.spec.root_base,
             cache=self.cache,
             tag=tag,
         )
@@ -1099,10 +1088,12 @@ def tower_report(
 
 class _TotData(NamedTuple):
     tot: FreeComplex
-    powers: list[FreeComplex]
-    infos: list[Optional[TensorInfo]]
+    powers: list[FreeComplex]  # powers[k] = W (x) Wbar^{(x) k}, column k
+    infos: list[Optional[TensorInfo]]  # infos[k] builds powers[k] from powers[k-1]
     wbar: FreeComplex
-    idx: dict  # (k, internal degree, gen) -> (total degree, index)
+    # offsets[d][k]: where column k's generators start in Tot_d, k ascending;
+    # offsets[d][-1] is rank(Tot_d)
+    offsets: dict[int, list[int]]
 
 
 def _reduced_resolution(W: FreeComplex) -> FreeComplex:
@@ -1120,20 +1111,11 @@ def _reduced_resolution(W: FreeComplex) -> FreeComplex:
     return FreeComplex(ring=W.ring, gens=gens, diff=diff)
 
 
-def _flat_tables(powers, infos):
-    """Multi-index of each power generator as a tuple of W-generators."""
-    flats = [{}]
-    for (d, gl) in powers[0].gens.items():
-        for i in range(len(gl)):
-            flats[0][(d, i)] = ((d, i),)
-    for j in range(1, len(powers)):
-        prev = flats[j - 1]
-        cur = {}
-        for (d, idx), (p, i, q, jj) in infos[j].prov.items():
-            cur[(d, idx)] = prev[(p, i)] + ((q, jj),)
-        flats.append(cur)
-    revs = [{multi: key for key, multi in f.items()} for f in flats]
-    return flats, revs
+def _shifted(col, off: int, neg=None):
+    """col with every row moved by off, each entry negated by neg if given."""
+    if neg is not None:
+        return tuple([(off + i, neg(elem)) for i, elem in col])
+    return tuple([(off + i, elem) for i, elem in col]) if off and col else col
 
 
 def _amitsur_level(
@@ -1145,13 +1127,26 @@ def _amitsur_level(
 
     Cofaces insert the unit generator w0 of W = res(R/I), so the span of
     basis tensors carrying w0 in a positive slot is the coface-degenerate
-    subcomplex; the Moore conormalization is the basis-aligned quotient
-    by it. Column k of the quotient is W (x) Wbar^{(x) k} with
-    Wbar = W / R.w0, and only the slot-0 coface survives.
+    subcomplex; the Moore normalization is the basis-aligned quotient by
+    it (Weibel, An Introduction to Homological Algebra, 8.4). Column k of
+    the quotient is powers[k] = W (x) Wbar^{(x) k}, Wbar = W / R.w0, and
+    only the slot-0 coface survives: the chain map delta_k: powers[k] ->
+    powers[k+1], a -> w0 (x) a. delta_0 is one lookup per generator of W
+    (w0 itself goes to 0, as w0 is not in Wbar), and delta_k = delta_{k-1}
+    (x) id(Wbar).
+
+    Tot_d is the blocks powers[k]_{d+k}, k ascending, block k starting at
+    offsets[d][k]. A generator a of internal degree i in column k has the
+    boundary d(a) + (-1)^i delta_k(a), the sign that makes the two
+    anticommute (Weibel 1.2.6): its internal boundary in block k and its
+    coface in block k+1 of Tot_{d-1}. The block order is kept: it sets how
+    many boundary columns the rank-first homology reads, and descending k
+    reads more.
 
     Column k keeps internal degrees <= N + 1 + k, so power k is built
     through N + 1 + k. Its k Wbar factors each sit in degree >= 1, so none
-    of them is read above N + 2, which is what W is built through."""
+    of them is read above N + 2, which is what W is built through. For
+    the same reason power k starts in degree k, and Tot_{-1} is zero."""
     W = minimal_resolution(ring, tuple(family.gens_at(ring)), N + 2, wmax)
     wbar = _reduced_resolution(W)
     powers = [W]
@@ -1160,52 +1155,48 @@ def _amitsur_level(
         t, info = tensor_complexes(powers[-1], wbar, N + 1 + k, wmax)
         powers.append(t)
         infos.append(info)
-    flats, revs = _flat_tables(powers, infos)
-    F = ring.field
+    # w0 (x) a, for a generator i of W_d, is (p, i, q, j) = (0, 0, d, i)
+    # in W (x) Wbar; w0 (x) w0 is not there
+    rev = infos[1].rev
+    ent = {}
+    for d, gl in W.gens.items():
+        hits = (rev.get((0, 0, d, i)) for i in range(len(gl)))
+        ent[d] = [() if t is None else ((t, ring.one()),) for t in hits]
+    cofaces = [ChainMap(src=W, dst=powers[1], entries=ent)]
+    id_bar = identity_map(wbar)
+    for k in range(1, m):
+        cofaces.append(
+            tensor_maps(cofaces[-1], id_bar, powers[k], infos[k], powers[k + 1], infos[k + 1])
+        )
 
-    gens_out: dict[int, list] = {}
-    idx: dict = {}
-    for d in range(-1, N + 2):
-        gl = []
-        for k in range(m + 1):
+    degrees = range(-1, N + 2)
+    offsets = {
+        d: list(accumulate((pw.rank(d + k) for k, pw in enumerate(powers)), initial=0))
+        for d in degrees
+    }
+    gens = {d: [w for k, pw in enumerate(powers) for w in pw.gens_at(d + k)] for d in degrees}
+    diff = {}
+    for d in degrees[1:]:
+        below = offsets[d - 1]
+        cols = []
+        for k, pw in enumerate(powers):
             i = d + k
-            if i < 0:
-                continue
-            for g, gw in enumerate(powers[k].gens_at(i)):
-                idx[(k, i, g)] = (d, len(gl))
-                gl.append(gw)
-        gens_out[d] = gl
+            cof = cofaces[k].entries_at(i) if k < m else [()] * pw.rank(i)
+            neg = ring.elem_neg if i % 2 else None
+            for dcol, ccol in zip(pw.diff_at(i), cof):
+                cols.append(_shifted(dcol, below[k]) + _shifted(ccol, below[k + 1], neg))
+        diff[d] = cols
 
-    # every entry of a column has its own target generator: the internal
-    # differential stays in column k, the coface lands in column k + 1
-    diff = {d: [()] * len(gl) for d, gl in gens_out.items()}
-    diffs = [{i: pw.diff_at(i) for i in pw.gens} for pw in powers]
-    for (k, i, g), (d, src) in idx.items():
-        col = []
-        # internal differential
-        for i2, elem in diffs[k][i][g]:
-            tgt = idx.get((k, i - 1, i2))
-            if tgt is not None:
-                col.append((tgt[1], elem))
-        # leading coface, sign (-1)^i to anticommute; inserting ahead of
-        # the unit generator lands in the degenerate part and dies
-        if k + 1 <= m:
-            multi = flats[k][(i, g)]
-            if multi[0][0] != 0:
-                hit = revs[k + 1].get(((0, 0),) + multi)
-                tgt = None if hit is None else idx.get((k + 1, hit[0], hit[1]))
-                if tgt is not None:
-                    sign = -1 if i % 2 else 1
-                    col.append((tgt[1], {ring.unit: F.from_int(sign)}))
-        diff[d][src] = tuple(col)
-
-    tot = FreeComplex(ring=ring, gens=gens_out, diff=diff)
-    return _TotData(tot, powers, infos, wbar, idx)
+    tot = FreeComplex(ring=ring, gens=gens, diff=diff)
+    return _TotData(tot, powers, infos, wbar, offsets)
 
 
 def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
     """Transition Tot(l) -> Tot(l+1) from the lift beta: W(l) -> W(l+1)
-    along the ring inclusion inc."""
+    along the ring inclusion inc.
+
+    Column k maps by maps[k] = beta (x) beta_bar^{(x) k}, so the step is
+    block-diagonal: block k of Tot_d(l) lands in block k of Tot_d(l+1)."""
     beta = lift_chain_map(lo.powers[0], hi.powers[0], ring_map=inc)
     # beta restricts to the reduced factors: positive-degree entries never
     # target the unit generator, so no entries are dropped
@@ -1222,19 +1213,10 @@ def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
                 maps[-1], beta_bar, lo.powers[k], lo.infos[k], hi.powers[k], hi.infos[k]
             )
         )
-    ent = {d: [()] * len(gl) for d, gl in lo.tot.gens.items()}
-    for k in range(m + 1):
-        for d_int, cols in maps[k].entries.items():
-            for j2, col in enumerate(cols):
-                src = lo.idx.get((k, d_int, j2))
-                if src is None:
-                    continue
-                out = []
-                for i2, elem in col:
-                    dst = hi.idx.get((k, d_int, i2))
-                    if dst is not None:
-                        out.append((dst[1], elem))
-                ent[src[0]][src[1]] = tuple(out)
+    ent = {}
+    for d in lo.tot.gens:
+        at = hi.offsets[d]
+        ent[d] = [_shifted(col, at[k]) for k, f in enumerate(maps) for col in f.entries_at(d + k)]
     return ChainMap(src=lo.tot, dst=hi.tot, entries=ent, ring_map=inc)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import FracMono, LevelRing, RingSpec, format_mono
+from .rings import FracMono, LevelRing, RingSpec, format_mono, root_exponent
 
 # ---------- verdicts ----------
 
@@ -70,9 +70,7 @@ class IdealFamily:
                     raise ValueError(
                         f"fractional exponent on non-divisible variable {v.name}"
                     )
-                if v.divisible and not _is_power_denominator(
-                    f.denominator, self.spec.root_base
-                ):
+                if v.divisible and root_exponent(f.denominator, self.spec.root_base) is None:
                     raise ValueError(
                         f"denominator of {f} is not a power of root_base"
                     )
@@ -81,18 +79,9 @@ class IdealFamily:
 
     def min_level(self) -> int:
         """Lowest level where every generator has integral numerators."""
-        lvl = 0
-        r = self.spec.root_base
-        for g in self.gens:
-            for f, v in zip(g, self.spec.variables):
-                if v.divisible:
-                    d = f.denominator
-                    k = 0
-                    while d > 1:
-                        d //= r
-                        k += 1
-                    lvl = max(lvl, k)
-        return lvl
+        spec = self.spec
+        divs = (f for g in self.gens for f, v in zip(g, spec.variables) if v.divisible)
+        return max((root_exponent(f.denominator, spec.root_base) for f in divs), default=0)
 
     def gens_at(self, ring: LevelRing) -> list:
         """Nonzero packed generators at a level (sorted, deduped)."""
@@ -102,14 +91,6 @@ class IdealFamily:
         # a generator that does not fit a field generates no storable monomial
         exps.extend(ring.pack(e) for e in map(ring.numerators, self.gens) if ring.fits(e))
         return sorted({e for e in exps if not ring.mono_is_zero(e)})
-
-
-def _is_power_denominator(d: int, r: int) -> bool:
-    while d > 1:
-        if d % r:
-            return False
-        d //= r
-    return True
 
 
 def roots_family(spec: RingSpec, varname: str, name: str = "I") -> IdealFamily:

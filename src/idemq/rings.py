@@ -95,6 +95,15 @@ def format_mono(spec: RingSpec, mono: FracMono, sep: str = "*") -> str:
     return sep.join(parts) if parts else "1"
 
 
+def root_exponent(q: int, r: int) -> Optional[int]:
+    """The k with r**k == q, or None when q is no power of r."""
+    k = 0
+    while q % r == 0:
+        q //= r
+        k += 1
+    return k if q == 1 else None
+
+
 def divides_any(e: Mono, gens, guard: int) -> bool:
     """Whether some stored monomial of gens divides e: field i of
     (e | guard) - t is 2^(bits-1) + e_i - t_i, in [1, 2^bits), so it borrows

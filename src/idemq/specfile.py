@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .fields import QQ, field_from_name
 from .ideals import IdealFamily
-from .rings import FracMono, RingSpec, VarInfo, format_mono
+from .rings import FracMono, RingSpec, VarInfo, format_mono, root_exponent
 
 # settings understood by the command layer; weight_max is a fraction,
 # the rest are integers, whose lower bounds the command layer checks
@@ -57,12 +57,6 @@ class ProblemSpec:
 _NAME = r"[A-Za-z_]\w*"  # a variable name, as a monomial factor can spell it
 _FACTOR = re.compile(rf"^({_NAME})(?:\^(.+))?$")
 _ROOTS = re.compile(rf"^roots\(\s*({_NAME})\s*\)$")
-
-
-def _power_of(q: int, r: int) -> bool:
-    while q % r == 0:
-        q //= r
-    return q == 1
 
 
 def _parse_exponent(tok: str, line: int) -> Fraction:
@@ -98,7 +92,7 @@ def _parse_monomial(
         e = Fraction(1) if etok is None else _parse_exponent(etok, line)
         i = names[name]
         if spec_vars[i].divisible:
-            if not _power_of(e.denominator, root_base):
+            if root_exponent(e.denominator, root_base) is None:
                 raise SpecError(line, f"denominator not a power of {root_base}")
         elif e.denominator != 1:
             raise SpecError(

@@ -173,6 +173,6 @@ def test_amitsur_level_is_the_same_at_a_wider_cap(monkeypatch, family, m, N):
     def run():
         lo, hi = (derived._amitsur_level(r, family, m, N, wmax) for r in rings)
         step = derived._amitsur_step(lo, hi, rings[0].include_exp, m)
-        return [(t.tot.gens, t.tot.diff, t.idx) for t in (lo, hi)], step.entries
+        return [(t.tot.gens, t.tot.diff, t.offsets) for t in (lo, hi)], step.entries
 
     _same_at_wider_caps(monkeypatch, run, _amitsur_targets)

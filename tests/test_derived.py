@@ -25,7 +25,6 @@ from idemq.derived import (
     ideal_module,
     quotient_homotopy,
     quotient_module,
-    rep_level,
     residue_module,
     ring_module,
     static_check,
@@ -79,16 +78,6 @@ def _stabilize(levels, dims, steps, window, first_rep):
     spans = [SparseMatrix(n, n, QQ, [{i: QQ.one} for i in range(n)]) for n in dims]
     assert derived.colimit_stabilize(levels, dims, steps, window, first_rep, spans) == got
     return got
-
-
-def test_rep_level():
-    assert rep_level(F1, 2) == 0
-    assert rep_level(Fraction(1, 2), 2) == 1
-    assert rep_level(Fraction(3, 4), 2) == 2
-    assert rep_level(Fraction(5, 16), 2) == 4
-    assert rep_level(Fraction(2, 3), 3) == 1
-    with pytest.raises(ValueError):
-        rep_level(Fraction(1, 3), 2)
 
 
 def test_stabilize_constant_tower():
@@ -620,6 +609,15 @@ def test_amitsur_totalizations_and_their_transition_are_chain_complexes(family, 
     for tot in (lo, hi):
         check_complex(tot.tot)
         assert tot.tot.total_rank() > 0
+        # Tot_d is the blocks powers[k]_{d+k}, k ascending, each at its offset
+        for d, gl in tot.tot.gens.items():
+            at = 0
+            for k, pw in enumerate(tot.powers):
+                assert tot.offsets[d][k] == at
+                block = pw.gens_at(d + k)
+                assert gl[at : at + len(block)] == block
+                at += len(block)
+            assert at == len(gl) == tot.offsets[d][-1]
     step = derived._amitsur_step(lo, hi, make_level_ring(spec, 1).include_exp, m)
     check_chain_map(step)
     assert any(any(cols) for cols in step.entries.values())

@@ -12,6 +12,7 @@ from idemq.rings import (
     divides_any,
     format_mono,
     make_level_ring,
+    root_exponent,
 )
 from oracles import basis
 
@@ -173,6 +174,13 @@ def test_include_exp():
 def test_make_level_ring_cached():
     spec = _spec_one_var()
     assert make_level_ring(spec, 2) is make_level_ring(spec, 2)
+
+
+def test_root_exponent():
+    assert [root_exponent(q, 2) for q in (1, 2, 4, 16)] == [0, 1, 2, 4]
+    assert root_exponent(27, 3) == 3
+    assert root_exponent(3, 2) is None
+    assert root_exponent(12, 2) is None
 
 
 def test_format_mono():
