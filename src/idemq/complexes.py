@@ -20,35 +20,42 @@ degree that is not stored maps every generator to zero (`diff_at`,
 `entries_at`). Columns are immutable, so a cone or a cone map shares a
 leg's column wherever its rows keep their positions.
 
-One engine reads every map on strands. `add_image` adds a column of ring
-elements times a module monomial to a strand vector; it is the one place
-a product is looked up in a strand's (generator, monomial) index, and a
-product the index lacks is zero in the module, so nothing tests for zero.
-`strand_column` is its inverse. Monomials are packed ints (see rings), so
-a product is `e + mono`. `strand_columns` yields a map's columns on
-strands, and `strand_map` builds matrices from them: differentials,
-chain maps, the augmentation (a map onto one generator), resolution
-spans and lifts. Homology reads the boundaries as columns, with no
-matrix, and only where ranks leave a strand's dimension open:
-dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), and a caller that has
-the (d+1, w) homology passes it, rank included (homology_data).
+One engine reads every map on strands, by columns or by rows. `add_image`
+adds a column of ring elements times a module monomial to a strand
+vector, and `strand_rows` reads a differential's rows from its row index
+(FreeComplex.rows_at): row (i, m) meets term c * e at the pair
+(j, m - e) when e divides m. These are the two places a product is looked
+up in a strand's (generator, monomial) index, and a pair the index lacks
+is zero in the module, so nothing tests for zero. `strand_column` is the
+inverse of a column read. Monomials are packed ints (see rings), so a
+product is `e + mono` and a quotient `m - e`. `strand_columns` yields a
+map's columns on strands, and `strand_map` builds matrices from them:
+differentials, chain maps, the augmentation (a map onto one generator),
+resolution spans and lifts. Only homology reads rows, with no matrix:
+dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), d_d is reduced from its
+rows, rank(d_{d+1}) comes from a caller that has the (d+1, w) homology
+or else from the rows of d_{d+1} at d_d's free columns, and boundary
+columns are read only where the strand has homology (homology_data).
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
 A strand's basis pairs each generator of weight gw with basis(w - gw).
 FreeComplex groups each degree's generators by weight once
 (`gens_by_weight`), so a strand costs one basis lookup per distinct
-generator weight, not one per generator.
+generator weight, not one per generator. It indexes each differential's
+rows once too (`rows_at`), as flat tuples of terms, so a row read
+touches only the terms of its own row.
 
 Inside a level a weight is the integer n = w * denom over the ring's
 `denom` (LevelRing.num), and the strand functions take and return it:
-`strand_basis`, `strand_matrix`, `homology_data` and `aug_strand` read
-the strand of integer weight n, `strand_weights` lists the integer
-weights up to an integer cap. Weight groups, module bases and strand
-lookups are keyed by integers too. Generator lists keep Fractions, the
-weights where levels meet, and `gens_by_weight` converts them once per
-degree; a caller holding a level-free weight converts it with `num`, and
-one off the level's lattice has the empty strand, so it builds none.
+`strand_pairs`, `strand_basis`, `strand_matrix`, `homology_data` and
+`aug_strand` read the strand of integer weight n, `strand_weights` lists
+the integer weights up to an integer cap. Weight groups, module bases
+and strand lookups are keyed by integers too. Generator lists keep
+Fractions, the weights where levels meet, and `gens_by_weight` converts
+them once per degree; a caller holding a level-free weight converts it
+with `num`, and one off the level's lattice has the empty strand, so it
+builds none.
 
 No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
@@ -61,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .rings import Elem, LevelRing, Mono, divides_any
 from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
@@ -92,6 +99,8 @@ class FreeComplex:
     aug_quotient: tuple[Mono, ...] = ()
     # degree -> (the gens list it indexes, its weight groups); see gens_by_weight
     _by_weight: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree -> (the diff and gens lists it indexes, its rows); see rows_at
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self):
@@ -132,6 +141,28 @@ class FreeComplex:
         index = sorted(groups.items())
         self._by_weight[d] = (gl, index)
         return index
+
+    def rows_at(self, d: int) -> list[tuple]:
+        """The row index of diff[d]: for each degree-(d-1) generator i one
+        flat tuple (j0, e0, c0, j1, e1, c1, ...) of the terms c * e of
+        diff[d] in row i, columns ascending. Built on first use and kept
+        while diff[d] and gens[d-1] are the same list objects, so a
+        replaced differential is indexed afresh."""
+        cols, below = self.diff.get(d), self.gens.get(d - 1)
+        hit = self._rows.get(d)
+        if hit is not None and hit[0] is cols and hit[1] is below:
+            return hit[2]
+        norm = self.field.normalize
+        rows: list = [[] for _ in range(self.rank(d - 1))]
+        for j, col in enumerate(cols or ()):
+            for i, elem in col:
+                row = rows[i]
+                for e, c in elem.items():
+                    row += (j, e, norm(c))
+        for i, row in enumerate(rows):  # in place: each list goes as its tuple comes
+            rows[i] = tuple(row)
+        self._rows[d] = (cols, below, rows)
+        return rows
 
     def rank(self, d: int) -> int:
         return len(self.gens.get(d, []))
@@ -260,7 +291,7 @@ class StrandBasis(NamedTuple):
         return cls(pairs, {p: k for k, p in enumerate(pairs)})
 
 
-def strand_basis(x: FreeComplex, d: int, n: int, provider: Strands) -> StrandBasis:
+def strand_pairs(x: FreeComplex, d: int, n: int, provider: Strands) -> list[tuple[int, Mono]]:
     """Pairs (j, m) whose integer weights sum to n, generators ascending,
     then monomials in basis order. One basis lookup per generator weight."""
     basis_at = provider.basis_at
@@ -272,7 +303,12 @@ def strand_basis(x: FreeComplex, d: int, n: int, provider: Strands) -> StrandBas
         if ms:
             owners.extend((j, ms) for j in js)
     owners.sort()  # generator indices are distinct, so only they are compared
-    return StrandBasis.of([(j, m) for j, ms in owners for m in ms])
+    return [(j, m) for j, ms in owners for m in ms]
+
+
+def strand_basis(x: FreeComplex, d: int, n: int, provider: Strands) -> StrandBasis:
+    """The strand pairs of degree d and integer weight n, indexed."""
+    return StrandBasis.of(strand_pairs(x, d, n, provider))
 
 
 def add_image(
@@ -295,6 +331,46 @@ def add_image(
                     del out[r]
                     continue
             out[r] = F.normalize(nv)
+
+
+def strand_rows(
+    rows: list[tuple],
+    pairs: list[tuple[int, Mono]],
+    src: StrandBasis,
+    ring: LevelRing,
+    skip: Collection[int] = (),
+) -> Iterator[Vec]:
+    """The rows, as strand vectors of src, of the map whose row index
+    (FreeComplex.rows_at) is `rows`: one per target pair (i, m) in
+    `pairs`, leaving out the positions in `skip`. Term (j, e, c) of row i
+    meets src pair (j, m - e) when e divides m, one guard-mask test (see
+    rings.divides_any); a quotient the src index does not hold is zero in
+    the module (or lies off the strand) and drops out. The test only saves
+    the lookup: m - e for an e that does not divide m borrows into a guard
+    bit, and no index holds such a key."""
+    F = ring.field
+    guard = ring.guard
+    index = src.index
+    for k, (i, m) in enumerate(pairs):
+        if k in skip:
+            continue
+        out: Vec = {}
+        mg = m | guard
+        terms = iter(rows[i])
+        for j, e, c in zip(terms, terms, terms):
+            if (mg - e) & guard != guard:
+                continue
+            r = index.get((j, m - e))
+            if r is None:
+                continue
+            if r in out:
+                c = F.add(out[r], c)
+                if F.is_zero(c):
+                    del out[r]
+                    continue
+                c = F.normalize(c)
+            out[r] = c
+        yield out
 
 
 def strand_column(vec: Vec, sb: StrandBasis) -> dict[int, Elem]:
@@ -383,7 +459,8 @@ class HomologyData(NamedTuple):
     d_d on the strand. dim = nullity(d_d) - rank(d_{d+1}), and most
     strands have none: those keep their basis and rank, and no echelon.
 
-    Otherwise `diff_ech` is the echelon of d_d's rows on the strand. Each
+    Otherwise `diff_ech` is the echelon of d_d's rows on the strand, read
+    by the row reader in the order of the degree-(d-1) strand. Each
     free column f (one without a pivot) gives the cycle z_f (see
     Echelon.kernel), and a cycle is the sum of the z_f weighted by its own
     entries at the free columns. `free_bnd` holds the boundaries in those
@@ -422,41 +499,53 @@ def homology_data(
 ) -> HomologyData:
     """Homology of the strand of integer weight n in degree d, decided by
     ranks first: dim = nullity(d_d) - rank(d_{d+1}), with d_d reduced in
-    one echelon of its rows. `above` is the weight-n homology in degree
-    d+1 where the caller has it; it carries rank(d_{d+1}) and the strand
-    basis there.
+    one echelon of its rows, read by the row reader (strand_rows) in the
+    order of the degree-(d-1) strand. `above` is the weight-n homology in
+    degree d+1 where the caller has it; it carries rank(d_{d+1}) and the
+    strand basis there.
 
     No cycles, or as many as above.rank, make dim 0 with no boundary read.
+    Without `above`, rank(d_{d+1}) is read from its free rows: the rows
+    at the positions that are not pivots of d_d. Projection onto those
+    free columns is one-to-one on cycles, and every boundary is a cycle,
+    so the rank of that projection of d_{d+1}, which is made of exactly
+    the free rows, is rank(d_{d+1}). Their echelon stops once it reaches
+    the nullity, and then dim is 0 with no column read.
+
     Otherwise the columns of d_{d+1} (the boundaries) are projected onto
-    the free columns, where they fill `free_bnd`. That projection is
-    one-to-one on cycles, so free_bnd's rank is rank(d_{d+1}): the fill
-    stops once it reaches above.rank, or the nullity (dim 0) when `above`
-    is not given, as every later column then lies in its span."""
+    the free columns, where they fill `free_bnd`; the fill stops once it
+    reaches rank(d_{d+1}), as every later column then lies in its span."""
     F = x.field
     sb = strand_basis(x, d, n, provider)
     size = len(sb.pairs)
     diff_ech = Echelon(F)
     if size:
-        for row in strand_matrix(x, d, n, provider, src=sb).rows:
+        below = strand_pairs(x, d - 1, n, provider)
+        for row in strand_rows(x.rows_at(d), below, sb, x.ring):
             diff_ech.insert(row)
     rank = diff_ech.rank
     nullity = size - rank
     if nullity == 0 or (above is not None and above.rank == nullity):
         return HomologyData(0, sb, rank, [], None, None, ())
-    # free_bnd ends at rank(d_{d+1}): above.rank, or at most the nullity
-    full = nullity if above is None else above.rank
+    pivots = diff_ech.rows
+    if above is None:
+        basis = strand_basis(x, d + 1, n, provider)
+        free_rows = Echelon(F)
+        if basis.pairs:
+            for row in strand_rows(x.rows_at(d + 1), sb.pairs, basis, x.ring, skip=pivots):
+                free_rows.insert(row)
+                if free_rows.rank == nullity:
+                    return HomologyData(0, sb, rank, [], None, None, ())
+        full = free_rows.rank
+    else:
+        basis, full = above.basis, above.rank
     free_bnd = Echelon(F)
     if full:
-        basis = strand_basis(x, d + 1, n, provider) if above is None else above.basis
         for col in strand_columns(x.diff_at(d + 1), basis, sb, x.ring):
-            free_bnd.insert({r: v for r, v in col.items() if r not in diff_ech.rows})
+            free_bnd.insert({r: v for r, v in col.items() if r not in pivots})
             if free_bnd.rank == full:
                 break
-    rep_cols = tuple(
-        c for c in range(size) if c not in diff_ech.rows and c not in free_bnd.rows
-    )
-    if not rep_cols:
-        return HomologyData(0, sb, rank, [], None, None, ())
+    rep_cols = tuple(c for c in range(size) if c not in pivots and c not in free_bnd.rows)
     return HomologyData(
         len(rep_cols), sb, rank, diff_ech.kernel(list(rep_cols)), diff_ech, free_bnd, rep_cols
     )

@@ -40,12 +40,15 @@ homology cache, their tags keeping the entries apart.
 Homology is decided by ranks first. A diagram walks its degrees from the
 top down, so the (d+1, w) homology is cached when (d, w) is computed and
 hands over rank(d_{d+1}); a strand with as many cycles as that rank is
-exact, and its boundaries are never built (complexes.homology_data).
-Cells still come back in ascending (d, w) order. Inside a level a weight
-is an integer over the level's denom, and the walk keys its strands and
-caches by it; a cell gets a Fraction weight only when it is recorded
-(LevelDiagram.walk). The annihilation route of `almost` walks the same
-cells.
+exact, and its boundaries are never built. A strand with no cached
+neighbour, the top of its walk (every strand quotient-homotopy reads),
+takes rank(d_{d+1}) from the rows of d_{d+1} at d_d's free columns, and
+reads boundary columns only when it has homology
+(complexes.homology_data). Cells still come back in ascending (d, w)
+order. Inside a level a weight is an integer over the level's denom,
+and the walk keys its strands and caches by it; a cell gets a Fraction
+weight only when it is recorded (LevelDiagram.walk). The annihilation
+route of `almost` walks the same cells.
 
 Every complex is built only through the degree its reads need, by one
 rule. H_d reads a complex through degree d + 1. A cone read through D
@@ -243,8 +246,8 @@ class LevelDiagram:
     of its own.
 
     `homology` passes the cached (d+1, n) entry, where there is one, to
-    homology_data, whose rank of d_{d+1} can settle dim 0 with no
-    boundary read. `walk` goes through the degrees from the top down so
+    homology_data, whose rank of d_{d+1} can settle dim 0 with no read
+    of d_{d+1} at all. `walk` goes through the degrees from the top down so
     that entry is there, and through each degree's cells on the top
     level's lattice (see walk); `run` is the walk that tracks all of the
     homology."""

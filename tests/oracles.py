@@ -1,12 +1,14 @@
 """Helpers that only the tests use: dense matrix conversion, a dense rank
 that shares no code with `sparsela`, kernels and solutions of a
 SparseMatrix, a homology dimension read from two dense ranks with no
-representatives, and small conveniences on chain maps, monomials and
+representatives, multigraded Betti numbers of a monomial ideal from its
+Taylor complex, and small conveniences on chain maps, monomials and
 tables."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from idemq.complexes import ChainMap, FreeComplex, strand_basis, strand_matrix
@@ -97,6 +99,50 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
     out = strand_matrix(x, d, n, provider, src=sb)
     inc = strand_matrix(x, d + 1, n, provider, dst=sb)
     return len(sb.pairs) - rank(out) - rank(inc)
+
+
+def taylor_betti(gens: list[tuple], field) -> dict[tuple[int, tuple], int]:
+    """Multigraded Betti numbers beta_{i,b} of the monomial ideal T =
+    (gens), exponent tuples, as a module: {(i, b): dim}, nonzero only.
+
+    The Taylor complex of R/T has a basis e_S, S a subset of the gens in
+    homological degree |S| and multidegree lcm(S), with
+    d e_S = sum_k (-1)^k (lcm S / lcm S-s_k) e_{S-s_k}. It resolves R/T, so
+    beta_{|S|,b}(R/T) is the homology of its reduction mod the variables
+    at multidegree b: the subsets with lcm b, and the faces of S that keep
+    lcm b, with sign (-1)^k. T's own resolution is R/T's shifted down one
+    degree: beta_{i,b}(T) = beta_{i+1,b}(R/T)."""
+    r = len(gens)
+    width = len(gens[0]) if gens else 0
+
+    def lcm(s: tuple[int, ...]) -> tuple:
+        return tuple(max((gens[k][v] for k in s), default=0) for v in range(width))
+
+    by_b: dict[tuple, dict[int, list]] = {}
+    for size in range(1, r + 1):
+        for s in combinations(range(r), size):
+            by_b.setdefault(lcm(s), {}).setdefault(size, []).append(s)
+    out = {}
+    for b, faces in by_b.items():
+        for k, here in faces.items():
+            dim = len(here) - _face_rank(faces, k, field) - _face_rank(faces, k + 1, field)
+            if dim:
+                out[(k - 1, b)] = dim
+    return out
+
+
+def _face_rank(faces: dict[int, list], k: int, field) -> int:
+    """Rank of the reduced Taylor differential from the k-subsets to the
+    (k-1)-subsets of one multidegree, `faces` holding the subsets by size."""
+    src, dst = faces.get(k, []), faces.get(k - 1, [])
+    pos = {s: p for p, s in enumerate(dst)}
+    data = [[0] * len(src) for _ in dst]
+    for c, s in enumerate(src):
+        for k2 in range(len(s)):
+            face = s[:k2] + s[k2 + 1 :]
+            if face in pos:
+                data[pos[face]][c] = 1 if k2 % 2 == 0 else -1
+    return dense_rank(data, field)
 
 
 def column(f: ChainMap, d: int, j: int) -> dict:

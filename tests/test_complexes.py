@@ -21,6 +21,8 @@ from idemq.complexes import (
     push_strand_vec,
     strand_basis,
     strand_matrix,
+    strand_pairs,
+    strand_rows,
     strand_weights,
     tensor_complexes,
     tensor_maps,
@@ -869,6 +871,11 @@ def test_strand_matrix_needs_no_zero_test():
                     want = _strand_matrix_with_zero_test(x, d, n, provider)
                     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
                     assert got.rows == want.rows, (name, d, n)
+                    # the row reader gives the same rows, in the same order
+                    src = strand_basis(x, d, n, provider)
+                    below = strand_pairs(x, d - 1, n, provider)
+                    rows = list(strand_rows(x.rows_at(d), below, src, x.ring))
+                    assert rows == got.rows, (name, d, n)
                     compared += 1
                     nonzero += any(got.rows)
     assert 0 < nonzero < compared
@@ -887,3 +894,24 @@ def test_weight_index_follows_a_replaced_generator_list():
     assert strand_basis(x, 0, 2, prov).pairs == [(0, ring.pack((1,)))]
     assert strand_weights(x, 0, 2, prov) == [1, 2]
     assert x.gens_by_weight(1) == []
+
+
+def test_row_index_follows_a_replaced_differential():
+    # K[x]/x^3 with d_1 = x: 0 -> 1, then replaced by x^2
+    ring = _ring(a=3)
+    x1, x2 = ring.pack((1,)), ring.pack((2,))
+    x = FreeComplex(ring=ring, gens={0: [F0], 1: [Fraction(1)]}, diff={1: [((0, {x1: 1}),)]})
+    prov = Strands(ring)
+    rows = x.rows_at(1)
+    assert rows == [(0, x1, 1)]
+    assert x.rows_at(1) is rows  # kept while diff[1] is the same list
+    src = strand_basis(x, 1, 2, prov)
+    assert list(strand_rows(rows, [(0, x2)], src, ring)) == [{0: 1}]
+    x.diff[1] = [((0, {x2: 1}),)]
+    x.gens[1] = [Fraction(2)]
+    assert x.rows_at(1) == [(0, x2, 1)]
+    src = strand_basis(x, 1, 2, prov)
+    assert list(strand_rows(x.rows_at(1), [(0, x2)], src, ring)) == [{0: 1}]
+    # a degree with no stored differential has one empty row per generator
+    assert x.rows_at(0) == []
+    assert x.rows_at(2) == [()]

@@ -34,7 +34,8 @@ from idemq.derived import (
 from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import SparseMatrix, matmul
-from oracles import cell_map, compose_maps, from_dense, homology_dim, mono, to_dense
+from idemq.specfile import parse_spec
+from oracles import cell_map, compose_maps, from_dense, homology_dim, mono, taylor_betti, to_dense
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -255,6 +256,37 @@ def test_quotient_homotopy_untruncated_is_residue_field():
     assert qh.stable
     assert qh.table.stable_cells_at(0) == {F0: 1}
     assert qh.table.stable_cells_at(1) == {}
+
+
+XY = "var x divisible\nvar y divisible\n"
+TAYLOR_SPECS = {
+    "t": ("var t divisible\ntruncate t\nideal I = roots(t)", 2),
+    "t2": ("var t divisible\ntruncate t^2\nideal I = roots(t)", 2),
+    "xy-f7": ("field Fp 7\n" + XY + "truncate x y\nideal I = roots(x), roots(y)", 2),
+    "xy-f2": ("field Fp 2\n" + XY + "truncate x^2 y, x y^2\nideal I = roots(x), roots(y)", 2),
+    "xyz": (
+        XY + "var z divisible\ntruncate x y z\nideal I = roots(x), roots(y), roots(z)",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("text,N", TAYLOR_SPECS.values(), ids=TAYLOR_SPECS.keys())
+def test_quotient_homotopy_is_the_taylor_betti_numbers_of_the_truncation(text, N):
+    # I holds roots of every variable, so A/I = K over the untruncated
+    # algebra A, and base change predicts pi_d(R/I^infty) = Tor^A_d(K, A/T):
+    # 1 at (0, 0), and beta_{i,b}(T) at degree i + 1, weight |b|. The
+    # Taylor complex shares no code with the tensor route.
+    ps = parse_spec(text)
+    qh = quotient_homotopy(ps.ring, ps.ideals["I"], N)
+    assert qh.stable
+    want = {(0, F0): 1}
+    for (i, b), dim in taylor_betti(list(ps.ring.truncations), ps.ring.field).items():
+        if i + 1 <= N:
+            key = (i + 1, sum(b))
+            want[key] = want.get(key, 0) + dim
+    got = {(c.degree, c.weight): c.dim for c in qh.table.cells if c.stable and c.dim}
+    assert got == want
 
 
 def test_static_check_untruncated_vs_truncated():

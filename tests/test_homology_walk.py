@@ -3,7 +3,9 @@
 `LevelDiagram.run` walks degrees from the top down, so the (d+1, w)
 strand is cached when (d, w) is computed, and `homology_data` reads
 rank(d_{d+1}) from it: a strand with as many cycles as that rank is exact
-and builds no boundaries. These tests tie the shortcut to routes that
+and builds no boundaries. A top strand reads that rank from the free
+rows of d_{d+1} instead, and reads boundary columns only when it has
+homology. These tests tie the shortcut to routes that
 share none of it: dense ranks, and a fresh builder walked bottom-up,
 where no strand has its (d+1, w) neighbour cached.
 """
@@ -13,7 +15,15 @@ from fractions import Fraction
 import pytest
 
 from idemq import complexes, derived
-from idemq.complexes import HomologyData, strand_matrix, strand_weights
+from idemq.complexes import (
+    HomologyData,
+    Strands,
+    strand_basis,
+    strand_matrix,
+    strand_pairs,
+    strand_rows,
+    strand_weights,
+)
 from idemq.derived import (
     Tower,
     TorDiagram,
@@ -22,9 +32,10 @@ from idemq.derived import (
     quotient_module,
     residue_module,
 )
-from idemq.fields import QQ
+from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo
+from idemq.sparsela import Echelon
 from oracles import homology_dim, mono, rank
 
 F0 = Fraction(0)
@@ -145,29 +156,89 @@ def test_top_down_walk_matches_dense_ranks_and_a_bottom_up_walk(make):
 
 
 def test_exact_strands_read_no_boundaries_where_ranks_decide_them(monkeypatch):
-    # a boundary read is a strand_columns call into a homology strand's
-    # own basis; strand_matrix reads d_d out of it instead
-    targets = []
-    real = complexes.strand_columns
+    # d_{d+1} is read into a homology strand's own basis: by columns, a
+    # strand_columns call with that basis as its target, or by rows, a
+    # strand_rows call over that basis's pairs (its free rows). d_d is
+    # read by rows over the pairs of the strand below instead.
+    columns, rows, yielded = [], [], {}
+    real_columns, real_rows = complexes.strand_columns, complexes.strand_rows
 
-    def counting(cols, src, dst, ring):
-        targets.append(dst)
-        return real(cols, src, dst, ring)
+    def counting_columns(cols, src, dst, ring):
+        columns.append(dst)
+        return real_columns(cols, src, dst, ring)
 
-    monkeypatch.setattr(complexes, "strand_columns", counting)
+    def counting_rows(index, pairs, src, ring, skip=()):
+        rows.append(pairs)
+        for row in real_rows(index, pairs, src, ring, skip):
+            yielded[id(pairs)] = yielded.get(id(pairs), 0) + 1
+            yield row
+
+    monkeypatch.setattr(complexes, "strand_columns", counting_columns)
+    monkeypatch.setattr(complexes, "strand_rows", counting_rows)
     builder, diagram, degrees, wmax = _tot()
     diagram.run(degrees, wmax, 2)
     strands = _strands(builder)
     by_basis = {id(h.basis): key for key, h in strands.items()}
-    read = {by_basis[id(t)] for t in targets if id(t) in by_basis}
-    assert read
+    by_pairs = {id(h.basis.pairs): key for key, h in strands.items()}
+    read_columns = {by_basis[id(t)] for t in columns if id(t) in by_basis}
+    read_rows = {by_pairs[id(p)] for p in rows if id(p) in by_pairs}
+    assert read_columns and read_rows
     decided = 0
     for (l, d, n), h in strands.items():
+        if h.dim == 0:
+            assert (l, d, n) not in read_columns, (l, d, n)
         above = strands.get((l, d + 1, n))
         if h.dim == 0 and above is not None and h.basis.pairs:
             decided += len(h.basis.pairs) > h.rank
-            assert (l, d, n) not in read, (l, d, n)
+            assert (l, d, n) not in read_rows, (l, d, n)
     assert decided  # strands with cycles that ranks alone showed exact
+    # only the free rows are read, one per cycle at most
+    for key in read_rows:
+        h = strands[key]
+        assert yielded.get(id(h.basis.pairs), 0) <= len(h.basis.pairs) - h.rank, key
+    # the free rows settle some top strands with cycles, and no column
+    assert any(
+        strands[key].dim == 0 and len(strands[key].basis.pairs) > strands[key].rank
+        for key in read_rows
+    )
+
+
+def test_free_rows_of_the_boundary_have_its_rank_on_top_strands():
+    # quotient-homotopy reads degree d from its own cone Q_{d+2}, so every
+    # strand is the top of its walk and takes rank(d_{d+1}) from the rows
+    # of d_{d+1} at the free columns of d_d; F_7, truncate x y, N = 2
+    spec = RingSpec(
+        field=GF(7),
+        root_base=2,
+        variables=(VarInfo("x", True), VarInfo("y", True)),
+        truncations=((F1, F1),),
+    )
+    family = IdealFamily(name="I", spec=spec, root_vars=(0, 1))
+    N, levels = 2, [1, 2]
+    wmax = default_bounds(N).weight_max
+    tw = Tower(spec, family, N, wmax)
+    for d in range(N + 1):
+        tw.q_diagram(d + 2, levels).run([d], wmax, 2)
+    strands = {key: h for key, h in tw.cache.items() if isinstance(h, HomologyData)}
+    exact = 0
+    for (tag, l, d, n), h in strands.items():
+        assert (tag, l, d + 1, n) not in strands  # a top strand
+        if not h.basis.pairs:
+            continue
+        x, prov = tw.Q(tag[1], l), Strands(tw.ring(l))
+        below = strand_pairs(x, d - 1, n, prov)
+        diff_ech = Echelon(x.field)
+        for row in strand_rows(x.rows_at(d), below, h.basis, x.ring):
+            diff_ech.insert(row)
+        assert diff_ech.rank == h.rank
+        above = strand_basis(x, d + 1, n, prov)
+        free = Echelon(x.field)
+        for row in strand_rows(x.rows_at(d + 1), h.basis.pairs, above, x.ring, skip=diff_ech.rows):
+            free.insert(row)
+        assert free.rank == rank(strand_matrix(x, d + 1, n, prov)), (tag, l, d, n)
+        assert h.dim == len(h.basis.pairs) - h.rank - free.rank
+        exact += h.dim == 0 and free.rank > 0
+    assert exact
 
 
 @pytest.mark.parametrize("make", WALKS.values(), ids=WALKS.keys())
