@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import sys
@@ -537,6 +538,9 @@ def _run(args, out) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    # cyclic GC ran 110 times (12.5 of 115 ms) in qh-t-q5, freeing ~500 objects
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = _run(args, sys.stdout)
     except ValueError as e:
@@ -545,6 +549,9 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"idemq: internal error: {e}", file=sys.stderr)
         return 5
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     print(f"[idemq] {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 

@@ -874,7 +874,7 @@ def minimal_resolution(
                     add_image(vec, colg.items(), mono, sb.index, F.one, ring)
                     span.insert(vec)
             for z in cycles:
-                if span.insert(dict(z)) is not None:
+                if span.insert(z) is not None:
                     chosen.append((n, strand_column(z, sb)))
         x.gens[d] = [Fraction(n, ring.denom) for (n, _c) in chosen]
         if not chosen:  # nothing left to resolve

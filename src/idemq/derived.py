@@ -33,9 +33,9 @@ A family whose first level lies above the cap is a usage error
 Every level family (the tower, Tor, the Amitsur totalization, the cones
 of almost equivalences, the gluing square) is built by one builder,
 _LevelBuilder: it makes each per-level piece on first request and keeps
-it in its one store, and its level_diagram is the one place a
-LevelDiagram is assembled. The diagrams of one builder share one
-homology cache, their tags keeping the entries apart.
+it, and its level_diagram is the one place a LevelDiagram is assembled.
+The diagrams of one builder share one homology cache, their tags keeping
+the entries apart.
 
 Homology is decided by ranks first. A diagram walks its degrees from the
 top down, so the (d+1, w) homology is cached when (d, w) is computed and
@@ -407,9 +407,9 @@ def _family_contains_unit(family: IdealFamily) -> bool:
 
 class _LevelBuilder:
     """Pieces built per level (rings, inclusions, complexes, maps), each
-    made on first request and kept in one store. Every later request gets
-    the same object back, which matters where maps are compared with
-    `is` (the ring maps that tensor_maps and cone_map check).
+    made on first request and kept. Every later request gets the same
+    object back, which matters where maps are compared with `is` (the
+    ring maps that tensor_maps and cone_map check).
 
     Its level diagrams share one homology cache; each diagram's tag keeps
     its entries apart."""
@@ -425,10 +425,21 @@ class _LevelBuilder:
             hit = self._memo[key] = make()
         return hit
 
-    def per_level(self, make: Callable[[int], object]) -> Callable[[int], object]:
-        """make(l) as a function of the level whose values are kept in
-        the store, keyed by make itself."""
-        return lambda l: self.memo((make, l), lambda: make(l))
+    @staticmethod
+    def per_level(make: Callable[[int], object]) -> Callable[[int], object]:
+        """make(l) as a function of the level whose values it keeps. make
+        may close over the builder, so the builder's store must not hold
+        it: that would be a reference cycle, which only the cyclic
+        collector frees."""
+        store: dict = {}
+
+        def at(l: int):
+            hit = store.get(l)
+            if hit is None:
+                hit = store[l] = make(l)
+            return hit
+
+        return at
 
     def ring(self, l: int) -> LevelRing:
         return make_level_ring(self.spec, l)

@@ -16,6 +16,15 @@ the reduced rows R_p. Solving A x = b stores the rows of [A | b] with b
 in column ncols, which the lowest-column rule keeps out of the pivots
 unless a row reduces to 0 = b_i; each reduced row's entry in that column
 is the value of its pivot variable, with every free variable 0.
+
+Input contract: every vector given to an Echelon holds normalized,
+nonzero entries (v != 0 and F.normalize(v) gives v back unchanged), as
+every producer here makes them: the strand row reader, add_image, matmul,
+kernel and the ring element operations. Reducing does not normalize its
+input again. It never changes a caller's vector either: a vector that
+touches no pivot is returned, and may be stored, as itself, and any
+other is reduced in a copy. So a vector must not be changed after it
+was inserted.
 """
 
 from __future__ import annotations
@@ -28,13 +37,12 @@ Vec = dict  # {col: scalar}, zero entries absent
 
 def _reduce(vec: Vec, rows: dict[int, Vec], F) -> Vec:
     """vec minus the multiples of `rows` (pivot col -> row, 1 at the
-    pivot and nothing below it) that clear every pivot column of vec."""
+    pivot and nothing below it) that clear every pivot column of vec:
+    vec itself when it has none, else a new dict."""
+    if rows.keys().isdisjoint(vec):
+        return vec
     norm = F.normalize
-    res = {}
-    for c, v in vec.items():
-        v = norm(v)
-        if v:  # zero is 0 in both fields
-            res[c] = v
+    res = dict(vec)
     heap = [c for c in res if c in rows]
     heapq.heapify(heap)
     while heap:
@@ -52,7 +60,7 @@ def _reduce(vec: Vec, rows: dict[int, Vec], F) -> Vec:
                     heapq.heappush(heap, j)
             else:
                 nv = norm(old - a * v)
-                if nv:
+                if nv:  # zero is 0 in both fields
                     res[j] = nv
                 else:
                     del res[j]
@@ -78,9 +86,14 @@ class Echelon:
 
     def insert(self, vec: Vec) -> Optional[int]:
         """Add vec to the span. Returns the new pivot column, or None if
-        vec was already in the span."""
+        vec was already in the span. vec must hold normalized, nonzero
+        entries; it is never changed, but one that touches no pivot and is
+        1 at its lowest column is stored as itself, so the caller must not
+        change it afterwards."""
+        if not vec:
+            return None
         F = self.field
-        res = self.reduce(vec)
+        res = _reduce(vec, self.rows, F)
         if not res:
             return None
         pick = min(res)
@@ -148,6 +161,7 @@ class SparseMatrix:
         self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
 
     def set(self, i: int, j: int, v) -> None:
+        v = self.field.normalize(v)
         if self.field.is_zero(v):
             self.rows[i].pop(j, None)
         else:

@@ -539,3 +539,83 @@ def test_exterior_sum_default_name_selects_ideal(tmp_path, capsys):
     code, rep, _ = _run_json(capsys, ["check-idempotent", joint, "--ideal", "I+I"])
     assert code == 0
     assert rep["certificates"]["idempotent"] is True
+
+
+# ---------- what a command hands the echelon, and the collector ----------
+
+XY_F7_SPEC = """\
+field Fp 7
+var x divisible
+var y divisible
+truncate x y
+ideal I = roots(x), roots(y)
+"""
+
+
+def _is_normalized(field, v) -> bool:
+    n = field.normalize(v)
+    return n != 0 and n == v and type(n) is type(v)
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (T_SPEC, ["quotient-homotopy", "{spec}", "--deg-max", "2"]),
+        (XY_F7_SPEC, ["quotient-homotopy", "{spec}", "--deg-max", "1"]),
+        (T_SPEC, ["almost-equiv", "{spec}", "--map", "power:2"]),
+        (T_SPEC, ["gluing-check", "{spec}", "--module", "K"]),
+        (PLAIN_SPEC, ["tor", "{spec}", "--left", "I", "--right", "R/J", "--deg-max", "1"]),
+    ],
+    ids=["qh-t", "qh-xy-f7", "almost-equiv", "gluing-check", "tor-I-RJ"],
+)
+def test_every_vector_reaching_the_echelon_is_normalized(tmp_path, capsys, monkeypatch, text, argv):
+    # the echelon does not normalize its input: every producer must
+    from idemq import sparsela
+
+    real = sparsela._reduce
+    seen, bad = [0], []
+
+    def checked(vec, rows, field):
+        seen[0] += 1
+        bad.extend((c, v) for c, v in vec.items() if not _is_normalized(field, v))
+        return real(vec, rows, field)
+
+    monkeypatch.setattr(sparsela, "_reduce", checked)
+    spec = _write(tmp_path, text)
+    code, _, err = _run(capsys, [spec if a == "{spec}" else a for a in argv])
+    assert code == 0, err
+    assert seen[0] > 0
+    assert bad == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-2", "exit-5"])
+def test_main_runs_without_the_collector_and_restores_it(tmp_path, capsys, monkeypatch, enabled, case):
+    import gc
+
+    from idemq import cli, derived
+
+    if case == "exit-5":
+        def broken(*args, **kwargs):
+            raise AssertionError("no lift at degree 1, generator 0")
+
+        monkeypatch.setattr(derived, "lift_chain_map", broken)
+    during = []
+    real_run = cli._run
+
+    def spy(args, out):
+        during.append(gc.isenabled())
+        return real_run(args, out)
+
+    monkeypatch.setattr(cli, "_run", spy)
+    spec = _write(tmp_path, "var t divisible\nideal I = bogus(t)\n" if case == "exit-2" else T_SPEC)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = _run(capsys, ["quotient-homotopy", spec, "--deg-max", "1"])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == int(case[-1])
+    assert during == [False]
+    assert after is enabled

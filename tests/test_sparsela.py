@@ -255,3 +255,58 @@ def test_echelon_keeps_rows_under_their_lowest_column(field, data):
         for key, row in e.rows.items():
             assert key == min(row) and row[key] == field.one
     assert e.rank == dense_rank(data, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_set_normalizes_before_the_zero_test(field):
+    m = SparseMatrix(1, 3, field)
+    if field.char:
+        m.set(0, 0, 7)  # 0 in F_7
+        m.set(0, 1, 9)
+        assert m.rows[0] == {1: 2}
+    else:
+        m.set(0, 0, Fraction(0, 3))
+        m.set(0, 1, Fraction(4, 2))
+        assert m.rows[0] == {1: 2} and type(m.rows[0][1]) is int
+    m.set(0, 1, field.zero)
+    assert m.rows[0] == {}
+
+
+def _normalized_rows(field, ncols):
+    """Sparse rows with normalized, nonzero entries, as the echelon takes them."""
+    if field.char:
+        scalar = st.integers(min_value=1, max_value=field.char - 1)
+    else:
+        scalar = st.builds(
+            lambda a, b: field.normalize(Fraction(a, b)),
+            st.integers(min_value=-6, max_value=6).filter(bool),
+            st.sampled_from([1, 1, 2, 3]),
+        )
+    row = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), scalar, max_size=ncols)
+    return st.lists(row, max_size=8)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_echelon_on_normalized_rows_leaves_them_untouched(field, data):
+    ncols = 6
+    rows = data.draw(_normalized_rows(field, ncols))
+    before = [dict(r) for r in rows]
+    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    rank = dense_rank(dense, field)
+
+    e = Echelon(field)
+    for r in rows:
+        e.insert(r)
+    ker = e.kernel([c for c in range(ncols) if c not in e.rows])
+    assert e.rank == rank
+    assert len(ker) == ncols - rank
+    m = SparseMatrix(len(rows), ncols, field, rows)
+    for v in ker:
+        assert m.mul_vec(v) == {}
+    assert dense_rank(to_dense(SparseMatrix(len(ker), ncols, field, ker)), field) == len(ker)
+    assert rows == before
+    # colimit_stabilize takes the rank of cached step matrices more than once
+    assert m.rank() == rank and m.rank() == rank
+    assert m.rows == before
