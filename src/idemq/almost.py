@@ -217,15 +217,7 @@ def tensor_zero_criterion(
     degree zero, so higher degrees are almost zero by fiat."""
     require_idempotent(family)
     b = bounds or default_bounds(bound)
-    table = derived_tensor(
-        spec,
-        ideal_module(family),
-        module,
-        0,
-        b.weight_max,
-        max_level=b.max_level,
-        window=b.window,
-    )
+    table = derived_tensor(spec, ideal_module(family), module, 0, b)
     cells = {
         (c.degree, c.weight): CellResult(c.dim, c.stable, (), c.in_flight)
         for c in table.cells
@@ -361,7 +353,7 @@ def _glue_square(
     The tensors with M are built through the tower's degree and weight."""
     per_level = tower.per_level
 
-    def times_m(factor):  # factor (x) M with its tensor info
+    def times_m(factor):  # factor (x) M with its generator table
         return per_level(
             lambda l: tensor_complexes(factor(l), fcx(l), tower.dmax, tower.wmax)
         )

@@ -257,10 +257,7 @@ def _run_tor(ps, args):
         raise UsageError(f"--deg-min must be between 0 and deg_max {N}, got {args.deg_min}")
     left = _module_ref(args.left, ps)
     right = _module_ref(args.right, ps)
-    table = derived_tensor(
-        ps.ring, left, right, N, b.weight_max,
-        max_level=b.max_level, window=b.window, deg_min=args.deg_min,
-    )
+    table = derived_tensor(ps.ring, left, right, N, b, deg_min=args.deg_min)
     loose = table.unstable_cells()
     in_flight = sum(c.in_flight for c in loose)
     status = "Stable" if in_flight == len(loose) else "Unstable"

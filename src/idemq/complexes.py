@@ -20,22 +20,27 @@ degree that is not stored maps every generator to zero (`diff_at`,
 `entries_at`). Columns are immutable, so a cone or a cone map shares a
 leg's column wherever its rows keep their positions.
 
-One engine reads every map on strands, by columns or by rows. `add_image`
-adds a column of ring elements times a module monomial to a strand
-vector, and `strand_rows` reads a differential's rows from its row index
-(FreeComplex.rows_at): row (i, m) meets term c * e at the pair
-(j, m - e) when e divides m. These are the two places a product is looked
-up in a strand's (generator, monomial) index, and a pair the index lacks
-is zero in the module, so nothing tests for zero. `strand_column` is the
-inverse of a column read. Monomials are packed ints (see rings), so a
-product is `e + mono` and a quotient `m - e`. `strand_columns` yields a
-map's columns on strands, and `strand_map` builds matrices from them:
-differentials, chain maps, the augmentation (a map onto one generator),
-resolution spans and lifts. Only homology reads rows, with no matrix:
-dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), d_d is reduced from its
-rows, rank(d_{d+1}) comes from a caller that has the (d+1, w) homology
-or else from the rows of d_{d+1} at d_d's free columns, and boundary
-columns are read only where the strand has homology (homology_data).
+One engine reads every map on strands: one row reader for the linear
+systems and one column reader for images. `strand_rows` reads a map's
+rows from its row index (`rows_of`; a differential keeps its own in
+FreeComplex.rows_at): row (i, m) meets term c * e at the pair (j, m - e)
+when e divides m. `add_image` adds a column of ring elements times a
+module monomial to a strand vector. These are the two places a product
+is looked up in a strand's (generator, monomial) index, and a pair the
+index lacks is zero in the module, so nothing tests for zero. Monomials
+are packed ints (see rings), so a product is `e + mono` and a quotient
+`m - e`.
+
+Every system is solved from rows, with no matrix: homology reduces d_d
+(homology_data), a resolution takes the kernel of the map out of a
+degree and a lift solves against it, that map being the differential or
+in degree 0 the augmentation (`out_rows`). Homology is
+dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), where rank(d_{d+1})
+comes from a caller that has the (d+1, w) homology or else from the rows
+of d_{d+1} at d_d's free columns. Columns are read only for images:
+boundaries where a strand has homology (`strand_columns`), chain-map
+images, resolution spans and lift targets; `strand_column` is the
+inverse of a column read.
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
@@ -48,14 +53,13 @@ touches only the terms of its own row.
 
 Inside a level a weight is the integer n = w * denom over the ring's
 `denom` (LevelRing.num), and the strand functions take and return it:
-`strand_pairs`, `strand_basis`, `strand_matrix`, `homology_data` and
-`aug_strand` read the strand of integer weight n, `strand_weights` lists
-the integer weights up to an integer cap. Weight groups, module bases
-and strand lookups are keyed by integers too. Generator lists keep
-Fractions, the weights where levels meet, and `gens_by_weight` converts
-them once per degree; a caller holding a level-free weight converts it
-with `num`, and one off the level's lattice has the empty strand, so it
-builds none.
+`strand_pairs`, `strand_basis`, `out_rows` and `homology_data` read the
+strand of integer weight n, `strand_weights` lists the integer weights up
+to an integer cap. Weight groups, module bases and strand lookups are
+keyed by integers too. Generator lists keep Fractions, the weights where
+levels meet, and `gens_by_weight` converts them once per degree; a
+caller holding a level-free weight converts it with `num`, and one off
+the level's lattice has the empty strand, so it builds none.
 
 No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
@@ -77,6 +81,22 @@ from .sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 # one column of a map: (row generator, ring element) pairs
 Column = tuple[tuple[int, Elem], ...]
+
+
+def rows_of(cols: Iterable[Column], nrows: int, field) -> list[tuple]:
+    """The row index of the map whose column j is cols[j]: for each of the
+    nrows target generators i one flat tuple (j0, e0, c0, j1, e1, c1, ...)
+    of the terms c * e in row i, columns ascending."""
+    norm = field.normalize
+    rows: list = [[] for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, elem in col:
+            row = rows[i]
+            for e, c in elem.items():
+                row += (j, e, norm(c))
+    for i, row in enumerate(rows):  # in place: each list goes as its tuple comes
+        rows[i] = tuple(row)
+    return rows
 
 
 @dataclass
@@ -143,24 +163,14 @@ class FreeComplex:
         return index
 
     def rows_at(self, d: int) -> list[tuple]:
-        """The row index of diff[d]: for each degree-(d-1) generator i one
-        flat tuple (j0, e0, c0, j1, e1, c1, ...) of the terms c * e of
-        diff[d] in row i, columns ascending. Built on first use and kept
+        """The row index of diff[d] (rows_of). Built on first use and kept
         while diff[d] and gens[d-1] are the same list objects, so a
         replaced differential is indexed afresh."""
         cols, below = self.diff.get(d), self.gens.get(d - 1)
         hit = self._rows.get(d)
         if hit is not None and hit[0] is cols and hit[1] is below:
             return hit[2]
-        norm = self.field.normalize
-        rows: list = [[] for _ in range(self.rank(d - 1))]
-        for j, col in enumerate(cols or ()):
-            for i, elem in col:
-                row = rows[i]
-                for e, c in elem.items():
-                    row += (j, e, norm(c))
-        for i, row in enumerate(rows):  # in place: each list goes as its tuple comes
-            rows[i] = tuple(row)
+        rows = rows_of(cols or (), self.rank(d - 1), self.field)
         self._rows[d] = (cols, below, rows)
         return rows
 
@@ -395,44 +405,20 @@ def strand_columns(
         yield col
 
 
-def strand_map(
-    cols: list[Column], src: StrandBasis, dst: StrandBasis, ring: LevelRing
-) -> SparseMatrix:
-    """Matrix, from strand src to strand dst, of the map whose column j
-    is cols[j]."""
-    m = SparseMatrix(len(dst.pairs), len(src.pairs), ring.field)
-    rows = m.rows
-    for c, col in enumerate(strand_columns(cols, src, dst, ring)):
-        for r, v in col.items():
-            rows[r][c] = v
-    return m
-
-
-def strand_matrix(
-    x: FreeComplex,
-    d: int,
-    n: int,
-    provider: Strands,
-    src: Optional[StrandBasis] = None,
-    dst: Optional[StrandBasis] = None,
-) -> SparseMatrix:
-    """Matrix of diff[d] on the strand of integer weight n (rows: degree
-    d-1)."""
-    if src is None:
-        src = strand_basis(x, d, n, provider)
-    if dst is None:
-        dst = strand_basis(x, d - 1, n, provider)
-    return strand_map(x.diff_at(d), src, dst, x.ring)
-
-
-def aug_strand(x: FreeComplex, n: int) -> tuple[list[Column], StrandBasis]:
-    """The augmentation as a map onto one generator of weight 0: its
-    columns, and the strand of integer weight n of the target
-    R/aug_quotient."""
-    if x.aug is None:
+def out_rows(
+    x: FreeComplex, d: int, n: int, provider: Strands, src: StrandBasis
+) -> tuple[Iterator[Vec], StrandBasis]:
+    """The rows, on the degree-d strand src of integer weight n, of the
+    map out of degree d, with its target strand: diff[d] onto degree d-1,
+    or in degree 0 the augmentation, one row onto R/aug_quotient."""
+    if d:
+        rows, dst = x.rows_at(d), strand_basis(x, d - 1, n, provider)
+    elif x.aug is None:
         raise AssertionError("complex has no augmentation")
-    cols = [((0, a),) for a in x.aug]
-    return cols, StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis_at(n)])
+    else:
+        rows = rows_of([((0, a),) for a in x.aug], 1, x.field)
+        dst = StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis_at(n)])
+    return strand_rows(rows, dst.pairs, src, x.ring), dst
 
 
 def strand_weights(x: FreeComplex, d: int, top: int, provider) -> list[int]:
@@ -643,9 +629,10 @@ def homology_map_matrix(
 # ---------- tensor products ----------
 
 
-class TensorInfo(NamedTuple):
-    prov: dict  # (d, idx) -> (p, i, q, j)
-    rev: dict  # (p, i, q, j) -> idx
+# (p, i, q, j) -> index of generator i of a_p (x) generator j of b_q in
+# degree p + q: the one generator table of a tensor product, its entries
+# degree by degree and indices ascending inside each degree
+TensorIndex = dict
 
 
 def tensor_complexes(
@@ -653,13 +640,16 @@ def tensor_complexes(
     b: FreeComplex,
     dmax: Optional[int] = None,
     wmax: Optional[Fraction] = None,
-) -> tuple[FreeComplex, TensorInfo]:
-    """a (x) b with Koszul signs, truncated above dmax / wmax.
+) -> tuple[FreeComplex, TensorIndex]:
+    """a (x) b with Koszul signs, truncated above dmax / wmax, and its
+    generator table.
 
     Weight truncation is exact for strands of weight <= wmax since the
     differential preserves weight; degree truncation is exact below dmax.
     Weights are summed as integers over the ring's denom, and each
-    distinct weight is one shared Fraction.
+    distinct weight is one shared Fraction. The differential and the
+    augmentation are built in one pass over the table, each generator's
+    column appended in the table's order.
     """
     if a.ring is not b.ring:
         raise AssertionError("tensor factors live over different rings")
@@ -670,8 +660,7 @@ def tensor_complexes(
     top_n = None if wmax is None else ring.num_floor(wmax)
     weights: dict[int, Fraction] = {}
     gens: dict[int, list[Fraction]] = {}
-    prov: dict = {}
-    rev: dict = {}
+    index: TensorIndex = {}
     top = a.hi + b.hi if dmax is None else min(a.hi + b.hi, dmax)
     for d in range(a.lo + b.lo, top + 1):
         gl: list[Fraction] = []
@@ -688,57 +677,41 @@ def tensor_complexes(
                     w = weights.get(n)
                     if w is None:
                         w = weights[n] = Fraction(n, ring.denom)
-                    idx = len(gl)
+                    index[(p, i, q, j)] = len(gl)
                     gl.append(w)
-                    prov[(d, idx)] = (p, i, q, j)
-                    rev[(p, i, q, j)] = idx
         gens[d] = gl
     a_diff = {p: a.diff_at(p) for p in a.gens}
     b_diff = {q: b.diff_at(q) for q in b.gens}
-    diff: dict[int, list[Column]] = {}
-    for d, gl in gens.items():
-        if d - 1 not in gens:
-            continue
-        cols = []
-        for idx in range(len(gl)):
-            p, i, q, j = prov[(d, idx)]
-            col = []
-            for (i2, elem) in a_diff[p][i]:
-                tgt = rev.get((p - 1, i2, q, j))
-                if tgt is not None:
-                    col.append((tgt, elem))
-            for (j2, elem) in b_diff[q][j]:
-                tgt = rev.get((p, i, q - 1, j2))
-                if tgt is not None:
-                    col.append((tgt, ring.elem_neg(elem) if p % 2 else elem))
-            cols.append(tuple(col))
-        diff[d] = cols
-    aug = None
-    if (
-        a.aug is not None
-        and b.aug is not None
-        and not a.aug_quotient
-        and not b.aug_quotient
-        and 0 in gens
-    ):
-        # both augment into R, so the product augments by multiplication
-        aug = []
-        for idx in range(len(gens[0])):
-            p, i, q, j = prov[(0, idx)]
+    diff: dict[int, list[Column]] = {d: [] for d in gens if d - 1 in gens}
+    # both augment into R, so the product augments by multiplication
+    into_r = a.aug is not None and b.aug is not None and not (a.aug_quotient or b.aug_quotient)
+    aug = [] if into_r and 0 in gens else None
+    for p, i, q, j in index:
+        if p + q == 0 and aug is not None:
             aug.append(ring.elem_mul(a.aug[i], b.aug[j]))
-    return (
-        FreeComplex(ring=ring, gens=gens, diff=diff, aug=aug),
-        TensorInfo(prov, rev),
-    )
+        cols = diff.get(p + q)
+        if cols is None:
+            continue
+        col = []
+        for (i2, elem) in a_diff[p][i]:
+            tgt = index.get((p - 1, i2, q, j))
+            if tgt is not None:
+                col.append((tgt, elem))
+        for (j2, elem) in b_diff[q][j]:
+            tgt = index.get((p, i, q - 1, j2))
+            if tgt is not None:
+                col.append((tgt, ring.elem_neg(elem) if p % 2 else elem))
+        cols.append(tuple(col))
+    return FreeComplex(ring=ring, gens=gens, diff=diff, aug=aug), index
 
 
 def tensor_maps(
     f: ChainMap,
     g: ChainMap,
     src: FreeComplex,
-    src_info: TensorInfo,
+    src_index: TensorIndex,
     dst: FreeComplex,
-    dst_info: TensorInfo,
+    dst_index: TensorIndex,
 ) -> ChainMap:
     """f (x) g on given tensor models; f and g must be degree-0 maps
     sharing a ring map, so no Koszul signs arise."""
@@ -748,19 +721,19 @@ def tensor_maps(
     f_cols = {p: f.entries_at(p) for p in f.src.gens}
     g_cols = {q: g.entries_at(q) for q in g.src.gens}
     ent = {d: [()] * len(gl) for d, gl in src.gens.items()}
-    for (d, idx), (p, i, q, j) in src_info.prov.items():
+    for (p, i, q, j), idx in src_index.items():
         # each (i2, j2) has its own target generator, so no two products meet
         gcol = g_cols[q][j]
         col = []
         for i2, ea in f_cols[p][i]:
             for j2, eb in gcol:
-                tgt = dst_info.rev.get((p, i2, q, j2))
+                tgt = dst_index.get((p, i2, q, j2))
                 if tgt is None:
                     continue
                 prod = ring.elem_mul(ea, eb)
                 if prod:
                     col.append((tgt, prod))
-        ent[d][idx] = tuple(col)
+        ent[p + q][idx] = tuple(col)
     return ChainMap(
         src=src, dst=dst, entries=ent, ring_map=f.ring_map or g.ring_map
     )
@@ -859,12 +832,8 @@ def minimal_resolution(
             sb = strand_basis(x, d - 1, n, prov)
             if not sb.pairs:
                 continue
-            if d == 1:
-                aug_cols, tgt = aug_strand(x, n)
-                mat = strand_map(aug_cols, sb, tgt, ring)
-            else:
-                mat = strand_matrix(x, d - 1, n, prov, src=sb)
-            cycles = kernel_rows(mat.rows, len(sb.pairs), F)
+            rows, _dst = out_rows(x, d - 1, n, prov, sb)
+            cycles = kernel_rows(rows, len(sb.pairs), F)
             if not cycles:
                 continue
             span = Echelon(F)
@@ -912,7 +881,8 @@ def lift_chain_map(
     along a level inclusion; augmentation targets must correspond.
 
     Degree 0 solves aug_y(f(g)) = push(aug_x(g)) on each strand, higher
-    degrees solve d(f(g)) = f(d(g)). Over a resolution every one of these
+    degrees solve d(f(g)) = f(d(g)), each from the rows of y's map out of
+    degree d (out_rows). Over a resolution every one of these
     systems is solvable, so a failure is an internal fault: AssertionError.
     Every complex this is called on is augmented, so a missing augmentation
     is one too.
@@ -925,22 +895,14 @@ def lift_chain_map(
     f = ChainMap(src=x, dst=y, entries={}, ring_map=ring_map)
     for d in range(x.lo, x.hi + 1):
         cols: list[Column] = []
-        if d == 0:
-            # the augmentations are the degree-0 boundaries, into one
-            # generator on which f is the identity
-            x_cols = [((0, a),) for a in x.aug]
-            f_cols = [((0, ring.one()),)]
-        else:
-            x_cols, f_cols = x.diff_at(d), f.entries_at(d - 1)
+        # in degree 0 the augmentations are the boundaries, into one
+        # generator on which f is the identity
+        x_cols = x.diff_at(d) if d else [((0, a),) for a in x.aug]
+        f_cols = f.entries_at(d - 1) if d else [((0, ring.one()),)]
         for j, w in enumerate(x.gens_at(d)):
             n = ring.num(w)
             ysb = strand_basis(y, d, n, prov)
-            if d == 0:
-                y_cols, ydst = aug_strand(y, n)
-                mat = strand_map(y_cols, ysb, ydst, ring)
-            else:
-                ydst = strand_basis(y, d - 1, n, prov)
-                mat = strand_matrix(y, d, n, prov, src=ysb, dst=ydst)
+            rows, ydst = out_rows(y, d, n, prov, ysb)
             # f(d g): the ring is commutative, so each monomial of f's
             # entry scales the pushed boundary entry; pushed monomials that
             # vanish in y's ring are not in the strand and drop out
@@ -950,7 +912,7 @@ def lift_chain_map(
                 for i2, felem in f_cols[i]:
                     for mono, c in felem.items():
                         add_image(rhs, ((i2, pushed),), mono, ydst.index, c, ring)
-            sol = solve_rows(mat.rows, len(ysb.pairs), rhs, F)
+            sol = solve_rows(rows, len(ysb.pairs), rhs, F)
             if sol is None:
                 raise AssertionError(f"no lift at degree {d}, generator {j}")
             cols.append(tuple(strand_column(sol, ysb).items()))

@@ -75,7 +75,7 @@ from .complexes import (
     NO_HOMOLOGY,
     HomologyData,
     Strands,
-    TensorInfo,
+    TensorIndex,
     cone,
     cone_map,
     homology_data,
@@ -241,9 +241,9 @@ class LevelDiagram:
     strand there, passed as None: its homology is NO_HOMOLOGY and its
     step matrix has no columns, neither built nor cached.
 
-    Differentials and transitions are stored by column, so a strand reads
-    the columns of its generators directly and the diagram keeps no index
-    of its own.
+    A strand reads each differential's rows from its complex's row index
+    (FreeComplex.rows_at), and a transition by the columns of its
+    generators, so the diagram keeps no index of its own.
 
     `homology` passes the cached (d+1, n) entry, where there is one, to
     homology_data, whose rank of d_{d+1} can settle dim 0 with no read
@@ -517,18 +517,18 @@ class Tower(_LevelBuilder):
 
     # -- derived powers --
 
-    def _power(self, n: int, l: int) -> tuple[FreeComplex, Optional[TensorInfo]]:
+    def _power(self, n: int, l: int) -> tuple[FreeComplex, Optional[TensorIndex]]:
         if n < 1:
             raise ValueError("derived powers start at n = 1")
 
         def make():
             if n == 1:
                 return self.resI(l), None
-            t, info = tensor_complexes(self.X(n - 1, l), self.resI(l), self.dmax, self.wmax)
+            t, index = tensor_complexes(self.X(n - 1, l), self.resI(l), self.dmax, self.wmax)
             unit = t.ring.unit
             if any(unit in elem for cols in t.diff.values() for col in cols for _i, elem in col):
                 raise AssertionError("tensor of minimal complexes has a unit entry")
-            return t, info
+            return t, index
 
         return self.memo(("X", n, l), make)
 
@@ -537,7 +537,7 @@ class Tower(_LevelBuilder):
         the tower's deg_max and weight_max.
 
         Its generators are the n-tuples of resolution generators, so the
-        index tables of Xinfo stay valid. That needs the power to be
+        generator table Xindex stays valid. That needs the power to be
         minimal as it stands: res(I(l)) is minimal, and a tensor of
         minimal complexes over a positively graded ring stays minimal.
         Every variable has positive weight, so an entry is a unit exactly
@@ -545,7 +545,8 @@ class Tower(_LevelBuilder):
         finding one is an internal fault (AssertionError)."""
         return self._power(n, l)[0]
 
-    def Xinfo(self, n: int, l: int) -> TensorInfo:
+    def Xindex(self, n: int, l: int) -> TensorIndex:
+        """Generator table of X(n, l) = X(n-1, l) (x) res(I(l)); None for n = 1."""
         return self._power(n, l)[1]
 
     def lam(self, n: int, l: int) -> ChainMap:
@@ -558,9 +559,9 @@ class Tower(_LevelBuilder):
                 self.lam(n - 1, l),
                 self.alpha(l),
                 self.X(n, l),
-                self.Xinfo(n, l),
+                self.Xindex(n, l),
                 self.X(n, l + 1),
-                self.Xinfo(n, l + 1),
+                self.Xindex(n, l + 1),
             ),
         )
 
@@ -576,9 +577,9 @@ class Tower(_LevelBuilder):
         def make():
             aug, src = self.resI(l).aug, self.X(n + 1, l)
             ent = {d: [()] * len(gl) for d, gl in src.gens.items()}
-            for (d, idx), (p, i, q, j) in self.Xinfo(n + 1, l).prov.items():
+            for (p, i, q, j), idx in self.Xindex(n + 1, l).items():
                 if q == 0 and aug[j]:
-                    ent[d][idx] = ((i, aug[j]),)
+                    ent[p][idx] = ((i, aug[j]),)
             return ChainMap(src=src, dst=self.X(n, l), entries=ent)
 
         return self.memo(("sigma", n, l), make)
@@ -740,9 +741,7 @@ def derived_tensor(
     left: ModuleRef,
     right: ModuleRef,
     deg_max: int,
-    weight_max: Fraction,
-    max_level: int = 6,
-    window: int = 2,
+    bounds: Bounds,
     deg_min: int = 0,
 ) -> StabilizedTable:
     """Stabilized Tor table of two modules, degrees deg_min..deg_max.
@@ -753,13 +752,13 @@ def derived_tensor(
     and the finest weights it leaves unstable there are in flight (see
     cell_in_flight).
     """
-    td = TorDiagram(spec, left, right, deg_max + 1, weight_max)
+    td = TorDiagram(spec, left, right, deg_max + 1, bounds.weight_max)
 
     def attempt(levels):
-        raw = td.diagram(levels).run(range(deg_min, deg_max + 1), td.wmax, window)
+        raw = td.diagram(levels).run(range(deg_min, deg_max + 1), td.wmax, bounds.window)
         return (raw, levels), all(r.stable for r in raw.values())
 
-    raw, levels = _settle(td.min_level, window, max_level, attempt)
+    raw, levels = _settle(td.min_level, bounds.window, bounds.max_level, attempt)
     name = f"Tor({left.label}, {right.label})"
     return _make_table(name, raw, levels, deg_max, deg_max)
 
@@ -1103,7 +1102,7 @@ def tower_report(
 class _TotData(NamedTuple):
     tot: FreeComplex
     powers: list[FreeComplex]  # powers[k] = W (x) Wbar^{(x) k}, column k
-    infos: list[Optional[TensorInfo]]  # infos[k] builds powers[k] from powers[k-1]
+    indexes: list[Optional[TensorIndex]]  # indexes[k] builds powers[k] from powers[k-1]
     wbar: FreeComplex
     # offsets[d][k]: where column k's generators start in Tot_d, k ascending;
     # offsets[d][-1] is rank(Tot_d)
@@ -1164,23 +1163,22 @@ def _amitsur_level(
     W = minimal_resolution(ring, tuple(family.gens_at(ring)), N + 2, wmax)
     wbar = _reduced_resolution(W)
     powers = [W]
-    infos: list[Optional[TensorInfo]] = [None]
+    indexes: list[Optional[TensorIndex]] = [None]
     for k in range(1, m + 1):
-        t, info = tensor_complexes(powers[-1], wbar, N + 1 + k, wmax)
+        t, index = tensor_complexes(powers[-1], wbar, N + 1 + k, wmax)
         powers.append(t)
-        infos.append(info)
+        indexes.append(index)
     # w0 (x) a, for a generator i of W_d, is (p, i, q, j) = (0, 0, d, i)
     # in W (x) Wbar; w0 (x) w0 is not there
-    rev = infos[1].rev
     ent = {}
     for d, gl in W.gens.items():
-        hits = (rev.get((0, 0, d, i)) for i in range(len(gl)))
+        hits = (indexes[1].get((0, 0, d, i)) for i in range(len(gl)))
         ent[d] = [() if t is None else ((t, ring.one()),) for t in hits]
     cofaces = [ChainMap(src=W, dst=powers[1], entries=ent)]
     id_bar = identity_map(wbar)
     for k in range(1, m):
         cofaces.append(
-            tensor_maps(cofaces[-1], id_bar, powers[k], infos[k], powers[k + 1], infos[k + 1])
+            tensor_maps(cofaces[-1], id_bar, powers[k], indexes[k], powers[k + 1], indexes[k + 1])
         )
 
     degrees = range(-1, N + 2)
@@ -1202,7 +1200,7 @@ def _amitsur_level(
         diff[d] = cols
 
     tot = FreeComplex(ring=ring, gens=gens, diff=diff)
-    return _TotData(tot, powers, infos, wbar, offsets)
+    return _TotData(tot, powers, indexes, wbar, offsets)
 
 
 def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
@@ -1224,7 +1222,7 @@ def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
     for k in range(1, m + 1):
         maps.append(
             tensor_maps(
-                maps[-1], beta_bar, lo.powers[k], lo.infos[k], hi.powers[k], hi.infos[k]
+                maps[-1], beta_bar, lo.powers[k], lo.indexes[k], hi.powers[k], hi.indexes[k]
             )
         )
     ent = {}

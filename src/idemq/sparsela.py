@@ -30,7 +30,7 @@ was inserted.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import Iterable, Optional
 
 Vec = dict  # {col: scalar}, zero entries absent
 
@@ -126,17 +126,20 @@ class Echelon:
         return [out[f] for f in free]
 
 
-def kernel_rows(rows: list[Vec], ncols: int, field) -> list[Vec]:
-    """Basis of {x : A x = 0}, A the nrows x ncols matrix given by rows,
-    one vector per free column, ascending."""
+def kernel_rows(rows: Iterable[Vec], ncols: int, field) -> list[Vec]:
+    """Basis of {x : A x = 0}, one vector per free column, ascending. A
+    has ncols columns and is given by its rows, any iterable of vectors
+    (a list, or the strand row reader), read once in order."""
     ech = Echelon(field)
     for row in rows:
         ech.insert(row)
     return ech.kernel([c for c in range(ncols) if c not in ech.rows])
 
 
-def solve_rows(rows: list[Vec], ncols: int, rhs: Vec, field) -> Optional[Vec]:
-    """One x with A x = rhs, or None. rhs is {row index: value}."""
+def solve_rows(rows: Iterable[Vec], ncols: int, rhs: Vec, field) -> Optional[Vec]:
+    """One x with A x = rhs, or None. A is given by its rows as in
+    kernel_rows, and rhs is {row index: value}, rows counted in that
+    order."""
     ech = Echelon(field)
     for i, row in enumerate(rows):
         b = rhs.get(i)

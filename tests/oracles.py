@@ -1,6 +1,8 @@
 """Helpers that only the tests use: dense matrix conversion, a dense rank
 that shares no code with `sparsela`, kernels and solutions of a
-SparseMatrix, a homology dimension read from two dense ranks with no
+SparseMatrix, strand matrices of a differential and an augmentation by a
+scan that tests every product for zero and shares no code with the strand
+engine's readers, a homology dimension read from two dense ranks with no
 representatives, multigraded Betti numbers of a monomial ideal from its
 Taylor complex, and small conveniences on chain maps, monomials and
 tables."""
@@ -11,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from idemq.complexes import ChainMap, FreeComplex, strand_basis, strand_matrix
+from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands, strand_basis
 from idemq.sparsela import SparseMatrix, Vec, kernel_rows, solve_rows
 
 
@@ -86,6 +88,70 @@ def basis(ring, w: Fraction, module=None) -> list:
     Strands module over it; none off the ring's weight lattice."""
     n = ring.num(w)
     return [] if n is None else (module or ring).basis_at(n)
+
+
+def divisible(ring, e, gens) -> bool:
+    """Whether the monomial e lies in the monomial ideal (gens), compared
+    on exponent tuples."""
+    return any(all(a >= b for a, b in zip(ring.unpack(e), ring.unpack(t))) for t in gens)
+
+
+def mono_mul(ring, a, b):
+    """The product of two monomials, added on exponent tuples."""
+    return ring.pack(tuple(x + y for x, y in zip(ring.unpack(a), ring.unpack(b))))
+
+
+def is_zero(provider: Strands, e) -> bool:
+    """Whether the monomial e vanishes in the provider's module."""
+    if provider.ring.mono_is_zero(e):
+        return True
+    return divisible(provider.ring, e, provider.ideal_exps) != provider.inside
+
+
+def _scan_map(cols, src: StrandBasis, dst: dict, ring, zero) -> SparseMatrix:
+    """Matrix, from strand src to the strand indexed by dst, of the map
+    whose column j is cols[j]: every product of an entry with a source
+    monomial, less those `zero` finds vanishing in the target module."""
+    m = SparseMatrix(len(dst), len(src.pairs), ring.field)
+    for c, (j, mono) in enumerate(src.pairs):
+        for i, elem in cols[j]:
+            for e, coeff in elem.items():
+                ee = mono_mul(ring, e, mono)
+                if zero(ee):
+                    continue
+                r = dst.get((i, ee))
+                if r is not None:
+                    add_at(m, r, c, coeff)
+    return m
+
+
+def strand_matrix(
+    x: FreeComplex,
+    d: int,
+    n: int,
+    provider: Strands,
+    src: Optional[StrandBasis] = None,
+    dst: Optional[StrandBasis] = None,
+) -> SparseMatrix:
+    """Matrix of diff[d] on the strand of integer weight n, rows in the
+    order of the degree-(d-1) strand."""
+    if src is None:
+        src = strand_basis(x, d, n, provider)
+    if dst is None:
+        dst = strand_basis(x, d - 1, n, provider)
+    return _scan_map(x.diff_at(d), src, dst.index, x.ring, lambda e: is_zero(provider, e))
+
+
+def aug_matrix(x: FreeComplex, n: int, src: StrandBasis) -> tuple[SparseMatrix, list]:
+    """Matrix of the augmentation on the degree-0 strand src of integer
+    weight n, onto the weight-n monomials of R/aug_quotient, and those
+    monomials."""
+    ring = x.ring
+    tgt = [m for m in ring.basis_at(n) if not divisible(ring, m, x.aug_quotient)]
+    dst = {(0, m): r for r, m in enumerate(tgt)}
+    quotient = Strands(ring, x.aug_quotient)
+    cols = [((0, a),) for a in x.aug]
+    return _scan_map(cols, src, dst, ring, lambda e: is_zero(quotient, e)), tgt
 
 
 def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:

@@ -7,7 +7,6 @@ from idemq.complexes import (
     ChainMap,
     FreeComplex,
     Strands,
-    aug_strand,
     check_chain_map,
     check_complex,
     cone,
@@ -18,9 +17,9 @@ from idemq.complexes import (
     ideal_resolution,
     lift_chain_map,
     minimal_resolution,
+    out_rows,
     push_strand_vec,
     strand_basis,
-    strand_matrix,
     strand_pairs,
     strand_rows,
     strand_weights,
@@ -39,7 +38,16 @@ from idemq.derived import (
 from idemq.ideals import IdealFamily
 from idemq.rings import LevelRing, RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon, SparseMatrix, solve_rows
-from oracles import add_at, basis, column, compose_maps, homology_dim, to_dense
+from oracles import (
+    aug_matrix,
+    basis,
+    column,
+    compose_maps,
+    divisible,
+    homology_dim,
+    strand_matrix,
+    to_dense,
+)
 
 F0 = Fraction(0)
 
@@ -151,6 +159,8 @@ def test_strand_basis_and_matrix_shapes():
     m = strand_matrix(res, 1, 2, prov)
     assert (m.nrows, m.ncols) == (1, 1)
     assert m.rows[0] == {0: 1}
+    rows, dst = out_rows(res, 1, 2, prov, sb)
+    assert list(rows) == m.rows and len(dst.pairs) == m.nrows
 
 
 # ---------- tensor products ----------
@@ -346,8 +356,9 @@ def test_missing_augmentation_is_an_internal_fault():
         lift_chain_map(bare, res)
     with pytest.raises(AssertionError, match="both complexes need augmentations"):
         lift_chain_map(res, bare)
+    prov = Strands(ring)
     with pytest.raises(AssertionError, match="complex has no augmentation"):
-        aug_strand(bare, 0)
+        out_rows(bare, 0, 0, prov, strand_basis(bare, 0, 0, prov))
 
 
 def _lift_0_to_1(ring_map=None):
@@ -597,21 +608,27 @@ def _scan(entries, j):
     return [(i, elem) for (i, jj), elem in entries.items() if jj == j]
 
 
-def _scan_tensor_diff(a, b, t, info):
+def _provenance(index):
+    """(degree, index) -> (p, i, q, j), read from a tensor's generator table."""
+    return {(key[0] + key[2], idx): key for key, idx in index.items()}
+
+
+def _scan_tensor_diff(a, b, t, index):
     ring = a.ring
+    prov = _provenance(index)
     diff = {}
     for d, gl in t.gens.items():
         if d - 1 not in t.gens:
             continue
         ent = {}
         for idx in range(len(gl)):
-            p, i, q, j = info.prov[(d, idx)]
+            p, i, q, j = prov[(d, idx)]
             for i2, elem in _scan(_entries(a.diff_at(p)), i):
-                tgt = info.rev.get((p - 1, i2, q, j))
+                tgt = index.get((p - 1, i2, q, j))
                 if tgt is not None:
                     ent[(tgt, idx)] = elem
             for j2, elem in _scan(_entries(b.diff_at(q)), j):
-                tgt = info.rev.get((p, i, q - 1, j2))
+                tgt = index.get((p, i, q - 1, j2))
                 if tgt is not None:
                     ent[(tgt, idx)] = elem if p % 2 == 0 else ring.elem_neg(elem)
         if ent:
@@ -619,12 +636,12 @@ def _scan_tensor_diff(a, b, t, info):
     return diff
 
 
-def _scan_tensor_map(f, g, src_info, dst_info, ring):
+def _scan_tensor_map(f, g, src_index, dst_index, ring):
     ent = {}
-    for (d, idx), (p, i, q, j) in src_info.prov.items():
+    for (d, idx), (p, i, q, j) in _provenance(src_index).items():
         for i2, ea in _scan(_entries(f.entries_at(p)), i):
             for j2, eb in _scan(_entries(g.entries_at(q)), j):
-                tgt = dst_info.rev.get((p, i2, q, j2))
+                tgt = dst_index.get((p, i2, q, j2))
                 prod = ring.elem_mul(ea, eb)
                 if tgt is None or not prod:
                     continue
@@ -635,17 +652,6 @@ def _scan_tensor_map(f, g, src_info, dst_info, ring):
                 else:
                     dent.pop((tgt, idx), None)
     return ent
-
-
-def _divisible(ring, e, gens):
-    """Whether the monomial e lies in the monomial ideal (gens), compared
-    on exponent tuples."""
-    return any(all(a >= b for a, b in zip(ring.unpack(e), ring.unpack(t))) for t in gens)
-
-
-def _mul(ring, a, b):
-    """The product of two monomials, added on exponent tuples."""
-    return ring.pack(tuple(x + y for x, y in zip(ring.unpack(a), ring.unpack(b))))
 
 
 def _scan_lift(x, y, ring_map):
@@ -662,18 +668,12 @@ def _scan_lift(x, y, ring_map):
         for j, gw in enumerate(x.gens_at(d)):
             ysb = strand_basis(y, d, ring.num(gw), prov)
             if d == 0:
-                tgt = [m for m in basis(ring, gw) if not _divisible(ring, m, y.aug_quotient)]
+                mat, tgt = aug_matrix(y, ring.num(gw), ysb)
                 tindex = {m: r for r, m in enumerate(tgt)}
-                mat = SparseMatrix(len(tgt), len(ysb.pairs), F)
-                for c, (jj, mono) in enumerate(ysb.pairs):
-                    for e, coeff in y.aug[jj].items():
-                        r = tindex.get(_mul(ring, e, mono))
-                        if r is not None:
-                            add_at(mat, r, c, coeff)
                 rhs = {
                     tindex[e]: v
                     for e, v in push(x.aug[j]).items()
-                    if not _divisible(ring, e, y.aug_quotient)
+                    if not divisible(ring, e, y.aug_quotient)
                 }
             else:
                 mat = strand_matrix(y, d, ring.num(gw), prov, src=ysb)
@@ -711,10 +711,17 @@ def test_grouped_columns_match_full_scans_on_xy_level_2():
     wmax = Fraction(2)
     res1 = ideal_resolution(r1, [r1.pack((1, 0)), r1.pack((0, 1))], dmax=3, wmax=wmax)
     res2 = ideal_resolution(r2, [r2.pack((1, 0)), r2.pack((0, 1))], dmax=3, wmax=wmax)
-    sq1, info1 = tensor_complexes(res1, res1, dmax=3, wmax=wmax)
-    sq2, info2 = tensor_complexes(res2, res2, dmax=3, wmax=wmax)
+    sq1, index1 = tensor_complexes(res1, res1, dmax=3, wmax=wmax)
+    sq2, index2 = tensor_complexes(res2, res2, dmax=3, wmax=wmax)
     assert sq2.total_rank() > 50
-    got, want = _keyed(sq2.diff), _scan_tensor_diff(res2, res2, sq2, info2)
+    # the one generator table runs degree by degree, each degree's indices
+    # 0..rank-1 in order: the differential is appended column by column in
+    # this order
+    for sq, index in ((sq1, index1), (sq2, index2)):
+        assert [(p + q, idx) for (p, _i, q, _j), idx in index.items()] == [
+            (d, idx) for d in sorted(sq.gens) for idx in range(sq.rank(d))
+        ]
+    got, want = _keyed(sq2.diff), _scan_tensor_diff(res2, res2, sq2, index2)
     assert list(got) == list(want)
     for d in want:
         assert list(got[d].items()) == list(want[d].items())
@@ -725,9 +732,9 @@ def test_grouped_columns_match_full_scans_on_xy_level_2():
     for d in want:
         assert list(got[d].items()) == list(want[d].items())
 
-    sqmap = tensor_maps(lift, lift, sq1, info1, sq2, info2)
+    sqmap = tensor_maps(lift, lift, sq1, index1, sq2, index2)
     check_chain_map(sqmap)
-    got, want = _keyed(sqmap.entries), _scan_tensor_map(lift, lift, info1, info2, r2)
+    got, want = _keyed(sqmap.entries), _scan_tensor_map(lift, lift, index1, index2, r2)
     assert list(got) == list(want)
     for d in want:
         assert list(got[d].items()) == list(want[d].items())
@@ -777,32 +784,6 @@ def _scan_strand_weights(x, d, wmax, provider):
     return sorted(
         {gw + rw for gw in x.gens_at(d) for rw in module_ws if gw + rw <= wmax}
     )
-
-
-def _is_zero(provider, e):
-    """Whether the monomial e vanishes in the provider's module."""
-    if provider.ring.mono_is_zero(e):
-        return True
-    inside = _divisible(provider.ring, e, provider.ideal_exps)
-    if provider.inside:
-        return not inside
-    return inside
-
-
-def _strand_matrix_with_zero_test(x, d, n, provider):
-    src = strand_basis(x, d, n, provider)
-    dst = strand_basis(x, d - 1, n, provider)
-    m = SparseMatrix(len(dst.pairs), len(src.pairs), x.field)
-    for c, (j, mono) in enumerate(src.pairs):
-        for i, elem in x.diff_at(d)[j]:
-            for e, coeff in elem.items():
-                ee = _mul(x.ring, e, mono)
-                if _is_zero(provider, ee):
-                    continue
-                r = dst.index.get((i, ee))
-                if r is not None:
-                    add_at(m, r, c, coeff)
-    return m
 
 
 def _strand_cases():
@@ -862,22 +843,39 @@ def test_mixed_ring_strands_are_walked_in_integer_weights():
 
 
 def test_strand_matrix_needs_no_zero_test():
+    # the row reader tests no product for zero, yet gives the rows of a
+    # scan that does, in the same order: of every differential on every
+    # module, and of the augmentation of every resolution, into R or onto
+    # R/I
     compared = nonzero = 0
     for name, x, wmax, family in _strand_cases():
         for d in sorted(x.diff):
             for provider in _strand_providers(x.ring, family):
                 for n in strand_weights(x, d, x.ring.num_floor(wmax), provider):
-                    got = strand_matrix(x, d, n, provider)
-                    want = _strand_matrix_with_zero_test(x, d, n, provider)
-                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-                    assert got.rows == want.rows, (name, d, n)
-                    # the row reader gives the same rows, in the same order
                     src = strand_basis(x, d, n, provider)
                     below = strand_pairs(x, d - 1, n, provider)
                     rows = list(strand_rows(x.rows_at(d), below, src, x.ring))
-                    assert rows == got.rows, (name, d, n)
+                    want = strand_matrix(x, d, n, provider)
+                    assert (len(rows), len(src.pairs)) == (want.nrows, want.ncols)
+                    assert rows == want.rows, (name, d, n)
                     compared += 1
-                    nonzero += any(got.rows)
+                    nonzero += any(want.rows)
+    assert 0 < nonzero < compared
+    compared = nonzero = 0
+    for name, x, wmax, family in _strand_cases():
+        if not name.endswith("-res"):
+            continue
+        ring, prov = x.ring, Strands(x.ring)
+        quotient = minimal_resolution(ring, tuple(family.gens_at(ring)), 2, wmax)
+        for res in (x, quotient):
+            for n in strand_weights(res, 0, ring.num_floor(wmax), prov):
+                src = strand_basis(res, 0, n, prov)
+                rows, dst = out_rows(res, 0, n, prov, src)
+                want, tgt = aug_matrix(res, n, src)
+                assert dst.pairs == [(0, m) for m in tgt]
+                assert list(rows) == want.rows, (name, res.aug_quotient, n)
+                compared += 1
+                nonzero += any(want.rows)
     assert 0 < nonzero < compared
 
 

@@ -446,7 +446,7 @@ def test_tor_ideal_against_residue_periodic():
     # Tor_0 lives at the moving weight 1/2^l, zero against any fixed one
     spec = _spec_t()
     I = roots_family(spec, "t")
-    table = derived_tensor(spec, ideal_module(I), residue_module(), 3, Fraction(5, 2))
+    table = derived_tensor(spec, ideal_module(I), residue_module(), 3, Bounds(Fraction(5, 2)))
     assert table.dims() == (0, 1, 0, 1)
     assert table.stable_cells_at(0) == {}
     assert table.stable_cells_at(1) == {F1: 1}
@@ -457,8 +457,8 @@ def test_tor_is_balanced():
     # resolving the other side gives the same stable table
     spec = _spec_t()
     I = roots_family(spec, "t")
-    left = derived_tensor(spec, ideal_module(I), residue_module(), 2, Fraction(2))
-    right = derived_tensor(spec, residue_module(), ideal_module(I), 2, Fraction(2))
+    left = derived_tensor(spec, ideal_module(I), residue_module(), 2, Bounds(Fraction(2)))
+    right = derived_tensor(spec, residue_module(), ideal_module(I), 2, Bounds(Fraction(2)))
     for d in range(3):
         assert left.stable_cells_at(d) == right.stable_cells_at(d)
 
@@ -474,7 +474,7 @@ def test_tor_roots_against_fixed_quotient():
         name="J",
     )
     table = derived_tensor(
-        spec, ideal_module(I), quotient_module(J), 3, Fraction(3), deg_min=1
+        spec, ideal_module(I), quotient_module(J), 3, Bounds(Fraction(3)), deg_min=1
     )
     assert [sum(table.stable_cells_at(d).values()) for d in (1, 2, 3)] == [1, 0, 0]
     assert table.stable_cells_at(1) == {Fraction(2): 1}
@@ -490,7 +490,7 @@ def test_tor_residue_against_fixed_quotient_is_koszul():
         [mono(spec, x=F1), mono(spec, y=F1)],
         name="J",
     )
-    table = derived_tensor(spec, residue_module(), quotient_module(J), 3, Fraction(3))
+    table = derived_tensor(spec, residue_module(), quotient_module(J), 3, Bounds(Fraction(3)))
     assert table.dims() == (1, 2, 1, 0)
     assert table.stable_cells_at(1) == {F1: 2}
     assert table.stable_cells_at(2) == {Fraction(2): 1}
@@ -516,7 +516,7 @@ def test_tor_is_symmetric(trunc):
     # stable zero)
     spec, mods = _symmetry_modules(trunc)
     tables = {
-        (a, b): cell_map(derived_tensor(spec, a, b, 1, Fraction(3, 2), max_level=4))
+        (a, b): cell_map(derived_tensor(spec, a, b, 1, Bounds(Fraction(3, 2), max_level=4)))
         for a in mods
         for b in mods
         if a != b
@@ -538,8 +538,8 @@ def test_tor_against_the_unit_ideal_is_tor_against_r():
     # U = R as modules, so Tor(K, U) = Tor(K, R) = K in degree 0, weight 0
     spec, _ = _symmetry_modules(True)
     U = fixed_family(spec, [mono(spec)], name="U")
-    via_u = derived_tensor(spec, residue_module(), ideal_module(U), 1, Fraction(3, 2))
-    via_r = derived_tensor(spec, residue_module(), ring_module(), 1, Fraction(3, 2))
+    via_u = derived_tensor(spec, residue_module(), ideal_module(U), 1, Bounds(Fraction(3, 2)))
+    via_r = derived_tensor(spec, residue_module(), ring_module(), 1, Bounds(Fraction(3, 2)))
     assert cell_map(via_u) == cell_map(via_r) == {(0, F0): via_r.cells[0]}
     assert via_r.cells[0].dim == 1 and via_r.cells[0].stable
 

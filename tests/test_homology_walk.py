@@ -19,7 +19,6 @@ from idemq.complexes import (
     HomologyData,
     Strands,
     strand_basis,
-    strand_matrix,
     strand_pairs,
     strand_rows,
     strand_weights,
@@ -36,7 +35,7 @@ from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo
 from idemq.sparsela import Echelon
-from oracles import homology_dim, mono, rank
+from oracles import homology_dim, mono, rank, strand_matrix
 
 F0 = Fraction(0)
 F1 = Fraction(1)

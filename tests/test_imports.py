@@ -1,0 +1,71 @@
+"""No module of `idemq` imports a name it never uses. A deletion that
+leaves an import behind fails here, so dead imports do not pile up.
+
+A name counts as used when it occurs anywhere in the module's syntax
+tree, in a quoted annotation or in `__all__`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import idemq
+
+MODULES = sorted(Path(idemq.__file__).parent.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name the module binds by an import, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(
+                    n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = sorted(
+        (line, name) for name, line in _imported(tree).items() if name not in used
+    )
+    assert unused == [], f"{path.name}: imported and never used: {unused}"
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse(
+        "from typing import Optional, Iterator\nimport os\n"
+        "def f(x: 'Optional[int]') -> None:\n    return x\n"
+    )
+    assert {n for n in _imported(tree) if n not in _used(tree)} == {"Iterator", "os"}
