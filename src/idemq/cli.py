@@ -3,13 +3,16 @@
 One subcommand per computation. Reports carry the same numbers in every
 format; JSON and CSV are byte-identical across runs on the same inputs.
 Exit codes: 0 stable result, 2 usage or spec error, 3 undetermined
-cells at the level cap that are not in flight, 4 falsified invariant,
-5 internal error (a failed consistency check inside the computation).
+cells at the level cap, 4 falsified invariant, 5 internal error (a
+failed consistency check inside the computation).
 An unstable cell is in flight when it was first alive within one window
 of the top level, or is alive somewhere but already dead at the top; a
 cell alive from the first level is never in flight. Only a higher cap
-could settle such a cell, so it does not block a verdict.
-The `tor` certificate counts its in-flight cells under `in_flight`.
+could settle such a cell, so it does not block the verdict of `tor`,
+`tower` or the almost verdicts, and the `tor` and almost certificates
+count in-flight cells under `in_flight`. `quotient-homotopy` and
+`static-check` do not set such cells apart yet: any unstable cell, in
+flight or not, makes them exit 3.
 """
 
 from __future__ import annotations

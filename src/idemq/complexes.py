@@ -26,10 +26,21 @@ rows from its row index (`rows_of`; a differential keeps its own in
 FreeComplex.rows_at): row (i, m) meets term c * e at the pair (j, m - e)
 when e divides m. `add_image` adds a column of ring elements times a
 module monomial to a strand vector. These are the two places a product
-is looked up in a strand's (generator, monomial) index, and a pair the
-index lacks is zero in the module, so nothing tests for zero. Monomials
-are packed ints (see rings), so a product is `e + mono` and a quotient
-`m - e`.
+is looked up in a strand, and a pair the strand lacks is zero in the
+module, so nothing tests for zero. Monomials are packed ints (see
+rings), so a product is `e + mono` and a quotient `m - e`.
+
+A strand (StrandBasis) is a list of blocks, one (generator j, offset,
+monomials) per generator with a nonzero part, generators ascending; the
+monomials are the provider's own list for weight n - weight(j), so a
+strand copies no monomial and builds no pair. Each provider keeps one
+position table `pos`, monomial -> its place in its weight's list, and
+pair (j, m) sits at offset[j] + pos[m]: the lookup is two integer keys
+and no tuple. It needs no weight because every map is weight-
+homogeneous (check_complex asserts it for a differential): a product or
+quotient that meets generator j has the weight of j's block, so a
+monomial the table holds lies in that block's list, and j has a block.
+`StrandBasis.pair` maps a position back to its pair.
 
 Every system is solved from rows, with no matrix: homology reduces d_d
 (homology_data), a resolution takes the kernel of the map out of a
@@ -44,7 +55,6 @@ inverse of a column read.
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
-A strand's basis pairs each generator of weight gw with basis(w - gw).
 FreeComplex groups each degree's generators by weight once
 (`gens_by_weight`), so a strand costs one basis lookup per distinct
 generator weight, not one per generator. It indexes each differential's
@@ -53,13 +63,13 @@ touches only the terms of its own row.
 
 Inside a level a weight is the integer n = w * denom over the ring's
 `denom` (LevelRing.num), and the strand functions take and return it:
-`strand_pairs`, `strand_basis`, `out_rows` and `homology_data` read the
-strand of integer weight n, `strand_weights` lists the integer weights up
-to an integer cap. Weight groups, module bases and strand lookups are
-keyed by integers too. Generator lists keep Fractions, the weights where
-levels meet, and `gens_by_weight` converts them once per degree; a
-caller holding a level-free weight converts it with `num`, and one off
-the level's lattice has the empty strand, so it builds none.
+`strand_basis`, `out_rows` and `homology_data` read the strand of
+integer weight n, `strand_weights` lists the integer weights up to an
+integer cap. Weight groups and module bases are keyed by integers too.
+Generator lists keep Fractions, the weights where levels meet, and
+`gens_by_weight` converts them once per degree; a caller holding a
+level-free weight converts it with `num`, and one off the level's
+lattice has the empty strand, so it builds none.
 
 No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
@@ -70,8 +80,10 @@ by scanning for the unit monomial.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .rings import Elem, LevelRing, Mono, divides_any
@@ -263,7 +275,9 @@ class Strands:
     of integer weight n (LevelRing.num) that are nonzero in the module, so
     in either reading a product of a listed monomial with a ring monomial
     that is not listed is zero in the module. A module other than R keeps
-    its list per weight."""
+    its list per weight. `pos` maps each listed monomial to its position
+    in its weight's list: R's is the ring's own table (LevelRing.pos),
+    another module fills its own as it lists a weight."""
 
     def __init__(
         self, ring: LevelRing, ideal_exps: tuple[Mono, ...] = (), inside: bool = False
@@ -272,6 +286,7 @@ class Strands:
         self.ideal_exps = tuple(ideal_exps)
         self.inside = inside
         self._lists: dict[int, list[Mono]] = {}
+        self.pos: dict[Mono, int] = {} if ideal_exps or inside else ring.pos
 
     def in_ideal(self, e: Mono) -> bool:
         return divides_any(e, self.ideal_exps, self.ring.guard)
@@ -286,6 +301,7 @@ class Strands:
             hit = self._lists[n] = [
                 e for e in self.ring.basis_at(n) if self.in_ideal(e) == self.inside
             ]
+            self.pos.update(zip(hit, range(len(hit))))
         return hit
 
 
@@ -293,17 +309,42 @@ class Strands:
 
 
 class StrandBasis(NamedTuple):
-    pairs: list[tuple[int, Mono]]  # (generator index, module monomial)
-    index: dict  # pair -> position
+    """The strand of one degree and weight, as blocks: one (generator j,
+    offset, monomials) per generator whose part is nonzero, generators
+    ascending, its monomials the provider's own list for the weight left
+    to it. Position offset + k holds the pair (j, monomials[k]). `offset`
+    finds a generator's block and `pos` is the provider's position table,
+    so pair (j, m) sits at offset[j] + pos[m]."""
 
-    @classmethod
-    def of(cls, pairs: list[tuple[int, Mono]]) -> "StrandBasis":
-        return cls(pairs, {p: k for k, p in enumerate(pairs)})
+    blocks: list[tuple[int, int, list[Mono]]]
+    offset: dict[int, int]  # generator -> the offset of its block
+    pos: dict[Mono, int]  # monomial -> its position in its weight's list
+    size: int
+
+    def pair(self, k: int) -> tuple[int, Mono]:
+        """The (generator, monomial) pair at position k."""
+        j, off, ms = self.blocks[bisect_right(self.blocks, k, key=_block_offset) - 1]
+        return j, ms[k - off]
 
 
-def strand_pairs(x: FreeComplex, d: int, n: int, provider: Strands) -> list[tuple[int, Mono]]:
-    """Pairs (j, m) whose integer weights sum to n, generators ascending,
-    then monomials in basis order. One basis lookup per generator weight."""
+_block_offset = itemgetter(1)
+
+
+def _strand(owners: list[tuple[int, list[Mono]]], pos: dict[Mono, int]) -> StrandBasis:
+    """The strand of the (generator, nonempty monomial list) owners, in
+    generator order."""
+    blocks, offset, size = [], {}, 0
+    for j, ms in owners:
+        blocks.append((j, size, ms))
+        offset[j] = size
+        size += len(ms)
+    return StrandBasis(blocks, offset, pos, size)
+
+
+def strand_basis(x: FreeComplex, d: int, n: int, provider: Strands) -> StrandBasis:
+    """The strand of degree d and integer weight n: pairs (j, m) whose
+    integer weights sum to n, generators ascending, then monomials in
+    basis order. One basis lookup per generator weight."""
     basis_at = provider.basis_at
     owners = []  # (generator, its monomials), one per contributing generator
     for gn, js in x.gens_by_weight(d):
@@ -311,29 +352,30 @@ def strand_pairs(x: FreeComplex, d: int, n: int, provider: Strands) -> list[tupl
             break
         ms = basis_at(n - gn)
         if ms:
-            owners.extend((j, ms) for j in js)
+            owners += [(j, ms) for j in js]
     owners.sort()  # generator indices are distinct, so only they are compared
-    return [(j, m) for j, ms in owners for m in ms]
-
-
-def strand_basis(x: FreeComplex, d: int, n: int, provider: Strands) -> StrandBasis:
-    """The strand pairs of degree d and integer weight n, indexed."""
-    return StrandBasis.of(strand_pairs(x, d, n, provider))
+    return _strand(owners, provider.pos)
 
 
 def add_image(
-    out: Vec, col: Iterable[tuple[int, Elem]], mono: Mono, index: dict, scale, ring: LevelRing
+    out: Vec, col: Iterable[tuple[int, Elem]], mono: Mono, sb: StrandBasis, scale, ring: LevelRing
 ) -> None:
-    """Add scale * (col x mono) to the strand vector `out`. `col` is a
-    column of (row generator, ring element) pairs and `mono` a module
-    monomial; a product the strand `index` does not hold is zero in the
-    module (or lies off the strand) and drops out."""
+    """Add scale * (col x mono) to the strand vector `out` of sb. `col` is
+    a column of (row generator, ring element) pairs and `mono` a module
+    monomial; a product the position table does not hold is zero in the
+    module and drops out, and so does every product into a row generator
+    without a block."""
     F = ring.field
+    offset, pos = sb.offset, sb.pos
     for i, elem in col:
+        o = offset.get(i)
+        if o is None:
+            continue
         for e, coeff in elem.items():
-            r = index.get((i, e + mono))
-            if r is None:
+            p = pos.get(e + mono)
+            if p is None:
                 continue
+            r = o + p
             nv = F.mul(scale, coeff)
             if r in out:
                 nv = F.add(out[r], nv)
@@ -345,50 +387,55 @@ def add_image(
 
 def strand_rows(
     rows: list[tuple],
-    pairs: list[tuple[int, Mono]],
+    dst: StrandBasis,
     src: StrandBasis,
     ring: LevelRing,
     skip: Collection[int] = (),
 ) -> Iterator[Vec]:
     """The rows, as strand vectors of src, of the map whose row index
-    (FreeComplex.rows_at) is `rows`: one per target pair (i, m) in
-    `pairs`, leaving out the positions in `skip`. Term (j, e, c) of row i
-    meets src pair (j, m - e) when e divides m, one guard-mask test (see
-    rings.divides_any); a quotient the src index does not hold is zero in
-    the module (or lies off the strand) and drops out. The test only saves
-    the lookup: m - e for an e that does not divide m borrows into a guard
-    bit, and no index holds such a key."""
+    (FreeComplex.rows_at) is `rows`: one per pair (i, m) of the target
+    strand dst, in its order, leaving out the positions in `skip`. Term
+    (j, e, c) of row i meets src pair (j, m - e) when e divides m, one
+    guard-mask test (see rings.divides_any); a quotient the position table
+    does not hold is zero in the module and drops out. One it holds has
+    the weight of generator j's block, as the map is homogeneous, so j has
+    a block. The test only saves the lookup: m - e for an e that does not
+    divide m borrows into a guard bit, and no position table holds such a
+    key."""
     F = ring.field
     guard = ring.guard
-    index = src.index
-    for k, (i, m) in enumerate(pairs):
-        if k in skip:
-            continue
-        out: Vec = {}
-        mg = m | guard
-        terms = iter(rows[i])
-        for j, e, c in zip(terms, terms, terms):
-            if (mg - e) & guard != guard:
+    offset, pos = src.offset, src.pos
+    for i, off, ms in dst.blocks:
+        terms_i = rows[i]
+        for k, m in enumerate(ms, off):
+            if k in skip:
                 continue
-            r = index.get((j, m - e))
-            if r is None:
-                continue
-            if r in out:
-                c = F.add(out[r], c)
-                if F.is_zero(c):
-                    del out[r]
+            out: Vec = {}
+            mg = m | guard
+            terms = iter(terms_i)
+            for j, e, c in zip(terms, terms, terms):
+                if (mg - e) & guard != guard:
                     continue
-                c = F.normalize(c)
-            out[r] = c
-        yield out
+                p = pos.get(m - e)
+                if p is None:
+                    continue
+                r = offset[j] + p
+                if r in out:
+                    c = F.add(out[r], c)
+                    if F.is_zero(c):
+                        del out[r]
+                        continue
+                    c = F.normalize(c)
+                out[r] = c
+            yield out
 
 
 def strand_column(vec: Vec, sb: StrandBasis) -> dict[int, Elem]:
     """The column of ring elements, by row generator, that a strand
     vector spells out: the inverse of reading a column on a strand."""
     col: dict[int, Elem] = {}
-    for pos, coeff in vec.items():
-        i, mono = sb.pairs[pos]
+    for k, coeff in vec.items():
+        i, mono = sb.pair(k)
         col.setdefault(i, {})[mono] = coeff
     return col
 
@@ -399,10 +446,12 @@ def strand_columns(
     """The columns, one strand vector of dst per pair of src, of the map
     whose column j is cols[j]."""
     one = ring.field.one
-    for j, mono in src.pairs:
-        col: Vec = {}
-        add_image(col, cols[j], mono, dst.index, one, ring)
-        yield col
+    for j, _off, ms in src.blocks:
+        colj = cols[j]
+        for mono in ms:
+            col: Vec = {}
+            add_image(col, colj, mono, dst, one, ring)
+            yield col
 
 
 def out_rows(
@@ -417,8 +466,10 @@ def out_rows(
         raise AssertionError("complex has no augmentation")
     else:
         rows = rows_of([((0, a),) for a in x.aug], 1, x.field)
-        dst = StrandBasis.of([(0, m) for m in Strands(x.ring, x.aug_quotient).basis_at(n)])
-    return strand_rows(rows, dst.pairs, src, x.ring), dst
+        target = Strands(x.ring, x.aug_quotient)
+        ms = target.basis_at(n)
+        dst = _strand([(0, ms)] if ms else [], target.pos)
+    return strand_rows(rows, dst, src, x.ring), dst
 
 
 def strand_weights(x: FreeComplex, d: int, top: int, provider) -> list[int]:
@@ -465,7 +516,7 @@ class HomologyData(NamedTuple):
         """Coordinates of a cycle in the homology basis. Only a strand with
         homology has them; callers skip the others."""
         pivots = self.diff_ech.rows
-        rows = SparseMatrix(len(pivots), len(self.basis.pairs), fieldobj, list(pivots.values()))
+        rows = SparseMatrix(len(pivots), self.basis.size, fieldobj, list(pivots.values()))
         if rows.mul_vec(vec):  # the rows span d_d's row space: 0 exactly on cycles
             raise AssertionError("vector is not a cycle modulo boundaries")
         res = self.free_bnd.reduce({c: v for c, v in vec.items() if c not in pivots})
@@ -473,7 +524,7 @@ class HomologyData(NamedTuple):
 
 
 # the homology of an empty strand
-NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}), 0, [], None, None, ())
+NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}, {}, 0), 0, [], None, None, ())
 
 
 def homology_data(
@@ -503,10 +554,10 @@ def homology_data(
     reaches rank(d_{d+1}), as every later column then lies in its span."""
     F = x.field
     sb = strand_basis(x, d, n, provider)
-    size = len(sb.pairs)
+    size = sb.size
     diff_ech = Echelon(F)
     if size:
-        below = strand_pairs(x, d - 1, n, provider)
+        below = strand_basis(x, d - 1, n, provider)
         for row in strand_rows(x.rows_at(d), below, sb, x.ring):
             diff_ech.insert(row)
     rank = diff_ech.rank
@@ -517,8 +568,8 @@ def homology_data(
     if above is None:
         basis = strand_basis(x, d + 1, n, provider)
         free_rows = Echelon(F)
-        if basis.pairs:
-            for row in strand_rows(x.rows_at(d + 1), sb.pairs, basis, x.ring, skip=pivots):
+        if basis.size:
+            for row in strand_rows(x.rows_at(d + 1), sb, basis, x.ring, skip=pivots):
                 free_rows.insert(row)
                 if free_rows.rank == nullity:
                     return HomologyData(0, sb, rank, [], None, None, ())
@@ -606,9 +657,9 @@ def push_strand_vec(
     """Image of a strand vector under f (weights preserved); `cols` is
     f.entries_at(d) for the strand's degree d."""
     out: Vec = {}
-    for pos, c in vec.items():
-        j, mono = src_sb.pairs[pos]
-        add_image(out, cols[j], f.push_exp(mono), dst_sb.index, c, f.dst.ring)
+    for k, c in vec.items():
+        j, mono = src_sb.pair(k)
+        add_image(out, cols[j], f.push_exp(mono), dst_sb, c, f.dst.ring)
     return out
 
 
@@ -830,17 +881,17 @@ def minimal_resolution(
         chosen: list[tuple[int, dict[int, Elem]]] = []
         for n in strand_weights(x, d - 1, top, prov):
             sb = strand_basis(x, d - 1, n, prov)
-            if not sb.pairs:
+            if not sb.size:
                 continue
             rows, _dst = out_rows(x, d - 1, n, prov, sb)
-            cycles = kernel_rows(rows, len(sb.pairs), F)
+            cycles = kernel_rows(rows, sb.size, F)
             if not cycles:
                 continue
             span = Echelon(F)
             for (ng, colg) in chosen:
                 for mono in prov.basis_at(n - ng):
                     vec: Vec = {}
-                    add_image(vec, colg.items(), mono, sb.index, F.one, ring)
+                    add_image(vec, colg.items(), mono, sb, F.one, ring)
                     span.insert(vec)
             for z in cycles:
                 if span.insert(z) is not None:
@@ -911,8 +962,8 @@ def lift_chain_map(
                 pushed = {f.push_exp(e): v for e, v in selem.items()}
                 for i2, felem in f_cols[i]:
                     for mono, c in felem.items():
-                        add_image(rhs, ((i2, pushed),), mono, ydst.index, c, ring)
-            sol = solve_rows(rows, len(ysb.pairs), rhs, F)
+                        add_image(rhs, ((i2, pushed),), mono, ydst, c, ring)
+            sol = solve_rows(rows, ysb.size, rhs, F)
             if sol is None:
                 raise AssertionError(f"no lift at degree {d}, generator {j}")
             cols.append(tuple(strand_column(sol, ysb).items()))

@@ -10,6 +10,8 @@ is a finite monomial basis.
 Inside a level every weight is an integer over one denominator, `denom`
 (r^l when some variable is divisible, else 1): weight w is n = w * denom,
 and the basis store (`basis_at`, `basis_upto`) takes and is keyed by n.
+Its position table `pos` maps each listed monomial to its place in its
+weight's list, which a wider walk does not move.
 Fractions are the weights where levels meet (cells, tables, generator
 lists); `num` and `num_floor` turn one into its integer.
 
@@ -147,6 +149,8 @@ class LevelRing:
         # integer weight -> monomials of that weight, complete up to _basis_top
         self._basis: dict[int, list[Mono]] = {}
         self._basis_top = -1
+        # monomial -> its position in its weight's list, for every listed one
+        self.pos: dict[Mono, int] = {}
         self._up: Optional[LevelRing] = None  # level l+1, for include_exp
 
     # ---------- monomials ----------
@@ -291,8 +295,10 @@ class LevelRing:
                 stack[i] = 0
 
             rec(0, 0, 0, False)
+            pos = self.pos  # a wider walk lists each weight as before: positions stay
             for lst in buckets.values():
                 lst.sort()
+                pos.update(zip(lst, range(len(lst))))
             self._basis = buckets
             self._basis_top = top
         return self._basis

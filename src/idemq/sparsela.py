@@ -2,29 +2,33 @@
 
 Matrices are rows-of-dicts: row i is {col: coeff} with exact scalars.
 Every elimination is one Echelon, the same code over Q and F_p. It keeps
-each row under its lowest column, the row's pivot, scaled to 1 there.
-Inserting a row reduces it against the stored rows and stores what is
-left; the stored rows are never touched again. Reducing clears the pivot
-columns of a vector in ascending order: a stored row has no entry below
+each row under its lowest column, the row's pivot, as it was reduced: a
+stored row keeps its pivot coefficient, and where that is not 1 the
+echelon keeps its inverse beside the row (`Echelon.inv`), so no row is
+copied to scale it. Inserting a row reduces it against the stored rows
+and stores what is left; the stored rows are never touched again.
+Reducing clears the pivot columns of a vector in ascending order, each
+multiplier scaled by the pivot's inverse: a stored row has no entry below
 its pivot, so clearing one pivot only adds entries at higher columns.
 
 Kernels and solutions are read off the reduced form, built once by
-back-substitution from the highest pivot down: there each pivot column
-occurs in its own row only. A column that holds no pivot is free, and
-each free column f gives the kernel vector e_f - sum_p R_p[f] e_p over
-the reduced rows R_p. Solving A x = b stores the rows of [A | b] with b
-in column ncols, which the lowest-column rule keeps out of the pivots
-unless a row reduces to 0 = b_i; each reduced row's entry in that column
-is the value of its pivot variable, with every free variable 0.
+back-substitution from the highest pivot down and scaled to 1 at each
+pivot: there each pivot column occurs in its own row only. A column that
+holds no pivot is free, and each free column f gives the kernel vector
+e_f - sum_p R_p[f] e_p over the reduced rows R_p. Solving A x = b stores
+the rows of [A | b] with b in column ncols, which the lowest-column rule
+keeps out of the pivots unless a row reduces to 0 = b_i; each reduced
+row's entry in that column is the value of its pivot variable, with
+every free variable 0.
 
 Input contract: every vector given to an Echelon holds normalized,
 nonzero entries (v != 0 and F.normalize(v) gives v back unchanged), as
 every producer here makes them: the strand row reader, add_image, matmul,
 kernel and the ring element operations. Reducing does not normalize its
 input again. It never changes a caller's vector either: a vector that
-touches no pivot is returned, and may be stored, as itself, and any
-other is reduced in a copy. So a vector must not be changed after it
-was inserted.
+touches no pivot is returned, and stored, as itself, and any other is
+reduced in a copy. So a vector must not be changed after it was
+inserted.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from typing import Iterable, Optional
 Vec = dict  # {col: scalar}, zero entries absent
 
 
-def _reduce(vec: Vec, rows: dict[int, Vec], F) -> Vec:
-    """vec minus the multiples of `rows` (pivot col -> row, 1 at the
-    pivot and nothing below it) that clear every pivot column of vec:
-    vec itself when it has none, else a new dict."""
+def _reduce(vec: Vec, rows: dict[int, Vec], inv: dict[int, object], F) -> Vec:
+    """vec minus the multiples of `rows` (pivot col -> row with nothing
+    below its pivot; `inv` holds the inverse of each pivot coefficient
+    that is not 1) that clear every pivot column of vec: vec itself when
+    it has none, else a new dict."""
     if rows.keys().isdisjoint(vec):
         return vec
     norm = F.normalize
@@ -50,6 +55,9 @@ def _reduce(vec: Vec, rows: dict[int, Vec], F) -> Vec:
         a = res.pop(c, None)
         if a is None:  # cancelled after it was pushed, or pushed twice
             continue
+        s = inv.get(c)
+        if s is not None:
+            a = norm(a * s)
         for j, v in rows[c].items():
             if j == c:
                 continue
@@ -69,11 +77,13 @@ def _reduce(vec: Vec, rows: dict[int, Vec], F) -> Vec:
 
 class Echelon:
     """Row echelon form, one row at a time: `rows` maps each pivot column
-    to the stored row whose lowest column it is, with coefficient 1."""
+    to the stored row whose lowest column it is, and `inv` each pivot
+    whose coefficient there is not 1 to the inverse of that coefficient."""
 
     def __init__(self, field):
         self.field = field
         self.rows: dict[int, Vec] = {}
+        self.inv: dict[int, object] = {}
 
     @property
     def rank(self) -> int:
@@ -82,34 +92,39 @@ class Echelon:
     def reduce(self, vec: Vec) -> Vec:
         """Residual of vec modulo the stored row span: it holds no pivot
         column, and it is empty exactly when vec lies in the span."""
-        return _reduce(vec, self.rows, self.field)
+        return _reduce(vec, self.rows, self.inv, self.field)
 
     def insert(self, vec: Vec) -> Optional[int]:
         """Add vec to the span. Returns the new pivot column, or None if
         vec was already in the span. vec must hold normalized, nonzero
-        entries; it is never changed, but one that touches no pivot and is
-        1 at its lowest column is stored as itself, so the caller must not
-        change it afterwards."""
+        entries; it is never changed, but one that touches no pivot is
+        stored as itself, so the caller must not change it afterwards."""
         if not vec:
             return None
         F = self.field
-        res = _reduce(vec, self.rows, F)
+        res = _reduce(vec, self.rows, self.inv, F)
         if not res:
             return None
         pick = min(res)
         a = res[pick]
         if a != F.one:
-            inv = F.inv(a)
-            res = {c: F.normalize(inv * v) for c, v in res.items()}
+            self.inv[pick] = F.inv(a)
         self.rows[pick] = res
         return pick
 
     def reduced(self) -> dict[int, Vec]:
-        """The stored rows made mutually reduced, highest pivot first: each
-        pivot column then occurs in its own row only."""
+        """The stored rows made mutually reduced and scaled to 1 at their
+        pivots, highest pivot first: each pivot column then occurs in its
+        own row only."""
+        F = self.field
+        norm = F.normalize
         out: dict[int, Vec] = {}
         for p in sorted(self.rows, reverse=True):
-            out[p] = _reduce(self.rows[p], out, self.field)
+            row = _reduce(self.rows[p], out, {}, F)  # out's rows are 1 at their pivots
+            s = self.inv.get(p)
+            if s is not None:  # rows above p hold nothing at p: its coefficient is as stored
+                row = {c: norm(s * v) for c, v in row.items()}
+            out[p] = row
         return out
 
     def kernel(self, free: list[int]) -> list[Vec]:

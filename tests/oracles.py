@@ -1,9 +1,9 @@
 """Helpers that only the tests use: dense matrix conversion, a dense rank
 that shares no code with `sparsela`, kernels and solutions of a
-SparseMatrix, strand matrices of a differential and an augmentation by a
-scan that tests every product for zero and shares no code with the strand
-engine's readers, a homology dimension read from two dense ranks with no
-representatives, multigraded Betti numbers of a monomial ideal from its
+SparseMatrix, a reference strand indexed by (generator, monomial) tuples,
+strand matrices of a differential and an augmentation by a scan that
+tests every product for zero and shares no code with the strand engine,
+a homology dimension read from two dense ranks with no representatives, multigraded Betti numbers of a monomial ideal from its
 Taylor complex, and small conveniences on chain maps, monomials and
 tables."""
 
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands, strand_basis
+from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands
 from idemq.sparsela import SparseMatrix, Vec, kernel_rows, solve_rows
 
 
@@ -108,20 +108,65 @@ def is_zero(provider: Strands, e) -> bool:
     return divisible(provider.ring, e, provider.ideal_exps) != provider.inside
 
 
-def _scan_map(cols, src: StrandBasis, dst: dict, ring, zero) -> SparseMatrix:
-    """Matrix, from strand src to the strand indexed by dst, of the map
-    whose column j is cols[j]: every product of an entry with a source
-    monomial, less those `zero` finds vanishing in the target module."""
-    m = SparseMatrix(len(dst), len(src.pairs), ring.field)
-    for c, (j, mono) in enumerate(src.pairs):
+class RefStrand(NamedTuple):
+    """A strand by a scan: its (generator, monomial) pairs and the tuple
+    index pair -> position."""
+
+    pairs: list[tuple[int, int]]
+    index: dict
+
+
+def ref_strand(x: FreeComplex, d: int, n: int, provider: Strands) -> RefStrand:
+    """The strand of degree d and integer weight n, every generator of the
+    degree in turn, each with the ring's monomials of the weight left to
+    it that `is_zero` keeps."""
+    ring = provider.ring
+    pairs = []
+    for j, gw in enumerate(x.gens_at(d)):
+        k = n - ring.num(gw)
+        if k >= 0:
+            pairs.extend((j, m) for m in ring.basis_at(k) if not is_zero(provider, m))
+    return RefStrand(pairs, {p: k for k, p in enumerate(pairs)})
+
+
+def pairs_of(sb: StrandBasis) -> list[tuple[int, int]]:
+    """The pairs of a strand of the engine, position by position."""
+    return [sb.pair(k) for k in range(sb.size)]
+
+
+def scan_push(cols, vec: Vec, src: RefStrand, dst: RefStrand, ring, zero, push=None) -> Vec:
+    """Image of the strand vector vec under the map whose column j is
+    cols[j], with `push` carrying source monomials into ring (None: the
+    same ring): every product of an entry with a pushed source monomial,
+    less those `zero` finds vanishing in the target module."""
+    F = ring.field
+    out: Vec = {}
+    for c, s in vec.items():
+        j, mono = src.pairs[c]
+        if push is not None:
+            mono = push(mono)
         for i, elem in cols[j]:
             for e, coeff in elem.items():
                 ee = mono_mul(ring, e, mono)
                 if zero(ee):
                     continue
-                r = dst.get((i, ee))
+                r = dst.index.get((i, ee))
                 if r is not None:
-                    add_at(m, r, c, coeff)
+                    v = F.normalize(F.add(out.get(r, F.zero), F.mul(s, coeff)))
+                    if F.is_zero(v):
+                        del out[r]
+                    else:
+                        out[r] = v
+    return out
+
+
+def _scan_map(cols, src: RefStrand, dst: RefStrand, ring, zero) -> SparseMatrix:
+    """Matrix, from strand src to strand dst, of the map whose column j is
+    cols[j] (scan_push of each unit vector)."""
+    m = SparseMatrix(len(dst.pairs), len(src.pairs), ring.field)
+    for c in range(len(src.pairs)):
+        for r, v in scan_push(cols, {c: ring.field.one}, src, dst, ring, zero).items():
+            m.rows[r][c] = v
     return m
 
 
@@ -130,25 +175,25 @@ def strand_matrix(
     d: int,
     n: int,
     provider: Strands,
-    src: Optional[StrandBasis] = None,
-    dst: Optional[StrandBasis] = None,
+    src: Optional[RefStrand] = None,
+    dst: Optional[RefStrand] = None,
 ) -> SparseMatrix:
     """Matrix of diff[d] on the strand of integer weight n, rows in the
     order of the degree-(d-1) strand."""
     if src is None:
-        src = strand_basis(x, d, n, provider)
+        src = ref_strand(x, d, n, provider)
     if dst is None:
-        dst = strand_basis(x, d - 1, n, provider)
-    return _scan_map(x.diff_at(d), src, dst.index, x.ring, lambda e: is_zero(provider, e))
+        dst = ref_strand(x, d - 1, n, provider)
+    return _scan_map(x.diff_at(d), src, dst, x.ring, lambda e: is_zero(provider, e))
 
 
-def aug_matrix(x: FreeComplex, n: int, src: StrandBasis) -> tuple[SparseMatrix, list]:
+def aug_matrix(x: FreeComplex, n: int, src: RefStrand) -> tuple[SparseMatrix, list]:
     """Matrix of the augmentation on the degree-0 strand src of integer
     weight n, onto the weight-n monomials of R/aug_quotient, and those
     monomials."""
     ring = x.ring
     tgt = [m for m in ring.basis_at(n) if not divisible(ring, m, x.aug_quotient)]
-    dst = {(0, m): r for r, m in enumerate(tgt)}
+    dst = RefStrand([(0, m) for m in tgt], {(0, m): r for r, m in enumerate(tgt)})
     quotient = Strands(ring, x.aug_quotient)
     cols = [((0, a),) for a in x.aug]
     return _scan_map(cols, src, dst, ring, lambda e: is_zero(quotient, e)), tgt
@@ -159,7 +204,7 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
     n = x.ring.num(w)
     if n is None:
         return 0
-    sb = strand_basis(x, d, n, provider)
+    sb = ref_strand(x, d, n, provider)
     if not sb.pairs:
         return 0
     out = strand_matrix(x, d, n, provider, src=sb)

@@ -575,10 +575,10 @@ def test_every_vector_reaching_the_echelon_is_normalized(tmp_path, capsys, monke
     real = sparsela._reduce
     seen, bad = [0], []
 
-    def checked(vec, rows, field):
+    def checked(vec, rows, inv, field):
         seen[0] += 1
         bad.extend((c, v) for c, v in vec.items() if not _is_normalized(field, v))
-        return real(vec, rows, field)
+        return real(vec, rows, inv, field)
 
     monkeypatch.setattr(sparsela, "_reduce", checked)
     spec = _write(tmp_path, text)

@@ -20,7 +20,6 @@ from idemq.complexes import (
     out_rows,
     push_strand_vec,
     strand_basis,
-    strand_pairs,
     strand_rows,
     strand_weights,
     tensor_complexes,
@@ -45,6 +44,10 @@ from oracles import (
     compose_maps,
     divisible,
     homology_dim,
+    is_zero,
+    pairs_of,
+    ref_strand,
+    scan_push,
     strand_matrix,
     to_dense,
 )
@@ -155,12 +158,12 @@ def test_strand_basis_and_matrix_shapes():
     # level 0: the integer weight of w is w itself
     sb = strand_basis(res, 1, 2, prov)
     # degree 1 generator has weight 1; monomials of weight 1: x
-    assert sb.pairs == [(0, ring.pack((1,)))]
+    assert pairs_of(sb) == [(0, ring.pack((1,)))]
     m = strand_matrix(res, 1, 2, prov)
     assert (m.nrows, m.ncols) == (1, 1)
     assert m.rows[0] == {0: 1}
     rows, dst = out_rows(res, 1, 2, prov, sb)
-    assert list(rows) == m.rows and len(dst.pairs) == m.nrows
+    assert list(rows) == m.rows and dst.size == m.nrows
 
 
 # ---------- tensor products ----------
@@ -449,7 +452,7 @@ def test_homology_data_reps_are_cycles():
     prov = Strands(ring)
     h = homology_data(sq, 2, 3, prov)
     assert h.dim == homology_dim(sq, 2, Fraction(3), prov) == 1
-    out = strand_matrix(sq, 2, 3, prov, src=h.basis)
+    out = strand_matrix(sq, 2, 3, prov)
     for rep in h.reps:
         # matrix-vector product: rows of `out` dot rep
         for row in out.rows:
@@ -518,8 +521,8 @@ def test_coords_read_each_representative_on_xy(field, build):
             if not h.dim:
                 continue
             seen += 1
-            out = strand_matrix(x, d, n, prov, src=h.basis)
-            inc = strand_matrix(x, d + 1, n, prov, dst=h.basis)
+            out = strand_matrix(x, d, n, prov)
+            inc = strand_matrix(x, d + 1, n, prov)
             # a boundary: the image of a sum of d+1 strand basis vectors
             bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
             for k, rep in enumerate(h.reps):
@@ -542,12 +545,12 @@ def test_coords_on_a_strand_with_homology_checks_cycles():
         for d in range(sq.lo, sq.hi + 1):
             for n in strand_weights(sq, d, sq.ring.num_floor(Fraction(2)), prov):
                 h = homology_data(sq, d, n, prov)
-                yield h, strand_matrix(sq, d + 1, n, prov, dst=h.basis)
+                yield h, strand_matrix(sq, d + 1, n, prov)
 
     # homology beside boundaries, and cycles that do not fill the strand
     h, inc = next(
         (h, inc) for h, inc in strands()
-        if h.dim and inc.rank() and inc.rank() + h.dim < len(h.basis.pairs)
+        if h.dim and inc.rank() and inc.rank() + h.dim < h.basis.size
     )
     cols = [{r: row[c] for r, row in enumerate(inc.rows) if c in row} for c in range(inc.ncols)]
     cols = [col for col in cols if col]
@@ -567,7 +570,7 @@ def test_coords_on_a_strand_with_homology_checks_cycles():
         moved[r] = moved.get(r, 0) + v
     assert h.coords({r: v for r, v in moved.items() if v}, QQ) == {0: 1}
     outside = next(
-        {r: 1} for r in range(len(h.basis.pairs)) if cycles.reduce({r: 1})
+        {r: 1} for r in range(h.basis.size) if cycles.reduce({r: 1})
     )
     with pytest.raises(AssertionError, match="not a cycle modulo boundaries"):
         h.coords(outside, QQ)
@@ -666,7 +669,7 @@ def _scan_lift(x, y, ring_map):
     for d in range(x.lo, x.hi + 1):
         ent = {}
         for j, gw in enumerate(x.gens_at(d)):
-            ysb = strand_basis(y, d, ring.num(gw), prov)
+            ysb = ref_strand(y, d, ring.num(gw), prov)
             if d == 0:
                 mat, tgt = aug_matrix(y, ring.num(gw), ysb)
                 tindex = {m: r for r, m in enumerate(tgt)}
@@ -677,7 +680,7 @@ def _scan_lift(x, y, ring_map):
                 }
             else:
                 mat = strand_matrix(y, d, ring.num(gw), prov, src=ysb)
-                ydst = strand_basis(y, d - 1, ring.num(gw), prov)
+                ydst = ref_strand(y, d - 1, ring.num(gw), prov)
                 rhs = {}
                 for i, selem in _scan(_entries(x.diff_at(d)), j):
                     for i2, felem in _scan(entries.get(d - 1, {}), i):
@@ -770,12 +773,6 @@ def _mixed_family():
     return IdealFamily(name="I", spec=spec, root_vars=(0,), gens=((F0, Fraction(1)),))
 
 
-def _scan_strand_pairs(x, d, w, provider):
-    """Strand pairs by a scan of every generator of the degree."""
-    ring = provider.ring
-    return [(j, m) for j, gw in enumerate(x.gens_at(d)) for m in basis(ring, w - gw, provider)]
-
-
 def _scan_strand_weights(x, d, wmax, provider):
     """Generator weight plus a weight where the module's basis is nonempty."""
     ring = provider.ring
@@ -807,6 +804,24 @@ def _strand_providers(ring, family):
     return [module_strands(ref, ring) for ref in refs]
 
 
+def _check_blocks(x, d, n, provider, where):
+    """The block strand of (d, n) against the tuple-indexed scan: the same
+    pairs in the same order, pair(k) reading each position back, and
+    offset[j] + pos[m] placing each pair where the scan's index does. Each
+    block is a generator's run of the provider's own monomial list, at the
+    offset the generator finds."""
+    sb, ref = strand_basis(x, d, n, provider), ref_strand(x, d, n, provider)
+    assert pairs_of(sb) == ref.pairs, where
+    assert sb.size == len(ref.pairs) and sb.pos is provider.pos
+    assert [j for j, _off, _ms in sb.blocks] == sorted(sb.offset), where
+    for j, off, ms in sb.blocks:
+        assert ms and sb.offset[j] == off, where
+        assert ms is provider.basis_at(n - x.ring.num(x.gens_at(d)[j])), where
+        for m in ms:
+            assert off + sb.pos[m] == ref.index[(j, m)], where
+    return sb
+
+
 def test_indexed_strands_match_generator_scans():
     unsorted = 0
     for name, x, wmax, family in _strand_cases():
@@ -817,10 +832,8 @@ def test_indexed_strands_match_generator_scans():
                 ns = strand_weights(x, d, x.ring.num_floor(wmax), provider)
                 ws = [Fraction(n, x.ring.denom) for n in ns]
                 assert ws == _scan_strand_weights(x, d, wmax, provider), (name, d)
-                for n, w in zip(ns, ws):
-                    sb = strand_basis(x, d, n, provider)
-                    assert sb.pairs == _scan_strand_pairs(x, d, w, provider), (name, d, w)
-                    assert sb.index == {p: k for k, p in enumerate(sb.pairs)}
+                for n in ns:
+                    _check_blocks(x, d, n, provider, (name, d, n))
     assert unsorted > 0  # the merge of weight groups back into generator order is exercised
 
 
@@ -853,11 +866,14 @@ def test_strand_matrix_needs_no_zero_test():
             for provider in _strand_providers(x.ring, family):
                 for n in strand_weights(x, d, x.ring.num_floor(wmax), provider):
                     src = strand_basis(x, d, n, provider)
-                    below = strand_pairs(x, d - 1, n, provider)
+                    below = strand_basis(x, d - 1, n, provider)
                     rows = list(strand_rows(x.rows_at(d), below, src, x.ring))
                     want = strand_matrix(x, d, n, provider)
-                    assert (len(rows), len(src.pairs)) == (want.nrows, want.ncols)
+                    assert (len(rows), src.size) == (want.nrows, want.ncols)
                     assert rows == want.rows, (name, d, n)
+                    skip = set(range(0, below.size, 2))
+                    kept = list(strand_rows(x.rows_at(d), below, src, x.ring, skip=skip))
+                    assert kept == [r for k, r in enumerate(want.rows) if k not in skip]
                     compared += 1
                     nonzero += any(want.rows)
     assert 0 < nonzero < compared
@@ -869,14 +885,48 @@ def test_strand_matrix_needs_no_zero_test():
         quotient = minimal_resolution(ring, tuple(family.gens_at(ring)), 2, wmax)
         for res in (x, quotient):
             for n in strand_weights(res, 0, ring.num_floor(wmax), prov):
-                src = strand_basis(res, 0, n, prov)
+                src = _check_blocks(res, 0, n, prov, (name, n))
                 rows, dst = out_rows(res, 0, n, prov, src)
-                want, tgt = aug_matrix(res, n, src)
-                assert dst.pairs == [(0, m) for m in tgt]
+                want, tgt = aug_matrix(res, n, ref_strand(res, 0, n, prov))
+                assert pairs_of(dst) == [(0, m) for m in tgt]
+                assert [dst.offset[0] + dst.pos[m] for m in tgt] == list(range(len(tgt)))
                 assert list(rows) == want.rows, (name, res.aug_quotient, n)
                 compared += 1
                 nonzero += any(want.rows)
     assert 0 < nonzero < compared
+
+
+def test_pushed_strand_vectors_match_a_scan_across_levels():
+    # push_strand_vec along the lift res_1 -> res_2 over include_exp, on
+    # every module: each unit vector of a level-1 strand, and their sum
+    # with distinct coefficients, goes where a scan between the
+    # tuple-indexed strands sends it
+    pushed = nonzero = 0
+    for name, family in (("t", _t_family()), ("xy", _xy_family()), ("mixed", _mixed_family())):
+        wmax = Fraction(2) if name == "t" else Fraction(1)
+        r1, r2 = make_level_ring(family.spec, 1), make_level_ring(family.spec, 2)
+        res1 = ideal_resolution(r1, family.gens_at(r1), dmax=3, wmax=wmax)
+        res2 = ideal_resolution(r2, family.gens_at(r2), dmax=3, wmax=wmax)
+        lift = lift_chain_map(res1, res2, ring_map=r1.include_exp)
+        F = r2.field
+        for p1, p2 in zip(_strand_providers(r1, family), _strand_providers(r2, family)):
+            for d in range(res1.lo, res1.hi + 1):
+                cols = lift.entries_at(d)
+                for n1 in strand_weights(res1, d, r1.num_floor(wmax), p1):
+                    n2 = r2.num(Fraction(n1, r1.denom))
+                    src, dst = strand_basis(res1, d, n1, p1), strand_basis(res2, d, n2, p2)
+                    rsrc, rdst = ref_strand(res1, d, n1, p1), ref_strand(res2, d, n2, p2)
+                    vecs = [{k: F.one} for k in range(src.size)]
+                    vecs.append({k: F.from_int(k + 2) for k in range(src.size)})
+                    for vec in vecs:
+                        got = push_strand_vec(lift, cols, vec, src, dst)
+                        want = scan_push(
+                            cols, vec, rsrc, rdst, r2, lambda e: is_zero(p2, e), r1.include_exp
+                        )
+                        assert got == want, (name, d, n1)
+                        pushed += 1
+                        nonzero += bool(want)
+    assert 0 < nonzero < pushed
 
 
 def test_weight_index_follows_a_replaced_generator_list():
@@ -886,10 +936,10 @@ def test_weight_index_follows_a_replaced_generator_list():
     assert x.gens_by_weight(0) == [(0, [1]), (2, [0])]
     pairs = [(0, ring.pack((0,))), (1, ring.pack((2,)))]
     # level 0: integer weights are the weights themselves
-    assert strand_basis(x, 0, 2, prov).pairs == pairs
+    assert pairs_of(strand_basis(x, 0, 2, prov)) == pairs
     x.gens[0] = [Fraction(1)]
     assert x.gens_by_weight(0) == [(1, [0])]
-    assert strand_basis(x, 0, 2, prov).pairs == [(0, ring.pack((1,)))]
+    assert pairs_of(strand_basis(x, 0, 2, prov)) == [(0, ring.pack((1,)))]
     assert strand_weights(x, 0, 2, prov) == [1, 2]
     assert x.gens_by_weight(1) == []
 
@@ -903,13 +953,15 @@ def test_row_index_follows_a_replaced_differential():
     rows = x.rows_at(1)
     assert rows == [(0, x1, 1)]
     assert x.rows_at(1) is rows  # kept while diff[1] is the same list
+    dst = strand_basis(x, 0, 2, prov)
+    assert pairs_of(dst) == [(0, x2)]
     src = strand_basis(x, 1, 2, prov)
-    assert list(strand_rows(rows, [(0, x2)], src, ring)) == [{0: 1}]
+    assert list(strand_rows(rows, dst, src, ring)) == [{0: 1}]
     x.diff[1] = [((0, {x2: 1}),)]
     x.gens[1] = [Fraction(2)]
     assert x.rows_at(1) == [(0, x2, 1)]
     src = strand_basis(x, 1, 2, prov)
-    assert list(strand_rows(x.rows_at(1), [(0, x2)], src, ring)) == [{0: 1}]
+    assert list(strand_rows(x.rows_at(1), dst, src, ring)) == [{0: 1}]
     # a degree with no stored differential has one empty row per generator
     assert x.rows_at(0) == []
     assert x.rows_at(2) == [()]

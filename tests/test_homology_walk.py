@@ -19,7 +19,6 @@ from idemq.complexes import (
     HomologyData,
     Strands,
     strand_basis,
-    strand_pairs,
     strand_rows,
     strand_weights,
 )
@@ -140,7 +139,7 @@ def test_top_down_walk_matches_dense_ranks_and_a_bottom_up_walk(make):
         k = diagram.levels.index(l)
         x, prov = diagram.complexes[k], diagram.providers[k]
         assert h.dim == homology_dim(x, d, Fraction(n, x.ring.denom), prov), (l, d, n)
-        assert h.rank == (rank(strand_matrix(x, d, n, prov)) if h.basis.pairs else 0)
+        assert h.rank == (rank(strand_matrix(x, d, n, prov)) if h.basis.size else 0)
 
     def weight(key):  # the level-free weight of a cache key
         l, _d, n = key
@@ -158,7 +157,8 @@ def test_exact_strands_read_no_boundaries_where_ranks_decide_them(monkeypatch):
     # d_{d+1} is read into a homology strand's own basis: by columns, a
     # strand_columns call with that basis as its target, or by rows, a
     # strand_rows call over that basis's pairs (its free rows). d_d is
-    # read by rows over the pairs of the strand below instead.
+    # read by rows over the pairs of the strand below instead, a strand
+    # built afresh, so it never shares a cached basis object.
     columns, rows, yielded = [], [], {}
     real_columns, real_rows = complexes.strand_columns, complexes.strand_rows
 
@@ -166,10 +166,10 @@ def test_exact_strands_read_no_boundaries_where_ranks_decide_them(monkeypatch):
         columns.append(dst)
         return real_columns(cols, src, dst, ring)
 
-    def counting_rows(index, pairs, src, ring, skip=()):
-        rows.append(pairs)
-        for row in real_rows(index, pairs, src, ring, skip):
-            yielded[id(pairs)] = yielded.get(id(pairs), 0) + 1
+    def counting_rows(index, dst, src, ring, skip=()):
+        rows.append(dst)
+        for row in real_rows(index, dst, src, ring, skip):
+            yielded[id(dst)] = yielded.get(id(dst), 0) + 1
             yield row
 
     monkeypatch.setattr(complexes, "strand_columns", counting_columns)
@@ -178,26 +178,25 @@ def test_exact_strands_read_no_boundaries_where_ranks_decide_them(monkeypatch):
     diagram.run(degrees, wmax, 2)
     strands = _strands(builder)
     by_basis = {id(h.basis): key for key, h in strands.items()}
-    by_pairs = {id(h.basis.pairs): key for key, h in strands.items()}
     read_columns = {by_basis[id(t)] for t in columns if id(t) in by_basis}
-    read_rows = {by_pairs[id(p)] for p in rows if id(p) in by_pairs}
+    read_rows = {by_basis[id(t)] for t in rows if id(t) in by_basis}
     assert read_columns and read_rows
     decided = 0
     for (l, d, n), h in strands.items():
         if h.dim == 0:
             assert (l, d, n) not in read_columns, (l, d, n)
         above = strands.get((l, d + 1, n))
-        if h.dim == 0 and above is not None and h.basis.pairs:
-            decided += len(h.basis.pairs) > h.rank
+        if h.dim == 0 and above is not None and h.basis.size:
+            decided += h.basis.size > h.rank
             assert (l, d, n) not in read_rows, (l, d, n)
     assert decided  # strands with cycles that ranks alone showed exact
     # only the free rows are read, one per cycle at most
     for key in read_rows:
         h = strands[key]
-        assert yielded.get(id(h.basis.pairs), 0) <= len(h.basis.pairs) - h.rank, key
+        assert yielded.get(id(h.basis), 0) <= h.basis.size - h.rank, key
     # the free rows settle some top strands with cycles, and no column
     assert any(
-        strands[key].dim == 0 and len(strands[key].basis.pairs) > strands[key].rank
+        strands[key].dim == 0 and strands[key].basis.size > strands[key].rank
         for key in read_rows
     )
 
@@ -222,20 +221,20 @@ def test_free_rows_of_the_boundary_have_its_rank_on_top_strands():
     exact = 0
     for (tag, l, d, n), h in strands.items():
         assert (tag, l, d + 1, n) not in strands  # a top strand
-        if not h.basis.pairs:
+        if not h.basis.size:
             continue
         x, prov = tw.Q(tag[1], l), Strands(tw.ring(l))
-        below = strand_pairs(x, d - 1, n, prov)
+        below = strand_basis(x, d - 1, n, prov)
         diff_ech = Echelon(x.field)
         for row in strand_rows(x.rows_at(d), below, h.basis, x.ring):
             diff_ech.insert(row)
         assert diff_ech.rank == h.rank
         above = strand_basis(x, d + 1, n, prov)
         free = Echelon(x.field)
-        for row in strand_rows(x.rows_at(d + 1), h.basis.pairs, above, x.ring, skip=diff_ech.rows):
+        for row in strand_rows(x.rows_at(d + 1), h.basis, above, x.ring, skip=diff_ech.rows):
             free.insert(row)
         assert free.rank == rank(strand_matrix(x, d + 1, n, prov)), (tag, l, d, n)
-        assert h.dim == len(h.basis.pairs) - h.rank - free.rank
+        assert h.dim == h.basis.size - h.rank - free.rank
         exact += h.dim == 0 and free.rank > 0
     assert exact
 

@@ -252,8 +252,12 @@ def test_echelon_keeps_rows_under_their_lowest_column(field, data):
         pick = e.insert(vec)
         assert (pick is None) == (not grows)
         seen.append(drow)
+        assert set(e.inv) <= set(e.rows)
         for key, row in e.rows.items():
-            assert key == min(row) and row[key] == field.one
+            # a row keeps its pivot coefficient, its inverse beside it
+            # unless it is 1
+            s = e.inv.get(key, field.one)
+            assert key == min(row) and field.normalize(field.mul(row[key], s)) == field.one
     assert e.rank == dense_rank(data, field)
 
 
@@ -310,3 +314,78 @@ def test_echelon_on_normalized_rows_leaves_them_untouched(field, data):
     # colimit_stabilize takes the rank of cached step matrices more than once
     assert m.rank() == rank and m.rank() == rank
     assert m.rows == before
+
+
+def _dense(rows, ncols):
+    return [[r.get(c, 0) for c in range(ncols)] for r in rows]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_echelon_contract(field, data):
+    # rows stored as reduced, with no rescaling: a vector that touches no
+    # pivot is stored as itself; reduced() scales each pivot to 1 and
+    # clears it from every other row; rank, kernel and solve_rows agree
+    # with a dense elimination; no inserted dict is changed
+    ncols = 6
+    rows = data.draw(_normalized_rows(field, ncols))
+    xs = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    before = [dict(r) for r in rows]
+    rank = dense_rank(_dense(rows, ncols), field)
+
+    e = Echelon(field)
+    for r in rows:
+        untouched = bool(r) and e.rows.keys().isdisjoint(r)
+        pick = e.insert(r)
+        if untouched:
+            assert pick == min(r) and e.rows[pick] is r
+            assert (pick in e.inv) == (r[pick] != field.one)
+    assert e.rank == rank
+    stored = {p: dict(row) for p, row in e.rows.items()}
+
+    red = e.reduced()
+    assert list(red) == sorted(e.rows, reverse=True)
+    for p, row in red.items():
+        assert min(row) == p and row[p] == field.one
+        assert not (set(row) - {p}) & set(red)
+    assert dense_rank(_dense(rows + list(red.values()), ncols), field) == rank
+
+    free = [c for c in range(ncols) if c not in e.rows]
+    ker = e.kernel(free)
+    m = SparseMatrix(len(rows), ncols, field, rows)
+    assert len(ker) == ncols - rank
+    for v in ker:
+        assert m.mul_vec(v) == {}
+    assert dense_rank(_dense(ker, ncols), field) == len(ker)
+
+    x = {j: field.from_int(v) for j, v in enumerate(xs) if field.from_int(v)}
+    rhs = m.mul_vec(x)
+    got = solve_rows(rows, ncols, rhs, field)
+    assert got is not None and m.mul_vec(got) == rhs
+    if rows:
+        rhs[0] = field.normalize(field.add(rhs.get(0, field.zero), field.one))
+        rhs = {i: v for i, v in rhs.items() if v}
+        got = solve_rows(rows, ncols, rhs, field)
+        aug = [row + [rhs.get(i, 0)] for i, row in enumerate(_dense(rows, ncols))]
+        if dense_rank(aug, field) > rank:
+            assert got is None
+        else:
+            assert got is not None and m.mul_vec(got) == rhs
+
+    assert rows == before
+    assert {p: dict(row) for p, row in e.rows.items()} == stored
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_a_vector_with_a_non_unit_pivot_is_stored_as_itself(field):
+    two, one = field.from_int(2), field.one
+    e = Echelon(field)
+    first = {0: one, 2: two}
+    assert e.insert(first) == 0 and e.rows[0] is first and 0 not in e.inv
+    vec = {1: two, 3: one}
+    assert e.insert(vec) == 1 and e.rows[1] is vec
+    assert vec == {1: two, 3: one} and e.inv[1] == field.inv(two)
+    assert e.reduced()[1] == {1: one, 3: field.inv(two)}
+    # a multiple of a stored row reduces to nothing through the inverse
+    assert e.reduce({1: field.from_int(6), 3: field.from_int(3)}) == {}
