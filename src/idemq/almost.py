@@ -7,42 +7,44 @@ generators and stabilizes the rank of the spanned subspace, the tensor
 route stabilizes I (x) M through the Tor machinery. The routes must
 agree on every input and the test suite holds them to that.
 
-Maps are judged through their cones: a level family of chain maps is an
-almost equivalence when its cone family is almost zero. The gluing
-check verifies that a module is reassembled from its open piece (a
+Maps are judged through their cones: a level map (derived.LevelMap) is
+an almost equivalence when its cone family is almost zero. The gluing
+check verifies that a module M is reassembled from its open piece (a
 trusted derived power tensored in) and its closed piece (the derived
 quotient tensored in). Hom corners are inverse limits over the level
 tower and admit no forward transitions, so the square is checked in its
-rotated, level-functorial form: stage agreement of the two cone legs as
-acyclicity of an explicit double-cone total complex, plus orthogonality
-of the closed piece against the derived powers.
+rotated, level-functorial form, on families (_glue_square): the tensor
+families X_m (x) M, X_n (x) M and R (x) M, the cone families of
+eps_m (x) id and eps_n (x) id (the closed piece), and the double cone of
+the map between them that sigma_n induces, which must be acyclic; and
+the tensor families X_{d+2} (x) closed piece, which must be acyclic in
+degree d (orthogonality against the derived powers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .complexes import (
     ChainMap,
     FreeComplex,
-    cone,
     cone_map,
     homology_map_matrix,
     identity_map,
-    lift_chain_map,
     tensor_complexes,
     tensor_maps,
 )
 from .derived import (
     Bounds,
     CellResult,
+    Family,
     LevelDiagram,
+    LevelMap,
     ModuleRef,
-    TorDiagram,
     Tower,
-    _LevelBuilder,
+    cone_family,
     default_bounds,
     derived_tensor,
     gluing_bounds,
@@ -50,7 +52,8 @@ from .derived import (
     level_range,
     module_min_level,
     require_idempotent,
-    ring_module,
+    resolution_family,
+    tensor_family,
 )
 from .ideals import IdealFamily
 from .rings import Mono, RingSpec, VarInfo
@@ -192,10 +195,10 @@ def is_almost_zero(
     of the module's resolution must stabilize to zero."""
     require_idempotent(family)
     b = bounds or default_bounds(bound)
-    td = TorDiagram(spec, module, ring_module(), bound + 1, b.weight_max)
-    levels = level_range(max(1, family.min_level(), td.min_level), b.max_level)
+    res = resolution_family(spec, module, bound + 1, b.weight_max)
+    levels = level_range(max(1, family.min_level(), res.min_level), b.max_level)
     cells = _annihilation_cells(
-        td.diagram(levels), family, range(bound + 1), b.weight_max, b.window
+        res.diagram(levels), family, range(bound + 1), b.weight_max, b.window
     )
     degrees, witnesses, flight = _verdict(cells, range(bound + 1))
     return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
@@ -231,94 +234,53 @@ def tensor_zero_criterion(
 # ---------- almost equivalences ----------
 
 
-@dataclass
-class MapFamily:
-    """Level family of same-ring chain maps f_l with transition maps on
-    both sides; the transition squares must commute strictly so the
-    cones form a level diagram."""
-
-    spec: RingSpec
-    at: Callable[[int], ChainMap]
-    src_step: Callable[[int], ChainMap]
-    dst_step: Callable[[int], ChainMap]
-    min_level: int = 0
-    label: str = "f"
+def _identity(fam: Family) -> LevelMap:
+    return LevelMap(fam, fam, lambda l: identity_map(fam.at(l)))
 
 
 def power_multiplication_map(
     spec: RingSpec, family: IdealFamily, n: int, bound: int, bounds: Bounds
-) -> MapFamily:
+) -> LevelMap:
     """Multiplication of the n-th derived power into the ring; its cone
     is the derived quotient model, so this is the map whose almost
     invertibility the quotient construction asserts. The cone's homology
     is read up to degree bound, so the cone is read through bound + 1 and
     the power, its source, is built through bound."""
-    tower = Tower(spec, family, bound, bounds.weight_max)
-    return MapFamily(
-        spec,
-        at=lambda l: tower.eps(n, l),
-        src_step=lambda l: tower.lam(n, l),
-        dst_step=tower.unit_step,
-        min_level=family.min_level(),
-        label=f"mul{n}({family.name})",
-    )
+    return Tower(spec, family, bound, bounds.weight_max).eps(n)
 
 
 def module_identity_map(
     spec: RingSpec, module: ModuleRef, bound: int, bounds: Bounds
-) -> MapFamily:
+) -> LevelMap:
     """The identity of the module's resolution. The cone's homology is
     read up to degree bound, so the resolution, its target, is built
     through bound + 1."""
-    td = TorDiagram(spec, module, ring_module(), bound + 1, bounds.weight_max)
-    return MapFamily(
-        spec,
-        at=lambda l: identity_map(td.res(l)),
-        src_step=td.lift,
-        dst_step=td.lift,
-        min_level=td.min_level,
-        label=f"id({module.label})",
-    )
+    return _identity(resolution_family(spec, module, bound + 1, bounds.weight_max))
 
 
 def module_zero_map(
     spec: RingSpec, module: ModuleRef, bound: int, bounds: Bounds
-) -> MapFamily:
+) -> LevelMap:
     """The zero self-map of the module's resolution, built through
     bound + 1 like module_identity_map."""
-    td = TorDiagram(spec, module, ring_module(), bound + 1, bounds.weight_max)
-    return MapFamily(
-        spec,
-        at=lambda l: ChainMap(src=td.res(l), dst=td.res(l)),
-        src_step=td.lift,
-        dst_step=td.lift,
-        min_level=td.min_level,
-        label=f"0({module.label})",
-    )
+    res = resolution_family(spec, module, bound + 1, bounds.weight_max)
+    return LevelMap(res, res, lambda l: ChainMap(src=res.at(l), dst=res.at(l)))
 
 
 def is_almost_equivalence(
-    spec: RingSpec,
     family: IdealFamily,
-    f: MapFamily,
+    f: LevelMap,
     bound: int = 2,
     bounds: Optional[Bounds] = None,
 ) -> AlmostVerdict:
-    """Is the cone of the map family almost zero up to the degree bound?
+    """Is the cone of the level map almost zero up to the degree bound?
     The cone homology is checked with the annihilation criterion."""
     require_idempotent(family)
     b = bounds or default_bounds(bound)
-    levels = level_range(max(1, family.min_level(), f.min_level), b.max_level)
-    eq = _LevelBuilder(spec)
-    cone_at = eq.per_level(lambda l: cone(f.at(l)))
-    diagram = eq.level_diagram(
-        ("almosteq", f.label),
-        levels,
-        cone_at,
-        lambda l: cone_map(f.src_step(l), f.dst_step(l), cone_at(l), cone_at(l + 1)),
-    )
+    cones = cone_family(f)
+    levels = level_range(max(1, family.min_level(), cones.min_level), b.max_level)
     cells = _annihilation_cells(
-        diagram, family, range(bound + 1), b.weight_max, b.window
+        cones.diagram(levels), family, range(bound + 1), b.weight_max, b.window
     )
     degrees, witnesses, flight = _verdict(cells, range(bound + 1))
     return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
@@ -338,61 +300,38 @@ class GluingReport:
     levels: list[int]
 
 
-def _glue_square(
-    tower: Tower,
-    fcx: Callable[[int], FreeComplex],
-    fstep: Callable[[int], ChainMap],
-    m: int,
-    n: int,
-) -> tuple[Callable, Callable, Callable, Callable]:
-    """The double cone T comparing cone(eps_m (x) M) with cone(eps_n (x) M)
-    along sigma_n, and the closed piece K2 = cone(eps_n (x) M), each with
-    its level transitions: (double, double_step, closed, closed_step) as
-    functions of the level, memoised in the tower's store. sigma strictly
-    interpolates the two eps legs, so all cone squares commute on the nose.
-    The tensors with M are built through the tower's degree and weight."""
-    per_level = tower.per_level
+def _tensor(a: Family, b: Family, dmax: int, wmax: Fraction) -> Family:
+    return tensor_family(a, b, lambda x, y: tensor_complexes(x, y, dmax, wmax))
 
-    def times_m(factor):  # factor (x) M with its generator table
-        return per_level(
-            lambda l: tensor_complexes(factor(l), fcx(l), tower.dmax, tower.wmax)
-        )
 
-    xm = times_m(lambda l: tower.X(m, l))
-    xn = times_m(lambda l: tower.X(n, l))
-    um = times_m(tower.unit)
-    um_step = per_level(
-        lambda l: tensor_maps(tower.unit_step(l), fstep(l), *um(l), *um(l + 1))
+def _glue_square(tower: Tower, module: Family, m: int, n: int) -> tuple[Family, Family]:
+    """The double cone comparing cone(eps_m (x) M) with cone(eps_n (x) M)
+    along sigma_n, and the closed piece cone(eps_n (x) M), as families.
+    sigma strictly interpolates the two eps legs, so every cone square
+    commutes on the nose. The tensors with M are built through the
+    tower's degree and weight."""
+
+    def times_id(f: LevelMap, src: Family, dst: Family) -> LevelMap:  # f (x) id_M
+        def at(l: int) -> ChainMap:
+            one = identity_map(module.at(l))
+            return tensor_maps(f.at(l), one, src.at(l), src.index(l), dst.at(l), dst.index(l))
+
+        return LevelMap(src, dst, at)
+
+    um, xm, xn = (
+        _tensor(a, module, tower.dmax, tower.wmax) for a in (tower.unit, tower.X(m), tower.X(n))
     )
-
-    def eps_cone(k, xk):  # cone(eps_k (x) M) and its transitions
-        cx = per_level(
-            lambda l: cone(
-                tensor_maps(tower.eps(k, l), identity_map(fcx(l)), *xk(l), *um(l))
-            )
+    open_m = cone_family(times_id(tower.eps(m), xm, um))
+    closed = cone_family(times_id(tower.eps(n), xn, um))
+    mid, id_um = times_id(tower.sigma(n), xm, xn), _identity(um)
+    double = cone_family(
+        LevelMap(
+            open_m,
+            closed,
+            lambda l: cone_map(mid.at(l), id_um.at(l), open_m.at(l), closed.at(l)),
         )
-        step = per_level(
-            lambda l: cone_map(
-                tensor_maps(tower.lam(k, l), fstep(l), *xk(l), *xk(l + 1)),
-                um_step(l),
-                cx(l),
-                cx(l + 1),
-            )
-        )
-        return cx, step
-
-    k1, k1_step = eps_cone(m, xm)
-    closed, closed_step = eps_cone(n, xn)
-
-    def mid(l):  # cone(eps_m (x) M) -> cone(eps_n (x) M) along sigma_n
-        comp = tensor_maps(tower.sigma(n, l), identity_map(fcx(l)), *xm(l), *xn(l))
-        return cone_map(comp, identity_map(um(l)[0]), k1(l), closed(l))
-
-    double = per_level(lambda l: cone(mid(l)))
-    double_step = per_level(
-        lambda l: cone_map(k1_step(l), closed_step(l), double(l), double(l + 1))
     )
-    return double, double_step, closed, closed_step
+    return double, closed
 
 
 def gluing_square_check(
@@ -427,41 +366,21 @@ def gluing_square_check(
     tower = Tower(spec, family, bound + 1, b.weight_max)
     mod_min = 0 if module is None else module_min_level(module)
     levels = level_range(max(1, family.min_level(), mod_min), b.max_level)
-    mlabel = module.label if module is not None else f"Q{quotient_stage}"
-
     if module is None:
         if quotient_stage < 1:
             raise ValueError("quotient stages start at 1")
-        fcx = lambda l: tower.Q(quotient_stage, l)  # noqa: E731
-        fstep = lambda l: tower.Qstep(quotient_stage, l)  # noqa: E731
+        glued = tower.Q(quotient_stage)
     else:
-        td = TorDiagram(spec, module, ring_module(), tower.dmax, tower.wmax)
-        fcx = td.res
-        # ride the tower's include map so tensor_maps sees one ring map
-        fstep = tower.per_level(
-            lambda l: lift_chain_map(fcx(l), fcx(l + 1), ring_map=tower.inc(l))
-        )
-
-    double, double_step, closed, closed_step = _glue_square(tower, fcx, fstep, m, n)
+        glued = resolution_family(spec, module, tower.dmax, tower.wmax)
+    double, closed = _glue_square(tower, glued, m, n)
 
     cells: dict[tuple[str, int, Fraction], CellResult] = {}
-    fit = tower.level_diagram(("gluefit", mlabel), levels, double, double_step)
-    for (d, w), r in fit.run(range(bound + 1), b.weight_max, b.window).items():
+    fit = double.diagram(levels).run(range(bound + 1), b.weight_max, b.window)
+    for (d, w), r in fit.items():
         cells[("fit", d, w)] = r
     for d in range(bound + 1):
-        nd = d + 2
-        orth_cx = tower.per_level(
-            lambda l: tensor_complexes(tower.X(nd, l), closed(l), tower.dmax, tower.wmax)
-        )
-        orth = tower.level_diagram(
-            ("glueorth", nd, mlabel),
-            levels,
-            lambda l: orth_cx(l)[0],
-            lambda l: tensor_maps(
-                tower.lam(nd, l), closed_step(l), *orth_cx(l), *orth_cx(l + 1)
-            ),
-        )
-        for (dd, w), r in orth.run([d], b.weight_max, b.window).items():
+        orth = _tensor(tower.X(d + 2), closed, tower.dmax, tower.wmax)
+        for (dd, w), r in orth.diagram(levels).run([d], b.weight_max, b.window).items():
             cells[("orth", dd, w)] = r
 
     bad = sorted(

@@ -359,7 +359,7 @@ def _run_almost_equiv(ps, args):
         f = module_zero_map(ps.ring, _module_ref(arg, ps), N, b)
     else:
         raise UsageError("--map takes power:<n>, identity:<module>, or zero:<module>")
-    v = is_almost_equivalence(ps.ring, fam, f, bound=N, bounds=b)
+    v = is_almost_equivalence(fam, f, bound=N, bounds=b)
     cert = {"map": args.map_spec, "almost_equivalence": v.almost_zero, **_verdict_cert(v)}
     tables = [_table_from_cells("cone", v.cells, N)]
     return ("Unstable" if v.almost_zero is None else "Stable"), tables, cert

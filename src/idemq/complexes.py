@@ -765,8 +765,9 @@ def tensor_maps(
     dst_index: TensorIndex,
 ) -> ChainMap:
     """f (x) g on given tensor models; f and g must be degree-0 maps
-    sharing a ring map, so no Koszul signs arise."""
-    if f.ring_map is not None and g.ring_map is not None and f.ring_map is not g.ring_map:
+    sharing a ring map (equal ones: each read of a bound method such as
+    LevelRing.include_exp makes a new object), so no Koszul signs arise."""
+    if f.ring_map is not None and g.ring_map is not None and f.ring_map != g.ring_map:
         raise AssertionError("tensor_maps: factors carry different ring maps")
     ring = dst.ring
     f_cols = {p: f.entries_at(p) for p in f.src.gens}
@@ -830,7 +831,7 @@ def cone_map(
     shifted part, fy on the target part, with no signs, since both cones
     carry the same (-1)^(d-1) twist on f. Both legs must share a ring map,
     and each cone must have the generator layout of cone() over its legs."""
-    if fx.ring_map is not None and fy.ring_map is not None and fx.ring_map is not fy.ring_map:
+    if fx.ring_map is not None and fy.ring_map is not None and fx.ring_map != fy.ring_map:
         raise AssertionError("cone_map: legs carry different ring maps")
     for c, y, x in ((src_cone, fy.src, fx.src), (dst_cone, fy.dst, fx.dst)):
         for d in set(c.gens) | set(y.gens) | {e + 1 for e in x.gens}:

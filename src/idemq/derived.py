@@ -30,12 +30,13 @@ and adds one level at a time until the run settles or reaches the cap.
 A family whose first level lies above the cap is a usage error
 (level_range).
 
-Every level family (the tower, Tor, the Amitsur totalization, the cones
-of almost equivalences, the gluing square) is built by one builder,
-_LevelBuilder: it makes each per-level piece on first request and keeps
-it, and its level_diagram is the one place a LevelDiagram is assembled.
-The diagrams of one builder share one homology cache, their tags keeping
-the entries apart.
+Every level-indexed object is a Family: a complex per level with its
+transition, its module structure and its own homology cache. The tower's
+resolution, derived powers and cones, Tor, the Amitsur totalization, the
+cones of almost equivalences and the gluing square are all families,
+made from resolutions (resolution_family), tensor products
+(tensor_family) and cones of chain maps between families (LevelMap,
+cone_family); a LevelDiagram reads one over a range of levels.
 
 Homology is decided by ranks first. A diagram walks its degrees from the
 top down, so the (d+1, w) homology is cached when (d, w) is computed and
@@ -220,7 +221,108 @@ def _settle(
         top += 1
 
 
-# ---------- level diagrams ----------
+# ---------- level families ----------
+
+
+class Family:
+    """A complex per level: at(l) is the complex at level l, made on first
+    request and kept, step(l) its transition chain map at(l) -> at(l+1),
+    provider(l) the module structure its homology is read against, and
+    min_level its first level. index(l) is what the family keeps beside
+    the complex: a tensor's generator table, the Amitsur totalization's
+    column data, or None.
+
+    make(l) returns (complex, index), step(family, l) the transition, and
+    provider(l) the strand provider (default R). The family is passed to
+    step so that nothing it holds closes over it: the cyclic collector is
+    off while a command runs (cli.main), so a reference cycle through a
+    family would keep every complex and cache it reaches alive until the
+    command ends. make, step and provider must not hold the family or
+    anything that holds it.
+
+    Its homology is cached in homology_cache and its step matrices in
+    step_cache, each under (level, d, n) of the source level, n the
+    integer weight on that level's lattice (LevelDiagram), so the
+    diagrams of one family over growing level ranges share them."""
+
+    def __init__(
+        self,
+        make: Callable[[int], tuple[FreeComplex, object]],
+        step: Callable[[Family, int], ChainMap],
+        provider: Optional[Callable[[int], Strands]] = None,
+        min_level: int = 0,
+    ):
+        self._make, self._step, self._provider = make, step, provider
+        self.min_level = min_level
+        self._made: dict[int, tuple[FreeComplex, object]] = {}
+        self._steps: dict[int, ChainMap] = {}
+        self._providers: dict[int, Strands] = {}
+        self.homology_cache: dict[tuple[int, int, int], HomologyData] = {}
+        self.step_cache: dict[tuple[int, int, int], SparseMatrix] = {}
+
+    def _made_at(self, l: int) -> tuple[FreeComplex, object]:
+        hit = self._made.get(l)
+        if hit is None:
+            hit = self._made[l] = self._make(l)
+        return hit
+
+    def at(self, l: int) -> FreeComplex:
+        return self._made_at(l)[0]
+
+    def index(self, l: int):
+        return self._made_at(l)[1]
+
+    def step(self, l: int) -> ChainMap:
+        hit = self._steps.get(l)
+        if hit is None:
+            hit = self._steps[l] = self._step(self, l)
+        return hit
+
+    def provider(self, l: int) -> Strands:
+        hit = self._providers.get(l)
+        if hit is None:
+            make = self._provider
+            hit = self._providers[l] = Strands(self.at(l).ring) if make is None else make(l)
+        return hit
+
+    def diagram(self, levels) -> LevelDiagram:
+        return LevelDiagram(self, levels)
+
+
+class LevelMap(NamedTuple):
+    """A chain map per level between two families, at(l): src.at(l) ->
+    dst.at(l), made on each request. Its squares with the two families'
+    steps commute strictly, so its cone is a family (cone_family)."""
+
+    src: Family
+    dst: Family
+    at: Callable[[int], ChainMap]
+
+
+def cone_family(f: LevelMap) -> Family:
+    """cone(f.at(l)) at each level, with the transitions that cone_map
+    induces from the steps of f's source and target."""
+    return Family(
+        lambda l: (cone(f.at(l)), None),
+        lambda fam, l: cone_map(f.src.step(l), f.dst.step(l), fam.at(l), fam.at(l + 1)),
+        min_level=max(f.src.min_level, f.dst.min_level),
+    )
+
+
+def tensor_family(
+    a: Family, b: Family, make: Callable[[FreeComplex, FreeComplex], tuple]
+) -> Family:
+    """a.at(l) (x) b.at(l) at each level, made with its generator table by
+    make (tensor_complexes), with the transitions a.step (x) b.step."""
+
+    def step(fam: Family, l: int) -> ChainMap:
+        return tensor_maps(
+            a.step(l), b.step(l), fam.at(l), fam.index(l), fam.at(l + 1), fam.index(l + 1)
+        )
+
+    return Family(
+        lambda l: make(a.at(l), b.at(l)), step, min_level=max(a.min_level, b.min_level)
+    )
 
 
 # what a walk tracks in one cell: (dims per level, spanning columns or
@@ -228,18 +330,16 @@ def _settle(
 Tracked = Optional[tuple[list[int], Optional[list[SparseMatrix]]]]
 
 
-@dataclass
 class LevelDiagram:
-    """Complexes over consecutive levels with transition chain maps
-    (steps[k]: complexes[k] -> complexes[k+1]) and a module structure
-    provider per level, made by _LevelBuilder.level_diagram.
+    """A family over consecutive levels: complexes[k] is its complex at
+    levels[k], steps[k] the transition to levels[k+1] and providers[k] the
+    module structure, all made as the diagram is.
 
     Inside level k a weight is its integer n over that level's denom
-    (rings.LevelRing.num). Homology is cached in the builder's cache
-    under (tag, level, d, n) and a step matrix under (tag, "step", level,
-    d, n), n on that level's lattice; a weight off it has the empty
-    strand there, passed as None: its homology is NO_HOMOLOGY and its
-    step matrix has no columns, neither built nor cached.
+    (rings.LevelRing.num). Homology and step matrices go to the family's
+    caches; a weight off a level's lattice has the empty strand there,
+    passed as None: its homology is NO_HOMOLOGY and its step matrix has no
+    columns, neither built nor cached.
 
     A strand reads each differential's rows from its complex's row index
     (FreeComplex.rows_at), and a transition by the columns of its
@@ -252,22 +352,22 @@ class LevelDiagram:
     level's lattice (see walk); `run` is the walk that tracks all of the
     homology."""
 
-    levels: list[int]
-    complexes: list[FreeComplex]
-    steps: list[ChainMap]
-    providers: list
-    cache: dict
-    tag: tuple
+    def __init__(self, family: Family, levels):
+        self.family = family
+        self.levels = list(levels)
+        self.complexes = [family.at(l) for l in self.levels]
+        self.steps = [family.step(l) for l in self.levels[:-1]]
+        self.providers = [family.provider(l) for l in self.levels]
 
     def homology(self, k: int, d: int, n: Optional[int]) -> HomologyData:
         if n is None:  # the level's strand is empty
             return NO_HOMOLOGY
-        key = (self.tag, self.levels[k], d, n)
-        h = self.cache.get(key)
+        cache, l = self.family.homology_cache, self.levels[k]
+        h = cache.get((l, d, n))
         if h is None:
-            above = self.cache.get((self.tag, self.levels[k], d + 1, n))
+            above = cache.get((l, d + 1, n))
             h = homology_data(self.complexes[k], d, n, self.providers[k], above=above)
-            self.cache[key] = h
+            cache[(l, d, n)] = h
         return h
 
     def step_matrix(self, k: int, d: int, ns: list[Optional[int]]) -> SparseMatrix:
@@ -276,8 +376,8 @@ class LevelDiagram:
         n, field = ns[k], self.complexes[0].field
         if n is None:
             return SparseMatrix(self.homology(k + 1, d, ns[k + 1]).dim, 0, field)
-        key = (self.tag, "step", self.levels[k], d, n)
-        m = self.cache.get(key)
+        cache, key = self.family.step_cache, (self.levels[k], d, n)
+        m = cache.get(key)
         if m is None:
             src_h = self.homology(k, d, n)
             dst_h = self.homology(k + 1, d, ns[k + 1])
@@ -285,7 +385,7 @@ class LevelDiagram:
                 m = SparseMatrix(dst_h.dim, src_h.dim, field)
             else:
                 m = homology_map_matrix(self.steps[k], d, src_h, dst_h)
-            self.cache[key] = m
+            cache[key] = m
         return m
 
     def walk(
@@ -398,241 +498,7 @@ def _make_table(
     return StabilizedTable(name, cells, tuple(levels), trusted, deg_max)
 
 
-# ---------- the tower ----------
-
-
-def _family_contains_unit(family: IdealFamily) -> bool:
-    return any(all(x == 0 for x in g) for g in family.gens)
-
-
-class _LevelBuilder:
-    """Pieces built per level (rings, inclusions, complexes, maps), each
-    made on first request and kept. Every later request gets the same
-    object back, which matters where maps are compared with `is` (the
-    ring maps that tensor_maps and cone_map check).
-
-    Its level diagrams share one homology cache; each diagram's tag keeps
-    its entries apart."""
-
-    def __init__(self, spec: RingSpec):
-        self.spec = spec
-        self._memo: dict = {}
-        self.cache: dict = {}  # homology of the level diagrams
-
-    def memo(self, key, make: Callable[[], object]):
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = make()
-        return hit
-
-    @staticmethod
-    def per_level(make: Callable[[int], object]) -> Callable[[int], object]:
-        """make(l) as a function of the level whose values it keeps. make
-        may close over the builder, so the builder's store must not hold
-        it: that would be a reference cycle, which only the cyclic
-        collector frees."""
-        store: dict = {}
-
-        def at(l: int):
-            hit = store.get(l)
-            if hit is None:
-                hit = store[l] = make(l)
-            return hit
-
-        return at
-
-    def ring(self, l: int) -> LevelRing:
-        return make_level_ring(self.spec, l)
-
-    def inc(self, l: int) -> Callable[[Mono], Mono]:
-        return self.memo(("inc", l), lambda: self.ring(l).include_exp)
-
-    def level_diagram(
-        self,
-        tag: tuple,
-        levels,
-        complex_at: Callable[[int], FreeComplex],
-        step_at: Callable[[int], ChainMap],
-        provider_at: Optional[Callable[[int], object]] = None,
-    ) -> LevelDiagram:
-        """The diagram of complex_at(l) over the levels, with transitions
-        step_at(l) and module structure provider_at(l) (default R)."""
-        if provider_at is None:
-            provider_at = lambda l: Strands(self.ring(l))  # noqa: E731
-        return LevelDiagram(
-            levels=list(levels),
-            complexes=[complex_at(l) for l in levels],
-            steps=[step_at(l) for l in levels[:-1]],
-            providers=[provider_at(l) for l in levels],
-            cache=self.cache,
-            tag=tag,
-        )
-
-
-class Tower(_LevelBuilder):
-    """Per-level resolutions, derived powers, cones and their transition
-    maps for one ideal family. The resolutions and powers are built
-    through degree deg_max and weight weight_max, so the cones of maps
-    between them reach degree deg_max + 1."""
-
-    def __init__(
-        self,
-        spec: RingSpec,
-        family: IdealFamily,
-        deg_max: int,
-        weight_max: Fraction,
-    ):
-        if family.spec is not spec:
-            raise ValueError("family was built over a different spec")
-        super().__init__(spec)
-        self.family = family
-        self.dmax = deg_max
-        self.wmax = Fraction(weight_max)
-
-    # -- per-level primitives --
-
-    def unit(self, l: int) -> FreeComplex:
-        return self.memo(("unit", l), lambda: unit_complex(self.ring(l)))
-
-    def unit_step(self, l: int) -> ChainMap:
-        return ChainMap(
-            src=self.unit(l),
-            dst=self.unit(l + 1),
-            entries={0: [((0, self.ring(l + 1).one()),)]},
-            ring_map=self.inc(l),
-        )
-
-    def resI(self, l: int) -> FreeComplex:
-        def make():
-            ring = self.ring(l)
-            return ideal_resolution(ring, self.family.gens_at(ring), self.dmax, self.wmax)
-
-        return self.memo(("resI", l), make)
-
-    def alpha(self, l: int) -> ChainMap:
-        return self.memo(
-            ("alpha", l),
-            lambda: lift_chain_map(self.resI(l), self.resI(l + 1), ring_map=self.inc(l)),
-        )
-
-    # -- derived powers --
-
-    def _power(self, n: int, l: int) -> tuple[FreeComplex, Optional[TensorIndex]]:
-        if n < 1:
-            raise ValueError("derived powers start at n = 1")
-
-        def make():
-            if n == 1:
-                return self.resI(l), None
-            t, index = tensor_complexes(self.X(n - 1, l), self.resI(l), self.dmax, self.wmax)
-            unit = t.ring.unit
-            if any(unit in elem for cols in t.diff.values() for col in cols for _i, elem in col):
-                raise AssertionError("tensor of minimal complexes has a unit entry")
-            return t, index
-
-        return self.memo(("X", n, l), make)
-
-    def X(self, n: int, l: int) -> FreeComplex:
-        """X_{n,l}: the n-fold tensor power of res(I(l)), built through
-        the tower's deg_max and weight_max.
-
-        Its generators are the n-tuples of resolution generators, so the
-        generator table Xindex stays valid. That needs the power to be
-        minimal as it stands: res(I(l)) is minimal, and a tensor of
-        minimal complexes over a positively graded ring stays minimal.
-        Every variable has positive weight, so an entry is a unit exactly
-        when it holds the unit monomial; the power is scanned for one, and
-        finding one is an internal fault (AssertionError)."""
-        return self._power(n, l)[0]
-
-    def Xindex(self, n: int, l: int) -> TensorIndex:
-        """Generator table of X(n, l) = X(n-1, l) (x) res(I(l)); None for n = 1."""
-        return self._power(n, l)[1]
-
-    def lam(self, n: int, l: int) -> ChainMap:
-        """Level transition X(n, l) -> X(n, l+1)."""
-        if n == 1:
-            return self.alpha(l)
-        return self.memo(
-            ("lam", n, l),
-            lambda: tensor_maps(
-                self.lam(n - 1, l),
-                self.alpha(l),
-                self.X(n, l),
-                self.Xindex(n, l),
-                self.X(n, l + 1),
-                self.Xindex(n, l + 1),
-            ),
-        )
-
-    def eps(self, n: int, l: int) -> ChainMap:
-        """Multiplication X(n, l) -> R, stored as the augmentation."""
-        x = self.X(n, l)
-        ent = {0: [((0, a),) if a else () for a in x.aug]} if x.aug else {}
-        return ChainMap(src=x, dst=self.unit(l), entries=ent)
-
-    def sigma(self, n: int, l: int) -> ChainMap:
-        """id (x) eps_1: X(n+1, l) -> X(n, l)."""
-
-        def make():
-            aug, src = self.resI(l).aug, self.X(n + 1, l)
-            ent = {d: [()] * len(gl) for d, gl in src.gens.items()}
-            for (p, i, q, j), idx in self.Xindex(n + 1, l).items():
-                if q == 0 and aug[j]:
-                    ent[p][idx] = ((i, aug[j]),)
-            return ChainMap(src=src, dst=self.X(n, l), entries=ent)
-
-        return self.memo(("sigma", n, l), make)
-
-    # -- cones and their transitions --
-
-    def Q(self, n: int, l: int) -> FreeComplex:
-        return self.memo(("Q", n, l), lambda: cone(self.eps(n, l)))
-
-    def Qstep(self, n: int, l: int) -> ChainMap:
-        return self.memo(
-            ("Qstep", n, l),
-            lambda: cone_map(
-                self.lam(n, l), self.unit_step(l), self.Q(n, l), self.Q(n, l + 1)
-            ),
-        )
-
-    def cof_sigma(self, n: int, l: int) -> FreeComplex:
-        return self.memo(("cof", n, l), lambda: cone(self.sigma(n, l)))
-
-    def cof_step(self, n: int, l: int) -> ChainMap:
-        return self.memo(
-            ("cofstep", n, l),
-            lambda: cone_map(
-                self.lam(n + 1, l),
-                self.lam(n, l),
-                self.cof_sigma(n, l),
-                self.cof_sigma(n, l + 1),
-            ),
-        )
-
-    # -- diagrams --
-
-    def q_diagram(self, n: int, levels) -> LevelDiagram:
-        return self.level_diagram(
-            ("Q", n), levels, lambda l: self.Q(n, l), lambda l: self.Qstep(n, l)
-        )
-
-    def x_diagram(self, n: int, levels) -> LevelDiagram:
-        return self.level_diagram(
-            ("X", n), levels, lambda l: self.X(n, l), lambda l: self.lam(n, l)
-        )
-
-    def cof_diagram(self, n: int, levels) -> LevelDiagram:
-        return self.level_diagram(
-            ("cof", n),
-            levels,
-            lambda l: self.cof_sigma(n, l),
-            lambda l: self.cof_step(n, l),
-        )
-
-
-# ---------- module references for derived tensors ----------
+# ---------- module references ----------
 
 
 class ModuleRef(NamedTuple):
@@ -696,44 +562,143 @@ def module_min_level(ref: ModuleRef) -> int:
     return ref.family.min_level() if ref.family is not None else 0
 
 
-class TorDiagram(_LevelBuilder):
-    """Tor(left, right) over the levels: the resolution of `left` read
-    against the module structure of `right`, with lifted transitions."""
+def _lift_step(fam: Family, l: int) -> ChainMap:
+    src = fam.at(l)
+    return lift_chain_map(src, fam.at(l + 1), ring_map=src.ring.include_exp)
+
+
+def resolution_family(
+    spec: RingSpec,
+    ref: ModuleRef,
+    deg_max: int,
+    weight_max: Fraction,
+    against: Optional[ModuleRef] = None,
+) -> Family:
+    """The resolution of the module `ref` at each level, built through
+    deg_max and weight_max, with the lifts of the level inclusions as its
+    transitions, read against the module `against` (default R): its
+    homology is Tor(ref, against)."""
+    against = against if against is not None else ring_module()
+    for r in (ref, against):
+        if r.family is not None and r.family.spec is not spec:
+            raise ValueError("module family was built over a different spec")
+    wmax = Fraction(weight_max)
+    return Family(
+        lambda l: (_resolve_ref(ref, make_level_ring(spec, l), deg_max, wmax), None),
+        _lift_step,
+        lambda l: module_strands(against, make_level_ring(spec, l)),
+        max(module_min_level(ref), module_min_level(against)),
+    )
+
+
+# ---------- the tower ----------
+
+
+def _family_contains_unit(family: IdealFamily) -> bool:
+    return any(all(x == 0 for x in g) for g in family.gens)
+
+
+def _unit_step(fam: Family, l: int) -> ChainMap:
+    src, dst = fam.at(l), fam.at(l + 1)
+    return ChainMap(
+        src=src, dst=dst, entries={0: [((0, dst.ring.one()),)]}, ring_map=src.ring.include_exp
+    )
+
+
+def _power(x: FreeComplex, r: FreeComplex, dmax: int, wmax: Fraction):
+    """x (x) r with its generator table, scanned for a unit entry (see
+    Tower.X)."""
+    t, index = tensor_complexes(x, r, dmax, wmax)
+    unit = t.ring.unit
+    if any(unit in elem for cols in t.diff.values() for col in cols for _i, elem in col):
+        raise AssertionError("tensor of minimal complexes has a unit entry")
+    return t, index
+
+
+class Tower:
+    """The derived powers of one ideal family and the maps between them,
+    as level families: res = res(I(l)), unit = R, the powers X(n), the
+    multiplications eps(n), the maps sigma(n) and the cones Q(n) and
+    cof(n). The resolutions and powers are built through degree deg_max
+    and weight weight_max, so the cones of maps between them reach degree
+    deg_max + 1. Each power and cone is made once and kept, with its
+    homology."""
 
     def __init__(
         self,
         spec: RingSpec,
-        left: ModuleRef,
-        right: ModuleRef,
+        family: IdealFamily,
         deg_max: int,
         weight_max: Fraction,
     ):
-        for ref in (left, right):
-            if ref.family is not None and ref.family.spec is not spec:
-                raise ValueError("module family was built over a different spec")
-        super().__init__(spec)
-        self.left = left
-        self.right = right
+        if family.spec is not spec:
+            raise ValueError("family was built over a different spec")
         self.dmax = deg_max
         self.wmax = Fraction(weight_max)
-        self.min_level = max(module_min_level(left), module_min_level(right))
+        self.unit = Family(lambda l: (unit_complex(make_level_ring(spec, l)), None), _unit_step)
+        self.res = resolution_family(spec, ideal_module(family), deg_max, self.wmax)
+        self._kept: dict[tuple[str, int], Family] = {("X", 1): self.res}
 
-    def res(self, l: int) -> FreeComplex:
-        return self.memo(
-            ("res", l), lambda: _resolve_ref(self.left, self.ring(l), self.dmax, self.wmax)
+    def _keep(self, key: tuple[str, int], make: Callable[[], Family]) -> Family:
+        hit = self._kept.get(key)
+        if hit is None:
+            hit = self._kept[key] = make()
+        return hit
+
+    def X(self, n: int) -> Family:
+        """X(n): the n-fold tensor power of res(I(l)), built through the
+        tower's deg_max and weight_max.
+
+        Its generators are the n-tuples of resolution generators, so its
+        generator table (index) stays valid. That needs the power to be
+        minimal as it stands: res(I(l)) is minimal, and a tensor of
+        minimal complexes over a positively graded ring stays minimal.
+        Every variable has positive weight, so an entry is a unit exactly
+        when it holds the unit monomial; the power is scanned for one, and
+        finding one is an internal fault (AssertionError)."""
+        if n < 1:
+            raise ValueError("derived powers start at n = 1")
+        dmax, wmax = self.dmax, self.wmax
+        return self._keep(
+            ("X", n),
+            lambda: tensor_family(self.X(n - 1), self.res, lambda x, r: _power(x, r, dmax, wmax)),
         )
 
-    def provider(self, l: int):
-        return self.memo(("prov", l), lambda: module_strands(self.right, self.ring(l)))
+    def eps(self, n: int) -> LevelMap:
+        """Multiplication X(n) -> R, stored as the augmentation."""
+        x, unit = self.X(n), self.unit
 
-    def lift(self, l: int) -> ChainMap:
-        return self.memo(
-            ("lift", l),
-            lambda: lift_chain_map(self.res(l), self.res(l + 1), ring_map=self.inc(l)),
-        )
+        def at(l: int) -> ChainMap:
+            src = x.at(l)
+            ent = {0: [((0, a),) if a else () for a in src.aug]} if src.aug else {}
+            return ChainMap(src=src, dst=unit.at(l), entries=ent)
 
-    def diagram(self, levels) -> LevelDiagram:
-        return self.level_diagram(("tor",), levels, self.res, self.lift, self.provider)
+        return LevelMap(x, unit, at)
+
+    def sigma(self, n: int) -> LevelMap:
+        """id (x) eps_1: X(n+1) -> X(n)."""
+        x, y, res = self.X(n + 1), self.X(n), self.res
+
+        def at(l: int) -> ChainMap:
+            aug, src = res.at(l).aug, x.at(l)
+            ent = {d: [()] * len(gl) for d, gl in src.gens.items()}
+            for (p, i, q, j), idx in x.index(l).items():
+                if q == 0 and aug[j]:
+                    ent[p][idx] = ((i, aug[j]),)
+            return ChainMap(src=src, dst=y.at(l), entries=ent)
+
+        return LevelMap(x, y, at)
+
+    def Q(self, n: int) -> Family:
+        """cone(eps_n), the stage-n model of R/I^infty."""
+        return self._keep(("Q", n), lambda: cone_family(self.eps(n)))
+
+    def cof(self, n: int) -> Family:
+        """cone(sigma_n), the cofibre of X(n+1) -> X(n)."""
+        return self._keep(("cof", n), lambda: cone_family(self.sigma(n)))
+
+
+# ---------- Tor ----------
 
 
 def derived_tensor(
@@ -752,13 +717,14 @@ def derived_tensor(
     and the finest weights it leaves unstable there are in flight (see
     cell_in_flight).
     """
-    td = TorDiagram(spec, left, right, deg_max + 1, bounds.weight_max)
+    wmax = Fraction(bounds.weight_max)
+    res = resolution_family(spec, left, deg_max + 1, wmax, against=right)
 
     def attempt(levels):
-        raw = td.diagram(levels).run(range(deg_min, deg_max + 1), td.wmax, bounds.window)
+        raw = res.diagram(levels).run(range(deg_min, deg_max + 1), wmax, bounds.window)
         return (raw, levels), all(r.stable for r in raw.values())
 
-    raw, levels = _settle(td.min_level, bounds.window, bounds.max_level, attempt)
+    raw, levels = _settle(res.min_level, bounds.window, bounds.max_level, attempt)
     name = f"Tor({left.label}, {right.label})"
     return _make_table(name, raw, levels, deg_max, deg_max)
 
@@ -874,9 +840,7 @@ def _quotient_direct(
     def attempt(levels):
         raw: dict[tuple[int, Fraction], CellResult] = {}
         for d in range(N + 1):
-            raw.update(
-                tw.q_diagram(d + 2, levels).run([d], bounds.weight_max, bounds.window)
-            )
+            raw.update(tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window))
         return (raw, levels[-1]), all(r.stable for r in raw.values())
 
     return _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
@@ -971,7 +935,7 @@ def static_check(
     tw = Tower(spec, family, N + 1, bounds.weight_max)
 
     def attempt(levels):
-        raw = tw.cof_diagram(1, levels).run(range(N + 1), bounds.weight_max, bounds.window)
+        raw = tw.cof(1).diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window)
         return (raw, levels), all(r.stable for r in raw.values())
 
     raw, levels = _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
@@ -1027,14 +991,10 @@ def tower_report(
     def attempt(levels):
         cof_raw: dict[int, dict] = {}
         for n in range(1, n_max):
-            cof_raw[n] = tw.cof_diagram(n, levels).run(
-                range(n), bounds.weight_max, bounds.window
-            )
+            cof_raw[n] = tw.cof(n).diagram(levels).run(range(n), bounds.weight_max, bounds.window)
         h0_raw: dict[int, dict] = {}
         for n in range(2, n_max + 1):
-            h0_raw[n] = tw.x_diagram(n, levels).run(
-                [0], bounds.weight_max, bounds.window
-            )
+            h0_raw[n] = tw.X(n).diagram(levels).run([0], bounds.weight_max, bounds.window)
         settled = all(
             r.stable
             for raw in (*cof_raw.values(), *h0_raw.values())
@@ -1232,6 +1192,22 @@ def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
     return ChainMap(src=lo.tot, dst=hi.tot, entries=ent, ring_map=inc)
 
 
+def _amitsur_family(
+    spec: RingSpec, family: IdealFamily, m: int, N: int, wmax: Fraction
+) -> Family:
+    """Tot^m (_amitsur_level) at each level, its column data as the index,
+    with the block-diagonal transitions of _amitsur_step."""
+
+    def make(l: int) -> tuple[FreeComplex, _TotData]:
+        data = _amitsur_level(make_level_ring(spec, l), family, m, N, wmax)
+        return data.tot, data
+
+    def step(fam: Family, l: int) -> ChainMap:
+        return _amitsur_step(fam.index(l), fam.index(l + 1), fam.at(l).ring.include_exp, m)
+
+    return Family(make, step, min_level=family.min_level())
+
+
 def _tot_lifetime(m: int, root_base: int) -> int:
     # truncation junk rides tensor columns whose weight numerators scale
     # by root_base per level, so it drowns past column m within this many
@@ -1285,11 +1261,7 @@ def amitsur_crosscheck(
         return AmitsurReport(table, reference, agree, m, bounds.window)
 
     l0 = family.min_level()
-    am = _LevelBuilder(spec)
-    tot = am.per_level(
-        lambda l: _amitsur_level(am.ring(l), family, m, N, bounds.weight_max)
-    )
-    tot_step = am.per_level(lambda l: _amitsur_step(tot(l), tot(l + 1), am.inc(l), m))
+    tot = _amitsur_family(spec, family, m, N, bounds.weight_max)
 
     lam = _tot_lifetime(m, spec.root_base)
     window = max(bounds.window, lam)
@@ -1300,8 +1272,7 @@ def amitsur_crosscheck(
         return bool(alive) and l0 + alive[0] + horizon > top
 
     def attempt(levels):
-        diag = am.level_diagram(("tot", m), levels, lambda l: tot(l).tot, tot_step)
-        raw = diag.run(range(N + 1), bounds.weight_max, window)
+        raw = tot.diagram(levels).run(range(N + 1), bounds.weight_max, window)
         table = _make_table(f"amitsur Tot^{m}", raw, levels, N, N)
         agree = {}
         undet = []

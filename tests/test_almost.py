@@ -159,7 +159,7 @@ def test_model_map_is_almost_equivalence():
     I = _roots_t(spec)
     b = default_bounds(2)
     f = power_multiplication_map(spec, I, 3, 2, b)
-    v = is_almost_equivalence(spec, I, f, bound=2, bounds=b)
+    v = is_almost_equivalence(I, f, bound=2, bounds=b)
     assert v.almost_zero is True
     assert v.degrees == {0: True, 1: True, 2: True}
 
@@ -169,7 +169,7 @@ def test_identity_is_almost_equivalence():
     I = _roots_t(spec)
     b = default_bounds(2)
     f = module_identity_map(spec, residue_module(), 2, b)
-    v = is_almost_equivalence(spec, I, f, bound=2, bounds=b)
+    v = is_almost_equivalence(I, f, bound=2, bounds=b)
     assert v.almost_zero is True
 
 
@@ -179,7 +179,7 @@ def test_zero_map_on_ring_is_not_almost_equivalence():
     I = _roots_t(spec)
     b = default_bounds(2)
     f = module_zero_map(spec, ring_module(), 2, b)
-    v = is_almost_equivalence(spec, I, f, bound=2, bounds=b)
+    v = is_almost_equivalence(I, f, bound=2, bounds=b)
     assert v.almost_zero is False
     assert v.degrees[0] is False and v.degrees[1] is False
     assert v.degrees[2] is True
@@ -191,7 +191,7 @@ def test_cone_transition_is_a_chain_map():
     I = _roots_t(spec)
     b = default_bounds(1)
     f = power_multiplication_map(spec, I, 2, 1, b)
-    step = cone_map(f.src_step(1), f.dst_step(1), cone(f.at(1)), cone(f.at(2)))
+    step = cone_map(f.src.step(1), f.dst.step(1), cone(f.at(1)), cone(f.at(2)))
     check_chain_map(step)
 
 
@@ -251,12 +251,10 @@ def test_gluing_steps_are_chain_maps():
     spec = _spec_t()
     I = _roots_t(spec)
     tower = Tower(spec, I, 4, F1)
-    double, double_step, closed, closed_step = _glue_square(
-        tower, tower.unit, tower.unit_step, 3, 2
-    )
+    double, closed = _glue_square(tower, tower.unit, 3, 2)
     for l in (1, 2):
-        check_chain_map(double_step(l))
-        check_chain_map(closed_step(l))
+        check_chain_map(double.step(l))
+        check_chain_map(closed.step(l))
 
 
 # ---------- exterior sums ----------

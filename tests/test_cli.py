@@ -619,3 +619,37 @@ def test_main_runs_without_the_collector_and_restores_it(tmp_path, capsys, monke
     assert code == int(case[-1])
     assert during == [False]
     assert after is enabled
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-idempotent"],
+        ["tor", "--left", "I", "--right", "K"],
+        ["quotient-homotopy"],
+        ["static-check"],
+        ["tower"],
+        ["almost-zero", "--module", "R"],
+        ["almost-equiv", "--map", "power:2"],
+        ["gluing-check", "--module", "K"],
+        ["amitsur-check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_leaves_no_reference_cycles(tmp_path, capsys, argv):
+    # the collector is off while a command runs, so whatever a command
+    # leaves in reference cycles (a level family closing over itself, say)
+    # stays alive until the next collection: a command must make few
+    import gc
+
+    spec = _write(tmp_path, T_SPEC)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, err = _run(capsys, [argv[0], spec, *argv[1:]])
+        unreachable = gc.collect()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == 0, err
+    assert unreachable < 1000

@@ -271,9 +271,9 @@ def test_cofibres_of_sigma_are_complexes_sharing_the_entries_of_x():
         tw = Tower(family.spec, family, 3, Fraction(3, 2))
         for n in (1, 2):
             for level in (1, 2):
-                c = tw.cof_sigma(n, level)
+                c = tw.cof(n).at(level)
                 check_complex(c)
-                sigma, x, y = tw.sigma(n, level), tw.X(n + 1, level), tw.X(n, level)
+                sigma, x, y = tw.sigma(n).at(level), tw.X(n + 1).at(level), tw.X(n).at(level)
                 for d, cols in x.diff.items():
                     here, below = y.rank(d + 1), y.rank(d)
                     for j, col in enumerate(cols):
@@ -290,11 +290,11 @@ def test_cofibres_of_sigma_are_complexes_sharing_the_entries_of_x():
                             else:
                                 assert got[i] is elem
         # eps lives in X-degree 0, so the cone of eps never negates it
-        q = tw.Q(1, 1)
+        q = tw.Q(1).at(1)
         check_complex(q)
-        assert any(tw.eps(1, 1).entries[0])
-        for j, col in enumerate(tw.eps(1, 1).entries[0]):
-            got = dict(q.diff[1][tw.unit(1).rank(1) + j])
+        assert any(tw.eps(1).at(1).entries[0])
+        for j, col in enumerate(tw.eps(1).at(1).entries[0]):
+            got = dict(q.diff[1][tw.unit.at(1).rank(1) + j])
             for i, elem in col:
                 assert got[i] is elem
 
@@ -409,6 +409,23 @@ def test_cone_map_with_different_ring_maps_is_an_internal_fault():
         cone_map(f, g, c0, c1)
 
 
+def test_lifts_along_one_inclusion_carry_equal_ring_maps():
+    # each read of include_exp is a new bound method, and two of them
+    # compare equal: lifts along the level 1 -> 2 inclusion of the t spec,
+    # each made with its own read, are tensored and coned together
+    family = _t_family()
+    r1, r2 = (make_level_ring(family.spec, l) for l in (1, 2))
+    res1, res2 = (
+        ideal_resolution(r, family.gens_at(r), dmax=2, wmax=Fraction(2)) for r in (r1, r2)
+    )
+    f, g = (lift_chain_map(res1, res2, ring_map=r1.include_exp) for _ in range(2))
+    assert f.ring_map is not g.ring_map
+    sq1, i1 = tensor_complexes(res1, res1, dmax=2, wmax=Fraction(2))
+    sq2, i2 = tensor_complexes(res2, res2, dmax=2, wmax=Fraction(2))
+    check_chain_map(tensor_maps(f, g, sq1, i1, sq2, i2))
+    check_chain_map(cone_map(f, g, cone(identity_map(res1)), cone(identity_map(res2))))
+
+
 def test_cone_map_on_cones_off_its_square_is_an_internal_fault():
     res0, res1, f = _lift_0_to_1()
     c0 = cone(identity_map(res0))
@@ -482,7 +499,7 @@ def _xy_cone(field, level=2, wmax=Fraction(2)):
     # cone of the multiplication I (x) I -> I for I = roots(x), roots(y)
     spec = _xy_spec(field)
     family = IdealFamily(name="I", spec=spec, root_vars=(0, 1))
-    cof = Tower(spec, family, 2, wmax).cof_sigma(1, level)
+    cof = Tower(spec, family, 2, wmax).cof(1).at(level)
     return cof, Strands(make_level_ring(spec, level))
 
 
@@ -794,7 +811,7 @@ def _strand_cases():
             ring = make_level_ring(family.spec, level)
             res = ideal_resolution(ring, family.gens_at(ring), dmax=3, wmax=wmax)
             sq, _ = tensor_complexes(res, res, dmax=3, wmax=wmax)
-            cof = Tower(family.spec, family, 2, wmax).cof_sigma(1, level)
+            cof = Tower(family.spec, family, 2, wmax).cof(1).at(level)
             for kind, x in (("res", res), ("square", sq), ("cone", cof)):
                 yield f"{name}-l{level}-{kind}", x, wmax, family
 

@@ -50,9 +50,9 @@ def _widened(owner, name, at, widened):
     by WIDER; each call is noted in widened."""
     make = getattr(owner, name)
 
-    def wide(*args):
+    def wide(*args, **kwargs):
         widened.append(name)
-        return make(*args[:at], args[at] + WIDER, *args[at + 1 :])
+        return make(*args[:at], args[at] + WIDER, *args[at + 1 :], **kwargs)
 
     return owner, name, wide
 
@@ -61,22 +61,26 @@ def _tower_targets(widened):
     """Every place a tower-side command fixes its degree cap: the tower
     (the gluing tensors take its cap) and the module resolutions."""
     return [
-        _widened(owner, name, at, widened)
+        _widened(owner, name, 2, widened)
         for owner in (derived, almost)
-        for name, at in (("Tower", 2), ("TorDiagram", 3))
+        for name in ("Tower", "resolution_family")
     ]
 
 
 def _same_at_wider_caps(monkeypatch, run, targets=_tower_targets):
     """run() at the derived caps and with every cap in targets raised by
-    WIDER: the reports, and every cell each level diagram read, agree."""
+    WIDER: the reports, and every cell each level diagram read, agree.
+    A diagram's family is logged by the order of its first read."""
     real_run = derived.LevelDiagram.run
 
     def reading(log):
+        families = {}
+
         def run_logged(self, degrees, wmax, window):
             degrees = list(degrees)
             out = real_run(self, degrees, wmax, window)
-            log.append((self.tag, tuple(self.levels), tuple(degrees), out))
+            family = families.setdefault(self.family, len(families))
+            log.append((family, tuple(self.levels), tuple(degrees), out))
             return out
 
         return run_logged
@@ -97,7 +101,7 @@ def _same_at_wider_caps(monkeypatch, run, targets=_tower_targets):
 
 
 def test_quotient_route_reads_the_same_cells_at_a_wider_cap(monkeypatch):
-    # Tower.q_diagram(d + 2) at degree d, for d <= N, on a tower built through N
+    # Tower.Q(d + 2) at degree d, for d <= N, on a tower built through N
     for family, N in ((T, 2), (roots_family(_spec_t(False), "t"), 2), (_roots_xy_f7(), 1)):
         qh = _same_at_wider_caps(
             monkeypatch, lambda: quotient_homotopy(family.spec, family, N, force_direct=True)
@@ -107,14 +111,14 @@ def test_quotient_route_reads_the_same_cells_at_a_wider_cap(monkeypatch):
 
 @pytest.mark.parametrize("N", [0, 1, 2])
 def test_static_check_reads_the_same_cells_at_a_wider_cap(monkeypatch, N):
-    # cof_diagram(1) through N, on a tower built through N + 1
+    # cof(1) through N, on a tower built through N + 1
     sc = _same_at_wider_caps(monkeypatch, lambda: static_check(T.spec, T, N))
     assert sc.stable
 
 
 @pytest.mark.parametrize("n_max,N", [(3, 2), (4, 1), (5, 0)])
 def test_tower_report_reads_the_same_cells_at_a_wider_cap(monkeypatch, n_max, N):
-    # cof_diagram(n) below n for n < n_max and H_0 of X_n, on a tower
+    # cof(n) below n for n < n_max and H_0 of X_n, on a tower
     # built through n_max - 1; n_max >= N + 5 is where a cap tied to N
     # read a degree it left inexact
     rep = _same_at_wider_caps(
@@ -136,7 +140,7 @@ def test_map_cones_read_the_same_cells_at_a_wider_cap(monkeypatch, make):
     N = 2
     b = default_bounds(N)
     v = _same_at_wider_caps(
-        monkeypatch, lambda: is_almost_equivalence(T.spec, T, make(N, b), bound=N, bounds=b)
+        monkeypatch, lambda: is_almost_equivalence(T, make(N, b), bound=N, bounds=b)
     )
     assert v.stable
 

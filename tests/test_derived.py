@@ -18,7 +18,6 @@ from idemq.derived import (
     Bounds,
     ModuleRef,
     Tower,
-    TorDiagram,
     amitsur_crosscheck,
     default_bounds,
     derived_tensor,
@@ -26,6 +25,7 @@ from idemq.derived import (
     quotient_homotopy,
     quotient_module,
     residue_module,
+    resolution_family,
     ring_module,
     static_check,
     tower_report,
@@ -313,7 +313,7 @@ def test_quotient_homotopy_unit_ideal_vanishes():
 def test_zero_ideal_degenerate_paths():
     spec = _spec_t()
     Z = IdealFamily(name="Z", spec=spec)
-    x2 = Tower(spec, Z, 3, Fraction(2)).X(2, 1)
+    x2 = Tower(spec, Z, 3, Fraction(2)).X(2).at(1)
     assert all(x2.rank(d) == 0 for d in range(4))
     sc = static_check(spec, Z, 1, Bounds(F1, 3, 2))
     assert sc.static is True
@@ -370,7 +370,7 @@ def test_derived_power_h0_is_ideal_square():
     # t^(k/4) g (x) g per weight 1/2 + k/4 until t^(k/4) g dies in I
     spec = _spec_t()
     I = roots_family(spec, "t")
-    x2 = Tower(spec, I, 3, Fraction(2)).X(2, 2)
+    x2 = Tower(spec, I, 3, Fraction(2)).X(2).at(2)
     ring_prov = Strands(make_level_ring(spec, 2))
     got = {
         w: homology_dim(x2, 0, w, ring_prov)
@@ -394,9 +394,9 @@ def test_unit_entry_in_a_tensor_power_is_an_internal_fault(monkeypatch):
 
     monkeypatch.setattr(derived, "tensor_complexes", with_unit_entry)
     tw = Tower(spec, I, 3, Fraction(2))
-    assert tw.X(1, 1).total_rank() > 0
+    assert tw.X(1).at(1).total_rank() > 0
     with pytest.raises(AssertionError, match="unit entry"):
-        tw.X(2, 1)
+        tw.X(2).at(1)
 
 
 def test_multiplication_kernel_weight_one():
@@ -406,13 +406,13 @@ def test_multiplication_kernel_weight_one():
     I = roots_family(spec, "t")
     tw = Tower(spec, I, 3, Fraction(2))
     for l in (1, 2, 3):
-        prov = Strands(tw.ring(l))
-        n = tw.ring(l).num(F1)
-        h_src = homology_data(tw.X(2, l), 0, n, prov)
-        h_dst = homology_data(tw.X(1, l), 0, n, prov)
+        ring = make_level_ring(spec, l)
+        prov, n = Strands(ring), ring.num(F1)
+        h_src = homology_data(tw.X(2).at(l), 0, n, prov)
+        h_dst = homology_data(tw.X(1).at(l), 0, n, prov)
         assert h_src.dim == 1
         assert h_dst.dim == 0  # t^1 already dies in I
-    raw = tw.cof_diagram(1, [1, 2, 3, 4]).run([1], Fraction(3, 2), 2)
+    raw = tw.cof(1).diagram([1, 2, 3, 4]).run([1], Fraction(3, 2), 2)
     r = raw[(1, F1)]
     assert r.stable and r.value == 1
 
@@ -423,9 +423,9 @@ def test_sigma_compatible_with_multiplication():
     I = roots_family(spec, "t")
     tw = Tower(spec, I, 3, Fraction(2))
     for n, l in ((1, 1), (2, 1), (1, 2)):
-        check_chain_map(tw.sigma(n, l))
-        lhs = compose_maps(tw.eps(n, l), tw.sigma(n, l))
-        want = {d: cols for d, cols in tw.eps(n + 1, l).entries.items() if any(cols)}
+        check_chain_map(tw.sigma(n).at(l))
+        lhs = compose_maps(tw.eps(n).at(l), tw.sigma(n).at(l))
+        want = {d: cols for d, cols in tw.eps(n + 1).at(l).entries.items() if any(cols)}
         assert lhs.entries == want
 
 
@@ -433,9 +433,9 @@ def test_tower_transition_maps_are_chain_maps():
     spec = _spec_t()
     I = roots_family(spec, "t")
     tw = Tower(spec, I, 3, Fraction(2))
-    check_chain_map(tw.lam(2, 1))
-    check_chain_map(tw.Qstep(2, 1))
-    check_chain_map(tw.cof_step(1, 1))
+    check_chain_map(tw.X(2).step(1))
+    check_chain_map(tw.Q(2).step(1))
+    check_chain_map(tw.cof(1).step(1))
 
 
 # ---------- derived tensors ----------
@@ -547,9 +547,9 @@ def test_tor_against_the_unit_ideal_is_tor_against_r():
 def test_tor_transitions_compose():
     spec = _spec_t()
     I = roots_family(spec, "t")
-    td = TorDiagram(spec, ideal_module(I), residue_module(), 4, Fraction(2))
-    diag = td.diagram([1, 2, 3])
-    two_levels = compose_maps(td.lift(2), td.lift(1))
+    tor = resolution_family(spec, ideal_module(I), 4, Fraction(2), against=residue_module())
+    diag = tor.diagram([1, 2, 3])
+    two_levels = compose_maps(tor.step(2), tor.step(1))
     for d, w in ((1, F1), (3, Fraction(2))):
         ns = [x.ring.num(w) for x in diag.complexes]
         assert diag.homology(0, d, ns[0]).dim > 0
@@ -567,7 +567,7 @@ def test_unknown_module_kind_is_an_internal_fault():
     with pytest.raises(AssertionError, match="unknown module kind 'bogus'"):
         derived.module_strands(bogus, ring)
     with pytest.raises(AssertionError, match="unknown module kind 'bogus'"):
-        TorDiagram(spec, bogus, residue_module(), 2, F1).res(1)
+        resolution_family(spec, bogus, 2, F1).at(1)
 
 
 def test_reduced_resolution_of_a_non_cyclic_resolution_is_an_internal_fault():

@@ -6,7 +6,7 @@ rank(d_{d+1}) from it: a strand with as many cycles as that rank is exact
 and builds no boundaries. A top strand reads that rank from the free
 rows of d_{d+1} instead, and reads boundary columns only when it has
 homology. These tests tie the shortcut to routes that
-share none of it: dense ranks, and a fresh builder walked bottom-up,
+share none of it: dense ranks, and a fresh family walked bottom-up,
 where no strand has its (d+1, w) neighbour cached.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from idemq import complexes, derived
 from idemq.complexes import (
-    HomologyData,
     Strands,
     strand_basis,
     strand_rows,
@@ -24,15 +23,15 @@ from idemq.complexes import (
 )
 from idemq.derived import (
     Tower,
-    TorDiagram,
     default_bounds,
     ideal_module,
     quotient_module,
     residue_module,
+    resolution_family,
 )
 from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, fixed_family, roots_family
-from idemq.rings import RingSpec, VarInfo
+from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon
 from oracles import homology_dim, mono, rank, strand_matrix
 
@@ -55,18 +54,15 @@ def _tot():
     spec = _spec_t()
     family = roots_family(spec, "t")
     wmax = default_bounds(N).weight_max
-    am = derived._LevelBuilder(spec)
-    tot = am.per_level(lambda l: derived._amitsur_level(am.ring(l), family, m, N, wmax))
-    step = am.per_level(lambda l: derived._amitsur_step(tot(l), tot(l + 1), am.inc(l), m))
-    diagram = am.level_diagram(("tot", m), [1, 2, 3], lambda l: tot(l).tot, step)
-    return am, diagram, range(N + 1), wmax
+    tot = derived._amitsur_family(spec, family, m, N, wmax)
+    return tot, tot.diagram([1, 2, 3]), range(N + 1), wmax
 
 
 def _cof():
     # tower_report's cofibre of sigma_3, read below degree 3
     spec = _spec_t()
-    tw = Tower(spec, roots_family(spec, "t"), 3, Fraction(2))
-    return tw, tw.cof_diagram(3, [1, 2, 3]), range(3), Fraction(2)
+    cof = Tower(spec, roots_family(spec, "t"), 3, Fraction(2)).cof(3)
+    return cof, cof.diagram([1, 2, 3]), range(3), Fraction(2)
 
 
 def _tor():
@@ -74,8 +70,8 @@ def _tor():
     spec = _spec_t(trunc=False)
     I = roots_family(spec, "t")
     J = fixed_family(spec, [mono(spec, t=1)], name="J")
-    td = TorDiagram(spec, ideal_module(I), quotient_module(J), 2, Fraction(2))
-    return td, td.diagram([1, 2, 3]), range(2), Fraction(2)
+    tor = resolution_family(spec, ideal_module(I), 2, Fraction(2), against=quotient_module(J))
+    return tor, tor.diagram([1, 2, 3]), range(2), Fraction(2)
 
 
 DIAGRAMS = {"amitsur-tot": _tot, "cof-sigma": _cof, "tor-I-RJ": _tor}
@@ -84,8 +80,8 @@ DIAGRAMS = {"amitsur-tot": _tot, "cof-sigma": _cof, "tor-I-RJ": _tor}
 def _cof_r3():
     # the cofibre of sigma_1 over K[t^(1/3^l)]/(t): lattices 1/3, 1/9, 1/27
     spec = RingSpec(field=QQ, root_base=3, variables=(VarInfo("t", True),), truncations=((F1,),))
-    tw = Tower(spec, roots_family(spec, "t"), 2, Fraction(1))
-    return tw, tw.cof_diagram(1, [1, 2, 3]), range(2), Fraction(1)
+    cof = Tower(spec, roots_family(spec, "t"), 2, Fraction(1)).cof(1)
+    return cof, cof.diagram([1, 2, 3]), range(2), Fraction(1)
 
 
 def _tor_mixed():
@@ -98,8 +94,8 @@ def _tor_mixed():
         truncations=((Fraction(2), F0), (F0, Fraction(2))),
     )
     I = IdealFamily(name="I", spec=spec, root_vars=(0,), gens=((F0, F1),))
-    td = TorDiagram(spec, ideal_module(I), residue_module(), 3, Fraction(2))
-    return td, td.diagram([0, 1, 2]), range(3), Fraction(2)
+    tor = resolution_family(spec, ideal_module(I), 3, Fraction(2), against=residue_module())
+    return tor, tor.diagram([0, 1, 2]), range(3), Fraction(2)
 
 
 def _tor_plain():
@@ -113,27 +109,19 @@ def _tor_plain():
     )
     J = fixed_family(spec, [mono(spec, x=1)], name="J")
     K = fixed_family(spec, [mono(spec, y=1)], name="K")
-    td = TorDiagram(spec, ideal_module(J), quotient_module(K), 2, Fraction(3))
-    return td, td.diagram([0, 1, 2]), range(2), Fraction(3)
+    tor = resolution_family(spec, ideal_module(J), 2, Fraction(3), against=quotient_module(K))
+    return tor, tor.diagram([0, 1, 2]), range(2), Fraction(3)
 
 
 WALKS = {**DIAGRAMS, "cof-sigma-r3": _cof_r3, "tor-mixed": _tor_mixed, "tor-plain": _tor_plain}
 
 
-def _strands(builder) -> dict:
-    """The cached homology, keyed by (level, d, n), n the integer weight
-    at that level."""
-    return {
-        key[1:]: h for key, h in builder.cache.items() if isinstance(h, HomologyData)
-    }
-
-
 @pytest.mark.parametrize("make", DIAGRAMS.values(), ids=DIAGRAMS.keys())
 def test_top_down_walk_matches_dense_ranks_and_a_bottom_up_walk(make):
-    builder, diagram, degrees, wmax = make()
+    family, diagram, degrees, wmax = make()
     raw = diagram.run(degrees, wmax, 2)
     assert raw and list(raw) == sorted(raw)
-    strands = _strands(builder)
+    strands = family.homology_cache  # keyed (level, d, n), n the weight at that level
     assert strands
     for (l, d, n), h in strands.items():
         k = diagram.levels.index(l)
@@ -145,7 +133,7 @@ def test_top_down_walk_matches_dense_ranks_and_a_bottom_up_walk(make):
         l, _d, n = key
         return Fraction(n, diagram.complexes[diagram.levels.index(l)].ring.denom)
 
-    # a fresh builder, each degree walked before the one above it
+    # a fresh family, each degree walked before the one above it
     fresh, walk, _, _ = make()
     for l, d, n in sorted(strands, key=lambda s: (s[1], weight(s), s[0])):
         h, g = strands[(l, d, n)], walk.homology(walk.levels.index(l), d, n)
@@ -174,9 +162,9 @@ def test_exact_strands_read_no_boundaries_where_ranks_decide_them(monkeypatch):
 
     monkeypatch.setattr(complexes, "strand_columns", counting_columns)
     monkeypatch.setattr(complexes, "strand_rows", counting_rows)
-    builder, diagram, degrees, wmax = _tot()
+    family, diagram, degrees, wmax = _tot()
     diagram.run(degrees, wmax, 2)
-    strands = _strands(builder)
+    strands = family.homology_cache
     by_basis = {id(h.basis): key for key, h in strands.items()}
     read_columns = {by_basis[id(t)] for t in columns if id(t) in by_basis}
     read_rows = {by_basis[id(t)] for t in rows if id(t) in by_basis}
@@ -216,14 +204,16 @@ def test_free_rows_of_the_boundary_have_its_rank_on_top_strands():
     wmax = default_bounds(N).weight_max
     tw = Tower(spec, family, N, wmax)
     for d in range(N + 1):
-        tw.q_diagram(d + 2, levels).run([d], wmax, 2)
-    strands = {key: h for key, h in tw.cache.items() if isinstance(h, HomologyData)}
+        tw.Q(d + 2).diagram(levels).run([d], wmax, 2)
+    strands = {
+        (q, *key): h for q in range(2, N + 3) for key, h in tw.Q(q).homology_cache.items()
+    }
     exact = 0
-    for (tag, l, d, n), h in strands.items():
-        assert (tag, l, d + 1, n) not in strands  # a top strand
+    for (q, l, d, n), h in strands.items():
+        assert (q, l, d + 1, n) not in strands  # a top strand
         if not h.basis.size:
             continue
-        x, prov = tw.Q(tag[1], l), Strands(tw.ring(l))
+        x, prov = tw.Q(q).at(l), Strands(make_level_ring(spec, l))
         below = strand_basis(x, d - 1, n, prov)
         diff_ech = Echelon(x.field)
         for row in strand_rows(x.rows_at(d), below, h.basis, x.ring):
@@ -233,7 +223,7 @@ def test_free_rows_of_the_boundary_have_its_rank_on_top_strands():
         free = Echelon(x.field)
         for row in strand_rows(x.rows_at(d + 1), h.basis, above, x.ring, skip=diff_ech.rows):
             free.insert(row)
-        assert free.rank == rank(strand_matrix(x, d + 1, n, prov)), (tag, l, d, n)
+        assert free.rank == rank(strand_matrix(x, d + 1, n, prov)), (q, l, d, n)
         assert h.dim == h.basis.size - h.rank - free.rank
         exact += h.dim == 0 and free.rank > 0
     assert exact
@@ -245,7 +235,7 @@ def test_integer_walk_merges_every_levels_strand_weights(make):
     # weights as Fractions, its weight at level k is the cell's own or
     # None off that level's lattice, and each homology it reads has the
     # dense dimension at the Fraction weight
-    builder, diagram, degrees, wmax = make()
+    family, diagram, degrees, wmax = make()
     raw = diagram.run(degrees, wmax, 2)
     seen = []
 
@@ -278,14 +268,15 @@ def test_integer_walk_merges_every_levels_strand_weights(make):
                 alive.add((d, w))
     assert alive and set(raw) == alive
     # every cache key names its weight by the level's integer, never None
-    assert builder.cache
-    assert all(type(key[-1]) is int for key in builder.cache)
+    assert family.homology_cache and family.step_cache
+    caches = (family.homology_cache, family.step_cache)
+    assert all(type(key[-1]) is int for cache in caches for key in cache)
 
 
 def test_a_level_walk_hashes_one_fraction_per_recorded_cell(monkeypatch):
     # inside a level weights are integers: the walk builds a Fraction only
     # for the cells it records, and hashes it once, as the result's key
-    builder, diagram, degrees, wmax = _cof()
+    _family, diagram, degrees, wmax = _cof()
     calls = []
     real = Fraction.__hash__
 

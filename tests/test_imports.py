@@ -1,5 +1,7 @@
-"""No module of `idemq` imports a name it never uses. A deletion that
-leaves an import behind fails here, so dead imports do not pile up.
+"""No module of `idemq` imports a name it never uses, or an underscore
+name of another `idemq` module. A deletion that leaves an import behind
+fails here, so dead imports do not pile up, and a module's private names
+stay its own.
 
 A name counts as used when it occurs anywhere in the module's syntax
 tree, in a quoted annotation or in `__all__`."""
@@ -26,6 +28,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
                 if alias.name != "*":
                     out[alias.asname or alias.name] = node.lineno
     return out
+
+
+def _private_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each underscore name the module imports from an `idemq` module,
+    with its line."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "idemq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
 
 
 def _used(tree: ast.Module) -> set[str]:
@@ -69,3 +84,17 @@ def test_an_unused_import_is_found():
         "def f(x: 'Optional[int]') -> None:\n    return x\n"
     )
     assert {n for n in _imported(tree) if n not in _used(tree)} == {"Iterator", "os"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_no_private_name_of_another(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree) == [], f"{path.name}: imports private names"
+
+
+def test_a_private_import_is_found():
+    tree = ast.parse(
+        "from .derived import Tower, _settle\nfrom idemq.rings import _RING_CACHE\n"
+        "from os import _exit\nfrom . import _private\n"
+    )
+    assert _private_imports(tree) == [(1, "_settle"), (2, "_RING_CACHE"), (4, "_private")]
