@@ -49,9 +49,9 @@ in degree 0 the augmentation (`out_rows`). Homology is
 dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), where rank(d_{d+1})
 comes from a caller that has the (d+1, w) homology or else from the rows
 of d_{d+1} at d_d's free columns. Columns are read only for images:
-boundaries where a strand has homology (`strand_columns`), chain-map
-images, resolution spans and lift targets; `strand_column` is the
-inverse of a column read.
+boundaries where a strand's homology basis is read (`strand_columns`),
+chain-map images, resolution spans and lift targets; `strand_column` is
+the inverse of a column read.
 
 A generator is nothing but its weight: `FreeComplex.gens[d]` lists the
 weights of degree d's generators, and a generator is its position there.
@@ -491,7 +491,7 @@ def strand_weights(x: FreeComplex, d: int, top: int, provider) -> list[int]:
 # ---------- homology ----------
 
 
-class HomologyData(NamedTuple):
+class HomologyData:
     """Homology of one weight strand in degree d, with `rank` the rank of
     d_d on the strand. dim = nullity(d_d) - rank(d_{d+1}), and most
     strands have none: those keep their basis and rank, and no echelon.
@@ -501,30 +501,78 @@ class HomologyData(NamedTuple):
     free column f (one without a pivot) gives the cycle z_f (see
     Echelon.kernel), and a cycle is the sum of the z_f weighted by its own
     entries at the free columns. `free_bnd` holds the boundaries in those
-    coordinates; the representatives are the z_f of the free columns that
-    are not its pivots, `rep_cols`, ascending."""
+    coordinates; the representatives `reps` are the z_f of the free
+    columns that are not its pivots, `rep_cols`, ascending.
 
-    dim: int
-    basis: StrandBasis
-    rank: int
-    reps: list[Vec]  # cycles spanning homology, as strand vectors
-    diff_ech: Optional[Echelon]  # None when dim == 0
-    free_bnd: Optional[Echelon]  # None when dim == 0
-    rep_cols: tuple[int, ...]
+    Most strands with homology are never read past their dim, so those
+    three are filled on first read (homology_map_matrix, coords) from
+    `_fill` = (complex, d, degree-(d+1) strand, rank(d_{d+1})), None once
+    filled. Only they are properties: a __getattr__ hook would slow every
+    read of dim."""
+
+    __slots__ = ("dim", "basis", "rank", "diff_ech", "_free_bnd", "_rep_cols", "_reps", "_fill")
+
+    def __init__(
+        self,
+        dim: int,
+        basis: StrandBasis,
+        rank: int,
+        diff_ech: Optional[Echelon] = None,
+        fill: Optional[tuple] = None,
+    ):
+        self.dim, self.basis, self.rank = dim, basis, rank
+        self.diff_ech, self._fill = diff_ech, fill
+        self._free_bnd, self._rep_cols, self._reps = None, (), []
+
+    def _fill_basis(self) -> None:
+        x, d, above, full = self._fill
+        pivots = self.diff_ech.rows
+        free_bnd = Echelon(x.field)
+        if full:
+            for col in strand_columns(x.diff_at(d + 1), above, self.basis, x.ring):
+                free_bnd.insert({r: v for r, v in col.items() if r not in pivots})
+                if free_bnd.rank == full:  # every later column lies in its span
+                    break
+        rep_cols = tuple(
+            c for c in range(self.basis.size) if c not in pivots and c not in free_bnd.rows
+        )
+        self._free_bnd, self._rep_cols = free_bnd, rep_cols
+        self._reps = self.diff_ech.kernel(list(rep_cols))
+        self._fill = None
+
+    @property
+    def free_bnd(self) -> Optional[Echelon]:  # None when dim == 0
+        if self._fill is not None:
+            self._fill_basis()
+        return self._free_bnd
+
+    @property
+    def rep_cols(self) -> tuple[int, ...]:
+        if self._fill is not None:
+            self._fill_basis()
+        return self._rep_cols
+
+    @property
+    def reps(self) -> list[Vec]:  # cycles spanning homology, as strand vectors
+        if self._fill is not None:
+            self._fill_basis()
+        return self._reps
 
     def coords(self, vec: Vec, fieldobj) -> Vec:
         """Coordinates of a cycle in the homology basis. Only a strand with
         homology has them; callers skip the others."""
+        if self._fill is not None:
+            self._fill_basis()
         pivots = self.diff_ech.rows
         rows = SparseMatrix(len(pivots), self.basis.size, fieldobj, list(pivots.values()))
         if rows.mul_vec(vec):  # the rows span d_d's row space: 0 exactly on cycles
             raise AssertionError("vector is not a cycle modulo boundaries")
-        res = self.free_bnd.reduce({c: v for c, v in vec.items() if c not in pivots})
-        return {k: res[f] for k, f in enumerate(self.rep_cols) if f in res}
+        res = self._free_bnd.reduce({c: v for c, v in vec.items() if c not in pivots})
+        return {k: res[f] for k, f in enumerate(self._rep_cols) if f in res}
 
 
 # the homology of an empty strand
-NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}, {}, 0), 0, [], None, None, ())
+NO_HOMOLOGY = HomologyData(0, StrandBasis([], {}, {}, 0), 0)
 
 
 def homology_data(
@@ -535,7 +583,7 @@ def homology_data(
     above: Optional[HomologyData] = None,
 ) -> HomologyData:
     """Homology of the strand of integer weight n in degree d, decided by
-    ranks first: dim = nullity(d_d) - rank(d_{d+1}), with d_d reduced in
+    ranks alone: dim = nullity(d_d) - rank(d_{d+1}), with d_d reduced in
     one echelon of its rows, read by the row reader (strand_rows) in the
     order of the degree-(d-1) strand. `above` is the weight-n homology in
     degree d+1 where the caller has it; it carries rank(d_{d+1}) and the
@@ -549,9 +597,11 @@ def homology_data(
     the free rows, is rank(d_{d+1}). Their echelon stops once it reaches
     the nullity, and then dim is 0 with no column read.
 
-    Otherwise the columns of d_{d+1} (the boundaries) are projected onto
-    the free columns, where they fill `free_bnd`; the fill stops once it
-    reaches rank(d_{d+1}), as every later column then lies in its span."""
+    No column of d_{d+1} is read here: a strand with homology defers its
+    basis (HomologyData). Its fill projects the columns of d_{d+1} (the
+    boundaries) onto the free columns into `free_bnd`, and stops once
+    that reaches rank(d_{d+1}), as every later column then lies in its
+    span."""
     F = x.field
     sb = strand_basis(x, d, n, provider)
     size = sb.size
@@ -563,29 +613,19 @@ def homology_data(
     rank = diff_ech.rank
     nullity = size - rank
     if nullity == 0 or (above is not None and above.rank == nullity):
-        return HomologyData(0, sb, rank, [], None, None, ())
-    pivots = diff_ech.rows
+        return HomologyData(0, sb, rank)
     if above is None:
         basis = strand_basis(x, d + 1, n, provider)
         free_rows = Echelon(F)
         if basis.size:
-            for row in strand_rows(x.rows_at(d + 1), sb, basis, x.ring, skip=pivots):
+            for row in strand_rows(x.rows_at(d + 1), sb, basis, x.ring, skip=diff_ech.rows):
                 free_rows.insert(row)
                 if free_rows.rank == nullity:
-                    return HomologyData(0, sb, rank, [], None, None, ())
+                    return HomologyData(0, sb, rank)
         full = free_rows.rank
     else:
         basis, full = above.basis, above.rank
-    free_bnd = Echelon(F)
-    if full:
-        for col in strand_columns(x.diff_at(d + 1), basis, sb, x.ring):
-            free_bnd.insert({r: v for r, v in col.items() if r not in pivots})
-            if free_bnd.rank == full:
-                break
-    rep_cols = tuple(c for c in range(size) if c not in pivots and c not in free_bnd.rows)
-    return HomologyData(
-        len(rep_cols), sb, rank, diff_ech.kernel(list(rep_cols)), diff_ech, free_bnd, rep_cols
-    )
+    return HomologyData(nullity - full, sb, rank, diff_ech, (x, d, basis, full))
 
 
 # ---------- chain maps ----------

@@ -43,11 +43,12 @@ top down, so the (d+1, w) homology is cached when (d, w) is computed and
 hands over rank(d_{d+1}); a strand with as many cycles as that rank is
 exact, and its boundaries are never built. A strand with no cached
 neighbour, the top of its walk (every strand quotient-homotopy reads),
-takes rank(d_{d+1}) from the rows of d_{d+1} at d_d's free columns, and
-reads boundary columns only when it has homology
-(complexes.homology_data). Cells still come back in ascending (d, w)
-order. Inside a level a weight is an integer over the level's denom,
-and the walk keys its strands and caches by it; a cell gets a Fraction
+takes rank(d_{d+1}) from the rows of d_{d+1} at d_d's free columns
+(complexes.homology_data). Only a step matrix with homology on both
+sides makes its transition (Family.step) and the two homology bases,
+reading boundary columns. Cells still come back in ascending (d, w)
+order. Inside a level a weight is an integer over the level's denom, and
+the walk keys its strands and caches by it; a cell gets a Fraction
 weight only when it is recorded (LevelDiagram.walk). The annihilation
 route of `almost` walks the same cells.
 
@@ -225,12 +226,12 @@ def _settle(
 
 
 class Family:
-    """A complex per level: at(l) is the complex at level l, made on first
-    request and kept, step(l) its transition chain map at(l) -> at(l+1),
-    provider(l) the module structure its homology is read against, and
-    min_level its first level. index(l) is what the family keeps beside
-    the complex: a tensor's generator table, the Amitsur totalization's
-    column data, or None.
+    """A complex per level: at(l) is the complex at level l and step(l)
+    its transition chain map at(l) -> at(l+1), each made on first request
+    and kept, provider(l) the module structure its homology is read
+    against, and min_level its first level. index(l) is what the family
+    keeps beside the complex: a tensor's generator table, the Amitsur
+    totalization's column data, or None.
 
     make(l) returns (complex, index), step(family, l) the transition, and
     provider(l) the strand provider (default R). The family is passed to
@@ -332,8 +333,9 @@ Tracked = Optional[tuple[list[int], Optional[list[SparseMatrix]]]]
 
 class LevelDiagram:
     """A family over consecutive levels: complexes[k] is its complex at
-    levels[k], steps[k] the transition to levels[k+1] and providers[k] the
-    module structure, all made as the diagram is.
+    levels[k] and providers[k] the module structure, both made as the
+    diagram is. The transition to levels[k+1] (with the lifts beneath
+    it) is made only for a step matrix with homology on both sides.
 
     Inside level k a weight is its integer n over that level's denom
     (rings.LevelRing.num). Homology and step matrices go to the family's
@@ -356,7 +358,6 @@ class LevelDiagram:
         self.family = family
         self.levels = list(levels)
         self.complexes = [family.at(l) for l in self.levels]
-        self.steps = [family.step(l) for l in self.levels[:-1]]
         self.providers = [family.provider(l) for l in self.levels]
 
     def homology(self, k: int, d: int, n: Optional[int]) -> HomologyData:
@@ -371,8 +372,8 @@ class LevelDiagram:
         return h
 
     def step_matrix(self, k: int, d: int, ns: list[Optional[int]]) -> SparseMatrix:
-        """H_d(steps[k]) on the cell whose integer weight at level i is
-        ns[i]."""
+        """H_d of the transition from levels[k] on the cell whose integer
+        weight at level i is ns[i]."""
         n, field = ns[k], self.complexes[0].field
         if n is None:
             return SparseMatrix(self.homology(k + 1, d, ns[k + 1]).dim, 0, field)
@@ -384,7 +385,8 @@ class LevelDiagram:
             if src_h.dim == 0 or dst_h.dim == 0:
                 m = SparseMatrix(dst_h.dim, src_h.dim, field)
             else:
-                m = homology_map_matrix(self.steps[k], d, src_h, dst_h)
+                step = self.family.step(self.levels[k])
+                m = homology_map_matrix(step, d, src_h, dst_h)
             cache[key] = m
         return m
 

@@ -2,14 +2,15 @@
 
 Matrices are rows-of-dicts: row i is {col: coeff} with exact scalars.
 Every elimination is one Echelon, the same code over Q and F_p. It keeps
-each row under its lowest column, the row's pivot, as it was reduced: a
-stored row keeps its pivot coefficient, and where that is not 1 the
-echelon keeps its inverse beside the row (`Echelon.inv`), so no row is
-copied to scale it. Inserting a row reduces it against the stored rows
-and stores what is left; the stored rows are never touched again.
-Reducing clears the pivot columns of a vector in ascending order, each
-multiplier scaled by the pivot's inverse: a stored row has no entry below
-its pivot, so clearing one pivot only adds entries at higher columns.
+each row under its lowest column, the row's pivot, stored as reduced
+only that far: inserting a row clears its lowest column while a stored
+row has its pivot there, and stores the rest; stored rows are never
+touched again. A stored row keeps its pivot coefficient, with the
+inverse beside it where that is not 1 (`Echelon.inv`). Reducing a vector
+(`Echelon.reduce`) clears all its pivot columns in ascending order. A
+stored row has no entry below its pivot, so clearing a pivot only adds
+entries at higher columns: the pivots, the rank and each residual are
+those of a full elimination, however far the stored rows were reduced.
 
 Kernels and solutions are read off the reduced form, built once by
 back-substitution from the highest pivot down and scaled to 1 at each
@@ -25,10 +26,10 @@ Input contract: every vector given to an Echelon holds normalized,
 nonzero entries (v != 0 and F.normalize(v) gives v back unchanged), as
 every producer here makes them: the strand row reader, add_image, matmul,
 kernel and the ring element operations. Reducing does not normalize its
-input again. It never changes a caller's vector either: a vector that
-touches no pivot is returned, and stored, as itself, and any other is
-reduced in a copy. So a vector must not be changed after it was
-inserted.
+input again. It never changes a caller's vector either: insert stores a
+vector whose lowest column holds no pivot as itself, reduce returns one
+that touches no pivot as itself, and any other is reduced in a copy. So
+a vector must not be changed after it was inserted.
 """
 
 from __future__ import annotations
@@ -75,6 +76,43 @@ def _reduce(vec: Vec, rows: dict[int, Vec], inv: dict[int, object], F) -> Vec:
     return res
 
 
+def _reduce_head(
+    vec: Vec, rows: dict[int, Vec], inv: dict[int, object], F
+) -> tuple[Optional[int], Vec]:
+    """(lowest column, residual) of vec after clearing its lowest column
+    with `rows` (as in _reduce) while a row has its pivot there: vec
+    itself when none has, and (None, {}) when vec lies in their span."""
+    c = min(vec)
+    row = rows.get(c)
+    if row is None:
+        return c, vec
+    norm = F.normalize
+    res = dict(vec)
+    while True:
+        a = res.pop(c)
+        s = inv.get(c)
+        if s is not None:
+            a = norm(a * s)
+        for j, v in row.items():
+            if j == c:
+                continue
+            old = res.get(j)
+            if old is None:
+                res[j] = norm(-a * v)
+            else:
+                nv = norm(old - a * v)
+                if nv:
+                    res[j] = nv
+                else:
+                    del res[j]
+        if not res:
+            return None, res
+        c = min(res)
+        row = rows.get(c)
+        if row is None:
+            return c, res
+
+
 class Echelon:
     """Row echelon form, one row at a time: `rows` maps each pivot column
     to the stored row whose lowest column it is, and `inv` each pivot
@@ -97,15 +135,15 @@ class Echelon:
     def insert(self, vec: Vec) -> Optional[int]:
         """Add vec to the span. Returns the new pivot column, or None if
         vec was already in the span. vec must hold normalized, nonzero
-        entries; it is never changed, but one that touches no pivot is
-        stored as itself, so the caller must not change it afterwards."""
+        entries; it is never changed, but one whose lowest column holds
+        no pivot is stored as itself, so the caller must not change it
+        afterwards."""
         if not vec:
             return None
         F = self.field
-        res = _reduce(vec, self.rows, self.inv, F)
-        if not res:
+        pick, res = _reduce_head(vec, self.rows, self.inv, F)
+        if pick is None:
             return None
-        pick = min(res)
         a = res[pick]
         if a != F.one:
             self.inv[pick] = F.inv(a)

@@ -1,11 +1,13 @@
-"""Helpers that only the tests use: dense matrix conversion, a dense rank
-that shares no code with `sparsela`, kernels and solutions of a
-SparseMatrix, a reference strand indexed by (generator, monomial) tuples,
-strand matrices of a differential and an augmentation by a scan that
-tests every product for zero and shares no code with the strand engine,
-a homology dimension read from two dense ranks with no representatives, multigraded Betti numbers of a monomial ideal from its
-Taylor complex, and small conveniences on chain maps, monomials and
-tables."""
+"""Helpers that only the tests use: dense matrix conversion, a dense
+reduced echelon form and rank that share no code with `sparsela`,
+kernels and solutions of a SparseMatrix, a reference strand indexed by
+(generator, monomial) tuples, strand matrices of a differential and an
+augmentation by a scan that tests every product for zero and shares no
+code with the strand engine, a homology dimension read from two dense
+ranks with no representatives, a homology basis filled eagerly from
+those scanned matrices, multigraded Betti numbers of a monomial ideal
+from its Taylor complex, and small conveniences on chain maps,
+monomials and tables."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands
-from idemq.sparsela import SparseMatrix, Vec, kernel_rows, solve_rows
+from idemq.sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 
 def from_dense(data: list[list], field) -> SparseMatrix:
@@ -34,30 +36,37 @@ def to_dense(m: SparseMatrix) -> list[list]:
     return [[row.get(j, z) for j in range(m.ncols)] for row in m.rows]
 
 
-def dense_rank(data: list[list], field) -> int:
-    """Rank by Gauss elimination on a dense copy, over Q in Fractions and
-    over F_p in the field's own operations."""
+def dense_rref(data: list[list], field) -> dict[int, dict]:
+    """Reduced row echelon form by Gauss-Jordan elimination on a dense
+    copy, over Q in Fractions and over F_p in the field's own operations:
+    pivot column -> its row as {col: value}, 1 at its pivot and 0 at every
+    other pivot, pivots ascending."""
     if field.char == 0:
         m = [[Fraction(v) for v in row] for row in data]
     else:
         m = [[field.from_int(v) if isinstance(v, int) else v for v in row] for row in data]
     ncols = len(m[0]) if m else 0
-    rk = 0
+    pivots = []
     for c in range(ncols):
+        rk = len(pivots)
         p = next((i for i in range(rk, len(m)) if m[i][c]), None)
         if p is None:
             continue
         m[rk], m[p] = m[p], m[rk]
-        prow = m[rk]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        inv = field.inv(prow[c])
-        for i in range(rk + 1, len(m)):
-            if m[i][c]:
-                f = field.mul(m[i][c], inv)
-                for j in nz:
-                    m[i][j] = field.sub(m[i][j], field.mul(f, prow[j]))
-        rk += 1
-    return rk
+        inv = field.inv(m[rk][c])
+        prow = m[rk] = [field.mul(v, inv) for v in m[rk]]
+        for i in range(len(m)):
+            if i != rk and m[i][c]:
+                f = m[i][c]
+                m[i] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(m[i], prow)]
+        pivots.append(c)
+    return {
+        c: {j: field.normalize(v) for j, v in enumerate(m[k]) if v} for k, c in enumerate(pivots)
+    }
+
+
+def dense_rank(data: list[list], field) -> int:
+    return len(dense_rref(data, field))
 
 
 def rank(m: SparseMatrix) -> int:
@@ -210,6 +219,42 @@ def homology_dim(x: FreeComplex, d: int, w: Fraction, provider) -> int:
     out = strand_matrix(x, d, n, provider, src=sb)
     inc = strand_matrix(x, d + 1, n, provider, dst=sb)
     return len(sb.pairs) - rank(out) - rank(inc)
+
+
+class EagerHomology(NamedTuple):
+    """A strand's homology with every boundary read (eager_homology)."""
+
+    dim: int
+    rank: int  # of d_d on the strand
+    reps: list[Vec]
+    rep_cols: tuple[int, ...]
+    pivots: dict  # d_d's echelon rows, by pivot column
+    free_bnd: Echelon
+
+    def coords(self, vec: Vec) -> Vec:
+        """Coordinates of a cycle in the basis `reps`."""
+        res = self.free_bnd.reduce({c: v for c, v in vec.items() if c not in self.pivots})
+        return {k: res[f] for k, f in enumerate(self.rep_cols) if f in res}
+
+
+def eager_homology(x: FreeComplex, d: int, n: int, provider: Strands) -> EagerHomology:
+    """Homology of the strand of integer weight n in degree d, its basis
+    filled up front from the scanned matrices: the rows of d_d in one
+    echelon, every column of d_{d+1} projected off d_d's pivots in
+    another, and as representatives the cycles (Echelon.kernel) of the
+    free columns that are not pivots of the boundaries."""
+    sb = ref_strand(x, d, n, provider)
+    diff, bnd = Echelon(x.field), Echelon(x.field)
+    for row in strand_matrix(x, d, n, provider, src=sb).rows:
+        diff.insert(row)
+    pivots = diff.rows
+    inc = strand_matrix(x, d + 1, n, provider, dst=sb)
+    for c in range(inc.ncols):
+        bnd.insert({r: row[c] for r, row in enumerate(inc.rows) if c in row and r not in pivots})
+    rep_cols = tuple(c for c in range(len(sb.pairs)) if c not in pivots and c not in bnd.rows)
+    return EagerHomology(
+        len(rep_cols), diff.rank, diff.kernel(list(rep_cols)), rep_cols, pivots, bnd
+    )
 
 
 def taylor_betti(gens: list[tuple], field) -> dict[tuple[int, tuple], int]:

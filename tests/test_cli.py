@@ -569,23 +569,97 @@ def _is_normalized(field, v) -> bool:
     ids=["qh-t", "qh-xy-f7", "almost-equiv", "gluing-check", "tor-I-RJ"],
 )
 def test_every_vector_reaching_the_echelon_is_normalized(tmp_path, capsys, monkeypatch, text, argv):
-    # the echelon does not normalize its input: every producer must
+    # the echelon does not normalize its input: every producer must. An
+    # inserted vector goes through _reduce_head, a reduced one (and each
+    # row of the reduced form) through _reduce
     from idemq import sparsela
 
-    real = sparsela._reduce
-    seen, bad = [0], []
+    seen, bad, inserted = {"_reduce": 0, "_reduce_head": 0}, [], [0]
 
-    def checked(vec, rows, inv, field):
-        seen[0] += 1
-        bad.extend((c, v) for c, v in vec.items() if not _is_normalized(field, v))
-        return real(vec, rows, inv, field)
+    def checking(name):
+        real = getattr(sparsela, name)
 
-    monkeypatch.setattr(sparsela, "_reduce", checked)
+        def checked(vec, rows, inv, field):
+            seen[name] += 1
+            bad.extend((c, v) for c, v in vec.items() if not _is_normalized(field, v))
+            return real(vec, rows, inv, field)
+
+        return checked
+
+    for name in seen:
+        monkeypatch.setattr(sparsela, name, checking(name))
+    real_insert = sparsela.Echelon.insert
+
+    def insert(self, vec):
+        inserted[0] += bool(vec)
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(sparsela.Echelon, "insert", insert)
     spec = _write(tmp_path, text)
     code, _, err = _run(capsys, [spec if a == "{spec}" else a for a in argv])
     assert code == 0, err
-    assert seen[0] > 0
+    assert seen["_reduce"] > 0
+    assert seen["_reduce_head"] == inserted[0] > 0  # every inserted vector is checked
     assert bad == []
+
+
+# ---------- what a command builds ----------
+
+
+def _record_transitions(monkeypatch):
+    """Record each transition a family makes, with how deep inside the
+    making of another transition it was made (0: made for a reader), and
+    each chain map whose homology a step matrix reads."""
+    from idemq import derived
+
+    built, read, depth = [], set(), [0]
+    real_init = derived.Family.__init__
+
+    def init(self, make, step, *args, **kwargs):
+        def recorded(fam, l):
+            depth[0] += 1
+            try:
+                made = step(fam, l)
+            finally:
+                depth[0] -= 1
+            built.append((made, depth[0]))
+            return made
+
+        real_init(self, make, recorded, *args, **kwargs)
+
+    real_matrix = derived.homology_map_matrix
+
+    def reading(f, d, src_h, dst_h):
+        read.add(id(f))
+        return real_matrix(f, d, src_h, dst_h)
+
+    monkeypatch.setattr(derived.Family, "__init__", init)
+    monkeypatch.setattr(derived, "homology_map_matrix", reading)
+    return built, read
+
+
+def test_gluing_check_builds_no_transition(tmp_path, capsys, monkeypatch):
+    # every step matrix of the gluing square on the t spec has homology
+    # on at most one side, so no transition is read and none is made
+    built, read = _record_transitions(monkeypatch)
+    code, _, err = _run(capsys, ["gluing-check", _write(tmp_path, T_SPEC), "--module", "K"])
+    assert code == 0, err
+    assert built == [] and not read
+
+
+def test_quotient_homotopy_builds_only_the_transitions_it_reads(tmp_path, capsys, monkeypatch):
+    # a transition is made only for a step matrix with homology on both
+    # sides, together with the transitions beneath it (a cone's legs, a
+    # tensor power's factors); made up front for every level, the cones'
+    # transitions alone would outnumber the ones read
+    built, read = _record_transitions(monkeypatch)
+    code, _, err = _run(
+        capsys, ["quotient-homotopy", _write(tmp_path, T_SPEC), "--deg-max", "5"]
+    )
+    assert code == 0, err
+    top = {id(made) for made, depth in built if depth == 0}
+    assert read and top == read
+    assert len(built) == 20  # 56 when every diagram makes all its transitions
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

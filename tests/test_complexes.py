@@ -6,6 +6,7 @@ from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
     FreeComplex,
+    HomologyData,
     Strands,
     check_chain_map,
     check_complex,
@@ -43,6 +44,7 @@ from oracles import (
     column,
     compose_maps,
     divisible,
+    eager_homology,
     homology_dim,
     is_zero,
     pairs_of,
@@ -519,7 +521,8 @@ def test_rank_first_dims_match_homology_dim_on_xy(field, build):
                 continue
             assert h.diff_ech is None and h.free_bnd is None and not h.rep_cols
             assert not any(
-                isinstance(part, (Echelon, SparseMatrix)) for part in h
+                isinstance(getattr(h, slot), (Echelon, SparseMatrix))
+                for slot in HomologyData.__slots__
             )
     assert 0 < nonzero < seen
 
@@ -552,6 +555,51 @@ def test_coords_read_each_representative_on_xy(field, build):
             if hit is not None:
                 with pytest.raises(AssertionError, match="not a cycle modulo boundaries"):
                     h.coords({hit: field.one}, field)
+    assert seen
+
+
+@pytest.mark.parametrize("build", [_xy_square, _xy_cone], ids=["square", "cone"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_deferred_fill_runs_once_and_matches_an_eager_basis_on_xy(field, build, monkeypatch):
+    # homology_data reads no boundary column; a strand with homology fills
+    # its basis on the first read of reps, rep_cols, free_bnd or coords and
+    # never again, a strand without fills nothing, and the filled basis and
+    # coordinates are those of a basis filled up front from scanned matrices
+    fills = []
+    real = HomologyData._fill_basis
+
+    def counting(self):
+        fills.append(self)
+        real(self)
+
+    monkeypatch.setattr(HomologyData, "_fill_basis", counting)
+    x, prov = build(field)
+    seen = 0
+    for d in range(x.lo, x.hi + 1):
+        for n in strand_weights(x, d, x.ring.num_floor(Fraction(2)), prov):
+            h = homology_data(x, d, n, prov)
+            ref = eager_homology(x, d, n, prov)
+            assert pairs_of(h.basis) == ref_strand(x, d, n, prov).pairs
+            assert not fills
+            assert (h.dim, h.rank) == (ref.dim, ref.rank)
+            inc = strand_matrix(x, d + 1, n, prov)
+            bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
+            for _ in range(2):
+                assert (h.reps, h.rep_cols) == (ref.reps, ref.rep_cols)
+                total = {}
+                for k, rep in enumerate(h.reps):
+                    for r, v in rep.items():
+                        total[r] = field.add(total.get(r, 0), field.mul(field.from_int(k + 2), v))
+                    moved = {r: field.add(rep.get(r, 0), bnd.get(r, 0)) for r in set(rep) | set(bnd)}
+                    for vec in (rep, moved):
+                        vec = {r: v for r, v in vec.items() if not field.is_zero(v)}
+                        assert h.coords(vec, field) == ref.coords(vec)
+                if h.dim:  # only a strand with homology has coordinates
+                    total = {r: v for r, v in total.items() if not field.is_zero(v)}
+                    assert h.coords(total, field) == ref.coords(total)
+            assert fills == ([h] if h.dim else []), (d, n)
+            fills.clear()
+            seen += bool(h.dim)
     assert seen
 
 

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from idemq.fields import GF, QQ
 from idemq.sparsela import Echelon, SparseMatrix, kernel_rows, matmul, solve_rows
-from oracles import dense_rank, from_dense, kernel_basis, rank_kernel, solve, to_dense
+from oracles import (
+    dense_rank,
+    dense_rref,
+    from_dense,
+    kernel_basis,
+    rank_kernel,
+    solve,
+    to_dense,
+)
 
 FIELDS = [QQ, GF(7), GF((1 << 31) - 1)]
 
@@ -320,61 +328,91 @@ def _dense(rows, ncols):
     return [[r.get(c, 0) for c in range(ncols)] for r in rows]
 
 
+def _residual(vec, rref, field):
+    """vec less its entry at each pivot times that pivot's row of the
+    reduced echelon form rref: no pivot column is left."""
+    out = dict(vec)
+    for p, row in rref.items():
+        a = vec.get(p)  # rref rows are 0 at every other pivot
+        if a:
+            for c, v in row.items():
+                out[c] = field.sub(out.get(c, field.zero), field.mul(a, v))
+    return {c: field.normalize(v) for c, v in out.items() if v}
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
 def test_echelon_contract(field, data):
-    # rows stored as reduced, with no rescaling: a vector that touches no
-    # pivot is stored as itself; reduced() scales each pivot to 1 and
-    # clears it from every other row; rank, kernel and solve_rows agree
-    # with a dense elimination; no inserted dict is changed
+    # rows stored as reduced only until their lowest column holds no
+    # pivot, with no rescaling: after each insert the pivots are those of
+    # a dense elimination, and a vector whose lowest column is fresh is
+    # stored as itself, also where it touches other pivots; reduce,
+    # reduced, kernel and solve_rows give exactly what the dense reduced
+    # echelon form gives; no inserted dict is changed
     ncols = 6
     rows = data.draw(_normalized_rows(field, ncols))
+    probes = data.draw(_normalized_rows(field, ncols))
     xs = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
     before = [dict(r) for r in rows]
-    rank = dense_rank(_dense(rows, ncols), field)
 
     e = Echelon(field)
-    for r in rows:
-        untouched = bool(r) and e.rows.keys().isdisjoint(r)
+    for i, r in enumerate(rows):
+        fresh = bool(r) and min(r) not in e.rows
         pick = e.insert(r)
-        if untouched:
+        if fresh:
             assert pick == min(r) and e.rows[pick] is r
             assert (pick in e.inv) == (r[pick] != field.one)
-    assert e.rank == rank
+        assert set(e.rows) == set(dense_rref(_dense(rows[: i + 1], ncols), field))
+    rref = dense_rref(_dense(rows, ncols), field)
     stored = {p: dict(row) for p, row in e.rows.items()}
 
     red = e.reduced()
-    assert list(red) == sorted(e.rows, reverse=True)
-    for p, row in red.items():
-        assert min(row) == p and row[p] == field.one
-        assert not (set(row) - {p}) & set(red)
-    assert dense_rank(_dense(rows + list(red.values()), ncols), field) == rank
+    assert list(red) == sorted(rref, reverse=True) and red == rref
+    for v in probes:
+        assert e.reduce(v) == _residual(v, rref, field)
 
-    free = [c for c in range(ncols) if c not in e.rows]
-    ker = e.kernel(free)
+    free = [c for c in range(ncols) if c not in rref]
+    want = [
+        {f: field.one, **{p: field.neg(row[f]) for p, row in rref.items() if f in row}}
+        for f in free
+    ]
+    assert e.kernel(free) == want
+
     m = SparseMatrix(len(rows), ncols, field, rows)
-    assert len(ker) == ncols - rank
-    for v in ker:
-        assert m.mul_vec(v) == {}
-    assert dense_rank(_dense(ker, ncols), field) == len(ker)
-
     x = {j: field.from_int(v) for j, v in enumerate(xs) if field.from_int(v)}
     rhs = m.mul_vec(x)
-    got = solve_rows(rows, ncols, rhs, field)
-    assert got is not None and m.mul_vec(got) == rhs
-    if rows:
-        rhs[0] = field.normalize(field.add(rhs.get(0, field.zero), field.one))
-        rhs = {i: v for i, v in rhs.items() if v}
-        got = solve_rows(rows, ncols, rhs, field)
+    for bump in (False, True):
+        if bump and rows:  # moved off the image in one row, perhaps
+            rhs[0] = field.normalize(field.add(rhs.get(0, field.zero), field.one))
+            rhs = {i: v for i, v in rhs.items() if v}
         aug = [row + [rhs.get(i, 0)] for i, row in enumerate(_dense(rows, ncols))]
-        if dense_rank(aug, field) > rank:
-            assert got is None
-        else:
-            assert got is not None and m.mul_vec(got) == rhs
+        aug_rref = dense_rref(aug, field)
+        solved = None
+        if ncols not in aug_rref:
+            solved = {p: row[ncols] for p, row in aug_rref.items() if ncols in row}
+        assert solve_rows(rows, ncols, rhs, field) == solved
+        if not bump:
+            assert solved is not None and m.mul_vec(solved) == rhs
 
     assert rows == before
     assert {p: dict(row) for p, row in e.rows.items()} == stored
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_an_insert_reduces_only_to_a_fresh_lowest_column(field):
+    one, two, three = field.one, field.from_int(2), field.from_int(3)
+    e = Echelon(field)
+    a = {2: one, 3: one}
+    assert e.insert(a) == 2 and e.rows[2] is a
+    b = {0: one, 1: one, 2: one}  # its lowest column is fresh: stored as is
+    assert e.insert(b) == 0 and e.rows[0] is b
+    c = {0: one, 1: two, 2: three}  # c - b is {1: 1, 2: 2}: column 1 is fresh
+    assert e.insert(c) == 1 and e.rows[1] == {1: one, 2: two}
+    assert b == {0: one, 1: one, 2: one} and c == {0: one, 1: two, 2: three}
+    rref = dense_rref(_dense([a, b, c], 4), field)
+    assert e.reduced() == rref
+    assert e.reduce({1: one, 3: one}) == _residual({1: one, 3: one}, rref, field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
