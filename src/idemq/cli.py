@@ -13,6 +13,12 @@ could settle such a cell, so it does not block the verdict of `tor`,
 count in-flight cells under `in_flight`. `quotient-homotopy` and
 `static-check` do not set such cells apart yet: any unstable cell, in
 flight or not, makes them exit 3.
+
+`quotient-homotopy` takes base change for an ideal with `roots(...)`
+parts: Tor over the untruncated algebra, with no derived power built,
+so its `n_used` certificate is [] and its `notes` name the route. The
+zero ideal takes the tower of derived powers, and `n_used` lists the
+power whose cone gave each degree.
 """
 
 from __future__ import annotations

@@ -56,8 +56,9 @@ Every complex is built only through the degree its reads need, by one
 rule. H_d reads a complex through degree d + 1. A cone read through D
 reads its target through D and its source through D - 1. A tensor built
 through D needs each factor through D, and a chain map is built through
-the degree of its source. So at degree bound N the quotient route builds
-its tower through N, the static check through N + 1 (it reads
+the degree of its source. So at degree bound N the quotient's tensor
+route builds its tower through N, its base-change route the Tor
+resolution through N + 1, the static check through N + 1 (it reads
 cone(sigma_1) at N), and the gluing check its tower, module and tensors
 through N + 1. An almost equivalence builds a derived power, the source
 of its cone, through N and a module resolution through N + 1. The tower
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
@@ -719,16 +721,24 @@ def derived_tensor(
     and the finest weights it leaves unstable there are in flight (see
     cell_in_flight).
     """
-    wmax = Fraction(bounds.weight_max)
-    res = resolution_family(spec, left, deg_max + 1, wmax, against=right)
-
-    def attempt(levels):
-        raw = res.diagram(levels).run(range(deg_min, deg_max + 1), wmax, bounds.window)
-        return (raw, levels), all(r.stable for r in raw.values())
-
-    raw, levels = _settle(res.min_level, bounds.window, bounds.max_level, attempt)
+    raw, levels = _tor_cells(spec, left, right, range(deg_min, deg_max + 1), bounds)
     name = f"Tor({left.label}, {right.label})"
     return _make_table(name, raw, levels, deg_max, deg_max)
+
+
+def _tor_cells(
+    spec: RingSpec, left: ModuleRef, right: ModuleRef, degrees: range, bounds: Bounds
+) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
+    """The judged Tor cells of the degrees and the levels they were
+    settled on: the resolution of left, read against right."""
+    wmax = Fraction(bounds.weight_max)
+    res = resolution_family(spec, left, degrees[-1] + 1, wmax, against=right)
+
+    def attempt(levels):
+        raw = res.diagram(levels).run(degrees, wmax, bounds.window)
+        return (raw, levels), all(r.stable for r in raw.values())
+
+    return _settle(res.min_level, bounds.window, bounds.max_level, attempt)
 
 
 # ---------- quotient homotopy ----------
@@ -736,116 +746,52 @@ def derived_tensor(
 
 @dataclass
 class QuotientHomotopy:
+    """pi_*(R/I^infty) in degrees 0..N. top_level is the top level of the
+    diagrams the table was settled on. n_used[d] is the derived power
+    whose cone gave degree d on the tensor route; it is empty on the
+    base-change route, which builds no derived power (quotient_homotopy).
+    notes names base change or a unit ideal."""
+
     table: StabilizedTable
     dims: tuple[int, ...]  # stable dims per degree 0..N
     stable: bool
     top_level: int
-    n_used: tuple[int, ...]  # tensor power per degree
+    n_used: tuple[int, ...]  # tensor power per degree, () on base change
     notes: list[str]
-
-
-def variable_blocks(spec: RingSpec, family: IdealFamily) -> list[list[int]]:
-    """Partition of the variables: truncation monomials and ideal
-    generators tie their supports together; everything else is free."""
-    parent = list(range(spec.nvars))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for t in spec.truncations:
-        sup = [i for i, x in enumerate(t) if x]
-        for b in sup[1:]:
-            union(sup[0], b)
-    for g in family.gens:
-        sup = [i for i, x in enumerate(g) if x]
-        for b in sup[1:]:
-            union(sup[0], b)
-    buckets: dict[int, list[int]] = {}
-    for i in range(spec.nvars):
-        buckets.setdefault(find(i), []).append(i)
-    return sorted(buckets.values())
-
-
-def _restrict_spec(spec: RingSpec, block: list[int]) -> RingSpec:
-    pos = {v: k for k, v in enumerate(block)}
-    variables = tuple(spec.variables[v] for v in block)
-    truncs = []
-    for t in spec.truncations:
-        sup = [i for i, x in enumerate(t) if x]
-        if sup and all(i in pos for i in sup):
-            e = [Fraction(0)] * len(block)
-            for i in sup:
-                e[pos[i]] = t[i]
-            truncs.append(tuple(e))
-    return RingSpec(spec.field, spec.root_base, variables, tuple(truncs))
-
-
-def _restrict_family(
-    family: IdealFamily, sub: RingSpec, block: list[int]
-) -> IdealFamily:
-    pos = {v: k for k, v in enumerate(block)}
-    roots = tuple(pos[v] for v in family.root_vars if v in pos)
-    gens = []
-    for g in family.gens:
-        sup = [i for i, x in enumerate(g) if x]
-        if sup and all(i in pos for i in sup):
-            e = [Fraction(0)] * len(block)
-            for i in sup:
-                e[pos[i]] = g[i]
-            gens.append(tuple(e))
-    return IdealFamily(
-        name=family.name, spec=sub, root_vars=roots, gens=tuple(gens)
-    )
-
-
-def _kunneth_cells(
-    tables: list[dict[tuple[int, Fraction], CellResult]],
-    N: int,
-    wmax: Fraction,
-) -> dict[tuple[int, Fraction], CellResult]:
-    acc: dict[tuple[int, Fraction], tuple[int, bool]] = {
-        (0, Fraction(0)): (1, True)
-    }
-    for cells in tables:
-        nxt: dict[tuple[int, Fraction], tuple[int, bool]] = {}
-        for (d1, w1), (v1, s1) in acc.items():
-            for (d2, w2), r in cells.items():
-                v2, s2 = r.value, r.stable
-                if v1 * v2 == 0 and (s1 and s2):
-                    continue
-                d, w = d1 + d2, w1 + w2
-                if d > N or w > wmax:
-                    continue
-                old = nxt.get((d, w), (0, True))
-                nxt[(d, w)] = (old[0] + v1 * v2, old[1] and s1 and s2)
-        acc = nxt
-    return {
-        key: CellResult(v, s, (), False)
-        for key, (v, s) in acc.items()
-        if v or not s
-    }
 
 
 def _quotient_direct(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], int]:
+) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
     tw = Tower(spec, family, N, bounds.weight_max)
 
     def attempt(levels):
         raw: dict[tuple[int, Fraction], CellResult] = {}
         for d in range(N + 1):
             raw.update(tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window))
-        return (raw, levels[-1]), all(r.stable for r in raw.values())
+        return (raw, levels), all(r.stable for r in raw.values())
 
     return _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
+
+
+@lru_cache(maxsize=None)
+def _untruncated(field, root_base: int, variables) -> RingSpec:
+    # one spec object per ring, so that its level rings are made once
+    # (make_level_ring keeps them by spec identity)
+    return RingSpec(field, root_base, variables)
+
+
+def _quotient_by_base_change(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
+) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
+    """Tor^A(A/I_A, R) in degrees 0..N, A the untruncated spec, I_A the
+    ideal of A the family's roots generate and R = A/T, T its truncation
+    ideal (R = A when there is none), with the levels it settled on."""
+    A = _untruncated(spec.field, spec.root_base, spec.variables)
+    left = quotient_module(IdealFamily(family.name, A, root_vars=family.root_vars))
+    T = spec.truncations
+    right = quotient_module(IdealFamily("T", A, gens=T)) if T else ring_module()
+    return _tor_cells(A, left, right, range(N + 1), bounds)
 
 
 def require_idempotent(family: IdealFamily) -> None:
@@ -869,47 +815,67 @@ def quotient_homotopy(
 ) -> QuotientHomotopy:
     """Homotopy of R/I^infty in degrees 0..N, stabilized over levels.
 
-    Degree d is computed from cone(eps_{d+2}), the smallest power the
-    stabilization bound trusts there. When the variables split into
-    independent blocks the computation factors across them and the
-    tables recombine by Kunneth convolution over the ground field.
+    Two routes give the same stable cells. A family with roots takes base
+    change unless force_direct is set: pi_d(R/I^infty) = Tor_d^A(A/I_A, R),
+    read by the Tor level loop on the untruncated spec, with no derived
+    power built (n_used is empty). Its fixed generators are not read: once
+    the family is idempotent and holds no unit, check_idempotent has
+    accepted each live one for a positive exponent on a root variable, so
+    it lies in I_A, and each dead one lies in T; so I = I_A R. The zero
+    ideal (no roots) and every force_direct call take the tensor route:
+    degree d from cone(eps_{d+2}), the smallest power the stabilization
+    bound trusts there.
+
+    Why base change holds. Write A for the colimit algebra, S for the
+    root variables of the family, I_A for the ideal of A their roots
+    generate, K_S = A/I_A, T for the truncation ideal, R = A/T and
+    I = I_A R.
+    (1) K_S (x)^L_A K_S = K_S. A and K_S split over the variables. For one
+    divisible v, m_v = U_l v^{1/r^l} A is a directed union of free
+    modules, so it is flat, and m_v^2 = m_v; so Tor_1^{A_v}(k, k) =
+    m_v/m_v^2 = 0 and k (x)^L k = k over A_v, and Kunneth gives (1).
+    Equivalently I_A (x)^L_A K_S = 0 and I_A (x)^L_A I_A = I_A. I_A itself
+    need not be flat: for S = {x, y}, Tor_2^A(K_S, A/(x^c, y^c)) = K_S by
+    Kunneth, and that is Tor_1^A(I_A, A/(x^c, y^c)).
+    (2) E := I_A (x)^L_A R -> I is onto on H_0, so its cone N has homology
+    only in degrees >= 1: H_1(N) = (I_A cap T)/I_A T and H_i(N) =
+    Tor_{i-1}^A(I_A, R) for i >= 2, each killed by I_A, so a K_S-module.
+    So E (x)^L_R N = I_A (x)^L_A N = 0 by (1), and E (x)^L_R E =
+    I_A (x)^L_A I_A (x)^L_A R = E: E is a derived idempotent of R, and
+    cone(E -> R) = K_S (x)^L_A R.
+    (3) By induction on n, E -> I^{(x)L n} -> N^{(x)L n} is a triangle:
+    E (x)^L_R I^{(x)L (n-1)} = E and N (x)^L_R I^{(x)L (n-1)} = N^{(x)L n},
+    both since E (x)^L_R N = 0. N^{(x)L n} lives in degrees >= n, so the
+    octahedron on E -> I^{(x)L n} -> R gives H_d cone(I^{(x)L n} -> R) =
+    Tor_d^A(K_S, R) for d <= n - 1, in particular at n = d + 2.
+    (4) A is free over each level algebra A_l, so the level-wise Tor over
+    A_l, with the lifts of the level inclusions as transitions, has the
+    same colimit that the tensor route's level diagram reads.
     """
     bounds = bounds if bounds is not None else default_bounds(N)
     require_idempotent(family)
     notes = []
-    blocks = variable_blocks(spec, family)
+    n_used = tuple(d + 2 for d in range(N + 1))
     if _family_contains_unit(family):
-        # unit generators have empty support and belong to no block
-        raw, top = {}, family.min_level()
+        raw, levels = {}, [family.min_level()]
         notes.append("ideal contains a unit, the quotient vanishes")
-    elif force_direct or len(blocks) <= 1:
-        raw, top = _quotient_direct(spec, family, N, bounds)
+    elif not force_direct and family.root_vars:
+        # base change reads no generator, but one above the cap is still
+        # a usage error, as on the tensor route
+        level_range(family.min_level(), bounds.max_level)
+        raw, levels = _quotient_by_base_change(spec, family, N, bounds)
+        n_used = ()
+        notes.append("base change: Tor^A(A/I_A, R) over the untruncated algebra A")
     else:
-        per_block = []
-        top = family.min_level()
-        for block in blocks:
-            sub = _restrict_spec(spec, block)
-            fam = _restrict_family(family, sub, block)
-            r, t = _quotient_direct(sub, fam, N, bounds)
-            per_block.append(r)
-            top = max(top, t)
-        raw = _kunneth_cells(per_block, N, bounds.weight_max)
-        notes.append(
-            "factored over variable blocks "
-            + " | ".join(
-                ",".join(spec.variables[v].name for v in b) for b in blocks
-            )
-        )
+        raw, levels = _quotient_direct(spec, family, N, bounds)
 
-    table = _make_table(
-        f"pi(R/{family.name}^infty)", raw, range(family.min_level(), top + 1), N, N
-    )
+    table = _make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),
         stable=table.all_stable(),
-        top_level=top,
-        n_used=tuple(d + 2 for d in range(N + 1)),
+        top_level=levels[-1],
+        n_used=n_used,
         notes=notes,
     )
 
@@ -1242,9 +1208,11 @@ def amitsur_crosscheck(
     N: int,
     bounds: Optional[Bounds] = None,
 ) -> AmitsurReport:
-    """Compare H_i of the truncated Amitsur totalization against the
-    tower route, degree by degree up to N. Needs m >= N+2 so the
-    truncation error sits above the compared range.
+    """Compare H_i of the truncated Amitsur totalization against
+    quotient_homotopy, degree by degree up to N; the reference follows
+    quotient_homotopy's route, so a family with roots is compared with
+    base change. Needs m >= N+2 so the truncation error sits above the
+    compared range.
 
     Truncation junk lives longer here than in the tower diagrams, so the
     run widens the detector window to the junk lifetime and treats cells

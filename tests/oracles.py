@@ -7,7 +7,8 @@ code with the strand engine, a homology dimension read from two dense
 ranks with no representatives, a homology basis filled eagerly from
 those scanned matrices, multigraded Betti numbers of a monomial ideal
 from its Taylor complex, and small conveniences on chain maps,
-monomials and tables."""
+monomials and tables, and pi_*(R/I^infty) by Kunneth convolution over
+independent variable blocks (the tensor route on each block)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
+from idemq import derived
 from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands
+from idemq.derived import Bounds, CellResult, StabilizedTable
+from idemq.ideals import IdealFamily
+from idemq.rings import RingSpec
 from idemq.sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 
@@ -353,3 +358,112 @@ def mono(spec, **exps) -> tuple:
 def cell_map(table) -> dict:
     """A table's cells by (degree, weight)."""
     return {(c.degree, c.weight): c for c in table.cells}
+
+
+def variable_blocks(spec: RingSpec, family: IdealFamily) -> list[list[int]]:
+    """Partition of the variables: truncation monomials and ideal
+    generators tie their supports together; everything else is free."""
+    parent = list(range(spec.nvars))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for t in spec.truncations:
+        sup = [i for i, x in enumerate(t) if x]
+        for b in sup[1:]:
+            union(sup[0], b)
+    for g in family.gens:
+        sup = [i for i, x in enumerate(g) if x]
+        for b in sup[1:]:
+            union(sup[0], b)
+    buckets: dict[int, list[int]] = {}
+    for i in range(spec.nvars):
+        buckets.setdefault(find(i), []).append(i)
+    return sorted(buckets.values())
+
+
+def _restrict_spec(spec: RingSpec, block: list[int]) -> RingSpec:
+    pos = {v: k for k, v in enumerate(block)}
+    variables = tuple(spec.variables[v] for v in block)
+    truncs = []
+    for t in spec.truncations:
+        sup = [i for i, x in enumerate(t) if x]
+        if sup and all(i in pos for i in sup):
+            e = [Fraction(0)] * len(block)
+            for i in sup:
+                e[pos[i]] = t[i]
+            truncs.append(tuple(e))
+    return RingSpec(spec.field, spec.root_base, variables, tuple(truncs))
+
+
+def _restrict_family(
+    family: IdealFamily, sub: RingSpec, block: list[int]
+) -> IdealFamily:
+    pos = {v: k for k, v in enumerate(block)}
+    roots = tuple(pos[v] for v in family.root_vars if v in pos)
+    gens = []
+    for g in family.gens:
+        sup = [i for i, x in enumerate(g) if x]
+        if sup and all(i in pos for i in sup):
+            e = [Fraction(0)] * len(block)
+            for i in sup:
+                e[pos[i]] = g[i]
+            gens.append(tuple(e))
+    return IdealFamily(
+        name=family.name, spec=sub, root_vars=roots, gens=tuple(gens)
+    )
+
+
+def _kunneth_cells(
+    tables: list[dict[tuple[int, Fraction], CellResult]],
+    N: int,
+    wmax: Fraction,
+) -> dict[tuple[int, Fraction], CellResult]:
+    acc: dict[tuple[int, Fraction], tuple[int, bool]] = {
+        (0, Fraction(0)): (1, True)
+    }
+    for cells in tables:
+        nxt: dict[tuple[int, Fraction], tuple[int, bool]] = {}
+        for (d1, w1), (v1, s1) in acc.items():
+            for (d2, w2), r in cells.items():
+                v2, s2 = r.value, r.stable
+                if v1 * v2 == 0 and (s1 and s2):
+                    continue
+                d, w = d1 + d2, w1 + w2
+                if d > N or w > wmax:
+                    continue
+                old = nxt.get((d, w), (0, True))
+                nxt[(d, w)] = (old[0] + v1 * v2, old[1] and s1 and s2)
+        acc = nxt
+    return {
+        key: CellResult(v, s, (), False)
+        for key, (v, s) in acc.items()
+        if v or not s
+    }
+
+
+def kunneth_quotient(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
+) -> tuple[StabilizedTable, list[list[int]]]:
+    """pi_*(R/I^infty) in degrees 0..N from the tensor route on each
+    block of variable_blocks, recombined by Kunneth convolution over the
+    ground field; the table and the blocks."""
+    blocks = variable_blocks(spec, family)
+    per_block, top = [], family.min_level()
+    for block in blocks:
+        sub = _restrict_spec(spec, block)
+        fam = _restrict_family(family, sub, block)
+        raw, levels = derived._quotient_direct(sub, fam, N, bounds)
+        per_block.append(raw)
+        top = max(top, levels[-1])
+    raw = _kunneth_cells(per_block, N, bounds.weight_max)
+    levels = range(family.min_level(), top + 1)
+    return derived._make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N), blocks

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+from functools import partial
 
 import pytest
 
@@ -440,8 +441,9 @@ def test_tor_frontier_cells_are_in_flight(tmp_path, capsys):
 # t^(2^40) has an exponent far above every field of a level's packed
 # monomials: as a truncation or an ideal generator it kills nothing and
 # holds nothing below the weight cap, so both runs read as if it were
-# absent. The digests are the SHA-256 of stdout as the tuple-monomial
-# code printed it.
+# absent. The tor digest is the SHA-256 of stdout as the tuple-monomial
+# code printed it; the quotient-homotopy one has the same table, with the
+# certificates of base change (no derived power, a route note).
 HUGE_T_SPEC = """\
 var t divisible
 truncate t^1099511627776
@@ -455,7 +457,7 @@ ideal I = roots(t)
         (
             "",
             ["quotient-homotopy", "--deg-max", "2"],
-            "622507e546f1caede4ca2b63ed828bd6bcc5de1557640786beeb47648b3e9e53",
+            "acc72022de9d4045ed793ca25d6c1ff1bb5e5f5e23d9b6a6205dd635436ebe86",
         ),
         (
             "ideal J = t^1099511627776\n",
@@ -651,12 +653,17 @@ def test_quotient_homotopy_builds_only_the_transitions_it_reads(tmp_path, capsys
     # a transition is made only for a step matrix with homology on both
     # sides, together with the transitions beneath it (a cone's legs, a
     # tensor power's factors); made up front for every level, the cones'
-    # transitions alone would outnumber the ones read
+    # transitions alone would outnumber the ones read. force_direct keeps
+    # the roots family on the tensor route, off base change
+    from idemq import cli
+
+    monkeypatch.setattr(cli, "quotient_homotopy", partial(cli.quotient_homotopy, force_direct=True))
     built, read = _record_transitions(monkeypatch)
-    code, _, err = _run(
+    code, out, err = _run(
         capsys, ["quotient-homotopy", _write(tmp_path, T_SPEC), "--deg-max", "5"]
     )
     assert code == 0, err
+    assert "n_used: [2, 3, 4, 5, 6, 7]" in out
     top = {id(made) for made, depth in built if depth == 0}
     assert read and top == read
     assert len(built) == 20  # 56 when every diagram makes all its transitions

@@ -29,13 +29,22 @@ from idemq.derived import (
     ring_module,
     static_check,
     tower_report,
-    variable_blocks,
 )
-from idemq.ideals import IdealFamily, fixed_family, roots_family
+from idemq.ideals import IdealFamily, check_idempotent, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import SparseMatrix, matmul
 from idemq.specfile import parse_spec
-from oracles import cell_map, compose_maps, from_dense, homology_dim, mono, taylor_betti, to_dense
+from oracles import (
+    cell_map,
+    compose_maps,
+    from_dense,
+    homology_dim,
+    kunneth_quotient,
+    mono,
+    taylor_betti,
+    to_dense,
+    variable_blocks,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -238,14 +247,16 @@ def test_settle_stops_at_the_cap():
 def test_quotient_homotopy_one_var_truncated():
     spec = _spec_t()
     I = roots_family(spec, "t")
-    qh = quotient_homotopy(spec, I, 2)
-    assert qh.dims == (1, 1, 0)
-    assert qh.stable
-    assert qh.top_level <= 4
-    assert qh.n_used == (2, 3, 4)
-    cells = cell_map(qh.table)
-    assert cells[(0, F0)].dim == 1
-    assert cells[(1, F1)].dim == 1
+    # base change builds no derived power; the tensor route reads cone(eps_{d+2})
+    for force_direct, n_used in ((False, ()), (True, (2, 3, 4))):
+        qh = quotient_homotopy(spec, I, 2, force_direct=force_direct)
+        assert qh.dims == (1, 1, 0)
+        assert qh.stable
+        assert qh.top_level <= 4
+        assert qh.n_used == n_used
+        cells = cell_map(qh.table)
+        assert cells[(0, F0)].dim == 1
+        assert cells[(1, F1)].dim == 1
 
 
 def test_quotient_homotopy_untruncated_is_residue_field():
@@ -271,14 +282,20 @@ TAYLOR_SPECS = {
 }
 
 
-@pytest.mark.parametrize("text,N", TAYLOR_SPECS.values(), ids=TAYLOR_SPECS.keys())
-def test_quotient_homotopy_is_the_taylor_betti_numbers_of_the_truncation(text, N):
+@pytest.mark.parametrize(
+    "text,N,force_direct",
+    [(text, N, False) for text, N in TAYLOR_SPECS.values()]
+    + [(text, N, True) for text, N in TAYLOR_SPECS.values()],
+    ids=[*TAYLOR_SPECS, *(key + "-tensor" for key in TAYLOR_SPECS)],
+)
+def test_quotient_homotopy_is_the_taylor_betti_numbers_of_the_truncation(text, N, force_direct):
     # I holds roots of every variable, so A/I = K over the untruncated
-    # algebra A, and base change predicts pi_d(R/I^infty) = Tor^A_d(K, A/T):
+    # algebra A, and base change gives pi_d(R/I^infty) = Tor^A_d(K, A/T):
     # 1 at (0, 0), and beta_{i,b}(T) at degree i + 1, weight |b|. The
-    # Taylor complex shares no code with the tensor route.
+    # Taylor complex shares no code with either route: the default takes
+    # base change, force_direct the tensor route
     ps = parse_spec(text)
-    qh = quotient_homotopy(ps.ring, ps.ideals["I"], N)
+    qh = quotient_homotopy(ps.ring, ps.ideals["I"], N, force_direct=force_direct)
     assert qh.stable
     want = {(0, F0): 1}
     for (i, b), dim in taylor_betti(list(ps.ring.truncations), ps.ring.field).items():
@@ -340,26 +357,92 @@ def test_variable_blocks_split_and_merge():
 
 
 def test_quotient_homotopy_two_var_factors():
+    # the tensor route on each of the blocks x | y, recombined by Kunneth:
+    # the square of (1, 1, 0), dims (1, 2, 1), is what base change reads
     spec = _spec_xy()
     I = _roots_xy(spec)
+    table, blocks = kunneth_quotient(spec, I, 2, default_bounds(2))
+    assert blocks == [[0], [1]]
+    assert table.dims() == (1, 2, 1) and table.all_stable()
+    assert table.stable_cells_at(1) == {F1: 2}
+    assert table.stable_cells_at(2) == {Fraction(2): 1}
     qh = quotient_homotopy(spec, I, 2)
-    # Kunneth square of (1, 1, 0): dims (1, 2, 1)
-    assert qh.dims == (1, 2, 1)
-    assert qh.stable
-    assert qh.table.stable_cells_at(1) == {F1: 2}
-    assert qh.table.stable_cells_at(2) == {Fraction(2): 1}
-    assert any("factored over variable blocks" in n for n in qh.notes)
+    assert qh.stable and qh.dims == table.dims()
+    for d in range(3):
+        assert qh.table.stable_cells_at(d) == table.stable_cells_at(d)
 
 
 def test_quotient_homotopy_direct_route_agrees():
+    # base change, the direct tensor route and Kunneth over the blocks
+    # x | y give the same stable cells
     spec = _spec_xy()
     I = _roots_xy(spec)
     bounds = Bounds(Fraction(2), 4, 2)
-    viablocks = quotient_homotopy(spec, I, 1, bounds)
+    base_change = quotient_homotopy(spec, I, 1, bounds)
     direct = quotient_homotopy(spec, I, 1, bounds, force_direct=True)
-    assert direct.dims == viablocks.dims == (1, 2)
+    viablocks, _ = kunneth_quotient(spec, I, 1, bounds)
+    assert base_change.n_used == () and direct.n_used == (2, 3)
+    assert direct.dims == viablocks.dims() == base_change.dims == (1, 2)
     for d in range(2):
-        assert direct.table.stable_cells_at(d) == viablocks.table.stable_cells_at(d)
+        cells = direct.table.stable_cells_at(d)
+        assert cells == viablocks.stable_cells_at(d) == base_change.table.stable_cells_at(d)
+
+
+# spec text, N: base change exits 0 on each, the tensor route exits 3 on
+# root_base 3; the tensor route runs at N <= 2, where the two split specs
+# already hold every nonzero cell (it takes 2.5 s each at N = 3)
+ROUTE_SPECS = {
+    "t2": ("var t divisible\ntruncate t^2\nideal I = roots(t)", 2),
+    "x2-y": (XY + "truncate x^2, y\nideal I = roots(x), roots(y)", 3),
+    "x-y2": (XY + "truncate x, y^2\nideal I = roots(x), roots(y)", 3),
+    "xy-f2": (TAYLOR_SPECS["xy-f2"][0], 2),
+    "root-base-3": ("root_base 3\nvar t divisible\ntruncate t^2\nideal I = roots(t)", 2),
+    "x-plain": ("var x\nvar t divisible\ntruncate x^2, t\nideal I = roots(t)", 2),
+}
+
+
+def _stable_values(qh, deg_max):
+    # (d, w) -> dim, or None when unstable; a cell the table leaves out is
+    # stable zero
+    return {
+        (c.degree, c.weight): c.dim if c.stable else None
+        for c in qh.table.cells
+        if c.degree <= deg_max
+    }
+
+
+@pytest.mark.parametrize("text,N", ROUTE_SPECS.values(), ids=ROUTE_SPECS.keys())
+def test_quotient_homotopy_routes_agree_on_stable_cells(text, N):
+    ps = parse_spec(text)
+    I = ps.ideals["I"]
+    base_change = quotient_homotopy(ps.ring, I, N)
+    assert base_change.stable
+    D = min(N, 2)
+    tensor = _stable_values(quotient_homotopy(ps.ring, I, D, force_direct=True), D)
+    ours = _stable_values(base_change, D)
+    for key in tensor.keys() | ours.keys():
+        a, b = tensor.get(key, 0), ours.get(key, 0)
+        assert a is None or a == b, key
+
+
+def test_quotient_homotopy_routes_on_the_ideal_not_its_generators():
+    spec = _spec_xy()
+    qh = quotient_homotopy(spec, _roots_xy(spec), 2)
+    assert qh.n_used == ()
+    assert qh.notes == ["base change: Tor^A(A/I_A, R) over the untruncated algebra A"]
+    # x^{1/2} lies in the ideal roots(x), roots(y) generate, so adding it
+    # changes neither the ideal nor the report
+    x_half = IdealFamily(
+        name="I", spec=spec, root_vars=(0, 1), gens=(mono(spec, x=Fraction(1, 2)),)
+    )
+    assert check_idempotent(x_half)
+    assert quotient_homotopy(spec, x_half, 2) == qh
+    # force_direct takes the tensor route: one derived power per degree
+    direct = quotient_homotopy(spec, x_half, 2, force_direct=True)
+    assert direct.n_used == (2, 3, 4) and direct.notes == []
+    # so does the zero ideal, which has no roots
+    zero = fixed_family(spec, [mono(spec, x=F1)], name="Z")
+    assert quotient_homotopy(spec, zero, 1).n_used == (2, 3)
 
 
 # ---------- derived powers and the multiplication kernel ----------
@@ -604,6 +687,21 @@ def test_amitsur_agrees_truncated():
     # junk from the column cutoff lives three levels at m = 4, so the
     # run must widen its window accordingly
     assert rep.window == 3
+
+
+def test_amitsur_agrees_with_the_tensor_route():
+    # the reference run follows quotient_homotopy's route, base change
+    # here; the tower route stays an independent oracle for Tot
+    spec = _spec_t()
+    I = roots_family(spec, "t")
+    bounds = Bounds(Fraction(2), 6, 2)
+    rep = amitsur_crosscheck(spec, I, 4, 1, bounds)
+    assert rep.reference.n_used == ()
+    tower = quotient_homotopy(spec, I, 1, bounds, force_direct=True)
+    assert tower.stable and tower.n_used == (2, 3)
+    assert rep.all_agree()
+    for d in range(2):
+        assert rep.table.stable_cells_at(d) == tower.table.stable_cells_at(d)
 
 
 def test_amitsur_agrees_untruncated():

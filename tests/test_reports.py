@@ -4,17 +4,23 @@ over Q, byte for byte.
 The spec templates and all solves but `qh-xy-q3` are those of
 perfbench/workloads.py, copied here so that tier-1 does not depend on
 the benchmark. `qh-xy-q3` (quotient-homotopy over Q on the truncated
-x y spec at degree 3) is not a benchmark solve; it pins the largest Q
-strands tier-1 reduces. The digests are the SHA-256 of each JSON report
-as it stood when its entry was written. A change meant to alter a
-report re-records its digest and says why in CHANGES.md; any other
-change must leave all of them alone.
+x y spec at degree 3) is not a benchmark solve. The four quotient-homotopy
+solves hold roots families, so they take base change (Tor over the
+untruncated algebra), not the derived-power tower. TENSOR_ROUTE pins the
+tower on the same four solves, run with force_direct: those reports are
+the ones these solves gave before base change, and `qh-xy-q3` among them
+reduces the largest Q strands tier-1 reaches. The digests are the
+SHA-256 of each JSON report as it stood when its entry was written. A
+change meant to alter a report re-records its digest and says why in
+CHANGES.md; any other change must leave all of them alone.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
+from idemq import cli
 from idemq.cli import main
 
 SPECS = {
@@ -41,22 +47,22 @@ SOLVES = {
     "qh-t-q5": (
         ["quotient-homotopy", "{t}", "--deg-max", "5"],
         0,
-        "a977550548003f571bb51f85ba6ed67a6543e14ab0c529824eb4d29d14bee464",
+        "bbd77f518f87f652f6586b9435c747733de38629aebf488193a3ed09ad66e965",
     ),
     "qh-xy-f7": (
         ["quotient-homotopy", "{xy-f7}", "--deg-max", "2"],
         0,
-        "a36ee9d1bc54a1ba2c8b634fd82194c52174494e662d90ae2a85ebe5e022a900",
+        "af5c70024901bf38365ead9ba418b12471562fdcdf057bf30e4a88f5d5041e86",
     ),
     "qh-xy-q": (
         ["quotient-homotopy", "{xy-q}", "--deg-max", "2"],
         0,
-        "9df44ece0459e0c3aa3f53cc450757f92490e8c2e5b0feaba2e86013e4f96e2b",
+        "5b13c4ca9e9978f678a902261cea8a8e12744e7a872a319ef9580ca2b29ce21e",
     ),
     "qh-xy-q3": (
         ["quotient-homotopy", "{xy-q}", "--deg-max", "3"],
         0,
-        "ef346c9d385b26b6575a361598e40f25ec0427a80511f173e087ad807f8dc467",
+        "af4588593c9b0bd44184b42be7c91d1bead100990d2b16a736a1102cbd9c429c",
     ),
     "amitsur-t-q3": (
         ["amitsur-check", "{t}", "--deg-max", "3", "--depth", "5"],
@@ -111,9 +117,17 @@ SOLVES = {
 }
 
 
-@pytest.mark.parametrize("key", list(SOLVES))
-def test_report_is_byte_identical(key, tmp_path, capsys):
-    argv, want_code, want_digest = SOLVES[key]
+# key of a quotient-homotopy solve -> sha256 of its report on the
+# tensor route (derived powers, quotient_homotopy's force_direct)
+TENSOR_ROUTE = {
+    "qh-t-q5": "a977550548003f571bb51f85ba6ed67a6543e14ab0c529824eb4d29d14bee464",
+    "qh-xy-f7": "a36ee9d1bc54a1ba2c8b634fd82194c52174494e662d90ae2a85ebe5e022a900",
+    "qh-xy-q": "9df44ece0459e0c3aa3f53cc450757f92490e8c2e5b0feaba2e86013e4f96e2b",
+    "qh-xy-q3": "ef346c9d385b26b6575a361598e40f25ec0427a80511f173e087ad807f8dc467",
+}
+
+
+def _check(argv, want_code, want_digest, tmp_path, capsys):
     paths = {}
     for name, lines in SPECS.items():
         paths[name] = tmp_path / f"{name}.spec"
@@ -123,3 +137,15 @@ def test_report_is_byte_identical(key, tmp_path, capsys):
     report = capsys.readouterr().out
     assert code == want_code
     assert hashlib.sha256(report.encode()).hexdigest() == want_digest
+
+
+@pytest.mark.parametrize("key", list(SOLVES))
+def test_report_is_byte_identical(key, tmp_path, capsys):
+    _check(*SOLVES[key], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", list(TENSOR_ROUTE))
+def test_tensor_route_report_is_byte_identical(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "quotient_homotopy", partial(cli.quotient_homotopy, force_direct=True))
+    argv, want_code, _ = SOLVES[key]
+    _check(argv, want_code, TENSOR_ROUTE[key], tmp_path, capsys)
