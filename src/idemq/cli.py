@@ -14,11 +14,10 @@ count in-flight cells under `in_flight`. `quotient-homotopy` and
 `static-check` do not set such cells apart yet: any unstable cell, in
 flight or not, makes them exit 3.
 
-`quotient-homotopy` takes base change for an ideal with `roots(...)`
-parts: Tor over the untruncated algebra, with no derived power built,
-so its `n_used` certificate is [] and its `notes` name the route. The
-zero ideal takes the tower of derived powers, and `n_used` lists the
-power whose cone gave each degree.
+`quotient-homotopy` and `static-check` take base change for every ideal
+without a unit, the zero ideal included: Tor over the untruncated
+algebra, with no derived power built. The `n_used` certificate of
+`quotient-homotopy` is therefore [], and its `notes` name the route.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""Derived powers of an ideal family and their stabilized homology.
+"""Derived powers of an ideal family, Tor, and their stabilized homology.
 
-X_{n,l} models the n-fold derived tensor power of I(l) as the n-fold
-tensor of the minimal free resolution of the ideal at level l; the cone
-of the multiplication eps_n: X_{n,l} -> R(l) models R/I^{(x)n}. Homotopy
-of the idempotent quotient in degree d is read off that cone at n = d+2,
-the smallest power the stabilization bound trusts for degree d.
+The homotopy of the idempotent quotient R/I^infty is read by base change,
+as Tor over the untruncated algebra (quotient_homotopy), and so is the
+static check. X_{n,l} models the n-fold derived tensor power of I(l) as
+the n-fold tensor of the minimal free resolution of the ideal at level
+l, and the cone of the multiplication eps_n: X_{n,l} -> R(l) models
+R/I^{(x)n} (Tower); the tower report, the gluing check and the almost
+equivalence of a power read those.
 
 Every table and verdict is a colimit over ring levels, and one detector
 decides it cell by cell (colimit_stabilize): a weight cell is Stable
@@ -56,13 +58,13 @@ Every complex is built only through the degree its reads need, by one
 rule. H_d reads a complex through degree d + 1. A cone read through D
 reads its target through D and its source through D - 1. A tensor built
 through D needs each factor through D, and a chain map is built through
-the degree of its source. So at degree bound N the quotient's tensor
-route builds its tower through N, its base-change route the Tor
-resolution through N + 1, the static check through N + 1 (it reads
-cone(sigma_1) at N), and the gluing check its tower, module and tensors
-through N + 1. An almost equivalence builds a derived power, the source
-of its cone, through N and a module resolution through N + 1. The tower
-report builds through n_max - 1: it reads cone(sigma_n) below n.
+the degree of its source. So at degree bound N the quotient builds its
+Tor resolution over the untruncated algebra through N + 1, and so does
+the static check (it reads Tor in degrees 1..N); the gluing check builds
+its tower, module and tensors through N + 1. An almost equivalence
+builds a derived power, the source of its cone, through N and a module
+resolution through N + 1. The tower report builds through n_max - 1: it
+reads cone(sigma_n) below n.
 """
 
 from __future__ import annotations
@@ -626,7 +628,12 @@ class Tower:
     cof(n). The resolutions and powers are built through degree deg_max
     and weight weight_max, so the cones of maps between them reach degree
     deg_max + 1. Each power and cone is made once and kept, with its
-    homology."""
+    homology.
+
+    tower_report reads the cones cof(n) and the powers, the gluing check
+    the multiplications, sigma(n) and Q(n), and an almost equivalence of
+    a power its eps(n). quotient_homotopy and static_check build none of
+    it; the tests read Q(d + 2) and cof(1) as oracles for them."""
 
     def __init__(
         self,
@@ -747,31 +754,17 @@ def _tor_cells(
 @dataclass
 class QuotientHomotopy:
     """pi_*(R/I^infty) in degrees 0..N. top_level is the top level of the
-    diagrams the table was settled on. n_used[d] is the derived power
-    whose cone gave degree d on the tensor route; it is empty on the
-    base-change route, which builds no derived power (quotient_homotopy).
-    notes names base change or a unit ideal."""
+    diagrams the table was settled on, and notes name base change or a
+    unit ideal. n_used[d] is the derived power whose cone gave degree d:
+    quotient_homotopy builds no derived power and leaves it empty, and
+    only the tower oracle of the tests sets it."""
 
     table: StabilizedTable
     dims: tuple[int, ...]  # stable dims per degree 0..N
     stable: bool
     top_level: int
-    n_used: tuple[int, ...]  # tensor power per degree, () on base change
     notes: list[str]
-
-
-def _quotient_direct(
-    spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
-    tw = Tower(spec, family, N, bounds.weight_max)
-
-    def attempt(levels):
-        raw: dict[tuple[int, Fraction], CellResult] = {}
-        for d in range(N + 1):
-            raw.update(tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window))
-        return (raw, levels), all(r.stable for r in raw.values())
-
-    return _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
+    n_used: tuple[int, ...] = ()  # derived power per degree, tower oracle only
 
 
 @lru_cache(maxsize=None)
@@ -782,16 +775,20 @@ def _untruncated(field, root_base: int, variables) -> RingSpec:
 
 
 def _quotient_by_base_change(
-    spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
+    spec: RingSpec, family: IdealFamily, degrees: range, bounds: Bounds
 ) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
-    """Tor^A(A/I_A, R) in degrees 0..N, A the untruncated spec, I_A the
-    ideal of A the family's roots generate and R = A/T, T its truncation
-    ideal (R = A when there is none), with the levels it settled on."""
+    """Tor^A(K_S, R) in the degrees, with the levels it settled on: A the
+    untruncated spec, K_S = A/I_A for the ideal I_A of A that the
+    family's roots generate (K_S = A when it has none), and R = A/T, T
+    its truncation ideal (R = A when there is none)."""
+    # base change reads no generator, but one above the cap is still a
+    # usage error
+    level_range(family.min_level(), bounds.max_level)
     A = _untruncated(spec.field, spec.root_base, spec.variables)
     left = quotient_module(IdealFamily(family.name, A, root_vars=family.root_vars))
     T = spec.truncations
     right = quotient_module(IdealFamily("T", A, gens=T)) if T else ring_module()
-    return _tor_cells(A, left, right, range(N + 1), bounds)
+    return _tor_cells(A, left, right, degrees, bounds)
 
 
 def require_idempotent(family: IdealFamily) -> None:
@@ -811,25 +808,25 @@ def quotient_homotopy(
     family: IdealFamily,
     N: int,
     bounds: Optional[Bounds] = None,
-    force_direct: bool = False,
 ) -> QuotientHomotopy:
     """Homotopy of R/I^infty in degrees 0..N, stabilized over levels.
 
-    Two routes give the same stable cells. A family with roots takes base
-    change unless force_direct is set: pi_d(R/I^infty) = Tor_d^A(A/I_A, R),
-    read by the Tor level loop on the untruncated spec, with no derived
-    power built (n_used is empty). Its fixed generators are not read: once
-    the family is idempotent and holds no unit, check_idempotent has
+    A family without a unit takes base change: pi_d(R/I^infty) =
+    Tor_d^A(A/I_A, R), read by the Tor level loop on the untruncated
+    spec, with no derived power built. Its fixed generators are not read:
+    once the family is idempotent and holds no unit, check_idempotent has
     accepted each live one for a positive exponent on a root variable, so
-    it lies in I_A, and each dead one lies in T; so I = I_A R. The zero
-    ideal (no roots) and every force_direct call take the tensor route:
-    degree d from cone(eps_{d+2}), the smallest power the stabilization
-    bound trusts there.
+    it lies in I_A, and each dead one lies in T; so I = I_A R. A family
+    with no roots therefore has dead generators only: it is the zero
+    ideal, S is empty, K_S = A, and the table is R in degree 0. The tower
+    of derived powers (degree d from cone(eps_{d+2})) gives the same
+    stable cells; the tests keep it as an oracle.
 
     Why base change holds. Write A for the colimit algebra, S for the
     root variables of the family, I_A for the ideal of A their roots
     generate, K_S = A/I_A, T for the truncation ideal, R = A/T and
-    I = I_A R.
+    I = I_A R. S may be empty: then I_A = 0, K_S = A and each step below
+    holds trivially.
     (1) K_S (x)^L_A K_S = K_S. A and K_S split over the variables. For one
     divisible v, m_v = U_l v^{1/r^l} A is a directed union of free
     modules, so it is flat, and m_v^2 = m_v; so Tor_1^{A_v}(k, k) =
@@ -850,32 +847,22 @@ def quotient_homotopy(
     Tor_d^A(K_S, R) for d <= n - 1, in particular at n = d + 2.
     (4) A is free over each level algebra A_l, so the level-wise Tor over
     A_l, with the lifts of the level inclusions as transitions, has the
-    same colimit that the tensor route's level diagram reads.
+    same colimit that the tower's level diagram reads.
     """
     bounds = bounds if bounds is not None else default_bounds(N)
     require_idempotent(family)
-    notes = []
-    n_used = tuple(d + 2 for d in range(N + 1))
     if _family_contains_unit(family):
         raw, levels = {}, [family.min_level()]
-        notes.append("ideal contains a unit, the quotient vanishes")
-    elif not force_direct and family.root_vars:
-        # base change reads no generator, but one above the cap is still
-        # a usage error, as on the tensor route
-        level_range(family.min_level(), bounds.max_level)
-        raw, levels = _quotient_by_base_change(spec, family, N, bounds)
-        n_used = ()
-        notes.append("base change: Tor^A(A/I_A, R) over the untruncated algebra A")
+        notes = ["ideal contains a unit, the quotient vanishes"]
     else:
-        raw, levels = _quotient_direct(spec, family, N, bounds)
-
+        raw, levels = _quotient_by_base_change(spec, family, range(N + 1), bounds)
+        notes = ["base change: Tor^A(A/I_A, R) over the untruncated algebra A"]
     table = _make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),
         stable=table.all_stable(),
         top_level=levels[-1],
-        n_used=n_used,
         notes=notes,
     )
 
@@ -894,25 +881,26 @@ class StaticCheck:
 def static_check(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Optional[Bounds] = None
 ) -> StaticCheck:
-    """Is R/I^infty static? True iff cone(sigma_1: X_2 -> X_1) is
-    acyclic in degrees <= N at the stabilized colimit."""
+    """Is R/I^infty static in degrees <= N: is its homotopy there all in
+    degree 0? The witness is the first stable nonzero cell above degree 0.
+
+    Write C for the cone of E -> I in quotient_homotopy, (2) (N there).
+    By (2) and 0 -> I_A -> A -> K_S -> 0, H_d(C) = Tor_d^A(K_S, R) for
+    d >= 1 and H_0(C) = 0. So R/I^infty is static iff Tor_d^A(K_S, R) = 0
+    for d >= 1, and the check reads the base-change table in degrees
+    1..N. This is the classical test, cone(sigma_1: I (x)^L I -> I)
+    acyclic, witness included. E (x)^L_R C = 0 and E (x)^L_R E = E turn
+    the triangle E -> I -> C into E -> I (x)^L I -> C (x)^L C, so the
+    octahedron gives cone(sigma_1) = cone(C (x)^L C -> C). If C starts in
+    degree c >= 1, C (x)^L C starts in degree 2c, so the cone and C
+    vanish below c and agree, cell by cell, in degree c. At N = 0 nothing
+    is read: H_0 cone(sigma_1) = I/I^2 = 0."""
     require_idempotent(family)
     bounds = bounds if bounds is not None else default_bounds(N)
-    if _family_contains_unit(family):
+    if _family_contains_unit(family) or N == 0:
         return StaticCheck(True, None, True, ())
-    tw = Tower(spec, family, N + 1, bounds.weight_max)
-
-    def attempt(levels):
-        raw = tw.cof(1).diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window)
-        return (raw, levels), all(r.stable for r in raw.values())
-
-    raw, levels = _settle(family.min_level(), bounds.window, bounds.max_level, attempt)
-    witness = None
-    for (d, w) in sorted(raw):
-        r = raw[(d, w)]
-        if r.stable and r.value:
-            witness = (d, w)
-            break
+    raw, levels = _quotient_by_base_change(spec, family, range(1, N + 1), bounds)
+    witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
     if witness is not None:
         return StaticCheck(False, witness, True, tuple(levels))
     if all(r.stable for r in raw.values()):

@@ -7,8 +7,11 @@ code with the strand engine, a homology dimension read from two dense
 ranks with no representatives, a homology basis filled eagerly from
 those scanned matrices, multigraded Betti numbers of a monomial ideal
 from its Taylor complex, and small conveniences on chain maps,
-monomials and tables, and pi_*(R/I^infty) by Kunneth convolution over
-independent variable blocks (the tensor route on each block)."""
+monomials and tables. Two reference routes through the tower of derived
+powers, which share no code with base change: pi_*(R/I^infty) read off
+the cones of the multiplications (quotient_by_tower), also by Kunneth
+convolution over independent variable blocks (kunneth_quotient), and the
+static check read off cone(sigma_1) (static_check_by_tower)."""
 
 from __future__ import annotations
 
@@ -18,7 +21,14 @@ from typing import NamedTuple, Optional
 
 from idemq import derived
 from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands
-from idemq.derived import Bounds, CellResult, StabilizedTable
+from idemq.derived import (
+    Bounds,
+    CellResult,
+    QuotientHomotopy,
+    StabilizedTable,
+    StaticCheck,
+    default_bounds,
+)
 from idemq.ideals import IdealFamily
 from idemq.rings import RingSpec
 from idemq.sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
@@ -450,18 +460,77 @@ def _kunneth_cells(
     }
 
 
+def _tower_cells(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
+) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
+    """The cells of pi_d(R/I^infty), d <= N, each read off cone(eps_{d+2})
+    on a tower built through N, and the levels they settled on."""
+    tw = derived.Tower(spec, family, N, bounds.weight_max)
+
+    def attempt(levels):
+        raw: dict[tuple[int, Fraction], CellResult] = {}
+        for d in range(N + 1):
+            raw.update(tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window))
+        return (raw, levels), all(r.stable for r in raw.values())
+
+    return derived._settle(family.min_level(), bounds.window, bounds.max_level, attempt)
+
+
+def quotient_by_tower(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Optional[Bounds] = None
+) -> QuotientHomotopy:
+    """pi_*(R/I^infty) in degrees 0..N through the tower of derived powers,
+    for an idempotent family without a unit: degree d from
+    cone(eps_{d+2}), the smallest power the stabilization bound trusts
+    there. n_used names those powers, and notes is empty."""
+    bounds = bounds if bounds is not None else default_bounds(N)
+    raw, levels = _tower_cells(spec, family, N, bounds)
+    table = derived._make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
+    return QuotientHomotopy(
+        table=table,
+        dims=table.dims(),
+        stable=table.all_stable(),
+        top_level=levels[-1],
+        notes=[],
+        n_used=tuple(d + 2 for d in range(N + 1)),
+    )
+
+
+def static_check_by_tower(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Optional[Bounds] = None
+) -> StaticCheck:
+    """The static check for an idempotent family without a unit, read off
+    cone(sigma_1: X_2 -> X_1) in degrees 0..N on a tower built through
+    N + 1: static when it is acyclic there at the stabilized colimit,
+    the witness its first stable nonzero cell."""
+    bounds = bounds if bounds is not None else default_bounds(N)
+    tw = derived.Tower(spec, family, N + 1, bounds.weight_max)
+
+    def attempt(levels):
+        raw = tw.cof(1).diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window)
+        return (raw, levels), all(r.stable for r in raw.values())
+
+    raw, levels = derived._settle(family.min_level(), bounds.window, bounds.max_level, attempt)
+    witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
+    if witness is not None:
+        return StaticCheck(False, witness, True, tuple(levels))
+    if all(r.stable for r in raw.values()):
+        return StaticCheck(True, None, True, tuple(levels))
+    return StaticCheck(None, None, False, tuple(levels))
+
+
 def kunneth_quotient(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
 ) -> tuple[StabilizedTable, list[list[int]]]:
-    """pi_*(R/I^infty) in degrees 0..N from the tensor route on each
-    block of variable_blocks, recombined by Kunneth convolution over the
-    ground field; the table and the blocks."""
+    """pi_*(R/I^infty) in degrees 0..N from the tower on each block of
+    variable_blocks, recombined by Kunneth convolution over the ground
+    field; the table and the blocks."""
     blocks = variable_blocks(spec, family)
     per_block, top = [], family.min_level()
     for block in blocks:
         sub = _restrict_spec(spec, block)
         fam = _restrict_family(family, sub, block)
-        raw, levels = derived._quotient_direct(sub, fam, N, bounds)
+        raw, levels = _tower_cells(sub, fam, N, bounds)
         per_block.append(raw)
         top = max(top, levels[-1])
     raw = _kunneth_cells(per_block, N, bounds.weight_max)

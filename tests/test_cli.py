@@ -3,11 +3,11 @@ import hashlib
 import io
 import json
 import time
-from functools import partial
 
 import pytest
 
 from idemq.cli import main
+from oracles import quotient_by_tower
 
 T_SPEC = """\
 var t divisible
@@ -653,11 +653,11 @@ def test_quotient_homotopy_builds_only_the_transitions_it_reads(tmp_path, capsys
     # a transition is made only for a step matrix with homology on both
     # sides, together with the transitions beneath it (a cone's legs, a
     # tensor power's factors); made up front for every level, the cones'
-    # transitions alone would outnumber the ones read. force_direct keeps
-    # the roots family on the tensor route, off base change
+    # transitions alone would outnumber the ones read. The tower oracle
+    # stands in for quotient_homotopy, which builds no derived power
     from idemq import cli
 
-    monkeypatch.setattr(cli, "quotient_homotopy", partial(cli.quotient_homotopy, force_direct=True))
+    monkeypatch.setattr(cli, "quotient_homotopy", quotient_by_tower)
     built, read = _record_transitions(monkeypatch)
     code, out, err = _run(
         capsys, ["quotient-homotopy", _write(tmp_path, T_SPEC), "--deg-max", "5"]
@@ -667,6 +667,36 @@ def test_quotient_homotopy_builds_only_the_transitions_it_reads(tmp_path, capsys
     top = {id(made) for made, depth in built if depth == 0}
     assert read and top == read
     assert len(built) == 20  # 56 when every diagram makes all its transitions
+
+
+ZERO_SPEC = T_SPEC + "ideal Z = t\n"
+
+
+@pytest.mark.parametrize(
+    "command,ideal,want",
+    [
+        ("quotient-homotopy", "I", 0),
+        ("quotient-homotopy", "Z", 3),
+        ("static-check", "I", 0),
+        ("static-check", "Z", 0),
+    ],
+    ids=["qh-roots", "qh-zero", "static-roots", "static-zero"],
+)
+def test_quotient_and_static_check_build_no_tower(
+    tmp_path, capsys, monkeypatch, command, ideal, want
+):
+    # both read base change for every ideal without a unit, the zero ideal
+    # (t dies in R) included; on the zero ideal quotient-homotopy exits 3
+    # for the in-flight cells of R itself at the finest weights
+    from idemq import derived
+
+    def no_tower(*args, **kwargs):
+        raise AssertionError("a derived power was built")
+
+    monkeypatch.setattr(derived, "Tower", no_tower)
+    spec = _write(tmp_path, ZERO_SPEC)
+    code, _, err = _run(capsys, [command, spec, "--ideal", ideal])
+    assert code == want, err
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -41,6 +41,8 @@ from oracles import (
     homology_dim,
     kunneth_quotient,
     mono,
+    quotient_by_tower,
+    static_check_by_tower,
     taylor_betti,
     to_dense,
     variable_blocks,
@@ -247,9 +249,9 @@ def test_settle_stops_at_the_cap():
 def test_quotient_homotopy_one_var_truncated():
     spec = _spec_t()
     I = roots_family(spec, "t")
-    # base change builds no derived power; the tensor route reads cone(eps_{d+2})
-    for force_direct, n_used in ((False, ()), (True, (2, 3, 4))):
-        qh = quotient_homotopy(spec, I, 2, force_direct=force_direct)
+    # base change builds no derived power; the tower oracle reads cone(eps_{d+2})
+    for route, n_used in ((quotient_homotopy, ()), (quotient_by_tower, (2, 3, 4))):
+        qh = route(spec, I, 2)
         assert qh.dims == (1, 1, 0)
         assert qh.stable
         assert qh.top_level <= 4
@@ -283,19 +285,19 @@ TAYLOR_SPECS = {
 
 
 @pytest.mark.parametrize(
-    "text,N,force_direct",
-    [(text, N, False) for text, N in TAYLOR_SPECS.values()]
-    + [(text, N, True) for text, N in TAYLOR_SPECS.values()],
+    "text,N,route",
+    [(text, N, quotient_homotopy) for text, N in TAYLOR_SPECS.values()]
+    + [(text, N, quotient_by_tower) for text, N in TAYLOR_SPECS.values()],
     ids=[*TAYLOR_SPECS, *(key + "-tensor" for key in TAYLOR_SPECS)],
 )
-def test_quotient_homotopy_is_the_taylor_betti_numbers_of_the_truncation(text, N, force_direct):
+def test_quotient_homotopy_is_the_taylor_betti_numbers_of_the_truncation(text, N, route):
     # I holds roots of every variable, so A/I = K over the untruncated
     # algebra A, and base change gives pi_d(R/I^infty) = Tor^A_d(K, A/T):
     # 1 at (0, 0), and beta_{i,b}(T) at degree i + 1, weight |b|. The
-    # Taylor complex shares no code with either route: the default takes
-    # base change, force_direct the tensor route
+    # Taylor complex shares no code with either route: quotient_homotopy
+    # takes base change, the oracle the tower of derived powers
     ps = parse_spec(text)
-    qh = quotient_homotopy(ps.ring, ps.ideals["I"], N, force_direct=force_direct)
+    qh = route(ps.ring, ps.ideals["I"], N)
     assert qh.stable
     want = {(0, F0): 1}
     for (i, b), dim in taylor_betti(list(ps.ring.truncations), ps.ring.field).items():
@@ -315,6 +317,35 @@ def test_static_check_untruncated_vs_truncated():
     sc = static_check(trunc, roots_family(trunc, "t"), 2)
     assert sc.static is False
     assert sc.witness == (1, F1)
+    # Tor_d^A(K, A) = 0 for d >= 1: a definite answer, where cone(sigma_1)
+    # leaves cells unstable at the level cap
+    xy = _spec_xy(trunc=False)
+    sc = static_check(xy, _roots_xy(xy), 2)
+    assert sc.static is True
+    assert sc.witness is None
+
+
+# spec text for the static check at N = 1 on base change and on the tower
+STATIC_SPECS = {
+    "t": TAYLOR_SPECS["t"][0],
+    "t2": TAYLOR_SPECS["t2"][0],
+    "root-base-3": "root_base 3\nvar t divisible\ntruncate t^2\nideal I = roots(t)",
+    "x-plain": "var x\nvar t divisible\ntruncate x^2, t\nideal I = roots(t)",
+    "roots-x": XY + "truncate x y\nideal I = roots(x)",
+    "xy-f7": TAYLOR_SPECS["xy-f7"][0],
+    "x2-y": XY + "truncate x^2, y\nideal I = roots(x), roots(y)",
+    "xy-f2": TAYLOR_SPECS["xy-f2"][0],
+}
+
+
+@pytest.mark.parametrize("text", STATIC_SPECS.values(), ids=STATIC_SPECS.keys())
+def test_static_check_agrees_with_the_tower(text):
+    # base change reads Tor in degrees >= 1, the oracle cone(sigma_1);
+    # they vanish below the same degree and agree there cell by cell
+    ps = parse_spec(text)
+    I = ps.ideals["I"]
+    ours, tower = static_check(ps.ring, I, 1), static_check_by_tower(ps.ring, I, 1)
+    assert (ours.static, ours.witness) == (tower.static, tower.witness)
 
 
 def test_quotient_homotopy_unit_ideal_vanishes():
@@ -379,7 +410,7 @@ def test_quotient_homotopy_direct_route_agrees():
     I = _roots_xy(spec)
     bounds = Bounds(Fraction(2), 4, 2)
     base_change = quotient_homotopy(spec, I, 1, bounds)
-    direct = quotient_homotopy(spec, I, 1, bounds, force_direct=True)
+    direct = quotient_by_tower(spec, I, 1, bounds)
     viablocks, _ = kunneth_quotient(spec, I, 1, bounds)
     assert base_change.n_used == () and direct.n_used == (2, 3)
     assert direct.dims == viablocks.dims() == base_change.dims == (1, 2)
@@ -418,7 +449,7 @@ def test_quotient_homotopy_routes_agree_on_stable_cells(text, N):
     base_change = quotient_homotopy(ps.ring, I, N)
     assert base_change.stable
     D = min(N, 2)
-    tensor = _stable_values(quotient_homotopy(ps.ring, I, D, force_direct=True), D)
+    tensor = _stable_values(quotient_by_tower(ps.ring, I, D), D)
     ours = _stable_values(base_change, D)
     for key in tensor.keys() | ours.keys():
         a, b = tensor.get(key, 0), ours.get(key, 0)
@@ -437,12 +468,15 @@ def test_quotient_homotopy_routes_on_the_ideal_not_its_generators():
     )
     assert check_idempotent(x_half)
     assert quotient_homotopy(spec, x_half, 2) == qh
-    # force_direct takes the tensor route: one derived power per degree
-    direct = quotient_homotopy(spec, x_half, 2, force_direct=True)
+    # the tower oracle builds one derived power per degree
+    direct = quotient_by_tower(spec, x_half, 2)
     assert direct.n_used == (2, 3, 4) and direct.notes == []
-    # so does the zero ideal, which has no roots
+    # the zero ideal has no roots: base change reads K_S = A, and its table
+    # is the tower's
     zero = fixed_family(spec, [mono(spec, x=F1)], name="Z")
-    assert quotient_homotopy(spec, zero, 1).n_used == (2, 3)
+    zero_qh = quotient_homotopy(spec, zero, 1)
+    assert zero_qh.n_used == () and zero_qh.notes == qh.notes
+    assert zero_qh.table == quotient_by_tower(spec, zero, 1).table
 
 
 # ---------- derived powers and the multiplication kernel ----------
@@ -697,7 +731,7 @@ def test_amitsur_agrees_with_the_tensor_route():
     bounds = Bounds(Fraction(2), 6, 2)
     rep = amitsur_crosscheck(spec, I, 4, 1, bounds)
     assert rep.reference.n_used == ()
-    tower = quotient_homotopy(spec, I, 1, bounds, force_direct=True)
+    tower = quotient_by_tower(spec, I, 1, bounds)
     assert tower.stable and tower.n_used == (2, 3)
     assert rep.all_agree()
     for d in range(2):

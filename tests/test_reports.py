@@ -7,21 +7,22 @@ the benchmark. `qh-xy-q3` (quotient-homotopy over Q on the truncated
 x y spec at degree 3) is not a benchmark solve. The four quotient-homotopy
 solves hold roots families, so they take base change (Tor over the
 untruncated algebra), not the derived-power tower. TENSOR_ROUTE pins the
-tower on the same four solves, run with force_direct: those reports are
-the ones these solves gave before base change, and `qh-xy-q3` among them
-reduces the largest Q strands tier-1 reaches. The digests are the
-SHA-256 of each JSON report as it stood when its entry was written. A
-change meant to alter a report re-records its digest and says why in
-CHANGES.md; any other change must leave all of them alone.
+tower on the same four solves, run with `oracles.quotient_by_tower` in
+place of `quotient_homotopy`: those reports are the ones these solves
+gave before base change, and `qh-xy-q3` among them reduces the largest Q
+strands tier-1 reaches. The digests are the SHA-256 of each JSON report
+as it stood when its entry was written. A change meant to alter a report
+re-records its digest and says why in CHANGES.md; any other change must
+leave all of them alone.
 """
 
 import hashlib
-from functools import partial
 
 import pytest
 
 from idemq import cli
 from idemq.cli import main
+from oracles import quotient_by_tower
 
 SPECS = {
     "t": ["var t divisible", "truncate t", "ideal I = roots(t)"],
@@ -87,7 +88,7 @@ SOLVES = {
     "static-check": (
         ["static-check", "{t}"],
         0,
-        "5ac2bd7f80bd2b27b30118869cf6beabeeae79e72abf6573ed44a5275b64b257",
+        "cd15fbc1f5027530b4753b55cd48a6bc7ec0e20983f3fb023c8913687dbbdb78",
     ),
     "tower": (
         ["tower", "{t}", "--n-max", "5"],
@@ -118,7 +119,7 @@ SOLVES = {
 
 
 # key of a quotient-homotopy solve -> sha256 of its report on the
-# tensor route (derived powers, quotient_homotopy's force_direct)
+# tensor route (derived powers, oracles.quotient_by_tower)
 TENSOR_ROUTE = {
     "qh-t-q5": "a977550548003f571bb51f85ba6ed67a6543e14ab0c529824eb4d29d14bee464",
     "qh-xy-f7": "a36ee9d1bc54a1ba2c8b634fd82194c52174494e662d90ae2a85ebe5e022a900",
@@ -146,6 +147,6 @@ def test_report_is_byte_identical(key, tmp_path, capsys):
 
 @pytest.mark.parametrize("key", list(TENSOR_ROUTE))
 def test_tensor_route_report_is_byte_identical(key, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "quotient_homotopy", partial(cli.quotient_homotopy, force_direct=True))
+    monkeypatch.setattr(cli, "quotient_homotopy", quotient_by_tower)
     argv, want_code, _ = SOLVES[key]
     _check(argv, want_code, TENSOR_ROUTE[key], tmp_path, capsys)
