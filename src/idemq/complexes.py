@@ -43,9 +43,10 @@ monomial the table holds lies in that block's list, and j has a block.
 `StrandBasis.pair` maps a position back to its pair.
 
 Every system is solved from rows, with no matrix: homology reduces d_d
-(homology_data), a resolution takes the kernel of the map out of a
-degree and a lift solves against it, that map being the differential or
-in degree 0 the augmentation (`out_rows`). Homology is
+(homology_data), a resolution that is not written down in closed form
+takes the kernel of the map out of a degree and a lift solves against
+it, that map being the differential or in degree 0 the augmentation
+(`out_rows`). Homology is
 dim H_d(w) = nullity(d_d(w)) - rank(d_{d+1}(w)), where rank(d_{d+1})
 comes from a caller that has the (d+1, w) homology or else from the rows
 of d_{d+1} at d_d's free columns. Columns are read only for images:
@@ -75,7 +76,11 @@ No complex here is ever minimised. Resolutions are built minimal, and
 the tensor product of minimal complexes over a positively graded ring is
 again minimal (no differential entry is a unit), so Gauss cancellation
 would find nothing to cancel. Callers that rely on minimality check it
-by scanning for the unit monomial.
+by scanning for the unit monomial. A quotient that splits by variable
+(each generator a power of its own variable, truncated at most by pure
+powers of it) has its resolution written down as such a tensor product
+of Koszul and 2-periodic pieces (minimal_resolution); any other is
+resolved strand by strand from kernels.
 """
 
 from __future__ import annotations
@@ -901,12 +906,84 @@ def minimal_resolution(
     """Minimal free resolution of R / (monomial ideal) up to degree dmax
     and generator weight wmax.
 
-    New generators at each degree complete the strand kernels modulo
-    multiples of generators already chosen, ascending through weights, so
-    no differential entry is a unit and strands of weight <= wmax are
+    When the module splits by variable, the resolution is written down
+    (_split_resolution). The module splits when each generator is a power
+    u^a of its own variable u, and each truncation that involves a
+    generator's variable is a pure power of it, the least being u^N. Then
+    R = (tensor over K of the K[u]/(u^N)) (x) R' for an algebra R' on the
+    other variables, a generator with a >= N is zero in R and drops out,
+    and R/J = (tensor of the K[u]/(u^N, u^a)) (x) R'. Each remaining
+    generator has a one-variable resolution: R <-u^a- R when u is not
+    truncated, and the 2-periodic R <-u^a- R <-u^(N-a)- R <-u^a- ... when
+    it is. Their tensor product over R is exact by the Kunneth formula
+    over K, with R/J in degree 0, and minimal since no entry is a unit.
+    With no truncation it is the Koszul complex of the generators, a
+    regular sequence (Eisenbud, Commutative Algebra, Cor. 17.5).
+
+    Any other ideal is resolved by kernels (_kernel_resolution): the new
+    generators of each degree complete the strand kernels modulo
+    multiples of generators already chosen, ascending through weights,
+    so no differential entry is a unit and strands of weight <= wmax are
     resolved exactly.
     """
-    wmax = Fraction(wmax)
+    gens, wmax = tuple(quotient_gens), Fraction(wmax)
+    split = _split_resolution(ring, gens, dmax, wmax)
+    return split if split is not None else _kernel_resolution(ring, gens, dmax, wmax)
+
+
+def _split_resolution(
+    ring: LevelRing, gens: tuple[Mono, ...], dmax: int, wmax: Fraction
+) -> Optional[FreeComplex]:
+    """The resolution of R/(gens) through dmax and wmax as the tensor
+    product of one-variable resolutions (minimal_resolution), or None
+    when the module does not split by variable."""
+    powers: dict[int, int] = {}  # variable -> exponent of its generator
+    for g in gens:
+        exps = ring.unpack(g)
+        vs = [v for v, n in enumerate(exps) if n]
+        if len(vs) != 1 or vs[0] in powers:
+            return None
+        powers[vs[0]] = exps[vs[0]]
+    periods: dict[int, int] = {}  # variable -> its least truncating power
+    for t in ring.trunc_exps:
+        vs = [v for v, n in enumerate(t) if n]
+        if any(v in powers for v in vs):
+            if len(vs) != 1:
+                return None
+            periods[vs[0]] = min(t[vs[0]], periods.get(vs[0], t[vs[0]]))
+    one, top = ring.one(), ring.num_floor(wmax)
+    res = None
+    for v, a in powers.items():
+        period = periods.get(v)
+        if period is not None and a >= period:  # u^a is zero in R: no factor
+            continue
+        # Koszul: one step; periodic: u^a and u^(N-a) in turn
+        steps, length = ((a,), min(dmax, 1)) if period is None else ((a, period - a), dmax)
+        x = FreeComplex(ring=ring, gens={0: [Fraction(0)]}, aug=[one])
+        n = 0  # integer weight of the current degree's generator
+        for d in range(1, length + 1):
+            k = steps[(d - 1) % len(steps)]
+            n += k * ring.units[v]
+            if n > top:
+                break
+            x.gens[d] = [Fraction(n, ring.denom)]
+            x.diff[d] = [((0, {k * ring.var_monos[v]: ring.field.one}),)]
+        res = x if res is None else tensor_complexes(res, x, dmax, wmax)[0]
+    if res is None:
+        res = unit_complex(ring)
+    res.aug_quotient = gens
+    return res
+
+
+def _kernel_resolution(
+    ring: LevelRing,
+    quotient_gens: tuple[Mono, ...],
+    dmax: int,
+    wmax: Fraction,
+) -> FreeComplex:
+    """The resolution of minimal_resolution, degree by degree from the
+    kernels of its strands: the route of every ideal that does not split
+    by variable, and the tests' oracle for the split one."""
     F = ring.field
     prov = Strands(ring)
     x = FreeComplex(

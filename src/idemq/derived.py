@@ -64,7 +64,11 @@ the static check (it reads Tor in degrees 1..N); the gluing check builds
 its tower, module and tensors through N + 1. An almost equivalence
 builds a derived power, the source of its cone, through N and a module
 resolution through N + 1. The tower report builds through n_max - 1: it
-reads cone(sigma_n) below n.
+reads cone(sigma_n) below n. A resolution that splits by variable
+(complexes.minimal_resolution) is written down to the same degree: its
+2-periodic pieces run through it, and its Koszul part stops at the
+number of its generators, so base change's resolution of K_S has no
+generator above degree |S| however high N is.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import pytest
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     ChainMap,
+    _kernel_resolution,
+    _split_resolution,
     FreeComplex,
     HomologyData,
     Strands,
@@ -148,6 +150,137 @@ def test_ideal_resolution_shifts():
     assert resi.aug == [{ring.pack((1,)): 1}]
     # first differential of the ideal resolution is x^2
     assert resi.diff[1] == [((0, {ring.pack((2,)): 1}),)]
+
+
+# ---------- resolutions in closed form ----------
+
+
+def _spec(*variables, truncations=(), root_base=2):
+    """A spec over Q from (name, divisible) pairs and truncation exponents."""
+    return RingSpec(
+        field=QQ,
+        root_base=root_base,
+        variables=tuple(VarInfo(n, d) for n, d in variables),
+        truncations=tuple(tuple(Fraction(e) for e in t) for t in truncations),
+    )
+
+
+def _split_cases():
+    """(name, ring, generators, weight cap) of modules that split by
+    variable: the t spec truncated at t, at t^2 and at both t^2 and t^3,
+    its root base 3 version, 1-3 untruncated divisible variables, and a
+    plain s truncated at s^3 beside a divisible t, at levels 0-3."""
+    t = ("t", True)
+    specs = {
+        "t": (_spec(t, truncations=[(1,)]), Fraction(3)),
+        "t2": (_spec(t, truncations=[(2,)]), Fraction(3)),
+        "t2-t3": (_spec(t, truncations=[(2,), (3,)]), Fraction(3)),
+        "root3": (_spec(t, truncations=[(1,)], root_base=3), Fraction(2)),
+        "u1": (_spec(t), Fraction(3)),
+        "u2": (_spec(("x", True), ("y", True)), Fraction(2)),
+        "u3": (_spec(("x", True), ("y", True), ("z", True)), Fraction(3, 2)),
+        "s3-t": (_spec(("s", False), t, truncations=[(3, 0)]), Fraction(2)),
+    }
+    for name, (spec, wmax) in specs.items():
+        for level in range(4):
+            ring = make_level_ring(spec, level)
+            if name == "s3-t":
+                s, root = ring.var_monos
+                gen_sets = {
+                    "s": (s,), "root": (root,), "s-root": (s, root), "s2-root": (2 * s, root)
+                }
+            else:
+                # the roots, the first root alone, and the first variable itself
+                roots = ring.var_monos
+                first = ring.exp_of((Fraction(1),) + (F0,) * (ring.nvars - 1))
+                gen_sets = {"roots": roots, "root": roots[:1], "var": (first,)}
+            for gname, gens in gen_sets.items():
+                yield f"{name}-l{level}-{gname}", ring, gens, wmax
+
+
+SPLIT_CASES = list(_split_cases())
+
+
+@pytest.mark.parametrize(
+    "ring, gens, wmax", [c[1:] for c in SPLIT_CASES], ids=[c[0] for c in SPLIT_CASES]
+)
+def test_split_resolution_matches_the_kernel_loop(ring, gens, wmax):
+    # the kernel loop is the oracle: ranks and generator weights agree
+    # degree by degree, and the closed form resolves R/J exactly on every
+    # strand below the cap
+    dmax = 5
+    closed = _split_resolution(ring, gens, dmax, wmax)
+    assert closed is not None
+    routed = minimal_resolution(ring, gens, dmax, wmax)
+    assert (routed.gens, routed.diff) == (closed.gens, closed.diff)
+    oracle = _kernel_resolution(ring, gens, dmax, wmax)
+    for d in range(dmax + 1):
+        assert sorted(closed.gens_at(d)) == sorted(oracle.gens_at(d)), d
+    check_complex(closed)
+    quotient = Strands(ring, gens)
+    for n in range(ring.num_floor(wmax) + 1):
+        w = Fraction(n, ring.denom)
+        assert homology_dim(closed, 0, w, Strands(ring)) == len(quotient.basis_at(n))
+        for d in range(1, dmax):
+            assert homology_dim(closed, d, w, Strands(ring)) == 0, (d, w)
+
+
+def test_split_resolution_of_a_zero_generator_is_the_ring():
+    # t is zero in K[t]/(t): R/(t) = R, resolved by R alone
+    ring = make_level_ring(_spec(("t", True), truncations=[(1,)]), 0)
+    res = _split_resolution(ring, ring.var_monos, 3, Fraction(3))
+    assert {d: gl for d, gl in res.gens.items() if gl} == {0: [F0]}
+    assert res.aug_quotient == ring.var_monos
+
+
+# (name, spec, generator exponents, ranks in degrees 0-5 at weight cap 3,
+# as the kernel loop gives them at levels 1 and 2)
+DECLINED = [
+    ("mixed-truncation", _spec(("x", True), ("y", True), truncations=[(1, 1)]), [(1, 0)],
+     [1, 1, 1, 1, 0, 0]),
+    ("two-variable-generator",
+     _spec(("x", True), ("y", True), truncations=[(2, 0), (0, 2)]), [(1, 1)],
+     [1, 1, 2, 2, 0, 0]),
+    ("one-variable-twice", _spec(("t", True), truncations=[(2,)]), [(1,), (2,)],
+     [1, 1, 1, 1, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize(
+    "spec, exps, ranks", [c[1:] for c in DECLINED], ids=[c[0] for c in DECLINED]
+)
+def test_modules_that_do_not_split_keep_the_kernel_loop(spec, exps, ranks, level):
+    ring = make_level_ring(spec, level)
+    gens = tuple(ring.pack(e) for e in exps)
+    assert _split_resolution(ring, gens, 5, Fraction(3)) is None
+    res = minimal_resolution(ring, gens, 5, Fraction(3))
+    oracle = _kernel_resolution(ring, gens, 5, Fraction(3))
+    assert (res.gens, res.diff) == (oracle.gens, oracle.diff)
+    assert [res.rank(d) for d in range(6)] == ranks
+    check_complex(res)
+
+
+@pytest.mark.parametrize("root_base", [2, 3])
+@pytest.mark.parametrize("kind", ["periodic", "koszul"])
+def test_lift_between_split_resolutions_is_a_chain_map(kind, root_base):
+    # the inclusion sends the root u to u'^r, so the lift is u'^(r-1) in
+    # degree 1; in the periodic case (N = r^l, a = 1) it sends u^(N-a) to
+    # u'^(r(N-a)), and u'^(r(N-a)) u'^(r-1) = u'^(rN-1) is the next
+    # level's degree-2 entry, so the lift is 1 in degree 2
+    truncations = [(1,)] if kind == "periodic" else []
+    spec = _spec(("t", True), truncations=truncations, root_base=root_base)
+    for level in (1, 2):
+        lo, hi = make_level_ring(spec, level), make_level_ring(spec, level + 1)
+        x, y = (_split_resolution(r, r.var_monos, 4, Fraction(2)) for r in (lo, hi))
+        lift = lift_chain_map(x, y, ring_map=lo.include_exp)
+        check_chain_map(lift)
+        assert column(lift, 1, 0) == {0: {hi.pack((root_base - 1,)): 1}}
+        if kind == "periodic":
+            assert x.hi == 4
+            assert column(lift, 2, 0) == {0: {hi.unit: 1}}
+        else:
+            assert x.hi == 1
 
 
 # ---------- strand mechanics ----------
