@@ -18,6 +18,10 @@ flight or not, makes them exit 3.
 without a unit, the zero ideal included: Tor over the untruncated
 algebra, with no derived power built. The `n_used` certificate of
 `quotient-homotopy` is therefore [], and its `notes` name the route.
+When every divisible variable is a root variable of the ideal, that Tor
+descends to level 0 and is read there exactly, with no level loop: the
+`top_level` of `quotient-homotopy` is 0, the `levels` of `static-check`
+are [0], and every cell is stable. Otherwise the level loop settles it.
 """
 
 from __future__ import annotations
@@ -77,7 +81,67 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **kw) -> tuple[tuple, dict]:
+    return names, kw
+
+
+_SPECFILE = _arg("specfile")
+_IDEAL = _arg("--ideal", default=None)
+
+# each command's own arguments, in the order its usage lists them; every
+# command also takes the shared caps and --format
+_COMMANDS = {
+    "check-idempotent": (_SPECFILE, _IDEAL),
+    "tor": (
+        _SPECFILE,
+        _arg("--left", required=True),
+        _arg("--right", required=True),
+        _arg("--deg-min", type=int, default=0),
+    ),
+    "quotient-homotopy": (_SPECFILE, _IDEAL),
+    "tower": (_SPECFILE, _IDEAL, _arg("--n-max", type=int, default=4)),
+    "static-check": (_SPECFILE, _IDEAL),
+    "almost-zero": (_SPECFILE, _IDEAL, _arg("--module", required=True)),
+    "almost-equiv": (
+        _SPECFILE,
+        _IDEAL,
+        _arg("--map", required=True, dest="map_spec",
+             help="power:<n> | identity:<module> | zero:<module>"),
+    ),
+    "gluing-check": (
+        _SPECFILE,
+        _IDEAL,
+        _arg("--module", default=None),
+        _arg("--quotient-stage", type=int, default=None),
+    ),
+    "amitsur-check": (
+        _SPECFILE, _IDEAL, _arg("--depth", type=int, default=None, dest="amitsur_depth")
+    ),
+    "exterior-sum": (
+        _SPECFILE,
+        _arg("specfile_b"),
+        _arg("--left", required=True),
+        _arg("--right", required=True),
+        _arg("--name", default=None),
+    ),
+}
+
+
+class _ParseRefused(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that raises instead of reporting: its usage names one
+    command, so the full parser reports the error (_parse_args)."""
+
+    def error(self, message):
+        raise _ParseRefused(message)
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The idemq parser with every command, or with the command `only`
+    alone (a _OneCommandParser)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
     shared.add_argument("--deg-max", type=int, default=None)
@@ -85,58 +149,28 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--max-level", type=int, default=None)
     shared.add_argument("--window", type=int, default=None)
 
-    p = argparse.ArgumentParser(prog="idemq", description=__doc__)
+    cls = argparse.ArgumentParser if only is None else _OneCommandParser
+    p = cls(prog="idemq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kw):
-        sp = sub.add_parser(name, parents=[shared], **kw)
-        if name != "exterior-sum":
-            sp.add_argument("specfile")
-        return sp
-
-    sp = cmd("check-idempotent")
-    sp.add_argument("--ideal", default=None)
-
-    sp = cmd("tor")
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp.add_argument("--deg-min", type=int, default=0)
-
-    sp = cmd("quotient-homotopy")
-    sp.add_argument("--ideal", default=None)
-
-    sp = cmd("tower")
-    sp.add_argument("--ideal", default=None)
-    sp.add_argument("--n-max", type=int, default=4)
-
-    sp = cmd("static-check")
-    sp.add_argument("--ideal", default=None)
-
-    sp = cmd("almost-zero")
-    sp.add_argument("--ideal", default=None)
-    sp.add_argument("--module", required=True)
-
-    sp = cmd("almost-equiv")
-    sp.add_argument("--ideal", default=None)
-    sp.add_argument("--map", required=True, dest="map_spec",
-                    help="power:<n> | identity:<module> | zero:<module>")
-
-    sp = cmd("gluing-check")
-    sp.add_argument("--ideal", default=None)
-    sp.add_argument("--module", default=None)
-    sp.add_argument("--quotient-stage", type=int, default=None)
-
-    sp = cmd("amitsur-check")
-    sp.add_argument("--ideal", default=None)
-    sp.add_argument("--depth", type=int, default=None, dest="amitsur_depth")
-
-    sp = sub.add_parser("exterior-sum", parents=[shared])
-    sp.add_argument("specfile")
-    sp.add_argument("specfile_b")
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp.add_argument("--name", default=None)
+    for name, arguments in _COMMANDS.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, parents=[shared])
+            for names, kw in arguments:
+                sp.add_argument(*names, **kw)
     return p
+
+
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    """Parse with a parser for the invoked command alone; any error is
+    reported by the full parser, word for word as it would be without
+    the shortcut."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _ParseRefused:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _pick_ideal(ps: ProblemSpec, name: Optional[str]):
@@ -541,7 +575,7 @@ def _run(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     t0 = time.perf_counter()
     # cyclic GC ran 110 times (12.5 of 115 ms) in qh-t-q5, freeing ~500 objects
     gc_was_enabled = gc.isenabled()

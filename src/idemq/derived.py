@@ -2,11 +2,15 @@
 
 The homotopy of the idempotent quotient R/I^infty is read by base change,
 as Tor over the untruncated algebra (quotient_homotopy), and so is the
-static check. X_{n,l} models the n-fold derived tensor power of I(l) as
-the n-fold tensor of the minimal free resolution of the ideal at level
-l, and the cone of the multiplication eps_n: X_{n,l} -> R(l) models
-R/I^{(x)n} (Tower); the tower report, the gluing check and the almost
-equivalence of a power read those.
+static check. When every divisible variable is a root variable, that Tor
+descends to level 0, whose homology is already the colimit: it is read
+there once, every nonzero cell exact (LevelDiagram.exact), with no level
+loop, transition or detector. Otherwise the Tor level loop settles it.
+X_{n,l} models the n-fold derived tensor power of I(l) as the n-fold
+tensor of the minimal free resolution of the ideal at level l, and the
+cone of the multiplication eps_n: X_{n,l} -> R(l) models R/I^{(x)n}
+(Tower); the tower report, the gluing check and the almost equivalence
+of a power read those.
 
 Every table and verdict is a colimit over ring levels, and one detector
 decides it cell by cell (colimit_stabilize): a weight cell is Stable
@@ -27,10 +31,10 @@ be certified. A cell alive from the first level is never in flight: it
 is undersampled, not newborn. In-flight cells do not block a verdict.
 
 One level loop (_settle) serves every command that raises its level
-cap until the cells settle: it starts at min(l0 + window, max_level)
-and adds one level at a time until the run settles or reaches the cap.
-A family whose first level lies above the cap is a usage error
-(level_range).
+cap until the cells settle, base change by descent excepted: it starts
+at min(l0 + window, max_level) and adds one level at a time until the
+run settles or reaches the cap. A family whose first level lies above
+the cap is a usage error (level_range), under descent too.
 
 Every level-indexed object is a Family: a complex per level with its
 transition, its module structure and its own homology cache. The tower's
@@ -447,6 +451,22 @@ class LevelDiagram:
 
         return self.walk(degrees, wmax, window, track)
 
+    def exact(self, degrees, wmax: Fraction) -> dict[tuple[int, Fraction], CellResult]:
+        """Every nonzero cell of the first level up to weight wmax, each
+        exact (stable at its own dim, never in flight): for a diagram whose
+        colimit its first level already is. Degrees go from the top down,
+        as in walk, so each homology hands its rank to the one below; the
+        cells come back in ascending (d, w) order."""
+        x, prov = self.complexes[0], self.providers[0]
+        top, denom = x.ring.num_floor(wmax), x.ring.denom
+        raw = {}
+        for d in sorted(degrees, reverse=True):
+            for n in strand_weights(x, d, top, prov):
+                dim = self.homology(0, d, n).dim
+                if dim:
+                    raw[(d, Fraction(n, denom))] = CellResult(dim, True, (dim,), False)
+        return dict(sorted(raw.items()))
+
 
 # ---------- result types ----------
 
@@ -758,8 +778,9 @@ def _tor_cells(
 @dataclass
 class QuotientHomotopy:
     """pi_*(R/I^infty) in degrees 0..N. top_level is the top level of the
-    diagrams the table was settled on, and notes name base change or a
-    unit ideal. n_used[d] is the derived power whose cone gave degree d:
+    diagrams the table was settled on, 0 when base change descends to
+    level 0, and notes name base change, its descent or a unit ideal.
+    n_used[d] is the derived power whose cone gave degree d:
     quotient_homotopy builds no derived power and leaves it empty, and
     only the tower oracle of the tests sets it."""
 
@@ -778,21 +799,42 @@ def _untruncated(field, root_base: int, variables) -> RingSpec:
     return RingSpec(field, root_base, variables)
 
 
-def _quotient_by_base_change(
-    spec: RingSpec, family: IdealFamily, degrees: range, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
-    """Tor^A(K_S, R) in the degrees, with the levels it settled on: A the
-    untruncated spec, K_S = A/I_A for the ideal I_A of A that the
-    family's roots generate (K_S = A when it has none), and R = A/T, T
-    its truncation ideal (R = A when there is none)."""
-    # base change reads no generator, but one above the cap is still a
-    # usage error
-    level_range(family.min_level(), bounds.max_level)
+_BASE_CHANGE_NOTE = "base change: Tor^A(A/I_A, R) over the untruncated algebra A"
+_DESCENT_NOTE = (
+    "base change by descent: Tor^A(A/I_A, R) = Tor^{A_0}(A_0/(x_S), R_0), read at level 0"
+)
+
+
+def _base_change_modules(
+    spec: RingSpec, family: IdealFamily
+) -> tuple[RingSpec, ModuleRef, ModuleRef]:
+    """(A, K_S, R) of base change: A the untruncated spec, K_S = A/I_A for
+    the ideal I_A of A that the family's roots generate (K_S = A when it
+    has none), and R = A/T, T the truncation ideal (R = A when there is
+    none)."""
     A = _untruncated(spec.field, spec.root_base, spec.variables)
     left = quotient_module(IdealFamily(family.name, A, root_vars=family.root_vars))
     T = spec.truncations
     right = quotient_module(IdealFamily("T", A, gens=T)) if T else ring_module()
-    return _tor_cells(A, left, right, degrees, bounds)
+    return A, left, right
+
+
+def _quotient_by_base_change(
+    spec: RingSpec, family: IdealFamily, degrees: range, bounds: Bounds
+) -> tuple[dict[tuple[int, Fraction], CellResult], list[int], str]:
+    """Tor^A(K_S, R) in the degrees (_base_change_modules), the levels it
+    was read on and the note naming the route. When every divisible
+    variable is a root variable it descends to level 0, where each
+    nonzero cell is exact (quotient_homotopy, (5)); otherwise the Tor
+    level loop settles it."""
+    # base change reads no generator, but one above the cap is still a
+    # usage error
+    level_range(family.min_level(), bounds.max_level)
+    A, left, right = _base_change_modules(spec, family)
+    if any(v.divisible and i not in family.root_vars for i, v in enumerate(spec.variables)):
+        return (*_tor_cells(A, left, right, degrees, bounds), _BASE_CHANGE_NOTE)
+    res = resolution_family(A, left, degrees[-1] + 1, bounds.weight_max, against=right)
+    return res.diagram([0]).exact(degrees, Fraction(bounds.weight_max)), [0], _DESCENT_NOTE
 
 
 def require_idempotent(family: IdealFamily) -> None:
@@ -816,11 +858,13 @@ def quotient_homotopy(
     """Homotopy of R/I^infty in degrees 0..N, stabilized over levels.
 
     A family without a unit takes base change: pi_d(R/I^infty) =
-    Tor_d^A(A/I_A, R), read by the Tor level loop on the untruncated
-    spec, with no derived power built. Its fixed generators are not read:
-    once the family is idempotent and holds no unit, check_idempotent has
-    accepted each live one for a positive exponent on a root variable, so
-    it lies in I_A, and each dead one lies in T; so I = I_A R. A family
+    Tor_d^A(A/I_A, R) on the untruncated spec, with no derived power
+    built. It is read at level 0 alone when every divisible variable is a
+    root variable (5), and by the Tor level loop otherwise. Its fixed
+    generators are not read: once the family is idempotent and holds no
+    unit, check_idempotent has accepted each live one for a positive
+    exponent on a root variable, so it lies in I_A, and each dead one
+    lies in T; so I = I_A R. A family
     with no roots therefore has dead generators only: it is the zero
     ideal, S is empty, K_S = A, and the table is R in degree 0. The tower
     of derived powers (degree d from cone(eps_{d+2})) gives the same
@@ -852,6 +896,22 @@ def quotient_homotopy(
     (4) A is free over each level algebra A_l, so the level-wise Tor over
     A_l, with the lifts of the level inclusions as transitions, has the
     same colimit that the tower's level diagram reads.
+    (5) Descent. Suppose every divisible variable lies in S (S^c empty).
+    Every monomial with a positive exponent on a root variable lies in
+    I_A, so K_S = A/I_A is the polynomial ring on the plain variables,
+    and as an A_0-module it is A_0/(x_S), x_S the variables of S. The
+    truncations have integral exponents, so T is generated in A_0 and
+    R = A (x)_{A_0} R_0, R_0 = A_0/T_0. A is free over A_0, so a free
+    A_0-resolution P of R_0 gives the free A-resolution A (x)_{A_0} P of
+    R, and K_S (x)_A (A (x)_{A_0} P) = K_S (x)_{A_0} P: Tor^A(K_S, R) =
+    Tor^{A_0}(A_0/(x_S), R_0) (flat base change, Weibel, An Introduction
+    to Homological Algebra, 3.2). That is the Koszul homology of x_S on
+    R_0, which the level-0 diagram of (4) reads: the resolution of K_S at
+    level 0 against R_0. It is integrally graded, finite in each weight
+    and already the colimit, so each of its nonzero cells is exact and
+    nothing is lifted or judged across levels. With a divisible variable
+    outside S, pi_0 has a cell at every weight of that variable's finest
+    lattice, and the level loop settles what it can.
     """
     bounds = bounds if bounds is not None else default_bounds(N)
     require_idempotent(family)
@@ -859,8 +919,8 @@ def quotient_homotopy(
         raw, levels = {}, [family.min_level()]
         notes = ["ideal contains a unit, the quotient vanishes"]
     else:
-        raw, levels = _quotient_by_base_change(spec, family, range(N + 1), bounds)
-        notes = ["base change: Tor^A(A/I_A, R) over the untruncated algebra A"]
+        raw, levels, note = _quotient_by_base_change(spec, family, range(N + 1), bounds)
+        notes = [note]
     table = _make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
     return QuotientHomotopy(
         table=table,
@@ -892,8 +952,10 @@ def static_check(
     By (2) and 0 -> I_A -> A -> K_S -> 0, H_d(C) = Tor_d^A(K_S, R) for
     d >= 1 and H_0(C) = 0. So R/I^infty is static iff Tor_d^A(K_S, R) = 0
     for d >= 1, and the check reads the base-change table in degrees
-    1..N. This is the classical test, cone(sigma_1: I (x)^L I -> I)
-    acyclic, witness included. E (x)^L_R C = 0 and E (x)^L_R E = E turn
+    1..N: at level 0 alone when every divisible variable is a root
+    variable (quotient_homotopy, (5): levels is (0,) and every cell is
+    exact), by the level loop otherwise. This is the classical test,
+    cone(sigma_1: I (x)^L I -> I) acyclic, witness included. E (x)^L_R C = 0 and E (x)^L_R E = E turn
     the triangle E -> I -> C into E -> I (x)^L I -> C (x)^L C, so the
     octahedron gives cone(sigma_1) = cone(C (x)^L C -> C). If C starts in
     degree c >= 1, C (x)^L C starts in degree 2c, so the cone and C
@@ -903,7 +965,7 @@ def static_check(
     bounds = bounds if bounds is not None else default_bounds(N)
     if _family_contains_unit(family) or N == 0:
         return StaticCheck(True, None, True, ())
-    raw, levels = _quotient_by_base_change(spec, family, range(1, N + 1), bounds)
+    raw, levels, _note = _quotient_by_base_change(spec, family, range(1, N + 1), bounds)
     witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
     if witness is not None:
         return StaticCheck(False, witness, True, tuple(levels))

@@ -271,10 +271,12 @@ class LevelRing:
             for u in self.units:
                 box *= top // u + 1
             if box > BASIS_BOX_MAX:
+                # above level 0 a lower level cap also keeps the walk small
+                advice = f", or --max-level below {self.level}" if self.level else ""
                 raise ValueError(
                     f"weight cap {Fraction(top, self.denom)} at level {self.level} spans"
                     f" {box} exponent vectors, above the limit of {BASIS_BOX_MAX};"
-                    " lower --weight-max"
+                    f" lower --weight-max{advice}"
                 )
             buckets: dict[int, list[Mono]] = {}
             stack = [0] * self.nvars

@@ -11,13 +11,17 @@ monomials and tables. Two reference routes through the tower of derived
 powers, which share no code with base change: pi_*(R/I^infty) read off
 the cones of the multiplications (quotient_by_tower), also by Kunneth
 convolution over independent variable blocks (kunneth_quotient), and the
-static check read off cone(sigma_1) (static_check_by_tower)."""
+static check read off cone(sigma_1) (static_check_by_tower). Base change
+without descent: quotient_homotopy and static_check with Tor^A(K_S, R)
+settled by the Tor level loop even where it descends to level 0
+(quotient_by_levels, static_check_by_levels)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
+from unittest import mock
 
 from idemq import derived
 from idemq.complexes import ChainMap, FreeComplex, StrandBasis, Strands
@@ -536,3 +540,30 @@ def kunneth_quotient(
     raw = _kunneth_cells(per_block, N, bounds.weight_max)
     levels = range(family.min_level(), top + 1)
     return derived._make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N), blocks
+
+
+def _base_change_by_levels(
+    spec: RingSpec, family: IdealFamily, degrees: range, bounds: Bounds
+) -> tuple[dict[tuple[int, Fraction], CellResult], list[int], str]:
+    """derived._quotient_by_base_change with no descent: Tor^A(K_S, R)
+    settled by the Tor level loop for every family."""
+    derived.level_range(family.min_level(), bounds.max_level)
+    A, left, right = derived._base_change_modules(spec, family)
+    return (*derived._tor_cells(A, left, right, degrees, bounds), derived._BASE_CHANGE_NOTE)
+
+
+def quotient_by_levels(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Optional[Bounds] = None
+) -> QuotientHomotopy:
+    """quotient_homotopy with base change settled by the level loop, as
+    it was read before descent: the same table where both apply."""
+    with mock.patch.object(derived, "_quotient_by_base_change", _base_change_by_levels):
+        return derived.quotient_homotopy(spec, family, N, bounds)
+
+
+def static_check_by_levels(
+    spec: RingSpec, family: IdealFamily, N: int, bounds: Optional[Bounds] = None
+) -> StaticCheck:
+    """static_check with base change settled by the level loop."""
+    with mock.patch.object(derived, "_quotient_by_base_change", _base_change_by_levels):
+        return derived.static_check(spec, family, N, bounds)

@@ -72,6 +72,18 @@ def test_quotient_homotopy_dims(tmp_path, capsys):
     assert all(isinstance(c["weight"], str) for c in cells)
 
 
+@pytest.mark.parametrize("command", ["quotient-homotopy", "static-check"])
+def test_descent_needs_no_window_of_levels(tmp_path, capsys, command):
+    # t is a root variable, so level 0 is the colimit: a level cap below
+    # the window changes nothing (the level loop left every cell
+    # undetermined there and exited 3)
+    spec = _write(tmp_path, T_SPEC)
+    default = _run_json(capsys, [command, spec, "--deg-max", "2"])[:2]
+    for caps in (["--max-level", "1"], ["--window", "5"]):
+        assert _run_json(capsys, [command, spec, "--deg-max", "2", *caps])[:2] == default
+    assert default[0] == 0
+
+
 def test_static_check_truncated_is_static(tmp_path, capsys):
     # For R = Q[t^(1/2^oo)]/(t) and K = R/I = Q, the cone of
     # I (x)^L I -> I is I (x)^L K. From I -> R -> K and
@@ -209,6 +221,66 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _parse_outcome(capsys, parse, argv):
+    """(exit code or parsed namespace, stdout, stderr) of one parse."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# each command's minimal valid argv after the command name
+COMMAND_ARGV = {
+    "check-idempotent": ["s.spec"],
+    "tor": ["s.spec", "--left", "I", "--right", "K"],
+    "quotient-homotopy": ["s.spec"],
+    "tower": ["s.spec"],
+    "static-check": ["s.spec"],
+    "almost-zero": ["s.spec", "--module", "R"],
+    "almost-equiv": ["s.spec", "--map", "power:2"],
+    "gluing-check": ["s.spec", "--module", "K"],
+    "amitsur-check": ["s.spec"],
+    "exterior-sum": ["a.spec", "b.spec", "--left", "I", "--right", "I"],
+}
+
+
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        ([], None),
+        (["-h"], 0),
+        (["--deg-max", "two"], 2),
+        (["--bogus"], 2),
+        (["--format", "xml"], 2),
+        (None, 2),
+    ],
+    ids=["valid", "help", "bad-value", "unrecognized", "bad-choice", "missing-required"],
+)
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+def test_one_command_parser_answers_as_the_full_parser(capsys, command, extra, want):
+    # main parses with a parser for the invoked command alone; its
+    # namespace, help, messages and exit codes are the full parser's.
+    # "missing-required" passes the command name alone
+    from idemq import cli
+
+    argv = [command] + (COMMAND_ARGV[command] + extra if extra is not None else [])
+    ours = _parse_outcome(capsys, cli._parse_args, argv)
+    full = _parse_outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
+    assert ours == full
+    assert isinstance(ours[0], dict) if want is None else ours[0] == want
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate", "x.spec"], ["-h"], ["--format", "json"]])
+def test_parsing_without_a_known_command_is_the_full_parsers(capsys, argv):
+    from idemq import cli
+
+    ours = _parse_outcome(capsys, cli._parse_args, argv)
+    full = _parse_outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
+    assert ours == full and ours[0] in (0, 2)
+
+
 @pytest.mark.parametrize(
     "argv, setting, message",
     [
@@ -324,6 +396,16 @@ def test_weight_max_too_wide_for_the_basis_walk_exits_2(tmp_path, capsys):
     assert err.endswith("lower --weight-max\n")
 
 
+# the zero ideal leaves the divisible t outside its roots, so base change
+# settles on the level loop and lifts each level inclusion; the roots
+# ideal of T_SPEC descends to level 0 and lifts nothing
+LIFTING_SPEC = """\
+var t divisible
+truncate t
+ideal Z = t
+"""
+
+
 def test_internal_fault_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
     from idemq import derived
 
@@ -331,7 +413,7 @@ def test_internal_fault_exits_5_without_traceback(tmp_path, capsys, monkeypatch)
         raise AssertionError("not a chain map at degree 1, source gen 0, row 0")
 
     monkeypatch.setattr(derived, "lift_chain_map", broken)
-    spec = _write(tmp_path, T_SPEC)
+    spec = _write(tmp_path, LIFTING_SPEC)
     code, out, err = _run(capsys, ["quotient-homotopy", spec, "--deg-max", "1"])
     assert code == 5
     assert out == ""
@@ -347,7 +429,7 @@ def test_failed_lift_exits_5(tmp_path, capsys, monkeypatch):
     from idemq import complexes
 
     monkeypatch.setattr(complexes, "solve_rows", lambda *args: None)
-    spec = _write(tmp_path, T_SPEC)
+    spec = _write(tmp_path, LIFTING_SPEC)
     code, out, err = _run(capsys, ["quotient-homotopy", spec, "--deg-max", "1"])
     assert code == 5
     assert out == ""
@@ -443,7 +525,8 @@ def test_tor_frontier_cells_are_in_flight(tmp_path, capsys):
 # holds nothing below the weight cap, so both runs read as if it were
 # absent. The tor digest is the SHA-256 of stdout as the tuple-monomial
 # code printed it; the quotient-homotopy one has the same table, with the
-# certificates of base change (no derived power, a route note).
+# certificates of base change by descent (no derived power, top level 0,
+# a route note).
 HUGE_T_SPEC = """\
 var t divisible
 truncate t^1099511627776
@@ -457,7 +540,7 @@ ideal I = roots(t)
         (
             "",
             ["quotient-homotopy", "--deg-max", "2"],
-            "acc72022de9d4045ed793ca25d6c1ff1bb5e5f5e23d9b6a6205dd635436ebe86",
+            "5fd74b0d751c9baff47c51f0b47e31d85c1e85db279d60f01db2ec6f1b328008",
         ),
         (
             "ideal J = t^1099511627776\n",
@@ -554,6 +637,12 @@ ideal I = roots(x), roots(y)
 """
 
 
+# y is divisible and not a root variable, so base change settles on the
+# level loop; quotient-homotopy and static-check on XY_F7_SPEC descend to
+# level 0, where no vector reaches _reduce
+XY_F7_ROOTS_X_SPEC = XY_F7_SPEC.replace("roots(x), roots(y)", "roots(x)")
+
+
 # the truncation s t mixes the variables, so no module here splits by
 # variable and every resolution runs the kernel loop
 ST_MIXED_SPEC = """\
@@ -572,13 +661,13 @@ def _is_normalized(field, v) -> bool:
 @pytest.mark.parametrize(
     "text, argv",
     [
-        (T_SPEC, ["quotient-homotopy", "{spec}", "--deg-max", "2"]),
-        (XY_F7_SPEC, ["quotient-homotopy", "{spec}", "--deg-max", "1"]),
+        (T_SPEC, ["tor", "{spec}", "--left", "K", "--right", "K", "--deg-max", "1"]),
+        (XY_F7_ROOTS_X_SPEC, ["static-check", "{spec}", "--deg-max", "1"]),
         (T_SPEC, ["almost-equiv", "{spec}", "--map", "power:2"]),
         (ST_MIXED_SPEC, ["gluing-check", "{spec}", "--module", "K"]),
         (PLAIN_SPEC, ["tor", "{spec}", "--left", "I", "--right", "R/J", "--deg-max", "1"]),
     ],
-    ids=["qh-t", "qh-xy-f7", "almost-equiv", "gluing-check", "tor-I-RJ"],
+    ids=["tor-K-K", "static-xy-f7-roots-x", "almost-equiv", "gluing-check", "tor-I-RJ"],
 )
 def test_every_vector_reaching_the_echelon_is_normalized(tmp_path, capsys, monkeypatch, text, argv):
     # the echelon does not normalize its input: every producer must. An
@@ -729,7 +818,8 @@ def test_main_runs_without_the_collector_and_restores_it(tmp_path, capsys, monke
         return real_run(args, out)
 
     monkeypatch.setattr(cli, "_run", spy)
-    spec = _write(tmp_path, "var t divisible\nideal I = bogus(t)\n" if case == "exit-2" else T_SPEC)
+    text = {"exit-0": T_SPEC, "exit-2": "var t divisible\nideal I = bogus(t)\n", "exit-5": LIFTING_SPEC}
+    spec = _write(tmp_path, text[case])
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

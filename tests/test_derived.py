@@ -41,7 +41,9 @@ from oracles import (
     homology_dim,
     kunneth_quotient,
     mono,
+    quotient_by_levels,
     quotient_by_tower,
+    static_check_by_levels,
     static_check_by_tower,
     taylor_betti,
     to_dense,
@@ -348,6 +350,65 @@ def test_static_check_agrees_with_the_tower(text):
     assert (ours.static, ours.witness) == (tower.static, tower.witness)
 
 
+# every divisible variable is a root variable (S^c empty), so base change
+# descends to level 0; the field line, if any, is replaced per case
+DESCENT_SPECS = {
+    **{key: text for key, (text, _N) in TAYLOR_SPECS.items()},
+    **{key: text for key, text in STATIC_SPECS.items() if key != "roots-x"},
+    "zero-plain": "var x\nvar y\ntruncate x^2, x y, y^3\nideal I = x^2",
+}
+
+
+def _over(text: str, field: str) -> str:
+    lines = [line for line in text.split("\n") if not line.startswith("field ")]
+    return "\n".join([f"field {field}", *lines])
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 3"])
+@pytest.mark.parametrize("key", list(DESCENT_SPECS))
+def test_descent_reads_the_level_loop_table(key, field):
+    # Tor^A(K_S, R) = Tor^{A_0}(A_0/(x_S), R_0): the level-0 homology is the
+    # colimit the level loop settles, cell for cell, and the static check
+    # reads the same verdict and witness off it
+    ps = parse_spec(_over(DESCENT_SPECS[key], field))
+    I = ps.ideals["I"]
+    for N in range(4):
+        ours, loop = quotient_homotopy(ps.ring, I, N), quotient_by_levels(ps.ring, I, N)
+        assert loop.stable and ours.stable
+        assert ours.table.cells == loop.table.cells and ours.dims == loop.dims
+        assert ours.top_level == 0 and ours.table.levels == (0,)
+        if N:
+            sc, sc_loop = static_check(ps.ring, I, N), static_check_by_levels(ps.ring, I, N)
+            assert (sc.static, sc.witness, sc.stable) == (
+                sc_loop.static,
+                sc_loop.witness,
+                sc_loop.stable,
+            )
+            assert sc.levels == (0,)
+
+
+def test_descent_lifts_nothing_and_reads_level_zero_only(monkeypatch):
+    # no transition, no lift and no colimit detector: one level-0 read
+    levels = set()
+    real_ring = derived.make_level_ring
+
+    def ring(spec, l):
+        levels.add(l)
+        return real_ring(spec, l)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("descent reached the level loop")
+
+    monkeypatch.setattr(derived, "make_level_ring", ring)
+    for name in ("lift_chain_map", "colimit_stabilize", "homology_map_matrix", "_settle"):
+        monkeypatch.setattr(derived, name, refused)
+    ps = parse_spec(TAYLOR_SPECS["xy-f7"][0])
+    qh = quotient_homotopy(ps.ring, ps.ideals["I"], 3)
+    assert qh.stable and qh.top_level == 0
+    assert static_check(ps.ring, ps.ideals["I"], 3).levels == (0,)
+    assert levels == {0}
+
+
 def test_quotient_homotopy_unit_ideal_vanishes():
     spec = _spec_t()
     U = fixed_family(spec, [mono(spec)], name="U")
@@ -460,7 +521,10 @@ def test_quotient_homotopy_routes_on_the_ideal_not_its_generators():
     spec = _spec_xy()
     qh = quotient_homotopy(spec, _roots_xy(spec), 2)
     assert qh.n_used == ()
-    assert qh.notes == ["base change: Tor^A(A/I_A, R) over the untruncated algebra A"]
+    # x and y are both root variables: base change descends to level 0
+    assert qh.notes == [
+        "base change by descent: Tor^A(A/I_A, R) = Tor^{A_0}(A_0/(x_S), R_0), read at level 0"
+    ]
     # x^{1/2} lies in the ideal roots(x), roots(y) generate, so adding it
     # changes neither the ideal nor the report
     x_half = IdealFamily(
@@ -471,11 +535,12 @@ def test_quotient_homotopy_routes_on_the_ideal_not_its_generators():
     # the tower oracle builds one derived power per degree
     direct = quotient_by_tower(spec, x_half, 2)
     assert direct.n_used == (2, 3, 4) and direct.notes == []
-    # the zero ideal has no roots: base change reads K_S = A, and its table
-    # is the tower's
+    # the zero ideal has no roots: base change reads K_S = A on the level
+    # loop, and its table is the tower's
     zero = fixed_family(spec, [mono(spec, x=F1)], name="Z")
     zero_qh = quotient_homotopy(spec, zero, 1)
-    assert zero_qh.n_used == () and zero_qh.notes == qh.notes
+    assert zero_qh.n_used == ()
+    assert zero_qh.notes == ["base change: Tor^A(A/I_A, R) over the untruncated algebra A"]
     assert zero_qh.table == quotient_by_tower(spec, zero, 1).table
 
 

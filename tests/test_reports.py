@@ -1,12 +1,17 @@
 """Every report of the benchmark's solves, and the largest elimination
 over Q, byte for byte.
 
-The spec templates and all solves but `qh-xy-q3` are those of
-perfbench/workloads.py, copied here so that tier-1 does not depend on
-the benchmark. `qh-xy-q3` (quotient-homotopy over Q on the truncated
-x y spec at degree 3) is not a benchmark solve. The four quotient-homotopy
+The spec templates and all solves but `qh-xy-q3` and `qh-xy-roots-x`
+are those of perfbench/workloads.py, copied here so that tier-1 does not
+depend on the benchmark. `qh-xy-q3` (quotient-homotopy over Q on the
+truncated x y spec at degree 3) is not a benchmark solve, and neither is
+`qh-xy-roots-x`: its divisible y is not a root variable, so base change
+stays on the level loop, and the level cap leaves cells unstable (exit 3). The four quotient-homotopy
 solves hold roots families, so they take base change (Tor over the
-untruncated algebra), not the derived-power tower. TENSOR_ROUTE pins the
+untruncated algebra), not the derived-power tower; every divisible
+variable of theirs is a root variable, so base change descends to level
+0, and so does `static-check`. LEVEL_LOOP pins these five reports with
+base change settled by the level loop instead. TENSOR_ROUTE pins the
 tower on the same four solves, run with `oracles.quotient_by_tower` in
 place of `quotient_homotopy`: those reports are the ones these solves
 gave before base change, and `qh-xy-q3` among them reduces the largest Q
@@ -22,7 +27,7 @@ import pytest
 
 from idemq import cli
 from idemq.cli import main
-from oracles import quotient_by_tower
+from oracles import quotient_by_levels, quotient_by_tower, static_check_by_levels
 
 SPECS = {
     "t": ["var t divisible", "truncate t", "ideal I = roots(t)"],
@@ -41,6 +46,12 @@ SPECS = {
         "truncate x y",
         "ideal I = roots(x), roots(y)",
     ],
+    "xy-roots-x": [
+        "var x divisible",
+        "var y divisible",
+        "truncate x y",
+        "ideal I = roots(x)",
+    ],
 }
 
 # key -> (argv with {template} placeholders, exit code, sha256 of the report)
@@ -48,22 +59,27 @@ SOLVES = {
     "qh-t-q5": (
         ["quotient-homotopy", "{t}", "--deg-max", "5"],
         0,
-        "bbd77f518f87f652f6586b9435c747733de38629aebf488193a3ed09ad66e965",
+        "431a2980207ed69e470947f961fd821c1fd55816c9185c4c39ffc98609f5649a",
     ),
     "qh-xy-f7": (
         ["quotient-homotopy", "{xy-f7}", "--deg-max", "2"],
         0,
-        "af5c70024901bf38365ead9ba418b12471562fdcdf057bf30e4a88f5d5041e86",
+        "7a5946cb4c73442127fd5976e1021a9173f7ec65a77173ed75137e894eb4414d",
     ),
     "qh-xy-q": (
         ["quotient-homotopy", "{xy-q}", "--deg-max", "2"],
         0,
-        "5b13c4ca9e9978f678a902261cea8a8e12744e7a872a319ef9580ca2b29ce21e",
+        "a524a81606d018673ba655808209eef6ac36281b41bb8d613aba970fa0643249",
     ),
     "qh-xy-q3": (
         ["quotient-homotopy", "{xy-q}", "--deg-max", "3"],
         0,
-        "af4588593c9b0bd44184b42be7c91d1bead100990d2b16a736a1102cbd9c429c",
+        "8dab9478e294e8ad913401a56323e2576bb0f84a0867b4ef0f51b4caeac244c5",
+    ),
+    "qh-xy-roots-x": (
+        ["quotient-homotopy", "{xy-roots-x}", "--deg-max", "1"],
+        3,
+        "030ff753638cd61927e8de17d0c2219395a333b8cc19fd57c75161d5e72e9bdd",
     ),
     "amitsur-t-q3": (
         ["amitsur-check", "{t}", "--deg-max", "3", "--depth", "5"],
@@ -88,7 +104,7 @@ SOLVES = {
     "static-check": (
         ["static-check", "{t}"],
         0,
-        "cd15fbc1f5027530b4753b55cd48a6bc7ec0e20983f3fb023c8913687dbbdb78",
+        "c4ebf9e659585b1e5f6d820cd41b72247ad665275b383bddd5c161529f738ddc",
     ),
     "tower": (
         ["tower", "{t}", "--n-max", "5"],
@@ -115,6 +131,19 @@ SOLVES = {
         0,
         "35947f0a7b1873f1f5b4425f4b59f9ac2dca36f2750286da445e8f5bae2b37f5",
     ),
+}
+
+
+# key of a solve that descends -> sha256 of its report with base change
+# settled by the level loop (oracles.quotient_by_levels and
+# static_check_by_levels): the same tables, with the top level and the
+# route note (the levels, for static-check) the level loop reads
+LEVEL_LOOP = {
+    "qh-t-q5": "bbd77f518f87f652f6586b9435c747733de38629aebf488193a3ed09ad66e965",
+    "qh-xy-f7": "af5c70024901bf38365ead9ba418b12471562fdcdf057bf30e4a88f5d5041e86",
+    "qh-xy-q": "5b13c4ca9e9978f678a902261cea8a8e12744e7a872a319ef9580ca2b29ce21e",
+    "qh-xy-q3": "af4588593c9b0bd44184b42be7c91d1bead100990d2b16a736a1102cbd9c429c",
+    "static-check": "cd15fbc1f5027530b4753b55cd48a6bc7ec0e20983f3fb023c8913687dbbdb78",
 }
 
 
@@ -150,3 +179,11 @@ def test_tensor_route_report_is_byte_identical(key, tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "quotient_homotopy", quotient_by_tower)
     argv, want_code, _ = SOLVES[key]
     _check(argv, want_code, TENSOR_ROUTE[key], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", list(LEVEL_LOOP))
+def test_level_loop_report_is_byte_identical(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "quotient_homotopy", quotient_by_levels)
+    monkeypatch.setattr(cli, "static_check", static_check_by_levels)
+    argv, want_code, _ = SOLVES[key]
+    _check(argv, want_code, LEVEL_LOOP[key], tmp_path, capsys)

@@ -303,3 +303,18 @@ def test_exponents_at_or_beyond_the_cap():
     assert at_cap.mono_is_zero(top + top)
     assert basis(at_cap, Fraction(cap)) == []
     assert basis(at_cap, Fraction(cap - 1)) == [top]
+
+
+def test_a_basis_box_too_wide_above_level_zero_names_the_level_cap():
+    # three untruncated divisible variables at level 5 and weight 4: the
+    # walk would visit (4 * 32 + 1)^3 exponent vectors; the same weight
+    # cap fits at level 4, so the advice names the level cap too
+    spec = RingSpec(QQ, 2, tuple(VarInfo(v, True) for v in "xyz"))
+    ring = LevelRing(spec, 5)
+    with pytest.raises(ValueError) as exc:
+        ring.basis_upto(4 * ring.denom)
+    assert str(exc.value) == (
+        "weight cap 4 at level 5 spans 2146689 exponent vectors, above the limit of"
+        " 2097152; lower --weight-max, or --max-level below 5"
+    )
+    LevelRing(spec, 4).basis_upto(4 * 16)
