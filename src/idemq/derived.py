@@ -9,8 +9,9 @@ loop, transition or detector. Otherwise the Tor level loop settles it.
 X_{n,l} models the n-fold derived tensor power of I(l) as the n-fold
 tensor of the minimal free resolution of the ideal at level l, and the
 cone of the multiplication eps_n: X_{n,l} -> R(l) models R/I^{(x)n}
-(Tower); the tower report, the gluing check and the almost equivalence
-of a power read those.
+(Tower); the gluing check and the almost equivalence of a power read
+those, and the tower report reads the cofibre of sigma_n as X_n against
+R/I.
 
 Every table and verdict is a colimit over ring levels, and one detector
 decides it cell by cell (colimit_stabilize): a weight cell is Stable
@@ -68,7 +69,7 @@ the static check (it reads Tor in degrees 1..N); the gluing check builds
 its tower, module and tensors through N + 1. An almost equivalence
 builds a derived power, the source of its cone, through N and a module
 resolution through N + 1. The tower report builds through n_max - 1: it
-reads cone(sigma_n) below n. A resolution that splits by variable
+reads X_n against R/I below n. A resolution that splits by variable
 (complexes.minimal_resolution) is written down to the same degree: its
 2-periodic pieces run through it, and its Koszul part stops at the
 number of its generators, so base change's resolution of K_S has no
@@ -648,16 +649,16 @@ def _power(x: FreeComplex, r: FreeComplex, dmax: int, wmax: Fraction):
 class Tower:
     """The derived powers of one ideal family and the maps between them,
     as level families: res = res(I(l)), unit = R, the powers X(n), the
-    multiplications eps(n), the maps sigma(n) and the cones Q(n) and
-    cof(n). The resolutions and powers are built through degree deg_max
-    and weight weight_max, so the cones of maps between them reach degree
-    deg_max + 1. Each power and cone is made once and kept, with its
-    homology.
+    multiplications eps(n), the maps sigma(n), the cones Q(n) and the
+    cofibres of sigma(n) read as X(n) against R/I. The resolutions and
+    powers are built through degree deg_max and weight weight_max, so the
+    cones of maps between them reach degree deg_max + 1. Each power,
+    cone and cofibre is made once and kept, with its homology.
 
-    tower_report reads the cones cof(n) and the powers, the gluing check
-    the multiplications, sigma(n) and Q(n), and an almost equivalence of
-    a power its eps(n). quotient_homotopy and static_check build none of
-    it; the tests read Q(d + 2) and cof(1) as oracles for them."""
+    tower_report reads the cofibres and the powers, the gluing check the
+    multiplications, sigma(n) and Q(n), and an almost equivalence of a
+    power its eps(n). quotient_homotopy and static_check build none of
+    it; the tests read Q(d + 2) and cone(sigma_1) as oracles for them."""
 
     def __init__(
         self,
@@ -668,6 +669,7 @@ class Tower:
     ):
         if family.spec is not spec:
             raise ValueError("family was built over a different spec")
+        self.family = family
         self.dmax = deg_max
         self.wmax = Fraction(weight_max)
         self.unit = Family(lambda l: (unit_complex(make_level_ring(spec, l)), None), _unit_step)
@@ -728,9 +730,19 @@ class Tower:
         """cone(eps_n), the stage-n model of R/I^infty."""
         return self._keep(("Q", n), lambda: cone_family(self.eps(n)))
 
-    def cof(self, n: int) -> Family:
-        """cone(sigma_n), the cofibre of X(n+1) -> X(n)."""
-        return self._keep(("cof", n), lambda: cone_family(self.sigma(n)))
+    def cofibre(self, n: int) -> Family:
+        """The cofibre of sigma_n as X(n)'s own complexes and steps read
+        against R/I (tower_report)."""
+        x, quotient = self.X(n), quotient_module(self.family)
+        return self._keep(
+            ("cofibre", n),
+            lambda: Family(
+                lambda l: (x.at(l), None),
+                lambda _fam, l: x.step(l),
+                lambda l: module_strands(quotient, x.at(l).ring),
+                x.min_level,
+            ),
+        )
 
 
 # ---------- Tor ----------
@@ -1007,13 +1019,30 @@ def tower_report(
     must equal H_0(X_2) weight by weight on mutually stable cells. The
     cofibres' homology is read up to degree n_max - 2 and the powers'
     at degree 0, so the tower is built through max(1, n_max - 1).
+
+    Cofibre n is read as X_n against R/I (Tower.cofibre): no sigma_n and
+    no cone is built. At level l write eps_1: res(I_l) -> R_l.
+    (1) sigma_n = id_{X_n} (x) eps_1, so cone(sigma_n) = X_n (x) cone(eps_1),
+    up to the Koszul sign on X_n's generators of odd degree.
+    (2) res(I_l) resolves I_l, so the projection cone(eps_1) -> R_l/I_l
+    of R_l in degree 0 is a quasi-isomorphism.
+    (3) X_n is a bounded-below complex of free modules, so X_n (x) -
+    preserves that quasi-isomorphism: cone(sigma_n) -> X_n (x) R_l/I_l.
+    (4) I_l R_{l+1} lies in I_{l+1}, so the projections commute with the
+    level transitions.
+    (5) X_n is built through max(1, n_max - 1) >= n, so the degrees read
+    (H_d for d < n reads X_n through d + 1 <= n) and the weight cap are
+    exact. So every level dim and every step rank is equal cell for
+    cell, and with them every verdict, undetermined cell and flag.
     """
     tw = Tower(spec, family, max(1, n_max - 1), bounds.weight_max)
 
     def attempt(levels):
         cof_raw: dict[int, dict] = {}
         for n in range(1, n_max):
-            cof_raw[n] = tw.cof(n).diagram(levels).run(range(n), bounds.weight_max, bounds.window)
+            cof_raw[n] = tw.cofibre(n).diagram(levels).run(
+                range(n), bounds.weight_max, bounds.window
+            )
         h0_raw: dict[int, dict] = {}
         for n in range(2, n_max + 1):
             h0_raw[n] = tw.X(n).diagram(levels).run([0], bounds.weight_max, bounds.window)
@@ -1044,26 +1073,19 @@ def tower_report(
     h0_mismatches = []
     checked = 0
     base = h0_raw.get(2, {})
-    for n in sorted(h0_raw):
-        if n == 2:
-            continue
-        keys = set(base) | set(h0_raw[n])
-        for key in sorted(keys):
-            rb = base.get(key)
-            rn = h0_raw[n].get(key)
-            vb = rb.value if rb is not None else 0
-            vn = rn.value if rn is not None else 0
-            sb = rb.stable if rb is not None else True
-            sn = rn.stable if rn is not None else True
-            if not (sb and sn):
+    zero = CellResult(0, True, (), False)  # a cell the walk left out
+    for n in range(3, n_max + 1):
+        for key in sorted(set(base) | set(h0_raw[n])):
+            rb, rn = base.get(key, zero), h0_raw[n].get(key, zero)
+            if not (rb.stable and rn.stable):
                 undetermined.append((n, 0, key[1]))
                 for r in (rb, rn):
-                    if r is not None and not r.stable:
+                    if not r.stable:
                         all_boundary = all_boundary and r.in_flight
                 continue
             checked += 1
-            if vb != vn:
-                h0_mismatches.append((n, key[1], vn, vb))
+            if rb.value != rn.value:
+                h0_mismatches.append((n, key[1], rn.value, rb.value))
 
     return TowerReport(
         ok=not conn_failures and not h0_mismatches,

@@ -11,10 +11,12 @@ monomials and tables. Two reference routes through the tower of derived
 powers, which share no code with base change: pi_*(R/I^infty) read off
 the cones of the multiplications (quotient_by_tower), also by Kunneth
 convolution over independent variable blocks (kunneth_quotient), and the
-static check read off cone(sigma_1) (static_check_by_tower). Base change
-without descent: quotient_homotopy and static_check with Tor^A(K_S, R)
-settled by the Tor level loop even where it descends to level 0
-(quotient_by_levels, static_check_by_levels)."""
+static check read off cone(sigma_1) (static_check_by_tower). The
+cofibre of sigma_n built as that cone (cofibre_cone), which tower_report
+reads as X_n against R/I instead. Base change without descent:
+quotient_homotopy and static_check with Tor^A(K_S, R) settled by the Tor
+level loop even where it descends to level 0 (quotient_by_levels,
+static_check_by_levels)."""
 
 from __future__ import annotations
 
@@ -500,6 +502,13 @@ def quotient_by_tower(
     )
 
 
+def cofibre_cone(tw: derived.Tower, n: int) -> derived.Family:
+    """cone(sigma_n: X_{n+1} -> X_n) of the tower tw, the cofibre that
+    Tower.cofibre reads as X_n against R/I; made once per tower and kept,
+    as Tower.cofibre is."""
+    return tw._keep(("cone", n), lambda: derived.cone_family(tw.sigma(n)))
+
+
 def static_check_by_tower(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Optional[Bounds] = None
 ) -> StaticCheck:
@@ -508,10 +517,10 @@ def static_check_by_tower(
     N + 1: static when it is acyclic there at the stabilized colimit,
     the witness its first stable nonzero cell."""
     bounds = bounds if bounds is not None else default_bounds(N)
-    tw = derived.Tower(spec, family, N + 1, bounds.weight_max)
+    cof = cofibre_cone(derived.Tower(spec, family, N + 1, bounds.weight_max), 1)
 
     def attempt(levels):
-        raw = tw.cof(1).diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window)
+        raw = cof.diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window)
         return (raw, levels), all(r.stable for r in raw.values())
 
     raw, levels = derived._settle(family.min_level(), bounds.window, bounds.max_level, attempt)

@@ -43,6 +43,7 @@ from idemq.sparsela import Echelon, SparseMatrix, solve_rows
 from oracles import (
     aug_matrix,
     basis,
+    cofibre_cone,
     column,
     compose_maps,
     divisible,
@@ -406,7 +407,7 @@ def test_cofibres_of_sigma_are_complexes_sharing_the_entries_of_x():
         tw = Tower(family.spec, family, 3, Fraction(3, 2))
         for n in (1, 2):
             for level in (1, 2):
-                c = tw.cof(n).at(level)
+                c = cofibre_cone(tw, n).at(level)
                 check_complex(c)
                 sigma, x, y = tw.sigma(n).at(level), tw.X(n + 1).at(level), tw.X(n).at(level)
                 for d, cols in x.diff.items():
@@ -634,7 +635,7 @@ def _xy_cone(field, level=2, wmax=Fraction(2)):
     # cone of the multiplication I (x) I -> I for I = roots(x), roots(y)
     spec = _xy_spec(field)
     family = IdealFamily(name="I", spec=spec, root_vars=(0, 1))
-    cof = Tower(spec, family, 2, wmax).cof(1).at(level)
+    cof = cofibre_cone(Tower(spec, family, 2, wmax), 1).at(level)
     return cof, Strands(make_level_ring(spec, level))
 
 
@@ -992,7 +993,7 @@ def _strand_cases():
             ring = make_level_ring(family.spec, level)
             res = ideal_resolution(ring, family.gens_at(ring), dmax=3, wmax=wmax)
             sq, _ = tensor_complexes(res, res, dmax=3, wmax=wmax)
-            cof = Tower(family.spec, family, 2, wmax).cof(1).at(level)
+            cof = cofibre_cone(Tower(family.spec, family, 2, wmax), 1).at(level)
             for kind, x in (("res", res), ("square", sq), ("cone", cof)):
                 yield f"{name}-l{level}-{kind}", x, wmax, family
 

@@ -137,7 +137,7 @@ def test_static_check_at_degree_zero_builds_nothing(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("n_max,N", [(3, 2), (4, 1), (5, 0)])
 def test_tower_report_reads_the_same_cells_at_a_wider_cap(monkeypatch, n_max, N):
-    # cof(n) below n for n < n_max and H_0 of X_n, on a tower
+    # the cofibres below n for n < n_max and H_0 of X_n, on a tower
     # built through n_max - 1; n_max >= N + 5 is where a cap tied to N
     # read a degree it left inexact
     rep = _same_at_wider_caps(

@@ -36,6 +36,7 @@ from idemq.sparsela import SparseMatrix, matmul
 from idemq.specfile import parse_spec
 from oracles import (
     cell_map,
+    cofibre_cone,
     compose_maps,
     from_dense,
     homology_dim,
@@ -594,7 +595,7 @@ def test_multiplication_kernel_weight_one():
         h_dst = homology_data(tw.X(1).at(l), 0, n, prov)
         assert h_src.dim == 1
         assert h_dst.dim == 0  # t^1 already dies in I
-    raw = tw.cof(1).diagram([1, 2, 3, 4]).run([1], Fraction(3, 2), 2)
+    raw = cofibre_cone(tw, 1).diagram([1, 2, 3, 4]).run([1], Fraction(3, 2), 2)
     r = raw[(1, F1)]
     assert r.stable and r.value == 1
 
@@ -617,7 +618,7 @@ def test_tower_transition_maps_are_chain_maps():
     tw = Tower(spec, I, 3, Fraction(2))
     check_chain_map(tw.X(2).step(1))
     check_chain_map(tw.Q(2).step(1))
-    check_chain_map(tw.cof(1).step(1))
+    check_chain_map(cofibre_cone(tw, 1).step(1))
 
 
 # ---------- derived tensors ----------
@@ -772,6 +773,103 @@ def test_tower_report_one_var():
     assert rep.h0_mismatches == []
     assert rep.h0_cells_checked > 0
     assert rep.undetermined_is_boundary
+
+
+# spec -> (text, top level, weight cap) of the cofibre routes' comparison
+TOWER_SPECS = {
+    "t": ("var t divisible\ntruncate t\nideal I = roots(t)", 4, Fraction(2)),
+    "t2": ("var t divisible\ntruncate t^2\nideal I = roots(t)", 4, Fraction(2)),
+    "t3": ("var t divisible\ntruncate t^3\nideal I = roots(t), t^2", 4, Fraction(2)),
+    "root-base-3": (
+        "root_base 3\nvar t divisible\ntruncate t\nideal I = roots(t)", 4, Fraction(2)
+    ),
+    "s-plain": ("var s\nvar t divisible\ntruncate s^2, t\nideal I = roots(t)", 4, Fraction(2)),
+    "xy": (XY + "truncate x y\nideal I = roots(x), roots(y)", 3, Fraction(3, 2)),
+    "roots-x": (XY + "truncate x y\nideal I = roots(x)", 3, Fraction(2)),
+    "roots-y": (XY + "truncate x^2, x y\nideal I = roots(y)", 3, Fraction(2)),
+    "unit": ("var t divisible\ntruncate t\nideal I = 1", 4, Fraction(2)),
+}
+
+
+def _level_cells(family, levels, degrees, wmax):
+    """(d, top-level weight) -> (dims per level, step ranks) of every cell
+    that is nonzero at some level."""
+    diagram, cells = family.diagram(levels), {}
+
+    def track(d, ns):
+        dims = [diagram.homology(k, d, n).dim for k, n in enumerate(ns)]
+        if any(dims):
+            ranks = [diagram.step_matrix(k, d, ns).rank() for k in range(len(ns) - 1)]
+            cells[(d, ns[-1])] = (dims, ranks)
+
+    diagram.walk(degrees, wmax, 2, track)
+    return cells
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 7"])
+@pytest.mark.parametrize("key", list(TOWER_SPECS))
+def test_cofibre_reads_the_cone_of_sigma(key, field, monkeypatch):
+    # cone(sigma_n) = X_n (x) cone(eps_1) ~ X_n (x) R/I (tower_report):
+    # the two level diagrams agree cell for cell, and so do the reports
+    text, top, wmax = TOWER_SPECS[key]
+    ps = parse_spec(_over(text, field))
+    I = ps.ideals["I"]
+    tw = Tower(ps.ring, I, 4, wmax)
+    levels = list(range(I.min_level(), top + 1))
+    for n in range(1, 5):
+        cone = _level_cells(cofibre_cone(tw, n), levels, range(n), wmax)
+        assert _level_cells(tw.cofibre(n), levels, range(n), wmax) == cone, n
+    bounds = Bounds(wmax, top, 2)
+    ours = [tower_report(ps.ring, I, n_max, bounds) for n_max in range(1, 7)]
+    monkeypatch.setattr(Tower, "cofibre", cofibre_cone)
+    assert [tower_report(ps.ring, I, n_max, bounds) for n_max in range(1, 7)] == ours
+
+
+def test_tower_report_builds_no_sigma_and_no_cone(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("sigma_n or a cone was built")
+
+    monkeypatch.setattr(derived, "cone_family", refused)
+    monkeypatch.setattr(Tower, "sigma", refused)
+    spec = _spec_t()
+    rep = tower_report(spec, roots_family(spec, "t"), 5, default_bounds(4))
+    assert rep.ok and rep.h0_cells_checked > 0
+
+
+def _weights(ring, wmax):
+    # each weight of the level's lattice up to wmax, as its integer
+    return range(ring.num_floor(wmax) + 1)
+
+
+def test_h0_of_the_powers_is_the_tensor_power_of_the_ideal():
+    # I_l = u R_l for u = t^(1/2^l) and R_l = k[u]/(u^(2^l)), so I_l^(x)n
+    # is spanned by u^n .. u^(n + 2^l - 2): dim 1 at the weights
+    # n/2^l .. (n + 2^l - 2)/2^l, nothing elsewhere
+    spec = _spec_t()
+    wmax = Fraction(3)
+    tw = Tower(spec, roots_family(spec, "t"), 1, wmax)
+    for n in range(1, 6):
+        for l in range(6):
+            diagram = tw.X(n).diagram([l])
+            for k in _weights(diagram.complexes[0].ring, wmax):
+                want = int(n <= k <= n + 2**l - 2)
+                assert diagram.homology(0, 0, k).dim == want, (n, l, k)
+
+
+def test_cofibre_homology_counts_the_generators_of_the_power():
+    # on the t spec R_l/I_l = k and X_n is minimal, so X_n (x) R/I has no
+    # differential: its H_d at a weight counts X_n's degree-d generators
+    spec = _spec_t()
+    wmax = Fraction(2)
+    tw = Tower(spec, roots_family(spec, "t"), 4, wmax)
+    for n in range(1, 5):
+        cof = tw.cofibre(n)
+        for l in range(6):
+            diagram, x = cof.diagram([l]), tw.X(n).at(l)
+            for d in range(4):
+                weights = [x.ring.num(w) for w in x.gens_at(d)]
+                for k in _weights(x.ring, wmax):
+                    assert diagram.homology(0, d, k).dim == weights.count(k), (n, l, d, k)
 
 
 # ---------- cosimplicial comparison ----------

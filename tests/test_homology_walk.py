@@ -33,7 +33,7 @@ from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon
-from oracles import homology_dim, mono, rank, strand_matrix
+from oracles import cofibre_cone, homology_dim, mono, rank, strand_matrix
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -59,9 +59,9 @@ def _tot():
 
 
 def _cof():
-    # tower_report's cofibre of sigma_3, read below degree 3
+    # cone(sigma_3), the cofibre tower_report reads below degree 3
     spec = _spec_t()
-    cof = Tower(spec, roots_family(spec, "t"), 3, Fraction(2)).cof(3)
+    cof = cofibre_cone(Tower(spec, roots_family(spec, "t"), 3, Fraction(2)), 3)
     return cof, cof.diagram([1, 2, 3]), range(3), Fraction(2)
 
 
@@ -80,7 +80,7 @@ DIAGRAMS = {"amitsur-tot": _tot, "cof-sigma": _cof, "tor-I-RJ": _tor}
 def _cof_r3():
     # the cofibre of sigma_1 over K[t^(1/3^l)]/(t): lattices 1/3, 1/9, 1/27
     spec = RingSpec(field=QQ, root_base=3, variables=(VarInfo("t", True),), truncations=((F1,),))
-    cof = Tower(spec, roots_family(spec, "t"), 2, Fraction(1)).cof(1)
+    cof = cofibre_cone(Tower(spec, roots_family(spec, "t"), 2, Fraction(1)), 1)
     return cof, cof.diagram([1, 2, 3]), range(2), Fraction(1)
 
 

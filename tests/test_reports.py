@@ -1,12 +1,14 @@
 """Every report of the benchmark's solves, and the largest elimination
 over Q, byte for byte.
 
-The spec templates and all solves but `qh-xy-q3` and `qh-xy-roots-x`
-are those of perfbench/workloads.py, copied here so that tier-1 does not
-depend on the benchmark. `qh-xy-q3` (quotient-homotopy over Q on the
-truncated x y spec at degree 3) is not a benchmark solve, and neither is
-`qh-xy-roots-x`: its divisible y is not a root variable, so base change
-stays on the level loop, and the level cap leaves cells unstable (exit 3). The four quotient-homotopy
+The spec templates and all solves but `qh-xy-q3`, `qh-xy-roots-x`,
+`tower-n4` and `tower-n6` are those of perfbench/workloads.py, copied
+here so that tier-1 does not depend on the benchmark. `tower-n6` holds
+the tower's false H_0 cell at weight 17/16 (exit 4). `qh-xy-q3`
+(quotient-homotopy over Q on the truncated x y spec at degree 3) is not
+a benchmark solve, and neither is `qh-xy-roots-x`: its divisible y is
+not a root variable, so base change stays on the level loop, and the
+level cap leaves cells unstable (exit 3). The four quotient-homotopy
 solves hold roots families, so they take base change (Tor over the
 untruncated algebra), not the derived-power tower; every divisible
 variable of theirs is a root variable, so base change descends to level
@@ -15,19 +17,26 @@ base change settled by the level loop instead. TENSOR_ROUTE pins the
 tower on the same four solves, run with `oracles.quotient_by_tower` in
 place of `quotient_homotopy`: those reports are the ones these solves
 gave before base change, and `qh-xy-q3` among them reduces the largest Q
-strands tier-1 reaches. The digests are the SHA-256 of each JSON report
-as it stood when its entry was written. A change meant to alter a report
-re-records its digest and says why in CHANGES.md; any other change must
-leave all of them alone.
+strands tier-1 reaches. TOWER_BY_CONES runs the three tower solves with
+each cofibre built as cone(sigma_n) (`oracles.cofibre_cone`) in place of
+X_n read against R/I: the same reports. The digests are the SHA-256 of
+each JSON report as it stood when its entry was written. A change meant
+to alter a report re-records its digest and says why in CHANGES.md; any
+other change must leave all of them alone.
 """
 
 import hashlib
 
 import pytest
 
-from idemq import cli
+from idemq import cli, derived
 from idemq.cli import main
-from oracles import quotient_by_levels, quotient_by_tower, static_check_by_levels
+from oracles import (
+    cofibre_cone,
+    quotient_by_levels,
+    quotient_by_tower,
+    static_check_by_levels,
+)
 
 SPECS = {
     "t": ["var t divisible", "truncate t", "ideal I = roots(t)"],
@@ -111,6 +120,16 @@ SOLVES = {
         0,
         "68363d360b2d27570f52b2975ecc62e5fb72ae23892c355eb2ffa27880919215",
     ),
+    "tower-n4": (
+        ["tower", "{t}", "--n-max", "4"],
+        0,
+        "fb7e60704223c89552839dd8e58904e976f4e1cd2ebe60607a110e0657218191",
+    ),
+    "tower-n6": (
+        ["tower", "{t}", "--n-max", "6"],
+        4,
+        "04d7b13b3aceb4eb400b77d54f665884830d8193fd376608957c6b062257e3e1",
+    ),
     "almost-zero": (
         ["almost-zero", "{t}", "--module", "R"],
         0,
@@ -157,6 +176,10 @@ TENSOR_ROUTE = {
 }
 
 
+# tower solves whose reports the cone route gives byte for byte
+TOWER_BY_CONES = ("tower", "tower-n4", "tower-n6")
+
+
 def _check(argv, want_code, want_digest, tmp_path, capsys):
     paths = {}
     for name, lines in SPECS.items():
@@ -187,3 +210,9 @@ def test_level_loop_report_is_byte_identical(key, tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "static_check", static_check_by_levels)
     argv, want_code, _ = SOLVES[key]
     _check(argv, want_code, LEVEL_LOOP[key], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", TOWER_BY_CONES)
+def test_tower_by_cones_report_is_byte_identical(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(derived.Tower, "cofibre", cofibre_cone)
+    _check(*SOLVES[key], tmp_path, capsys)
