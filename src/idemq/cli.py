@@ -46,10 +46,10 @@ from .almost import (
     power_multiplication_map,
     tensor_zero_criterion,
 )
+from .amitsur import amitsur_crosscheck
 from .derived import (
     Bounds,
     ModuleRef,
-    amitsur_crosscheck,
     default_bounds,
     derived_tensor,
     gluing_bounds,

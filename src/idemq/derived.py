@@ -31,11 +31,16 @@ somewhere but dead at the top and waiting out the window before zero can
 be certified. A cell alive from the first level is never in flight: it
 is undersampled, not newborn. In-flight cells do not block a verdict.
 
-One level loop (_settle) serves every command that raises its level
+One level loop (settle) serves every command that raises its level
 cap until the cells settle, base change by descent excepted: it starts
 at min(l0 + window, max_level) and adds one level at a time until the
-run settles or reaches the cap. A family whose first level lies above
-the cap is a usage error (level_range), under descent too.
+run settles or reaches the cap. An attempt below the cap is lazy: its
+walks stop at the first judged cell that keeps it from settling, and
+the loop moves on to the next top. Only judging is skipped: the
+homology read stays in the family caches, and the next top reads every
+level below it again. The attempt at the cap walks in full. A family
+whose first level lies above the cap is a usage error (level_range),
+under descent too.
 
 Every level-indexed object is a Family: a complex per level with its
 transition, its module structure and its own homology cache. The tower's
@@ -68,8 +73,9 @@ Tor resolution over the untruncated algebra through N + 1, and so does
 the static check (it reads Tor in degrees 1..N); the gluing check builds
 its tower, module and tensors through N + 1. An almost equivalence
 builds a derived power, the source of its cone, through N and a module
-resolution through N + 1. The tower report builds through n_max - 1: it
-reads X_n against R/I below n. A resolution that splits by variable
+resolution through N + 1. The tower report builds X_n through n_max - 1
+for n < n_max, as it reads X_n against R/I below n, and X(n_max)
+through 1, as it reads only its H_0. A resolution that splits by variable
 (complexes.minimal_resolution) is written down to the same degree: its
 2-periodic pieces run through it, and its Koszul part stops at the
 number of its generators, so base change's resolution of K_S has no
@@ -81,7 +87,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .complexes import (
@@ -90,13 +95,11 @@ from .complexes import (
     NO_HOMOLOGY,
     HomologyData,
     Strands,
-    TensorIndex,
     cone,
     cone_map,
     homology_data,
     homology_map_matrix,
     ideal_resolution,
-    identity_map,
     lift_chain_map,
     minimal_resolution,
     strand_weights,
@@ -220,19 +223,39 @@ def level_range(l0: int, top: int) -> list[int]:
     return list(range(l0, top + 1))
 
 
-def _settle(
-    l0: int, window: int, max_level: int, attempt: Callable[[list[int]], tuple]
+class _Unsettled(Exception):
+    """A walk met a cell its stop test holds on (LevelDiagram.walk)."""
+
+
+def _unstable(r: CellResult) -> bool:
+    """The stop test of an attempt that settles when every cell is stable."""
+    return not r.stable
+
+
+def settle(
+    l0: int, window: int, max_level: int, attempt: Callable[[list[int], bool], tuple]
 ):
-    """Run attempt(levels) on the levels l0..top, starting at top =
+    """Run attempt(levels, lazy) on the levels l0..top, starting at top =
     min(l0 + window, max_level) and raising top by one until the attempt
     reports settled or top reaches max_level. attempt returns
-    (result, settled); the last result is returned."""
+    (result, settled); the last result is returned.
+
+    lazy is True below max_level: the attempt then gives its walks a stop
+    test that holds only on a cell that keeps it from settling, and is
+    abandoned at the first such cell (_Unsettled). Its homology stays in
+    the family caches, and the next top reads every level below it again,
+    so only the judging of the other cells is skipped. The attempt at
+    max_level is never abandoned."""
     top = min(l0 + window, max_level)
-    while True:
-        result, settled = attempt(level_range(l0, top))
-        if settled or top >= max_level:
-            return result
+    while top < max_level:
+        try:
+            result, settled = attempt(level_range(l0, top), True)
+            if settled:
+                return result
+        except _Unsettled:
+            pass
         top += 1
+    return attempt(level_range(l0, top), False)[0]
 
 
 # ---------- level families ----------
@@ -409,6 +432,7 @@ class LevelDiagram:
         wmax: Fraction,
         window: int,
         track: Callable[[int, list[Optional[int]]], Tracked],
+        stop: Optional[Callable[[CellResult], bool]] = None,
     ) -> dict[tuple[int, Fraction], CellResult]:
         """Judge every cell of the degrees up to weight wmax, degrees from
         the top down. A cell is an integer nt over the top level's denom
@@ -417,7 +441,8 @@ class LevelDiagram:
         or None (the empty strand) when that does not divide. track(d, ns)
         gives the cell's tracked dims and spans (colimit_stabilize), or
         None to skip it; only a judged cell gets a Fraction weight nt / D.
-        The cells come back in ascending (d, w) order."""
+        The cells come back in ascending (d, w) order. The walk raises
+        _Unsettled at the first judged cell that stop holds on (settle)."""
         denom = self.complexes[-1].ring.denom
         ratios = [denom // x.ring.denom for x in self.complexes]
         blocks = []
@@ -437,12 +462,18 @@ class LevelDiagram:
                 # weight here is where the cell becomes representable
                 first_rep = next(l for l, n in zip(self.levels, ns) if n is not None)
                 result = judge_cell(self.levels, dims, mats, window, first_rep, spans)
+                if stop is not None and stop(result):
+                    raise _Unsettled
                 block.append(((d, Fraction(nt, denom)), result))
             blocks.append(block)
         return dict(cell for block in reversed(blocks) for cell in block)
 
     def run(
-        self, degrees, wmax: Fraction, window: int
+        self,
+        degrees,
+        wmax: Fraction,
+        window: int,
+        stop: Optional[Callable[[CellResult], bool]] = None,
     ) -> dict[tuple[int, Fraction], CellResult]:
         """The walk that tracks each cell's whole homology."""
 
@@ -450,7 +481,7 @@ class LevelDiagram:
             dims = [self.homology(k, d, n).dim for k, n in enumerate(ns)]
             return (dims, None) if any(dims) else None
 
-        return self.walk(degrees, wmax, window, track)
+        return self.walk(degrees, wmax, window, track, stop=stop)
 
     def exact(self, degrees, wmax: Fraction) -> dict[tuple[int, Fraction], CellResult]:
         """Every nonzero cell of the first level up to weight wmax, each
@@ -513,7 +544,7 @@ class StabilizedTable:
         }
 
 
-def _make_table(
+def make_table(
     name: str,
     raw: dict[tuple[int, Fraction], CellResult],
     levels,
@@ -625,7 +656,7 @@ def resolution_family(
 # ---------- the tower ----------
 
 
-def _family_contains_unit(family: IdealFamily) -> bool:
+def family_contains_unit(family: IdealFamily) -> bool:
     return any(all(x == 0 for x in g) for g in family.gens)
 
 
@@ -655,7 +686,9 @@ class Tower:
     cones of maps between them reach degree deg_max + 1. Each power,
     cone and cofibre is made once and kept, with its homology.
 
-    tower_report reads the cofibres and the powers, the gluing check the
+    tower_report reads the cofibres and the powers below n_max (its
+    X(n_max), read at degree 0 alone, is a power built through 1 from
+    X(n_max - 1) and res), the gluing check the
     multiplications, sigma(n) and Q(n), and an almost equivalence of a
     power its eps(n). quotient_homotopy and static_check build none of
     it; the tests read Q(d + 2) and cone(sigma_1) as oracles for them."""
@@ -766,7 +799,7 @@ def derived_tensor(
     """
     raw, levels = _tor_cells(spec, left, right, range(deg_min, deg_max + 1), bounds)
     name = f"Tor({left.label}, {right.label})"
-    return _make_table(name, raw, levels, deg_max, deg_max)
+    return make_table(name, raw, levels, deg_max, deg_max)
 
 
 def _tor_cells(
@@ -777,11 +810,11 @@ def _tor_cells(
     wmax = Fraction(bounds.weight_max)
     res = resolution_family(spec, left, degrees[-1] + 1, wmax, against=right)
 
-    def attempt(levels):
-        raw = res.diagram(levels).run(degrees, wmax, bounds.window)
+    def attempt(levels, lazy):
+        raw = res.diagram(levels).run(degrees, wmax, bounds.window, _unstable if lazy else None)
         return (raw, levels), all(r.stable for r in raw.values())
 
-    return _settle(res.min_level, bounds.window, bounds.max_level, attempt)
+    return settle(res.min_level, bounds.window, bounds.max_level, attempt)
 
 
 # ---------- quotient homotopy ----------
@@ -927,13 +960,13 @@ def quotient_homotopy(
     """
     bounds = bounds if bounds is not None else default_bounds(N)
     require_idempotent(family)
-    if _family_contains_unit(family):
+    if family_contains_unit(family):
         raw, levels = {}, [family.min_level()]
         notes = ["ideal contains a unit, the quotient vanishes"]
     else:
         raw, levels, note = _quotient_by_base_change(spec, family, range(N + 1), bounds)
         notes = [note]
-    table = _make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
+    table = make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),
@@ -975,7 +1008,7 @@ def static_check(
     is read: H_0 cone(sigma_1) = I/I^2 = 0."""
     require_idempotent(family)
     bounds = bounds if bounds is not None else default_bounds(N)
-    if _family_contains_unit(family) or N == 0:
+    if family_contains_unit(family) or N == 0:
         return StaticCheck(True, None, True, ())
     raw, levels, _note = _quotient_by_base_change(spec, family, range(1, N + 1), bounds)
     witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
@@ -1018,7 +1051,10 @@ def tower_report(
     H_i = 0 for i < n; for each 2 < n <= n_max the stabilized H_0(X_n)
     must equal H_0(X_2) weight by weight on mutually stable cells. The
     cofibres' homology is read up to degree n_max - 2 and the powers'
-    at degree 0, so the tower is built through max(1, n_max - 1).
+    at degree 0, so the tower is built through max(1, n_max - 1), and
+    X(n_max), read at degree 0 alone, through 1. Below the level cap an
+    attempt stops at its first unstable cell (settle): one unstable cell
+    keeps it from settling.
 
     Cofibre n is read as X_n against R/I (Tower.cofibre): no sigma_n and
     no cone is built. At level l write eps_1: res(I_l) -> R_l.
@@ -1030,22 +1066,27 @@ def tower_report(
     preserves that quasi-isomorphism: cone(sigma_n) -> X_n (x) R_l/I_l.
     (4) I_l R_{l+1} lies in I_{l+1}, so the projections commute with the
     level transitions.
-    (5) X_n is built through max(1, n_max - 1) >= n, so the degrees read
-    (H_d for d < n reads X_n through d + 1 <= n) and the weight cap are
-    exact. So every level dim and every step rank is equal cell for
-    cell, and with them every verdict, undetermined cell and flag.
+    (5) X_n is built through max(1, n_max - 1) >= n for n < n_max, so the
+    degrees read (H_d for d < n reads X_n through d + 1 <= n) and the
+    weight cap are exact. So every level dim and every step rank is equal
+    cell for cell, and with them every verdict, undetermined cell and
+    flag.
     """
     tw = Tower(spec, family, max(1, n_max - 1), bounds.weight_max)
+    wmax, window = tw.wmax, bounds.window
+    powers = {n: tw.X(n) for n in range(2, n_max)}
+    if n_max >= 2:
+        powers[n_max] = tensor_family(
+            tw.X(n_max - 1), tw.res, lambda x, r: _power(x, r, 1, wmax)
+        )
 
-    def attempt(levels):
-        cof_raw: dict[int, dict] = {}
-        for n in range(1, n_max):
-            cof_raw[n] = tw.cofibre(n).diagram(levels).run(
-                range(n), bounds.weight_max, bounds.window
-            )
-        h0_raw: dict[int, dict] = {}
-        for n in range(2, n_max + 1):
-            h0_raw[n] = tw.X(n).diagram(levels).run([0], bounds.weight_max, bounds.window)
+    def attempt(levels, lazy):
+        stop = _unstable if lazy else None
+        cof_raw = {
+            n: tw.cofibre(n).diagram(levels).run(range(n), wmax, window, stop)
+            for n in range(1, n_max)
+        }
+        h0_raw = {n: x.diagram(levels).run([0], wmax, window, stop) for n, x in powers.items()}
         settled = all(
             r.stable
             for raw in (*cof_raw.values(), *h0_raw.values())
@@ -1053,9 +1094,7 @@ def tower_report(
         )
         return (cof_raw, h0_raw, levels), settled
 
-    cof_raw, h0_raw, levels = _settle(
-        family.min_level(), bounds.window, bounds.max_level, attempt
-    )
+    cof_raw, h0_raw, levels = settle(family.min_level(), window, bounds.max_level, attempt)
     conn_failures = []
     undetermined = []
     all_boundary = True
@@ -1097,246 +1136,4 @@ def tower_report(
         h0_cells_checked=checked,
         undetermined_is_boundary=all_boundary,
         cof_undetermined_is_boundary=cof_boundary,
-    )
-
-
-# ---------- Amitsur comparison ----------
-
-
-class _TotData(NamedTuple):
-    tot: FreeComplex
-    powers: list[FreeComplex]  # powers[k] = W (x) Wbar^{(x) k}, column k
-    indexes: list[Optional[TensorIndex]]  # indexes[k] builds powers[k] from powers[k-1]
-    wbar: FreeComplex
-    # offsets[d][k]: where column k's generators start in Tot_d, k ascending;
-    # offsets[d][-1] is rank(Tot_d)
-    offsets: dict[int, list[int]]
-
-
-def _reduced_resolution(W: FreeComplex) -> FreeComplex:
-    """W modulo the span of its unit generator.
-
-    Valid only when degree 0 is the single weight-0 unit generator; then
-    the span is a subcomplex and the quotient is free on the remaining
-    generators, with the degree-1 differential dropped.
-    """
-    g0 = W.gens_at(0)
-    if len(g0) != 1 or g0[0] != 0:
-        raise AssertionError("resolution is not cyclic on a unit generator")
-    gens = {d: gl for d, gl in W.gens.items() if d >= 1 and gl}
-    diff = {d: ent for d, ent in W.diff.items() if d >= 2}
-    return FreeComplex(ring=W.ring, gens=gens, diff=diff)
-
-
-def _shifted(col, off: int, neg=None):
-    """col with every row moved by off, each entry negated by neg if given."""
-    if neg is not None:
-        return tuple([(off + i, neg(elem)) for i, elem in col])
-    return tuple([(off + i, elem) for i, elem in col]) if off and col else col
-
-
-def _amitsur_level(
-    ring: LevelRing, family: IdealFamily, m: int, N: int, wmax: Fraction
-) -> _TotData:
-    """Normalized truncated totalization Tot^m of (R/I)^{(x) k+1}, k <= m,
-    as one complex in total degrees -1 .. N+1 (column k sits in degree
-    i - k).
-
-    Cofaces insert the unit generator w0 of W = res(R/I), so the span of
-    basis tensors carrying w0 in a positive slot is the coface-degenerate
-    subcomplex; the Moore normalization is the basis-aligned quotient by
-    it (Weibel, An Introduction to Homological Algebra, 8.4). Column k of
-    the quotient is powers[k] = W (x) Wbar^{(x) k}, Wbar = W / R.w0, and
-    only the slot-0 coface survives: the chain map delta_k: powers[k] ->
-    powers[k+1], a -> w0 (x) a. delta_0 is one lookup per generator of W
-    (w0 itself goes to 0, as w0 is not in Wbar), and delta_k = delta_{k-1}
-    (x) id(Wbar).
-
-    Tot_d is the blocks powers[k]_{d+k}, k ascending, block k starting at
-    offsets[d][k]. A generator a of internal degree i in column k has the
-    boundary d(a) + (-1)^i delta_k(a), the sign that makes the two
-    anticommute (Weibel 1.2.6): its internal boundary in block k and its
-    coface in block k+1 of Tot_{d-1}. The block order is kept: it sets how
-    many boundary columns the rank-first homology reads, and descending k
-    reads more.
-
-    Column k keeps internal degrees <= N + 1 + k, so power k is built
-    through N + 1 + k. Its k Wbar factors each sit in degree >= 1, so none
-    of them is read above N + 2, which is what W is built through. For
-    the same reason power k starts in degree k, and Tot_{-1} is zero."""
-    W = minimal_resolution(ring, tuple(family.gens_at(ring)), N + 2, wmax)
-    wbar = _reduced_resolution(W)
-    powers = [W]
-    indexes: list[Optional[TensorIndex]] = [None]
-    for k in range(1, m + 1):
-        t, index = tensor_complexes(powers[-1], wbar, N + 1 + k, wmax)
-        powers.append(t)
-        indexes.append(index)
-    # w0 (x) a, for a generator i of W_d, is (p, i, q, j) = (0, 0, d, i)
-    # in W (x) Wbar; w0 (x) w0 is not there
-    ent = {}
-    for d, gl in W.gens.items():
-        hits = (indexes[1].get((0, 0, d, i)) for i in range(len(gl)))
-        ent[d] = [() if t is None else ((t, ring.one()),) for t in hits]
-    cofaces = [ChainMap(src=W, dst=powers[1], entries=ent)]
-    id_bar = identity_map(wbar)
-    for k in range(1, m):
-        cofaces.append(
-            tensor_maps(cofaces[-1], id_bar, powers[k], indexes[k], powers[k + 1], indexes[k + 1])
-        )
-
-    degrees = range(-1, N + 2)
-    offsets = {
-        d: list(accumulate((pw.rank(d + k) for k, pw in enumerate(powers)), initial=0))
-        for d in degrees
-    }
-    gens = {d: [w for k, pw in enumerate(powers) for w in pw.gens_at(d + k)] for d in degrees}
-    diff = {}
-    for d in degrees[1:]:
-        below = offsets[d - 1]
-        cols = []
-        for k, pw in enumerate(powers):
-            i = d + k
-            cof = cofaces[k].entries_at(i) if k < m else [()] * pw.rank(i)
-            neg = ring.elem_neg if i % 2 else None
-            for dcol, ccol in zip(pw.diff_at(i), cof):
-                cols.append(_shifted(dcol, below[k]) + _shifted(ccol, below[k + 1], neg))
-        diff[d] = cols
-
-    tot = FreeComplex(ring=ring, gens=gens, diff=diff)
-    return _TotData(tot, powers, indexes, wbar, offsets)
-
-
-def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
-    """Transition Tot(l) -> Tot(l+1) from the lift beta: W(l) -> W(l+1)
-    along the ring inclusion inc.
-
-    Column k maps by maps[k] = beta (x) beta_bar^{(x) k}, so the step is
-    block-diagonal: block k of Tot_d(l) lands in block k of Tot_d(l+1)."""
-    beta = lift_chain_map(lo.powers[0], hi.powers[0], ring_map=inc)
-    # beta restricts to the reduced factors: positive-degree entries never
-    # target the unit generator, so no entries are dropped
-    beta_bar = ChainMap(
-        src=lo.wbar,
-        dst=hi.wbar,
-        entries={d: ent for d, ent in beta.entries.items() if d >= 1},
-        ring_map=inc,
-    )
-    maps = [beta]
-    for k in range(1, m + 1):
-        maps.append(
-            tensor_maps(
-                maps[-1], beta_bar, lo.powers[k], lo.indexes[k], hi.powers[k], hi.indexes[k]
-            )
-        )
-    ent = {}
-    for d in lo.tot.gens:
-        at = hi.offsets[d]
-        ent[d] = [_shifted(col, at[k]) for k, f in enumerate(maps) for col in f.entries_at(d + k)]
-    return ChainMap(src=lo.tot, dst=hi.tot, entries=ent, ring_map=inc)
-
-
-def _amitsur_family(
-    spec: RingSpec, family: IdealFamily, m: int, N: int, wmax: Fraction
-) -> Family:
-    """Tot^m (_amitsur_level) at each level, its column data as the index,
-    with the block-diagonal transitions of _amitsur_step."""
-
-    def make(l: int) -> tuple[FreeComplex, _TotData]:
-        data = _amitsur_level(make_level_ring(spec, l), family, m, N, wmax)
-        return data.tot, data
-
-    def step(fam: Family, l: int) -> ChainMap:
-        return _amitsur_step(fam.index(l), fam.index(l + 1), fam.at(l).ring.include_exp, m)
-
-    return Family(make, step, min_level=family.min_level())
-
-
-def _tot_lifetime(m: int, root_base: int) -> int:
-    # truncation junk rides tensor columns whose weight numerators scale
-    # by root_base per level, so it drowns past column m within this many
-    # levels of its birth
-    lam = 1
-    t = root_base
-    while t <= m:
-        lam += 1
-        t *= root_base
-    return lam
-
-
-@dataclass
-class AmitsurReport:
-    table: StabilizedTable
-    reference: QuotientHomotopy
-    agree: dict[int, bool]
-    m: int
-    window: int
-    undetermined: tuple = ()
-
-    def all_agree(self) -> bool:
-        return all(self.agree.values())
-
-
-def amitsur_crosscheck(
-    spec: RingSpec,
-    family: IdealFamily,
-    m: int,
-    N: int,
-    bounds: Optional[Bounds] = None,
-) -> AmitsurReport:
-    """Compare H_i of the truncated Amitsur totalization against
-    quotient_homotopy, degree by degree up to N; the reference follows
-    quotient_homotopy's route, so a family with roots is compared with
-    base change. Needs m >= N+2 so the truncation error sits above the
-    compared range.
-
-    Truncation junk lives longer here than in the tower diagrams, so the
-    run widens the detector window to the junk lifetime and treats cells
-    first alive within lifetime + window - 1 levels of the top as young:
-    they are still in flight and do not count against agreement."""
-    if m < N + 2:
-        raise ValueError(f"cosimplicial truncation m={m} needs m >= N+2={N + 2}")
-    bounds = bounds if bounds is not None else default_bounds(N)
-    reference = quotient_homotopy(spec, family, N, bounds)
-
-    if _family_contains_unit(family):
-        table = StabilizedTable("amitsur", [], (), N, N)
-        agree = {
-            d: reference.table.stable_cells_at(d) == {} for d in range(N + 1)
-        }
-        return AmitsurReport(table, reference, agree, m, bounds.window)
-
-    l0 = family.min_level()
-    tot = _amitsur_family(spec, family, m, N, bounds.weight_max)
-
-    lam = _tot_lifetime(m, spec.root_base)
-    window = max(bounds.window, lam)
-    horizon = window + lam - 1
-
-    def young(dims, top):
-        alive = [k for k, v in enumerate(dims) if v]
-        return bool(alive) and l0 + alive[0] + horizon > top
-
-    def attempt(levels):
-        raw = tot.diagram(levels).run(range(N + 1), bounds.weight_max, window)
-        table = _make_table(f"amitsur Tot^{m}", raw, levels, N, N)
-        agree = {}
-        undet = []
-        for d in range(N + 1):
-            loose = [
-                (dd, w)
-                for (dd, w), r in raw.items()
-                if dd == d and not r.stable
-            ]
-            undet.extend(loose)
-            agree[d] = (
-                reference.table.degree_stable(d)
-                and table.stable_cells_at(d) == reference.table.stable_cells_at(d)
-                and all(young(raw[c].dims, levels[-1]) for c in loose)
-            )
-        return (table, agree, undet), all(agree.values())
-
-    table, agree, undet = _settle(l0, window, bounds.max_level, attempt)
-    return AmitsurReport(
-        table, reference, agree, m, window, tuple(sorted(undet))
     )

@@ -473,13 +473,16 @@ def _tower_cells(
     on a tower built through N, and the levels they settled on."""
     tw = derived.Tower(spec, family, N, bounds.weight_max)
 
-    def attempt(levels):
+    def attempt(levels, lazy):
+        stop = derived._unstable if lazy else None
         raw: dict[tuple[int, Fraction], CellResult] = {}
         for d in range(N + 1):
-            raw.update(tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window))
+            raw.update(
+                tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window, stop)
+            )
         return (raw, levels), all(r.stable for r in raw.values())
 
-    return derived._settle(family.min_level(), bounds.window, bounds.max_level, attempt)
+    return derived.settle(family.min_level(), bounds.window, bounds.max_level, attempt)
 
 
 def quotient_by_tower(
@@ -491,7 +494,7 @@ def quotient_by_tower(
     there. n_used names those powers, and notes is empty."""
     bounds = bounds if bounds is not None else default_bounds(N)
     raw, levels = _tower_cells(spec, family, N, bounds)
-    table = derived._make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
+    table = derived.make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),
@@ -519,11 +522,12 @@ def static_check_by_tower(
     bounds = bounds if bounds is not None else default_bounds(N)
     cof = cofibre_cone(derived.Tower(spec, family, N + 1, bounds.weight_max), 1)
 
-    def attempt(levels):
-        raw = cof.diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window)
+    def attempt(levels, lazy):
+        stop = derived._unstable if lazy else None
+        raw = cof.diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window, stop)
         return (raw, levels), all(r.stable for r in raw.values())
 
-    raw, levels = derived._settle(family.min_level(), bounds.window, bounds.max_level, attempt)
+    raw, levels = derived.settle(family.min_level(), bounds.window, bounds.max_level, attempt)
     witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
     if witness is not None:
         return StaticCheck(False, witness, True, tuple(levels))
@@ -548,7 +552,7 @@ def kunneth_quotient(
         top = max(top, levels[-1])
     raw = _kunneth_cells(per_block, N, bounds.weight_max)
     levels = range(family.min_level(), top + 1)
-    return derived._make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N), blocks
+    return derived.make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N), blocks
 
 
 def _base_change_by_levels(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from idemq import almost, derived
+from idemq import almost, amitsur, derived
 from idemq.almost import (
     gluing_square_check,
     is_almost_equivalence,
@@ -79,9 +79,9 @@ def _same_at_wider_caps(monkeypatch, run, targets=_tower_targets):
     def reading(log):
         families = {}
 
-        def run_logged(self, degrees, wmax, window):
+        def run_logged(self, degrees, wmax, window, stop=None):
             degrees = list(degrees)
-            out = real_run(self, degrees, wmax, window)
+            out = real_run(self, degrees, wmax, window, stop)
             family = families.setdefault(self.family, len(families))
             log.append((family, tuple(self.levels), tuple(degrees), out))
             return out
@@ -135,13 +135,21 @@ def test_static_check_at_degree_zero_builds_nothing(tmp_path, capsys, monkeypatc
     assert report["certificates"] == {"levels": [], "static": True, "witness": None}
 
 
+def _tower_report_targets(widened):
+    """The tower-side caps and the power's own (derived._power), which
+    the tower report fixes at 1 for X(n_max)."""
+    return [*_tower_targets(widened), _widened(derived, "_power", 2, widened)]
+
+
 @pytest.mark.parametrize("n_max,N", [(3, 2), (4, 1), (5, 0)])
 def test_tower_report_reads_the_same_cells_at_a_wider_cap(monkeypatch, n_max, N):
     # the cofibres below n for n < n_max and H_0 of X_n, on a tower
-    # built through n_max - 1; n_max >= N + 5 is where a cap tied to N
-    # read a degree it left inexact
+    # built through n_max - 1 and an X(n_max) built through 1; n_max >=
+    # N + 5 is where a cap tied to N read a degree it left inexact
     rep = _same_at_wider_caps(
-        monkeypatch, lambda: tower_report(T.spec, T, n_max, default_bounds(N))
+        monkeypatch,
+        lambda: tower_report(T.spec, T, n_max, default_bounds(N)),
+        _tower_report_targets,
     )
     assert rep.ok
 
@@ -178,7 +186,7 @@ def test_gluing_parts_read_the_same_cells_at_a_wider_cap(monkeypatch, target):
 
 def _amitsur_targets(widened):
     return [
-        _widened(derived, name, 2, widened)
+        _widened(amitsur, name, 2, widened)
         for name in ("minimal_resolution", "tensor_complexes")
     ]
 
@@ -194,8 +202,8 @@ def test_amitsur_level_is_the_same_at_a_wider_cap(monkeypatch, family, m, N):
     wmax = default_bounds(N).weight_max
 
     def run():
-        lo, hi = (derived._amitsur_level(r, family, m, N, wmax) for r in rings)
-        step = derived._amitsur_step(lo, hi, rings[0].include_exp, m)
+        lo, hi = (amitsur._amitsur_level(r, family, m, N, wmax) for r in rings)
+        step = amitsur._amitsur_step(lo, hi, rings[0].include_exp, m)
         return [(t.tot.gens, t.tot.diff, t.offsets) for t in (lo, hi)], step.entries
 
     _same_at_wider_caps(monkeypatch, run, _amitsur_targets)

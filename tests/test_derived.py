@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idemq import derived
+from idemq import amitsur, derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     Strands,
@@ -14,11 +14,11 @@ from idemq.complexes import (
     homology_map_matrix,
     ideal_resolution,
 )
+from idemq.amitsur import amitsur_crosscheck
 from idemq.derived import (
     Bounds,
     ModuleRef,
     Tower,
-    amitsur_crosscheck,
     default_bounds,
     derived_tensor,
     ideal_module,
@@ -219,31 +219,83 @@ def test_stabilize_on_spans_matches_the_subspace_reference(tower):
 def test_settle_raises_the_top_until_settled():
     seen = []
 
-    def attempt(levels):
-        seen.append(levels)
+    def attempt(levels, lazy):
+        seen.append((levels, lazy))
         return levels[-1], levels[-1] >= 5
 
-    # starts one window above l0 and stops at the first settled top
-    assert derived._settle(1, 2, 7, attempt) == 5
-    assert seen == [[1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5]]
+    # starts one window above l0 and stops at the first settled top; every
+    # attempt below the cap is lazy
+    assert derived.settle(1, 2, 7, attempt) == 5
+    assert seen == [([1, 2, 3], True), ([1, 2, 3, 4], True), ([1, 2, 3, 4, 5], True)]
     seen.clear()
-    assert derived._settle(4, 2, 9, attempt) == 6
-    assert seen == [[4, 5, 6]]
+    assert derived.settle(4, 2, 9, attempt) == 6
+    assert seen == [([4, 5, 6], True)]
+    # an attempt that settles at the cap is the one attempt there
+    seen.clear()
+    assert derived.settle(1, 2, 5, attempt) == 5
+    assert seen == [([1, 2, 3], True), ([1, 2, 3, 4], True), ([1, 2, 3, 4, 5], False)]
 
 
 def test_settle_stops_at_the_cap():
     seen = []
 
-    def attempt(levels):
-        seen.append(levels)
+    def attempt(levels, lazy):
+        seen.append((levels, lazy))
         return levels[-1], False
 
-    assert derived._settle(1, 2, 4, attempt) == 4
-    assert seen == [[1, 2, 3], [1, 2, 3, 4]]
-    # a cap below l0 + window is where the first attempt starts
+    assert derived.settle(1, 2, 4, attempt) == 4
+    assert seen == [([1, 2, 3], True), ([1, 2, 3, 4], False)]
+    # a cap below l0 + window is where the first attempt starts, and it
+    # is the cap: the attempt is not lazy
     seen.clear()
-    assert derived._settle(1, 2, 2, attempt) == 2
-    assert seen == [[1, 2]]
+    assert derived.settle(1, 2, 2, attempt) == 2
+    assert seen == [([1, 2], False)]
+    with pytest.raises(ValueError, match="above the level cap 2"):
+        derived.settle(3, 2, 2, attempt)
+
+
+def _tor_i_rj():
+    # Tor(I, R/J) on the plain t spec: H_0 gains classes at the new finest
+    # weights of every level, so no top below the cap settles
+    spec = _spec_t(trunc=False)
+    I = roots_family(spec, "t")
+    J = fixed_family(spec, [mono(spec, t=1)], name="J")
+    return resolution_family(spec, ideal_module(I), 2, F1, against=quotient_module(J))
+
+
+def test_a_lazy_walk_is_abandoned_at_its_first_stopping_cell():
+    tor = _tor_i_rj()
+    full = tor.diagram([1, 2, 3]).run(range(2), F1, 2)
+    # the walk's order: degrees from the top down, weights ascending
+    order = sorted(full, key=lambda c: (-c[0], c[1]))
+    first = next(i for i, c in enumerate(order) if not full[c].stable)
+    assert 0 < first < len(order) - 1
+    seen = []
+
+    def stop(r):
+        seen.append(r)
+        return not r.stable
+
+    with pytest.raises(derived._Unsettled):
+        tor.diagram([1, 2, 3]).run(range(2), F1, 2, stop)
+    assert seen == [full[c] for c in order[: first + 1]]
+
+
+def test_settle_never_abandons_the_attempt_at_the_cap():
+    # a stop test that holds on every cell abandons each lazy attempt at
+    # its first cell; the attempt at the cap walks in full all the same
+    tor = _tor_i_rj()
+    tops = []
+
+    def attempt(levels, lazy):
+        tops.append((levels[-1], lazy))
+        raw = tor.diagram(levels).run(range(2), F1, 2, (lambda r: True) if lazy else None)
+        return raw, True
+
+    raw = derived.settle(1, 2, 5, attempt)
+    assert tops == [(3, True), (4, True), (5, False)]
+    assert raw == _tor_i_rj().diagram([1, 2, 3, 4, 5]).run(range(2), F1, 2)
+    assert any(not r.stable for r in raw.values())
 
 
 # ---------- quotient homotopy, one variable ----------
@@ -401,7 +453,7 @@ def test_descent_lifts_nothing_and_reads_level_zero_only(monkeypatch):
         raise AssertionError("descent reached the level loop")
 
     monkeypatch.setattr(derived, "make_level_ring", ring)
-    for name in ("lift_chain_map", "colimit_stabilize", "homology_map_matrix", "_settle"):
+    for name in ("lift_chain_map", "colimit_stabilize", "homology_map_matrix", "settle"):
         monkeypatch.setattr(derived, name, refused)
     ps = parse_spec(TAYLOR_SPECS["xy-f7"][0])
     qh = quotient_homotopy(ps.ring, ps.ideals["I"], 3)
@@ -758,7 +810,7 @@ def test_reduced_resolution_of_a_non_cyclic_resolution_is_an_internal_fault():
     ring = make_level_ring(_spec_t(), 1)
     res = ideal_resolution(ring, [ring.pack((1,))], 2, F1)
     with pytest.raises(AssertionError, match="not cyclic on a unit generator"):
-        derived._reduced_resolution(res)
+        amitsur._reduced_resolution(res)
 
 
 # ---------- tower report ----------
@@ -931,7 +983,7 @@ def test_amitsur_totalizations_and_their_transition_are_chain_complexes(family, 
     spec = family.spec
     wmax = default_bounds(N).weight_max
     lo, hi = (
-        derived._amitsur_level(make_level_ring(spec, l), family, m, N, wmax) for l in (1, 2)
+        amitsur._amitsur_level(make_level_ring(spec, l), family, m, N, wmax) for l in (1, 2)
     )
     for tot in (lo, hi):
         check_complex(tot.tot)
@@ -945,6 +997,6 @@ def test_amitsur_totalizations_and_their_transition_are_chain_complexes(family, 
                 assert gl[at : at + len(block)] == block
                 at += len(block)
             assert at == len(gl) == tot.offsets[d][-1]
-    step = derived._amitsur_step(lo, hi, make_level_ring(spec, 1).include_exp, m)
+    step = amitsur._amitsur_step(lo, hi, make_level_ring(spec, 1).include_exp, m)
     check_chain_map(step)
     assert any(any(cols) for cols in step.entries.values())

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from idemq import complexes, derived
+from idemq import amitsur, complexes, derived
 from idemq.complexes import (
     Strands,
     strand_basis,
@@ -54,7 +54,7 @@ def _tot():
     spec = _spec_t()
     family = roots_family(spec, "t")
     wmax = default_bounds(N).weight_max
-    tot = derived._amitsur_family(spec, family, m, N, wmax)
+    tot = amitsur._amitsur_family(spec, family, m, N, wmax)
     return tot, tot.diagram([1, 2, 3]), range(N + 1), wmax
 
 
