@@ -22,11 +22,18 @@ When every divisible variable is a root variable of the ideal, that Tor
 descends to level 0 and is read there exactly, with no level loop: the
 `top_level` of `quotient-homotopy` is 0, the `levels` of `static-check`
 are [0], and every cell is stable. Otherwise the level loop settles it.
+
+A plain command line is parsed straight from the command tables
+(`_COMMANDS`, `_SHARED`): a known command, then its positionals and its
+exact long options, each option given once and followed by a valid value
+that does not start with "-". Any other command line goes to the
+argparse parser built from the same tables, which gives the same
+namespace and alone prints help and errors; a command line that parses
+plainly never imports argparse, whose first use costs about 2 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import hashlib
@@ -34,6 +41,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from .almost import (
@@ -78,6 +86,8 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse  # only the full parser converts with _fraction
+
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
@@ -88,8 +98,16 @@ def _arg(*names, **kw) -> tuple[tuple, dict]:
 _SPECFILE = _arg("specfile")
 _IDEAL = _arg("--ideal", default=None)
 
-# each command's own arguments, in the order its usage lists them; every
-# command also takes the shared caps and --format
+# the caps and --format that every command takes, before its own arguments
+_SHARED = (
+    _arg("--format", choices=["json", "csv", "pretty"], default="pretty"),
+    _arg("--deg-max", type=int, default=None),
+    _arg("--weight-max", type=_fraction, default=None),
+    _arg("--max-level", type=int, default=None),
+    _arg("--window", type=int, default=None),
+)
+
+# each command's own arguments, in the order its usage lists them
 _COMMANDS = {
     "check-idempotent": (_SPECFILE, _IDEAL),
     "tor": (
@@ -127,50 +145,72 @@ _COMMANDS = {
 }
 
 
-class _ParseRefused(Exception):
-    pass
+def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace the full parser gives a plain argv (module
+    docstring), from the command tables alone; None when argv is not
+    plain or a value is invalid. Each value is converted by the callable
+    the full parser applies (Fraction where it applies _fraction)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options, positionals, values = {}, [], {"command": argv[0]}
+    for (name, *_), kw in _SHARED + _COMMANDS[argv[0]]:
+        if name.startswith("-"):
+            dest = kw.get("dest", name[2:].replace("-", "_"))
+            options[name] = dest, kw
+            values[dest] = kw.get("default")
+        else:
+            positionals.append(name)
+    given, seen, rest = [], set(), iter(argv[1:])
+    for token in rest:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        value = next(rest, "-")
+        if token not in options or token in seen or value.startswith("-"):
+            return None
+        seen.add(token)
+        dest, kw = options[token]
+        convert = kw.get("type", str)
+        try:
+            values[dest] = (Fraction if convert is _fraction else convert)(value)
+        except (ValueError, ZeroDivisionError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+    required = {name for name, (_, kw) in options.items() if kw.get("required")}
+    if len(given) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that raises instead of reporting: its usage names one
-    command, so the full parser reports the error (_parse_args)."""
+def _build_parser():
+    """The full argparse parser, built from _SHARED and _COMMANDS: it
+    parses every argv that _plain_args declines, and prints the help and
+    the usage errors. Its description is the module docstring up to the
+    paragraph on parsing, which is about the code, not the commands."""
+    import argparse  # about 2 ms on first use, paid only when needed
 
-    def error(self, message):
-        raise _ParseRefused(message)
-
-
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The idemq parser with every command, or with the command `only`
-    alone (a _OneCommandParser)."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-    shared.add_argument("--deg-max", type=int, default=None)
-    shared.add_argument("--weight-max", type=_fraction, default=None)
-    shared.add_argument("--max-level", type=int, default=None)
-    shared.add_argument("--window", type=int, default=None)
-
-    cls = argparse.ArgumentParser if only is None else _OneCommandParser
-    p = cls(prog="idemq", description=__doc__)
+    for names, kw in _SHARED:
+        shared.add_argument(*names, **kw)
+    about = __doc__.partition("\n\nA plain command line")[0]
+    p = argparse.ArgumentParser(prog="idemq", description=about)
     sub = p.add_subparsers(dest="command", required=True)
     for name, arguments in _COMMANDS.items():
-        if only in (None, name):
-            sp = sub.add_parser(name, parents=[shared])
-            for names, kw in arguments:
-                sp.add_argument(*names, **kw)
+        sp = sub.add_parser(name, parents=[shared])
+        for names, kw in arguments:
+            sp.add_argument(*names, **kw)
     return p
 
 
-def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
-    """Parse with a parser for the invoked command alone; any error is
-    reported by the full parser, word for word as it would be without
-    the shortcut."""
+def _parse_args(argv: Optional[list[str]]):
+    """The parsed command line (sys.argv when argv is None): from
+    _plain_args when it answers, else from the full parser, which exits
+    with its own message and code on help or a usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _build_parser(argv[0]).parse_args(argv)
-        except _ParseRefused:
-            pass
-    return _build_parser().parse_args(argv)
+    args = _plain_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def _pick_ideal(ps: ProblemSpec, name: Optional[str]):

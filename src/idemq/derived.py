@@ -147,14 +147,19 @@ class CellResult(NamedTuple):
 def colimit_stabilize(
     levels: list[int],
     dims: list[int],
-    steps: list[SparseMatrix],
+    steps: list[Optional[SparseMatrix]],
     window: int,
     first_rep: int,
     spans: Optional[list[SparseMatrix]] = None,
 ) -> tuple[int, bool]:
-    """Stable value of one colimit cell from its level dims and
-    consecutive transition matrices; first_rep is the first level where
-    the cell's weight is representable.
+    """Stable value of one colimit cell from its dims at consecutive
+    levels and the transition matrices between them; first_rep is the
+    first level where the cell's weight is representable.
+
+    Only the last window steps, steps[len(steps) - window:], are read,
+    and none when there are fewer than window: the born-late guard reads
+    from born_idx on and runs only when born_idx > len(steps) - window.
+    Every other step may be None (LevelDiagram.walk builds none of them).
 
     spans[k], when given, holds columns spanning the tracked subspace of
     level k's homology and dims[k] is its dimension. Transitions must
@@ -204,7 +209,7 @@ def cell_in_flight(dims: tuple[int, ...], levels: list[int], window: int) -> boo
 def judge_cell(
     levels: list[int],
     dims: list[int],
-    steps: list[SparseMatrix],
+    steps: list[Optional[SparseMatrix]],
     window: int,
     first_rep: int,
     spans: Optional[list[SparseMatrix]] = None,
@@ -371,7 +376,9 @@ class LevelDiagram:
     """A family over consecutive levels: complexes[k] is its complex at
     levels[k] and providers[k] the module structure, both made as the
     diagram is. The transition to levels[k+1] (with the lifts beneath
-    it) is made only for a step matrix with homology on both sides.
+    it) is made only for a step matrix with homology on both sides, and
+    a walk asks only for the step matrices its judge reads: those of the
+    last window of levels (colimit_stabilize).
 
     Inside level k a weight is its integer n over that level's denom
     (rings.LevelRing.num). Homology and step matrices go to the family's
@@ -457,7 +464,12 @@ class LevelDiagram:
                 if tracked is None:
                     continue
                 dims, spans = tracked
-                mats = [self.step_matrix(k, d, ns) for k in range(len(ns) - 1)]
+                # only the steps colimit_stabilize reads: the last window
+                first = len(ns) - 1 - window
+                mats = [
+                    self.step_matrix(k, d, ns) if 0 <= first <= k else None
+                    for k in range(len(ns) - 1)
+                ]
                 # the level lattices are nested, so the first level with a
                 # weight here is where the cell becomes representable
                 first_rep = next(l for l, n in zip(self.levels, ns) if n is not None)

@@ -1,10 +1,17 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemq.cli import main
 from oracles import quotient_by_tower
@@ -260,12 +267,14 @@ COMMAND_ARGV = {
 )
 @pytest.mark.parametrize("command", list(COMMAND_ARGV))
 def test_one_command_parser_answers_as_the_full_parser(capsys, command, extra, want):
-    # main parses with a parser for the invoked command alone; its
-    # namespace, help, messages and exit codes are the full parser's.
-    # "missing-required" passes the command name alone
+    # main parses a plain argv from the invoked command's table alone and
+    # leaves any other to the full parser; the namespace, help, messages
+    # and exit codes are the full parser's. "missing-required" passes the
+    # command name alone
     from idemq import cli
 
     argv = [command] + (COMMAND_ARGV[command] + extra if extra is not None else [])
+    assert (cli._plain_args(argv) is None) == (want is not None)
     ours = _parse_outcome(capsys, cli._parse_args, argv)
     full = _parse_outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
     assert ours == full
@@ -279,6 +288,144 @@ def test_parsing_without_a_known_command_is_the_full_parsers(capsys, argv):
     ours = _parse_outcome(capsys, cli._parse_args, argv)
     full = _parse_outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
     assert ours == full and ours[0] in (0, 2)
+
+
+def _option_values(kw) -> tuple[list[str], list[str]]:
+    """Valid and bad values for an option of this kind."""
+    from idemq import cli
+
+    if "choices" in kw:
+        return kw["choices"], ["xml", ""]
+    if kw.get("type") is int:
+        return ["0", "3", " 4", "+2"], ["-1", "two", "1.5", ""]
+    if kw.get("type") is cli._fraction:
+        return ["1/2", "3", " 5/4", "0"], ["-1/2", "1/0", "abc", "2.5"]
+    return ["I", "R/J", "power:2", ""], ["-x"]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """An argv read off the command tables, often plain, with hostile
+    variants: abbreviated, `=`, repeated or unknown options, negative
+    values, `--` and `-h` anywhere, options before the spec, extra or
+    missing positionals, empty strings, bad values and choices, and
+    missing required options."""
+    from idemq import cli
+
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "-h"]))
+    table = cli._SHARED + cli._COMMANDS.get(command, ())
+    count = sum(not name.startswith("-") for (name, *_), _ in table)
+    count += draw(st.sampled_from([0] * 8 + [-1, 1]))
+    groups = [[draw(st.sampled_from(["s.spec", "b.spec", "", "tor"]))] for _ in range(count)]
+    for (name, *_), kw in table:
+        keep = draw(st.sampled_from([True] * 3 + [False] if kw.get("required") else [True, False]))
+        if not name.startswith("-") or not keep:
+            continue
+        spelling = draw(st.sampled_from([name] * 10 + [name[:-1], name + "="]))
+        good, bad = _option_values(kw)
+        value = draw(st.sampled_from(good if draw(st.sampled_from([True] * 3 + [False])) else bad))
+        group = [spelling + value] if spelling.endswith("=") else [spelling, value]
+        groups += [group] * draw(st.sampled_from([1] * 9 + [2]))
+    extra = draw(st.sampled_from([None] * 4 + ["-h", "--", "--bogus", "-1"]))
+    groups += [[extra]] if extra else []
+    return [command] + [t for group in draw(st.permutations(groups)) for t in group]
+
+
+def _outcome(parse, argv):
+    """(each parsed value with its type, or the exit code; stdout;
+    stderr) of one parse, for a test that cannot take capsys. Types are
+    kept because Fraction(3) == 3 == 3.0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {k: (type(v), v) for k, v in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_argvs())
+def test_the_plain_parser_answers_only_as_the_full_parser(argv):
+    from idemq import cli
+
+    plain = cli._plain_args(argv)
+    full = _outcome(cli._build_parser().parse_args, argv)
+    if plain is not None:
+        assert full == _outcome(lambda _: plain, argv)
+    else:
+        assert _outcome(cli._parse_args, argv) == full
+    # it declines no argv that the full parser takes whose every "-" token
+    # is an exact option of the command, given once and followed by a value
+    options = {name for (name, *_), _ in cli._SHARED + cli._COMMANDS.get(argv[0], ())}
+    flags = [i for i, t in enumerate(argv) if t.startswith("-")]
+    plain_shape = (
+        argv[0] in cli._COMMANDS
+        and len({argv[i] for i in flags}) == len(flags)
+        and all(argv[i] in options and i + 1 not in flags and i + 1 < len(argv) for i in flags)
+    )
+    if isinstance(full[0], dict) and plain_shape:
+        assert plain is not None
+
+
+FRESH_RUN = """\
+import contextlib, io, sys
+from idemq.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [
+        main(["quotient-homotopy", sys.argv[1], "--deg-max", "2"]),
+        main(["tower", sys.argv[1], "--n-max", "2"]),
+    ]
+print(codes, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+FRESH_FALLBACK = """\
+import contextlib, io, json, sys
+from idemq import cli
+
+def outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+print("argparse" in sys.modules)
+for argv in (["-h"], ["quotient-homotopy", sys.argv[1], "--deg-max", "two"]):
+    ours = outcome(cli.main, argv)  # before anything here imports argparse
+    print(json.dumps([ours, outcome(lambda a: cli._build_parser().parse_args(a), argv)]))
+"""
+
+
+def _fresh(script: str, spec: str) -> list[str]:
+    """The stdout lines of script run in a new interpreter on this idemq."""
+    from idemq import cli
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-c", script, spec], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_a_plain_command_imports_no_argparse(tmp_path):
+    # argparse's first use imports gettext and locale and builds a parser:
+    # about 2 ms, more than a small solve takes
+    assert _fresh(FRESH_RUN, _write(tmp_path, T_SPEC)) == ["[0, 0] []"]
+
+
+def test_help_and_errors_still_come_from_the_full_parser(tmp_path):
+    first, *lines = _fresh(FRESH_FALLBACK, _write(tmp_path, T_SPEC))
+    assert first == "False"
+    (help_, full_help), (error, full_error) = (json.loads(line) for line in lines)
+    assert help_ == full_help and error == full_error
+    assert help_[0] == 0 and help_[1].startswith("usage: idemq") and help_[2] == ""
+    assert error[0] == 2 and error[1] == ""
+    assert error[2].endswith("argument --deg-max: invalid int value: 'two'\n")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ a walk stops at the first judged cell that keeps its attempt from
 settling. With the stop test switched off (every walk judges every
 cell, as the level loop did before it was lazy) each command here must
 print the same report with the same exit code. Only judging is skipped:
-the homology read is the same, call for call.
+the homology read is the same, call for call. Likewise a walk builds
+only the step matrices its judge reads, and judges every cell as a walk
+that builds them all.
 """
 
 from collections import Counter
@@ -95,3 +97,52 @@ def test_a_lazy_tower_judges_fewer_cells_and_reads_the_same_homology(
         full = _counted("tower-n5", tmp_path, capsys, mp)
     assert lazy["homology_data"] == full["homology_data"] == 941
     assert (lazy["colimit_stabilize"], full["colimit_stabilize"]) == (378, 776)
+
+
+def _spy_on_steps(monkeypatch, build_all: bool):
+    """Record each walk's cells and the (levels, window, k) of each step
+    matrix it asks for. With build_all, every step matrix of a judged
+    cell is built and handed to the judge, as before walks built only
+    the last window."""
+    walks, asked, now = [], [], {}
+    walk, step_matrix, judge = (
+        derived.LevelDiagram.walk, derived.LevelDiagram.step_matrix, derived.judge_cell
+    )
+
+    def spied_walk(self, degrees, wmax, window, track, stop=None):
+        def tracking(d, ns):
+            now.update(diagram=self, cell=(d, ns))
+            return track(d, ns)
+
+        now["window"] = window
+        walks.append(walk(self, degrees, wmax, window, tracking, stop))
+        return walks[-1]
+
+    def judging(levels, dims, steps, *rest):
+        if build_all:
+            steps = [now["diagram"].step_matrix(k, *now["cell"]) for k in range(len(steps))]
+        return judge(levels, dims, steps, *rest)
+
+    def spied_step_matrix(self, k, d, ns):
+        asked.append((len(self.levels), now["window"], k))
+        return step_matrix(self, k, d, ns)
+
+    monkeypatch.setattr(derived.LevelDiagram, "walk", spied_walk)
+    monkeypatch.setattr(derived, "judge_cell", judging)
+    monkeypatch.setattr(derived.LevelDiagram, "step_matrix", spied_step_matrix)
+    return walks, asked
+
+
+@pytest.mark.parametrize("key", ["tower-n5", "tor-I-RJ-d1", "almost-zero-R"])
+def test_a_walk_builds_only_the_steps_its_judge_reads(key, tmp_path, capsys, monkeypatch):
+    # colimit_stabilize reads only the last window of steps, and none
+    # when there are fewer steps than the window
+    with monkeypatch.context() as mp:
+        walks, asked = _spy_on_steps(mp, build_all=False)
+        report = _run(key, tmp_path, capsys)
+    with monkeypatch.context() as mp:
+        every_walk, every_step = _spy_on_steps(mp, build_all=True)
+        assert _run(key, tmp_path, capsys) == report
+    assert walks == every_walk
+    assert asked and all(0 <= levels - 1 - window <= k for levels, window, k in asked)
+    assert len(asked) < len(every_step)
