@@ -1,34 +1,63 @@
 """The Amitsur cross-check of R/I^infty.
 
-The truncated, normalized Amitsur totalization of R -> R/I is a level
-family (_amitsur_family) whose stabilized homology must agree with
-quotient_homotopy degree by degree (amitsur_crosscheck). It is read
-through the level loop of `derived` (settle), which it shares with
-`tor` and `tower`.
+The truncated, normalized Amitsur totalization Tot^m of R -> R/I has
+stabilized homology that must agree with quotient_homotopy degree by
+degree (amitsur_crosscheck). Tot^m is read through its algebraic Morse
+reduction (Skoldberg, Morse theory from an algebraic viewpoint, Trans.
+AMS 358, 2006; Jollenbeck-Welker, Mem. AMS 197, 2009), which is the tower
+stage Q(m+1) = cone(eps_{m+1}: X_{m+1} -> R) of `derived`. It is read
+through the level loop of `derived` (settle), which it shares with `tor`
+and `tower`.
+
+Let W = res(R/I), minimal, with unit generator w0 of degree and weight
+0, and Wbar = W / R.w0. Column k of Tot^m, k <= m, is W (x) Wbar^{(x)k}
+in total degree i - k for internal degree i, and its coface is
+delta_k(a) = w0 (x) a (Weibel, An Introduction to Homological Algebra,
+8.4); w0 (x) w0 (x) ... is degenerate, so delta_k kills w0 (x) Wbar^{(x)k}.
+(1) As graded modules W = R.w0 + Wbar. So column k is
+    w0 (x) Wbar^{(x)k} + Wbar^{(x)(k+1)}.
+(2) delta_k maps Wbar^{(x)(k+1)} in column k onto w0 (x) Wbar^{(x)(k+1)}
+    in column k+1, basis element to basis element, with unit entries.
+(3) Match each basis element a of Wbar^{(x)(k+1)} in column k, k < m,
+    with w0 (x) a. No other edge leaves column k for column k+1, so a
+    zig-zag path (an internal differential edge, then a matched edge
+    backwards) lowers the column by one at each step: the matching is
+    acyclic. The critical cells are w0 and column m's Wbar^{(x)(m+1)}.
+(4) Write eps(x) for w0's coefficient in d_W(x). The internal
+    differential of x_0 (x) ... (x) x_m in column m is d of
+    Wbar^{(x)(m+1)} plus eps(x_0) w0 (x) x_1 (x) ... (x) x_m, and each
+    zig-zag path from there peels one more factor, down to w0. So the
+    Morse differential is d of Wbar^{(x)(m+1)} plus
+    x_0 (x) ... (x) x_m -> +-eps(x_0)...eps(x_m) w0.
+(5) Wbar[-1] is the minimal resolution of I (complexes.ideal_resolution)
+    with augmentation eps, so Wbar^{(x)(m+1)} is X_{m+1} one degree up and
+    the Morse complex is cone(eps_{m+1}), up to signs on generators. The
+    reduction is a homotopy equivalence of weight-graded R-complexes, so
+    every level has the same homology dims.
+(6) A step of Tot is beta (x) beta_bar^{(x)k} on column k, for a lift
+    beta of the level inclusion with beta(w0) = w0. It respects the
+    matching, so it induces beta_bar^{(x)(m+1)} on the critical cells: a
+    lift of the inclusion I(l)^{(x)(m+1)} -> I(l+1)^{(x)(m+1)}, as the step
+    of X_{m+1} is. Lifts are unique up to homotopy, so every step rank is
+    the same.
+(7) Tot built through degree N+1 and X_{m+1} built through N (Q(m+1)
+    through N+1) hold every cell of degree <= N+1 and weight <= wmax,
+    and matched pairs share a weight (w0 has weight 0). So the reads of
+    H_0..H_N on both sides are exact.
+tests/oracles.py keeps Tot^m itself (amitsur_tot_family), and the tests
+compare the two walks cell for cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .complexes import (
-    ChainMap,
-    FreeComplex,
-    TensorIndex,
-    identity_map,
-    lift_chain_map,
-    minimal_resolution,
-    tensor_complexes,
-    tensor_maps,
-)
 from .derived import (
     Bounds,
-    Family,
     QuotientHomotopy,
     StabilizedTable,
+    Tower,
     default_bounds,
     family_contains_unit,
     make_table,
@@ -36,162 +65,13 @@ from .derived import (
     settle,
 )
 from .ideals import IdealFamily
-from .rings import LevelRing, RingSpec, make_level_ring
-
-
-class _TotData(NamedTuple):
-    tot: FreeComplex
-    powers: list[FreeComplex]  # powers[k] = W (x) Wbar^{(x) k}, column k
-    indexes: list[Optional[TensorIndex]]  # indexes[k] builds powers[k] from powers[k-1]
-    wbar: FreeComplex
-    # offsets[d][k]: where column k's generators start in Tot_d, k ascending;
-    # offsets[d][-1] is rank(Tot_d)
-    offsets: dict[int, list[int]]
-
-
-def _reduced_resolution(W: FreeComplex) -> FreeComplex:
-    """W modulo the span of its unit generator.
-
-    Valid only when degree 0 is the single weight-0 unit generator; then
-    the span is a subcomplex and the quotient is free on the remaining
-    generators, with the degree-1 differential dropped.
-    """
-    g0 = W.gens_at(0)
-    if len(g0) != 1 or g0[0] != 0:
-        raise AssertionError("resolution is not cyclic on a unit generator")
-    gens = {d: gl for d, gl in W.gens.items() if d >= 1 and gl}
-    diff = {d: ent for d, ent in W.diff.items() if d >= 2}
-    return FreeComplex(ring=W.ring, gens=gens, diff=diff)
-
-
-def _shifted(col, off: int, neg=None):
-    """col with every row moved by off, each entry negated by neg if given."""
-    if neg is not None:
-        return tuple([(off + i, neg(elem)) for i, elem in col])
-    return tuple([(off + i, elem) for i, elem in col]) if off and col else col
-
-
-def _amitsur_level(
-    ring: LevelRing, family: IdealFamily, m: int, N: int, wmax: Fraction
-) -> _TotData:
-    """Normalized truncated totalization Tot^m of (R/I)^{(x) k+1}, k <= m,
-    as one complex in total degrees -1 .. N+1 (column k sits in degree
-    i - k).
-
-    Cofaces insert the unit generator w0 of W = res(R/I), so the span of
-    basis tensors carrying w0 in a positive slot is the coface-degenerate
-    subcomplex; the Moore normalization is the basis-aligned quotient by
-    it (Weibel, An Introduction to Homological Algebra, 8.4). Column k of
-    the quotient is powers[k] = W (x) Wbar^{(x) k}, Wbar = W / R.w0, and
-    only the slot-0 coface survives: the chain map delta_k: powers[k] ->
-    powers[k+1], a -> w0 (x) a. delta_0 is one lookup per generator of W
-    (w0 itself goes to 0, as w0 is not in Wbar), and delta_k = delta_{k-1}
-    (x) id(Wbar).
-
-    Tot_d is the blocks powers[k]_{d+k}, k ascending, block k starting at
-    offsets[d][k]. A generator a of internal degree i in column k has the
-    boundary d(a) + (-1)^i delta_k(a), the sign that makes the two
-    anticommute (Weibel 1.2.6): its internal boundary in block k and its
-    coface in block k+1 of Tot_{d-1}. The block order is kept: it sets how
-    many boundary columns the rank-first homology reads, and descending k
-    reads more.
-
-    Column k keeps internal degrees <= N + 1 + k, so power k is built
-    through N + 1 + k. Its k Wbar factors each sit in degree >= 1, so none
-    of them is read above N + 2, which is what W is built through. For
-    the same reason power k starts in degree k, and Tot_{-1} is zero."""
-    W = minimal_resolution(ring, tuple(family.gens_at(ring)), N + 2, wmax)
-    wbar = _reduced_resolution(W)
-    powers = [W]
-    indexes: list[Optional[TensorIndex]] = [None]
-    for k in range(1, m + 1):
-        t, index = tensor_complexes(powers[-1], wbar, N + 1 + k, wmax)
-        powers.append(t)
-        indexes.append(index)
-    # w0 (x) a, for a generator i of W_d, is (p, i, q, j) = (0, 0, d, i)
-    # in W (x) Wbar; w0 (x) w0 is not there
-    ent = {}
-    for d, gl in W.gens.items():
-        hits = (indexes[1].get((0, 0, d, i)) for i in range(len(gl)))
-        ent[d] = [() if t is None else ((t, ring.one()),) for t in hits]
-    cofaces = [ChainMap(src=W, dst=powers[1], entries=ent)]
-    id_bar = identity_map(wbar)
-    for k in range(1, m):
-        cofaces.append(
-            tensor_maps(cofaces[-1], id_bar, powers[k], indexes[k], powers[k + 1], indexes[k + 1])
-        )
-
-    degrees = range(-1, N + 2)
-    offsets = {
-        d: list(accumulate((pw.rank(d + k) for k, pw in enumerate(powers)), initial=0))
-        for d in degrees
-    }
-    gens = {d: [w for k, pw in enumerate(powers) for w in pw.gens_at(d + k)] for d in degrees}
-    diff = {}
-    for d in degrees[1:]:
-        below = offsets[d - 1]
-        cols = []
-        for k, pw in enumerate(powers):
-            i = d + k
-            cof = cofaces[k].entries_at(i) if k < m else [()] * pw.rank(i)
-            neg = ring.elem_neg if i % 2 else None
-            for dcol, ccol in zip(pw.diff_at(i), cof):
-                cols.append(_shifted(dcol, below[k]) + _shifted(ccol, below[k + 1], neg))
-        diff[d] = cols
-
-    tot = FreeComplex(ring=ring, gens=gens, diff=diff)
-    return _TotData(tot, powers, indexes, wbar, offsets)
-
-
-def _amitsur_step(lo: _TotData, hi: _TotData, inc, m: int) -> ChainMap:
-    """Transition Tot(l) -> Tot(l+1) from the lift beta: W(l) -> W(l+1)
-    along the ring inclusion inc.
-
-    Column k maps by maps[k] = beta (x) beta_bar^{(x) k}, so the step is
-    block-diagonal: block k of Tot_d(l) lands in block k of Tot_d(l+1)."""
-    beta = lift_chain_map(lo.powers[0], hi.powers[0], ring_map=inc)
-    # beta restricts to the reduced factors: positive-degree entries never
-    # target the unit generator, so no entries are dropped
-    beta_bar = ChainMap(
-        src=lo.wbar,
-        dst=hi.wbar,
-        entries={d: ent for d, ent in beta.entries.items() if d >= 1},
-        ring_map=inc,
-    )
-    maps = [beta]
-    for k in range(1, m + 1):
-        maps.append(
-            tensor_maps(
-                maps[-1], beta_bar, lo.powers[k], lo.indexes[k], hi.powers[k], hi.indexes[k]
-            )
-        )
-    ent = {}
-    for d in lo.tot.gens:
-        at = hi.offsets[d]
-        ent[d] = [_shifted(col, at[k]) for k, f in enumerate(maps) for col in f.entries_at(d + k)]
-    return ChainMap(src=lo.tot, dst=hi.tot, entries=ent, ring_map=inc)
-
-
-def _amitsur_family(
-    spec: RingSpec, family: IdealFamily, m: int, N: int, wmax: Fraction
-) -> Family:
-    """Tot^m (_amitsur_level) at each level, its column data as the index,
-    with the block-diagonal transitions of _amitsur_step."""
-
-    def make(l: int) -> tuple[FreeComplex, _TotData]:
-        data = _amitsur_level(make_level_ring(spec, l), family, m, N, wmax)
-        return data.tot, data
-
-    def step(fam: Family, l: int) -> ChainMap:
-        return _amitsur_step(fam.index(l), fam.index(l + 1), fam.at(l).ring.include_exp, m)
-
-    return Family(make, step, min_level=family.min_level())
+from .rings import RingSpec
 
 
 def _tot_lifetime(m: int, root_base: int) -> int:
-    # truncation junk rides tensor columns whose weight numerators scale
-    # by root_base per level, so it drowns past column m within this many
-    # levels of its birth
+    # truncation junk rides the (m+1)-fold tensors of X_{m+1} (column m's
+    # critical cells), whose weight numerators scale by root_base per
+    # level, so it drowns within this many levels of its birth
     lam = 1
     t = root_base
     while t <= m:
@@ -226,6 +106,11 @@ def amitsur_crosscheck(
     base change. Needs m >= N+2 so the truncation error sits above the
     compared range.
 
+    Tot^m is read as Q(m+1) of a tower built through N: by the module
+    docstring's (1)-(7) it has every level dim and every step rank that
+    Tot^m has, cell for cell, and the detector reads nothing else, so
+    every cell result is the same as Tot^m's.
+
     Truncation junk lives longer here than in the tower diagrams, so the
     run widens the detector window to the junk lifetime and treats cells
     first alive within lifetime + window - 1 levels of the top as young:
@@ -243,7 +128,7 @@ def amitsur_crosscheck(
         return AmitsurReport(table, reference, agree, m, bounds.window)
 
     l0 = family.min_level()
-    tot = _amitsur_family(spec, family, m, N, bounds.weight_max)
+    tot = Tower(spec, family, N, bounds.weight_max).Q(m + 1)
 
     lam = _tot_lifetime(m, spec.root_base)
     window = max(bounds.window, lam)

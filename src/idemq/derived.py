@@ -44,9 +44,9 @@ under descent too.
 
 Every level-indexed object is a Family: a complex per level with its
 transition, its module structure and its own homology cache. The tower's
-resolution, derived powers and cones, Tor, the Amitsur totalization, the
-cones of almost equivalences and the gluing square are all families,
-made from resolutions (resolution_family), tensor products
+resolution, derived powers and cones (the Amitsur check reads Q(m+1)),
+Tor, the cones of almost equivalences and the gluing square are all
+families, made from resolutions (resolution_family), tensor products
 (tensor_family) and cones of chain maps between families (LevelMap,
 cone_family); a LevelDiagram reads one over a range of levels.
 
@@ -75,11 +75,12 @@ its tower, module and tensors through N + 1. An almost equivalence
 builds a derived power, the source of its cone, through N and a module
 resolution through N + 1. The tower report builds X_n through n_max - 1
 for n < n_max, as it reads X_n against R/I below n, and X(n_max)
-through 1, as it reads only its H_0. A resolution that splits by variable
-(complexes.minimal_resolution) is written down to the same degree: its
-2-periodic pieces run through it, and its Koszul part stops at the
-number of its generators, so base change's resolution of K_S has no
-generator above degree |S| however high N is.
+through 1, as it reads only its H_0. The Amitsur check reads Q(m+1)
+through N + 1, so it builds its tower through N. A resolution that
+splits by variable (complexes.minimal_resolution) is written down to
+the same degree: its 2-periodic pieces run through it, and its Koszul
+part stops at the number of its generators, so base change's
+resolution of K_S has no generator above degree |S| however high N is.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ class Family:
     its transition chain map at(l) -> at(l+1), each made on first request
     and kept, provider(l) the module structure its homology is read
     against, and min_level its first level. index(l) is what the family
-    keeps beside the complex: a tensor's generator table, the Amitsur
-    totalization's column data, or None.
+    keeps beside the complex: a tensor's generator table, or None. left
+    is a tensor family's left factor (tensor_family), or None.
 
     make(l) returns (complex, index), step(family, l) the transition, and
     provider(l) the strand provider (default R). The family is passed to
@@ -296,6 +297,7 @@ class Family:
     ):
         self._make, self._step, self._provider = make, step, provider
         self.min_level = min_level
+        self.left: Optional[Family] = None
         self._made: dict[int, tuple[FreeComplex, object]] = {}
         self._steps: dict[int, ChainMap] = {}
         self._providers: dict[int, Strands] = {}
@@ -351,20 +353,42 @@ def cone_family(f: LevelMap) -> Family:
     )
 
 
+def _from_below(
+    a: Family, done: Callable[[Family], bool], make: Callable[[Family], object]
+) -> None:
+    """make(f) for a and each left factor below it that is not done,
+    lowest first."""
+    pending = []
+    while a is not None and not done(a):
+        pending.append(a)
+        a = a.left
+    for f in reversed(pending):
+        make(f)
+
+
 def tensor_family(
     a: Family, b: Family, make: Callable[[FreeComplex, FreeComplex], tuple]
 ) -> Family:
     """a.at(l) (x) b.at(l) at each level, made with its generator table by
-    make (tensor_complexes), with the transitions a.step (x) b.step."""
+    make (tensor_complexes), with the transitions a.step (x) b.step.
+
+    A chain of left factors (the tower's powers) is made bottom-up: each
+    factor then finds the one below it made, so the stack depth does not
+    grow with the length of the chain."""
+
+    def at(l: int) -> tuple:
+        _from_below(a, lambda f: l in f._made, lambda f: f.at(l))
+        return make(a.at(l), b.at(l))
 
     def step(fam: Family, l: int) -> ChainMap:
+        _from_below(a, lambda f: l in f._steps, lambda f: f.step(l))
         return tensor_maps(
             a.step(l), b.step(l), fam.at(l), fam.index(l), fam.at(l + 1), fam.index(l + 1)
         )
 
-    return Family(
-        lambda l: make(a.at(l), b.at(l)), step, min_level=max(a.min_level, b.min_level)
-    )
+    fam = Family(at, step, min_level=max(a.min_level, b.min_level))
+    fam.left = a
+    return fam
 
 
 # what a walk tracks in one cell: (dims per level, spanning columns or
@@ -701,9 +725,11 @@ class Tower:
     tower_report reads the cofibres and the powers below n_max (its
     X(n_max), read at degree 0 alone, is a power built through 1 from
     X(n_max - 1) and res), the gluing check the
-    multiplications, sigma(n) and Q(n), and an almost equivalence of a
-    power its eps(n). quotient_homotopy and static_check build none of
-    it; the tests read Q(d + 2) and cone(sigma_1) as oracles for them."""
+    multiplications, sigma(n) and Q(n), an almost equivalence of a
+    power its eps(n), and amitsur_crosscheck Q(m + 1), the Morse
+    reduction of the Amitsur totalization Tot^m. quotient_homotopy and
+    static_check build none of it; the tests read Q(d + 2) and
+    cone(sigma_1) as oracles for them."""
 
     def __init__(
         self,
@@ -740,11 +766,13 @@ class Tower:
         finding one is an internal fault (AssertionError)."""
         if n < 1:
             raise ValueError("derived powers start at n = 1")
-        dmax, wmax = self.dmax, self.wmax
-        return self._keep(
-            ("X", n),
-            lambda: tensor_family(self.X(n - 1), self.res, lambda x, r: _power(x, r, dmax, wmax)),
-        )
+        kept, dmax, wmax = self._kept, self.dmax, self.wmax
+        for k in range(2, n + 1):  # bottom-up, so no recursion in n
+            if ("X", k) not in kept:
+                kept[("X", k)] = tensor_family(
+                    kept[("X", k - 1)], self.res, lambda x, r: _power(x, r, dmax, wmax)
+                )
+        return kept[("X", n)]
 
     def eps(self, n: int) -> LevelMap:
         """Multiplication X(n) -> R, stored as the augmentation."""
@@ -772,7 +800,8 @@ class Tower:
         return LevelMap(x, y, at)
 
     def Q(self, n: int) -> Family:
-        """cone(eps_n), the stage-n model of R/I^infty."""
+        """cone(eps_n), the stage-n model of R/I^infty; for n = m + 1 the
+        Morse reduction of the Amitsur totalization Tot^m (amitsur)."""
         return self._keep(("Q", n), lambda: cone_family(self.eps(n)))
 
     def cofibre(self, n: int) -> Family:

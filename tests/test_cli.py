@@ -171,6 +171,34 @@ def test_amitsur_depth_setting_is_the_default_for_depth(tmp_path, capsys):
     assert err == "idemq: error: cosimplicial truncation m=2 needs m >= N+2=3\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["almost-equiv", "--map", "power:330", "--weight-max", "1", "--deg-max", "0"],
+        ["gluing-check", "--quotient-stage", "400", "--weight-max", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_long_chain_of_powers_is_built_without_recursion(tmp_path, capsys, argv):
+    # X(n) = X(n - 1) (x) res is made bottom-up, at a stack depth that
+    # does not grow with n
+    spec = _write(tmp_path, T_SPEC)
+    code, out, err = _run(capsys, [argv[0], spec, *argv[1:]])
+    assert code in (0, 2, 3), err
+    assert out
+
+
+@pytest.mark.parametrize("depth,digest", [("400", "fca6ada514ab"), ("1000", "80afd9421256")])
+def test_a_deep_amitsur_check_keeps_its_report(tmp_path, capsys, depth, digest):
+    # Q(depth + 1) reads X(depth + 1); the report is the one Tot^depth gave
+    spec = _write(tmp_path, T_SPEC)
+    code, out, err = _run(
+        capsys, ["amitsur-check", spec, "--deg-max", "0", "--depth", depth, "--format", "json"]
+    )
+    assert code == 3, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     spec = _write(tmp_path, T_SPEC)
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from idemq import almost, amitsur, derived
 from idemq.almost import (
     gluing_square_check,
@@ -186,24 +187,48 @@ def test_gluing_parts_read_the_same_cells_at_a_wider_cap(monkeypatch, target):
 
 def _amitsur_targets(widened):
     return [
-        _widened(amitsur, name, 2, widened)
+        _widened(oracles, name, 2, widened)
         for name in ("minimal_resolution", "tensor_complexes")
     ]
 
 
-@pytest.mark.parametrize(
+AMITSUR_CASES = pytest.mark.parametrize(
     "family,m,N",
     [(T, 3, 1), (T, 4, 2), (roots_family(_spec_t(False), "t"), 3, 1), (_roots_xy_f7(), 3, 1)],
     ids=["t-3-1", "t-4-2", "t-plain-3-1", "xy-f7-3-1"],
 )
+
+
+@AMITSUR_CASES
 def test_amitsur_level_is_the_same_at_a_wider_cap(monkeypatch, family, m, N):
-    # W through N + 2 and power k through N + 1 + k, at levels 1 and 2
+    # the oracle Tot^m: W through N + 2 and power k through N + 1 + k, at
+    # levels 1 and 2
     rings = [make_level_ring(family.spec, l) for l in (1, 2)]
     wmax = default_bounds(N).weight_max
 
     def run():
-        lo, hi = (amitsur._amitsur_level(r, family, m, N, wmax) for r in rings)
-        step = amitsur._amitsur_step(lo, hi, rings[0].include_exp, m)
+        lo, hi = (oracles.amitsur_level(r, family, m, N, wmax) for r in rings)
+        step = oracles.amitsur_step(lo, hi, rings[0].include_exp, m)
         return [(t.tot.gens, t.tot.diff, t.offsets) for t in (lo, hi)], step.entries
 
     _same_at_wider_caps(monkeypatch, run, _amitsur_targets)
+
+
+def _amitsur_q_targets(widened):
+    """The caps of Q(m + 1) on a tower built through N: the resolution
+    of I and the powers, and the reference's module resolutions."""
+    return [
+        _widened(derived, name, 2, widened)
+        for name in ("ideal_resolution", "minimal_resolution", "tensor_complexes")
+    ]
+
+
+@AMITSUR_CASES
+def test_amitsur_check_reads_the_same_cells_at_a_wider_cap(monkeypatch, family, m, N):
+    # Q(m + 1) read through N + 1, so X_{m+1} through N
+    rep = _same_at_wider_caps(
+        monkeypatch,
+        lambda: amitsur.amitsur_crosscheck(family.spec, family, m, N),
+        _amitsur_q_targets,
+    )
+    assert rep.all_agree()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idemq import amitsur, derived
+from idemq import derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     Strands,
@@ -35,6 +35,8 @@ from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import SparseMatrix, matmul
 from idemq.specfile import parse_spec
 from oracles import (
+    amitsur_level,
+    amitsur_step,
     cell_map,
     cofibre_cone,
     compose_maps,
@@ -44,6 +46,7 @@ from oracles import (
     mono,
     quotient_by_levels,
     quotient_by_tower,
+    reduced_resolution,
     static_check_by_levels,
     static_check_by_tower,
     taylor_betti,
@@ -810,7 +813,7 @@ def test_reduced_resolution_of_a_non_cyclic_resolution_is_an_internal_fault():
     ring = make_level_ring(_spec_t(), 1)
     res = ideal_resolution(ring, [ring.pack((1,))], 2, F1)
     with pytest.raises(AssertionError, match="not cyclic on a unit generator"):
-        amitsur._reduced_resolution(res)
+        reduced_resolution(res)
 
 
 # ---------- tower report ----------
@@ -978,13 +981,11 @@ def _spec_xy_f7():
     ids=["t", "t-plain", "xy-f7"],
 )
 def test_amitsur_totalizations_and_their_transition_are_chain_complexes(family, m, N):
-    # Tot at levels 1 and 2 and the transition between them, built as
-    # amitsur_crosscheck builds them
+    # Tot at levels 1 and 2 and the transition between them, the oracle
+    # route of amitsur_crosscheck
     spec = family.spec
     wmax = default_bounds(N).weight_max
-    lo, hi = (
-        amitsur._amitsur_level(make_level_ring(spec, l), family, m, N, wmax) for l in (1, 2)
-    )
+    lo, hi = (amitsur_level(make_level_ring(spec, l), family, m, N, wmax) for l in (1, 2))
     for tot in (lo, hi):
         check_complex(tot.tot)
         assert tot.tot.total_rank() > 0
@@ -997,6 +998,6 @@ def test_amitsur_totalizations_and_their_transition_are_chain_complexes(family, 
                 assert gl[at : at + len(block)] == block
                 at += len(block)
             assert at == len(gl) == tot.offsets[d][-1]
-    step = amitsur._amitsur_step(lo, hi, make_level_ring(spec, 1).include_exp, m)
+    step = amitsur_step(lo, hi, make_level_ring(spec, 1).include_exp, m)
     check_chain_map(step)
     assert any(any(cols) for cols in step.entries.values())

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from idemq import amitsur, complexes, derived
+from idemq import complexes, derived
 from idemq.complexes import (
     Strands,
     strand_basis,
@@ -33,7 +33,7 @@ from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, fixed_family, roots_family
 from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import Echelon
-from oracles import cofibre_cone, homology_dim, mono, rank, strand_matrix
+from oracles import amitsur_tot_family, cofibre_cone, homology_dim, mono, rank, strand_matrix
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -49,13 +49,22 @@ def _spec_t(trunc=True):
 
 
 def _tot():
-    # the Amitsur totalization as amitsur_crosscheck builds it, (m, N) = (4, 2)
+    # the Amitsur totalization Tot^m, (m, N) = (4, 2)
     m, N = 4, 2
     spec = _spec_t()
     family = roots_family(spec, "t")
     wmax = default_bounds(N).weight_max
-    tot = amitsur._amitsur_family(spec, family, m, N, wmax)
+    tot = amitsur_tot_family(spec, family, m, N, wmax)
     return tot, tot.diagram([1, 2, 3]), range(N + 1), wmax
+
+
+def _q():
+    # its Morse reduction Q(m + 1), as amitsur_crosscheck reads it
+    m, N = 4, 2
+    spec = _spec_t()
+    wmax = default_bounds(N).weight_max
+    q = Tower(spec, roots_family(spec, "t"), N, wmax).Q(m + 1)
+    return q, q.diagram([1, 2, 3]), range(N + 1), wmax
 
 
 def _cof():
@@ -74,7 +83,7 @@ def _tor():
     return tor, tor.diagram([1, 2, 3]), range(2), Fraction(2)
 
 
-DIAGRAMS = {"amitsur-tot": _tot, "cof-sigma": _cof, "tor-I-RJ": _tor}
+DIAGRAMS = {"amitsur-tot": _tot, "amitsur-q": _q, "cof-sigma": _cof, "tor-I-RJ": _tor}
 
 
 def _cof_r3():
