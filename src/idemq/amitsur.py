@@ -7,7 +7,14 @@ reduction (Skoldberg, Morse theory from an algebraic viewpoint, Trans.
 AMS 358, 2006; Jollenbeck-Welker, Mem. AMS 197, 2009), which is the tower
 stage Q(m+1) = cone(eps_{m+1}: X_{m+1} -> R) of `derived`. It is read
 through the level loop of `derived` (settle), which it shares with `tor`
-and `tower`.
+and `tower`. Below the level cap an attempt first judges the reference's
+cells on Q(m+1), in walk order (degrees descending, weights ascending),
+each as the full walk would, and is abandoned at the first one that is
+not stable at the reference's value or that the walk leaves out; with
+an unstable reference cell it is abandoned before judging any. Each of
+these makes its degree disagree, so such an attempt could never settle,
+and homology stays cached per level, degree and weight, so the level
+loop reads the same cells to the same results.
 
 Let W = res(R/I), minimal, with unit generator w0 of degree and weight
 0, and Wbar = W / R.w0. Column k of Tot^m, k <= m, is W (x) Wbar^{(x)k}
@@ -114,7 +121,13 @@ def amitsur_crosscheck(
     Truncation junk lives longer here than in the tower diagrams, so the
     run widens the detector window to the junk lifetime and treats cells
     first alive within lifetime + window - 1 levels of the top as young:
-    they are still in flight and do not count against agreement."""
+    they are still in flight and do not count against agreement.
+
+    An attempt below the level cap judges the reference's cells first:
+    a stable one must be stable at the reference's value on Q(m+1), and
+    an unstable one ends the attempt before any cell is judged, since
+    either failure makes its degree disagree (module docstring). After
+    them it stops at the first unstable cell that is not young."""
     if m < N + 2:
         raise ValueError(f"cosimplicial truncation m={m} needs m >= N+2={N + 2}")
     bounds = bounds if bounds is not None else default_bounds(N)
@@ -138,27 +151,29 @@ def amitsur_crosscheck(
         alive = [k for k, v in enumerate(dims) if v]
         return bool(alive) and l0 + alive[0] + horizon > top
 
+    # below the cap, an unstable reference cell (None), a reference cell
+    # that Q(m+1) does not hold stable at the reference's value, or an
+    # unstable cell that is not young already makes its degree disagree
+    need = {
+        (c.degree, c.weight): c.dim if c.stable else None
+        for c in reference.table.cells
+    }
+
     def attempt(levels, lazy):
-        # below the cap, an unstable cell that is not young already makes
-        # its degree disagree
         top = levels[-1]
         stop = (lambda r: not (r.stable or young(r.dims, top))) if lazy else None
-        raw = tot.diagram(levels).run(range(N + 1), bounds.weight_max, window, stop)
+        raw = tot.diagram(levels).run(
+            range(N + 1), bounds.weight_max, window, stop, need
+        )
         table = make_table(f"amitsur Tot^{m}", raw, levels, N, N)
-        agree = {}
-        undet = []
-        for d in range(N + 1):
-            loose = [
-                (dd, w)
-                for (dd, w), r in raw.items()
-                if dd == d and not r.stable
-            ]
-            undet.extend(loose)
-            agree[d] = (
-                reference.table.degree_stable(d)
-                and table.stable_cells_at(d) == reference.table.stable_cells_at(d)
-                and all(young(raw[c].dims, top) for c in loose)
-            )
+        undet = [c for c, r in raw.items() if not r.stable]
+        old = {d for d, w in undet if not young(raw[(d, w)].dims, top)}
+        agree = {
+            d: d not in old
+            and reference.table.degree_stable(d)
+            and table.stable_cells_at(d) == reference.table.stable_cells_at(d)
+            for d in range(N + 1)
+        }
         return (table, agree, undet), all(agree.values())
 
     table, agree, undet = settle(l0, window, bounds.max_level, attempt)

@@ -12,7 +12,9 @@ could settle such a cell, so it does not block the verdict of `tor`,
 `tower` or the almost verdicts, and the `tor` and almost certificates
 count in-flight cells under `in_flight`. `quotient-homotopy` and
 `static-check` do not set such cells apart yet: any unstable cell, in
-flight or not, makes them exit 3.
+flight or not, makes them exit 3. `amitsur-check` exits 0 when every
+degree agrees with the reference, 4 when a degree that is fully stable
+on both sides disagrees, and 3 otherwise.
 
 `quotient-homotopy` and `static-check` take base change for every ideal
 without a unit, the zero ideal included: Tor over the untruncated

@@ -36,11 +36,14 @@ cap until the cells settle, base change by descent excepted: it starts
 at min(l0 + window, max_level) and adds one level at a time until the
 run settles or reaches the cap. An attempt below the cap is lazy: its
 walks stop at the first judged cell that keeps it from settling, and
-the loop moves on to the next top. Only judging is skipped: the
-homology read stays in the family caches, and the next top reads every
-level below it again. The attempt at the cap walks in full. A family
-whose first level lies above the cap is a usage error (level_range),
-under descent too.
+the loop moves on to the next top. A lazy walk may also be handed cells
+to judge first, each with the stable value its attempt needs there (the
+Amitsur check passes its reference's cells, so an attempt bound to
+disagree ends at its first such cell, before the rest are judged). Only
+judging is skipped: the homology read stays in the family caches, and
+the next top reads every level below it again. The attempt at the cap
+walks in full. A family whose first level lies above the cap is a usage
+error (level_range), under descent too.
 
 Every level-indexed object is a Family: a complex per level with its
 transition, its module structure and its own homology cache. The tower's
@@ -247,11 +250,13 @@ def settle(
     (result, settled); the last result is returned.
 
     lazy is True below max_level: the attempt then gives its walks a stop
-    test that holds only on a cell that keeps it from settling, and is
-    abandoned at the first such cell (_Unsettled). Its homology stays in
-    the family caches, and the next top reads every level below it again,
-    so only the judging of the other cells is skipped. The attempt at
-    max_level is never abandoned."""
+    test that holds only on a cell that keeps it from settling, and may
+    give them cells to judge first, each with the stable value it needs
+    there (LevelDiagram.walk); it is abandoned at the first cell that
+    fails either (_Unsettled). Its homology stays in the family caches,
+    and the next top reads every level below it again, so only the
+    judging of the other cells is skipped. The attempt at max_level is
+    never abandoned."""
     top = min(l0 + window, max_level)
     while top < max_level:
         try:
@@ -464,6 +469,7 @@ class LevelDiagram:
         window: int,
         track: Callable[[int, list[Optional[int]]], Tracked],
         stop: Optional[Callable[[CellResult], bool]] = None,
+        first: Optional[dict] = None,
     ) -> dict[tuple[int, Fraction], CellResult]:
         """Judge every cell of the degrees up to weight wmax, degrees from
         the top down. A cell is an integer nt over the top level's denom
@@ -473,31 +479,62 @@ class LevelDiagram:
         gives the cell's tracked dims and spans (colimit_stabilize), or
         None to skip it; only a judged cell gets a Fraction weight nt / D.
         The cells come back in ascending (d, w) order. The walk raises
-        _Unsettled at the first judged cell that stop holds on (settle)."""
+        _Unsettled at the first judged cell that stop holds on (settle).
+
+        With stop set, the cells of `first` are judged before the rest, in
+        walk order, by the same judge and kept for the walk: first maps a
+        cell (d, w) to the stable value its caller needs there, or to None
+        where no value will do. The walk raises _Unsettled before judging
+        anything when a value is None, and otherwise at the first of these
+        cells that is not stable at its value or that the walk leaves out
+        (not among its cells, or skipped by track)."""
+        degrees = sorted(degrees, reverse=True)
         denom = self.complexes[-1].ring.denom
         ratios = [denom // x.ring.denom for x in self.complexes]
+        cells = {
+            d: sorted({
+                n * q
+                for x, prov, q in zip(self.complexes, self.providers, ratios)
+                for n in strand_weights(x, d, x.ring.num_floor(wmax), prov)
+            })
+            for d in degrees
+        }
+
+        def judge(d: int, nt: int) -> Optional[CellResult]:
+            ns = [nt // q if nt % q == 0 else None for q in ratios]
+            tracked = track(d, ns)
+            if tracked is None:
+                return None
+            dims, spans = tracked
+            # only the steps colimit_stabilize reads: the last window
+            lo = len(ns) - 1 - window
+            mats = [
+                self.step_matrix(k, d, ns) if 0 <= lo <= k else None
+                for k in range(len(ns) - 1)
+            ]
+            # the level lattices are nested, so the first level with a
+            # weight here is where the cell becomes representable
+            first_rep = next(l for l, n in zip(self.levels, ns) if n is not None)
+            return judge_cell(self.levels, dims, mats, window, first_rep, spans)
+
+        judged = {}
+        if stop is not None and first:
+            if None in first.values():
+                raise _Unsettled
+            for d, w in sorted(first, key=lambda c: (-c[0], c[1])):
+                nt = w * denom
+                on = nt.denominator == 1 and nt.numerator in cells.get(d, ())
+                r = on and judge(d, nt.numerator)
+                if not (r and r.stable and r.value == first[(d, w)]):
+                    raise _Unsettled
+                judged[(d, nt.numerator)] = r
         blocks = []
-        for d in sorted(degrees, reverse=True):
-            cells = set()
-            for x, prov, q in zip(self.complexes, self.providers, ratios):
-                cells.update(n * q for n in strand_weights(x, d, x.ring.num_floor(wmax), prov))
+        for d in degrees:
             block = []
-            for nt in sorted(cells):
-                ns = [nt // q if nt % q == 0 else None for q in ratios]
-                tracked = track(d, ns)
-                if tracked is None:
+            for nt in cells[d]:
+                result = judged.get((d, nt)) or judge(d, nt)
+                if result is None:
                     continue
-                dims, spans = tracked
-                # only the steps colimit_stabilize reads: the last window
-                first = len(ns) - 1 - window
-                mats = [
-                    self.step_matrix(k, d, ns) if 0 <= first <= k else None
-                    for k in range(len(ns) - 1)
-                ]
-                # the level lattices are nested, so the first level with a
-                # weight here is where the cell becomes representable
-                first_rep = next(l for l, n in zip(self.levels, ns) if n is not None)
-                result = judge_cell(self.levels, dims, mats, window, first_rep, spans)
                 if stop is not None and stop(result):
                     raise _Unsettled
                 block.append(((d, Fraction(nt, denom)), result))
@@ -510,6 +547,7 @@ class LevelDiagram:
         wmax: Fraction,
         window: int,
         stop: Optional[Callable[[CellResult], bool]] = None,
+        first: Optional[dict] = None,
     ) -> dict[tuple[int, Fraction], CellResult]:
         """The walk that tracks each cell's whole homology."""
 
@@ -517,7 +555,7 @@ class LevelDiagram:
             dims = [self.homology(k, d, n).dim for k, n in enumerate(ns)]
             return (dims, None) if any(dims) else None
 
-        return self.walk(degrees, wmax, window, track, stop=stop)
+        return self.walk(degrees, wmax, window, track, stop=stop, first=first)
 
     def exact(self, degrees, wmax: Fraction) -> dict[tuple[int, Fraction], CellResult]:
         """Every nonzero cell of the first level up to weight wmax, each

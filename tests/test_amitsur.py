@@ -4,7 +4,9 @@ amitsur_crosscheck reads Tot^m as the tower stage Q(m + 1) (the proof
 is in `amitsur`'s module docstring). The oracle route builds Tot^m
 itself (oracles.amitsur_tot_family); these tests walk both over the
 levels the check reads and require the same cell results, and count
-the critical cells of the matching against Q(m + 1)'s generators.
+the critical cells of the matching against Q(m + 1)'s generators. Below
+the level cap the check judges the reference's cells first; each of
+them, judged alone, must be judged as the full walk judges it.
 """
 
 from collections import Counter
@@ -12,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from idemq import derived
 from idemq.amitsur import _tot_lifetime
-from idemq.derived import Bounds, Tower, default_bounds, level_range
+from idemq.derived import Bounds, Tower, default_bounds, level_range, quotient_homotopy
 from idemq.rings import make_level_ring
 from idemq.specfile import parse_spec
 from oracles import amitsur_level, amitsur_tot_family
@@ -115,3 +118,35 @@ def test_totalization_less_its_matched_pairs_is_the_morse_reduction(text, N, m, 
         critical = gens - matched
         cone = Counter((d, w) for d, gl in q.at(l).gens.items() if d <= N + 1 for w in gl)
         assert critical == cone, l
+
+
+@CASES
+def test_a_reference_cell_judged_first_is_judged_as_the_walk_judges_it(
+    text, N, m, bounds, monkeypatch
+):
+    # each reference cell, its neighbours on the top lattice and a weight
+    # off it, is judged first and alone, on caches only the cells judged
+    # before it have filled; a needed value of -1, which no cell has,
+    # ends the walk right after it. It is judged as the full walk then
+    # judges it, and left out exactly where that walk has no entry for it.
+    family = _family(text)
+    spec, l0 = family.spec, family.min_level()
+    bounds = bounds or default_bounds(N)
+    wmax = bounds.weight_max
+    window = max(bounds.window, _tot_lifetime(m, spec.root_base))
+    reference = quotient_homotopy(spec, family, N, bounds).table.cells
+    q = Tower(spec, family, N, wmax).Q(m + 1)
+    judged, judge = [], derived.judge_cell
+    monkeypatch.setattr(derived, "judge_cell", lambda *a: judged.append(judge(*a)) or judged[-1])
+    for top in range(min(l0 + window, bounds.max_level), bounds.max_level + 1):
+        diagram = q.diagram(level_range(l0, top))
+        half = Fraction(1, 2 * diagram.complexes[-1].ring.denom)
+        alone = {}
+        for c in reference:
+            for w in (c.weight, c.weight - 2 * half, c.weight + 2 * half, c.weight + half):
+                judged.clear()
+                with pytest.raises(derived._Unsettled):
+                    diagram.run(range(N + 1), wmax, window, lambda r: True, {(c.degree, w): -1})
+                alone[(c.degree, w)] = judged[:]
+        walk = diagram.run(range(N + 1), wmax, window)
+        assert alone == {c: [walk[c]] if c in walk else [] for c in alone}, top

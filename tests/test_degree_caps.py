@@ -80,9 +80,9 @@ def _same_at_wider_caps(monkeypatch, run, targets=_tower_targets):
     def reading(log):
         families = {}
 
-        def run_logged(self, degrees, wmax, window, stop=None):
+        def run_logged(self, degrees, wmax, window, stop=None, first=None):
             degrees = list(degrees)
-            out = real_run(self, degrees, wmax, window, stop)
+            out = real_run(self, degrees, wmax, window, stop, first)
             family = families.setdefault(self.family, len(families))
             log.append((family, tuple(self.levels), tuple(degrees), out))
             return out

@@ -2,9 +2,13 @@
 over Q, byte for byte.
 
 The spec templates and all solves but `qh-xy-q3`, `qh-xy-roots-x`,
-`tower-n4` and `tower-n6` are those of perfbench/workloads.py, copied
-here so that tier-1 does not depend on the benchmark. `tower-n6` holds
-the tower's false H_0 cell at weight 17/16 (exit 4). `qh-xy-q3`
+`tower-n4`, `tower-n6` and the four `amitsur-*` solves after
+`amitsur-t-q3` are those of perfbench/workloads.py, copied here so that
+tier-1 does not depend on the benchmark. `tower-n6` holds the tower's
+false H_0 cell at weight 17/16 (exit 4). The four Amitsur solves pin
+each way a lazy attempt of the check can end: `amitsur-t-plain` and
+`amitsur-xy-f7` settle, `amitsur-xy-roots-x` has an unstable reference
+(exit 3), and `amitsur-t-d8` is held by the level cap (exit 3). `qh-xy-q3`
 (quotient-homotopy over Q on the truncated x y spec at degree 3) is not
 a benchmark solve, and neither is `qh-xy-roots-x`: its divisible y is
 not a root variable, so base change stays on the level loop, and the
@@ -94,6 +98,26 @@ SOLVES = {
         ["amitsur-check", "{t}", "--deg-max", "3", "--depth", "5"],
         0,
         "77edc247d921d8a4399eb9dc5ed0067415662502d216fcaa101f218928703b74",
+    ),
+    "amitsur-t-plain": (
+        ["amitsur-check", "{t-plain}", "--deg-max", "2", "--ideal", "I"],
+        0,
+        "36862ffa4be0be790a97043c2638840500be0b5a44c2e560ea0c2b0999feeb4a",
+    ),
+    "amitsur-xy-f7": (
+        ["amitsur-check", "{xy-f7}", "--deg-max", "1", "--depth", "3"],
+        0,
+        "41c5d3f88ad14106bccaf981a91717cbcaebdb6733a292d1f08fb91c6234a1a7",
+    ),
+    "amitsur-xy-roots-x": (
+        ["amitsur-check", "{xy-roots-x}", "--deg-max", "1", "--depth", "3"],
+        3,
+        "a79a5053761f2d1fef61b0e62a2ffa72db1e7a0d04f035cd8ec8c29d6bbac5d6",
+    ),
+    "amitsur-t-d8": (
+        ["amitsur-check", "{t}", "--deg-max", "3", "--depth", "8"],
+        3,
+        "1afe3c5c57e77e3d3b543d7b206f5a2a5d05bf02a6673a50ebd9e2cf361704ac",
     ),
     "check-idempotent": (
         ["check-idempotent", "{t}"],
