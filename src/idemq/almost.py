@@ -23,9 +23,8 @@ degree d (orthogonality against the derived powers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (
     ChainMap,
@@ -62,8 +61,7 @@ from .sparsela import SparseMatrix
 # ---------- verdicts ----------
 
 
-@dataclass
-class AlmostVerdict:
+class AlmostVerdict(NamedTuple):
     """Per-degree outcome of an almost-zero check.
 
     degrees[d] is True (almost zero), False (stable nonzero cell, the
@@ -289,8 +287,7 @@ def is_almost_equivalence(
 # ---------- the gluing square ----------
 
 
-@dataclass
-class GluingReport:
+class GluingReport(NamedTuple):
     cartesian: Optional[bool]  # None when refused
     refused: bool
     reason: Optional[str]

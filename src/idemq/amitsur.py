@@ -57,8 +57,7 @@ compare the two walks cell for cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .derived import (
     Bounds,
@@ -87,8 +86,7 @@ def _tot_lifetime(m: int, root_base: int) -> int:
     return lam
 
 
-@dataclass
-class AmitsurReport:
+class AmitsurReport(NamedTuple):
     table: StabilizedTable
     reference: QuotientHomotopy
     agree: dict[int, bool]
@@ -122,6 +120,18 @@ def amitsur_crosscheck(
     run widens the detector window to the junk lifetime and treats cells
     first alive within lifetime + window - 1 levels of the top as young:
     they are still in flight and do not count against agreement.
+
+    So a deeper truncation needs a higher level cap. With root base r,
+    lam = _tot_lifetime(m, r) grows with m, and the window is widened to
+    max(window, lam). Degree 0 of X_{m+1} is spanned by (m+1)-fold
+    tensors of I's generators, so on the truncated t spec the cell
+    (1, 1), which the reference holds stable at 1, is first alive at the
+    first level l with r^l >= m+1, and that l is lam. It is born later
+    than its weight is representable, so the born-late guard of
+    colimit_stabilize keeps it unstable until the top reaches
+    lam + max(window, lam): below that cap degree 1 disagrees and the
+    check exits 3. At r = 2 and --deg-max 3 that is level 6 for depths
+    5-7 (the default cap), 8 for depths 8-15 and 10 for depths 16-31.
 
     An attempt below the level cap judges the reference's cells first:
     a stable one must be stable at the reference's value on Q(m+1), and

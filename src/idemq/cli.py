@@ -36,7 +36,6 @@ plainly never imports argparse, whose first use costs about 2 ms.
 
 from __future__ import annotations
 
-import csv
 import gc
 import hashlib
 import json
@@ -528,6 +527,8 @@ def _emit_json(report: dict, out) -> None:
 
 
 def _emit_csv(report: dict, out) -> None:
+    import csv  # only CSV output loads it
+
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["kind", "table", "degree", "weight", "value", "stable"])
     for t in report["tables"]:

@@ -86,7 +86,6 @@ resolved strand by strand from kernels.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
@@ -116,7 +115,6 @@ def rows_of(cols: Iterable[Column], nrows: int, field) -> list[tuple]:
     return rows
 
 
-@dataclass
 class FreeComplex:
     """Bounded complex of free modules with weight-graded generators.
 
@@ -126,18 +124,28 @@ class FreeComplex:
     with its coefficient (a ring element).
     """
 
-    ring: LevelRing
-    gens: dict[int, list[Fraction]] = field(default_factory=dict)
-    diff: dict[int, list[Column]] = field(default_factory=dict)
-    # augmentation of the degree-0 part, one target element per generator;
-    # aug_quotient lists monomial generators of the ideal cut out of the
-    # target (empty tuple = the target is R itself)
-    aug: Optional[list[Elem]] = None
-    aug_quotient: tuple[Mono, ...] = ()
-    # degree -> (the gens list it indexes, its weight groups); see gens_by_weight
-    _by_weight: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # degree -> (the diff and gens lists it indexes, its rows); see rows_at
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "gens", "diff", "aug", "aug_quotient", "_by_weight", "_rows")
+
+    def __init__(
+        self,
+        ring: LevelRing,
+        gens: Optional[dict[int, list[Fraction]]] = None,
+        diff: Optional[dict[int, list[Column]]] = None,
+        aug: Optional[list[Elem]] = None,
+        aug_quotient: tuple[Mono, ...] = (),
+    ):
+        self.ring = ring
+        self.gens = {} if gens is None else gens
+        self.diff = {} if diff is None else diff
+        # augmentation of the degree-0 part, one target element per
+        # generator; aug_quotient lists monomial generators of the ideal
+        # cut out of the target (empty tuple = the target is R itself)
+        self.aug = aug
+        self.aug_quotient = aug_quotient
+        # degree -> (the gens list it indexes, its weight groups); see gens_by_weight
+        self._by_weight: dict = {}
+        # degree -> (the diff and gens lists it indexes, its rows); see rows_at
+        self._rows: dict = {}
 
     @property
     def field(self):
@@ -636,17 +644,25 @@ def homology_data(
 # ---------- chain maps ----------
 
 
-@dataclass
 class ChainMap:
     """Chain map src -> dst, stored like a differential: entries[d] holds
     one column per degree-d generator of src, its entries in the target
     ring. ring_map pushes source monomials into the target ring (None =
     same ring)."""
 
-    src: FreeComplex
-    dst: FreeComplex
-    entries: dict[int, list[Column]] = field(default_factory=dict)
-    ring_map: Optional[Callable[[Mono], Mono]] = None
+    __slots__ = ("src", "dst", "entries", "ring_map")
+
+    def __init__(
+        self,
+        src: FreeComplex,
+        dst: FreeComplex,
+        entries: Optional[dict[int, list[Column]]] = None,
+        ring_map: Optional[Callable[[Mono], Mono]] = None,
+    ):
+        self.src = src
+        self.dst = dst
+        self.entries = {} if entries is None else entries
+        self.ring_map = ring_map
 
     def entries_at(self, d: int) -> list[Column]:
         """entries[d], or src.rank(d) empty columns where it is not stored."""
@@ -660,37 +676,6 @@ def identity_map(x: FreeComplex) -> ChainMap:
     one = x.ring.one()
     ent = {d: [((j, dict(one)),) for j in range(len(gl))] for d, gl in x.gens.items() if gl}
     return ChainMap(src=x, dst=x, entries=ent)
-
-
-def check_chain_map(f: ChainMap) -> None:
-    """Assert the column layout and d . f = f . d degreewise."""
-    ring = f.dst.ring
-    _check_layout(f.entries, f.src.rank, "chain map")
-    for d in sorted(set(f.entries) | set(f.src.diff)):
-        f_here, f_below = f.entries_at(d), f.entries_at(d - 1)
-        dst_diff, src_diff = f.dst.diff_at(d), f.src.diff_at(d)
-        # f then d on one side, d then f on the other, per source generator
-        for j in range(f.src.rank(d)):
-            lhs: dict[int, Elem] = {}
-            for i, elem in f_here[j]:
-                for (i2, delem) in dst_diff[i]:
-                    acc = ring.elem_mul(delem, elem)
-                    if acc:
-                        lhs[i2] = ring.elem_add(lhs.get(i2, {}), acc)
-            rhs: dict[int, Elem] = {}
-            for i, selem in src_diff[j]:
-                pushed = {f.push_exp(e): v for e, v in selem.items()}
-                for i2, felem in f_below[i]:
-                    acc = ring.elem_mul(felem, pushed)
-                    if acc:
-                        rhs[i2] = ring.elem_add(rhs.get(i2, {}), acc)
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                dl = ring.elem_add(lhs.get(k, {}), ring.elem_neg(rhs.get(k, {})))
-                if dl:
-                    raise AssertionError(
-                        f"not a chain map at degree {d}, source gen {j}, row {k}"
-                    )
 
 
 # ---------- strand action of a chain map ----------

@@ -88,7 +88,6 @@ resolution of K_S has no generator above degree |S| however high N is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -577,8 +576,7 @@ class LevelDiagram:
 # ---------- result types ----------
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     degree: int
     weight: Fraction
     dim: int
@@ -586,8 +584,7 @@ class Cell:
     in_flight: bool
 
 
-@dataclass
-class StabilizedTable:
+class StabilizedTable(NamedTuple):
     name: str
     cells: list[Cell]  # stable nonzero and unstable cells, sorted
     levels: tuple[int, ...]
@@ -899,8 +896,7 @@ def _tor_cells(
 # ---------- quotient homotopy ----------
 
 
-@dataclass
-class QuotientHomotopy:
+class QuotientHomotopy(NamedTuple):
     """pi_*(R/I^infty) in degrees 0..N. top_level is the top level of the
     diagrams the table was settled on, 0 when base change descends to
     level 0, and notes name base change, its descent or a unit ideal.
@@ -1058,8 +1054,7 @@ def quotient_homotopy(
 # ---------- static check ----------
 
 
-@dataclass
-class StaticCheck:
+class StaticCheck(NamedTuple):
     static: Optional[bool]  # None when level stabilization ran out
     witness: Optional[tuple[int, Fraction]]
     stable: bool
@@ -1101,8 +1096,7 @@ def static_check(
 # ---------- tower report ----------
 
 
-@dataclass
-class TowerReport:
+class TowerReport(NamedTuple):
     ok: bool
     n_max: int
     connectivity_failures: list[tuple[int, int, Fraction]]  # (n, i, w)

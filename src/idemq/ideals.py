@@ -15,23 +15,21 @@ verdict: Idempotent or NotIdempotent, never "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rings import FracMono, LevelRing, RingSpec, format_mono, root_exponent
 
 # ---------- verdicts ----------
 
 
-@dataclass(frozen=True)
-class Idempotent:
+class Idempotent(NamedTuple):
     certificate: tuple[str, ...]  # one factorization per generator
 
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class NotIdempotent:
+class NotIdempotent(NamedTuple):
     witness: str  # generator not in I*I
 
     def __bool__(self) -> bool:
@@ -41,14 +39,19 @@ class NotIdempotent:
 # ---------- families ----------
 
 
-@dataclass(frozen=True)
-class IdealFamily:
+class _IdealFamilyFields(NamedTuple):
     name: str
     spec: RingSpec
     root_vars: tuple[int, ...] = ()
     gens: tuple[FracMono, ...] = ()
 
-    def __post_init__(self):
+
+class IdealFamily(_IdealFamilyFields):
+    # a NamedTuple body cannot define __new__, so the checks live here
+    __slots__ = ()
+
+    def __new__(cls, name, spec, root_vars=(), gens=()):
+        self = super().__new__(cls, name, spec, root_vars, gens)
         seen = set()
         for v in self.root_vars:
             if not (0 <= v < self.spec.nvars):
@@ -74,6 +77,7 @@ class IdealFamily:
                     raise ValueError(
                         f"denominator of {f} is not a power of root_base"
                     )
+        return self
 
     # -- level data --
 

@@ -29,9 +29,8 @@ live exponent at or above the cap raises ValueError, it never carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Exponents = tuple[int, ...]  # numerators at a level, one per variable
 Mono = int  # a packed monomial at a level (see the module docstring)
@@ -44,20 +43,24 @@ Elem = dict  # {Mono: scalar}
 BASIS_BOX_MAX = 1 << 21
 
 
-@dataclass(frozen=True)
-class VarInfo:
+class VarInfo(NamedTuple):
     name: str
     divisible: bool = False
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class _RingSpecFields(NamedTuple):
     field: object
     root_base: int
     variables: tuple[VarInfo, ...]
     truncations: tuple[FracMono, ...] = ()
 
-    def __post_init__(self):
+
+class RingSpec(_RingSpecFields):
+    # a NamedTuple body cannot define __new__, so the checks live here
+    __slots__ = ()
+
+    def __new__(cls, field, root_base, variables, truncations=()):
+        self = super().__new__(cls, field, root_base, variables, truncations)
         if self.root_base < 2:
             raise ValueError("root_base must be >= 2")
         names = [v.name for v in self.variables]
@@ -71,6 +74,7 @@ class RingSpec:
                     raise ValueError("truncation exponents must be nonnegative integers")
             if all(f == 0 for f in t):
                 raise ValueError("cannot truncate by the unit monomial")
+        return self
 
     @property
     def nvars(self) -> int:

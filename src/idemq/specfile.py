@@ -20,8 +20,8 @@ identical spec.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Optional
 
 from .fields import QQ, field_from_name
 from .ideals import IdealFamily
@@ -45,11 +45,27 @@ class SpecError(ValueError):
         self.msg = msg
 
 
-@dataclass
 class ProblemSpec:
-    ring: RingSpec
-    ideals: dict[str, IdealFamily] = dc_field(default_factory=dict)
-    settings: dict[str, object] = dc_field(default_factory=dict)
+    """A parsed spec file: the ring, its named ideals and its settings.
+    Two specs are equal when all three are, as emit_spec's round trip
+    needs."""
+
+    __slots__ = ("ring", "ideals", "settings")
+
+    def __init__(
+        self,
+        ring: RingSpec,
+        ideals: Optional[dict[str, IdealFamily]] = None,
+        settings: Optional[dict[str, object]] = None,
+    ):
+        self.ring = ring
+        self.ideals = {} if ideals is None else ideals
+        self.settings = {} if settings is None else settings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.ideals, self.settings) == (other.ring, other.ideals, other.settings)
 
 
 # ---------- parsing ----------

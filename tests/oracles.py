@@ -6,7 +6,8 @@ augmentation by a scan that tests every product for zero and shares no
 code with the strand engine, a homology dimension read from two dense
 ranks with no representatives, a homology basis filled eagerly from
 those scanned matrices, multigraded Betti numbers of a monomial ideal
-from its Taylor complex, and small conveniences on chain maps,
+from its Taylor complex, the chain-map check d . f = f . d
+(check_chain_map), and small conveniences on chain maps,
 monomials and tables. Two reference routes through the tower of derived
 powers, which share no code with base change: pi_*(R/I^infty) read off
 the cones of the multiplications (quotient_by_tower), also by Kunneth
@@ -34,6 +35,7 @@ from idemq.complexes import (
     StrandBasis,
     Strands,
     TensorIndex,
+    _check_layout,
     identity_map,
     lift_chain_map,
     minimal_resolution,
@@ -49,7 +51,7 @@ from idemq.derived import (
     default_bounds,
 )
 from idemq.ideals import IdealFamily
-from idemq.rings import LevelRing, RingSpec, make_level_ring
+from idemq.rings import Elem, LevelRing, RingSpec, make_level_ring
 from idemq.sparsela import Echelon, SparseMatrix, Vec, kernel_rows, solve_rows
 
 
@@ -338,6 +340,37 @@ def _face_rank(faces: dict[int, list], k: int, field) -> int:
 def column(f: ChainMap, d: int, j: int) -> dict:
     """Column j of f in degree d, as {row generator: ring element}."""
     return dict(f.entries_at(d)[j])
+
+
+def check_chain_map(f: ChainMap) -> None:
+    """Assert the column layout and d . f = f . d degreewise."""
+    ring = f.dst.ring
+    _check_layout(f.entries, f.src.rank, "chain map")
+    for d in sorted(set(f.entries) | set(f.src.diff)):
+        f_here, f_below = f.entries_at(d), f.entries_at(d - 1)
+        dst_diff, src_diff = f.dst.diff_at(d), f.src.diff_at(d)
+        # f then d on one side, d then f on the other, per source generator
+        for j in range(f.src.rank(d)):
+            lhs: dict[int, Elem] = {}
+            for i, elem in f_here[j]:
+                for (i2, delem) in dst_diff[i]:
+                    acc = ring.elem_mul(delem, elem)
+                    if acc:
+                        lhs[i2] = ring.elem_add(lhs.get(i2, {}), acc)
+            rhs: dict[int, Elem] = {}
+            for i, selem in src_diff[j]:
+                pushed = {f.push_exp(e): v for e, v in selem.items()}
+                for i2, felem in f_below[i]:
+                    acc = ring.elem_mul(felem, pushed)
+                    if acc:
+                        rhs[i2] = ring.elem_add(rhs.get(i2, {}), acc)
+            keys = set(lhs) | set(rhs)
+            for k in keys:
+                dl = ring.elem_add(lhs.get(k, {}), ring.elem_neg(rhs.get(k, {})))
+                if dl:
+                    raise AssertionError(
+                        f"not a chain map at degree {d}, source gen {j}, row {k}"
+                    )
 
 
 def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:

@@ -14,7 +14,7 @@ from idemq.almost import (
     tensor_zero_criterion,
     _glue_square,
 )
-from idemq.complexes import check_chain_map, cone, cone_map
+from idemq.complexes import cone, cone_map
 from idemq.derived import (
     Bounds,
     Tower,
@@ -28,6 +28,7 @@ from idemq.derived import (
 from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, check_idempotent, Idempotent, fixed_family
 from idemq.rings import RingSpec, VarInfo
+from oracles import check_chain_map
 
 F0 = Fraction(0)
 F1 = Fraction(1)

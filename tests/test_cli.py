@@ -199,6 +199,19 @@ def test_a_deep_amitsur_check_keeps_its_report(tmp_path, capsys, depth, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
 
 
+@pytest.mark.parametrize("cap, code", [(None, 3), ("7", 3), ("8", 0)])
+def test_a_deeper_amitsur_truncation_needs_a_higher_level_cap(tmp_path, capsys, cap, code):
+    # the window widens to _tot_lifetime(8, 2) = 4, and the cell (1, 1) of
+    # Q(9) is born at level 4, so the born-late guard holds it to a top of 8
+    spec = _write(tmp_path, T_SPEC)
+    argv = ["amitsur-check", spec, "--deg-max", "3", "--depth", "8", "--format", "json"]
+    got, out, err = _run(capsys, argv + (["--max-level", cap] if cap else []))
+    assert got == code, err
+    cert = json.loads(out)["certificates"]
+    assert cert["agree"] == {"0": True, "1": code == 0, "2": True, "3": True}
+    assert ([1, "1"] in cert["undetermined"]) == (code == 3)
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     spec = _write(tmp_path, T_SPEC)
     with pytest.raises(SystemExit) as exc:
@@ -398,13 +411,38 @@ def test_the_plain_parser_answers_only_as_the_full_parser(argv):
 
 FRESH_RUN = """\
 import contextlib, io, sys
+before = set(sys.modules)  # what site and this script loaded
 from idemq.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     codes = [
-        main(["quotient-homotopy", sys.argv[1], "--deg-max", "2"]),
-        main(["tower", sys.argv[1], "--n-max", "2"]),
+        main(["quotient-homotopy", sys.argv[1], "--deg-max", "2", "--format", sys.argv[2]]),
+        main(["tower", sys.argv[1], "--n-max", "2", "--format", sys.argv[2]]),
     ]
-print(codes, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+watched = {"argparse", "gettext", "locale", "dataclasses", "inspect", "csv"}
+print(codes, sorted(watched & (set(sys.modules) - before)))
+print(out.getvalue(), end="")
+"""
+
+# the CSV of the two FRESH_RUN solves on T_SPEC, byte for byte as when csv
+# was imported with cli
+FRESH_RUN_CSV = """\
+kind,table,degree,weight,value,stable
+cell,pi(R/I^infty),0,0,1,True
+cell,pi(R/I^infty),1,1,1,True
+certificate,dims,,,"[1, 1, 0]",
+certificate,n_used,,,[],
+certificate,notes,,,"[""base change by descent: Tor^A(A/I_A, R) = Tor^{A_0}(A_0/(x_S), R_0), read at level 0""]",
+certificate,top_level,,,0,
+kind,table,degree,weight,value,stable
+certificate,cof_undetermined_is_boundary,,,true,
+certificate,connectivity_failures,,,[],
+certificate,h0_cells_checked,,,0,
+certificate,h0_mismatches,,,[],
+certificate,levels,,,"[0, 1, 2, 3, 4, 5, 6]",
+certificate,ok,,,true,
+certificate,undetermined,,,[],
+certificate,undetermined_is_boundary,,,true,
 """
 
 FRESH_FALLBACK = """\
@@ -427,14 +465,14 @@ for argv in (["-h"], ["quotient-homotopy", sys.argv[1], "--deg-max", "two"]):
 """
 
 
-def _fresh(script: str, spec: str) -> list[str]:
+def _fresh(script: str, *args: str) -> list[str]:
     """The stdout lines of script run in a new interpreter on this idemq."""
     from idemq import cli
 
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
     done = subprocess.run(
-        [sys.executable, "-c", script, spec], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -442,8 +480,13 @@ def _fresh(script: str, spec: str) -> list[str]:
 
 def test_a_plain_command_imports_no_argparse(tmp_path):
     # argparse's first use imports gettext and locale and builds a parser:
-    # about 2 ms, more than a small solve takes
-    assert _fresh(FRESH_RUN, _write(tmp_path, T_SPEC)) == ["[0, 0] []"]
+    # about 2 ms, more than a small solve takes; dataclasses (with inspect)
+    # cost about 10 ms of every start-up and csv about 0.6 ms
+    spec = _write(tmp_path, T_SPEC)
+    assert _fresh(FRESH_RUN, spec, "json")[0] == "[0, 0] []"
+    first, *rows = _fresh(FRESH_RUN, spec, "csv")
+    assert first == "[0, 0] ['csv']"
+    assert rows == FRESH_RUN_CSV.splitlines()
 
 
 def test_help_and_errors_still_come_from_the_full_parser(tmp_path):

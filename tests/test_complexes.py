@@ -10,7 +10,6 @@ from idemq.complexes import (
     FreeComplex,
     HomologyData,
     Strands,
-    check_chain_map,
     check_complex,
     cone,
     cone_map,
@@ -43,6 +42,7 @@ from idemq.sparsela import Echelon, SparseMatrix, solve_rows
 from oracles import (
     aug_matrix,
     basis,
+    check_chain_map,
     cofibre_cone,
     column,
     compose_maps,

@@ -8,7 +8,6 @@ from idemq import derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     Strands,
-    check_chain_map,
     check_complex,
     homology_data,
     homology_map_matrix,
@@ -38,6 +37,7 @@ from oracles import (
     amitsur_level,
     amitsur_step,
     cell_map,
+    check_chain_map,
     cofibre_cone,
     compose_maps,
     from_dense,

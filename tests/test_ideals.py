@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from idemq.fields import QQ
 from idemq.ideals import (
+    IdealFamily,
     Idempotent,
     NotIdempotent,
     check_idempotent,
@@ -12,7 +14,7 @@ from idemq.ideals import (
     roots_family,
 )
 from idemq.rings import LevelRing, RingSpec, VarInfo
-from idemq.specfile import ProblemSpec, emit_spec
+from idemq.specfile import ProblemSpec, emit_spec, parse_spec
 
 
 def _spec(a=2):
@@ -60,6 +62,62 @@ def test_fixed_family_rejects_bad_exponents():
         fixed_family(spec2, [(Fraction(1, 3),)])
     with pytest.raises(ValueError):
         fixed_family(spec2, [(Fraction(-1),)])
+
+
+F = Fraction
+XY = RingSpec(QQ, 3, (VarInfo("x", True), VarInfo("y")))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("I", XY, (2,)), "roots part needs a variable index"),
+        (("I", XY, (1,)), "roots(y) needs a divisible variable"),
+        (("I", XY, (0, 0)), "duplicate roots variable"),
+        (("I", XY, (), ((F(1),),)), "generator arity mismatch"),
+        (("I", XY, (), ((F(-1), F(0)),)), "negative exponent in ideal generator"),
+        (("I", XY, (), ((F(0), F(1, 3)),)), "fractional exponent on non-divisible variable y"),
+        (("I", XY, (), ((F(1, 2), F(0)),)), "denominator of 1/2 is not a power of root_base"),
+    ],
+)
+def test_family_checks_its_fields_by_position_and_by_keyword(args, message):
+    names = ("name", "spec", "root_vars", "gens")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IdealFamily(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IdealFamily(**dict(zip(names, args)))
+
+
+def test_two_parses_of_a_spec_give_equal_hashable_families():
+    text = "root_base 3\nvar x divisible\nvar y\nideal I = roots(x), y x^{1/9}\n"
+    a, b = parse_spec(text).ideals["I"], parse_spec(text).ideals["I"]
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != parse_spec(text.replace("1/9", "1/3")).ideals["I"]
+    assert (a.root_vars, a.gens) == ((0,), ((F(1, 9), F(1)),))
+
+
+def test_verdicts_are_truthy_exactly_when_idempotent():
+    assert Idempotent(("t^{1/2} = t^{1/4} * t^{1/4}",))
+    assert Idempotent(())
+    assert not NotIdempotent("t")
+    assert not NotIdempotent("")
+
+
+def test_family_records_are_frozen():
+    fam = roots_family(_spec(), "t")
+    with pytest.raises(AttributeError):
+        fam.name = "J"
+    with pytest.raises(AttributeError):
+        fam.root_vars = ()
+    with pytest.raises(AttributeError):
+        fam.level = 0  # no attribute beyond the fields either
+    verdict = check_idempotent(fam)
+    with pytest.raises(AttributeError):
+        verdict.certificate = ()
+    with pytest.raises(AttributeError):
+        NotIdempotent("t").witness = "t^2"
+    assert fam.name == "I" and fam.root_vars == (0,)
 
 
 def test_roots_are_idempotent():

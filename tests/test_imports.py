@@ -2,7 +2,9 @@
 name of another `idemq` module. A deletion that leaves an import behind
 fails here, so dead imports do not pile up, and a module's private names
 stay its own. No module reaches the parser's token cliff either (see
-test_module_stays_below_the_token_cliff).
+test_module_stays_below_the_token_cliff), and none loads a costly
+standard module at import time that only some commands need (see
+test_module_imports_no_costly_module_at_import_time).
 
 A name counts as used when it occurs anywhere in the module's syntax
 tree, in a quoted annotation or in `__all__`."""
@@ -100,6 +102,51 @@ def test_a_private_import_is_found():
         "from os import _exit\nfrom . import _private\n"
     )
     assert _private_imports(tree) == [(1, "_settle"), (2, "_RING_CACHE"), (4, "_private")]
+
+
+# standard modules that no idemq module may import at module level
+COSTLY = {"dataclasses", "csv"}
+
+
+def _import_time_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each top-level module name imported outside every function body,
+    with its line."""
+    out, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append((node.lineno, node.module.split(".")[0]))
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_no_costly_module_at_import_time(path):
+    """Every command is its own process, so what a module imports is paid
+    at every start-up. `dataclasses` pulls in inspect, ast, dis, tokenize,
+    linecache and copy, and each @dataclass execs generated code: in a
+    fresh CPython 3.11 on a 2-core VM the import took about 8 ms and
+    sixteen two-field classes about 5 ms more. With idemq's sixteen
+    records made NamedTuples or classes with __slots__, the benchmark's
+    setup_s fell about 10 ms (0.089 to 0.079 s) and peak RSS 1.1 MB.
+    `csv` (about 0.6 ms) serves `--format csv` only, so `cli._emit_csv`
+    imports it where it is used."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [(line, name) for line, name in _import_time_modules(tree) if name in COSTLY]
+    assert found == [], f"{path.name}: imports at import time: {found}"
+
+
+def test_an_import_time_import_is_found():
+    tree = ast.parse(
+        "import csv\nfrom dataclasses import dataclass\nfrom .rings import RingSpec\n"
+        "class A:\n    import os.path\n"
+        "def f():\n    import json\n"
+    )
+    assert _import_time_modules(tree) == [(1, "csv"), (2, "dataclasses"), (5, "os")]
 
 
 TOKEN_CLIFF = 8192

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from idemq.rings import (
     make_level_ring,
     root_exponent,
 )
+from idemq.specfile import parse_spec
 from oracles import basis
 
 
@@ -192,6 +194,51 @@ def test_format_mono():
     assert format_mono(spec, (Fraction(1, 2), Fraction(0))) == "x^{1/2}"
     assert format_mono(spec, (Fraction(1), Fraction(2))) == "x*y^2"
     assert format_mono(spec, (Fraction(0), Fraction(0))) == "1"
+
+
+F = Fraction
+X, Y = VarInfo("x"), VarInfo("y")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((QQ, 1, (X,)), "root_base must be >= 2"),
+        ((QQ, 2, (X, VarInfo("x", True))), "duplicate variable names"),
+        ((QQ, 2, (X, Y), ((F(1),),)), "truncation arity mismatch"),
+        ((QQ, 2, (X,), ((F(1, 2),),)), "truncation exponents must be nonnegative integers"),
+        ((QQ, 2, (X,), ((F(-1),),)), "truncation exponents must be nonnegative integers"),
+        ((QQ, 2, (X, Y), ((F(0), F(0)),)), "cannot truncate by the unit monomial"),
+    ],
+)
+def test_spec_checks_its_fields_by_position_and_by_keyword(args, message):
+    names = ("field", "root_base", "variables", "truncations")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RingSpec(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RingSpec(**dict(zip(names, args)))
+
+
+def test_two_parses_of_a_spec_give_equal_hashable_rings():
+    text = "field Fp 7\nroot_base 3\nvar x divisible\nvar y\ntruncate x^2, y^3\n"
+    a, b = parse_spec(text).ring, parse_spec(text).ring
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != parse_spec(text.replace("y^3", "y^4")).ring
+    assert a.variables == (VarInfo("x", True), VarInfo("y", False))
+
+
+def test_ring_records_are_frozen():
+    spec = _spec_one_var()
+    with pytest.raises(AttributeError):
+        spec.root_base = 3
+    with pytest.raises(AttributeError):
+        spec.nvars = 2
+    with pytest.raises(AttributeError):
+        spec.levels = ()  # no attribute beyond the fields either
+    with pytest.raises(AttributeError):
+        spec.variables[0].divisible = False
+    assert spec.root_base == 2 and spec.variables[0].divisible
 
 
 def test_spec_validation():
