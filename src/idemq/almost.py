@@ -24,7 +24,7 @@ degree d (orthogonality against the derived powers).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .complexes import (
     ChainMap,
@@ -191,12 +191,25 @@ def is_almost_zero(
     stabilized over levels? Annihilation criterion: the rank of the
     subspace spanned by generator multiples inside each homology cell
     of the module's resolution must stabilize to zero."""
+    return _annihilation_verdict(
+        family, lambda wmax: resolution_family(spec, module, bound + 1, wmax), bound, bounds
+    )
+
+
+def _annihilation_verdict(
+    family: IdealFamily,
+    read: Callable[[Fraction], Family],
+    bound: int,
+    bounds: Optional[Bounds],
+) -> AlmostVerdict:
+    """The annihilation verdict through degree bound on the family that
+    read(weight bound) gives: a module's resolution or a map's cone."""
     require_idempotent(family)
     b = bounds or default_bounds(bound)
-    res = resolution_family(spec, module, bound + 1, b.weight_max)
-    levels = level_range(max(1, family.min_level(), res.min_level), b.max_level)
+    fam = read(b.weight_max)
+    levels = level_range(max(1, family.min_level(), fam.min_level), b.max_level)
     cells = _annihilation_cells(
-        res.diagram(levels), family, range(bound + 1), b.weight_max, b.window
+        fam.diagram(levels), family, range(bound + 1), b.weight_max, b.window
     )
     degrees, witnesses, flight = _verdict(cells, range(bound + 1))
     return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
@@ -273,15 +286,7 @@ def is_almost_equivalence(
 ) -> AlmostVerdict:
     """Is the cone of the level map almost zero up to the degree bound?
     The cone homology is checked with the annihilation criterion."""
-    require_idempotent(family)
-    b = bounds or default_bounds(bound)
-    cones = cone_family(f)
-    levels = level_range(max(1, family.min_level(), cones.min_level), b.max_level)
-    cells = _annihilation_cells(
-        cones.diagram(levels), family, range(bound + 1), b.weight_max, b.window
-    )
-    degrees, witnesses, flight = _verdict(cells, range(bound + 1))
-    return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
+    return _annihilation_verdict(family, lambda _wmax: cone_family(f), bound, bounds)
 
 
 # ---------- the gluing square ----------

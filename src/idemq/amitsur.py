@@ -144,7 +144,7 @@ def amitsur_crosscheck(
     reference = quotient_homotopy(spec, family, N, bounds)
 
     if family_contains_unit(family):
-        table = StabilizedTable("amitsur", [], (), N, N)
+        table = StabilizedTable("amitsur", [], (), N)
         agree = {
             d: reference.table.stable_cells_at(d) == {} for d in range(N + 1)
         }
@@ -175,7 +175,7 @@ def amitsur_crosscheck(
         raw = tot.diagram(levels).run(
             range(N + 1), bounds.weight_max, window, stop, need
         )
-        table = make_table(f"amitsur Tot^{m}", raw, levels, N, N)
+        table = make_table(f"amitsur Tot^{m}", raw, levels, N)
         undet = [c for c, r in raw.items() if not r.stable]
         old = {d for d, w in undet if not young(raw[(d, w)].dims, top)}
         agree = {

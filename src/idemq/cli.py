@@ -300,7 +300,7 @@ def _cells_entry(degree: int, weight: Fraction, dim: int, stable: bool) -> dict:
 def _table_from_stabilized(table) -> dict:
     return {
         "name": table.name,
-        "trusted_degree_max": table.trusted_degree_max,
+        "trusted_degree_max": table.deg_max,
         "cells": [_cells_entry(c.degree, c.weight, c.dim, c.stable) for c in table.cells],
     }
 

@@ -27,8 +27,12 @@ FreeComplex.rows_at): row (i, m) meets term c * e at the pair (j, m - e)
 when e divides m. `add_image` adds a column of ring elements times a
 module monomial to a strand vector. These are the two places a product
 is looked up in a strand, and a pair the strand lacks is zero in the
-module, so nothing tests for zero. Monomials are packed ints (see
-rings), so a product is `e + mono` and a quotient `m - e`.
+module, so no monomial is tested for zero. Both write coefficients in
+the program's one scalar convention (see fields): plain numbers summed
+with `+`, each sum reduced once by the field's `normalize`, and an entry
+whose terms cancel is dropped, so a strand vector stores no zero.
+Monomials are packed ints (see rings), so a product is `e + mono` and a
+quotient `m - e`.
 
 A strand (StrandBasis) is a list of blocks, one (generator j, offset,
 monomials) per generator with a nonzero part, generators ascending; the
@@ -37,9 +41,10 @@ strand copies no monomial and builds no pair. Each provider keeps one
 position table `pos`, monomial -> its place in its weight's list, and
 pair (j, m) sits at offset[j] + pos[m]: the lookup is two integer keys
 and no tuple. It needs no weight because every map is weight-
-homogeneous (check_complex asserts it for a differential): a product or
-quotient that meets generator j has the weight of j's block, so a
-monomial the table holds lies in that block's list, and j has a block.
+homogeneous (the tests' check_complex asserts it for a differential):
+a product or quotient that meets generator j has the weight of j's
+block, so a monomial the table holds lies in that block's list, and j
+has a block.
 `StrandBasis.pair` maps a position back to its pair.
 
 Every system is solved from rows, with no matrix: homology reduces d_d
@@ -60,7 +65,9 @@ FreeComplex groups each degree's generators by weight once
 (`gens_by_weight`), so a strand costs one basis lookup per distinct
 generator weight, not one per generator. It indexes each differential's
 rows once too (`rows_at`), as flat tuples of terms, so a row read
-touches only the terms of its own row.
+touches only the terms of its own row. Both indexes are built on first
+use and kept: a degree's generators and differential are written once,
+before the degree is first read, and never replaced.
 
 Inside a level a weight is the integer n = w * denom over the ring's
 `denom` (LevelRing.num), and the strand functions take and return it:
@@ -142,9 +149,8 @@ class FreeComplex:
         # cut out of the target (empty tuple = the target is R itself)
         self.aug = aug
         self.aug_quotient = aug_quotient
-        # degree -> (the gens list it indexes, its weight groups); see gens_by_weight
+        # degree -> its weight groups (gens_by_weight) and its rows (rows_at)
         self._by_weight: dict = {}
-        # degree -> (the diff and gens lists it indexes, its rows); see rows_at
         self._rows: dict = {}
 
     @property
@@ -167,36 +173,24 @@ class FreeComplex:
     def gens_by_weight(self, d: int) -> list[tuple[int, list[int]]]:
         """Degree-d generator indices grouped by integer weight (see
         LevelRing.num): (weight, indices) pairs, ascending in weight,
-        indices ascending within a group. Built on first use and kept
-        while gens[d] is the same list object, so a degree whose list is
-        replaced is indexed afresh."""
-        gl = self.gens.get(d)
-        if not gl:
-            return []
-        hit = self._by_weight.get(d)
-        if hit is not None and hit[0] is gl:
-            return hit[1]
-        num = self.ring.num
-        groups: dict[int, list[int]] = {}
-        for j, gw in enumerate(gl):
-            n = num(gw)
-            if n is None:
-                raise AssertionError(f"generator weight {gw} is off the level's lattice")
-            groups.setdefault(n, []).append(j)
-        index = sorted(groups.items())
-        self._by_weight[d] = (gl, index)
+        indices ascending within a group. Built on first use and kept."""
+        index = self._by_weight.get(d)
+        if index is None:
+            num = self.ring.num
+            groups: dict[int, list[int]] = {}
+            for j, gw in enumerate(self.gens.get(d, ())):
+                n = num(gw)
+                if n is None:
+                    raise AssertionError(f"generator weight {gw} is off the level's lattice")
+                groups.setdefault(n, []).append(j)
+            index = self._by_weight[d] = sorted(groups.items())
         return index
 
     def rows_at(self, d: int) -> list[tuple]:
-        """The row index of diff[d] (rows_of). Built on first use and kept
-        while diff[d] and gens[d-1] are the same list objects, so a
-        replaced differential is indexed afresh."""
-        cols, below = self.diff.get(d), self.gens.get(d - 1)
-        hit = self._rows.get(d)
-        if hit is not None and hit[0] is cols and hit[1] is below:
-            return hit[2]
-        rows = rows_of(cols or (), self.rank(d - 1), self.field)
-        self._rows[d] = (cols, below, rows)
+        """The row index of diff[d] (rows_of). Built on first use and kept."""
+        rows = self._rows.get(d)
+        if rows is None:
+            rows = self._rows[d] = rows_of(self.diff.get(d, ()), self.rank(d - 1), self.field)
         return rows
 
     def rank(self, d: int) -> int:
@@ -223,59 +217,6 @@ def unit_complex(ring: LevelRing) -> FreeComplex:
         aug=[ring.one()],
         aug_quotient=(),
     )
-
-
-def _check_layout(maps: dict[int, list[Column]], rank: Callable[[int], int], what: str) -> None:
-    """Assert that each stored degree holds one column per source generator."""
-    for d, cols in maps.items():
-        if len(cols) != rank(d):
-            raise AssertionError(
-                f"{what} at d={d} holds {len(cols)} columns for {rank(d)} generators"
-            )
-
-
-def check_complex(x: FreeComplex) -> None:
-    """Assert the column layout, dd = 0 and weight homogeneity of every
-    entry."""
-    ring = x.ring
-    _check_layout(x.diff, x.rank, "differential")
-    for d, cols in x.diff.items():
-        below = x.gens.get(d - 1, [])
-        here = x.gens.get(d, [])
-        for j, col in enumerate(cols):
-            for i, elem in col:
-                if not elem:
-                    raise AssertionError(f"stored zero entry at d={d} ({i},{j})")
-                w = ring.elem_weight(elem)
-                if w != here[j] - below[i]:
-                    raise AssertionError(
-                        f"entry ({i},{j}) at d={d} has weight {w}, want {here[j] - below[i]}"
-                    )
-    for d in sorted(x.diff):
-        if d - 1 not in x.diff:
-            continue
-        # compose each column of diff[d] with diff[d-1]
-        lower = x.diff[d - 1]
-        for j, col in enumerate(x.diff[d]):
-            acc: dict[int, Elem] = {}
-            for i, elem in col:
-                for i2, elem2 in lower[i]:
-                    prod = ring.elem_mul(elem2, elem)
-                    if prod:
-                        acc[i2] = ring.elem_add(acc.get(i2, {}), prod)
-            for i2, elem in acc.items():
-                if elem:
-                    raise AssertionError(f"dd != 0 at degree {d}, entry {(i2, j)}: {elem}")
-    if x.aug is not None and 1 in x.diff:
-        # augmentation composes to zero with the first differential
-        q = Strands(x.ring, x.aug_quotient)
-        for j, col in enumerate(x.diff[1]):
-            acc: Elem = {}
-            for i, elem in col:
-                acc = ring.elem_add(acc, ring.elem_mul(x.aug[i], elem))
-            acc = {e: v for e, v in acc.items() if not q.in_ideal(e)}
-            if acc:
-                raise AssertionError(f"aug . d != 0 on generator {j}")
 
 
 # ---------- the strand provider ----------
@@ -378,7 +319,7 @@ def add_image(
     monomial; a product the position table does not hold is zero in the
     module and drops out, and so does every product into a row generator
     without a block."""
-    F = ring.field
+    norm = ring.field.normalize
     offset, pos = sb.offset, sb.pos
     for i, elem in col:
         o = offset.get(i)
@@ -389,13 +330,11 @@ def add_image(
             if p is None:
                 continue
             r = o + p
-            nv = F.mul(scale, coeff)
-            if r in out:
-                nv = F.add(out[r], nv)
-                if F.is_zero(nv):
-                    del out[r]
-                    continue
-            out[r] = F.normalize(nv)
+            nv = norm(out.get(r, 0) + scale * coeff)
+            if nv:
+                out[r] = nv
+            else:
+                out.pop(r, None)
 
 
 def strand_rows(
@@ -415,7 +354,7 @@ def strand_rows(
     a block. The test only saves the lookup: m - e for an e that does not
     divide m borrows into a guard bit, and no position table holds such a
     key."""
-    F = ring.field
+    norm = ring.field.normalize
     guard = ring.guard
     offset, pos = src.offset, src.pos
     for i, off, ms in dst.blocks:
@@ -434,11 +373,10 @@ def strand_rows(
                     continue
                 r = offset[j] + p
                 if r in out:
-                    c = F.add(out[r], c)
-                    if F.is_zero(c):
+                    c = norm(out[r] + c)
+                    if not c:
                         del out[r]
                         continue
-                    c = F.normalize(c)
                 out[r] = c
             yield out
 

@@ -588,8 +588,7 @@ class StabilizedTable(NamedTuple):
     name: str
     cells: list[Cell]  # stable nonzero and unstable cells, sorted
     levels: tuple[int, ...]
-    trusted_degree_max: int
-    deg_max: int
+    deg_max: int  # degrees 0..deg_max, reported as trusted_degree_max
 
     def dims(self) -> tuple[int, ...]:
         out = [0] * (self.deg_max + 1)
@@ -619,7 +618,6 @@ def make_table(
     name: str,
     raw: dict[tuple[int, Fraction], CellResult],
     levels,
-    trusted: int,
     deg_max: int,
 ) -> StabilizedTable:
     cells = []
@@ -628,7 +626,7 @@ def make_table(
         if r.stable and r.value == 0:
             continue
         cells.append(Cell(d, w, r.value, r.stable, r.in_flight))
-    return StabilizedTable(name, cells, tuple(levels), trusted, deg_max)
+    return StabilizedTable(name, cells, tuple(levels), deg_max)
 
 
 # ---------- module references ----------
@@ -875,7 +873,7 @@ def derived_tensor(
     """
     raw, levels = _tor_cells(spec, left, right, range(deg_min, deg_max + 1), bounds)
     name = f"Tor({left.label}, {right.label})"
-    return make_table(name, raw, levels, deg_max, deg_max)
+    return make_table(name, raw, levels, deg_max)
 
 
 def _tor_cells(
@@ -1041,7 +1039,7 @@ def quotient_homotopy(
     else:
         raw, levels, note = _quotient_by_base_change(spec, family, range(N + 1), bounds)
         notes = [note]
-    table = make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
+    table = make_table(f"pi(R/{family.name}^infty)", raw, levels, N)
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),

@@ -1,8 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
-Scalars are plain Python objects (int / Fraction for Q, int in [0, p) for
-F_p); a Field object bundles the operations so matrix code stays generic.
-No floating point anywhere.
+Scalars are plain Python numbers: int or Fraction over Q, int over F_p.
+They are combined with the operators `+`, `-`, `*` and unary `-`, and
+each result is reduced once by the field's `normalize`, which gives an
+int in [0, p) over F_p and turns an integral Fraction back into an int
+over Q. A normalized zero is the int 0, falsy in both fields, so a
+vector drops an entry with `if v`. A field object holds only what the
+operators cannot give: `normalize`, `inv` and `one`, with its
+characteristic `char`. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,26 +23,7 @@ class RationalField:
     no division forces a Fraction (the common case in monomial complexes)."""
 
     char = 0
-    name = "Q"
-
-    zero = 0
     one = 1
-
-    @staticmethod
-    def add(a: Scalar, b: Scalar) -> Scalar:
-        return a + b
-
-    @staticmethod
-    def sub(a: Scalar, b: Scalar) -> Scalar:
-        return a - b
-
-    @staticmethod
-    def mul(a: Scalar, b: Scalar) -> Scalar:
-        return a * b
-
-    @staticmethod
-    def neg(a: Scalar) -> Scalar:
-        return -a
 
     @staticmethod
     def inv(a: Scalar) -> Scalar:
@@ -46,14 +32,6 @@ class RationalField:
         if a == -1:
             return -1
         return Fraction(1) / a
-
-    @staticmethod
-    def is_zero(a: Scalar) -> bool:
-        return a == 0
-
-    @staticmethod
-    def from_int(n: int) -> Scalar:
-        return n
 
     @staticmethod
     def normalize(a: Scalar) -> Scalar:
@@ -106,33 +84,10 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a: int, b: int) -> int:
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a: int, b: int) -> int:
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
+        self.one = 1
 
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
-
-    @staticmethod
-    def is_zero(a: int) -> bool:
-        return a == 0
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def normalize(self, a: int) -> int:
         return a % self.p

@@ -224,33 +224,33 @@ class LevelRing:
         return {self.unit: self.field.one}
 
     def elem_add(self, x: Elem, y: Elem) -> Elem:
-        F = self.field
+        norm = self.field.normalize
         out = dict(x)
         for e, v in y.items():
-            nv = F.normalize(F.add(out.get(e, F.zero), v))
-            if F.is_zero(nv):
-                out.pop(e, None)
-            else:
+            nv = norm(out.get(e, 0) + v)
+            if nv:
                 out[e] = nv
+            else:
+                out.pop(e, None)
         return out
 
     def elem_neg(self, x: Elem) -> Elem:
-        F = self.field
-        return {e: F.neg(v) for e, v in x.items()}
+        norm = self.field.normalize
+        return {e: norm(-v) for e, v in x.items()}
 
     def elem_mul(self, x: Elem, y: Elem) -> Elem:
-        F = self.field
+        norm = self.field.normalize
         out: Elem = {}
         for e1, v1 in x.items():
             for e2, v2 in y.items():
                 e = e1 + e2
                 if self.mono_is_zero(e):
                     continue
-                nv = F.normalize(F.add(out.get(e, F.zero), F.mul(v1, v2)))
-                if F.is_zero(nv):
-                    out.pop(e, None)
-                else:
+                nv = norm(out.get(e, 0) + v1 * v2)
+                if nv:
                     out[e] = nv
+                else:
+                    out.pop(e, None)
         return out
 
     def elem_weight(self, x: Elem) -> Optional[Fraction]:

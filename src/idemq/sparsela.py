@@ -22,11 +22,14 @@ keeps out of the pivots unless a row reduces to 0 = b_i; each reduced
 row's entry in that column is the value of its pivot variable, with
 every free variable 0.
 
-Input contract: every vector given to an Echelon holds normalized,
-nonzero entries (v != 0 and F.normalize(v) gives v back unchanged), as
-every producer here makes them: the strand row reader, add_image, matmul,
-kernel and the ring element operations. Reducing does not normalize its
-input again. It never changes a caller's vector either: insert stores a
+Input contract: the scalar convention of the whole program (see
+fields). Scalars are plain numbers combined with operators, each result
+is reduced once by F.normalize, and a normalized zero is falsy and never
+stored. So every vector given to an Echelon holds normalized, nonzero
+entries (v != 0 and F.normalize(v) gives v back unchanged), as every
+producer makes them: the strand row reader, add_image, matmul, kernel
+and the ring element operations. Reducing does not normalize its input
+again. It never changes a caller's vector either: insert stores a
 vector whose lowest column holds no pivot as itself, reduce returns one
 that touches no pivot as itself, and any other is reduced in a copy. So
 a vector must not be changed after it was inserted.
@@ -69,7 +72,7 @@ def _reduce(vec: Vec, rows: dict[int, Vec], inv: dict[int, object], F) -> Vec:
                     heapq.heappush(heap, j)
             else:
                 nv = norm(old - a * v)
-                if nv:  # zero is 0 in both fields
+                if nv:
                     res[j] = nv
                 else:
                     del res[j]
@@ -170,12 +173,13 @@ class Echelon:
         (columns without a pivot): e_f - sum_p R_p[f] e_p over the reduced
         rows R_p. Each is 1 at its own free column and 0 at every other one."""
         F = self.field
+        norm = F.normalize
         out = {f: {f: F.one} for f in free}
         for p, row in self.reduced().items():
             for c, v in row.items():
                 z = out.get(c)
                 if z is not None:
-                    z[p] = F.neg(v)
+                    z[p] = norm(-v)
         return [out[f] for f in free]
 
 
@@ -218,22 +222,22 @@ class SparseMatrix:
 
     def set(self, i: int, j: int, v) -> None:
         v = self.field.normalize(v)
-        if self.field.is_zero(v):
-            self.rows[i].pop(j, None)
-        else:
+        if v:
             self.rows[i][j] = v
+        else:
+            self.rows[i].pop(j, None)
 
     def mul_vec(self, x: Vec) -> Vec:
-        F = self.field
+        norm = self.field.normalize
         out: Vec = {}
         for i, row in enumerate(self.rows):
-            s = F.zero
+            s = 0
             for j, v in row.items():
                 xj = x.get(j)
                 if xj is not None:
-                    s = F.add(s, F.mul(v, xj))
-            s = F.normalize(s)
-            if not F.is_zero(s):
+                    s += v * xj
+            s = norm(s)
+            if s:
                 out[i] = s
         return out
 
@@ -251,15 +255,15 @@ def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """a . b (apply b first)."""
     if a.ncols != b.nrows:
         raise AssertionError(f"matmul shape mismatch: {a.ncols} vs {b.nrows}")
-    F = a.field
-    out = SparseMatrix(a.nrows, b.ncols, F)
+    norm = a.field.normalize
+    out = SparseMatrix(a.nrows, b.ncols, a.field)
     for i, arow in enumerate(a.rows):
         acc: Vec = out.rows[i]
         for k, av in arow.items():
             for j, bv in b.rows[k].items():
-                nv = F.normalize(F.add(acc.get(j, F.zero), F.mul(av, bv)))
-                if F.is_zero(nv):
-                    acc.pop(j, None)
-                else:
+                nv = norm(acc.get(j, 0) + av * bv)
+                if nv:
                     acc[j] = nv
+                else:
+                    acc.pop(j, None)
     return out

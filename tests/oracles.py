@@ -6,7 +6,8 @@ augmentation by a scan that tests every product for zero and shares no
 code with the strand engine, a homology dimension read from two dense
 ranks with no representatives, a homology basis filled eagerly from
 those scanned matrices, multigraded Betti numbers of a monomial ideal
-from its Taylor complex, the chain-map check d . f = f . d
+from its Taylor complex, the complex check (layout, dd = 0 and weight
+homogeneity: check_complex), the chain-map check d . f = f . d
 (check_chain_map), and small conveniences on chain maps,
 monomials and tables. Two reference routes through the tower of derived
 powers, which share no code with base change: pi_*(R/I^infty) read off
@@ -25,17 +26,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 from unittest import mock
 
 from idemq import derived
 from idemq.complexes import (
     ChainMap,
+    Column,
     FreeComplex,
     StrandBasis,
     Strands,
     TensorIndex,
-    _check_layout,
     identity_map,
     lift_chain_map,
     minimal_resolution,
@@ -61,26 +62,23 @@ def from_dense(data: list[list], field) -> SparseMatrix:
     m = SparseMatrix(nrows, ncols, field)
     for i, drow in enumerate(data):
         for j, v in enumerate(drow):
-            v = field.from_int(v) if isinstance(v, int) else v
-            if not field.is_zero(v):
+            v = field.normalize(v)
+            if v:
                 m.rows[i][j] = v
     return m
 
 
 def to_dense(m: SparseMatrix) -> list[list]:
-    z = m.field.zero
-    return [[row.get(j, z) for j in range(m.ncols)] for row in m.rows]
+    return [[row.get(j, 0) for j in range(m.ncols)] for row in m.rows]
 
 
 def dense_rref(data: list[list], field) -> dict[int, dict]:
     """Reduced row echelon form by Gauss-Jordan elimination on a dense
-    copy, over Q in Fractions and over F_p in the field's own operations:
+    copy, each entry reduced by the field's normalize after every step:
     pivot column -> its row as {col: value}, 1 at its pivot and 0 at every
     other pivot, pivots ascending."""
-    if field.char == 0:
-        m = [[Fraction(v) for v in row] for row in data]
-    else:
-        m = [[field.from_int(v) if isinstance(v, int) else v for v in row] for row in data]
+    norm = field.normalize
+    m = [[norm(v) for v in row] for row in data]
     ncols = len(m[0]) if m else 0
     pivots = []
     for c in range(ncols):
@@ -90,15 +88,13 @@ def dense_rref(data: list[list], field) -> dict[int, dict]:
             continue
         m[rk], m[p] = m[p], m[rk]
         inv = field.inv(m[rk][c])
-        prow = m[rk] = [field.mul(v, inv) for v in m[rk]]
+        prow = m[rk] = [norm(v * inv) for v in m[rk]]
         for i in range(len(m)):
             if i != rk and m[i][c]:
                 f = m[i][c]
-                m[i] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(m[i], prow)]
+                m[i] = [norm(v - f * pv) for v, pv in zip(m[i], prow)]
         pivots.append(c)
-    return {
-        c: {j: field.normalize(v) for j, v in enumerate(m[k]) if v} for k, c in enumerate(pivots)
-    }
+    return {c: {j: v for j, v in enumerate(m[k]) if v} for k, c in enumerate(pivots)}
 
 
 def dense_rank(data: list[list], field) -> int:
@@ -110,8 +106,7 @@ def rank(m: SparseMatrix) -> int:
 
 
 def add_at(m: SparseMatrix, i: int, j: int, v) -> None:
-    F = m.field
-    m.set(i, j, F.normalize(F.add(m.rows[i].get(j, F.zero), v)))
+    m.set(i, j, m.rows[i].get(j, 0) + v)
 
 
 def kernel_basis(m: SparseMatrix) -> list[Vec]:
@@ -184,7 +179,7 @@ def scan_push(cols, vec: Vec, src: RefStrand, dst: RefStrand, ring, zero, push=N
     cols[j], with `push` carrying source monomials into ring (None: the
     same ring): every product of an entry with a pushed source monomial,
     less those `zero` finds vanishing in the target module."""
-    F = ring.field
+    norm = ring.field.normalize
     out: Vec = {}
     for c, s in vec.items():
         j, mono = src.pairs[c]
@@ -197,11 +192,11 @@ def scan_push(cols, vec: Vec, src: RefStrand, dst: RefStrand, ring, zero, push=N
                     continue
                 r = dst.index.get((i, ee))
                 if r is not None:
-                    v = F.normalize(F.add(out.get(r, F.zero), F.mul(s, coeff)))
-                    if F.is_zero(v):
-                        del out[r]
-                    else:
+                    v = norm(out.get(r, 0) + s * coeff)
+                    if v:
                         out[r] = v
+                    else:
+                        out.pop(r, None)
     return out
 
 
@@ -340,6 +335,59 @@ def _face_rank(faces: dict[int, list], k: int, field) -> int:
 def column(f: ChainMap, d: int, j: int) -> dict:
     """Column j of f in degree d, as {row generator: ring element}."""
     return dict(f.entries_at(d)[j])
+
+
+def _check_layout(maps: dict[int, list[Column]], rank: Callable[[int], int], what: str) -> None:
+    """Assert that each stored degree holds one column per source generator."""
+    for d, cols in maps.items():
+        if len(cols) != rank(d):
+            raise AssertionError(
+                f"{what} at d={d} holds {len(cols)} columns for {rank(d)} generators"
+            )
+
+
+def check_complex(x: FreeComplex) -> None:
+    """Assert the column layout, dd = 0 and weight homogeneity of every
+    entry."""
+    ring = x.ring
+    _check_layout(x.diff, x.rank, "differential")
+    for d, cols in x.diff.items():
+        below = x.gens.get(d - 1, [])
+        here = x.gens.get(d, [])
+        for j, col in enumerate(cols):
+            for i, elem in col:
+                if not elem:
+                    raise AssertionError(f"stored zero entry at d={d} ({i},{j})")
+                w = ring.elem_weight(elem)
+                if w != here[j] - below[i]:
+                    raise AssertionError(
+                        f"entry ({i},{j}) at d={d} has weight {w}, want {here[j] - below[i]}"
+                    )
+    for d in sorted(x.diff):
+        if d - 1 not in x.diff:
+            continue
+        # compose each column of diff[d] with diff[d-1]
+        lower = x.diff[d - 1]
+        for j, col in enumerate(x.diff[d]):
+            acc: dict[int, Elem] = {}
+            for i, elem in col:
+                for i2, elem2 in lower[i]:
+                    prod = ring.elem_mul(elem2, elem)
+                    if prod:
+                        acc[i2] = ring.elem_add(acc.get(i2, {}), prod)
+            for i2, elem in acc.items():
+                if elem:
+                    raise AssertionError(f"dd != 0 at degree {d}, entry {(i2, j)}: {elem}")
+    if x.aug is not None and 1 in x.diff:
+        # augmentation composes to zero with the first differential
+        q = Strands(x.ring, x.aug_quotient)
+        for j, col in enumerate(x.diff[1]):
+            acc: Elem = {}
+            for i, elem in col:
+                acc = ring.elem_add(acc, ring.elem_mul(x.aug[i], elem))
+            acc = {e: v for e, v in acc.items() if not q.in_ideal(e)}
+            if acc:
+                raise AssertionError(f"aug . d != 0 on generator {j}")
 
 
 def check_chain_map(f: ChainMap) -> None:
@@ -540,7 +588,7 @@ def quotient_by_tower(
     there. n_used names those powers, and notes is empty."""
     bounds = bounds if bounds is not None else default_bounds(N)
     raw, levels = _tower_cells(spec, family, N, bounds)
-    table = derived.make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N)
+    table = derived.make_table(f"pi(R/{family.name}^infty)", raw, levels, N)
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),
@@ -748,7 +796,7 @@ def kunneth_quotient(
         top = max(top, levels[-1])
     raw = _kunneth_cells(per_block, N, bounds.weight_max)
     levels = range(family.min_level(), top + 1)
-    return derived.make_table(f"pi(R/{family.name}^infty)", raw, levels, N, N), blocks
+    return derived.make_table(f"pi(R/{family.name}^infty)", raw, levels, N), blocks
 
 
 def _base_change_by_levels(

@@ -10,7 +10,7 @@ from idemq.complexes import (
     FreeComplex,
     HomologyData,
     Strands,
-    check_complex,
+    add_image,
     cone,
     cone_map,
     homology_data,
@@ -43,6 +43,7 @@ from oracles import (
     aug_matrix,
     basis,
     check_chain_map,
+    check_complex,
     cofibre_cone,
     column,
     compose_maps,
@@ -60,9 +61,9 @@ from oracles import (
 F0 = Fraction(0)
 
 
-def _ring(a=3, level=0):
+def _ring(a=3, level=0, field=QQ):
     spec = RingSpec(
-        field=QQ,
+        field=field,
         root_base=2,
         variables=(VarInfo("x", True),),
         truncations=((Fraction(a),),),
@@ -668,6 +669,7 @@ def test_coords_read_each_representative_on_xy(field, build):
     # the unit coordinates of its own class, also when moved by a boundary,
     # and a vector that is not a cycle is refused
     x, prov = build(field)
+    norm = field.normalize
     seen = 0
     for d in range(x.lo, x.hi + 1):
         for n in strand_weights(x, d, x.ring.num_floor(Fraction(2)), prov):
@@ -678,12 +680,12 @@ def test_coords_read_each_representative_on_xy(field, build):
             out = strand_matrix(x, d, n, prov)
             inc = strand_matrix(x, d + 1, n, prov)
             # a boundary: the image of a sum of d+1 strand basis vectors
-            bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
+            bnd = inc.mul_vec({j: norm(j + 1) for j in range(inc.ncols)})
             for k, rep in enumerate(h.reps):
                 assert out.mul_vec(rep) == {}
                 assert h.coords(rep, field) == {k: 1}
-                moved = {r: field.add(rep.get(r, 0), bnd.get(r, 0)) for r in set(rep) | set(bnd)}
-                moved = {r: v for r, v in moved.items() if not field.is_zero(v)}
+                moved = {r: norm(rep.get(r, 0) + bnd.get(r, 0)) for r in set(rep) | set(bnd)}
+                moved = {r: v for r, v in moved.items() if v}
                 assert h.coords(moved, field) == {k: 1}
             hit = next((r for r in range(out.ncols) if any(r in row for row in out.rows)), None)
             if hit is not None:
@@ -708,6 +710,7 @@ def test_deferred_fill_runs_once_and_matches_an_eager_basis_on_xy(field, build, 
 
     monkeypatch.setattr(HomologyData, "_fill_basis", counting)
     x, prov = build(field)
+    norm = field.normalize
     seen = 0
     for d in range(x.lo, x.hi + 1):
         for n in strand_weights(x, d, x.ring.num_floor(Fraction(2)), prov):
@@ -717,19 +720,19 @@ def test_deferred_fill_runs_once_and_matches_an_eager_basis_on_xy(field, build, 
             assert not fills
             assert (h.dim, h.rank) == (ref.dim, ref.rank)
             inc = strand_matrix(x, d + 1, n, prov)
-            bnd = inc.mul_vec({j: field.from_int(j + 1) for j in range(inc.ncols)})
+            bnd = inc.mul_vec({j: norm(j + 1) for j in range(inc.ncols)})
             for _ in range(2):
                 assert (h.reps, h.rep_cols) == (ref.reps, ref.rep_cols)
                 total = {}
                 for k, rep in enumerate(h.reps):
                     for r, v in rep.items():
-                        total[r] = field.add(total.get(r, 0), field.mul(field.from_int(k + 2), v))
-                    moved = {r: field.add(rep.get(r, 0), bnd.get(r, 0)) for r in set(rep) | set(bnd)}
+                        total[r] = norm(total.get(r, 0) + (k + 2) * v)
+                    moved = {r: norm(rep.get(r, 0) + bnd.get(r, 0)) for r in set(rep) | set(bnd)}
                     for vec in (rep, moved):
-                        vec = {r: v for r, v in vec.items() if not field.is_zero(v)}
+                        vec = {r: v for r, v in vec.items() if v}
                         assert h.coords(vec, field) == ref.coords(vec)
                 if h.dim:  # only a strand with homology has coordinates
-                    total = {r: v for r, v in total.items() if not field.is_zero(v)}
+                    total = {r: v for r, v in total.items() if v}
                     assert h.coords(total, field) == ref.coords(total)
             assert fills == ([h] if h.dim else []), (d, n)
             fills.clear()
@@ -862,7 +865,7 @@ def _scan_lift(x, y, ring_map):
 
     def push(elem):
         pushed = ((ring_map(e), v) for e, v in elem.items())
-        return {e: v for e, v in pushed if not ring.mono_is_zero(e) and not F.is_zero(v)}
+        return {e: v for e, v in pushed if not ring.mono_is_zero(e) and v}
 
     entries = {}
     for d in range(x.lo, x.hi + 1):
@@ -886,20 +889,20 @@ def _scan_lift(x, y, ring_map):
                         for e, c in ring.elem_mul(felem, push(selem)).items():
                             r = ydst.index.get((i2, e))
                             if r is not None:
-                                nv = F.normalize(F.add(rhs.get(r, F.zero), c))
-                                if F.is_zero(nv):
-                                    rhs.pop(r, None)
-                                else:
+                                nv = F.normalize(rhs.get(r, 0) + c)
+                                if nv:
                                     rhs[r] = nv
+                                else:
+                                    rhs.pop(r, None)
             sol = solve_rows(mat.rows, len(ysb.pairs), rhs, F)
             for pos, c in sol.items():
                 i, mono = ysb.pairs[pos]
                 cur = ent.setdefault((i, j), {})
-                nv = F.normalize(F.add(cur.get(mono, F.zero), c))
-                if F.is_zero(nv):
-                    cur.pop(mono, None)
-                else:
+                nv = F.normalize(cur.get(mono, 0) + c)
+                if nv:
                     cur[mono] = nv
+                else:
+                    cur.pop(mono, None)
         ent = {k: v for k, v in ent.items() if v}
         if ent:
             entries[d] = ent
@@ -1116,7 +1119,7 @@ def test_pushed_strand_vectors_match_a_scan_across_levels():
                     src, dst = strand_basis(res1, d, n1, p1), strand_basis(res2, d, n2, p2)
                     rsrc, rdst = ref_strand(res1, d, n1, p1), ref_strand(res2, d, n2, p2)
                     vecs = [{k: F.one} for k in range(src.size)]
-                    vecs.append({k: F.from_int(k + 2) for k in range(src.size)})
+                    vecs.append({k: F.normalize(k + 2) for k in range(src.size)})
                     for vec in vecs:
                         got = push_strand_vec(lift, cols, vec, src, dst)
                         want = scan_push(
@@ -1128,39 +1131,65 @@ def test_pushed_strand_vectors_match_a_scan_across_levels():
     assert 0 < nonzero < pushed
 
 
-def test_weight_index_follows_a_replaced_generator_list():
+def test_weight_index_groups_each_degree_once():
     ring = _ring(a=3)
     x = FreeComplex(ring=ring, gens={0: [Fraction(2), F0]})
     prov = Strands(ring)
     assert x.gens_by_weight(0) == [(0, [1]), (2, [0])]
+    assert x.gens_by_weight(0) is x.gens_by_weight(0)  # built on first use and kept
     pairs = [(0, ring.pack((0,))), (1, ring.pack((2,)))]
     # level 0: integer weights are the weights themselves
     assert pairs_of(strand_basis(x, 0, 2, prov)) == pairs
-    x.gens[0] = [Fraction(1)]
-    assert x.gens_by_weight(0) == [(1, [0])]
-    assert pairs_of(strand_basis(x, 0, 2, prov)) == [(0, ring.pack((1,)))]
-    assert strand_weights(x, 0, 2, prov) == [1, 2]
-    assert x.gens_by_weight(1) == []
+    y = FreeComplex(ring=ring, gens={0: [Fraction(1)]})
+    assert y.gens_by_weight(0) == [(1, [0])]
+    assert pairs_of(strand_basis(y, 0, 2, prov)) == [(0, ring.pack((1,)))]
+    assert strand_weights(y, 0, 2, prov) == [1, 2]
+    assert y.gens_by_weight(1) == []
 
 
-def test_row_index_follows_a_replaced_differential():
-    # K[x]/x^3 with d_1 = x: 0 -> 1, then replaced by x^2
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_cancelling_terms_store_no_zero_entry(field):
+    # add_image and strand_rows sum each coefficient into the strand
+    # vector with operators, reduce it once by normalize and drop an
+    # entry whose terms cancel; K[x]/x^3 with d_1 = x: 0 -> 1
+    ring = _ring(a=3, field=field)
+    x1, x2 = ring.pack((1,)), ring.pack((2,))
+    x = FreeComplex(ring=ring, gens={0: [F0], 1: [Fraction(1)]}, diff={1: [((0, {x1: 1}),)]})
+    prov = Strands(ring)
+    dst, src = strand_basis(x, 0, 2, prov), strand_basis(x, 1, 2, prov)
+    assert (pairs_of(dst), pairs_of(src)) == ([(0, x2)], [(0, x1)])
+    one, two, minus = field.one, field.normalize(2), field.normalize(-1)
+    out = {}
+    add_image(out, x.diff[1][0], x1, dst, one, ring)
+    assert out == {0: one}
+    add_image(out, x.diff[1][0], x1, dst, minus, ring)
+    assert out == {}
+    add_image(out, ((0, {x1: two}), (0, {x1: minus})), x1, dst, minus, ring)
+    assert out == {0: minus}
+    add_image(out, ((0, {x1: two}), (0, {x1: minus})), x1, dst, one, ring)
+    assert out == {}
+    # a row index with two terms at the same pair of src
+    assert list(strand_rows([(0, x1, one, 0, x1, minus)], dst, src, ring)) == [{}]
+    assert list(strand_rows([(0, x1, two, 0, x1, minus)], dst, src, ring)) == [{0: one}]
+
+
+def test_row_index_reads_each_differential_once():
+    # K[x]/x^3 with d_1 = x: 0 -> 1, and another complex with d_1 = x^2
     ring = _ring(a=3)
     x1, x2 = ring.pack((1,)), ring.pack((2,))
     x = FreeComplex(ring=ring, gens={0: [F0], 1: [Fraction(1)]}, diff={1: [((0, {x1: 1}),)]})
     prov = Strands(ring)
     rows = x.rows_at(1)
     assert rows == [(0, x1, 1)]
-    assert x.rows_at(1) is rows  # kept while diff[1] is the same list
+    assert x.rows_at(1) is rows  # built on first use and kept
     dst = strand_basis(x, 0, 2, prov)
     assert pairs_of(dst) == [(0, x2)]
     src = strand_basis(x, 1, 2, prov)
     assert list(strand_rows(rows, dst, src, ring)) == [{0: 1}]
-    x.diff[1] = [((0, {x2: 1}),)]
-    x.gens[1] = [Fraction(2)]
-    assert x.rows_at(1) == [(0, x2, 1)]
-    src = strand_basis(x, 1, 2, prov)
-    assert list(strand_rows(x.rows_at(1), dst, src, ring)) == [{0: 1}]
+    y = FreeComplex(ring=ring, gens={0: [F0], 1: [Fraction(2)]}, diff={1: [((0, {x2: 1}),)]})
+    assert y.rows_at(1) == [(0, x2, 1)]
+    src = strand_basis(y, 1, 2, prov)
+    assert list(strand_rows(y.rows_at(1), dst, src, ring)) == [{0: 1}]
     # a degree with no stored differential has one empty row per generator
-    assert x.rows_at(0) == []
-    assert x.rows_at(2) == [()]
+    assert y.rows_at(0) == []
+    assert y.rows_at(2) == [()]

@@ -8,7 +8,6 @@ from idemq import derived
 from idemq.fields import GF, QQ
 from idemq.complexes import (
     Strands,
-    check_complex,
     homology_data,
     homology_map_matrix,
     ideal_resolution,
@@ -38,6 +37,7 @@ from oracles import (
     amitsur_step,
     cell_map,
     check_chain_map,
+    check_complex,
     cofibre_cone,
     compose_maps,
     from_dense,
@@ -185,7 +185,7 @@ def _span_towers(draw):
             for j in range(ncols):
                 v = draw(st.sampled_from([0, 0, 1, -1, 2]))
                 if v:
-                    m.rows[i][j] = field.from_int(v)
+                    m.rows[i][j] = field.normalize(v)
         return m
 
     K = draw(st.integers(1, 5))

@@ -1,18 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idemq.fields import GF, QQ, field_from_name
 
 
 def test_qq_basic_ops():
-    assert QQ.add(2, 3) == 5
-    assert QQ.mul(2, 3) == 6
-    assert QQ.sub(2, 3) == -1
-    assert QQ.neg(4) == -4
+    # the arithmetic is Python's operators; the field only normalizes
+    assert QQ.normalize(2 + 3) == 5
+    assert QQ.normalize(2 * 3) == 6
+    assert QQ.normalize(2 - 3) == -1
+    assert QQ.normalize(-4) == -4
     assert QQ.inv(-1) == -1
-    assert QQ.is_zero(0)
-    assert not QQ.is_zero(Fraction(1, 7))
+    assert not QQ.normalize(Fraction(0, 7))
+    assert QQ.normalize(Fraction(1, 7))
 
 
 def test_qq_normalize_collapses_integral_fractions():
@@ -21,17 +24,64 @@ def test_qq_normalize_collapses_integral_fractions():
     assert QQ.normalize(Fraction(1, 3)) == Fraction(1, 3)
 
 
+FIELDS = [QQ, GF(2), GF(7), GF(2**31 - 1)]
+
+
+@st.composite
+def _field_and_scalar(draw):
+    """A field and a scalar of it before normalizing: an int of any sign,
+    and over Q also a Fraction, integral ones included."""
+    field = draw(st.sampled_from(FIELDS))
+    ints = st.integers()
+    if field.char:
+        return field, draw(ints)
+    return field, draw(ints | st.fractions() | st.builds(Fraction, ints))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_and_scalar())
+@example((QQ, -1))
+@example((QQ, Fraction(6, 3)))
+@example((QQ, Fraction(1, 7)))
+@example((GF(7), -1))
+@example((GF(7), 15))
+@example((GF(7), 3))
+@example((GF(2), 0))
+def test_normalize_and_inv_keep_the_scalar_contract(field_scalar):
+    # scalars are plain numbers combined with operators and reduced once
+    # by normalize: it is idempotent, it lands in [0, p) over F_p and
+    # gives an int for an integral Fraction over Q, its result is falsy
+    # exactly at zero, and a nonzero scalar times its inverse is one
+    field, a = field_scalar
+    p = field.char
+    v = field.normalize(a)
+    w = field.normalize(v)
+    assert w == v and type(w) is type(v)
+    if p:
+        assert type(v) is int and 0 <= v < p and (v - a) % p == 0
+    else:
+        assert v == a
+        assert type(v) is (Fraction if a.denominator != 1 else int)
+    assert bool(v) == (a % p != 0 if p else a != 0)
+    if v:
+        s = field.inv(v)
+        assert field.normalize(v * s) == field.one
+        if p:
+            assert 0 <= s < p
+        elif v in (1, -1):
+            assert s == v and type(s) is int
+
+
 def test_gfp_ops():
     F = GF(7)
-    assert F.add(5, 4) == 2
-    assert F.sub(2, 5) == 4
-    assert F.mul(3, 5) == 1
+    assert F.normalize(5 + 4) == 2
+    assert F.normalize(2 - 5) == 4
+    assert F.normalize(3 * 5) == 1
     assert F.inv(3) == 5
     assert F.normalize(-1) == 6
     assert F.normalize(15) == 1
-    assert F.neg(0) == 0
-    assert F.neg(2) == 5
-    assert F.from_int(-1) == 6
+    assert F.normalize(-0) == 0
+    assert F.normalize(-2) == 5
 
 
 def test_gfp_rejects_composite():
