@@ -32,12 +32,18 @@ that does not start with "-". Any other command line goes to the
 argparse parser built from the same tables, which gives the same
 namespace and alone prints help and errors; a command line that parses
 plainly never imports argparse, whose first use costs about 2 ms.
+
+A report's `spec_hash` is the SHA-256 of the canonical spec text
+(`emit_spec`), taken with CPython's built-in SHA-256 (`_sha2` from 3.12,
+`_sha256` before). `hashlib` would load OpenSSL's libcrypto for this one
+short hash: about 3.6 MB of every command's peak resident memory and a
+few ms of start-up. Only a build without the built-in module falls back
+to `hashlib`; the digest is the same either way.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import sys
 import time
@@ -72,6 +78,15 @@ from .derived import (
 )
 from .ideals import NotIdempotent, check_idempotent
 from .specfile import ProblemSpec, emit_spec, parse_spec
+
+# CPython's own SHA-256: hashlib would load OpenSSL (about 3.6 MB resident)
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in module
 
 _EXIT = {"Stable": 0, "Unstable": 3, "Falsified": 4}
 
@@ -518,8 +533,9 @@ _HANDLERS = {
 # ---------- output ----------
 
 
-def _spec_hash(ps: ProblemSpec) -> str:
-    return hashlib.sha256(emit_spec(ps).encode()).hexdigest()
+def _spec_hash(text: str) -> str:
+    """SHA-256 of a spec's canonical text, as `emit_spec` writes it."""
+    return sha256(text.encode()).hexdigest()
 
 
 def _emit_json(report: dict, out) -> None:
@@ -593,7 +609,7 @@ def _run(args, out) -> int:
         text = emit_spec(joined)
         report = {
             "command": args.command,
-            "spec_hash": _spec_hash(joined),
+            "spec_hash": _spec_hash(text),
             "tables": [],
             "certificates": {"spec": text, "ideal": fam.name},
             "status": "Stable",
@@ -608,7 +624,7 @@ def _run(args, out) -> int:
     status, tables, cert = _HANDLERS[args.command](ps, args)
     report = {
         "command": args.command,
-        "spec_hash": _spec_hash(ps),
+        "spec_hash": _spec_hash(emit_spec(ps)),
         "tables": tables,
         "certificates": cert,
         "status": status,

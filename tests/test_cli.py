@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -842,6 +843,106 @@ def test_exterior_sum_default_name_selects_ideal(tmp_path, capsys):
     code, rep, _ = _run_json(capsys, ["check-idempotent", joint, "--ideal", "I+I"])
     assert code == 0
     assert rep["certificates"]["idempotent"] is True
+
+
+# ---------- spec hash ----------
+
+# the benchmark's spec templates (perfbench/workloads.py), in canonical order
+BENCH_SPECS = {
+    "t": ["var t divisible", "truncate t", "ideal I = roots(t)"],
+    "t-plain": ["var t divisible", "ideal I = roots(t)", "ideal J = t"],
+    "xy-f7": [
+        "field Fp 7",
+        "var x divisible",
+        "var y divisible",
+        "truncate x y",
+        "ideal I = roots(x), roots(y)",
+    ],
+    "xy-q": [
+        "field Q",
+        "var x divisible",
+        "var y divisible",
+        "truncate x y",
+        "ideal I = roots(x), roots(y)",
+    ],
+}
+
+
+def _canonical_sha256(text: str) -> str:
+    from idemq.specfile import emit_spec, parse_spec
+
+    return hashlib.sha256(emit_spec(parse_spec(text)).encode()).hexdigest()
+
+
+def _spec_variants(lines: list[str]):
+    """Texts of the spec `lines` as the benchmark's seeds write it: the
+    non-`var` lines in every order that keeps each directive's lines in
+    order (emit_spec keeps that order), with `#` comment lines added."""
+    head = [ln for ln in lines if ln.startswith("var ")]
+    rest = [ln for ln in lines if not ln.startswith("var ")]
+    for order in itertools.permutations(rest):
+        if any(
+            a.split()[0] == b.split()[0] and rest.index(a) > rest.index(b)
+            for a, b in itertools.combinations(order, 2)
+        ):
+            continue
+        body = head + list(order)
+        yield "\n".join(body) + "\n"
+        yield "# leading\n" + "\n".join(body) + "\n# trailing\n"
+        yield "".join(f"{ln}\n# after line {i}\n" for i, ln in enumerate(body))
+
+
+@pytest.mark.parametrize("name", BENCH_SPECS)
+def test_spec_hash_is_the_sha256_of_the_canonical_spec(tmp_path, capsys, name):
+    want = _canonical_sha256("\n".join(BENCH_SPECS[name]) + "\n")
+    hashes = set()
+    for text in _spec_variants(BENCH_SPECS[name]):
+        rep = _run_json(capsys, ["check-idempotent", _write(tmp_path, text), "--ideal", "I"])[1]
+        assert rep["spec_hash"] == _canonical_sha256(text), text
+        hashes.add(rep["spec_hash"])
+    # the benchmark's seeds rely on this: every variant hashes alike
+    assert hashes == {want}
+
+
+def test_exterior_sum_hash_is_that_of_its_joined_spec(tmp_path, capsys):
+    a = _write(tmp_path, T_SPEC)
+    code, rep, _ = _run_json(capsys, ["exterior-sum", a, a, "--left", "I", "--right", "I"])
+    assert code == 0
+    assert rep["spec_hash"] == _canonical_sha256(rep["certificates"]["spec"])
+
+
+FRESH_HASH = """\
+import contextlib, io, json, sys
+if sys.argv[2] == "no-builtin":  # a CPython built without its own SHA-256
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from idemq.cli import main
+
+def run(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, sys.argv[1], "--deg-max", "2", "--format", "json"])
+    return [code, json.loads(out.getvalue())["spec_hash"]]
+
+runs = [run("quotient-homotopy"), run("amitsur-check")]
+watched = {"hashlib", "_hashlib", "_blake2", "ssl"}
+print(json.dumps([runs, sorted(watched & set(sys.modules))]))
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto (_hashlib) and _blake2: about
+    # 3.6 MB of every command's peak RSS, for one ~100-byte hash
+    want = _canonical_sha256(T_SPEC)
+    (line,) = _fresh(FRESH_HASH, _write(tmp_path, T_SPEC), "builtin")
+    assert json.loads(line) == [[[0, want], [0, want]], []]
+
+
+def test_without_the_builtin_sha256_hashlib_gives_the_same_hash(tmp_path):
+    want = _canonical_sha256(T_SPEC)
+    (line,) = _fresh(FRESH_HASH, _write(tmp_path, T_SPEC), "no-builtin")
+    runs, loaded = json.loads(line)
+    assert runs == [[0, want], [0, want]]
+    assert "hashlib" in loaded
 
 
 # ---------- what a command hands the echelon, and the collector ----------
