@@ -37,7 +37,7 @@ from .complexes import (
 )
 from .derived import (
     Bounds,
-    CellResult,
+    Cell,
     Family,
     LevelDiagram,
     LevelMap,
@@ -50,6 +50,7 @@ from .derived import (
     ideal_module,
     level_range,
     module_min_level,
+    read_cells,
     require_idempotent,
     resolution_family,
     tensor_family,
@@ -64,33 +65,30 @@ from .sparsela import SparseMatrix
 class AlmostVerdict(NamedTuple):
     """Per-degree outcome of an almost-zero check.
 
-    degrees[d] is True (almost zero), False (stable nonzero cell, the
-    smallest witness weight recorded), or None (level range exhausted
-    before the cells settled). Cells carry the stabilized data of the
-    annihilated subspace resp. the tensor table per (degree, weight).
-    Unstable cells in flight (CellResult.in_flight) are newborn-layer
-    junk; they are listed in in_flight and do not block a True verdict.
+    degrees[d] is read from the degree's cells (read_cells, in-flight
+    cells passing): False on a stable nonzero cell, the smallest witness
+    weight recorded, else None on a blocking (undetermined) cell, else
+    True. Cells carry the stabilized data of the annihilated subspace
+    resp. the tensor table per (degree, weight), and in_flight lists the
+    cells in flight: newborn-layer junk, which does not block a True
+    verdict.
     """
 
     criterion: str  # "annihilation" | "tensor"
     bound: int
     degrees: dict[int, Optional[bool]]
     witnesses: dict[int, Fraction]
-    cells: dict[tuple[int, Fraction], CellResult]
+    cells: dict[tuple[int, Fraction], Cell]
     in_flight: list[tuple[int, Fraction]]
 
     @property
     def almost_zero(self) -> Optional[bool]:
-        vals = [self.degrees[d] for d in sorted(self.degrees)]
-        if any(v is False for v in vals):
+        vals = self.degrees.values()
+        if False in vals:
             return False
-        if any(v is None for v in vals):
+        if None in vals:
             return None
         return True
-
-    @property
-    def stable(self) -> bool:
-        return all(v is not None for v in self.degrees.values())
 
 
 # ---------- annihilation route ----------
@@ -120,8 +118,8 @@ def _annihilation_cells(
     degrees,
     wmax: Fraction,
     window: int,
-) -> dict[tuple[int, Fraction], CellResult]:
-    """Stabilized rank of I(l)*H_d per weight cell; CellResult.dims are
+) -> dict[tuple[int, Fraction], Cell]:
+    """Stabilized rank of I(l)*H_d per weight cell; Cell.dims are
     the per-level dims of the annihilated subspace, not of H itself.
     The cells are those of the diagram's own walk (LevelDiagram.walk):
     at level k a generator g of integer weight gn carries the strand of
@@ -157,27 +155,17 @@ def _annihilation_cells(
 
 
 def _verdict(
-    cells: dict[tuple[int, Fraction], CellResult], degrees
-) -> tuple[
-    dict[int, Optional[bool]], dict[int, Fraction], list[tuple[int, Fraction]]
-]:
-    verdicts: dict[int, Optional[bool]] = {}
-    witnesses: dict[int, Fraction] = {}
-    in_flight: list[tuple[int, Fraction]] = []
+    criterion: str, bound: int, cells: dict[tuple[int, Fraction], Cell], degrees
+) -> AlmostVerdict:
+    """The verdict of each degree from its cells, in ascending (d, w) order."""
+    v = AlmostVerdict(criterion, bound, {}, {}, cells, [])
     for d in degrees:
-        here = {w: r for (dd, w), r in cells.items() if dd == d}
-        bad = sorted(w for w, r in here.items() if r.stable and r.value)
-        loose = {w: r for w, r in here.items() if not r.stable}
-        flight = {w for w, r in loose.items() if r.in_flight}
-        in_flight.extend((d, w) for w in sorted(flight))
-        if bad:
-            verdicts[d] = False
-            witnesses[d] = bad[0]
-        elif set(loose) - flight:
-            verdicts[d] = None
-        else:
-            verdicts[d] = True
-    return verdicts, witnesses, in_flight
+        read = read_cells({k: c for k, c in cells.items() if k[0] == d}, flight_blocks=False)
+        v.in_flight.extend(read.in_flight)
+        if read.witness:
+            v.witnesses[d] = read.witness[1]
+        v.degrees[d] = False if read.witness else None if read.blocking else True
+    return v
 
 
 def is_almost_zero(
@@ -211,8 +199,7 @@ def _annihilation_verdict(
     cells = _annihilation_cells(
         fam.diagram(levels), family, range(bound + 1), b.weight_max, b.window
     )
-    degrees, witnesses, flight = _verdict(cells, range(bound + 1))
-    return AlmostVerdict("annihilation", bound, degrees, witnesses, cells, flight)
+    return _verdict("annihilation", bound, cells, range(bound + 1))
 
 
 # ---------- tensor route ----------
@@ -232,14 +219,9 @@ def tensor_zero_criterion(
     require_idempotent(family)
     b = bounds or default_bounds(bound)
     table = derived_tensor(spec, ideal_module(family), module, 0, b)
-    cells = {
-        (c.degree, c.weight): CellResult(c.dim, c.stable, (), c.in_flight)
-        for c in table.cells
-    }
-    degrees, witnesses, flight = _verdict(cells, [0])
-    for d in range(1, bound + 1):
-        degrees[d] = True
-    return AlmostVerdict("tensor", bound, degrees, witnesses, cells, flight)
+    v = _verdict("tensor", bound, table.cells, [0])
+    v.degrees.update(dict.fromkeys(range(1, bound + 1), True))
+    return v
 
 
 # ---------- almost equivalences ----------
@@ -297,7 +279,8 @@ class GluingReport(NamedTuple):
     refused: bool
     reason: Optional[str]
     witness: Optional[tuple[str, int, Fraction]]
-    cells: dict[tuple[str, int, Fraction], CellResult]
+    fit: dict[tuple[int, Fraction], Cell]  # the double cone's cells
+    orth: dict[tuple[int, Fraction], Cell]  # the cells of X_{d+2} (x) closed in degree d
     stages: tuple[int, int]  # derived powers compared (m, n), m = n + 1
     levels: list[int]
 
@@ -354,7 +337,10 @@ def gluing_square_check(
     part requires H_d(X_{d+2} (x) cone(eps_n (x) M)) = 0, i.e. the
     derived powers kill the closed piece. Pass either a module or a
     quotient_stage k to glue the stage-k derived quotient itself.
-    Undetermined cells at the level cap produce an explicit refusal.
+    A stable nonzero cell of either part falsifies the square, the first
+    in (degree, weight, part) order its witness; otherwise undetermined
+    cells at the level cap produce an explicit refusal, and cells in
+    flight pass (read_cells).
 
     Both parts read homology up to degree bound, so the closed piece,
     the double cone's target, is read through bound + 1 and the tower,
@@ -376,29 +362,25 @@ def gluing_square_check(
         glued = resolution_family(spec, module, tower.dmax, tower.wmax)
     double, closed = _glue_square(tower, glued, m, n)
 
-    cells: dict[tuple[str, int, Fraction], CellResult] = {}
     fit = double.diagram(levels).run(range(bound + 1), b.weight_max, b.window)
-    for (d, w), r in fit.items():
-        cells[("fit", d, w)] = r
+    orth = {}
     for d in range(bound + 1):
-        orth = _tensor(tower.X(d + 2), closed, tower.dmax, tower.wmax)
-        for (dd, w), r in orth.diagram(levels).run([d], b.weight_max, b.window).items():
-            cells[("orth", dd, w)] = r
+        orth_d = _tensor(tower.X(d + 2), closed, tower.dmax, tower.wmax)
+        orth.update(orth_d.diagram(levels).run([d], b.weight_max, b.window))
 
-    bad = sorted(
-        ((part, d, w) for (part, d, w), r in cells.items() if r.stable and r.value),
-        key=lambda t: (t[1], t[2], t[0]),
-    )
-    if bad:
-        return GluingReport(False, False, None, bad[0], cells, (m, n), levels)
-    loose = [k for k, r in cells.items() if not r.stable and not r.in_flight]
-    if loose:
+    both = {(d, w, "fit"): c for (d, w), c in fit.items()}
+    both.update(((d, w, "orth"), c) for (d, w), c in orth.items())
+    read = read_cells({k: both[k] for k in sorted(both)}, flight_blocks=False)
+    if read.witness:
+        d, w, part = read.witness
+        return GluingReport(False, False, None, (part, d, w), fit, orth, (m, n), levels)
+    if read.blocking:
         reason = (
-            f"{len(loose)} cells undetermined at level {levels[-1]}; "
+            f"{len(read.blocking)} cells undetermined at level {levels[-1]}; "
             "widen max_level or the weight bound"
         )
-        return GluingReport(None, True, reason, None, cells, (m, n), levels)
-    return GluingReport(True, False, None, None, cells, (m, n), levels)
+        return GluingReport(None, True, reason, None, fit, orth, (m, n), levels)
+    return GluingReport(True, False, None, None, fit, orth, (m, n), levels)
 
 
 # ---------- exterior sums ----------

@@ -60,6 +60,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .derived import (
+    STABLE,
     Bounds,
     QuotientHomotopy,
     StabilizedTable,
@@ -68,6 +69,7 @@ from .derived import (
     family_contains_unit,
     make_table,
     quotient_homotopy,
+    read_cells,
     settle,
 )
 from .ideals import IdealFamily
@@ -144,7 +146,7 @@ def amitsur_crosscheck(
     reference = quotient_homotopy(spec, family, N, bounds)
 
     if family_contains_unit(family):
-        table = StabilizedTable("amitsur", [], (), N)
+        table = StabilizedTable("amitsur", {}, (), N)
         agree = {
             d: reference.table.stable_cells_at(d) == {} for d in range(N + 1)
         }
@@ -163,24 +165,25 @@ def amitsur_crosscheck(
 
     # below the cap, an unstable reference cell (None), a reference cell
     # that Q(m+1) does not hold stable at the reference's value, or an
-    # unstable cell that is not young already makes its degree disagree
+    # unstable cell that is not young already makes its degree disagree;
+    # an in-flight reference cell blocks its degree (read_cells)
     need = {
-        (c.degree, c.weight): c.dim if c.stable else None
-        for c in reference.table.cells
+        k: c.value if c.state == STABLE else None for k, c in reference.table.cells.items()
     }
+    loose = {d for d, _w in read_cells(reference.table.cells, flight_blocks=True).blocking}
 
     def attempt(levels, lazy):
         top = levels[-1]
-        stop = (lambda r: not (r.stable or young(r.dims, top))) if lazy else None
+        stop = (lambda c: not (c.state == STABLE or young(c.dims, top))) if lazy else None
         raw = tot.diagram(levels).run(
             range(N + 1), bounds.weight_max, window, stop, need
         )
         table = make_table(f"amitsur Tot^{m}", raw, levels, N)
-        undet = [c for c, r in raw.items() if not r.stable]
+        undet = read_cells(raw, flight_blocks=True).blocking
         old = {d for d, w in undet if not young(raw[(d, w)].dims, top)}
         agree = {
             d: d not in old
-            and reference.table.degree_stable(d)
+            and d not in loose
             and table.stable_cells_at(d) == reference.table.stable_cells_at(d)
             for d in range(N + 1)
         }

@@ -5,16 +5,29 @@ format; JSON and CSV are byte-identical across runs on the same inputs.
 Exit codes: 0 stable result, 2 usage or spec error, 3 undetermined
 cells at the level cap, 4 falsified invariant, 5 internal error (a
 failed consistency check inside the computation).
-An unstable cell is in flight when it was first alive within one window
-of the top level, or is alive somewhere but already dead at the top; a
-cell alive from the first level is never in flight. Only a higher cap
-could settle such a cell, so it does not block the verdict of `tor`,
-`tower` or the almost verdicts, and the `tor` and almost certificates
-count in-flight cells under `in_flight`. `quotient-homotopy` and
-`static-check` do not set such cells apart yet: any unstable cell, in
-flight or not, makes them exit 3. `amitsur-check` exits 0 when every
-degree agrees with the reference, 4 when a degree that is fully stable
-on both sides disagrees, and 3 otherwise.
+Every cell is stable, in flight or undetermined. An unstable cell is in
+flight when it was first alive within one window of the top level, or
+is alive somewhere but already dead at the top; a cell alive from the
+first level is never in flight. Only a higher cap could settle it.
+One function, `derived.read_cells`, reads every status: from a set of
+cells it reads the first stable nonzero cell (the witness), the cells
+that block and the cells in flight. An undetermined cell always blocks,
+and whether an in-flight cell blocks is each command's one choice. It
+blocks in `quotient-homotopy` and `static-check`, where a blocking cell
+exits 3, but `static-check` reports a witness (`static` false) with exit
+0 whatever blocks. It passes in `tor`, where a blocking cell exits 3; in
+`almost-zero` and `almost-equiv`, which read each degree as false on a
+witness, else null on a blocking cell, else true, and exit 3 when no
+degree is false and one is null (`almost-zero` exits 4 when its two
+routes disagree); in `gluing-check`, where a witness exits 4 and a
+blocking cell 3; and in `tower`, where a connectivity failure (a stable
+nonzero cofibre cell) or an H_0 mismatch exits 4 and a blocking cofibre
+cell 3. The `tor` and almost certificates count in-flight cells under
+`in_flight`. `amitsur-check` lets in-flight cells block: a degree agrees
+only where the reference has no blocking cell (Q(m+1)'s own unstable
+cells count by the check's junk lifetime, `amitsur_crosscheck`); it
+exits 0 when every degree agrees, 4 when a degree disagrees with no
+blocking cell on either side, and 3 otherwise.
 
 `quotient-homotopy` and `static-check` take base change for every ideal
 without a unit, the zero ideal included: Tor over the untruncated
@@ -63,6 +76,7 @@ from .almost import (
 )
 from .amitsur import amitsur_crosscheck
 from .derived import (
+    STABLE,
     Bounds,
     ModuleRef,
     default_bounds,
@@ -71,13 +85,14 @@ from .derived import (
     ideal_module,
     quotient_homotopy,
     quotient_module,
+    read_cells,
     residue_module,
     ring_module,
     static_check,
     tower_report,
 )
 from .ideals import NotIdempotent, check_idempotent
-from .specfile import ProblemSpec, emit_spec, parse_spec
+from .specfile import IDEAL_NAME, ProblemSpec, check_setting, emit_spec, parse_spec
 
 # CPython's own SHA-256: hashlib would load OpenSSL (about 3.6 MB resident)
 try:
@@ -257,31 +272,18 @@ def _module_ref(expr: str, ps: ProblemSpec) -> ModuleRef:
     raise UsageError(f"bad module {expr!r}; use R, K, <ideal>, or R/<ideal>")
 
 
-# least value of each setting, whether given as a flag or a `set` line;
-# weight_max is a fraction and must lie strictly above its bound
-_MINIMUM = {
-    "deg_max": 0, "max_level": 1, "window": 1, "n_max": 1, "weight_max": 0, "amitsur_depth": 1,
-}
 # settings whose flag is not named after them
 _FLAG = {"amitsur_depth": "--depth"}
 
 
 def _setting(ps: ProblemSpec, args, key: str, fallback=None):
-    """The flag's value, else the spec's `set` line, else the fallback.
-    A value out of range is a usage error."""
+    """The flag's value, else the spec's `set` line (checked when the spec
+    was parsed), else the fallback. A flag out of range is a usage error."""
     flag = getattr(args, key)
-    value = flag if flag is not None else ps.settings.get(key, fallback)
-    if value is None:
-        return None
-    low, strict = _MINIMUM[key], key == "weight_max"
-    if value < low or (strict and value == low):
-        if flag is not None:
-            where = _FLAG.get(key, "--" + key.replace("_", "-"))
-        else:
-            where = f"set {key}"
-        need = "greater than" if strict else "at least"
-        raise UsageError(f"{where} must be {need} {low}, got {value}")
-    return value
+    if flag is None:
+        return ps.settings.get(key, fallback)
+    check_setting(_FLAG.get(key, "--" + key.replace("_", "-")), key, flag)
+    return flag
 
 
 def _deg_max(ps: ProblemSpec, args, fallback: int) -> int:
@@ -308,22 +310,13 @@ def _bounds(ps: ProblemSpec, args, N: int) -> Bounds:
 # ---------- report assembly ----------
 
 
-def _cells_entry(degree: int, weight: Fraction, dim: int, stable: bool) -> dict:
-    return {"degree": degree, "weight": str(weight), "dim": dim, "stable": stable}
-
-
-def _table_from_stabilized(table) -> dict:
-    return {
-        "name": table.name,
-        "trusted_degree_max": table.deg_max,
-        "cells": [_cells_entry(c.degree, c.weight, c.dim, c.stable) for c in table.cells],
-    }
-
-
-def _table_from_cells(name: str, cells: dict, trusted: int) -> dict:
+def _table(name: str, cells: dict, trusted: int) -> dict:
+    """A report table of every cell given, by (degree, weight). A derived
+    table (StabilizedTable.cells) holds no stable zero cell; the almost
+    and gluing tables hold every cell they judged."""
     rows = [
-        _cells_entry(d, w, r.value, r.stable)
-        for (d, w), r in sorted(cells.items())
+        {"degree": d, "weight": str(w), "dim": c.value, "stable": c.state == STABLE}
+        for (d, w), c in sorted(cells.items())
     ]
     return {"name": name, "trusted_degree_max": trusted, "cells": rows}
 
@@ -356,11 +349,10 @@ def _run_tor(ps, args):
     left = _module_ref(args.left, ps)
     right = _module_ref(args.right, ps)
     table = derived_tensor(ps.ring, left, right, N, b, deg_min=args.deg_min)
-    loose = table.unstable_cells()
-    in_flight = sum(c.in_flight for c in loose)
-    status = "Stable" if in_flight == len(loose) else "Unstable"
-    cert = {"levels": list(table.levels), "in_flight": in_flight}
-    return status, [_table_from_stabilized(table)], cert
+    read = read_cells(table.cells, flight_blocks=False)
+    cert = {"levels": list(table.levels), "in_flight": len(read.in_flight)}
+    tables = [_table(table.name, table.cells, table.deg_max)]
+    return ("Unstable" if read.blocking else "Stable"), tables, cert
 
 
 def _run_quotient_homotopy(ps, args):
@@ -373,31 +365,33 @@ def _run_quotient_homotopy(ps, args):
         "top_level": qh.top_level,
         "notes": qh.notes,
     }
-    return ("Stable" if qh.stable else "Unstable"), [_table_from_stabilized(qh.table)], cert
+    status = "Unstable" if read_cells(qh.table.cells, flight_blocks=True).blocking else "Stable"
+    return status, [_table(qh.table.name, qh.table.cells, qh.table.deg_max)], cert
 
 
 def _run_tower(ps, args):
     fam = _pick_ideal(ps, args.ideal)
     N = _deg_max(ps, args, 4)
     r = tower_report(ps.ring, fam, _setting(ps, args, "n_max"), _bounds(ps, args, N))
+    # the connectivity certificate needs a clear cofibre frontier; the H_0
+    # cells are compared only where both are stable, and the H_0 strands of
+    # a ring with two or more root variables grow with the level at every
+    # weight, so their frontier may never clear
+    cof = read_cells(r.cofibres, flight_blocks=False)
+    h0 = read_cells(r.powers, flight_blocks=False)
     cert = {
         "ok": r.ok,
         "connectivity_failures": [[n, d, str(w)] for n, d, w in r.connectivity_failures],
         "h0_mismatches": [[n, str(w), got, want] for n, w, got, want in r.h0_mismatches],
         "undetermined": [[n, d, str(w)] for n, d, w in r.undetermined],
-        "undetermined_is_boundary": r.undetermined_is_boundary,
-        "cof_undetermined_is_boundary": r.cof_undetermined_is_boundary,
+        "undetermined_is_boundary": not (cof.blocking or h0.blocking),
+        "cof_undetermined_is_boundary": not cof.blocking,
         "h0_cells_checked": r.h0_cells_checked,
         "levels": list(r.levels),
     }
     if not r.ok:
         return "Falsified", [], cert
-    # the connectivity certificate needs a clear frontier; the H_0 strands
-    # are judged only on mutually stable cells and may lag forever when the
-    # per-weight pieces grow with the level
-    if r.undetermined and not r.cof_undetermined_is_boundary:
-        return "Unstable", [], cert
-    return "Stable", [], cert
+    return ("Unstable" if cof.blocking else "Stable"), [], cert
 
 
 def _run_static_check(ps, args):
@@ -409,7 +403,7 @@ def _run_static_check(ps, args):
         "witness": [r.witness[0], str(r.witness[1])] if r.witness else None,
         "levels": list(r.levels),
     }
-    return ("Stable" if r.stable else "Unstable"), [], cert
+    return ("Unstable" if r.static is None else "Stable"), [], cert
 
 
 def _run_almost_zero(ps, args):
@@ -426,10 +420,7 @@ def _run_almost_zero(ps, args):
         "agree": agree,
         "almost_zero": a.almost_zero,
     }
-    tables = [
-        _table_from_cells("annihilation", a.cells, N),
-        _table_from_cells("tensor", t.cells, N),
-    ]
+    tables = [_table("annihilation", a.cells, N), _table("tensor", t.cells, N)]
     if not agree:
         return "Falsified", tables, cert
     if a.almost_zero is None or t.almost_zero is None:
@@ -456,7 +447,7 @@ def _run_almost_equiv(ps, args):
         raise UsageError("--map takes power:<n>, identity:<module>, or zero:<module>")
     v = is_almost_equivalence(fam, f, bound=N, bounds=b)
     cert = {"map": args.map_spec, "almost_equivalence": v.almost_zero, **_verdict_cert(v)}
-    tables = [_table_from_cells("cone", v.cells, N)]
+    tables = [_table("cone", v.cells, N)]
     return ("Unstable" if v.almost_zero is None else "Stable"), tables, cert
 
 
@@ -479,9 +470,7 @@ def _run_gluing_check(ps, args):
         "stages": list(g.stages),
         "levels": list(g.levels),
     }
-    fit = {(d, w): r for (part, d, w), r in g.cells.items() if part == "fit"}
-    orth = {(d, w): r for (part, d, w), r in g.cells.items() if part == "orth"}
-    tables = [_table_from_cells("fit", fit, N), _table_from_cells("orth", orth, N)]
+    tables = [_table("fit", g.fit, N), _table("orth", g.orth, N)]
     if g.cartesian is False:
         return "Falsified", tables, cert
     if g.refused:
@@ -500,20 +489,17 @@ def _run_amitsur_check(ps, args):
         "m": r.m,
         "undetermined": [[d, str(w)] for d, w in r.undetermined],
     }
-    tables = [
-        _table_from_stabilized(r.table),
-        _table_from_stabilized(r.reference.table),
-    ]
+    tables = [_table(t.name, t.cells, t.deg_max) for t in (r.table, r.reference.table)]
     if r.all_agree():
         return "Stable", tables, cert
     # a disagreement between fully stable degrees is definite; anything
     # involving loose cells is the level cap talking
-    definite = any(
-        not r.agree[d]
-        and r.table.degree_stable(d)
-        and r.reference.table.degree_stable(d)
-        for d in r.agree
-    )
+    loose = {
+        d
+        for table in (r.table, r.reference.table)
+        for d, _w in read_cells(table.cells, flight_blocks=True).blocking
+    }
+    definite = any(not r.agree[d] and d not in loose for d in r.agree)
     return ("Falsified" if definite else "Unstable"), tables, cert
 
 
@@ -602,6 +588,10 @@ def _run(args, out) -> int:
         pb = _load_spec(args.specfile_b)
         fa = _pick_ideal(pa, args.left)
         fb = _pick_ideal(pb, args.right)
+        if args.name is not None and not IDEAL_NAME.fullmatch(args.name):
+            raise UsageError(
+                f"bad ideal name {args.name!r} for --name: words joined by '+', as I or I+J"
+            )
         joint, fam = exterior_sum(pa.ring, fa, pb.ring, fb, name=args.name)
         joined = ProblemSpec(
             ring=joint, ideals={fam.name: fam}, settings=dict(pa.settings)

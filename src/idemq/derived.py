@@ -25,11 +25,22 @@ representable must additionally survive a full window past its birth;
 without that guard a freshly born persistent class is indistinguishable
 from the transient classes that die one level after they appear.
 
-An unstable cell is in flight (CellResult.in_flight, judge_cell)
-when it was first alive within one window of the top level, or is alive
-somewhere but dead at the top and waiting out the window before zero can
-be certified. A cell alive from the first level is never in flight: it
-is undersampled, not newborn. In-flight cells do not block a verdict.
+Every route returns its cells as Cell values keyed by (degree, weight):
+a value and one of three states. A judged cell (judge_cell) is STABLE
+when the detector settles it, IN_FLIGHT when it is unstable but was
+first alive within one window of the top level, or is alive somewhere
+but dead at the top and waiting out the window before zero can be
+certified (cell_in_flight; a cell alive from the first level is
+undersampled, not newborn, so never in flight), and UNDETERMINED
+otherwise. Descent's cells are exact: STABLE, with no level dims.
+
+One function reads cells into a status (read_cells): the first stable
+nonzero cell (the witness), the cells that block and the cells in
+flight. An undetermined cell always blocks. An in-flight cell blocks
+only where its reader says so: in the level loop's settled test, in
+quotient_homotopy and static_check, and in the Amitsur check's
+reference; tor, the tower's frontier, the almost verdicts and the gluing
+check let it pass, since only a higher cap could settle it.
 
 One level loop (settle) serves every command that raises its level
 cap until the cells settle, base change by descent excepted: it starts
@@ -140,11 +151,49 @@ def gluing_bounds() -> Bounds:
 # ---------- stabilization detector ----------
 
 
-class CellResult(NamedTuple):
-    value: int  # rank of the eventual image over the window
-    stable: bool
-    dims: tuple[int, ...]  # homology dim at each inspected level
-    in_flight: bool  # unstable, and only a higher cap could settle it
+# the states of a cell (module docstring)
+STABLE, IN_FLIGHT, UNDETERMINED = "stable", "in flight", "undetermined"
+
+
+class Cell(NamedTuple):
+    """One (degree, weight) cell: its value, the rank of the eventual
+    image over the window (colimit_stabilize), and its state. dims are its
+    homology dims at each level its diagram read, and () on a route that
+    reads no levels (LevelDiagram.exact)."""
+
+    value: int
+    state: str = STABLE
+    dims: tuple[int, ...] = ()
+
+
+class Reading(NamedTuple):
+    """Cells read by read_cells, each list of keys in the cells' order."""
+
+    nonzero: list  # the stable nonzero cells
+    blocking: list  # the cells that keep a verdict open
+    in_flight: list
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """The first stable nonzero cell, or None."""
+        return self.nonzero[0] if self.nonzero else None
+
+
+def read_cells(cells: dict, flight_blocks: bool) -> Reading:
+    """The status of a mapping of keys to Cells (module docstring): an
+    undetermined cell blocks, and an in-flight cell blocks when
+    flight_blocks is set."""
+    out = Reading([], [], [])
+    for key, c in cells.items():
+        if c.state == STABLE:
+            if c.value:
+                out.nonzero.append(key)
+            continue
+        if c.state == IN_FLIGHT:
+            out.in_flight.append(key)
+        if flight_blocks or c.state == UNDETERMINED:
+            out.blocking.append(key)
+    return out
 
 
 def colimit_stabilize(
@@ -216,11 +265,16 @@ def judge_cell(
     window: int,
     first_rep: int,
     spans: Optional[list[SparseMatrix]] = None,
-) -> CellResult:
+) -> Cell:
     """One cell judged from its level diagram (see colimit_stabilize)."""
     value, stable = colimit_stabilize(levels, dims, steps, window, first_rep, spans)
-    flight = not stable and cell_in_flight(dims, levels, window)
-    return CellResult(value, stable, tuple(dims), flight)
+    if stable:
+        state = STABLE
+    elif cell_in_flight(dims, levels, window):
+        state = IN_FLIGHT
+    else:
+        state = UNDETERMINED
+    return Cell(value, state, tuple(dims))
 
 
 def level_range(l0: int, top: int) -> list[int]:
@@ -235,9 +289,9 @@ class _Unsettled(Exception):
     """A walk met a cell its stop test holds on (LevelDiagram.walk)."""
 
 
-def _unstable(r: CellResult) -> bool:
+def _unstable(c: Cell) -> bool:
     """The stop test of an attempt that settles when every cell is stable."""
-    return not r.stable
+    return c.state != STABLE
 
 
 def settle(
@@ -467,9 +521,9 @@ class LevelDiagram:
         wmax: Fraction,
         window: int,
         track: Callable[[int, list[Optional[int]]], Tracked],
-        stop: Optional[Callable[[CellResult], bool]] = None,
+        stop: Optional[Callable[[Cell], bool]] = None,
         first: Optional[dict] = None,
-    ) -> dict[tuple[int, Fraction], CellResult]:
+    ) -> dict[tuple[int, Fraction], Cell]:
         """Judge every cell of the degrees up to weight wmax, degrees from
         the top down. A cell is an integer nt over the top level's denom
         D: the weights where some level's degree-d strand is nonzero,
@@ -499,7 +553,7 @@ class LevelDiagram:
             for d in degrees
         }
 
-        def judge(d: int, nt: int) -> Optional[CellResult]:
+        def judge(d: int, nt: int) -> Optional[Cell]:
             ns = [nt // q if nt % q == 0 else None for q in ratios]
             tracked = track(d, ns)
             if tracked is None:
@@ -524,7 +578,7 @@ class LevelDiagram:
                 nt = w * denom
                 on = nt.denominator == 1 and nt.numerator in cells.get(d, ())
                 r = on and judge(d, nt.numerator)
-                if not (r and r.stable and r.value == first[(d, w)]):
+                if not (r and r.state == STABLE and r.value == first[(d, w)]):
                     raise _Unsettled
                 judged[(d, nt.numerator)] = r
         blocks = []
@@ -545,9 +599,9 @@ class LevelDiagram:
         degrees,
         wmax: Fraction,
         window: int,
-        stop: Optional[Callable[[CellResult], bool]] = None,
+        stop: Optional[Callable[[Cell], bool]] = None,
         first: Optional[dict] = None,
-    ) -> dict[tuple[int, Fraction], CellResult]:
+    ) -> dict[tuple[int, Fraction], Cell]:
         """The walk that tracks each cell's whole homology."""
 
         def track(d, ns):
@@ -556,9 +610,9 @@ class LevelDiagram:
 
         return self.walk(degrees, wmax, window, track, stop=stop, first=first)
 
-    def exact(self, degrees, wmax: Fraction) -> dict[tuple[int, Fraction], CellResult]:
+    def exact(self, degrees, wmax: Fraction) -> dict[tuple[int, Fraction], Cell]:
         """Every nonzero cell of the first level up to weight wmax, each
-        exact (stable at its own dim, never in flight): for a diagram whose
+        exact (stable at its own dim, with no level dims): for a diagram whose
         colimit its first level already is. Degrees go from the top down,
         as in walk, so each homology hands its rank to the one below; the
         cells come back in ascending (d, w) order."""
@@ -569,63 +623,39 @@ class LevelDiagram:
             for n in strand_weights(x, d, top, prov):
                 dim = self.homology(0, d, n).dim
                 if dim:
-                    raw[(d, Fraction(n, denom))] = CellResult(dim, True, (dim,), False)
+                    raw[(d, Fraction(n, denom))] = Cell(dim)
         return dict(sorted(raw.items()))
 
 
 # ---------- result types ----------
 
 
-class Cell(NamedTuple):
-    degree: int
-    weight: Fraction
-    dim: int
-    stable: bool
-    in_flight: bool
-
-
 class StabilizedTable(NamedTuple):
     name: str
-    cells: list[Cell]  # stable nonzero and unstable cells, sorted
+    # the stable nonzero and the unstable cells by (degree, weight), sorted
+    cells: dict[tuple[int, Fraction], Cell]
     levels: tuple[int, ...]
     deg_max: int  # degrees 0..deg_max, reported as trusted_degree_max
 
     def dims(self) -> tuple[int, ...]:
         out = [0] * (self.deg_max + 1)
-        for c in self.cells:
-            if c.stable and c.degree <= self.deg_max:
-                out[c.degree] += c.dim
+        for (d, _w), c in self.cells.items():
+            if c.state == STABLE and d <= self.deg_max:
+                out[d] += c.value
         return tuple(out)
 
-    def degree_stable(self, d: int) -> bool:
-        return all(c.stable for c in self.cells if c.degree == d)
-
-    def all_stable(self) -> bool:
-        return all(c.stable for c in self.cells)
-
-    def unstable_cells(self) -> list[Cell]:
-        return [c for c in self.cells if not c.stable]
-
     def stable_cells_at(self, d: int) -> dict[Fraction, int]:
-        return {
-            c.weight: c.dim
-            for c in self.cells
-            if c.degree == d and c.stable and c.dim
-        }
+        return {w: c.value for (dd, w), c in self.cells.items() if dd == d and c.state == STABLE}
 
 
 def make_table(
     name: str,
-    raw: dict[tuple[int, Fraction], CellResult],
+    raw: dict[tuple[int, Fraction], Cell],
     levels,
     deg_max: int,
 ) -> StabilizedTable:
-    cells = []
-    for (d, w) in sorted(raw):
-        r = raw[(d, w)]
-        if r.stable and r.value == 0:
-            continue
-        cells.append(Cell(d, w, r.value, r.stable, r.in_flight))
+    """The table of the cells that are not stable at 0."""
+    cells = {k: raw[k] for k in sorted(raw) if raw[k].value or raw[k].state != STABLE}
     return StabilizedTable(name, cells, tuple(levels), deg_max)
 
 
@@ -878,7 +908,7 @@ def derived_tensor(
 
 def _tor_cells(
     spec: RingSpec, left: ModuleRef, right: ModuleRef, degrees: range, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
+) -> tuple[dict[tuple[int, Fraction], Cell], list[int]]:
     """The judged Tor cells of the degrees and the levels they were
     settled on: the resolution of left, read against right."""
     wmax = Fraction(bounds.weight_max)
@@ -886,7 +916,7 @@ def _tor_cells(
 
     def attempt(levels, lazy):
         raw = res.diagram(levels).run(degrees, wmax, bounds.window, _unstable if lazy else None)
-        return (raw, levels), all(r.stable for r in raw.values())
+        return (raw, levels), not read_cells(raw, flight_blocks=True).blocking
 
     return settle(res.min_level, bounds.window, bounds.max_level, attempt)
 
@@ -904,7 +934,6 @@ class QuotientHomotopy(NamedTuple):
 
     table: StabilizedTable
     dims: tuple[int, ...]  # stable dims per degree 0..N
-    stable: bool
     top_level: int
     notes: list[str]
     n_used: tuple[int, ...] = ()  # derived power per degree, tower oracle only
@@ -939,7 +968,7 @@ def _base_change_modules(
 
 def _quotient_by_base_change(
     spec: RingSpec, family: IdealFamily, degrees: range, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], list[int], str]:
+) -> tuple[dict[tuple[int, Fraction], Cell], list[int], str]:
     """Tor^A(K_S, R) in the degrees (_base_change_modules), the levels it
     was read on and the note naming the route. When every divisible
     variable is a root variable it descends to level 0, where each
@@ -1040,13 +1069,7 @@ def quotient_homotopy(
         raw, levels, note = _quotient_by_base_change(spec, family, range(N + 1), bounds)
         notes = [note]
     table = make_table(f"pi(R/{family.name}^infty)", raw, levels, N)
-    return QuotientHomotopy(
-        table=table,
-        dims=table.dims(),
-        stable=table.all_stable(),
-        top_level=levels[-1],
-        notes=notes,
-    )
+    return QuotientHomotopy(table=table, dims=table.dims(), top_level=levels[-1], notes=notes)
 
 
 # ---------- static check ----------
@@ -1055,7 +1078,6 @@ def quotient_homotopy(
 class StaticCheck(NamedTuple):
     static: Optional[bool]  # None when level stabilization ran out
     witness: Optional[tuple[int, Fraction]]
-    stable: bool
     levels: tuple[int, ...]
 
 
@@ -1077,18 +1099,18 @@ def static_check(
     octahedron gives cone(sigma_1) = cone(C (x)^L C -> C). If C starts in
     degree c >= 1, C (x)^L C starts in degree 2c, so the cone and C
     vanish below c and agree, cell by cell, in degree c. At N = 0 nothing
-    is read: H_0 cone(sigma_1) = I/I^2 = 0."""
+    is read: H_0 cone(sigma_1) = I/I^2 = 0.
+
+    An in-flight cell blocks (read_cells), but a witness decides: static
+    is False with a witness, else None while a cell blocks, else True."""
     require_idempotent(family)
     bounds = bounds if bounds is not None else default_bounds(N)
     if family_contains_unit(family) or N == 0:
-        return StaticCheck(True, None, True, ())
+        return StaticCheck(True, None, ())
     raw, levels, _note = _quotient_by_base_change(spec, family, range(1, N + 1), bounds)
-    witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
-    if witness is not None:
-        return StaticCheck(False, witness, True, tuple(levels))
-    if all(r.stable for r in raw.values()):
-        return StaticCheck(True, None, True, tuple(levels))
-    return StaticCheck(None, None, False, tuple(levels))
+    read = read_cells(raw, flight_blocks=True)
+    static = False if read.nonzero else None if read.blocking else True
+    return StaticCheck(static, read.witness, tuple(levels))
 
 
 # ---------- tower report ----------
@@ -1102,12 +1124,10 @@ class TowerReport(NamedTuple):
     undetermined: list[tuple[int, int, Fraction]]
     levels: tuple[int, ...]
     h0_cells_checked: int
-    # True when every undetermined cell is in flight (CellResult.in_flight)
-    undetermined_is_boundary: bool = True
-    # same flag restricted to the cofibre cells; the H_0 strands of a ring
-    # with two or more root variables grow with the level at every weight,
-    # so only the connectivity half can be expected to clear its frontier
-    cof_undetermined_is_boundary: bool = True
+    # the cofibre cells by (n, i, w), and the H_0 cells of the powers
+    # compared, by (n, w): the cells whose frontier the report reads
+    cofibres: dict[tuple[int, int, Fraction], Cell]
+    powers: dict[tuple[int, Fraction], Cell]
 
 
 def tower_report(
@@ -1141,7 +1161,7 @@ def tower_report(
     degrees read (H_d for d < n reads X_n through d + 1 <= n) and the
     weight cap are exact. So every level dim and every step rank is equal
     cell for cell, and with them every verdict, undetermined cell and
-    flag.
+    cell state.
     """
     tw = Tower(spec, family, max(1, n_max - 1), bounds.weight_max)
     wmax, window = tw.wmax, bounds.window
@@ -1158,53 +1178,42 @@ def tower_report(
             for n in range(1, n_max)
         }
         h0_raw = {n: x.diagram(levels).run([0], wmax, window, stop) for n, x in powers.items()}
-        settled = all(
-            r.stable
+        settled = not any(
+            read_cells(raw, flight_blocks=True).blocking
             for raw in (*cof_raw.values(), *h0_raw.values())
-            for r in raw.values()
         )
         return (cof_raw, h0_raw, levels), settled
 
     cof_raw, h0_raw, levels = settle(family.min_level(), window, bounds.max_level, attempt)
-    conn_failures = []
-    undetermined = []
-    all_boundary = True
-    cof_boundary = True
-    for n in sorted(cof_raw):
-        for (d, w) in sorted(cof_raw[n]):
-            r = cof_raw[n][(d, w)]
-            if not r.stable:
-                undetermined.append((n, d, w))
-                all_boundary = all_boundary and r.in_flight
-                cof_boundary = cof_boundary and r.in_flight
-            elif r.value:
-                conn_failures.append((n, d, w))
+    cofibres = {(n, d, w): c for n in sorted(cof_raw) for (d, w), c in cof_raw[n].items()}
+    cof = read_cells(cofibres, flight_blocks=True)
+    undetermined = list(cof.blocking)
 
     h0_mismatches = []
     checked = 0
     base = h0_raw.get(2, {})
-    zero = CellResult(0, True, (), False)  # a cell the walk left out
+    zero = Cell(0)  # a cell the walk left out
     for n in range(3, n_max + 1):
         for key in sorted(set(base) | set(h0_raw[n])):
             rb, rn = base.get(key, zero), h0_raw[n].get(key, zero)
-            if not (rb.stable and rn.stable):
+            if rb.state != STABLE or rn.state != STABLE:
                 undetermined.append((n, 0, key[1]))
-                for r in (rb, rn):
-                    if not r.stable:
-                        all_boundary = all_boundary and r.in_flight
                 continue
             checked += 1
             if rb.value != rn.value:
                 h0_mismatches.append((n, key[1], rn.value, rb.value))
 
     return TowerReport(
-        ok=not conn_failures and not h0_mismatches,
+        ok=not cof.nonzero and not h0_mismatches,
         n_max=n_max,
-        connectivity_failures=conn_failures,
+        connectivity_failures=cof.nonzero,
         h0_mismatches=h0_mismatches,
         undetermined=undetermined,
         levels=tuple(levels),
         h0_cells_checked=checked,
-        undetermined_is_boundary=all_boundary,
-        cof_undetermined_is_boundary=cof_boundary,
+        cofibres=cofibres,
+        # H_0 is compared from X_3 on, against X_2
+        powers={
+            (n, w): c for n in sorted(h0_raw) for (_d, w), c in h0_raw[n].items()
+        } if n_max >= 3 else {},
     )

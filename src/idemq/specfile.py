@@ -8,11 +8,15 @@
     set <key> <value>
 
 An ideal name is one or more words joined by `+` (`I`, `I+J`), the form
-of an exterior sum's default name. Monomials are products of factors
-`x`, `x^2`, `x^{1/2}`, separated by spaces or `*`; a bare `1` is the
-empty monomial. Lines may carry `#` comments. Declarations can appear
-in any order; monomials are resolved once all variables are known,
-errors point at the offending line.
+of an exterior sum's default name (IDEAL_NAME), and the only form
+`exterior-sum --name` accepts. Monomials are products of factors `x`,
+`x^2`, `x^{1/2}`, separated by spaces or `*`; a bare `1` is the empty
+monomial. Lines may carry `#` comments. Declarations can appear in any
+order; monomials are resolved once all variables are known, errors point
+at the offending line. A `set` value below its setting's minimum
+(MINIMUM, which the flags share) is refused as the spec is parsed, with
+the message the flag would give, naming the setting: a spec is valid or
+not whatever the command and its flags.
 emit_spec(parse_spec(text)) is canonical and parses back to an
 identical spec.
 """
@@ -28,7 +32,7 @@ from .ideals import IdealFamily
 from .rings import FracMono, RingSpec, VarInfo, format_mono, root_exponent
 
 # settings understood by the command layer; weight_max is a fraction,
-# the rest are integers, whose lower bounds the command layer checks
+# the rest are integers
 _SETTINGS = {
     "deg_max": int,
     "weight_max": Fraction,
@@ -36,6 +40,20 @@ _SETTINGS = {
     "window": int,
     "amitsur_depth": int,
 }
+# least value of each setting, whether given as a `set` line or a flag
+# (n_max is a flag only); weight_max must lie strictly above its bound
+MINIMUM = {
+    "deg_max": 0, "max_level": 1, "window": 1, "n_max": 1, "weight_max": 0, "amitsur_depth": 1,
+}
+
+
+def check_setting(where: str, key: str, value) -> None:
+    """Refuse a value below the setting's minimum; where names the `set`
+    line or the flag that gave it."""
+    low, strict = MINIMUM[key], key == "weight_max"
+    if value < low or (strict and value == low):
+        need = "greater than" if strict else "at least"
+        raise ValueError(f"{where} must be {need} {low}, got {value}")
 
 
 class SpecError(ValueError):
@@ -71,6 +89,7 @@ class ProblemSpec:
 # ---------- parsing ----------
 
 _NAME = r"[A-Za-z_]\w*"  # a variable name, as a monomial factor can spell it
+IDEAL_NAME = re.compile(r"\w+(?:\+\w+)*")  # an ideal name, to fullmatch
 _FACTOR = re.compile(rf"^({_NAME})(?:\^(.+))?$")
 _ROOTS = re.compile(rf"^roots\(\s*({_NAME})\s*\)$")
 
@@ -168,7 +187,7 @@ def parse_spec(text: str) -> ProblemSpec:
         elif head == "ideal":
             name, eq, items = rest.partition("=")
             name = name.strip()
-            if not eq or not re.fullmatch(r"\w+(?:\+\w+)*", name):
+            if not eq or not IDEAL_NAME.fullmatch(name):
                 raise SpecError(lineno, "expected: ideal <name> = <items>")
             if any(n == name for n, _, _ in ideal_raw):
                 raise SpecError(lineno, f"duplicate ideal {name!r}")
@@ -185,6 +204,7 @@ def parse_spec(text: str) -> ProblemSpec:
                 settings[key] = _SETTINGS[key](val.strip())
             except (ValueError, ZeroDivisionError):
                 raise SpecError(lineno, f"bad value for {key}: {val.strip()!r}") from None
+            check_setting(f"set {key}", key, settings[key])
         else:
             raise SpecError(lineno, f"unknown directive {head!r}")
 

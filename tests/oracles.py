@@ -9,7 +9,7 @@ those scanned matrices, multigraded Betti numbers of a monomial ideal
 from its Taylor complex, the complex check (layout, dd = 0 and weight
 homogeneity: check_complex), the chain-map check d . f = f . d
 (check_chain_map), and small conveniences on chain maps,
-monomials and tables. Two reference routes through the tower of derived
+monomials and tables (settled). Two reference routes through the tower of derived
 powers, which share no code with base change: pi_*(R/I^infty) read off
 the cones of the multiplications (quotient_by_tower), also by Kunneth
 convolution over independent variable blocks (kunneth_quotient), and the
@@ -44,12 +44,15 @@ from idemq.complexes import (
     tensor_maps,
 )
 from idemq.derived import (
+    STABLE,
+    UNDETERMINED,
     Bounds,
-    CellResult,
+    Cell,
     QuotientHomotopy,
     StabilizedTable,
     StaticCheck,
     default_bounds,
+    read_cells,
 )
 from idemq.ideals import IdealFamily
 from idemq.rings import Elem, LevelRing, RingSpec, make_level_ring
@@ -457,17 +460,18 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     return ChainMap(src=f.src, dst=g.dst, entries=ent, ring_map=rm)
 
 
+def settled(table) -> bool:
+    """Is every cell of the table stable (read_cells, in-flight cells
+    blocking), as quotient_homotopy's status reads it?"""
+    return not read_cells(table.cells, flight_blocks=True).blocking
+
+
 def mono(spec, **exps) -> tuple:
     """Exponent tuple aligned with the spec's variables, e.g. mono(spec, t=1)."""
     names = [v.name for v in spec.variables]
     if set(exps) - set(names):
         raise KeyError(f"unknown variables {sorted(set(exps) - set(names))}")
     return tuple(Fraction(exps.get(n, 0)) for n in names)
-
-
-def cell_map(table) -> dict:
-    """A table's cells by (degree, weight)."""
-    return {(c.degree, c.weight): c for c in table.cells}
 
 
 def variable_blocks(spec: RingSpec, family: IdealFamily) -> list[list[int]]:
@@ -533,10 +537,10 @@ def _restrict_family(
 
 
 def _kunneth_cells(
-    tables: list[dict[tuple[int, Fraction], CellResult]],
+    tables: list[dict[tuple[int, Fraction], Cell]],
     N: int,
     wmax: Fraction,
-) -> dict[tuple[int, Fraction], CellResult]:
+) -> dict[tuple[int, Fraction], Cell]:
     acc: dict[tuple[int, Fraction], tuple[int, bool]] = {
         (0, Fraction(0)): (1, True)
     }
@@ -544,7 +548,7 @@ def _kunneth_cells(
         nxt: dict[tuple[int, Fraction], tuple[int, bool]] = {}
         for (d1, w1), (v1, s1) in acc.items():
             for (d2, w2), r in cells.items():
-                v2, s2 = r.value, r.stable
+                v2, s2 = r.value, r.state == STABLE
                 if v1 * v2 == 0 and (s1 and s2):
                     continue
                 d, w = d1 + d2, w1 + w2
@@ -554,7 +558,7 @@ def _kunneth_cells(
                 nxt[(d, w)] = (old[0] + v1 * v2, old[1] and s1 and s2)
         acc = nxt
     return {
-        key: CellResult(v, s, (), False)
+        key: Cell(v, STABLE if s else UNDETERMINED)
         for key, (v, s) in acc.items()
         if v or not s
     }
@@ -562,19 +566,19 @@ def _kunneth_cells(
 
 def _tower_cells(
     spec: RingSpec, family: IdealFamily, N: int, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], list[int]]:
+) -> tuple[dict[tuple[int, Fraction], Cell], list[int]]:
     """The cells of pi_d(R/I^infty), d <= N, each read off cone(eps_{d+2})
     on a tower built through N, and the levels they settled on."""
     tw = derived.Tower(spec, family, N, bounds.weight_max)
 
     def attempt(levels, lazy):
         stop = derived._unstable if lazy else None
-        raw: dict[tuple[int, Fraction], CellResult] = {}
+        raw: dict[tuple[int, Fraction], Cell] = {}
         for d in range(N + 1):
             raw.update(
                 tw.Q(d + 2).diagram(levels).run([d], bounds.weight_max, bounds.window, stop)
             )
-        return (raw, levels), all(r.stable for r in raw.values())
+        return (raw, levels), not read_cells(raw, flight_blocks=True).blocking
 
     return derived.settle(family.min_level(), bounds.window, bounds.max_level, attempt)
 
@@ -592,7 +596,6 @@ def quotient_by_tower(
     return QuotientHomotopy(
         table=table,
         dims=table.dims(),
-        stable=table.all_stable(),
         top_level=levels[-1],
         notes=[],
         n_used=tuple(d + 2 for d in range(N + 1)),
@@ -769,15 +772,12 @@ def static_check_by_tower(
     def attempt(levels, lazy):
         stop = derived._unstable if lazy else None
         raw = cof.diagram(levels).run(range(N + 1), bounds.weight_max, bounds.window, stop)
-        return (raw, levels), all(r.stable for r in raw.values())
+        return (raw, levels), not read_cells(raw, flight_blocks=True).blocking
 
     raw, levels = derived.settle(family.min_level(), bounds.window, bounds.max_level, attempt)
-    witness = next(((d, w) for (d, w), r in sorted(raw.items()) if r.stable and r.value), None)
-    if witness is not None:
-        return StaticCheck(False, witness, True, tuple(levels))
-    if all(r.stable for r in raw.values()):
-        return StaticCheck(True, None, True, tuple(levels))
-    return StaticCheck(None, None, False, tuple(levels))
+    read = read_cells(raw, flight_blocks=True)
+    static = False if read.nonzero else None if read.blocking else True
+    return StaticCheck(static, read.witness, tuple(levels))
 
 
 def kunneth_quotient(
@@ -801,7 +801,7 @@ def kunneth_quotient(
 
 def _base_change_by_levels(
     spec: RingSpec, family: IdealFamily, degrees: range, bounds: Bounds
-) -> tuple[dict[tuple[int, Fraction], CellResult], list[int], str]:
+) -> tuple[dict[tuple[int, Fraction], Cell], list[int], str]:
     """derived._quotient_by_base_change with no descent: Tor^A(K_S, R)
     settled by the Tor level loop for every family."""
     derived.level_range(family.min_level(), bounds.max_level)

@@ -28,7 +28,7 @@ from idemq.derived import (
 from idemq.fields import GF, QQ
 from idemq.ideals import IdealFamily, check_idempotent, Idempotent, fixed_family
 from idemq.rings import RingSpec, VarInfo
-from oracles import check_chain_map
+from oracles import check_chain_map, settled
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -65,7 +65,7 @@ def test_residue_field_is_almost_zero():
     for check in (is_almost_zero, tensor_zero_criterion):
         v = check(spec, I, residue_module(), bound=2)
         assert v.almost_zero is True
-        assert v.stable
+        assert None not in v.degrees.values()
         assert v.witnesses == {}
 
 
@@ -225,7 +225,7 @@ def test_gluing_square_zero_module():
         spec, I, module=ideal_module(fixed_family(spec, [], name="Z")), bound=2
     )
     assert g.cartesian is True
-    assert g.cells == {}
+    assert g.fit == g.orth == {}
 
 
 def test_gluing_refuses_short_tower():
@@ -281,7 +281,7 @@ def test_exterior_sum_matches_joint_roots():
     assert isinstance(check_idempotent(fam), Idempotent)
     qh = quotient_homotopy(joint, fam, 2)
     assert qh.dims == (1, 2, 1)
-    assert qh.stable
+    assert settled(qh.table)
 
 
 def test_exterior_sum_with_zero_family():

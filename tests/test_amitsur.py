@@ -142,11 +142,11 @@ def test_a_reference_cell_judged_first_is_judged_as_the_walk_judges_it(
         diagram = q.diagram(level_range(l0, top))
         half = Fraction(1, 2 * diagram.complexes[-1].ring.denom)
         alone = {}
-        for c in reference:
-            for w in (c.weight, c.weight - 2 * half, c.weight + 2 * half, c.weight + half):
+        for d, w0 in reference:
+            for w in (w0, w0 - 2 * half, w0 + 2 * half, w0 + half):
                 judged.clear()
                 with pytest.raises(derived._Unsettled):
-                    diagram.run(range(N + 1), wmax, window, lambda r: True, {(c.degree, w): -1})
-                alone[(c.degree, w)] = judged[:]
+                    diagram.run(range(N + 1), wmax, window, lambda r: True, {(d, w): -1})
+                alone[(d, w)] = judged[:]
         walk = diagram.run(range(N + 1), wmax, window)
         assert alone == {c: [walk[c]] if c in walk else [] for c in alone}, top

@@ -545,6 +545,111 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, argv, setting, message):
     assert err == f"idemq: error: {message}\n"
 
 
+# name -> (spec text, argv after the spec file, the error message)
+HOSTILE = {
+    "root-base-0": ("root_base 0\n" + T_SPEC, [], "line 1: root_base must be >= 2"),
+    "root-base-1": ("root_base 1\n" + T_SPEC, [], "line 1: root_base must be >= 2"),
+    "root-base-minus-2": ("root_base -2\n" + T_SPEC, [], "line 1: root_base must be >= 2"),
+    "field-F4": ("field Fp 4\n" + T_SPEC, [], "line 1: bad field name 'F4': 4 is not prime"),
+    "field-F1": ("field Fp 1\n" + T_SPEC, [], "line 1: bad field name 'F1': 1 is not prime"),
+    "field-F0": ("field Fp 0\n" + T_SPEC, [], "line 1: bad field name 'F0': 0 is not prime"),
+    "field-F10^26": (
+        f"field Fp {10**26}\n" + T_SPEC,
+        [],
+        f"line 1: bad field name 'F{10**26}': {10**26} is too large:"
+        " primality is decided only below 3317044064679887385961981",
+    ),
+    "duplicate-var": ("var t divisible\n" + T_SPEC, [], "line 2: duplicate variable 't'"),
+    "truncate-t^-1": (
+        "var t divisible\ntruncate t^-1\nideal I = roots(t)\n", [],
+        "line 2: exponents must be nonnegative",
+    ),
+    "truncate-t^0": (
+        "var t divisible\ntruncate t^0\nideal I = roots(t)\n", [],
+        "line 2: cannot truncate by the unit monomial",
+    ),
+    "truncate-t^1/2": (
+        "var t divisible\ntruncate t^1/2\nideal I = roots(t)\n", [],
+        "line 2: truncation exponents must be nonnegative integers",
+    ),
+    "truncate-t^2^3": (
+        "var t divisible\ntruncate t^2^3\nideal I = roots(t)\n", [], "line 2: bad exponent '2^3'"
+    ),
+    "truncate-unknown-var": (
+        "var t divisible\ntruncate u\nideal I = roots(t)\n", [], "line 2: unknown variable 'u'"
+    ),
+    "roots-unknown-var": (
+        "var t divisible\ntruncate t\nideal I = roots(u)\n", [], "line 3: unknown variable 'u'"
+    ),
+    "roots-plain-var": (
+        "var t\ntruncate t\nideal I = roots(t)\n", [],
+        "line 3: roots(...) needs a divisible variable",
+    ),
+    "exponent-t^1/3": (
+        "var t divisible\ntruncate t\nideal I = t^1/3\n", [],
+        "line 3: denominator not a power of 2",
+    ),
+    "duplicate-ideal": (T_SPEC + "ideal I = roots(t)\n", [], "line 4: duplicate ideal 'I'"),
+    "set-bogus": (
+        T_SPEC + "set bogus 3\n", [],
+        "line 4: unknown setting 'bogus'; known: amitsur_depth, deg_max, max_level, weight_max,"
+        " window",
+    ),
+    "set-deg-max-3.5": (T_SPEC + "set deg_max 3.5\n", [], "line 4: bad value for deg_max: '3.5'"),
+    "set-weight-max-1/0": (
+        T_SPEC + "set weight_max 1/0\n", [], "line 4: bad value for weight_max: '1/0'"
+    ),
+    "window-0": (T_SPEC, ["--window", "0"], "--window must be at least 1, got 0"),
+    "n-max-0": (T_SPEC, ["--n-max", "0"], "--n-max must be at least 1, got 0"),
+    "depth-0": (T_SPEC, ["--depth", "0"], "--depth must be at least 1, got 0"),
+    "deg-min-above-deg-max": (
+        T_SPEC, ["--left", "K", "--right", "K", "--deg-max", "1", "--deg-min", "2"],
+        "--deg-min must be between 0 and deg_max 1, got 2",
+    ),
+    "map-bogus": (
+        T_SPEC, ["--map", "bogus"], "--map takes power:<n>, identity:<module>, or zero:<module>"
+    ),
+    "map-power-0": (T_SPEC, ["--map", "power:0"], "derived powers start at n = 1"),
+    "map-identity-Q": (
+        T_SPEC, ["--map", "identity:Q"], "bad module 'Q'; use R, K, <ideal>, or R/<ideal>"
+    ),
+    # a `set` line is checked when the spec is parsed, whatever the
+    # command and whatever flag would override it
+    "set-deg-max-minus-1-under-a-flag": (
+        T_SPEC + "set deg_max -1\n", ["--deg-max", "1"], "set deg_max must be at least 0, got -1"
+    ),
+    "set-window-0-under-a-flag": (
+        T_SPEC + "set window 0\n", ["--left", "K", "--right", "K", "--window", "2"],
+        "set window must be at least 1, got 0",
+    ),
+    "set-deg-max-minus-1-unread": (
+        T_SPEC + "set deg_max -1\n", [], "set deg_max must be at least 0, got -1"
+    ),
+    "set-window-0-unread": (T_SPEC + "set window 0\n", [], "set window must be at least 1, got 0"),
+}
+# the command each case runs, where it is not quotient-homotopy
+HOSTILE_COMMAND = {
+    "n-max-0": "tower",
+    "depth-0": "amitsur-check",
+    "deg-min-above-deg-max": "tor",
+    "map-bogus": "almost-equiv",
+    "map-power-0": "almost-equiv",
+    "map-identity-Q": "almost-equiv",
+    "set-window-0-under-a-flag": "tor",
+    "set-deg-max-minus-1-unread": "check-idempotent",
+    "set-window-0-unread": "check-idempotent",
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE))
+def test_hostile_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    text, argv, message = HOSTILE[case]
+    spec = _write(tmp_path, text)
+    code, out, err = _run(capsys, [HOSTILE_COMMAND.get(case, "quotient-homotopy"), spec, *argv])
+    assert (code, out) == (2, "")
+    assert err == f"idemq: error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -830,6 +935,32 @@ def test_exterior_sum_json_embeds_spec(tmp_path, capsys):
     assert code == 0
     assert rep["certificates"]["ideal"] == "S"
     assert "var t_1 divisible" in rep["certificates"]["spec"]
+
+
+@pytest.mark.parametrize("name", [None, "S", "I+J", "ideal_2+K"])
+def test_exterior_sum_spec_parses_back_with_its_name(tmp_path, capsys, name):
+    from idemq.specfile import emit_spec, parse_spec
+
+    a = _write(tmp_path, T_SPEC, "a.spec")
+    b = _write(tmp_path, PLAIN_SPEC, "b.spec")
+    flags = [] if name is None else ["--name", name]
+    code, out, _ = _run(capsys, ["exterior-sum", a, b, "--left", "I", "--right", "I", *flags])
+    assert code == 0
+    joint = parse_spec(out)
+    assert list(joint.ideals) == [name or "I+I"]
+    assert emit_spec(joint) == out
+
+
+@pytest.mark.parametrize("name", ["a b", "x,y", "I=J", "", "I+", "+I", "I++J"])
+def test_exterior_sum_refuses_a_name_the_spec_grammar_refuses(tmp_path, capsys, name):
+    a = _write(tmp_path, T_SPEC, "a.spec")
+    code, out, err = _run(
+        capsys, ["exterior-sum", a, a, "--left", "I", "--right", "I", "--name=" + name]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"idemq: error: bad ideal name {name!r} for --name: words joined by '+', as I or I+J\n"
+    )
 
 
 def test_exterior_sum_default_name_selects_ideal(tmp_path, capsys):

@@ -32,10 +32,10 @@ from idemq.ideals import IdealFamily, check_idempotent, fixed_family, roots_fami
 from idemq.rings import RingSpec, VarInfo, make_level_ring
 from idemq.sparsela import SparseMatrix, matmul
 from idemq.specfile import parse_spec
+from idemq.derived import STABLE, read_cells
 from oracles import (
     amitsur_level,
     amitsur_step,
-    cell_map,
     check_chain_map,
     check_complex,
     cofibre_cone,
@@ -46,6 +46,7 @@ from oracles import (
     mono,
     quotient_by_levels,
     quotient_by_tower,
+    settled,
     reduced_resolution,
     static_check_by_levels,
     static_check_by_tower,
@@ -271,13 +272,13 @@ def test_a_lazy_walk_is_abandoned_at_its_first_stopping_cell():
     full = tor.diagram([1, 2, 3]).run(range(2), F1, 2)
     # the walk's order: degrees from the top down, weights ascending
     order = sorted(full, key=lambda c: (-c[0], c[1]))
-    first = next(i for i, c in enumerate(order) if not full[c].stable)
+    first = next(i for i, c in enumerate(order) if full[c].state != STABLE)
     assert 0 < first < len(order) - 1
     seen = []
 
     def stop(r):
         seen.append(r)
-        return not r.stable
+        return r.state != STABLE
 
     with pytest.raises(derived._Unsettled):
         tor.diagram([1, 2, 3]).run(range(2), F1, 2, stop)
@@ -298,7 +299,7 @@ def test_settle_never_abandons_the_attempt_at_the_cap():
     raw = derived.settle(1, 2, 5, attempt)
     assert tops == [(3, True), (4, True), (5, False)]
     assert raw == _tor_i_rj().diagram([1, 2, 3, 4, 5]).run(range(2), F1, 2)
-    assert any(not r.stable for r in raw.values())
+    assert any(r.state != STABLE for r in raw.values())
 
 
 # ---------- quotient homotopy, one variable ----------
@@ -311,12 +312,12 @@ def test_quotient_homotopy_one_var_truncated():
     for route, n_used in ((quotient_homotopy, ()), (quotient_by_tower, (2, 3, 4))):
         qh = route(spec, I, 2)
         assert qh.dims == (1, 1, 0)
-        assert qh.stable
+        assert settled(qh.table)
         assert qh.top_level <= 4
         assert qh.n_used == n_used
-        cells = cell_map(qh.table)
-        assert cells[(0, F0)].dim == 1
-        assert cells[(1, F1)].dim == 1
+        cells = qh.table.cells
+        assert cells[(0, F0)].value == 1
+        assert cells[(1, F1)].value == 1
 
 
 def test_quotient_homotopy_untruncated_is_residue_field():
@@ -324,7 +325,7 @@ def test_quotient_homotopy_untruncated_is_residue_field():
     I = roots_family(spec, "t")
     qh = quotient_homotopy(spec, I, 2)
     assert qh.dims == (1, 0, 0)
-    assert qh.stable
+    assert settled(qh.table)
     assert qh.table.stable_cells_at(0) == {F0: 1}
     assert qh.table.stable_cells_at(1) == {}
 
@@ -356,13 +357,13 @@ def test_quotient_homotopy_is_the_taylor_betti_numbers_of_the_truncation(text, N
     # takes base change, the oracle the tower of derived powers
     ps = parse_spec(text)
     qh = route(ps.ring, ps.ideals["I"], N)
-    assert qh.stable
+    assert settled(qh.table)
     want = {(0, F0): 1}
     for (i, b), dim in taylor_betti(list(ps.ring.truncations), ps.ring.field).items():
         if i + 1 <= N:
             key = (i + 1, sum(b))
             want[key] = want.get(key, 0) + dim
-    got = {(c.degree, c.weight): c.dim for c in qh.table.cells if c.stable and c.dim}
+    got = {k: c.value for k, c in qh.table.cells.items() if c.state == STABLE and c.value}
     assert got == want
 
 
@@ -430,16 +431,16 @@ def test_descent_reads_the_level_loop_table(key, field):
     I = ps.ideals["I"]
     for N in range(4):
         ours, loop = quotient_homotopy(ps.ring, I, N), quotient_by_levels(ps.ring, I, N)
-        assert loop.stable and ours.stable
-        assert ours.table.cells == loop.table.cells and ours.dims == loop.dims
+        assert settled(loop.table) and settled(ours.table)
+        # descent's cells carry no level dims
+        assert {k: c.value for k, c in ours.table.cells.items()} == {
+            k: c.value for k, c in loop.table.cells.items()
+        }
+        assert ours.dims == loop.dims
         assert ours.top_level == 0 and ours.table.levels == (0,)
         if N:
             sc, sc_loop = static_check(ps.ring, I, N), static_check_by_levels(ps.ring, I, N)
-            assert (sc.static, sc.witness, sc.stable) == (
-                sc_loop.static,
-                sc_loop.witness,
-                sc_loop.stable,
-            )
+            assert (sc.static, sc.witness) == (sc_loop.static, sc_loop.witness)
             assert sc.levels == (0,)
 
 
@@ -460,7 +461,7 @@ def test_descent_lifts_nothing_and_reads_level_zero_only(monkeypatch):
         monkeypatch.setattr(derived, name, refused)
     ps = parse_spec(TAYLOR_SPECS["xy-f7"][0])
     qh = quotient_homotopy(ps.ring, ps.ideals["I"], 3)
-    assert qh.stable and qh.top_level == 0
+    assert settled(qh.table) and qh.top_level == 0
     assert static_check(ps.ring, ps.ideals["I"], 3).levels == (0,)
     assert levels == {0}
 
@@ -470,8 +471,8 @@ def test_quotient_homotopy_unit_ideal_vanishes():
     U = fixed_family(spec, [mono(spec)], name="U")
     qh = quotient_homotopy(spec, U, 2)
     assert qh.dims == (0, 0, 0)
-    assert qh.stable
-    assert qh.table.cells == []
+    assert settled(qh.table)
+    assert qh.table.cells == {}
     assert any("unit" in n for n in qh.notes)
 
 
@@ -511,11 +512,11 @@ def test_quotient_homotopy_two_var_factors():
     I = _roots_xy(spec)
     table, blocks = kunneth_quotient(spec, I, 2, default_bounds(2))
     assert blocks == [[0], [1]]
-    assert table.dims() == (1, 2, 1) and table.all_stable()
+    assert table.dims() == (1, 2, 1) and settled(table)
     assert table.stable_cells_at(1) == {F1: 2}
     assert table.stable_cells_at(2) == {Fraction(2): 1}
     qh = quotient_homotopy(spec, I, 2)
-    assert qh.stable and qh.dims == table.dims()
+    assert settled(qh.table) and qh.dims == table.dims()
     for d in range(3):
         assert qh.table.stable_cells_at(d) == table.stable_cells_at(d)
 
@@ -553,9 +554,9 @@ def _stable_values(qh, deg_max):
     # (d, w) -> dim, or None when unstable; a cell the table leaves out is
     # stable zero
     return {
-        (c.degree, c.weight): c.dim if c.stable else None
-        for c in qh.table.cells
-        if c.degree <= deg_max
+        (d, w): c.value if c.state == STABLE else None
+        for (d, w), c in qh.table.cells.items()
+        if d <= deg_max
     }
 
 
@@ -564,7 +565,7 @@ def test_quotient_homotopy_routes_agree_on_stable_cells(text, N):
     ps = parse_spec(text)
     I = ps.ideals["I"]
     base_change = quotient_homotopy(ps.ring, I, N)
-    assert base_change.stable
+    assert settled(base_change.table)
     D = min(N, 2)
     tensor = _stable_values(quotient_by_tower(ps.ring, I, D), D)
     ours = _stable_values(base_change, D)
@@ -652,7 +653,7 @@ def test_multiplication_kernel_weight_one():
         assert h_dst.dim == 0  # t^1 already dies in I
     raw = cofibre_cone(tw, 1).diagram([1, 2, 3, 4]).run([1], Fraction(3, 2), 2)
     r = raw[(1, F1)]
-    assert r.stable and r.value == 1
+    assert r.state == STABLE and r.value == 1
 
 
 def test_sigma_compatible_with_multiplication():
@@ -754,7 +755,7 @@ def test_tor_is_symmetric(trunc):
     # stable zero)
     spec, mods = _symmetry_modules(trunc)
     tables = {
-        (a, b): cell_map(derived_tensor(spec, a, b, 1, Bounds(Fraction(3, 2), max_level=4)))
+        (a, b): derived_tensor(spec, a, b, 1, Bounds(Fraction(3, 2), max_level=4)).cells
         for a in mods
         for b in mods
         if a != b
@@ -765,8 +766,8 @@ def test_tor_is_symmetric(trunc):
             ab, ba = tables[(a, b)], tables[(b, a)]
             for key in set(ab) | set(ba):
                 x, y = ab.get(key), ba.get(key)
-                if (x is None or x.stable) and (y is None or y.stable):
-                    if (x.dim if x else 0) != (y.dim if y else 0):
+                if (x is None or x.state == STABLE) and (y is None or y.state == STABLE):
+                    if (x.value if x else 0) != (y.value if y else 0):
                         differ.append((a.label, b.label, key))
     assert len(mods) * (len(mods) - 1) // 2 == (15 if trunc else 28)
     assert differ == []
@@ -778,8 +779,8 @@ def test_tor_against_the_unit_ideal_is_tor_against_r():
     U = fixed_family(spec, [mono(spec)], name="U")
     via_u = derived_tensor(spec, residue_module(), ideal_module(U), 1, Bounds(Fraction(3, 2)))
     via_r = derived_tensor(spec, residue_module(), ring_module(), 1, Bounds(Fraction(3, 2)))
-    assert cell_map(via_u) == cell_map(via_r) == {(0, F0): via_r.cells[0]}
-    assert via_r.cells[0].dim == 1 and via_r.cells[0].stable
+    assert via_u.cells == via_r.cells and list(via_r.cells) == [(0, F0)]
+    assert via_r.cells[(0, F0)].value == 1 and via_r.cells[(0, F0)].state == STABLE
 
 
 def test_tor_transitions_compose():
@@ -827,7 +828,8 @@ def test_tower_report_one_var():
     assert rep.connectivity_failures == []
     assert rep.h0_mismatches == []
     assert rep.h0_cells_checked > 0
-    assert rep.undetermined_is_boundary
+    # every undetermined cell is in flight
+    assert not read_cells({**rep.cofibres, **rep.powers}, flight_blocks=False).blocking
 
 
 # spec -> (text, top level, weight cap) of the cofibre routes' comparison
@@ -950,7 +952,7 @@ def test_amitsur_agrees_with_the_tensor_route():
     rep = amitsur_crosscheck(spec, I, 4, 1, bounds)
     assert rep.reference.n_used == ()
     tower = quotient_by_tower(spec, I, 1, bounds)
-    assert tower.stable and tower.n_used == (2, 3)
+    assert settled(tower.table) and tower.n_used == (2, 3)
     assert rep.all_agree()
     for d in range(2):
         assert rep.table.stable_cells_at(d) == tower.table.stable_cells_at(d)
